@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check test lint lintstats race chaos cluster-test cluster-chaos bench-fig3a bench-sketch bench-ingest bench-qps bench-restart bench-scatter bench-failover benchdiff clean
+.PHONY: check test lint lintstats race chaos cluster-test cluster-chaos bench-fig3a bench-sketch bench-ingest bench-qps bench-restart bench-scatter bench-failover bench-smoke benchdiff clean
 
 check:
 	./scripts/check.sh
@@ -105,6 +105,14 @@ bench-scatter:
 # totals, every answer verified exact over its claimed coverage).
 bench-failover:
 	$(GO) run ./cmd/geobench -exp failover -scale 0.05 -json .
+
+# The ledger's own unit tests and smoke pass (benchmark/ is a module of
+# its own, so `go test ./...` at the root does not reach it): real
+# geoserve/georouter binaries on a 300-user corpus, including
+# full-tuple `segment` legs sent straight to the shards. A wire change
+# that breaks the ledger fails here, not in the benchmark driver.
+bench-smoke:
+	cd benchmark && $(GO) test ./...
 
 # Compare two BENCH_<exp>.json reports; fails on >15% wall-clock
 # regression of any method. Usage:

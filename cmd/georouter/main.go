@@ -35,10 +35,10 @@
 // ingest replicates each sub-batch to all R owners (durable once ONE
 // acks; replicas that missed a batch are marked stale, excluded from
 // reads, and healed by background hint redelivery bounded by
-// -max-hint-bytes), and top-k fans each ring segment to its first
-// in-sync replica, failing over down the replica set on error,
-// timeout, staleness, or an open breaker — so any single shard can
-// die without partial answers.
+// -max-hint-bytes), and top-k sends one leg per shard covering the
+// ring segments that shard leads; on error, timeout, staleness, or an
+// open breaker each of those segments fails over down its own replica
+// set — so any single shard can die without partial answers.
 package main
 
 import (

@@ -203,11 +203,11 @@ const (
 	EngineUserCentric = engine.MethodUserCentric
 	// EngineLinear is the index-free parallel scan.
 	EngineLinear = engine.MethodLinear
-	// EngineIterative is the Section 6.1.1 search, parallel across
-	// queries.
+	// EngineIterative is the Section 6.1.1 search: serial candidate
+	// accumulation, parallel refinement.
 	EngineIterative = engine.MethodIterative
-	// EngineBatch is the Section 6.1.2 search, parallel across
-	// queries.
+	// EngineBatch is the Section 6.1.2 search: serial candidate
+	// accumulation, parallel refinement.
 	EngineBatch = engine.MethodBatch
 )
 

@@ -33,6 +33,11 @@ type Key struct {
 	Method string
 	K      int
 	Query  string
+	// Partition, Lo and Hi say which part of the corpus the answer
+	// covers: segments [Lo, Hi) of the named partition of the epoch's
+	// users (engine.Restrict). All zero: the whole corpus.
+	Partition string
+	Lo, Hi    uint16
 }
 
 // FootprintKey encodes a footprint into the canonical Key.Query form:

@@ -34,36 +34,85 @@ import (
 // ctx.Err() polls; a power of two so the test is a mask.
 const cancelStride = 256
 
+// Restrict narrows a query to part of the corpus: the users whose
+// entry in SegOf — one segment number per dense user index — lies in
+// [Lo, Hi). The server builds one from a segment query (a replicated
+// router's leg); a nil *Restrict is the whole corpus.
+type Restrict struct {
+	// Partition names what SegOf numbers, for the result cache: two
+	// restrictions with equal Partition, Lo and Hi select the same users
+	// of an epoch.
+	Partition string
+	SegOf     []uint16
+	Lo, Hi    uint16
+}
+
+// filter drops the candidates outside the restriction, compacting
+// cands in place. It is the one point where a segment query differs
+// from a whole-corpus one: whatever generated the candidates, and
+// whatever bounds and refines them afterwards, sees a shorter list.
+//
+//geo:hotpath
+func (in *Restrict) filter(cands []int) []int {
+	if in == nil {
+		return cands
+	}
+	kept := cands[:0]
+	for _, u := range cands {
+		if s := in.SegOf[u]; s >= in.Lo && s < in.Hi {
+			kept = append(kept, u)
+		}
+	}
+	return kept
+}
+
 // TopKCtx is TopK honouring ctx: it returns ctx.Err() when the
 // context is cancelled or past its deadline, and never a partial
 // result set.
 func (e *QueryEngine) TopKCtx(ctx context.Context, q core.Footprint, k int) ([]search.Result, error) {
+	return e.TopKInCtx(ctx, q, k, nil)
+}
+
+// TopKInCtx is TopKCtx over the users `in` selects (nil: all of them).
+// Every method runs the same three steps — generate candidates, drop
+// those outside the restriction, refine the rest across the workers —
+// so a restricted answer is the unrestricted ranking with the other
+// users removed, whatever the method.
+func (e *QueryEngine) TopKInCtx(ctx context.Context, q core.Footprint, k int, in *Restrict) ([]search.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if k <= 0 {
+	qnorm := core.Norm(q)
+	if qnorm == 0 || k <= 0 {
 		return nil, nil
 	}
+	cands, err := e.candidatesCtx(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	cands = in.filter(cands)
+	if e.method == MethodSketch {
+		return e.refineSketchCtx(ctx, cands, q, k, qnorm)
+	}
+	return e.refineCandidatesCtx(ctx, cands, q, k, qnorm)
+}
+
+// candidatesCtx generates the configured method's candidates: dense
+// user indexes, a superset of the users with positive similarity.
+func (e *QueryEngine) candidatesCtx(ctx context.Context, q core.Footprint) ([]int, error) {
 	switch e.method {
 	case MethodLinear:
-		qnorm := core.Norm(q)
-		if qnorm == 0 {
-			return nil, nil
+		all := make([]int, len(e.db.Footprints))
+		for u := range all {
+			all[u] = u
 		}
-		return e.refineRangeCtx(ctx, len(e.db.Footprints), q, k, qnorm)
+		return all, nil
 	case MethodIterative:
-		return e.roi.TopKIterativeCtx(ctx, q, k)
+		return e.roi.IterativeCandidatesCtx(ctx, q)
 	case MethodBatch:
-		return e.roi.TopKBatchCtx(ctx, q, k)
-	case MethodSketch:
-		return e.topKSketchCtx(ctx, q, k)
-	default:
-		qnorm := core.Norm(q)
-		if qnorm == 0 {
-			return nil, nil
-		}
-		cands := e.uc.Candidates(q.MBR(), nil)
-		return e.refineCandidatesCtx(ctx, cands, q, k, qnorm)
+		return e.roi.BatchCandidatesCtx(ctx, q)
+	default: // MethodUserCentric, MethodSketch
+		return e.uc.Candidates(q.MBR(), nil), nil
 	}
 }
 
@@ -144,9 +193,9 @@ func (e *QueryEngine) TopKBatchCtx(ctx context.Context, queries []core.Footprint
 	return out, nil
 }
 
-// refineCandidatesCtx shards the candidate list of a user-centric
-// query across workers, each refining its shard with Algorithm 4 into
-// its own bounded heap, and merges the heaps deterministically.
+// refineCandidatesCtx shards a candidate list across workers, each
+// refining its shard with Algorithm 4 into its own bounded heap, and
+// merges the heaps deterministically.
 //
 //geo:cancellable
 func (e *QueryEngine) refineCandidatesCtx(ctx context.Context, cands []int, q core.Footprint, k int, qnorm float64) ([]search.Result, error) {
@@ -165,33 +214,6 @@ func (e *QueryEngine) refineCandidatesCtx(ctx context.Context, cands []int, q co
 	}
 	parts := e.runShardsCtx(ctx, workers, len(cands), k, func(col *topk.Collector, i int) {
 		e.offerUser(col, cands[i], q, qnorm)
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return mergeParts(parts, k), nil
-}
-
-// refineRangeCtx is refineCandidatesCtx over the dense user range
-// [0, n) — the parallel linear scan.
-//
-//geo:cancellable
-func (e *QueryEngine) refineRangeCtx(ctx context.Context, n int, q core.Footprint, k int, qnorm float64) ([]search.Result, error) {
-	workers := e.shardWorkers(n)
-	if workers <= 1 {
-		col := topk.New(k)
-		for u := 0; u < n; u++ {
-			if u&(cancelStride-1) == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			e.offerUser(col, u, q, qnorm)
-		}
-		return col.Results(), nil
-	}
-	parts := e.runShardsCtx(ctx, workers, n, k, func(col *topk.Collector, u int) {
-		e.offerUser(col, u, q, qnorm)
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -10,7 +10,8 @@
 //     runs the serial search path of the configured method, so batch
 //     results are byte-identical to one-at-a-time execution.
 //   - Within a query — TopK shards the refinement work (every
-//     candidate's join-based Algorithm 4 computation) across workers,
+//     candidate's join-based Algorithm 4 computation, whichever
+//     method nominated the candidates) across workers,
 //     each holding its own bounded top-k heap; the per-worker heaps
 //     are merged deterministically under the global (score desc,
 //     ID asc) total order, so the parallel result equals the serial
@@ -45,16 +46,16 @@ const (
 	// (Section 6.2) — the paper's fastest method, and the one whose
 	// refinement step TopK parallelises.
 	MethodUserCentric Method = iota
-	// MethodLinear is the index-free baseline; TopK shards the full
-	// user range across workers.
+	// MethodLinear is the index-free baseline: every user is a
+	// candidate.
 	MethodLinear
 	// MethodIterative is the Section 6.1.1 search. Its per-user
 	// accumulator sums floating-point contributions in traversal
-	// order, so a within-query split would perturb result bits; the
-	// engine therefore parallelises it across queries only.
+	// order, so the accumulation stays serial and only nominates
+	// candidates; their scores come from the sharded refinement.
 	MethodIterative
-	// MethodBatch is the Section 6.1.2 search; parallel across
-	// queries only, for the same reason as MethodIterative.
+	// MethodBatch is the Section 6.1.2 search; serial accumulation,
+	// sharded refinement, like MethodIterative.
 	MethodBatch
 	// MethodSketch is the sketch filter-and-refine search
 	// (search.TopKSketch): candidates ranked by their grid-sketch
@@ -138,8 +139,7 @@ func (e *QueryEngine) Method() Method { return e.method }
 func (e *QueryEngine) DB() *store.FootprintDB { return e.db }
 
 // TopK answers a single top-k query, parallelising the refinement
-// step when the method decomposes (user-centric, linear) and enough
-// candidates justify the fan-out. Results are identical — including
+// step when enough candidates justify the fan-out. Results are identical — including
 // every score bit and tie-break — to the serial search paths. It is
 // TopKCtx under a background context (which never cancels, so the
 // error is statically nil).
@@ -166,7 +166,7 @@ func (e *QueryEngine) TopKBatch(queries []core.Footprint, k int) [][]search.Resu
 }
 
 // offerUser refines one candidate with Algorithm 4 and offers the
-// score — exactly what the serial user-centric and linear paths do.
+// score — exactly what the serial search paths do.
 func (e *QueryEngine) offerUser(col *topk.Collector, u int, q core.Footprint, qnorm float64) {
 	sim := e.db.UserSimilarity(u, q, qnorm)
 	if sim > 0 {

@@ -40,18 +40,15 @@ import (
 // answer — byte-identical to the serial search.TopKSketch, whose
 // result is the unique top k under the strict total order.
 
-// topKSketchCtx answers one MethodSketch query, sharding refinement
-// when the candidate count justifies the fan-out. Cancellation: the
-// filter step polls once after scoring; refinement workers poll every
-// cancelStride positions and abandon their shard. Partial collectors
-// are discarded — the query returns (nil, ctx.Err()).
-func (e *QueryEngine) topKSketchCtx(ctx context.Context, q core.Footprint, k int) ([]search.Result, error) {
-	qnorm := core.Norm(q)
-	if qnorm == 0 {
-		return nil, nil
-	}
+// refineSketchCtx bounds and refines the MBR candidates of one
+// MethodSketch query, sharding refinement when the candidate count
+// justifies the fan-out. Cancellation: the filter step polls once
+// after scoring; refinement workers poll every cancelStride positions
+// and abandon their shard. Partial collectors are discarded — the
+// query returns (nil, ctx.Err()).
+func (e *QueryEngine) refineSketchCtx(ctx context.Context, cands []int, q core.Footprint, k int, qnorm float64) ([]search.Result, error) {
 	qsk := sketch.Build(q, e.db.SketchParams)
-	scored := e.uc.SketchCandidates(q, &qsk, qnorm)
+	scored := e.uc.SketchBound(cands, &qsk, qnorm)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -108,20 +108,30 @@ func (v *View) Engine(method string) (*QueryEngine, error) {
 // second return reports a hit. The returned slice is shared with the
 // cache and other callers — read-only.
 func (v *View) TopKCached(ctx context.Context, c *cache.Cache, epoch uint64, method string, q core.Footprint, k int) ([]search.Result, bool, error) {
+	return v.TopKCachedIn(ctx, c, epoch, method, q, k, nil)
+}
+
+// TopKCachedIn is TopKCached over the users `in` selects (nil: all of
+// them). The restriction is part of the cache key, so answers over
+// different parts of the corpus never share an entry.
+func (v *View) TopKCachedIn(ctx context.Context, c *cache.Cache, epoch uint64, method string, q core.Footprint, k int, in *Restrict) ([]search.Result, bool, error) {
 	eng, err := v.Engine(method)
 	if err != nil {
 		return nil, false, err
 	}
 	if c == nil {
-		res, err := eng.TopKCtx(ctx, q, k)
+		res, err := eng.TopKInCtx(ctx, q, k, in)
 		return res, false, err
 	}
 	if method == "" {
 		method = "user-centric"
 	}
 	key := cache.Key{Epoch: epoch, Method: method, K: k, Query: cache.FootprintKey(q)}
+	if in != nil {
+		key.Partition, key.Lo, key.Hi = in.Partition, in.Lo, in.Hi
+	}
 	val, hit, err := c.GetOrCompute(ctx, key, func() (any, error) {
-		return eng.TopKCtx(ctx, q, k)
+		return eng.TopKInCtx(ctx, q, k, in)
 	})
 	if err != nil {
 		return nil, false, err

@@ -34,9 +34,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
+	"sync/atomic"
 )
 
 // DefaultReplicas is the virtual-node count per shard when the map
@@ -173,6 +175,8 @@ type point struct {
 type Ring struct {
 	shards []Shard
 	points []point
+	// lookups counts user-to-point lookups (see Lookups).
+	lookups atomic.Uint64
 }
 
 // NewRing builds the ring: replicas virtual nodes per shard, each at
@@ -238,6 +242,7 @@ func (r *Ring) OwnerIndex(user int) int {
 
 // pointOf locates the first virtual node clockwise from user's hash.
 func (r *Ring) pointOf(user int) int {
+	r.lookups.Add(1)
 	h := hashUser(user)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
@@ -245,6 +250,12 @@ func (r *Ring) pointOf(user int) int {
 	}
 	return i
 }
+
+// Lookups returns how many times a user has been located on the ring
+// (Owner, Replicas, a SegmentTable column entry — one each). A query
+// path that should run off a memoised column shows as a count that
+// stops moving.
+func (r *Ring) Lookups() uint64 { return r.lookups.Load() }
 
 // clampR bounds a replication factor to [1, N]: replication can never
 // place more copies than there are shards.
@@ -309,36 +320,34 @@ func (r *Ring) Replicas(user, R int) []Shard {
 // Segments enumerates the distinct ordered replica tuples the ring
 // induces under replication factor R: every user's ReplicaIndices is
 // one of the returned tuples, and every returned tuple is the walk of
-// at least one ring arc. The router fans one sub-query per segment to
-// the segment's first in-sync replica; a shard filters scoring to the
-// users whose own walk equals the segment's tuple, so two shards can
-// never both answer for the same user.
+// at least one ring arc. Each user belongs to exactly one segment, so
+// answers restricted to disjoint sets of segments merge without
+// counting anyone twice.
 //
 // The result is deterministic: tuples are sorted lexicographically by
-// shard index. Its size is bounded by the number of distinct successor
-// patterns among the ring's arcs — for single-digit shard counts, a
-// handful of tuples, not N^R.
+// shard index, so the tuples sharing a prefix are contiguous. Its size
+// is bounded by the number of distinct successor patterns among the
+// ring's arcs — for single-digit shard counts, a handful of tuples,
+// not N^R.
 func (r *Ring) Segments(R int) [][]int {
-	R = r.clampR(R)
-	seen := make(map[string][]int)
+	segs, _ := r.segments(r.clampR(R))
+	return segs
+}
+
+// segments returns the sorted segment list for an already clamped R
+// and every ring point's successor walk.
+func (r *Ring) segments(R int) (segs, walks [][]int) {
+	walks = make([][]int, len(r.points))
+	seen := make(map[string]bool)
 	for p := range r.points {
-		w := r.successorWalk(p, R)
-		seen[tupleKey(w)] = w
-	}
-	out := make([][]int, 0, len(seen))
-	for _, w := range seen {
-		out = append(out, w)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		for x := range a {
-			if a[x] != b[x] {
-				return a[x] < b[x]
-			}
+		walks[p] = r.successorWalk(p, R)
+		if key := tupleKey(walks[p]); !seen[key] {
+			seen[key] = true
+			segs = append(segs, walks[p])
 		}
-		return false
-	})
-	return out
+	}
+	sort.Slice(segs, func(i, j int) bool { return compareTuples(segs[i], segs[j]) < 0 })
+	return segs, walks
 }
 
 // tupleKey is a map key for an ordered shard-index tuple.
@@ -349,6 +358,76 @@ func tupleKey(idx []int) string {
 		b = append(b, ',')
 	}
 	return string(b)
+}
+
+// compareTuples orders a against b lexicographically over the first
+// len(b) members; a must be at least that long.
+func compareTuples(a, b []int) int {
+	for x := range b {
+		if a[x] != b[x] {
+			if a[x] < b[x] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
+// SegmentTable is the segment list of one ring under one replication
+// factor, indexed both ways: from a user to the position of its
+// replica tuple in the sorted list, and from a tuple prefix to the
+// contiguous range of positions it covers. Immutable; safe for
+// concurrent use.
+type SegmentTable struct {
+	ring    *Ring
+	segs    [][]int
+	ofPoint []uint16
+}
+
+// SegmentTable builds the table for replication factor R (clamped to
+// [1, N]). Positions are 16-bit because a serving shard keeps one per
+// user; a ring with more distinct replica tuples than that is refused.
+func (r *Ring) SegmentTable(R int) (*SegmentTable, error) {
+	segs, walks := r.segments(r.clampR(R))
+	if len(segs) > math.MaxUint16 {
+		return nil, fmt.Errorf("hashring: %d ring segments at R=%d exceed the %d a segment table holds", len(segs), R, math.MaxUint16)
+	}
+	t := &SegmentTable{ring: r, segs: segs, ofPoint: make([]uint16, len(walks))}
+	for p, w := range walks {
+		t.ofPoint[p] = uint16(sort.Search(len(segs), func(i int) bool { return compareTuples(segs[i], w) >= 0 }))
+	}
+	return t, nil
+}
+
+// Ring returns the ring the table was built from.
+func (t *SegmentTable) Ring() *Ring { return t.ring }
+
+// Segments returns the sorted segment list — Ring.Segments for the
+// table's R. The returned slices are shared — read-only.
+func (t *SegmentTable) Segments() [][]int { return t.segs }
+
+// Column returns, for every user in order, the position of the user's
+// replica tuple in Segments: one ring lookup per user and no walk.
+func (t *SegmentTable) Column(users []int) []uint16 {
+	col := make([]uint16, len(users))
+	for i, u := range users {
+		col[i] = t.ofPoint[t.ring.pointOf(u)]
+	}
+	return col
+}
+
+// PrefixRange returns the positions [lo, hi) of the segments whose
+// tuple starts with prefix, in order. A full-length prefix selects the
+// one segment with that tuple; a prefix no tuple starts with — or one
+// longer than R — selects nothing (lo == hi).
+func (t *SegmentTable) PrefixRange(prefix []int) (lo, hi int) {
+	if len(t.segs) == 0 || len(prefix) > len(t.segs[0]) {
+		return 0, 0
+	}
+	lo = sort.Search(len(t.segs), func(i int) bool { return compareTuples(t.segs[i], prefix) >= 0 })
+	hi = sort.Search(len(t.segs), func(i int) bool { return compareTuples(t.segs[i], prefix) > 0 })
+	return lo, hi
 }
 
 // SegmentID names a replica tuple for wire formats and partial-result

@@ -271,3 +271,62 @@ func TestSegmentsCoverUsers(t *testing.T) {
 		}
 	}
 }
+
+// The segment table agrees with the walks it replaces: a user's column
+// entry is the position of its replica tuple in Segments, a prefix's
+// range holds exactly the tuples starting with it, and the column
+// costs one ring lookup per user.
+func TestSegmentTable(t *testing.T) {
+	r, err := NewRing(testMap(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	users := make([]int, 5000)
+	for i := range users {
+		users[i] = i * 3
+	}
+	for _, R := range []int{1, 2, 3, 9} {
+		tab, err := r.SegmentTable(R)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs := tab.Segments()
+		before := r.Lookups()
+		col := tab.Column(users)
+		if got := r.Lookups() - before; got != uint64(len(users)) {
+			t.Fatalf("R=%d: column of %d users cost %d ring lookups", R, len(users), got)
+		}
+		for i, u := range users {
+			if want := r.SegmentID(r.ReplicaIndices(u, R)); r.SegmentID(segs[col[i]]) != want {
+				t.Fatalf("R=%d user %d: column says %q, walk says %q", R, u, r.SegmentID(segs[col[i]]), want)
+			}
+		}
+		covered := 0
+		for _, tuple := range segs {
+			for n := 1; n <= len(tuple); n++ {
+				lo, hi := tab.PrefixRange(tuple[:n])
+				for i, s := range segs {
+					in := true
+					for x := 0; x < n; x++ {
+						in = in && s[x] == tuple[x]
+					}
+					if in != (i >= lo && i < hi) {
+						t.Fatalf("R=%d prefix %v: range [%d,%d) disagrees with segment %d %v", R, tuple[:n], lo, hi, i, s)
+					}
+				}
+				if n == len(tuple) {
+					covered += hi - lo
+				}
+			}
+		}
+		if covered != len(segs) {
+			t.Fatalf("R=%d: full-length prefixes cover %d of %d segments", R, covered, len(segs))
+		}
+		if lo, hi := tab.PrefixRange([]int{0, 0}); lo != hi {
+			t.Fatalf("R=%d: a tuple no walk produces selected [%d,%d)", R, lo, hi)
+		}
+		if lo, hi := tab.PrefixRange(make([]int, len(segs[0])+1)); lo != hi {
+			t.Fatalf("R=%d: an over-long prefix selected [%d,%d)", R, lo, hi)
+		}
+	}
+}

@@ -163,12 +163,12 @@ func (r *Router) callBrk(ctx context.Context, s *shard, build func(ctx context.C
 	return err
 }
 
-// segGather accumulates per-segment answers under a duplicate guard:
+// segGather accumulates the legs' answers under a duplicate guard:
 // engine.MergeParts (topk.Collector underneath) does NOT deduplicate
-// by user ID, so the same segment merged twice would double-count
-// every user in it and silently corrupt scores. add refuses the
-// second arrival for a segment ID; the property test pins that the
-// guarded merge is idempotent across replicas.
+// by user ID, so the same segments merged twice would double-count
+// every user in them and silently corrupt scores. add refuses the
+// second arrival for a segment (or segment-prefix) ID; the property
+// test pins that the guarded merge is idempotent across replicas.
 type segGather struct {
 	mu      sync.Mutex
 	parts   map[string][]search.Result

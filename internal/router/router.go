@@ -213,6 +213,10 @@ type Router struct {
 	cfg    Config
 	ring   *hashring.Ring
 	shards []*shard // index-aligned with ring.Shards()
+	// segRoots is the top-k fan-out plan (topk.go): the one-shard
+	// prefixes of the ring's replica tuples, each the root of its
+	// failover tree.
+	segRoots []*segNode
 
 	stop chan struct{}
 	done chan struct{}
@@ -241,6 +245,7 @@ func New(cfg Config) (*Router, error) {
 	if n := len(ring.Shards()); r.cfg.Replicas > n {
 		r.cfg.Replicas = n
 	}
+	var shardIDs []string
 	for _, s := range ring.Shards() {
 		sh := &shard{id: s.ID, addr: s.Addr}
 		if cfg.MaxInflightPerShard > 0 {
@@ -251,6 +256,16 @@ func New(cfg Config) (*Router, error) {
 		}
 		sh.health.Store(ShardHealth{ID: s.ID, Addr: s.Addr, State: StateUnknown})
 		r.shards = append(r.shards, sh)
+		shardIDs = append(shardIDs, s.ID)
+	}
+	// The shards index segments through a hashring.SegmentTable; a ring
+	// too fragmented for one is refused here, not leg by leg.
+	table, err := ring.SegmentTable(r.cfg.Replicas)
+	if err != nil {
+		return nil, err
+	}
+	if r.segRoots, err = r.buildSegTree(table.Segments(), 0, shardIDs); err != nil {
+		return nil, err
 	}
 	if cfg.HealthInterval > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), cfg.RequestTimeout)

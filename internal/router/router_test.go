@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -424,5 +425,101 @@ func TestNewValidates(t *testing.T) {
 	}
 	if _, err := New(Config{Map: &hashring.Map{Version: 99}}); err == nil {
 		t.Fatal("invalid map accepted")
+	}
+}
+
+// The fan-out plan — segment tree, shard-ID list, marshalled ring
+// description — is built once in New; per query the set-up is one
+// marshal of the query and one body per leg. The ceiling keeps
+// per-query ring walks and per-leg marshals from creeping back.
+func TestTopKFanoutSetupAllocs(t *testing.T) {
+	_, m := newFakeShards(t, 4, nil)
+	r := newTestRouter(t, m, func(c *Config) { c.Replicas = 2 })
+	if len(r.segRoots) != 4 {
+		t.Fatalf("%d root legs, want one per shard (4)", len(r.segRoots))
+	}
+	q := testQuery(5)
+	var size int
+	avg := testing.AllocsPerRun(100, func() {
+		query, err := json.Marshal(wireQuery{Regions: q.Regions, K: q.K, Method: q.Method})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range r.segRoots {
+			size += len(n.body(query))
+		}
+	})
+	// One allocation per leg body plus the query marshal (the encoder's
+	// buffer is pooled; the race detector empties pools at random).
+	if ceiling := float64(len(r.segRoots) + 6); avg > ceiling || size == 0 {
+		t.Fatalf("fan-out set-up: %v allocs per query, ceiling %v", avg, ceiling)
+	}
+}
+
+// Healthy, a replicated fan-out is one leg per shard, each asking for
+// the tuples the shard leads; a dead shard's leg splits by next replica
+// and every piece goes to that replica. Counts stay in segments.
+func TestTopKOneLegPerShard(t *testing.T) {
+	type leg struct{ host, members string }
+	var mu sync.Mutex
+	var legs []leg
+	shards, m := newFakeShards(t, 4, func(w http.ResponseWriter, r *http.Request) {
+		var body struct {
+			Segment struct {
+				R       int      `json:"r"`
+				Members []string `json:"members"`
+			} `json:"segment"`
+		}
+		if err := json.NewDecoder(r.Body).Decode(&body); err != nil || body.Segment.R != 2 {
+			http.Error(w, "bad leg", http.StatusBadRequest)
+			return
+		}
+		mu.Lock()
+		legs = append(legs, leg{"http://" + r.Host, strings.Join(body.Segment.Members, "+")})
+		mu.Unlock()
+		io.WriteString(w, "[]")
+	})
+	r := newTestRouter(t, m, func(c *Config) { c.Replicas = 2; c.MaxAttempts = 1 })
+	r.CheckHealth(context.Background())
+	segments := len(r.Ring().Segments(2))
+	addrOf := map[string]string{}
+	for _, s := range shards {
+		addrOf[s.id] = s.srv.URL
+	}
+
+	res, err := r.TopK(context.Background(), testQuery(5))
+	if err != nil || res.Partial || res.Queried != segments || res.FailedOver != 0 {
+		t.Fatalf("healthy: res=%+v err=%v, want %d segments queried, none failed over", res, err, segments)
+	}
+	if len(legs) != 4 {
+		t.Fatalf("healthy fan-out sent %d legs, want one per shard: %v", len(legs), legs)
+	}
+	for _, l := range legs {
+		if addrOf[l.members] != l.host {
+			t.Fatalf("leg %q went to %s, want the shard it names", l.members, l.host)
+		}
+	}
+
+	shards[1].srv.Close()
+	r.CheckHealth(context.Background())
+	legs = nil
+	res, err = r.TopK(context.Background(), testQuery(5))
+	led := 0 // segments shard-1 leads: each fails over once
+	for _, tuple := range r.Ring().Segments(2) {
+		if tuple[0] == 1 {
+			led++
+		}
+	}
+	if err != nil || res.Partial || res.Queried != segments || res.FailedOver != led {
+		t.Fatalf("shard-1 down: res=%+v err=%v, want %d segments queried, %d failed over", res, err, segments, led)
+	}
+	if len(legs) != 3+led {
+		t.Fatalf("shard-1 down: %d legs, want 3 whole shards + %d pieces of shard-1: %v", len(legs), led, legs)
+	}
+	for _, l := range legs {
+		members := strings.Split(l.members, "+")
+		if last := members[len(members)-1]; addrOf[last] != l.host || (len(members) == 2) != (members[0] == "shard-1") {
+			t.Fatalf("shard-1 down: leg %q went to %s", l.members, l.host)
+		}
 	}
 }

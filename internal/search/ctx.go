@@ -62,12 +62,14 @@ func (ix *RoIIndex) TopKCtx(ctx context.Context, q core.Footprint, k int) ([]Res
 	return ix.TopKIterativeCtx(ctx, q, k)
 }
 
-// TopKIterativeCtx is TopKIterative honouring ctx. Cancellation is
-// polled across R-tree entry visits; a fired poll aborts the current
-// traversal (the search callback returns false).
-//
-//geo:cancellable
+// TopKIterativeCtx is TopKIterative honouring ctx.
 func (ix *RoIIndex) TopKIterativeCtx(ctx context.Context, q core.Footprint, k int) ([]Result, error) {
+	return ix.topKCtx(ctx, ix.IterativeCandidatesCtx, q, k)
+}
+
+// topKCtx is the serial search shared by both Section 6.1 methods:
+// generate candidates, score each through the canonical kernel.
+func (ix *RoIIndex) topKCtx(ctx context.Context, candidates func(context.Context, core.Footprint) ([]int, error), q core.Footprint, k int) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -75,6 +77,22 @@ func (ix *RoIIndex) TopKIterativeCtx(ctx context.Context, q core.Footprint, k in
 	if qnorm == 0 || k <= 0 {
 		return nil, nil
 	}
+	cands, err := candidates(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	return ix.rankCtx(ctx, cands, q, qnorm, k)
+}
+
+// IterativeCandidatesCtx runs the candidate step of the Section 6.1.1
+// search alone: one R-tree range query per query RoI, accumulating the
+// numerator of Equation 1 per user, and returns the dense indexes of
+// the users it came out positive for (in no particular order).
+// Cancellation is polled across R-tree entry visits; a fired poll
+// aborts the current traversal (the search callback returns false).
+//
+//geo:cancellable
+func (ix *RoIIndex) IterativeCandidatesCtx(ctx context.Context, q core.Footprint) ([]int, error) {
 	simn := make(map[int]float64)
 	var visits int
 	var cerr error
@@ -96,23 +114,24 @@ func (ix *RoIIndex) TopKIterativeCtx(ctx context.Context, q core.Footprint, k in
 			return nil, cerr
 		}
 	}
-	return ix.rankCtx(ctx, simn, q, qnorm, k)
+	return positive(simn), nil
 }
 
-// TopKBatchCtx is TopKBatch honouring ctx. SearchLeaves has no
+// TopKBatchCtx is TopKBatch honouring ctx.
+func (ix *RoIIndex) TopKBatchCtx(ctx context.Context, q core.Footprint, k int) ([]Result, error) {
+	return ix.topKCtx(ctx, ix.BatchCandidatesCtx, q, k)
+}
+
+// BatchCandidatesCtx runs the candidate step of the Section 6.1.2
+// search alone — the single guided traversal with per-leaf joins — and
+// returns the dense indexes of the users whose accumulated numerator
+// came out positive (in no particular order). SearchLeaves has no
 // early-stop path, so after a fired poll the remaining leaf callbacks
 // return without joining — the rest of the traversal is a bare tree
-// walk — and the query then returns ctx.Err().
+// walk — and the call then returns ctx.Err().
 //
 //geo:cancellable
-func (ix *RoIIndex) TopKBatchCtx(ctx context.Context, q core.Footprint, k int) ([]Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	qnorm := core.Norm(q)
-	if qnorm == 0 || k <= 0 {
-		return nil, nil
-	}
+func (ix *RoIIndex) BatchCandidatesCtx(ctx context.Context, q core.Footprint) ([]int, error) {
 	qmbr := q.MBR()
 	simn := make(map[int]float64)
 
@@ -174,12 +193,23 @@ func (ix *RoIIndex) TopKBatchCtx(ctx context.Context, q core.Footprint, k int) (
 	if cerr != nil {
 		return nil, cerr
 	}
-	return ix.rankCtx(ctx, simn, q, qnorm, k)
+	return positive(simn), nil
 }
 
-// rankCtx scores the accumulated candidates, with one cancellation
-// poll per cancelStride users — the accumulator map can hold every
-// user in the database.
+// positive lists the users an accumulator map holds a positive
+// numerator for.
+func positive(simn map[int]float64) []int {
+	cands := make([]int, 0, len(simn))
+	for u, n := range simn {
+		if n > 0 {
+			cands = append(cands, u)
+		}
+	}
+	return cands
+}
+
+// rankCtx scores the candidates, with one cancellation poll per
+// cancelStride users — the list can hold every user in the database.
 //
 // The accumulated numerator decides candidacy (n > 0 means some RoI of
 // the user intersects some query RoI — exactly the users LinearScan
@@ -195,18 +225,13 @@ func (ix *RoIIndex) TopKBatchCtx(ctx context.Context, q core.Footprint, k int) (
 // lean on.
 //
 //geo:cancellable
-func (ix *RoIIndex) rankCtx(ctx context.Context, simn map[int]float64, q core.Footprint, qnorm float64, k int) ([]Result, error) {
+func (ix *RoIIndex) rankCtx(ctx context.Context, cands []int, q core.Footprint, qnorm float64, k int) ([]Result, error) {
 	col := topk.New(k)
-	var visits int
-	for u, n := range simn {
-		if visits&(cancelStride-1) == 0 {
+	for i, u := range cands {
+		if i&(cancelStride-1) == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-		}
-		visits++
-		if n <= 0 {
-			continue
 		}
 		sim := ix.db.UserSimilarity(u, q, qnorm)
 		if sim > 0 {

@@ -68,19 +68,8 @@ func (ix *UserCentricIndex) TopKSketchStats(q core.Footprint, k int) ([]Result, 
 	qsk := sketch.Build(q, db.SketchParams)
 	cands := ix.Candidates(q.MBR(), nil)
 	st.Candidates = len(cands)
-
-	scored := make([]SketchCandidate, 0, len(cands))
-	for _, u := range cands {
-		b := sketch.UpperBound(db.UserSketchDot(u, &qsk), db.Norms[u], qnorm)
-		if b > 0 {
-			// A zero bound certifies zero similarity (the bound
-			// dominates it), and zero-similarity users are never
-			// returned — drop before the sort.
-			scored = append(scored, SketchCandidate{User: u, Bound: b})
-		}
-	}
+	scored := ix.SketchBound(cands, &qsk, qnorm)
 	st.Scored = len(scored)
-	sortByBound(scored)
 
 	col := topk.New(k)
 	for _, c := range scored {
@@ -113,19 +102,28 @@ func sortByBound(cs []SketchCandidate) {
 }
 
 // SketchCandidates runs the filter steps of TopKSketch alone — MBR
-// candidates scored and sorted by sketch bound, zero bounds dropped —
-// for callers that shard the refinement themselves (the engine). The
-// query sketch must be built with the database's SketchParams.
+// candidates scored and sorted by sketch bound, zero bounds dropped.
+// The query sketch must be built with the database's SketchParams.
 func (ix *UserCentricIndex) SketchCandidates(q core.Footprint, qsk *sketch.Sketch, qnorm float64) []SketchCandidate {
+	return ix.SketchBound(ix.Candidates(q.MBR(), nil), qsk, qnorm)
+}
+
+// SketchBound runs the bound step alone over a candidate list the
+// caller generated (and may have narrowed): every candidate's sketch
+// upper bound, sorted descending, for callers that shard the
+// refinement themselves (the engine).
+func (ix *UserCentricIndex) SketchBound(cands []int, qsk *sketch.Sketch, qnorm float64) []SketchCandidate {
 	db := ix.db
 	if !db.SketchesEnabled() {
-		panic("search: SketchCandidates requires store.FootprintDB.EnableSketches")
+		panic("search: SketchBound requires store.FootprintDB.EnableSketches")
 	}
-	cands := ix.Candidates(q.MBR(), nil)
 	scored := make([]SketchCandidate, 0, len(cands))
 	for _, u := range cands {
 		b := sketch.UpperBound(db.UserSketchDot(u, qsk), db.Norms[u], qnorm)
 		if b > 0 {
+			// A zero bound certifies zero similarity (the bound
+			// dominates it), and zero-similarity users are never
+			// returned — drop before the sort.
 			scored = append(scored, SketchCandidate{User: u, Bound: b})
 		}
 	}

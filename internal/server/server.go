@@ -31,7 +31,6 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -44,7 +43,6 @@ import (
 	"geofootprint/internal/engine"
 	"geofootprint/internal/geom"
 	"geofootprint/internal/ingest"
-	"geofootprint/internal/search"
 	"geofootprint/internal/store"
 )
 
@@ -68,10 +66,10 @@ type Server struct {
 	pipe *ingest.Pipeline // nil until AttachPipeline
 	mux  *http.ServeMux
 
-	// segRings memoises the ring rebuilt for segment-restricted
-	// queries (segment.go); every sub-query from the same router map
-	// hits the one cached entry.
-	segRings segRingCache
+	// segTables memoises the ring and segment table rebuilt for
+	// segment-restricted queries (segment.go); every sub-query from the
+	// same router map hits the one cached entry.
+	segTables segTableCache
 
 	// Overload safety (middleware.go): options, the top-k admission
 	// gate (nil when unlimited), and the shutdown drain flag.
@@ -95,10 +93,12 @@ func (s *Server) SetSnapshotError(err error) { s.snapErr = err }
 
 // epochView is the aux value attached to every published epoch: the
 // prebuilt index/engine view plus the optional classifier. Immutable
-// after publish, shared lock-free by all queries pinning the epoch.
+// after publish (but for the segment column memo, which has its own
+// lock), shared lock-free by all queries pinning the epoch.
 type epochView struct {
 	*engine.View
 	cls *classify.Classifier // nil until SetLabels
+	seg segColumn            // users' ring-segment positions, built on demand (segment.go)
 }
 
 // New builds a server over db with default overload options (no
@@ -215,9 +215,8 @@ type queryJSON struct {
 	// engine. All return identical rankings; they differ in cost.
 	Method string `json:"method,omitempty"`
 	// Segment, when set, restricts the answer to the users whose
-	// replica tuple equals the segment (segment.go). Segment answers
-	// bypass the result cache and always score through the canonical
-	// kernel, so they are exact for every method.
+	// replica tuple starts with the segment's members (segment.go).
+	// Method, workers and the result cache apply as without it.
 	Segment *segmentJSON `json:"segment,omitempty"`
 }
 
@@ -435,29 +434,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ep, v := s.acquire()
 	defer ep.Release()
-	// Reject unknown methods on the segment path too, so replicated
-	// clusters keep the single-node API contract.
 	if _, methodErr := v.Engine(q.Method); methodErr != nil {
 		writeError(w, http.StatusBadRequest, "%v", methodErr)
 		return
 	}
-	var res []search.Result
+	var in *engine.Restrict
 	if q.Segment != nil {
-		res, err = s.segmentTopK(r.Context(), v, q.Segment, f, q.K)
-		if err != nil {
-			if errors.Is(err, errBadSegment) {
-				writeError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-			if writeQueryCtxErr(w, err) {
-				return
-			}
-		}
-	} else {
-		res, _, err = v.TopKCached(r.Context(), s.cache, ep.Seq(), q.Method, f, q.K)
-		if err != nil && writeQueryCtxErr(w, err) {
+		if in, err = s.restrict(v, q.Segment); err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
+	}
+	res, _, err := v.TopKCachedIn(r.Context(), s.cache, ep.Seq(), q.Method, f, q.K, in)
+	if err != nil && writeQueryCtxErr(w, err) {
+		return
 	}
 	out := make([]resultJSON, len(res))
 	for i, rr := range res {

@@ -99,4 +99,12 @@ go test ./...
 echo "== go test -tags strictsort ./... =="
 go test -tags strictsort ./...
 
+# The benchmark ledger is a separate module the passes above do not
+# build: its unit tests plus a smoke pass of every workload against
+# real geoserve/georouter binaries (1 s phases, 300-user corpus),
+# answers checked against LinearScan. Catches a wire or API change
+# that would otherwise only fail in the benchmark driver.
+echo "== bench-smoke: benchmark/ unit tests + smoke pass on real binaries =="
+(cd benchmark && go test ./...)
+
 echo "check: all passes clean"
