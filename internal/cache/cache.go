@@ -16,6 +16,7 @@ import (
 	"container/list"
 	"context"
 	"encoding/binary"
+	"errors"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -117,7 +118,10 @@ func New(capacity int) *Cache {
 // joining another caller's in-flight computation). Concurrent calls
 // with the same key run fn once; waiters whose ctx expires return
 // ctx's error without cancelling the computation. fn's error is
-// returned to the computing caller and never cached.
+// returned to the computing caller and never cached. If fn panics the
+// panic propagates to its caller, the flight is released with an error
+// and nothing is cached, so waiters and later callers compute afresh
+// instead of blocking on a flight that would never complete.
 func (c *Cache) GetOrCompute(ctx context.Context, key Key, fn func() (any, error)) (any, bool, error) {
 	for {
 		c.mu.Lock()
@@ -144,22 +148,33 @@ func (c *Cache) GetOrCompute(ctx context.Context, key Key, fn func() (any, error
 			c.hits.Add(1)
 			return fl.val, true, nil
 		}
-		fl := &flight{done: make(chan struct{})}
+		fl := &flight{done: make(chan struct{}), err: errComputePanicked}
 		c.flights[key] = fl
 		c.mu.Unlock()
 		c.misses.Add(1)
+		return c.compute(key, fl, fn)
+	}
+}
 
-		val, err := fn()
+// errComputePanicked is the error a flight carries until its compute
+// function returns; waiters see it only when the function panicked,
+// and treat it like any other failed flight (retry).
+var errComputePanicked = errors.New("cache: compute function panicked")
+
+// compute runs fn for the flight this caller owns. The flight is
+// released in a defer, so a panicking fn cannot leave it registered.
+func (c *Cache) compute(key Key, fl *flight, fn func() (any, error)) (any, bool, error) {
+	defer func() {
 		c.mu.Lock()
 		delete(c.flights, key)
-		if err == nil && key.Epoch >= c.floor {
-			c.insertLocked(key, val)
+		if fl.err == nil && key.Epoch >= c.floor {
+			c.insertLocked(key, fl.val)
 		}
 		c.mu.Unlock()
-		fl.val, fl.err = val, err
 		close(fl.done)
-		return val, false, err
-	}
+	}()
+	fl.val, fl.err = fn()
+	return fl.val, false, fl.err
 }
 
 // insertLocked adds key → val and evicts from the LRU tail past

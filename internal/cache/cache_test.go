@@ -160,6 +160,64 @@ func TestFlightErrorsAndContext(t *testing.T) {
 	}
 }
 
+// A compute function that panics must release its flight: the panic
+// reaches the computing caller (the server's recovery middleware turns
+// it into a 500), a waiter already parked on the flight returns
+// promptly with a freshly computed value instead of blocking until its
+// own deadline, and nothing was cached.
+func TestPanickingComputeReleasesFlight(t *testing.T) {
+	c := New(4)
+	ctx := context.Background()
+	entered, boom := make(chan struct{}), make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		c.GetOrCompute(ctx, key(1, "boom"), func() (any, error) {
+			close(entered)
+			<-boom
+			panic("engine bug")
+		})
+	}()
+	<-entered
+	type answer struct {
+		v   any
+		err error
+	}
+	waited := make(chan answer, 1)
+	go func() {
+		v, _, err := c.GetOrCompute(ctx, key(1, "boom"), func() (any, error) { return "fresh", nil })
+		waited <- answer{v, err}
+	}()
+	// Give the waiter time to park on the flight; if it has not yet, it
+	// computes afresh after the panic, which must work just the same.
+	time.Sleep(10 * time.Millisecond)
+	close(boom)
+	if r := <-recovered; r != "engine bug" {
+		t.Fatalf("computing caller recovered %v, want the compute function's panic", r)
+	}
+	select {
+	case a := <-waited:
+		if a.err != nil || a.v != "fresh" {
+			t.Fatalf("waiter after a panicked flight: v=%v err=%v, want a fresh computation", a.v, a.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter still blocked on a flight whose compute function panicked")
+	}
+	// The waiter's value is cached; the panicked flight left nothing else.
+	v, hit, err := c.GetOrCompute(ctx, key(1, "boom"), nil)
+	if err != nil || !hit || v != "fresh" || c.Len() != 1 {
+		t.Fatalf("after the panic: v=%v hit=%v err=%v len=%d", v, hit, err, c.Len())
+	}
+	// A key nobody waited on is computed afresh by its next caller.
+	func() {
+		defer func() { recover() }()
+		c.GetOrCompute(ctx, key(1, "boom2"), func() (any, error) { panic("again") })
+	}()
+	if v, hit, err := c.GetOrCompute(ctx, key(1, "boom2"), func() (any, error) { return "second", nil }); err != nil || hit || v != "second" {
+		t.Fatalf("second caller after a panic: v=%v hit=%v err=%v, want a fresh miss", v, hit, err)
+	}
+}
+
 // FootprintKey is injective on well-formed footprints: regions, order
 // and weights all land in the encoding.
 func TestFootprintKey(t *testing.T) {

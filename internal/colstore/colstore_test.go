@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"geofootprint/internal/sketch"
 )
 
 // sampleSnapshot builds a small but fully-featured snapshot: three
@@ -294,6 +296,45 @@ func TestCorruptionFaultMatrix(t *testing.T) {
 			binary.LittleEndian.PutUint32(d[16:20], 0)
 			binary.LittleEndian.PutUint32(d[32:36], 0)
 			binary.LittleEndian.PutUint32(d[32:36], crc32.Checksum(d[:headerSize], castagnoli))
+			return d
+		}, ErrCorrupt},
+		// Crafted files: every checksum restamped, so only the
+		// structural check stands between them and the bound step's
+		// dense gather, which indexes a G×G table by cell id.
+		{"sketch cell past the raster", func(d []byte) []byte {
+			patchSection(t, d, secCells, func(p []byte) {
+				binary.LittleEndian.PutUint32(p[8:12], 8*8) // user 0's last cell: 18 -> G²
+			})
+			return d
+		}, ErrCorrupt},
+		{"negative sketch cell", func(d []byte) []byte {
+			patchSection(t, d, secCells, func(p []byte) {
+				binary.LittleEndian.PutUint32(p[12:16], 0xFFFFFFFF) // user 1's only cell: 1 -> -1
+			})
+			return d
+		}, ErrCorrupt},
+		{"negative first sketch cell", func(d []byte) []byte {
+			patchSection(t, d, secCells, func(p []byte) {
+				binary.LittleEndian.PutUint32(p[0:4], 0x80000000) // still strictly increasing
+			})
+			return d
+		}, ErrCorrupt},
+		{"sketch resolution above the maximum", func(d []byte) []byte {
+			patchSection(t, d, secManifest, func(p []byte) {
+				binary.LittleEndian.PutUint32(p[24:28], sketch.MaxG+1)
+			})
+			return d
+		}, ErrCorrupt},
+		{"sketch resolution 2^32-1", func(d []byte) []byte {
+			patchSection(t, d, secManifest, func(p []byte) {
+				binary.LittleEndian.PutUint32(p[24:28], 0xFFFFFFFF)
+			})
+			return d
+		}, ErrCorrupt},
+		{"sketch resolution zero", func(d []byte) []byte {
+			patchSection(t, d, secManifest, func(p []byte) {
+				binary.LittleEndian.PutUint32(p[24:28], 0)
+			})
 			return d
 		}, ErrCorrupt},
 	}

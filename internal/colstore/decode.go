@@ -9,6 +9,7 @@ import (
 	"math"
 
 	"geofootprint/internal/faultfs"
+	"geofootprint/internal/sketch"
 )
 
 // Mode selects how OpenFS maps the file into memory.
@@ -310,8 +311,11 @@ func (s *Snapshot) decodeManifest(b []byte, path string) (manifest, error) {
 }
 
 // validate checks the cross-section invariants the kernels rely on:
-// CSR monotonicity, exact spans, per-footprint MinX order and
-// per-sketch cell order. All O(users + regions + cells).
+// CSR monotonicity, exact spans, per-footprint MinX order, per-sketch
+// cell order and cell range (the bound step indexes a G×G table by
+// cell id, so an id outside [0, G²) would be an index panic on the
+// query path, and an unbounded G a G²-sized allocation). All
+// O(users + regions + cells).
 func (s *Snapshot) validate(path string, regions, cells int) error {
 	users := len(s.IDs)
 	if s.Starts[0] != 0 || s.Starts[users] != int64(regions) {
@@ -329,6 +333,10 @@ func (s *Snapshot) validate(path string, regions, cells int) error {
 		}
 	}
 	if s.HasSketches() {
+		if s.SketchG < 1 || s.SketchG > sketch.MaxG {
+			return corruptf("%s: sketch resolution %d outside [1,%d]", path, s.SketchG, sketch.MaxG)
+		}
+		cellEnd := int32(s.SketchG * s.SketchG)
 		if s.CellStarts[0] != 0 || s.CellStarts[users] != int64(cells) {
 			return corruptf("%s: cell starts span [%d,%d), want [0,%d)",
 				path, s.CellStarts[0], s.CellStarts[users], cells)
@@ -342,6 +350,11 @@ func (s *Snapshot) validate(path string, regions, cells int) error {
 				if s.Cells[c-1] >= s.Cells[c] {
 					return corruptf("%s: user %d sketch cells not strictly increasing at %d", path, u, c)
 				}
+			}
+			// Strictly increasing, so the ends bound the rest.
+			if lo < hi && (s.Cells[lo] < 0 || s.Cells[hi-1] >= cellEnd) {
+				return corruptf("%s: user %d sketch cells [%d,%d] outside the %d×%d raster",
+					path, u, s.Cells[lo], s.Cells[hi-1], s.SketchG, s.SketchG)
 			}
 		}
 	}

@@ -170,13 +170,14 @@ func DisjointRegions(f Footprint) []WeightedRect {
 	}
 	// open tracks rectangles still extendable by the next stripe:
 	// their right edge equals the current sweep position.
-	open := make(map[ykey]geom.Rect)
+	// Two maps for the whole sweep, swapped and cleared per stripe.
+	open, next := make(map[ykey]geom.Rect), make(map[ykey]geom.Rect)
 	var out []WeightedRect
 
 	prev := evs[0].v
 	for _, e := range evs {
 		if e.v > prev {
-			next := make(map[ykey]geom.Rect)
+			clear(next)
 			d.Segments(func(lo, hi, w float64) {
 				k := ykey{lo, hi, w}
 				if r, ok := open[k]; ok && r.MaxX == prev {
@@ -192,7 +193,7 @@ func DisjointRegions(f Footprint) []WeightedRect {
 					out = append(out, WeightedRect{Rect: r, Weight: k.w})
 				}
 			}
-			open = next
+			open, next = next, open
 			prev = e.v
 		}
 		r := f[e.idx]

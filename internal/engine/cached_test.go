@@ -38,16 +38,13 @@ func cachedTestDB(t *testing.T, users int) *store.FootprintDB {
 }
 
 // Cached answers must be byte-identical to uncached computation for
-// every search method. Since every method is itself exact (equal to
-// the serial user-centric oracle), it suffices that the cache returns
-// exactly what the engine computed — verified per method via a
-// miss/hit/direct triangle.
+// every search method: what the engine computed is LinearScan's answer,
+// and the cache returns exactly that — verified per method via a
+// miss/hit/direct triangle, with the sketch layer on and off, for k
+// below and above the number of positive users, over the whole corpus
+// and over a restriction (which is part of the key).
 func TestCachedResultsByteIdenticalAllMethods(t *testing.T) {
-	db := cachedTestDB(t, 60)
-	db.EnableSketches(0, 1)
-	q := append(core.Footprint(nil), db.Footprints[7]...)
 	ctx := context.Background()
-
 	methods := []struct {
 		name string
 		m    Method
@@ -58,36 +55,61 @@ func TestCachedResultsByteIdenticalAllMethods(t *testing.T) {
 		{"batch", MethodBatch},
 		{"sketch", MethodSketch},
 	}
-	for _, tc := range methods {
-		eng := New(db, Options{Workers: 2, Method: tc.m})
-		direct := eng.TopK(q, 10)
-		if len(direct) == 0 {
-			t.Fatalf("%s: empty direct result", tc.name)
+	for _, sketches := range []bool{true, false} {
+		db := cachedTestDB(t, 60)
+		if sketches {
+			db.EnableSketches(0, 1)
 		}
-		c := cache.New(16)
-		key := cache.Key{Epoch: 1, Method: tc.name, K: 10, Query: cache.FootprintKey(q)}
-		compute := func() (any, error) { return eng.TopKCtx(ctx, q, 10) }
+		q := append(core.Footprint(nil), db.Footprints[7]...)
+		segOf := make([]uint16, db.Len())
+		for u := range segOf {
+			segOf[u] = uint16(u % 4)
+		}
+		for _, tc := range methods {
+			if tc.m == MethodSketch && !sketches {
+				continue // New would enable the layer
+			}
+			eng := New(db, Options{Workers: 2, Method: tc.m})
+			c := cache.New(16)
+			for _, k := range []int{1, 10, db.Len() + 1} {
+				for _, in := range []*Restrict{nil, {Partition: "quarters", SegOf: segOf, Lo: 1, Hi: 3}} {
+					direct, err := eng.TopKInCtx(ctx, q, k, in)
+					if err != nil || len(direct) == 0 {
+						t.Fatalf("%s k=%d: direct result %v, err=%v", tc.name, k, direct, err)
+					}
+					if want := restrictedOracle(db, q, k, in); !reflect.DeepEqual(direct, want) {
+						t.Fatalf("%s sketches=%v k=%d restricted=%v: direct result diverges from LinearScan\ngot:  %v\nwant: %v",
+							tc.name, sketches, k, in != nil, direct, want)
+					}
+					key := cache.Key{Epoch: 1, Method: tc.name, K: k, Query: cache.FootprintKey(q)}
+					if in != nil {
+						key.Partition, key.Lo, key.Hi = in.Partition, in.Lo, in.Hi
+					}
+					compute := func() (any, error) { return eng.TopKInCtx(ctx, q, k, in) }
 
-		miss, hit1, err := c.GetOrCompute(ctx, key, compute)
-		if err != nil || hit1 {
-			t.Fatalf("%s: miss path hit=%v err=%v", tc.name, hit1, err)
-		}
-		hit, hit2, err := c.GetOrCompute(ctx, key, compute)
-		if err != nil || !hit2 {
-			t.Fatalf("%s: hit path hit=%v err=%v", tc.name, hit2, err)
-		}
-		if !reflect.DeepEqual(miss.([]search.Result), direct) {
-			t.Fatalf("%s: computed-through-cache result diverges from direct", tc.name)
-		}
-		if !reflect.DeepEqual(hit.([]search.Result), direct) {
-			t.Fatalf("%s: cached result diverges from direct", tc.name)
+					miss, hit1, err := c.GetOrCompute(ctx, key, compute)
+					if err != nil || hit1 {
+						t.Fatalf("%s: miss path hit=%v err=%v", tc.name, hit1, err)
+					}
+					hit, hit2, err := c.GetOrCompute(ctx, key, compute)
+					if err != nil || !hit2 {
+						t.Fatalf("%s: hit path hit=%v err=%v", tc.name, hit2, err)
+					}
+					if !reflect.DeepEqual(miss.([]search.Result), direct) {
+						t.Fatalf("%s: computed-through-cache result diverges from direct", tc.name)
+					}
+					if !reflect.DeepEqual(hit.([]search.Result), direct) {
+						t.Fatalf("%s: cached result diverges from direct", tc.name)
+					}
+				}
+			}
 		}
 	}
 }
 
 // View.TopKCached is the serving-path wrapper: transparent when the
-// cache is nil, hit-reporting when warm, and method-faithful (the
-// sketch engine's cached answers equal the default engine's).
+// cache is nil, hit-reporting when warm, and one entry for the three
+// names of the user-centric engine.
 func TestViewTopKCached(t *testing.T) {
 	db := cachedTestDB(t, 50)
 	db.EnableSketches(0, 1)
@@ -101,9 +123,9 @@ func TestViewTopKCached(t *testing.T) {
 	}
 
 	c := cache.New(16)
-	// "" resolves to the canonical "user-centric" key, so the second
-	// method's first call is already warm.
-	wantFirstHit := map[string]bool{"": false, "user-centric": true, "sketch": false}
+	// "" and "sketch" resolve to the canonical "user-centric" key, so
+	// only the very first call computes.
+	wantFirstHit := map[string]bool{"": false, "user-centric": true, "sketch": true}
 	for _, method := range []string{"", "user-centric", "sketch"} {
 		first, hit, err := v.TopKCached(ctx, c, 1, method, q, 8)
 		if err != nil || hit != wantFirstHit[method] {
@@ -117,9 +139,12 @@ func TestViewTopKCached(t *testing.T) {
 			t.Fatalf("method %q cached answers diverge", method)
 		}
 	}
-	// "" and "user-centric" share one canonical cache key.
-	if st := c.Stats(); st.Misses != 2 {
-		t.Fatalf("misses = %d, want 2 (\"\" and \"user-centric\" must share a key)", st.Misses)
+	if st := c.Stats(); st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("misses = %d, entries = %d, want 1 and 1 (\"\", \"user-centric\" and \"sketch\" must share a key)", st.Misses, st.Entries)
+	}
+	// The name "sketch" still insists on the layer.
+	if _, err := NewView(cachedTestDB(t, 5), 1).Engine("sketch"); err == nil {
+		t.Fatal("Engine(\"sketch\") accepted a database without a sketch layer")
 	}
 	if _, err := v.Engine("quantum"); err == nil {
 		t.Fatal("unknown method accepted")

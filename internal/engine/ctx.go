@@ -6,7 +6,6 @@ import (
 
 	"geofootprint/internal/core"
 	"geofootprint/internal/search"
-	"geofootprint/internal/topk"
 )
 
 // This file is the cancellation layer of the engine: TopKCtx and
@@ -18,21 +17,17 @@ import (
 //
 // Cancellation protocol:
 //
-//   - Serial refinement loops poll ctx.Err() every cancelStride
-//     candidates, like the search package.
-//   - Worker goroutines poll at shard positions (every cancelStride
-//     iterations within their shard) and bail out early; the
-//     coordinator always waits for every worker before returning, so
-//     an abandoned query never leaves a goroutine writing into
-//     engine-held state.
+//   - The candidate and bound steps poll ctx.Err() every 256
+//     candidates, inside the search package.
+//   - The refine loop (refine.go) polls once per block — at most
+//     search.RefineBlock joins per worker — and the coordinator always
+//     waits for every worker of a block before it looks at the
+//     context, so an abandoned query never leaves a goroutine writing
+//     into engine-held state.
 //   - On cancellation the query returns (nil, ctx.Err()) — never a
 //     partial ranking. All per-query state (collectors, candidate
 //     slices) is local and unpublished, so later queries on the same
 //     engine are unaffected (verified under -race by tests).
-
-// cancelStride is how many refinement iterations run between
-// ctx.Err() polls; a power of two so the test is a mask.
-const cancelStride = 256
 
 // Restrict narrows a query to part of the corpus: the users whose
 // entry in SegOf — one segment number per dense user index — lies in
@@ -74,11 +69,24 @@ func (e *QueryEngine) TopKCtx(ctx context.Context, q core.Footprint, k int) ([]s
 }
 
 // TopKInCtx is TopKCtx over the users `in` selects (nil: all of them).
-// Every method runs the same three steps — generate candidates, drop
-// those outside the restriction, refine the rest across the workers —
-// so a restricted answer is the unrestricted ranking with the other
-// users removed, whatever the method.
+// Every method runs the same steps — generate candidates, drop those
+// outside the restriction, bound the rest by their sketch, refine best
+// bound first across the workers — so a restricted answer is the
+// unrestricted ranking with the other users removed, whatever the
+// method.
 func (e *QueryEngine) TopKInCtx(ctx context.Context, q core.Footprint, k int, in *Restrict) ([]search.Result, error) {
+	return e.topK(ctx, q, k, in, e.workers, nil)
+}
+
+// serialTopKCtx is the same query on one worker — the per-query unit
+// of TopKBatchCtx, which spends its workers across queries instead.
+func (e *QueryEngine) serialTopKCtx(ctx context.Context, q core.Footprint, k int) ([]search.Result, error) {
+	return e.topK(ctx, q, k, nil, 1, nil)
+}
+
+// topK is the one query path. st, when non-nil, receives the work
+// counts (tests compare them across methods and worker counts).
+func (e *QueryEngine) topK(ctx context.Context, q core.Footprint, k int, in *Restrict, workers int, st *search.SketchStats) ([]search.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -86,50 +94,54 @@ func (e *QueryEngine) TopKInCtx(ctx context.Context, q core.Footprint, k int, in
 	if qnorm == 0 || k <= 0 {
 		return nil, nil
 	}
-	cands, err := e.candidatesCtx(ctx, q)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	cands, err := e.candidatesCtx(ctx, q, sc.cands[:0])
 	if err != nil {
 		return nil, err
 	}
+	sc.cands = cands
 	cands = in.filter(cands)
-	if e.method == MethodSketch {
-		return e.refineSketchCtx(ctx, cands, q, k, qnorm)
+	scored, err := search.SketchBound(ctx, e.db, cands, q, qnorm, sc.scored[:0])
+	if err != nil {
+		return nil, err
 	}
-	return e.refineCandidatesCtx(ctx, cands, q, k, qnorm)
+	sc.scored = scored
+	if st != nil {
+		st.Candidates, st.Scored = len(cands), len(scored)
+	}
+	return e.refineCtx(ctx, sc, search.OrderByBound(scored), q, k, qnorm, workers, st)
 }
 
-// candidatesCtx generates the configured method's candidates: dense
-// user indexes, a superset of the users with positive similarity.
-func (e *QueryEngine) candidatesCtx(ctx context.Context, q core.Footprint) ([]int, error) {
+// scratch is the per-query working memory the pool recycles: the
+// candidate list, their bounds (which become the order's heap) and the
+// block being refined. With every method bounding thousands of
+// candidates per query, allocating these afresh would scale the
+// garbage with the request rate.
+type scratch struct {
+	cands  []int
+	scored []search.SketchCandidate
+	block  []search.SketchCandidate
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// candidatesCtx generates the configured method's candidates into buf:
+// dense user indexes, a superset of the users with positive
+// similarity.
+func (e *QueryEngine) candidatesCtx(ctx context.Context, q core.Footprint, buf []int) ([]int, error) {
 	switch e.method {
 	case MethodLinear:
-		all := make([]int, len(e.db.Footprints))
-		for u := range all {
-			all[u] = u
+		for u := range e.db.Footprints {
+			buf = append(buf, u)
 		}
-		return all, nil
+		return buf, nil
 	case MethodIterative:
 		return e.roi.IterativeCandidatesCtx(ctx, q)
 	case MethodBatch:
 		return e.roi.BatchCandidatesCtx(ctx, q)
 	default: // MethodUserCentric, MethodSketch
-		return e.uc.Candidates(q.MBR(), nil), nil
-	}
-}
-
-// serialTopKCtx runs the configured method's serial path under ctx —
-// the per-query unit of TopKBatchCtx.
-func (e *QueryEngine) serialTopKCtx(ctx context.Context, q core.Footprint, k int) ([]search.Result, error) {
-	switch e.method {
-	case MethodLinear:
-		return search.NewLinearScan(e.db).TopKCtx(ctx, q, k)
-	case MethodIterative:
-		return e.roi.TopKIterativeCtx(ctx, q, k)
-	case MethodBatch:
-		return e.roi.TopKBatchCtx(ctx, q, k)
-	case MethodSketch:
-		return e.uc.TopKSketchCtx(ctx, q, k)
-	default:
-		return e.uc.TopKCtx(ctx, q, k)
+		return e.uc.Candidates(q.MBR(), buf), nil
 	}
 }
 
@@ -191,70 +203,4 @@ func (e *QueryEngine) TopKBatchCtx(ctx context.Context, queries []core.Footprint
 		return nil, err
 	}
 	return out, nil
-}
-
-// refineCandidatesCtx shards a candidate list across workers, each
-// refining its shard with Algorithm 4 into its own bounded heap, and
-// merges the heaps deterministically.
-//
-//geo:cancellable
-func (e *QueryEngine) refineCandidatesCtx(ctx context.Context, cands []int, q core.Footprint, k int, qnorm float64) ([]search.Result, error) {
-	workers := e.shardWorkers(len(cands))
-	if workers <= 1 {
-		col := topk.New(k)
-		for i, u := range cands {
-			if i&(cancelStride-1) == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			e.offerUser(col, u, q, qnorm)
-		}
-		return col.Results(), nil
-	}
-	parts := e.runShardsCtx(ctx, workers, len(cands), k, func(col *topk.Collector, i int) {
-		e.offerUser(col, cands[i], q, qnorm)
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return mergeParts(parts, k), nil
-}
-
-// runShardsCtx splits [0, n) into `workers` contiguous shards, runs
-// `visit` over each shard on its own goroutine into a per-worker
-// collector, and returns the collectors. Workers poll ctx every
-// cancelStride positions within their shard and abandon the remainder
-// once it fires; callers must check ctx.Err() after the wait and
-// discard the partial collectors. The wait itself is unconditional —
-// no goroutine outlives the call.
-//
-//geo:cancellable
-func (e *QueryEngine) runShardsCtx(ctx context.Context, workers, n, k int, visit func(col *topk.Collector, i int)) []*topk.Collector {
-	parts := make([]*topk.Collector, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			parts[w] = topk.New(k)
-			continue
-		}
-		wg.Add(1)
-		parts[w] = topk.New(k)
-		go func(col *topk.Collector, lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				if (i-lo)&(cancelStride-1) == 0 && ctx.Err() != nil {
-					return
-				}
-				visit(col, i)
-			}
-		}(parts[w], lo, hi)
-	}
-	wg.Wait()
-	return parts
 }

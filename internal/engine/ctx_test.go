@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -114,6 +116,66 @@ func TestTopKCtxMidFlightCancel(t *testing.T) {
 				}
 			}
 			cancel()
+		}
+	}
+}
+
+// pollCtx is a context that reports cancellation from its n-th Err()
+// poll onwards — cancellation placed at an exact point of the query
+// instead of at a random moment.
+type pollCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *pollCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+func cancelAtPoll(n int) *pollCtx {
+	c := &pollCtx{Context: context.Background()}
+	c.left.Store(int64(n))
+	return c
+}
+
+// Cancellation observed at ANY poll of a query — the entry check, the
+// candidate step, every stride of the bound step, every refinement
+// block, the check before the merge — yields (nil, ctx.Err()); only a
+// query whose every poll passed returns an answer, and it is the exact
+// one. The database is sized so that the bound step polls more than
+// once and the refinement runs several blocks.
+func TestTopKCtxCancelAtEveryPoll(t *testing.T) {
+	rng := rand.New(rand.NewSource(76))
+	db := testDB(t, rng, 700)
+	q := db.Footprints[11]
+	for name, mm := range methods(db) {
+		for _, workers := range []int{1, 2} {
+			e := New(db, Options{Method: mm.m, Workers: workers})
+			// A context that never fires counts the polls of a full run.
+			counter := cancelAtPoll(1 << 30)
+			want, err := e.TopKCtx(counter, q, 300)
+			polls := 1<<30 - int(counter.left.Load())
+			if err != nil || !reflect.DeepEqual(want, mm.serial(q, 300)) {
+				t.Fatalf("%s workers=%d: uncancelled run wrong (err=%v)", name, workers, err)
+			}
+			// Entry, three strides of the bound step over 700 users, at
+			// least one refinement block, the check before the merge.
+			if mm.m == MethodLinear && polls < 6 {
+				t.Fatalf("%s workers=%d: a full run polled only %d times; bound step or refinement blocks are not polling", name, workers, polls)
+			}
+			for n := 0; n < polls; n++ {
+				res, err := e.TopKCtx(cancelAtPoll(n), q, 300)
+				if !errors.Is(err, context.Canceled) || res != nil {
+					t.Fatalf("%s workers=%d: cancelled at poll %d of %d: %d results, err=%v; want (nil, context.Canceled)",
+						name, workers, n, polls, len(res), err)
+				}
+			}
+			if res, err := e.TopKCtx(cancelAtPoll(polls), q, 300); err != nil || !reflect.DeepEqual(res, want) {
+				t.Fatalf("%s workers=%d: run with exactly %d polls allowed: err=%v", name, workers, polls, err)
+			}
 		}
 	}
 }

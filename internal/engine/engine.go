@@ -7,15 +7,15 @@
 //
 //   - Across queries — TopKBatch distributes a batch over a worker
 //     pool (the pattern of internal/extract/parallel.go); each query
-//     runs the serial search path of the configured method, so batch
-//     results are byte-identical to one-at-a-time execution.
-//   - Within a query — TopK shards the refinement work (every
-//     candidate's join-based Algorithm 4 computation, whichever
-//     method nominated the candidates) across workers,
-//     each holding its own bounded top-k heap; the per-worker heaps
-//     are merged deterministically under the global (score desc,
-//     ID asc) total order, so the parallel result equals the serial
-//     one bit for bit.
+//     runs the one query path on a single worker, so batch results
+//     are byte-identical to one-at-a-time execution.
+//   - Within a query — TopK shards the refinement work (the
+//     join-based Algorithm 4 computation of every candidate the
+//     sketch bound does not exclude, whichever method nominated the
+//     candidates) across workers, each holding its own bounded top-k
+//     heap; the per-worker heaps are merged deterministically under
+//     the global (score desc, ID asc) total order, so the parallel
+//     result equals the serial one bit for bit.
 //   - Preprocessing — PrecomputeNorms recomputes every norm and MBR
 //     on a work-queue of users, which load-balances the skewed
 //     footprint sizes better than static chunking.
@@ -38,13 +38,16 @@ import (
 	"geofootprint/internal/topk"
 )
 
-// Method selects which Section 6 search path the engine executes.
+// Method selects the engine's candidate source: which Section 6 index
+// nominates the users worth scoring. Bounding, ordering, refinement and
+// merging are shared (refine.go), so every method returns the same
+// bytes.
 type Method int
 
 const (
-	// MethodUserCentric refines R-tree candidates with Algorithm 4
-	// (Section 6.2) — the paper's fastest method, and the one whose
-	// refinement step TopK parallelises.
+	// MethodUserCentric nominates the users whose footprint MBR meets
+	// the query's, from the user-centric R-tree (Section 6.2) — the
+	// paper's fastest method.
 	MethodUserCentric Method = iota
 	// MethodLinear is the index-free baseline: every user is a
 	// candidate.
@@ -57,11 +60,10 @@ const (
 	// MethodBatch is the Section 6.1.2 search; serial accumulation,
 	// sharded refinement, like MethodIterative.
 	MethodBatch
-	// MethodSketch is the sketch filter-and-refine search
-	// (search.TopKSketch): candidates ranked by their grid-sketch
-	// upper bound, refined in descending bound order with worker-local
-	// early exit (see sketch.go for the exactness argument). Requires
-	// the database's sketch layer; New enables it when absent.
+	// MethodSketch is MethodUserCentric's candidate source under the
+	// name the sketch filter-and-refine search was introduced with;
+	// since every method is bounded by the sketch, the only difference
+	// left is that New enables the database's sketch layer when absent.
 	MethodSketch
 )
 
@@ -110,12 +112,8 @@ func New(db *store.FootprintDB, opts Options) *QueryEngine {
 		e.workers = runtime.GOMAXPROCS(0)
 	}
 	switch e.method {
-	case MethodUserCentric:
-		if e.uc == nil {
-			e.uc = search.NewUserCentricIndex(db, search.BuildSTR, 0)
-		}
-	case MethodSketch:
-		if !db.SketchesEnabled() {
+	case MethodUserCentric, MethodSketch:
+		if e.method == MethodSketch && !db.SketchesEnabled() {
 			db.EnableSketches(0, e.workers)
 		}
 		if e.uc == nil {
@@ -139,8 +137,8 @@ func (e *QueryEngine) Method() Method { return e.method }
 func (e *QueryEngine) DB() *store.FootprintDB { return e.db }
 
 // TopK answers a single top-k query, parallelising the refinement
-// step when enough candidates justify the fan-out. Results are identical — including
-// every score bit and tie-break — to the serial search paths. It is
+// step when enough candidates justify the fan-out. Results are
+// identical — including every score bit and tie-break — to LinearScan. It is
 // TopKCtx under a background context (which never cancels, so the
 // error is statically nil).
 func (e *QueryEngine) TopK(q core.Footprint, k int) []search.Result {
@@ -148,30 +146,14 @@ func (e *QueryEngine) TopK(q core.Footprint, k int) []search.Result {
 	return res
 }
 
-// serialTopK runs the configured method's serial path — the oracle the
-// parallel paths must match, and the per-query unit of TopKBatch.
-func (e *QueryEngine) serialTopK(q core.Footprint, k int) []search.Result {
-	res, _ := e.serialTopKCtx(context.Background(), q, k)
-	return res
-}
-
 // TopKBatch answers a batch of queries across the worker pool, one
-// merged result set per query, in input order. Each query executes the
-// serial path of the configured method on a single worker, so the
-// output is byte-identical to calling TopK serially per query — for
-// all four methods. It is TopKBatchCtx under a background context.
+// merged result set per query, in input order. Each query runs on a
+// single worker, so the output is byte-identical to calling TopK per
+// query — for every method. It is TopKBatchCtx under a background
+// context.
 func (e *QueryEngine) TopKBatch(queries []core.Footprint, k int) [][]search.Result {
 	out, _ := e.TopKBatchCtx(context.Background(), queries, k)
 	return out
-}
-
-// offerUser refines one candidate with Algorithm 4 and offers the
-// score — exactly what the serial search paths do.
-func (e *QueryEngine) offerUser(col *topk.Collector, u int, q core.Footprint, qnorm float64) {
-	sim := e.db.UserSimilarity(u, q, qnorm)
-	if sim > 0 {
-		col.Offer(e.db.IDs[u], sim)
-	}
 }
 
 // shardWorkers sizes the within-query fan-out: at most one worker per

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -80,28 +81,81 @@ func methods(db *store.FootprintDB) map[string]struct {
 	}
 }
 
-// TestParallelTopKByteIdentical asserts that the engine's parallel
-// single-query execution returns byte-identical results to the serial
-// Section 6 paths, for every method, across many queries. This is the
-// determinism contract of the parallel merge.
+// restrictedOracle is the answer a restricted query must give:
+// LinearScan's full ranking with the users outside the restriction
+// removed, cut to k.
+func restrictedOracle(db *store.FootprintDB, q core.Footprint, k int, in *Restrict) []search.Result {
+	if in == nil {
+		return search.NewLinearScan(db).TopK(q, k)
+	}
+	dense := make(map[int]int, db.Len())
+	for u, id := range db.IDs {
+		dense[id] = u
+	}
+	kept := []search.Result{} // what an empty collector returns
+	for _, r := range search.NewLinearScan(db).TopK(q, db.Len()+1) {
+		if s := in.SegOf[dense[r.ID]]; s >= in.Lo && s < in.Hi && len(kept) < k {
+			kept = append(kept, r)
+		}
+	}
+	return kept
+}
+
+// TestParallelTopKByteIdentical is the determinism contract of the one
+// query path: every method, with the sketch layer on and off, over the
+// whole corpus and over a prefix-style restriction, for k from 1 to
+// more than there are candidates, on 1, 2 and 8 workers, returns
+// LinearScan's bytes.
 func TestParallelTopKByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	db := testDB(t, rng, 400)
-	for name, mm := range methods(db) {
-		e := New(db, Options{Workers: 4, Method: mm.m})
-		for trial := 0; trial < 30; trial++ {
-			var q core.Footprint
-			if trial%2 == 0 {
-				q = db.Footprints[rng.Intn(db.Len())]
+	ctx := context.Background()
+	for _, sketches := range []bool{true, false} {
+		db := testDB(t, rng, 400)
+		if sketches {
+			db.EnableSketches(0, 0)
+		}
+		segOf := make([]uint16, db.Len())
+		for u := range segOf {
+			segOf[u] = uint16(rng.Intn(12))
+		}
+		restrictions := []*Restrict{nil, {Partition: "test", SegOf: segOf, Lo: 3, Hi: 8}}
+		roi := search.NewRoIIndex(db, search.BuildSTR, 0)
+		uc := search.NewUserCentricIndex(db, search.BuildSTR, 0)
+		methods := map[string]Method{
+			"linear": MethodLinear, "iterative": MethodIterative, "batch": MethodBatch,
+			"user-centric": MethodUserCentric, "sketch": MethodSketch,
+		}
+		if !sketches {
+			// New(MethodSketch) would enable the layer on the shared db.
+			delete(methods, "sketch")
+		}
+		queries := make([]core.Footprint, 6)
+		for i := range queries {
+			if i%2 == 0 {
+				queries[i] = db.Footprints[rng.Intn(db.Len())]
 			} else {
-				q = clusteredFootprints(rng, 1, 12)[0]
+				queries[i] = clusteredFootprints(rng, 1, 12)[0]
 			}
-			k := 1 + rng.Intn(10)
-			want := mm.serial(q, k)
-			got := e.TopK(q, k)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: parallel TopK diverged from serial\ngot:  %v\nwant: %v", name, got, want)
+		}
+		for _, q := range queries {
+			for _, k := range []int{1, 5, 50, db.Len() + 10} {
+				for _, in := range restrictions {
+					want := restrictedOracle(db, q, k, in)
+					for name, m := range methods {
+						for _, workers := range []int{1, 2, 8} {
+							e := New(db, Options{Workers: workers, Method: m, UserCentric: uc, RoI: roi})
+							got, err := e.TopKInCtx(ctx, q, k, in)
+							if err != nil || !reflect.DeepEqual(got, want) {
+								t.Fatalf("%s sketches=%v restricted=%v k=%d workers=%d: diverged from LinearScan (err=%v)\ngot:  %v\nwant: %v",
+									name, sketches, in != nil, k, workers, err, got, want)
+							}
+						}
+					}
+				}
 			}
+		}
+		if db.SketchesEnabled() != sketches {
+			t.Fatalf("the sketch layer changed under the test: enabled=%v, want %v", db.SketchesEnabled(), sketches)
 		}
 	}
 }

@@ -17,8 +17,9 @@ import (
 // off the query path, on the write side — and is logically immutable
 // afterwards, so any number of queries can share it lock-free.
 //
-// The user-centric and sketch engines are built eagerly (they serve
-// production traffic and share one index). The remaining Section 6
+// The user-centric engine is built eagerly (it serves production
+// traffic, under the names "", "user-centric" and "sketch": one
+// engine, one cache entry). The remaining Section 6
 // methods — linear, iterative, batch — are HTTP-selectable too, but
 // built lazily on first use behind a sync.Once: the iterative/batch
 // RoI index costs a full R-tree over every region of every user, and
@@ -30,7 +31,6 @@ type View struct {
 	db      *store.FootprintDB
 	idx     *search.UserCentricIndex
 	uc      *QueryEngine
-	sk      *QueryEngine // nil when the database's sketch layer is disabled
 	workers int
 
 	linOnce sync.Once
@@ -46,16 +46,12 @@ type View struct {
 // disabled and Engine("sketch") reports it instead.
 func NewView(db *store.FootprintDB, workers int) *View {
 	idx := search.NewUserCentricIndex(db, search.BuildSTR, 0)
-	v := &View{
+	return &View{
 		db:      db,
 		idx:     idx,
 		uc:      New(db, Options{Workers: workers, UserCentric: idx}),
 		workers: workers,
 	}
-	if db.SketchesEnabled() {
-		v.sk = New(db, Options{Workers: workers, UserCentric: idx, Method: MethodSketch})
-	}
-	return v
 }
 
 // DB returns the view's frozen database (read-only).
@@ -64,20 +60,23 @@ func (v *View) DB() *store.FootprintDB { return v.db }
 // Index returns the view's user-centric index.
 func (v *View) Index() *search.UserCentricIndex { return v.idx }
 
-// Engine maps a request's method name to the engine executing it. All
-// four Section 6 search paths (plus the sketch engine) are selectable,
-// and on the same database they return bit-identical rankings — which
-// is what lets the cross-shard determinism suite compare any of them
-// against LinearScan over the wire.
+// Engine maps a request's method name to the engine executing it. A
+// method picks the candidate source; scoring and ordering are shared,
+// so on the same database every method returns bit-identical rankings
+// — which is what lets the cross-shard determinism suite compare any
+// of them against LinearScan over the wire. "sketch" is the
+// user-centric engine, kept as a name that insists on the sketch
+// layer: it errors where the layer is disabled instead of silently
+// refining every candidate.
 func (v *View) Engine(method string) (*QueryEngine, error) {
 	switch method {
 	case "", "user-centric":
 		return v.uc, nil
 	case "sketch":
-		if v.sk == nil {
+		if !v.db.SketchesEnabled() {
 			return nil, fmt.Errorf("method %q unavailable: sketch layer disabled", method)
 		}
-		return v.sk, nil
+		return v.uc, nil
 	case "linear":
 		v.linOnce.Do(func() {
 			v.lin = New(v.db, Options{Workers: v.workers, Method: MethodLinear})
@@ -123,8 +122,8 @@ func (v *View) TopKCachedIn(ctx context.Context, c *cache.Cache, epoch uint64, m
 		res, err := eng.TopKInCtx(ctx, q, k, in)
 		return res, false, err
 	}
-	if method == "" {
-		method = "user-centric"
+	if method == "" || method == "sketch" {
+		method = "user-centric" // one engine, one entry
 	}
 	key := cache.Key{Epoch: epoch, Method: method, K: k, Query: cache.FootprintKey(q)}
 	if in != nil {

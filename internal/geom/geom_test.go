@@ -356,3 +356,52 @@ func TestBox3IntersectionSymmetric(t *testing.T) {
 		}
 	}
 }
+
+// TestIntersectionMatchesMathMinMax is the differential test of the
+// min/max builtins against the math.Min/math.Max calls they replaced
+// in Intersection and IntersectionArea: every bit of every result must
+// agree (a NaN for a NaN; which NaN is unspecified on both sides), on
+// coordinates biased towards the values where the two could
+// differ if the spec were misread — signed zeros, infinities, NaN, and
+// magnitudes near both ends of the float64 range — and towards equal
+// coordinates (touching edges, zero-extent and duplicate rectangles).
+func TestIntersectionMatchesMathMinMax(t *testing.T) {
+	refArea := func(r, s Rect) float64 {
+		w := math.Min(r.MaxX, s.MaxX) - math.Max(r.MinX, s.MinX)
+		if w <= 0 {
+			return 0
+		}
+		h := math.Min(r.MaxY, s.MaxY) - math.Max(r.MinY, s.MinY)
+		if h <= 0 {
+			return 0
+		}
+		return w * h
+	}
+	refIntersection := func(r, s Rect) Rect {
+		return Rect{
+			MinX: math.Max(r.MinX, s.MinX), MinY: math.Max(r.MinY, s.MinY),
+			MaxX: math.Min(r.MaxX, s.MaxX), MaxY: math.Min(r.MaxY, s.MaxY),
+		}
+	}
+	pool := []float64{
+		math.Inf(-1), -1e300, -1, -1e-300, math.Copysign(0, -1), 0,
+		5e-324, 1e-300, 0.5, 1, 1e300, math.MaxFloat64, math.Inf(1),
+	}
+	rng := rand.New(rand.NewSource(97))
+	pick := func() float64 { return pool[rng.Intn(len(pool))] }
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+	}
+	for i := 0; i < 200000; i++ {
+		r := Rect{pick(), pick(), pick(), pick()}
+		s := Rect{pick(), pick(), pick(), pick()}
+		if got, want := r.IntersectionArea(s), refArea(r, s); !same(got, want) {
+			t.Fatalf("IntersectionArea(%v, %v) = %v (%#x), math.Min/Max give %v (%#x)",
+				r, s, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		if got, want := r.Intersection(s), refIntersection(r, s); !same(got.MinX, want.MinX) ||
+			!same(got.MinY, want.MinY) || !same(got.MaxX, want.MaxX) || !same(got.MaxY, want.MaxY) {
+			t.Fatalf("Intersection(%v, %v) = %v, math.Min/Max give %v", r, s, got, want)
+		}
+	}
+}

@@ -10,6 +10,9 @@
 //     file writes on persistence paths bypass WriteFileAtomic.
 //   - hotalloc        — PR 1's 0-alloc kernels: allocation sources in
 //     //geo:hotpath functions.
+//   - hotmath         — math.Min/math.Max in //geo:hotpath functions:
+//     out-of-line calls that were half of every Algorithm 4 join; the
+//     min/max builtins compile inline.
 //   - sortedfootprint — PR 2's strictsort invariant: direct writes to
 //     FootprintDB's parallel slices outside internal/store.
 //   - errdiscard      — dropped errors from Sync/Close and the WAL
@@ -53,6 +56,7 @@ var Analyzers = []*analysis.Analyzer{
 	AtomicWrite,
 	ColWrite,
 	HotAlloc,
+	HotMath,
 	SortedFootprint,
 	ErrDiscard,
 	CtxCancel,

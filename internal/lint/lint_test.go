@@ -34,6 +34,11 @@ func TestHotAlloc(t *testing.T) {
 		"./internal/lint/testdata/src/hotalloc/a")
 }
 
+func TestHotMath(t *testing.T) {
+	analysistest.Run(t, lint.HotMath,
+		"./internal/lint/testdata/src/hotmath/a")
+}
+
 func TestSortedFootprint(t *testing.T) {
 	analysistest.Run(t, lint.SortedFootprint,
 		"./internal/lint/testdata/src/sortedfootprint/a")

@@ -6,7 +6,6 @@ import (
 	"geofootprint/internal/core"
 	"geofootprint/internal/geom"
 	"geofootprint/internal/rtree"
-	"geofootprint/internal/sketch"
 	"geofootprint/internal/topk"
 )
 
@@ -329,42 +328,10 @@ func (ix *UserCentricIndex) TopKPrunedCtx(ctx context.Context, q core.Footprint,
 	return col.Results(), nil
 }
 
-// TopKSketchCtx is TopKSketch honouring ctx: the filter steps (MBR
-// candidates, sketch scoring, the bound sort) poll between candidates,
-// and the refinement loop polls between Algorithm 4 joins.
-//
-//geo:cancellable
+// TopKSketchCtx is TopKSketch honouring ctx: the bound step polls
+// between candidates and the refinement loop between Algorithm 4
+// joins.
 func (ix *UserCentricIndex) TopKSketchCtx(ctx context.Context, q core.Footprint, k int) ([]Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	db := ix.db
-	if !db.SketchesEnabled() {
-		panic("search: TopKSketchCtx requires store.FootprintDB.EnableSketches")
-	}
-	qnorm := core.Norm(q)
-	if qnorm == 0 || k <= 0 {
-		return nil, nil
-	}
-	qsk := sketch.Build(q, db.SketchParams)
-	scored := ix.SketchCandidates(q, &qsk, qnorm)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	col := topk.New(k)
-	for i, c := range scored {
-		if i&(cancelStride-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if col.Len() == k && c.Bound < col.Threshold() {
-			break
-		}
-		sim := db.UserSimilarity(c.User, q, qnorm)
-		if sim > 0 {
-			col.Offer(db.IDs[c.User], sim)
-		}
-	}
-	return col.Results(), nil
+	var st SketchStats
+	return ix.topKSketch(ctx, q, k, &st)
 }

@@ -1,38 +1,45 @@
 package search
 
 import (
+	"context"
 	"fmt"
-	"sort"
 
 	"geofootprint/internal/core"
 	"geofootprint/internal/sketch"
+	"geofootprint/internal/store"
 	"geofootprint/internal/topk"
 )
 
-// This file adds the sketch filter-and-refine search to the
-// user-centric index: candidates from the R-tree filter step are
-// ranked by their sketch upper bound (internal/sketch — a per-cell
-// Cauchy–Schwarz bound on Equation 1) and refined with Algorithm 4 in
-// descending bound order, stopping as soon as the best remaining bound
-// falls strictly below the current k-th score. Because the bound
-// provably dominates the true similarity, every skipped candidate is
-// provably outside the top k, so the results — scores, IDs, order,
-// tie-breaks — are byte-identical to TopK and LinearScan.TopK
-// (verified by tests on all four part presets).
+// This file is the sketch filter-and-refine machinery: candidates —
+// whoever nominated them — are ranked by their sketch upper bound
+// (internal/sketch — a per-cell Cauchy–Schwarz bound on Equation 1) and
+// refined with Algorithm 4 in descending bound order, stopping as soon
+// as the best remaining bound falls strictly below the current k-th
+// score. Because the bound provably dominates the true similarity,
+// every skipped candidate is provably outside the top k, so the
+// results — scores, IDs, order, tie-breaks — are byte-identical to
+// LinearScan.TopK (verified by tests on all four part presets).
+//
+// Two pieces are shared with the engine's refine loop, which runs them
+// for every method: SketchBound (the bound step) and BoundOrder (the
+// lazy descending order). TopKSketch is their serial spelling over the
+// user-centric index's MBR candidates.
 //
 // This is the remedy the O(1) bounds of TopKPruned could not deliver
 // (EXPERIMENTS.md records that negative result): a G×G sketch bound is
 // tight enough that most MBR-intersecting candidates never reach
-// Algorithm 4 — and sorting by bound means the collector's threshold
-// rises as fast as possible, which is what makes the early exit bite.
+// Algorithm 4 — and refining best bound first means the collector's
+// threshold rises as fast as possible, which is what makes the early
+// exit bite.
 
-// SketchStats reports how much work one TopKSketch query did.
+// SketchStats reports how much work one bounded query did.
 type SketchStats struct {
-	// Candidates is the number of users whose footprint MBR
-	// intersects the query MBR — what plain TopK would refine.
+	// Candidates is the number of users the candidate source nominated
+	// (for TopKSketch: those whose footprint MBR intersects the query
+	// MBR — what plain TopK would refine), after any restriction.
 	Candidates int
 	// Scored is the number of candidates with a non-zero sketch
-	// bound (the rest are rejected without even entering the sort).
+	// bound (the rest are rejected without entering the order).
 	Scored int
 	// Refined is the number of Algorithm 4 joins actually run.
 	Refined int
@@ -56,79 +63,223 @@ type SketchCandidate struct {
 // TopKSketchStats is TopKSketch, additionally reporting filter
 // effectiveness (for the geobench resolution sweep).
 func (ix *UserCentricIndex) TopKSketchStats(q core.Footprint, k int) ([]Result, SketchStats) {
+	var st SketchStats
+	res, _ := ix.topKSketch(context.Background(), q, k, &st)
+	return res, st
+}
+
+// topKSketch is the serial sketch search behind TopKSketchStats and
+// TopKSketchCtx: MBR candidates, bounded, refined best bound first
+// until the best remaining bound falls strictly below the k-th score.
+//
+//geo:cancellable
+func (ix *UserCentricIndex) topKSketch(ctx context.Context, q core.Footprint, k int, st *SketchStats) ([]Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	db := ix.db
 	if !db.SketchesEnabled() {
 		panic("search: TopKSketch requires store.FootprintDB.EnableSketches")
 	}
-	var st SketchStats
 	qnorm := core.Norm(q)
 	if qnorm == 0 || k <= 0 {
-		return nil, st
+		return nil, nil
 	}
-	qsk := sketch.Build(q, db.SketchParams)
 	cands := ix.Candidates(q.MBR(), nil)
 	st.Candidates = len(cands)
-	scored := ix.SketchBound(cands, &qsk, qnorm)
+	scored, err := SketchBound(ctx, db, cands, q, qnorm, nil)
+	if err != nil {
+		return nil, err
+	}
 	st.Scored = len(scored)
 
-	col := topk.New(k)
-	for _, c := range scored {
-		if col.Len() == k && c.Bound < col.Threshold() {
-			// The list is bound-descending: every remaining
-			// candidate's similarity is ≤ this bound < the k-th
-			// score, so none can enter the collector (strict <
-			// keeps equal-score ID tie-breaks exact).
-			break
+	r := Refiner{Col: topk.New(k)}
+	order := OrderByBound(scored)
+	var block []SketchCandidate
+	for !r.Done && order.Len() > 0 {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		st.Refined++
-		sim := db.UserSimilarity(c.User, q, qnorm)
-		if sim > 0 {
-			col.Offer(db.IDs[c.User], sim)
-		}
+		block = order.NextBlock(block[:0], RefineBlock)
+		r.Refine(db, block, 0, 1, q, k, qnorm)
 	}
-	return col.Results(), st
+	st.Refined = r.Refined
+	return r.Col.Results(), nil
 }
 
-// sortByBound orders candidates by bound descending, ties by dense
-// user index ascending — a deterministic refinement order, so the
-// refinement count (not just the result) is reproducible.
-func sortByBound(cs []SketchCandidate) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Bound != cs[j].Bound {
-			return cs[i].Bound > cs[j].Bound
+// RefineBlock is how many candidates one worker refines between two
+// draws from the order (and two cancellation polls): large enough that
+// a typical query — a few hundred joins — takes one or two blocks,
+// small enough that the candidates drawn past the stopping point cost
+// less than a handful of joins.
+const RefineBlock = 128
+
+// Refiner is one worker's share of a bounded refinement: its collector,
+// how many Algorithm 4 joins it has run, and whether it has stopped for
+// good. The serial search has one; the engine has one per worker.
+type Refiner struct {
+	Col     *topk.Collector
+	Refined int
+	Done    bool
+}
+
+// Refine joins positions start, start+stride, … of block — the next
+// stretch of the bound-descending order — into r.Col, and sets r.Done
+// at the first candidate whose bound is strictly below the collector's
+// k-th score: every remaining candidate's similarity is ≤ that bound,
+// so none can enter the collector (strict < keeps equal-score ID
+// tie-breaks exact).
+func (r *Refiner) Refine(db *store.FootprintDB, block []SketchCandidate, start, stride int, q core.Footprint, k int, qnorm float64) {
+	for i := start; i < len(block); i += stride {
+		c := block[i]
+		if r.Col.Len() == k && c.Bound < r.Col.Threshold() {
+			r.Done = true
+			return
 		}
-		return cs[i].User < cs[j].User
-	})
+		r.Refined++
+		if sim := db.UserSimilarity(c.User, q, qnorm); sim > 0 {
+			r.Col.Offer(db.IDs[c.User], sim)
+		}
+	}
 }
 
 // SketchCandidates runs the filter steps of TopKSketch alone — MBR
-// candidates scored and sorted by sketch bound, zero bounds dropped.
-// The query sketch must be built with the database's SketchParams.
+// candidates bounded against qsk and listed best bound first, zero
+// bounds dropped. The query sketch must be built with the database's
+// SketchParams. It orders the whole list, which no query path does;
+// for the ledger and the tests.
 func (ix *UserCentricIndex) SketchCandidates(q core.Footprint, qsk *sketch.Sketch, qnorm float64) []SketchCandidate {
-	return ix.SketchBound(ix.Candidates(q.MBR(), nil), qsk, qnorm)
+	if !ix.db.SketchesEnabled() {
+		panic("search: SketchCandidates requires store.FootprintDB.EnableSketches")
+	}
+	scored, _ := boundAgainst(context.Background(), ix.db, ix.Candidates(q.MBR(), nil), qsk, qnorm, nil)
+	order := OrderByBound(scored)
+	sorted := make([]SketchCandidate, 0, order.Len())
+	for order.Len() > 0 {
+		sorted = append(sorted, order.Next())
+	}
+	return sorted
 }
 
-// SketchBound runs the bound step alone over a candidate list the
-// caller generated (and may have narrowed): every candidate's sketch
-// upper bound, sorted descending, for callers that shard the
-// refinement themselves (the engine).
-func (ix *UserCentricIndex) SketchBound(cands []int, qsk *sketch.Sketch, qnorm float64) []SketchCandidate {
-	db := ix.db
+// SketchBound is the bound step every candidate source shares: each
+// candidate's sketch upper bound on its similarity to q, appended to
+// buf in candidate order with the zero bounds dropped (a zero bound
+// certifies zero similarity, and zero-similarity users are never
+// returned). It reads only the database, so it serves R-tree, RoI and
+// all-users candidates alike. A database without a sketch layer gives
+// every candidate the trivial bound 1: the same refine loop then runs
+// with no early exit. Cancellation is polled every cancelStride
+// candidates.
+func SketchBound(ctx context.Context, db *store.FootprintDB, cands []int, q core.Footprint, qnorm float64, buf []SketchCandidate) ([]SketchCandidate, error) {
 	if !db.SketchesEnabled() {
-		panic("search: SketchBound requires store.FootprintDB.EnableSketches")
+		for _, u := range cands {
+			buf = append(buf, SketchCandidate{User: u, Bound: 1})
+		}
+		return buf, nil
 	}
-	scored := make([]SketchCandidate, 0, len(cands))
-	for _, u := range cands {
-		b := sketch.UpperBound(db.UserSketchDot(u, qsk), db.Norms[u], qnorm)
-		if b > 0 {
-			// A zero bound certifies zero similarity (the bound
-			// dominates it), and zero-similarity users are never
-			// returned — drop before the sort.
-			scored = append(scored, SketchCandidate{User: u, Bound: b})
+	qsk := sketch.Build(q, db.SketchParams)
+	return boundAgainst(ctx, db, cands, &qsk, qnorm, buf)
+}
+
+// boundAgainst is SketchBound with the query sketch already built: it
+// scatters the sketch into a pooled dense table once and gathers every
+// candidate's stored sketch against it (sketch.DotDense).
+//
+//geo:cancellable
+func boundAgainst(ctx context.Context, db *store.FootprintDB, cands []int, qsk *sketch.Sketch, qnorm float64, buf []SketchCandidate) ([]SketchCandidate, error) {
+	raster := sketch.Rasterize(qsk, db.SketchParams.G)
+	defer raster.Release()
+	dense := raster.Table()
+	for i, u := range cands {
+		if i&(cancelStride-1) == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		if b := sketch.UpperBound(db.UserSketchDotDense(u, dense), db.Norms[u], qnorm); b > 0 {
+			buf = append(buf, SketchCandidate{User: u, Bound: b})
 		}
 	}
-	sortByBound(scored)
-	return scored
+	return buf, nil
+}
+
+// BoundOrder hands out scored candidates best first — bound
+// descending, ties by dense user index ascending, a total order, so
+// the sequence (and with it every refinement count) is reproducible —
+// without sorting them: a binary max-heap built in place in O(n), each
+// Next O(log n). A query that refines r of n candidates pays
+// O(n + r·log n) for its order instead of O(n·log n).
+type BoundOrder struct{ heap []SketchCandidate }
+
+// OrderByBound takes ownership of scored and arranges it as the heap.
+//
+//geo:hotpath
+func OrderByBound(scored []SketchCandidate) BoundOrder {
+	o := BoundOrder{heap: scored}
+	for i := len(scored)/2 - 1; i >= 0; i-- {
+		o.siftDown(i)
+	}
+	return o
+}
+
+// Len returns how many candidates have not been handed out yet.
+func (o *BoundOrder) Len() int { return len(o.heap) }
+
+// Next removes and returns the best remaining candidate. It must not
+// be called on an empty order.
+//
+//geo:hotpath
+func (o *BoundOrder) Next() SketchCandidate {
+	h := o.heap
+	top := h[0]
+	last := len(h) - 1
+	o.heap = h[:last]
+	if last > 0 {
+		h[0] = h[last]
+		o.siftDown(0)
+	}
+	return top
+}
+
+// NextBlock appends the best n remaining candidates (all of them if
+// fewer remain) to dst, in order.
+//
+//geo:hotpath
+func (o *BoundOrder) NextBlock(dst []SketchCandidate, n int) []SketchCandidate {
+	for ; n > 0 && len(o.heap) > 0; n-- {
+		dst = append(dst, o.Next())
+	}
+	return dst
+}
+
+//geo:hotpath
+func (o *BoundOrder) siftDown(i int) {
+	h := o.heap
+	c := h[i]
+	for {
+		kid := 2*i + 1
+		if kid >= len(h) {
+			break
+		}
+		if r := kid + 1; r < len(h) && boundBefore(h[r], h[kid]) {
+			kid = r
+		}
+		if !boundBefore(h[kid], c) {
+			break
+		}
+		h[i] = h[kid]
+		i = kid
+	}
+	h[i] = c
+}
+
+// boundBefore is the refinement order: higher bound first, ties by
+// smaller dense user index.
+func boundBefore(a, b SketchCandidate) bool {
+	if a.Bound != b.Bound {
+		return a.Bound > b.Bound
+	}
+	return a.User < b.User
 }
 
 // String renders the stats for logs and bench tables.

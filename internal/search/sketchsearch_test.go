@@ -1,12 +1,15 @@
 package search
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"geofootprint/internal/core"
 	"geofootprint/internal/geom"
+	"geofootprint/internal/sketch"
 )
 
 // TestTopKSketchExactlyMatchesLinear demands byte-identical output —
@@ -38,6 +41,14 @@ func TestTopKSketchExactlyMatchesLinear(t *testing.T) {
 			}
 			if st.Refined > st.Scored || st.Scored > st.Candidates {
 				t.Fatalf("G=%d trial %d: inconsistent stats %v", g, trial, st)
+			}
+			// The filter list the ledger replays: every scored
+			// candidate, best bound first, ties by dense index.
+			qsk := sketch.Build(q, db.SketchParams)
+			scored := uc.SketchCandidates(q, &qsk, core.Norm(q))
+			if len(scored) != st.Scored || !sort.SliceIsSorted(scored, func(i, j int) bool { return boundBefore(scored[i], scored[j]) }) {
+				t.Fatalf("G=%d trial %d: SketchCandidates returned %d candidates (stats say %d), sorted=%v",
+					g, trial, len(scored), st.Scored, len(scored) == st.Scored)
 			}
 		}
 	}
@@ -78,4 +89,104 @@ func TestTopKSketchRequiresEnable(t *testing.T) {
 		}
 	}()
 	uc.TopKSketch(db.Footprints[0], 3)
+}
+
+// TestBoundOrderMatchesFullSort: the lazy order hands out exactly the
+// sequence a full sort by (bound desc, dense index asc) produces — one
+// candidate at a time, in blocks, or mixed — on lists where most
+// bounds are equal, so the tie-break carries the order. The refinement
+// count of every query is a function of this sequence.
+func TestBoundOrderMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	bounds := []float64{1, 1, 0.75, 0.5, 0.5, 0.5, 0.25, 1e-300}
+	for it := 0; it < 300; it++ {
+		n := rng.Intn(700)
+		if it < 4 {
+			n = it // 0, 1, 2, 3 candidates
+		}
+		scored := make([]SketchCandidate, n)
+		for i, u := range rng.Perm(n) {
+			scored[i] = SketchCandidate{User: u, Bound: bounds[rng.Intn(len(bounds))]}
+			if it%5 == 0 {
+				scored[i].Bound = 1 // a database without sketches: every bound equal
+			}
+		}
+		want := append([]SketchCandidate(nil), scored...)
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Bound != want[j].Bound {
+				return want[i].Bound > want[j].Bound
+			}
+			return want[i].User < want[j].User
+		})
+		order := OrderByBound(scored)
+		got := make([]SketchCandidate, 0, n)
+		for order.Len() > 0 {
+			if rng.Intn(2) == 0 {
+				got = append(got, order.Next())
+			} else {
+				got = order.NextBlock(got, 1+rng.Intn(200))
+			}
+			if order.Len() != n-len(got) {
+				t.Fatalf("iteration %d: Len() = %d after %d of %d", it, order.Len(), len(got), n)
+			}
+		}
+		if !reflect.DeepEqual(got, want) && n > 0 {
+			t.Fatalf("iteration %d (n=%d): lazy order diverges from the full sort", it, n)
+		}
+		if extra := order.NextBlock(nil, 5); len(extra) != 0 {
+			t.Fatalf("iteration %d: a drained order handed out %v", it, extra)
+		}
+	}
+}
+
+// TestBoundOrderAllocationFree pins the order kernels — heap
+// construction and the pops — at zero allocations.
+func TestBoundOrderAllocationFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	src := make([]SketchCandidate, 2000)
+	for i := range src {
+		src[i] = SketchCandidate{User: i, Bound: rng.Float64()}
+	}
+	scored := make([]SketchCandidate, len(src))
+	block := make([]SketchCandidate, 0, 256)
+	if avg := testing.AllocsPerRun(50, func() {
+		copy(scored, src)
+		order := OrderByBound(scored)
+		block = order.NextBlock(block[:0], 256)
+		for i := 0; i < 100; i++ {
+			block[0] = order.Next()
+		}
+	}); avg != 0 {
+		t.Fatalf("the bound order allocates %v times per run, want 0", avg)
+	}
+}
+
+// TestSketchBoundWithoutSketchLayer: a database without the layer gives
+// every candidate the trivial bound 1, in candidate order — the same
+// refine loop then joins all of them — and the bound step observes
+// cancellation on either kind of database.
+func TestSketchBoundWithoutSketchLayer(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	db := testDB(t, rng, 600)
+	q := db.Footprints[5]
+	cands := rng.Perm(db.Len())
+	scored, err := SketchBound(context.Background(), db, cands, q, core.Norm(q), nil)
+	if err != nil || len(scored) != len(cands) {
+		t.Fatalf("sketch-less bound: %d of %d candidates, err=%v", len(scored), len(cands), err)
+	}
+	for i, c := range scored {
+		if c.User != cands[i] || c.Bound != 1 {
+			t.Fatalf("candidate %d: %+v, want user %d with bound 1", i, c, cands[i])
+		}
+	}
+	db.EnableSketches(0, 0)
+	bounded, err := SketchBound(context.Background(), db, cands, q, core.Norm(q), nil)
+	if err != nil || len(bounded) == 0 || len(bounded) >= len(cands) {
+		t.Fatalf("sketch bound kept %d of %d candidates, err=%v; want some dropped at bound 0", len(bounded), len(cands), err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if got, err := SketchBound(ctx, db, cands, q, core.Norm(q), nil); err != context.Canceled || got != nil {
+		t.Fatalf("cancelled bound step returned %d candidates, err=%v", len(got), err)
+	}
 }

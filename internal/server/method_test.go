@@ -8,9 +8,10 @@ import (
 	"testing"
 )
 
-// TestQueryMethodSelection: the sketch engine must answer identically
-// to the default engine on both query routes, and unknown methods must
-// be rejected, not silently defaulted.
+// TestQueryMethodSelection: method=sketch (a name of the default
+// engine) must answer identically to the default on both query
+// routes, and unknown methods must be rejected, not silently
+// defaulted.
 func TestQueryMethodSelection(t *testing.T) {
 	s, db := testServer(t)
 	if !db.SketchesEnabled() {

@@ -104,7 +104,7 @@ type epochView struct {
 // New builds a server over db with default overload options (no
 // admission gate, default deadline cap, no result cache). The sketch
 // layer is enabled up front — before the first epoch freezes — so
-// every epoch carries a sketch engine and mutations maintain the
+// every epoch's queries are bounded by it and mutations maintain the
 // layer from the first request on.
 func New(db *store.FootprintDB) *Server {
 	return NewWithOptions(db, Options{})
@@ -209,10 +209,11 @@ type resultJSON struct {
 type queryJSON struct {
 	Regions []regionJSON `json:"regions"`
 	K       int          `json:"k"`
-	// Method selects the search path: "" or "user-centric" for the
-	// default engine, "linear", "iterative" or "batch" for the other
-	// Section 6 methods, "sketch" for the sketch filter-and-refine
-	// engine. All return identical rankings; they differ in cost.
+	// Method selects the candidate source: "", "user-centric" or
+	// "sketch" for the default engine (user-centric R-tree), "linear",
+	// "iterative" or "batch" for the other Section 6 methods. Scoring
+	// and ordering are shared, so all return identical rankings; they
+	// differ in cost.
 	Method string `json:"method,omitempty"`
 	// Segment, when set, restricts the answer to the users whose
 	// replica tuple starts with the segment's members (segment.go).

@@ -8,32 +8,48 @@ import (
 	"geofootprint/internal/geom"
 )
 
-// TestDotFlatMatchesDot: the flat-column kernel must agree bit-for-bit
-// with Dot on materialised sketches, including disjoint and empty
-// cell sets.
+// TestDotFlatMatchesDot: the flat-column kernel and the dense gather
+// must agree bit-for-bit with Dot on materialised sketches — random
+// sparse ones under every raster randomParams draws (G=1 makes
+// single-cell sketches, domains smaller than the data make border
+// cells), disjoint ones, a hand-made single cell and the empty sketch.
 func TestDotFlatMatchesDot(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	p := Params{G: 32, Domain: geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}}
-	sketches := make([]Sketch, 40)
-	for i := range sketches {
-		sketches[i] = Build(randomFootprint(rng, 1+rng.Intn(20), 1), p)
-	}
-	sketches = append(sketches, Sketch{}) // empty
-	for i := range sketches {
+	for round := 0; round < 12; round++ {
+		p := randomParams(rng)
+		if round == 0 {
+			p = Params{G: 32, Domain: geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}}
+		}
+		sketches := make([]Sketch, 40)
+		for i := range sketches {
+			sketches[i] = Build(randomFootprint(rng, 1+rng.Intn(20), 1), p)
+		}
+		last := int32(p.G*p.G - 1)
+		sketches = append(sketches,
+			Sketch{}, // empty
+			Sketch{Cells: []int32{last}, Mass: []float64{1}, Root: []float64{0.5}}, // the last border cell alone
+			Sketch{Cells: []int32{0}, Mass: []float64{2}, Root: []float64{1.25}})   // the first
 		for j := range sketches {
-			a, b := &sketches[i], &sketches[j]
-			want := Dot(a, b)
-			got := DotFlat(a.Cells, a.Root, b.Cells, b.Root)
-			if math.Float64bits(want) != math.Float64bits(got) {
-				t.Fatalf("sketch pair (%d,%d): flat %v != dot %v", i, j, got, want)
+			b := &sketches[j]
+			raster := Rasterize(b, p.G)
+			for i := range sketches {
+				a := &sketches[i]
+				want := Dot(a, b)
+				if got := DotFlat(a.Cells, a.Root, b.Cells, b.Root); math.Float64bits(want) != math.Float64bits(got) {
+					t.Fatalf("G=%d sketch pair (%d,%d): flat %v != dot %v", p.G, i, j, got, want)
+				}
+				if got := DotDense(a.Cells, a.Root, raster.Table()); math.Float64bits(want) != math.Float64bits(got) {
+					t.Fatalf("G=%d sketch pair (%d,%d): dense %v != dot %v", p.G, i, j, got, want)
+				}
 			}
+			raster.Release()
 		}
 	}
 }
 
-// TestDotFlatAllocationFree pins the flat kernel at zero allocations,
-// matching the Dot guard: it runs once per candidate per query on the
-// columnar fast path.
+// TestDotFlatAllocationFree pins the flat kernel and the dense gather
+// at zero allocations, matching the Dot guard: the gather runs once per
+// candidate per query, for every method.
 func TestDotFlatAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	p := Params{G: 64, Domain: geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}}
@@ -45,6 +61,14 @@ func TestDotFlatAllocationFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("DotFlat allocates %v times per run, want 0", avg)
+	}
+	raster := Rasterize(&b, p.G)
+	defer raster.Release()
+	avg = testing.AllocsPerRun(200, func() {
+		sink += DotDense(a.Cells, a.Root, raster.Table())
+	})
+	if avg != 0 {
+		t.Fatalf("DotDense allocates %v times per run, want 0", avg)
 	}
 	_ = sink
 }

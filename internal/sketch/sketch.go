@@ -34,14 +34,17 @@
 // so only occupied cells are stored, sorted by linear cell id. Dot is
 // an allocation-free two-pointer merge join — the same shape as the
 // Algorithm 4 kernel, but over O(occupied cells) instead of O(regions²)
-// — which is what makes sketch scoring cheap enough to run against
-// every candidate before any Algorithm 4 refinement.
+// — and DotDense (dense.go) the same sum as a gather against a query
+// scattered once into a dense table, which is what makes sketch scoring
+// cheap enough to run against every candidate of every search before
+// any Algorithm 4 refinement.
 package sketch
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"geofootprint/internal/core"
 	"geofootprint/internal/geom"
@@ -54,6 +57,14 @@ import (
 // while sketches stay a few dozen cells.
 const DefaultG = 64
 
+// MaxG is the largest resolution a sketch layer may have. The bound
+// step scatters the query sketch into a dense G×G table (Raster), so G
+// sizes an allocation on the query path: at MaxG the table is 8 MiB.
+// store.EnableSketches clamps to it and colstore.Open refuses a file
+// that claims more, so a corrupt manifest cannot turn into a G²-sized
+// allocation.
+const MaxG = 1024
+
 // Params fixes the raster every sketch of a database shares: the
 // resolution G and the domain rectangle the grid tiles. Two sketches
 // are comparable (Dot is meaningful) only under identical Params.
@@ -62,10 +73,10 @@ type Params struct {
 	Domain geom.Rect
 }
 
-// Valid reports whether p defines a usable raster: positive resolution
-// and a domain with positive extent in both axes.
+// Valid reports whether p defines a usable raster: a resolution in
+// [1, MaxG] and a domain with positive extent in both axes.
 func (p Params) Valid() bool {
-	return p.G > 0 && p.Domain.MaxX > p.Domain.MinX && p.Domain.MaxY > p.Domain.MinY
+	return p.G > 0 && p.G <= MaxG && p.Domain.MaxX > p.Domain.MinX && p.Domain.MaxY > p.Domain.MinY
 }
 
 // FitDomain widens r into a valid sketch domain: an empty or degenerate
@@ -131,8 +142,12 @@ func Build(f core.Footprint, p Params) Sketch {
 	cw := (p.Domain.MaxX - p.Domain.MinX) / float64(g)
 	ch := (p.Domain.MaxY - p.Domain.MinY) / float64(g)
 
-	type cellAcc struct{ mass, energy float64 }
-	acc := make(map[int32]cellAcc)
+	// One contribution per (disjoint region, cell) pair, in region
+	// order; sorting by (cell, seq) then groups each cell's
+	// contributions in that same order, so the per-cell sums add up in
+	// exactly the sequence a per-cell accumulator would have seen.
+	sc := buildPool.Get().(*buildScratch)
+	parts := sc.parts[:0]
 	for _, d := range core.DisjointRegions(f) {
 		w := d.Weight
 		ix0 := cellIndex(d.Rect.MinX, p.Domain.MinX, cw, g)
@@ -150,31 +165,68 @@ func Build(f core.Footprint, p Params) Sketch {
 					continue
 				}
 				a := wx * wy
-				id := int32(iy*g + ix)
-				c := acc[id]
-				c.mass += w * a
-				c.energy += w * w * a
-				acc[id] = c
+				parts = append(parts, cellPart{
+					cell: int32(iy*g + ix), seq: len(parts),
+					mass: w * a, energy: w * w * a,
+				})
 			}
 		}
 	}
-
+	slices.SortFunc(parts, func(a, b cellPart) int {
+		if a.cell != b.cell {
+			return int(a.cell) - int(b.cell)
+		}
+		return a.seq - b.seq
+	})
+	cells := 0
+	for i := range parts {
+		if i == 0 || parts[i].cell != parts[i-1].cell {
+			cells++
+		}
+	}
 	s := Sketch{
-		Cells: make([]int32, 0, len(acc)),
-		Mass:  make([]float64, 0, len(acc)),
-		Root:  make([]float64, 0, len(acc)),
+		Cells: make([]int32, 0, cells),
+		Mass:  make([]float64, 0, cells),
+		Root:  make([]float64, 0, cells),
 	}
-	for id := range acc {
-		s.Cells = append(s.Cells, id)
+	for i := 0; i < len(parts); {
+		cell := parts[i].cell
+		var mass, energy float64
+		for ; i < len(parts) && parts[i].cell == cell; i++ {
+			mass += parts[i].mass
+			energy += parts[i].energy
+		}
+		s.Cells = append(s.Cells, cell)
+		s.Mass = append(s.Mass, mass)
+		s.Root = append(s.Root, math.Sqrt(energy))
 	}
-	sort.Slice(s.Cells, func(i, j int) bool { return s.Cells[i] < s.Cells[j] })
-	for _, id := range s.Cells {
-		c := acc[id]
-		s.Mass = append(s.Mass, c.mass)
-		s.Root = append(s.Root, math.Sqrt(c.energy))
+	if cap(parts) <= maxPooledParts {
+		sc.parts = parts
 	}
+	buildPool.Put(sc)
 	return s
 }
+
+// maxPooledParts caps the contribution list a pooled scratch keeps: a
+// footprint spanning most of a fine grid needs millions of entries
+// once, and the pool must not hold on to that.
+const maxPooledParts = 1 << 14
+
+// cellPart is one disjoint region's contribution to one cell; seq is
+// its position in generation order, the tie-break that makes the sort
+// key unique (so an unstable sort still groups deterministically).
+type cellPart struct {
+	cell         int32
+	seq          int
+	mass, energy float64
+}
+
+// buildScratch is Build's reusable contribution list. Build runs per
+// query on the read path and per touched user on the write path, from
+// many goroutines; the pool keeps both from allocating it afresh.
+type buildScratch struct{ parts []cellPart }
+
+var buildPool = sync.Pool{New: func() any { return new(buildScratch) }}
 
 // cellIndex maps a coordinate to its cell index along one axis,
 // clamped into [0, g-1] so out-of-domain coordinates land in the
@@ -203,7 +255,7 @@ func spanOverlap(a, b, lo, cell float64, i, g int) float64 {
 	if i == g-1 {
 		chi = math.Inf(1)
 	}
-	o := math.Min(b, chi) - math.Max(a, clo)
+	o := min(b, chi) - max(a, clo)
 	if o < 0 {
 		return 0
 	}

@@ -390,6 +390,21 @@ func (db *FootprintDB) UserSketchDot(u int, qsk *sketch.Sketch) float64 {
 	return sketch.Dot(&db.Sketches[u], qsk)
 }
 
+// UserSketchDotDense is UserSketchDot against a query sketch already
+// scattered into a dense table (sketch.Rasterize at the database's
+// resolution) — the kernel the bound step runs per candidate, for both
+// backings. Same bits as UserSketchDot.
+//
+//geo:hotpath
+func (db *FootprintDB) UserSketchDotDense(u int, dense []float64) float64 {
+	if c := db.cols; c != nil && c.cellStarts != nil {
+		lo, hi := c.cellStarts[u], c.cellStarts[u+1]
+		return sketch.DotDense(c.cells[lo:hi], c.cellRoot[lo:hi], dense)
+	}
+	sk := &db.Sketches[u]
+	return sketch.DotDense(sk.Cells, sk.Root, dense)
+}
+
 // RegionWeight returns the weight of region r of user u (the RoI-index
 // accumulation reads it per R-tree hit).
 //

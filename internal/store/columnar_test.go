@@ -7,7 +7,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"geofootprint/internal/colstore"
 	"geofootprint/internal/core"
@@ -172,13 +174,29 @@ func TestColumnarDispatchMatchesAoS(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
+	// The same users after detaching to the AoS backing: the dense
+	// sketch gather must give Dot's bits on both.
+	aos, err := Load(path)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	aos.DetachColumns()
+	if !got.ColumnarBacked() || aos.ColumnarBacked() {
+		t.Fatalf("backings: columnar=%v aos=%v", got.ColumnarBacked(), aos.ColumnarBacked())
+	}
 	rng := rand.New(rand.NewSource(9))
 	queries := randFootprints(rng, 8, 5)
 	for _, q := range queries {
 		core.SortByMinX(q)
 		qn := core.Norm(q)
 		qsk := sketch.Build(q, got.SketchParams)
+		raster := sketch.Rasterize(&qsk, got.SketchParams.G)
+		defer raster.Release()
 		for u := range got.IDs {
+			want := math.Float64bits(sketch.Dot(&got.Sketches[u], &qsk))
+			if dc, da := got.UserSketchDotDense(u, raster.Table()), aos.UserSketchDotDense(u, raster.Table()); math.Float64bits(dc) != want || math.Float64bits(da) != want {
+				t.Fatalf("UserSketchDotDense(%d): columnar %v, AoS %v, Dot %v", u, dc, da, math.Float64frombits(want))
+			}
 			fast := got.UserSimilarity(u, q, qn)
 			slow := core.SimilarityJoin(got.Footprints[u], q, got.Norms[u], qn)
 			if math.Float64bits(fast) != math.Float64bits(slow) {
@@ -387,5 +405,83 @@ func TestLoadFaultClassification(t *testing.T) {
 	_, err = Load(gobPath)
 	if !errors.Is(err, ErrCorruptSnapshot) {
 		t.Fatalf("garbage gob: want ErrCorruptSnapshot, got %v", err)
+	}
+
+	// Crafted files, every checksum valid: a sketch cell outside the
+	// G×G raster, or a raster resolution past sketch.MaxG, in either
+	// format. The bound step indexes a dense table by cell id, so these
+	// must fail the load — typed — not panic or over-allocate in a query.
+	g := db.SketchParams.G
+	for name, craft := range map[string]struct {
+		db   func(db *FootprintDB)
+		snap func(snap *colstore.Snapshot)
+	}{
+		"cell past the raster": {
+			func(db *FootprintDB) { sk := &db.Sketches[3]; sk.Cells[len(sk.Cells)-1] = int32(g * g) },
+			func(snap *colstore.Snapshot) { snap.Cells[snap.CellStarts[4]-1] = int32(g * g) },
+		},
+		"negative cell": {
+			func(db *FootprintDB) { db.Sketches[0].Cells[0] = -1 },
+			func(snap *colstore.Snapshot) { snap.Cells[0] = -1 },
+		},
+		"resolution above the maximum": {
+			func(db *FootprintDB) { db.SketchParams.G = sketch.MaxG + 1 },
+			func(snap *colstore.Snapshot) { snap.SketchG = sketch.MaxG + 1 },
+		},
+	} {
+		snap := columnarTestDB(t, 15, true).Columnar(nil)
+		craft.snap(snap)
+		crafted := filepath.Join(dir, "crafted.col")
+		if err := WriteColumnar(crafted, snap); err != nil {
+			t.Fatalf("%s: writing the crafted columnar file: %v", name, err)
+		}
+		if _, err := Load(crafted); !errors.Is(err, ErrCorruptSnapshot) {
+			t.Fatalf("columnar file with %s: want ErrCorruptSnapshot, got %v", name, err)
+		}
+		bad := columnarTestDB(t, 15, true)
+		craft.db(bad)
+		craftedGob := filepath.Join(dir, "crafted.gob")
+		if err := bad.SaveGob(craftedGob); err != nil {
+			t.Fatalf("%s: writing the crafted gob file: %v", name, err)
+		}
+		if _, err := Load(craftedGob); !errors.Is(err, ErrCorruptSnapshot) {
+			t.Fatalf("gob file with %s: want ErrCorruptSnapshot, got %v", name, err)
+		}
+	}
+}
+
+// gcWriter forces garbage collections — and gives finalizers time to
+// run — on its first Write, i.e. after a gob encoder has sent its type
+// descriptors and before it reads the value.
+type gcWriter struct{ collected bool }
+
+func (w *gcWriter) Write(p []byte) (int, error) {
+	if !w.collected {
+		w.collected = true
+		for i := 0; i < 3; i++ {
+			runtime.GC()
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	return len(p), nil
+}
+
+// TestEncodeKeepsMappingAlive: a mapped database's Norms alias the
+// file mapping, which a finalizer unmaps once the database is
+// unreachable. Encoding must keep the database alive while it reads
+// them, even when the encode is the caller's last use of it — without
+// that a GC mid-encode is a segmentation fault (seen as a rare crash of
+// the ingest recovery tests).
+func TestEncodeKeepsMappingAlive(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap.col")
+	if err := columnarTestDB(t, 40, true).Save(path); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	mm, err := LoadColumnar(path, colstore.ModeMmap)
+	if err != nil {
+		t.Skipf("mmap unavailable on this platform: %v", err)
+	}
+	if err := mm.EncodeTo(&gcWriter{}); err != nil { // the last use of mm
+		t.Fatal(err)
 	}
 }

@@ -189,3 +189,16 @@ func TestSketchDomainFixedUnderUpsert(t *testing.T) {
 		}
 	}
 }
+
+// TestEnableSketchesClampsResolution: the resolution sizes the dense
+// table the bound step allocates per query, so EnableSketches holds it
+// to sketch.MaxG — the same constant the snapshot loader enforces — and
+// the clamped layer still bounds correctly.
+func TestEnableSketchesClampsResolution(t *testing.T) {
+	db := sketchDB(t, 6, 4)
+	db.EnableSketches(sketch.MaxG+500, 1)
+	if !db.SketchesEnabled() || db.SketchParams.G != sketch.MaxG {
+		t.Fatalf("EnableSketches(MaxG+500): enabled=%v G=%d, want G=%d", db.SketchesEnabled(), db.SketchParams.G, sketch.MaxG)
+	}
+	checkAligned(t, db, "after the clamped enable")
+}

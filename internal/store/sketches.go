@@ -20,7 +20,8 @@ import (
 func (db *FootprintDB) SketchesEnabled() bool { return db.SketchParams.Valid() }
 
 // EnableSketches (re)builds a sketch for every user at resolution g
-// (DefaultG when g <= 0) over the union of all footprint MBRs, on
+// (DefaultG when g <= 0, at most sketch.MaxG) over the union of all
+// footprint MBRs, on
 // `workers` goroutines (GOMAXPROCS if <= 0). The domain is fixed at
 // this call: footprints upserted later that escape it are clamped into
 // border cells, which loosens their bounds but never invalidates them
@@ -34,6 +35,7 @@ func (db *FootprintDB) EnableSketches(g, workers int) {
 	if g <= 0 {
 		g = sketch.DefaultG
 	}
+	g = min(g, sketch.MaxG)
 	union := geom.EmptyRect()
 	for _, m := range db.MBRs {
 		union = union.Extend(m)

@@ -261,7 +261,14 @@ type dbWire struct {
 func (db *FootprintDB) EncodeTo(w io.Writer) error {
 	wire := dbWire{db.Name, db.IDs, db.Footprints, db.Norms, db.MBRs,
 		db.SketchParams, db.Sketches}
-	return gob.NewEncoder(w).Encode(&wire)
+	err := gob.NewEncoder(w).Encode(&wire)
+	// Norms and the sketch slices may alias a memory-mapped snapshot
+	// that only db keeps mapped (colSrc; the mapping is unmapped by a
+	// finalizer). The wire struct holds the slices, not db, so without
+	// this a caller's last use of db could be this call and a GC in
+	// the middle of the encode would unmap what it is reading.
+	runtime.KeepAlive(db)
+	return err
 }
 
 // Save writes the database to path in the columnar snapshot format —
@@ -272,7 +279,9 @@ func (db *FootprintDB) EncodeTo(w io.Writer) error {
 // Use SaveGob for the legacy format (readable by the previous
 // release); Load reads both.
 func (db *FootprintDB) Save(path string) error {
-	return WriteColumnar(path, db.Columnar(nil))
+	err := WriteColumnar(path, db.Columnar(nil))
+	runtime.KeepAlive(db) // the snapshot aliases db.Norms; see EncodeTo
+	return err
 }
 
 // SaveGob writes the database to path in the legacy gob format, with
@@ -374,9 +383,22 @@ func DecodeFrom(r io.Reader, name string) (*FootprintDB, error) {
 	if len(db.Norms) != len(db.IDs) || len(db.Footprints) != len(db.IDs) {
 		return nil, fmt.Errorf("store: %s: inconsistent lengths", name)
 	}
+	if g := db.SketchParams.G; g > sketch.MaxG {
+		return nil, fmt.Errorf("store: %s: sketch resolution %d exceeds the maximum %d", name, g, sketch.MaxG)
+	}
 	if db.SketchesEnabled() && len(db.Sketches) != len(db.IDs) {
 		return nil, fmt.Errorf("store: %s: %d sketches for %d users",
 			name, len(db.Sketches), len(db.IDs))
+	}
+	// The bound step indexes a G×G table by cell id, so a sketch the
+	// file got wrong must fail the load, not a query.
+	if db.SketchesEnabled() {
+		for u := range db.Sketches {
+			if !db.Sketches[u].InRange(db.SketchParams.G) {
+				return nil, fmt.Errorf("store: %s: user %d sketch is malformed for a %d×%d raster",
+					name, u, db.SketchParams.G, db.SketchParams.G)
+			}
+		}
 	}
 	// Databases saved before the sorted-footprint invariant existed may
 	// hold unsorted footprints; restoring it here is an O(n) check per

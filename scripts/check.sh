@@ -22,7 +22,8 @@ go vet -copylocks ./internal/store/... ./internal/wal/... ./internal/ingest/... 
 
 # Repo-local analyzers: floatrange (map-order float accumulation),
 # atomicwrite (persistence writes outside WriteFileAtomic/-FS),
-# hotalloc (allocation in //geo:hotpath kernels), sortedfootprint
+# hotalloc (allocation in //geo:hotpath kernels), hotmath (math.Min/
+# math.Max calls in them; the builtins compile inline), sortedfootprint
 # (FootprintDB slice writes outside internal/store), errdiscard
 # (dropped Sync/Close/WAL errors), ctxcancel (loops in
 # //geo:cancellable functions that never poll ctx), epochmut
