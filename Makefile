@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check test lint lintstats race chaos cluster-test cluster-chaos bench-fig3a bench-sketch bench-ingest bench-qps bench-restart bench-scatter bench-failover bench-smoke benchdiff clean
+.PHONY: check test lint lintstats loc race chaos cluster-test cluster-chaos bench-fig3a bench-sketch bench-ingest bench-qps bench-restart bench-scatter bench-failover bench-smoke benchdiff clean
 
 check:
 	./scripts/check.sh
@@ -25,6 +25,12 @@ lint:
 # (scripts/lintstats.sh -refresh). check.sh runs this after geolint.
 lintstats:
 	./scripts/lintstats.sh
+
+# Code lines per package (non-test, non-comment, non-blank Go outside
+# benchmark/): the number a "net-negative" PR quotes, parent vs change
+# (`scripts/loc.sh <other checkout>` for the parent).
+loc:
+	./scripts/loc.sh
 
 # No package is excluded: the whole module passes -race in well under
 # two minutes (the internal/bench workload dominates at ~20s). If a
@@ -71,7 +77,9 @@ bench-fig3a:
 	$(GO) run ./cmd/geobench -exp fig3a -scale 0.05 -parallel -json .
 
 # Regenerate the committed BENCH_sketch.json evidence (sketch
-# filter-and-refine resolution sweep vs linear/user-centric/pruned).
+# filter-and-refine resolution sweep vs linear/user-centric; the
+# committed report also carries the frozen pruned_seconds of the
+# upper-bound-pruned search deleted in PR 18).
 bench-sketch:
 	$(GO) run ./cmd/geobench -exp sketch -scale 0.05 -json .
 

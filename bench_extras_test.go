@@ -41,15 +41,3 @@ func BenchmarkExtrasExplain(b *testing.B) {
 		search.Explain(db.Footprints[a], db.Footprints[c], db.Norms[a], db.Norms[c], 5)
 	}
 }
-
-func BenchmarkExtrasPrunedSearch(b *testing.B) {
-	w := workload(b)
-	ix := search.NewUserCentricIndex(w.DB, search.BuildSTR, 0)
-	ix.WarmPruning()
-	n := w.DB.Len()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.TopKPruned(w.DB.Footprints[i%n], 5)
-	}
-}

@@ -209,10 +209,9 @@ func main() {
 		for _, p := range parts {
 			rep := bench.SketchSweep(get(p), []int{16, 32, 64, 128}, *fig3aQueries, *k, *workers, *seed)
 			reps = append(reps, rep)
-			fmt.Printf("part %s baselines (s): linear %s, user-centric %s, pruned %s\n",
+			fmt.Printf("part %s baselines (s): linear %s, user-centric %s\n",
 				rep.Part, bench.FormatSeconds(rep.LinearSeconds),
-				bench.FormatSeconds(rep.UserCentricSeconds),
-				bench.FormatSeconds(rep.PrunedSeconds))
+				bench.FormatSeconds(rep.UserCentricSeconds))
 			fmt.Printf("%-6s %12s %12s %12s %12s %12s %10s %10s\n",
 				"G", "build (s)", "sketch (s)", "avg cand", "avg scored", "avg refined", "refine%", "identical")
 			for _, r := range rep.Rows {
@@ -467,12 +466,12 @@ func main() {
 
 	if want("mbr-sensitivity") {
 		fmt.Println("== Ablation: query-MBR size sensitivity (Sec. 7 prose) ==")
-		fmt.Printf("%-8s %14s %18s %14s %12s %12s\n",
-			"spread", "batch (µs)", "user-centric (µs)", "pruned (µs)", "refined", "relevant")
+		fmt.Printf("%-8s %14s %18s %12s %12s\n",
+			"spread", "batch (µs)", "user-centric (µs)", "refined", "relevant")
 		rows := bench.MBRSensitivity(get("A"), []float64{0.05, 0.1, 0.2, 0.4, 0.8}, 50, *k, *seed)
 		for _, r := range rows {
-			fmt.Printf("%-8.2f %14.1f %18.1f %14.1f %12.1f %12.1f\n",
-				r.Spread, r.BatchMicros, r.UserCentricMicros, r.PrunedMicros,
+			fmt.Printf("%-8.2f %14.1f %18.1f %12.1f %12.1f\n",
+				r.Spread, r.BatchMicros, r.UserCentricMicros,
 				r.CandidatesRefined, r.CandidatesRelevant)
 		}
 		fmt.Println()

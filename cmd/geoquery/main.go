@@ -1,6 +1,7 @@
 // Command geoquery answers top-k footprint-similarity queries against
 // a FootprintDB produced by geoextract, using any of the Section 6
-// search methods.
+// search methods — through the same name → engine mapping, and so the
+// same query path, as geoserve's ?method=.
 //
 // Usage:
 //
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"geofootprint/internal/core"
+	"geofootprint/internal/engine"
 	"geofootprint/internal/geom"
 	"geofootprint/internal/search"
 	"geofootprint/internal/store"
@@ -39,7 +41,7 @@ func main() {
 		"show the top contributing region pairs for every result")
 	flag.Parse()
 
-	if *dbPath == "" || (*user < 0 && *adhoc == "") {
+	if *dbPath == "" || (*user < 0 && *adhoc == "") || *method == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -74,31 +76,20 @@ func main() {
 		want++
 	}
 
-	var topK func(core.Footprint, int) []search.Result
 	buildStart := time.Now()
-	switch *method {
-	case "linear":
-		topK = search.NewLinearScan(db).TopK
-	case "iterative":
-		topK = search.NewRoIIndex(db, search.BuildSTR, 0).TopKIterative
-	case "batch":
-		topK = search.NewRoIIndex(db, search.BuildSTR, 0).TopKBatch
-	case "user-centric":
-		topK = search.NewUserCentricIndex(db, search.BuildSTR, 0).TopK
-	case "sketch":
-		// Reuse sketches persisted in the database; build them here
-		// (counted as index time) when the file predates the layer.
-		if !db.SketchesEnabled() {
-			db.EnableSketches(0, 0)
-		}
-		topK = search.NewUserCentricIndex(db, search.BuildSTR, 0).TopKSketch
-	default:
-		log.Fatalf("unknown method %q", *method)
+	// Reuse sketches persisted in the database; build them here
+	// (counted as index time) when the file predates the layer.
+	if *method == "sketch" && !db.SketchesEnabled() {
+		db.EnableSketches(0, 0)
+	}
+	eng, err := engine.NewView(db, 0).Engine(*method)
+	if err != nil {
+		log.Fatal(err)
 	}
 	buildTime := time.Since(buildStart)
 
 	queryStart := time.Now()
-	res := topK(q, want)
+	res := eng.TopK(q, want)
 	queryTime := time.Since(queryStart)
 
 	if *excludeSelf {

@@ -9,8 +9,8 @@ import (
 )
 
 // TestQueryEngineFacade exercises the parallel engine through the
-// public façade: batched execution must match the serial index
-// byte for byte.
+// public façade: batched execution must match the oracle byte for
+// byte.
 func TestQueryEngineFacade(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	const users = 120
@@ -34,20 +34,21 @@ func TestQueryEngineFacade(t *testing.T) {
 		t.Fatalf("NewDB: %v", err)
 	}
 	idx := geofootprint.NewUserCentricIndex(db)
-	eng := geofootprint.NewQueryEngine(db, geofootprint.EngineOptions{Workers: 4})
+	lin := geofootprint.NewLinearScan(db)
+	eng := geofootprint.NewQueryEngine(db, idx, 4)
 
 	queries := []geofootprint.Footprint{db.Footprints[3], db.Footprints[50], db.Footprints[99]}
 	got := eng.TopKBatch(queries, 5)
 	for i, q := range queries {
-		want := idx.TopK(q, 5)
+		want := lin.TopK(q, 5)
 		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("query %d: engine %v, serial %v", i, got[i], want)
+			t.Fatalf("query %d: engine %v, linear scan %v", i, got[i], want)
 		}
 		if single := eng.TopK(q, 5); !reflect.DeepEqual(single, want) {
-			t.Fatalf("query %d: engine TopK %v, serial %v", i, single, want)
+			t.Fatalf("query %d: engine TopK %v, linear scan %v", i, single, want)
 		}
 	}
-	if eng.Workers() != 4 || eng.Method() != geofootprint.EngineUserCentric {
-		t.Errorf("engine config = %d workers, method %v", eng.Workers(), eng.Method())
+	if eng.Workers() != 4 {
+		t.Errorf("engine runs %d workers, want 4", eng.Workers())
 	}
 }

@@ -32,12 +32,6 @@ func KNNGraph(ix *UserCentricIndex, k int) [][]Result {
 	return search.KNNGraph(ix, k, 0)
 }
 
-// TopKPruned is the user-centric search with upper-bound pruning; it
-// returns exactly the same ranking as TopK.
-func TopKPruned(ix *UserCentricIndex, q Footprint, k int) []Result {
-	return ix.TopKPruned(q, k)
-}
-
 // GridSearcher is the uniform-grid alternative to the RoI R-tree.
 type GridSearcher = search.GridIndex
 

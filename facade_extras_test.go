@@ -26,20 +26,8 @@ func TestFacadeExtras(t *testing.T) {
 		}
 	}
 
-	// Pruned search parity.
-	q := db.Footprints[0]
-	want := uc.TopK(q, 5)
-	got := TopKPruned(uc, q, 5)
-	if len(got) != len(want) {
-		t.Fatalf("pruned count mismatch")
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pruned result %d differs", i)
-		}
-	}
-
 	// Grid searcher parity with linear scan.
+	q := db.Footprints[0]
 	gs, err := NewGridSearcher(db, UnitSquare(), 32)
 	if err != nil {
 		t.Fatal(err)

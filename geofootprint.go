@@ -188,33 +188,16 @@ type (
 	// within a query, with results byte-identical to the serial
 	// search paths.
 	QueryEngine = engine.QueryEngine
-	// EngineOptions configures a QueryEngine (workers, method,
-	// prebuilt indexes).
-	EngineOptions = engine.Options
-	// EngineMethod selects which Section 6 search path the engine
-	// executes.
-	EngineMethod = engine.Method
+	// CandidateSource is what a search method is to the engine: it
+	// nominates the users worth scoring. *UserCentricIndex is one;
+	// RoIIndex.Iterative and RoIIndex.Batch return the Section 6.1 ones.
+	CandidateSource = search.Source
 )
 
-// EngineMethod values.
-const (
-	// EngineUserCentric refines R-tree candidates with Algorithm 4
-	// (the default and fastest method).
-	EngineUserCentric = engine.MethodUserCentric
-	// EngineLinear is the index-free parallel scan.
-	EngineLinear = engine.MethodLinear
-	// EngineIterative is the Section 6.1.1 search: serial candidate
-	// accumulation, parallel refinement.
-	EngineIterative = engine.MethodIterative
-	// EngineBatch is the Section 6.1.2 search: serial candidate
-	// accumulation, parallel refinement.
-	EngineBatch = engine.MethodBatch
-)
-
-// NewQueryEngine builds a parallel query engine over db; the zero
-// Options select the user-centric method on GOMAXPROCS workers.
-func NewQueryEngine(db *FootprintDB, opts EngineOptions) *QueryEngine {
-	return engine.New(db, opts)
+// NewQueryEngine builds a parallel query engine over db that scores
+// src's candidates on `workers` workers (<= 0: GOMAXPROCS).
+func NewQueryEngine(db *FootprintDB, src CandidateSource, workers int) *QueryEngine {
+	return engine.New(db, src, workers)
 }
 
 // MostSimilarUsers is the recommender-system entry point (Section 1):

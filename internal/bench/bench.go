@@ -269,13 +269,9 @@ func Fig3a(w *Workload, queries, k int, seed int64) Fig3aRow {
 // queries with very large MBRs the user-centric index degrades because
 // it refines many users whose RoIs do not actually overlap the query.
 type MBRSensitivityRow struct {
-	Spread            float64 // query footprint spread (MBR side length)
-	BatchMicros       float64
-	UserCentricMicros float64
-	// PrunedMicros is the upper-bound-pruned user-centric search
-	// (internal/search.TopKPruned), this library's extension
-	// addressing the degradation.
-	PrunedMicros       float64
+	Spread             float64 // query footprint spread (MBR side length)
+	BatchMicros        float64
+	UserCentricMicros  float64
 	CandidatesRefined  float64 // avg users refined by the user-centric index
 	CandidatesRelevant float64 // avg users with non-zero similarity
 }
@@ -288,7 +284,6 @@ func MBRSensitivity(w *Workload, spreads []float64, queries, k int, seed int64) 
 	db := w.DB
 	roi := search.NewRoIIndex(db, search.BuildSTR, 0)
 	uc := search.NewUserCentricIndex(db, search.BuildSTR, 0)
-	uc.WarmPruning()
 
 	rows := make([]MBRSensitivityRow, 0, len(spreads))
 	for _, spread := range spreads {
@@ -326,12 +321,6 @@ func MBRSensitivity(w *Workload, spreads []float64, queries, k int, seed int64) 
 			uc.TopK(q, k)
 		}
 		row.UserCentricMicros = time.Since(start).Seconds() * 1e6 / float64(queries)
-
-		start = time.Now()
-		for _, q := range qs {
-			uc.TopKPruned(q, k)
-		}
-		row.PrunedMicros = time.Since(start).Seconds() * 1e6 / float64(queries)
 
 		// Candidate statistics.
 		var refined, relevant int

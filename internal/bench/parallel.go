@@ -79,7 +79,7 @@ func Fig3aParallel(w *Workload, queries, k, workers int, seed int64) Fig3aParall
 		}
 	}
 
-	run := func(method engine.Method, ix func(q core.Footprint) []search.Result) (serialS, parS float64) {
+	run := func(src search.Source, ix func(q core.Footprint) []search.Result) (serialS, parS float64) {
 		serial := make([][]search.Result, len(qs))
 		start := time.Now()
 		for i, q := range qs {
@@ -87,7 +87,7 @@ func Fig3aParallel(w *Workload, queries, k, workers int, seed int64) Fig3aParall
 		}
 		serialS = time.Since(start).Seconds()
 
-		e := engine.New(db, engine.Options{Workers: workers, Method: method, RoI: roi, UserCentric: uc})
+		e := engine.New(db, src, workers)
 		start = time.Now()
 		parallel := e.TopKBatch(qs, k)
 		parS = time.Since(start).Seconds()
@@ -96,11 +96,11 @@ func Fig3aParallel(w *Workload, queries, k, workers int, seed int64) Fig3aParall
 	}
 
 	row.SerialIterativeSeconds, row.ParallelIterativeSeconds =
-		run(engine.MethodIterative, func(q core.Footprint) []search.Result { return roi.TopKIterative(q, k) })
+		run(roi.Iterative(), func(q core.Footprint) []search.Result { return roi.TopKIterative(q, k) })
 	row.SerialBatchSeconds, row.ParallelBatchSeconds =
-		run(engine.MethodBatch, func(q core.Footprint) []search.Result { return roi.TopKBatch(q, k) })
+		run(roi.Batch(), func(q core.Footprint) []search.Result { return roi.TopKBatch(q, k) })
 	row.SerialUserCentricSeconds, row.ParallelUserCentricSeconds =
-		run(engine.MethodUserCentric, func(q core.Footprint) []search.Result { return uc.TopK(q, k) })
+		run(uc, func(q core.Footprint) []search.Result { return uc.TopK(q, k) })
 	return row
 }
 

@@ -79,7 +79,7 @@ type lockedServing struct {
 func newLockedServing() *lockedServing {
 	db := &store.FootprintDB{Name: "qps"}
 	idx := search.NewUserCentricIndex(db, search.BuildSTR, 0)
-	return &lockedServing{db: db, idx: idx, eng: engine.New(db, engine.Options{UserCentric: idx})}
+	return &lockedServing{db: db, idx: idx, eng: engine.New(db, idx, 0)}
 }
 
 func (s *lockedServing) ApplyBatch(updates []ingest.UserRoIs) {

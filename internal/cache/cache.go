@@ -36,7 +36,7 @@ type Key struct {
 	Query  string
 	// Partition, Lo and Hi say which part of the corpus the answer
 	// covers: segments [Lo, Hi) of the named partition of the epoch's
-	// users (engine.Restrict). All zero: the whole corpus.
+	// users (search.Restrict). All zero: the whole corpus.
 	Partition string
 	Lo, Hi    uint16
 }

@@ -45,16 +45,6 @@ func cachedTestDB(t *testing.T, users int) *store.FootprintDB {
 // and over a restriction (which is part of the key).
 func TestCachedResultsByteIdenticalAllMethods(t *testing.T) {
 	ctx := context.Background()
-	methods := []struct {
-		name string
-		m    Method
-	}{
-		{"user-centric", MethodUserCentric},
-		{"linear", MethodLinear},
-		{"iterative", MethodIterative},
-		{"batch", MethodBatch},
-		{"sketch", MethodSketch},
-	}
 	for _, sketches := range []bool{true, false} {
 		db := cachedTestDB(t, 60)
 		if sketches {
@@ -65,23 +55,30 @@ func TestCachedResultsByteIdenticalAllMethods(t *testing.T) {
 		for u := range segOf {
 			segOf[u] = uint16(u % 4)
 		}
-		for _, tc := range methods {
-			if tc.m == MethodSketch && !sketches {
-				continue // New would enable the layer
+		v := NewView(db, 2)
+		for _, name := range []string{"user-centric", "linear", "iterative", "batch", "sketch"} {
+			eng, err := v.Engine(name)
+			if name == "sketch" && !sketches {
+				if err == nil {
+					t.Fatal("Engine(\"sketch\") accepted a database without a sketch layer")
+				}
+				continue
 			}
-			eng := New(db, Options{Workers: 2, Method: tc.m})
+			if err != nil {
+				t.Fatal(err)
+			}
 			c := cache.New(16)
 			for _, k := range []int{1, 10, db.Len() + 1} {
-				for _, in := range []*Restrict{nil, {Partition: "quarters", SegOf: segOf, Lo: 1, Hi: 3}} {
+				for _, in := range []*search.Restrict{nil, {Partition: "quarters", SegOf: segOf, Lo: 1, Hi: 3}} {
 					direct, err := eng.TopKInCtx(ctx, q, k, in)
 					if err != nil || len(direct) == 0 {
-						t.Fatalf("%s k=%d: direct result %v, err=%v", tc.name, k, direct, err)
+						t.Fatalf("%s k=%d: direct result %v, err=%v", name, k, direct, err)
 					}
 					if want := restrictedOracle(db, q, k, in); !reflect.DeepEqual(direct, want) {
 						t.Fatalf("%s sketches=%v k=%d restricted=%v: direct result diverges from LinearScan\ngot:  %v\nwant: %v",
-							tc.name, sketches, k, in != nil, direct, want)
+							name, sketches, k, in != nil, direct, want)
 					}
-					key := cache.Key{Epoch: 1, Method: tc.name, K: k, Query: cache.FootprintKey(q)}
+					key := cache.Key{Epoch: 1, Method: name, K: k, Query: cache.FootprintKey(q)}
 					if in != nil {
 						key.Partition, key.Lo, key.Hi = in.Partition, in.Lo, in.Hi
 					}
@@ -89,17 +86,17 @@ func TestCachedResultsByteIdenticalAllMethods(t *testing.T) {
 
 					miss, hit1, err := c.GetOrCompute(ctx, key, compute)
 					if err != nil || hit1 {
-						t.Fatalf("%s: miss path hit=%v err=%v", tc.name, hit1, err)
+						t.Fatalf("%s: miss path hit=%v err=%v", name, hit1, err)
 					}
 					hit, hit2, err := c.GetOrCompute(ctx, key, compute)
 					if err != nil || !hit2 {
-						t.Fatalf("%s: hit path hit=%v err=%v", tc.name, hit2, err)
+						t.Fatalf("%s: hit path hit=%v err=%v", name, hit2, err)
 					}
 					if !reflect.DeepEqual(miss.([]search.Result), direct) {
-						t.Fatalf("%s: computed-through-cache result diverges from direct", tc.name)
+						t.Fatalf("%s: computed-through-cache result diverges from direct", name)
 					}
 					if !reflect.DeepEqual(hit.([]search.Result), direct) {
-						t.Fatalf("%s: cached result diverges from direct", tc.name)
+						t.Fatalf("%s: cached result diverges from direct", name)
 					}
 				}
 			}

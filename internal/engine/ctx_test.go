@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"geofootprint/internal/core"
+	"geofootprint/internal/search"
 )
 
 // Every method must refuse an already-cancelled context up front: no
@@ -20,8 +21,8 @@ func TestTopKCtxPreCancelled(t *testing.T) {
 	q := clusteredFootprints(rng, 1, 12)[0]
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for name, mm := range methods(db) {
-		e := New(db, Options{Method: mm.m, Workers: 4})
+	for name, src := range methods(t, db) {
+		e := New(db, src, 4)
 		res, err := e.TopKCtx(ctx, q, 10)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", name, err)
@@ -43,8 +44,8 @@ func TestTopKCtxExpiredDeadline(t *testing.T) {
 	q := clusteredFootprints(rng, 1, 12)[0]
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	for name, mm := range methods(db) {
-		e := New(db, Options{Method: mm.m, Workers: 4})
+	for name, src := range methods(t, db) {
+		e := New(db, src, 4)
 		if _, err := e.TopKCtx(ctx, q, 10); !errors.Is(err, context.DeadlineExceeded) {
 			t.Errorf("%s: err = %v, want context.DeadlineExceeded", name, err)
 		}
@@ -52,14 +53,15 @@ func TestTopKCtxExpiredDeadline(t *testing.T) {
 }
 
 // A cancelled query must not poison the engine: the very next query on
-// the same engine returns the exact serial-oracle ranking. Run under
+// the same engine returns LinearScan's exact ranking. Run under
 // -race this also proves no abandoned worker is still writing.
 func TestEngineUsableAfterCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	db := testDB(t, rng, 600)
 	queries := clusteredFootprints(rng, 6, 12)
-	for name, mm := range methods(db) {
-		e := New(db, Options{Method: mm.m, Workers: 4})
+	lin := search.NewLinearScan(db)
+	for name, src := range methods(t, db) {
+		e := New(db, src, 4)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		if _, err := e.TopKCtx(ctx, queries[0], 10); err == nil {
@@ -67,7 +69,7 @@ func TestEngineUsableAfterCancellation(t *testing.T) {
 		}
 		for i, q := range queries {
 			got := e.TopK(q, 10)
-			want := mm.serial(q, 10)
+			want := lin.TopK(q, 10)
 			if len(got) != len(want) {
 				t.Fatalf("%s query %d after cancel: %d results, want %d", name, i, len(got), len(want))
 			}
@@ -88,8 +90,9 @@ func TestTopKCtxMidFlightCancel(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	db := testDB(t, rng, 800)
 	queries := clusteredFootprints(rng, 8, 12)
-	for name, mm := range methods(db) {
-		e := New(db, Options{Method: mm.m, Workers: 4})
+	lin := search.NewLinearScan(db)
+	for name, src := range methods(t, db) {
+		e := New(db, src, 4)
 		for i, q := range queries {
 			ctx, cancel := context.WithCancel(context.Background())
 			go func(d time.Duration) {
@@ -105,7 +108,7 @@ func TestTopKCtxMidFlightCancel(t *testing.T) {
 					t.Fatalf("%s query %d: partial results alongside ctx error", name, i)
 				}
 			} else {
-				want := mm.serial(q, 10)
+				want := lin.TopK(q, 10)
 				if len(res) != len(want) {
 					t.Fatalf("%s query %d: %d results, want %d", name, i, len(res), len(want))
 				}
@@ -151,19 +154,20 @@ func TestTopKCtxCancelAtEveryPoll(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
 	db := testDB(t, rng, 700)
 	q := db.Footprints[11]
-	for name, mm := range methods(db) {
+	lin := search.NewLinearScan(db)
+	for name, src := range methods(t, db) {
 		for _, workers := range []int{1, 2} {
-			e := New(db, Options{Method: mm.m, Workers: workers})
+			e := New(db, src, workers)
 			// A context that never fires counts the polls of a full run.
 			counter := cancelAtPoll(1 << 30)
 			want, err := e.TopKCtx(counter, q, 300)
 			polls := 1<<30 - int(counter.left.Load())
-			if err != nil || !reflect.DeepEqual(want, mm.serial(q, 300)) {
+			if err != nil || !reflect.DeepEqual(want, lin.TopK(q, 300)) {
 				t.Fatalf("%s workers=%d: uncancelled run wrong (err=%v)", name, workers, err)
 			}
 			// Entry, three strides of the bound step over 700 users, at
 			// least one refinement block, the check before the merge.
-			if mm.m == MethodLinear && polls < 6 {
+			if name == "all-users" && polls < 6 {
 				t.Fatalf("%s workers=%d: a full run polled only %d times; bound step or refinement blocks are not polling", name, workers, polls)
 			}
 			for n := 0; n < polls; n++ {
@@ -186,7 +190,7 @@ func TestTopKBatchCtxAllOrNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	db := testDB(t, rng, 300)
 	queries := clusteredFootprints(rng, 16, 12)
-	e := New(db, Options{Method: MethodUserCentric, Workers: 4})
+	e := New(db, search.NewUserCentricIndex(db, search.BuildSTR, 0), 4)
 
 	out, err := e.TopKBatchCtx(context.Background(), queries, 5)
 	if err != nil {

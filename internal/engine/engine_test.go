@@ -58,33 +58,39 @@ func testDB(t *testing.T, rng *rand.Rand, users int) *store.FootprintDB {
 	return db
 }
 
-// methods lists every search path with its serial oracle.
-func methods(db *store.FootprintDB) map[string]struct {
-	m      Method
-	serial func(q core.Footprint, k int) []search.Result
-} {
-	lin := search.NewLinearScan(db)
+// sources lists every candidate source over db, leaving the sketch
+// layer as the caller set it. The grid source is not safe for
+// concurrent use, so tests that query one engine from several
+// goroutines skip it.
+func sources(t *testing.T, db *store.FootprintDB) map[string]search.Source {
+	t.Helper()
 	roi := search.NewRoIIndex(db, search.BuildSTR, 0)
-	uc := search.NewUserCentricIndex(db, search.BuildSTR, 0)
+	gix, err := search.NewGridIndex(db, geom.Rect{MaxX: 1, MaxY: 1}, 32)
+	if err != nil {
+		t.Fatalf("NewGridIndex: %v", err)
+	}
+	return map[string]search.Source{
+		"all-users":    search.AllUsers(db),
+		"iterative":    roi.Iterative(),
+		"batch":        roi.Batch(),
+		"user-centric": search.NewUserCentricIndex(db, search.BuildSTR, 0),
+		"grid":         gix,
+	}
+}
+
+// methods is sources over db with the sketch layer enabled.
+func methods(t *testing.T, db *store.FootprintDB) map[string]search.Source {
+	t.Helper()
 	if !db.SketchesEnabled() {
 		db.EnableSketches(0, 0)
 	}
-	return map[string]struct {
-		m      Method
-		serial func(q core.Footprint, k int) []search.Result
-	}{
-		"linear":       {MethodLinear, lin.TopK},
-		"iterative":    {MethodIterative, roi.TopKIterative},
-		"batch":        {MethodBatch, roi.TopKBatch},
-		"user-centric": {MethodUserCentric, uc.TopK},
-		"sketch":       {MethodSketch, uc.TopKSketch},
-	}
+	return sources(t, db)
 }
 
 // restrictedOracle is the answer a restricted query must give:
 // LinearScan's full ranking with the users outside the restriction
 // removed, cut to k.
-func restrictedOracle(db *store.FootprintDB, q core.Footprint, k int, in *Restrict) []search.Result {
+func restrictedOracle(db *store.FootprintDB, q core.Footprint, k int, in *search.Restrict) []search.Result {
 	if in == nil {
 		return search.NewLinearScan(db).TopK(q, k)
 	}
@@ -102,7 +108,7 @@ func restrictedOracle(db *store.FootprintDB, q core.Footprint, k int, in *Restri
 }
 
 // TestParallelTopKByteIdentical is the determinism contract of the one
-// query path: every method, with the sketch layer on and off, over the
+// top-k loop: every source, with the sketch layer on and off, over the
 // whole corpus and over a prefix-style restriction, for k from 1 to
 // more than there are candidates, on 1, 2 and 8 workers, returns
 // LinearScan's bytes.
@@ -118,17 +124,8 @@ func TestParallelTopKByteIdentical(t *testing.T) {
 		for u := range segOf {
 			segOf[u] = uint16(rng.Intn(12))
 		}
-		restrictions := []*Restrict{nil, {Partition: "test", SegOf: segOf, Lo: 3, Hi: 8}}
-		roi := search.NewRoIIndex(db, search.BuildSTR, 0)
-		uc := search.NewUserCentricIndex(db, search.BuildSTR, 0)
-		methods := map[string]Method{
-			"linear": MethodLinear, "iterative": MethodIterative, "batch": MethodBatch,
-			"user-centric": MethodUserCentric, "sketch": MethodSketch,
-		}
-		if !sketches {
-			// New(MethodSketch) would enable the layer on the shared db.
-			delete(methods, "sketch")
-		}
+		restrictions := []*search.Restrict{nil, {Partition: "test", SegOf: segOf, Lo: 3, Hi: 8}}
+		srcs := sources(t, db)
 		queries := make([]core.Footprint, 6)
 		for i := range queries {
 			if i%2 == 0 {
@@ -141,10 +138,9 @@ func TestParallelTopKByteIdentical(t *testing.T) {
 			for _, k := range []int{1, 5, 50, db.Len() + 10} {
 				for _, in := range restrictions {
 					want := restrictedOracle(db, q, k, in)
-					for name, m := range methods {
+					for name, src := range srcs {
 						for _, workers := range []int{1, 2, 8} {
-							e := New(db, Options{Workers: workers, Method: m, UserCentric: uc, RoI: roi})
-							got, err := e.TopKInCtx(ctx, q, k, in)
+							got, err := New(db, src, workers).TopKInCtx(ctx, q, k, in)
 							if err != nil || !reflect.DeepEqual(got, want) {
 								t.Fatalf("%s sketches=%v restricted=%v k=%d workers=%d: diverged from LinearScan (err=%v)\ngot:  %v\nwant: %v",
 									name, sketches, in != nil, k, workers, err, got, want)
@@ -161,8 +157,7 @@ func TestParallelTopKByteIdentical(t *testing.T) {
 }
 
 // TestBatchByteIdentical asserts that the batched worker-pool path
-// returns, per query, byte-identical results to serial execution for
-// all four methods.
+// returns, per query, LinearScan's bytes for every source.
 func TestBatchByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	db := testDB(t, rng, 250)
@@ -175,14 +170,17 @@ func TestBatchByteIdentical(t *testing.T) {
 		}
 	}
 	const k = 5
-	for name, mm := range methods(db) {
-		e := New(db, Options{Workers: 4, Method: mm.m})
-		got := e.TopKBatch(queries, k)
+	lin := search.NewLinearScan(db)
+	for name, src := range methods(t, db) {
+		if name == "grid" {
+			continue // the batch queries it from four goroutines
+		}
+		got := New(db, src, 4).TopKBatch(queries, k)
 		if len(got) != len(queries) {
 			t.Fatalf("%s: %d result sets for %d queries", name, len(got), len(queries))
 		}
 		for i, q := range queries {
-			want := mm.serial(q, k)
+			want := lin.TopK(q, k)
 			if !reflect.DeepEqual(got[i], want) {
 				t.Fatalf("%s: batch result %d diverged\ngot:  %v\nwant: %v", name, i, got[i], want)
 			}
@@ -195,7 +193,7 @@ func TestBatchByteIdentical(t *testing.T) {
 func TestRepeatedParallelRunsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	db := testDB(t, rng, 300)
-	e := New(db, Options{Workers: 8, Method: MethodUserCentric})
+	e := New(db, search.NewUserCentricIndex(db, search.BuildSTR, 0), 8)
 	q := db.Footprints[17]
 	want := e.TopK(q, 7)
 	for i := 0; i < 50; i++ {
@@ -211,7 +209,7 @@ func TestRepeatedParallelRunsAgree(t *testing.T) {
 func TestConcurrentQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	db := testDB(t, rng, 200)
-	e := New(db, Options{Workers: 4})
+	e := New(db, search.NewUserCentricIndex(db, search.BuildSTR, 0), 4)
 	queries := make([]core.Footprint, 16)
 	wants := make([][]search.Result, len(queries))
 	for i := range queries {
@@ -245,7 +243,7 @@ func TestPrecomputeNorms(t *testing.T) {
 		db.Norms[i] = -1
 		db.MBRs[i] = geom.Rect{}
 	}
-	e := New(db, Options{Workers: 4, Method: MethodLinear})
+	e := New(db, search.AllUsers(db), 4)
 	e.PrecomputeNorms()
 	for i := range wantNorms {
 		if db.Norms[i] != wantNorms[i] {
@@ -260,7 +258,7 @@ func TestPrecomputeNorms(t *testing.T) {
 func TestEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	db := testDB(t, rng, 30)
-	e := New(db, Options{Workers: 4})
+	e := New(db, search.NewUserCentricIndex(db, search.BuildSTR, 0), 4)
 	if got := e.TopK(nil, 5); got != nil {
 		t.Errorf("empty query returned %v", got)
 	}
@@ -279,19 +277,9 @@ func TestEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FromFootprints: %v", err)
 	}
-	ee := New(empty, Options{Workers: 4})
+	ee := New(empty, search.NewUserCentricIndex(empty, search.BuildSTR, 0), 4)
 	if got := ee.TopK(db.Footprints[0], 5); len(got) != 0 {
 		t.Errorf("empty db returned %v", got)
 	}
 	ee.PrecomputeNorms() // must not panic
-}
-
-func TestShardWorkersBounds(t *testing.T) {
-	e := New(&store.FootprintDB{}, Options{Workers: 8, Method: MethodLinear})
-	if w := e.shardWorkers(10); w > 1 {
-		t.Errorf("shardWorkers(10) = %d, want <= 1 (below minShard)", w)
-	}
-	if w := e.shardWorkers(8 * minShard * 10); w != 8 {
-		t.Errorf("shardWorkers(big) = %d, want pool cap 8", w)
-	}
 }

@@ -13,25 +13,28 @@ import (
 	"geofootprint/internal/synth"
 )
 
-// TestSketchAutoEnable: New with MethodSketch on a sketch-less
-// database must enable the layer itself, and the engine's answers must
-// still match the one-worker run of the same loop on the same (now
-// enabled) database.
+// TestSketchAutoEnable: an engine holds no sketch state of its own — the
+// loop asks the database per query — so one built over a sketch-less
+// database starts bounding the moment the layer is enabled under it
+// (what geobench's resolution sweep does to one index, once per G), and
+// answers LinearScan's bytes before and after.
 func TestSketchAutoEnable(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	db := testDB(t, rng, 150)
 	if db.SketchesEnabled() {
 		t.Fatal("fresh database unexpectedly has sketches")
 	}
-	e := New(db, Options{Workers: 4, Method: MethodSketch})
-	if !db.SketchesEnabled() {
-		t.Fatal("New(MethodSketch) did not enable the sketch layer")
-	}
-	for trial := 0; trial < 10; trial++ {
-		q := db.Footprints[rng.Intn(db.Len())]
-		want, _ := e.serialTopKCtx(context.Background(), q, 5)
-		if got := e.TopK(q, 5); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: parallel sketch TopK diverged\ngot:  %v\nwant: %v", trial, got, want)
+	e := New(db, search.NewUserCentricIndex(db, search.BuildSTR, 0), 4)
+	lin := search.NewLinearScan(db)
+	for _, g := range []int{0, 16, 64} {
+		if g > 0 {
+			db.EnableSketches(g, 0)
+		}
+		for trial := 0; trial < 10; trial++ {
+			q := db.Footprints[rng.Intn(db.Len())]
+			if got, want := e.TopK(q, 5), lin.TopK(q, 5); !reflect.DeepEqual(got, want) {
+				t.Fatalf("G=%d trial %d: diverged from LinearScan\ngot:  %v\nwant: %v", g, trial, got, want)
+			}
 		}
 	}
 }
@@ -43,11 +46,13 @@ func TestSketchAutoEnable(t *testing.T) {
 func TestSketchForcedFanout(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	db := testDB(t, rng, 600)
-	e := New(db, Options{Workers: 8, Method: MethodSketch})
+	db.EnableSketches(0, 0)
+	e := New(db, search.NewUserCentricIndex(db, search.BuildSTR, 0), 8)
+	lin := search.NewLinearScan(db)
 	for trial := 0; trial < 15; trial++ {
 		q := db.Footprints[rng.Intn(db.Len())]
 		k := 1 + rng.Intn(12)
-		want := e.uc.TopKSketch(q, k)
+		want := lin.TopK(q, k)
 		if got := e.TopK(q, k); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d k=%d: diverged\ngot:  %v\nwant: %v", trial, k, got, want)
 		}
@@ -73,47 +78,50 @@ func partA(t *testing.T, scale float64) *store.FootprintDB {
 	return db
 }
 
-// TestEveryMethodRefinesByBound: on Part A the default method does the
-// work method=sketch does — same candidates, same bounds, the same
-// number of Algorithm 4 joins, which is the serial sketch search's count
-// on one worker — and that number is well below the candidate count,
-// for every worker count; the methods with other candidate sources are
-// bounded too. Counts are a function of (query, k, workers), so two
-// runs agree exactly.
+// TestEveryMethodRefinesByBound: on Part A every source's candidates
+// are bounded and refined by the one loop — the serial spelling's work
+// counts on one worker, the same counts for sources nominating the same
+// users, a number of Algorithm 4 joins well below the candidate count —
+// for every worker count. Counts are a function of (query, k, workers),
+// so two runs agree exactly.
 func TestEveryMethodRefinesByBound(t *testing.T) {
 	db := partA(t, 0.002)
 	db.EnableSketches(0, 0)
-	uc := search.NewUserCentricIndex(db, search.BuildSTR, 0)
-	roi := search.NewRoIIndex(db, search.BuildSTR, 0)
+	srcs := sources(t, db)
+	uc := srcs["user-centric"].(*search.UserCentricIndex)
+	lin := search.NewLinearScan(db)
 	ctx := context.Background()
 	const k = 5
 	var candidates, refined int
 	for qi := 0; qi < db.Len(); qi += 9 {
 		q := db.Footprints[qi]
-		want, serial := uc.TopKSketchStats(q, k)
+		want := lin.TopK(q, k)
+		_, serial := uc.TopKSketchStats(q, k)
 		for _, workers := range []int{1, 2, 8} {
-			var byMethod [5]search.SketchStats
-			for m := MethodUserCentric; m <= MethodSketch; m++ {
-				e := New(db, Options{Workers: workers, Method: m, UserCentric: uc, RoI: roi})
-				got, err := e.topK(ctx, q, k, nil, workers, &byMethod[m])
+			did := map[string]search.SketchStats{}
+			for name, src := range srcs {
+				var st, again search.SketchStats
+				got, err := search.TopK(ctx, db, src, q, k, nil, workers, &st)
 				if err != nil || !reflect.DeepEqual(got, want) {
-					t.Fatalf("query %d method %d workers %d: diverged (err=%v)", qi, m, workers, err)
+					t.Fatalf("query %d %s workers %d: diverged (err=%v)", qi, name, workers, err)
 				}
-				var again search.SketchStats
-				if _, err := e.topK(ctx, q, k, nil, workers, &again); err != nil || again != byMethod[m] {
-					t.Fatalf("query %d method %d workers %d: counts %v then %v", qi, m, workers, byMethod[m], again)
+				if _, err := search.TopK(ctx, db, src, q, k, nil, workers, &again); err != nil || again != st {
+					t.Fatalf("query %d %s workers %d: counts %v then %v", qi, name, workers, st, again)
 				}
-				if st := byMethod[m]; st.Refined > st.Scored || st.Scored > st.Candidates {
-					t.Fatalf("query %d method %d workers %d: inconsistent counts %v", qi, m, workers, st)
+				if st.Refined > st.Scored || st.Scored > st.Candidates {
+					t.Fatalf("query %d %s workers %d: inconsistent counts %v", qi, name, workers, st)
 				}
+				did[name] = st
 			}
-			if byMethod[MethodUserCentric] != byMethod[MethodSketch] {
-				t.Fatalf("query %d workers %d: default method did %v, method=sketch %v",
-					qi, workers, byMethod[MethodUserCentric], byMethod[MethodSketch])
+			// The three RoI-level sources nominate the users with an
+			// intersecting RoI, whatever they index them with.
+			if did["iterative"] != did["batch"] || did["iterative"] != did["grid"] {
+				t.Fatalf("query %d workers %d: iterative did %v, batch %v, grid %v",
+					qi, workers, did["iterative"], did["batch"], did["grid"])
 			}
 			if workers == 1 {
-				if byMethod[MethodUserCentric] != serial {
-					t.Fatalf("query %d: one-worker engine did %v, the serial sketch search %v", qi, byMethod[MethodUserCentric], serial)
+				if did["user-centric"] != serial {
+					t.Fatalf("query %d: the one-worker loop did %v, the serial sketch search %v", qi, did["user-centric"], serial)
 				}
 				candidates += serial.Candidates
 				refined += serial.Refined
@@ -121,6 +129,6 @@ func TestEveryMethodRefinesByBound(t *testing.T) {
 		}
 	}
 	if candidates == 0 || refined*4 > candidates {
-		t.Fatalf("default method refined %d of %d candidates on Part A; the bound is not filtering", refined, candidates)
+		t.Fatalf("user-centric refined %d of %d candidates on Part A; the bound is not filtering", refined, candidates)
 	}
 }

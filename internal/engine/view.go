@@ -49,7 +49,7 @@ func NewView(db *store.FootprintDB, workers int) *View {
 	return &View{
 		db:      db,
 		idx:     idx,
-		uc:      New(db, Options{Workers: workers, UserCentric: idx}),
+		uc:      New(db, idx, workers),
 		workers: workers,
 	}
 }
@@ -60,14 +60,15 @@ func (v *View) DB() *store.FootprintDB { return v.db }
 // Index returns the view's user-centric index.
 func (v *View) Index() *search.UserCentricIndex { return v.idx }
 
-// Engine maps a request's method name to the engine executing it. A
-// method picks the candidate source; scoring and ordering are shared,
-// so on the same database every method returns bit-identical rankings
-// — which is what lets the cross-shard determinism suite compare any
-// of them against LinearScan over the wire. "sketch" is the
-// user-centric engine, kept as a name that insists on the sketch
-// layer: it errors where the layer is disabled instead of silently
-// refining every candidate.
+// Engine maps a method name to the engine executing it — the one place
+// a name becomes a candidate source, for the HTTP API and geoquery
+// alike. A method picks the source; scoring and ordering are shared, so
+// on the same database every method returns bit-identical rankings —
+// which is what lets the cross-shard determinism suite compare any of
+// them against LinearScan over the wire. "sketch" is the user-centric
+// engine, kept as a name that insists on the sketch layer: it errors
+// where the layer is disabled instead of silently refining every
+// candidate.
 func (v *View) Engine(method string) (*QueryEngine, error) {
 	switch method {
 	case "", "user-centric":
@@ -79,7 +80,7 @@ func (v *View) Engine(method string) (*QueryEngine, error) {
 		return v.uc, nil
 	case "linear":
 		v.linOnce.Do(func() {
-			v.lin = New(v.db, Options{Workers: v.workers, Method: MethodLinear})
+			v.lin = New(v.db, search.AllUsers(v.db), v.workers)
 		})
 		return v.lin, nil
 	case "iterative", "batch":
@@ -88,8 +89,8 @@ func (v *View) Engine(method string) (*QueryEngine, error) {
 			// against the frozen database, so lazy construction is safe
 			// under concurrent queries (the Once is the only gate).
 			roi := search.NewRoIIndex(v.db, search.BuildSTR, 0)
-			v.iter = New(v.db, Options{Workers: v.workers, Method: MethodIterative, RoI: roi})
-			v.batch = New(v.db, Options{Workers: v.workers, Method: MethodBatch, RoI: roi})
+			v.iter = New(v.db, roi.Iterative(), v.workers)
+			v.batch = New(v.db, roi.Batch(), v.workers)
 		})
 		if method == "iterative" {
 			return v.iter, nil
@@ -113,7 +114,7 @@ func (v *View) TopKCached(ctx context.Context, c *cache.Cache, epoch uint64, met
 // TopKCachedIn is TopKCached over the users `in` selects (nil: all of
 // them). The restriction is part of the cache key, so answers over
 // different parts of the corpus never share an entry.
-func (v *View) TopKCachedIn(ctx context.Context, c *cache.Cache, epoch uint64, method string, q core.Footprint, k int, in *Restrict) ([]search.Result, bool, error) {
+func (v *View) TopKCachedIn(ctx context.Context, c *cache.Cache, epoch uint64, method string, q core.Footprint, k int, in *search.Restrict) ([]search.Result, bool, error) {
 	eng, err := v.Engine(method)
 	if err != nil {
 		return nil, false, err

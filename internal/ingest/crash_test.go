@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -356,35 +355,21 @@ func TestRecoveredTopKMatchesLinearScan(t *testing.T) {
 		t.Fatalf("recovered database has only %d users; stream too thin", db.Len())
 	}
 	lin := search.NewLinearScan(db)
-	exact := map[string]engine.Method{
-		"linear":       engine.MethodLinear,
-		"user-centric": engine.MethodUserCentric,
-		"sketch":       engine.MethodSketch,
+	if !db.SketchesEnabled() {
+		db.EnableSketches(0, 0) // the name "sketch" insists on the layer
 	}
-	toleranced := map[string]engine.Method{
-		"iterative": engine.MethodIterative,
-		"batch":     engine.MethodBatch,
-	}
+	v := engine.NewView(db, 4)
 	const k = 8
 	for qi := 0; qi < db.Len(); qi += 3 {
 		q := db.Footprints[qi]
 		want := lin.TopK(q, k)
-		for name, m := range exact {
-			e := engine.New(db, engine.Options{Workers: 4, Method: m})
+		for _, name := range []string{"linear", "iterative", "batch", "user-centric", "sketch"} {
+			e, err := v.Engine(name)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if got := e.TopK(q, k); !reflect.DeepEqual(got, want) {
 				t.Fatalf("query %d, %s: diverged from linear scan\ngot:  %v\nwant: %v", qi, name, got, want)
-			}
-		}
-		for name, m := range toleranced {
-			e := engine.New(db, engine.Options{Workers: 4, Method: m})
-			got := e.TopK(q, k)
-			if len(got) != len(want) {
-				t.Fatalf("query %d, %s: %d results, want %d", qi, name, len(got), len(want))
-			}
-			for i := range want {
-				if math.Abs(got[i].Score-want[i].Score) > 1e-9 {
-					t.Fatalf("query %d, %s: result %d score %v, want %v", qi, name, i, got[i].Score, want[i].Score)
-				}
 			}
 		}
 	}

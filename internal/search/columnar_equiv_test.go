@@ -84,7 +84,6 @@ func TestColumnarBackingEquivalence(t *testing.T) {
 				"iterative": ref.roi.TopKIterative(q, k),
 				"batch":     ref.roi.TopKBatch(q, k),
 				"uc":        ref.uc.TopK(q, k),
-				"pruned":    ref.uc.TopKPruned(q, k),
 				"sketch":    ref.uc.TopKSketch(q, k),
 			}
 			// The gob ranking must itself be correct (oracle check keeps
@@ -100,7 +99,6 @@ func TestColumnarBackingEquivalence(t *testing.T) {
 				exactRanking(t, prefix+"iterative", m.roi.TopKIterative(q, k), want["iterative"])
 				exactRanking(t, prefix+"batch", m.roi.TopKBatch(q, k), want["batch"])
 				exactRanking(t, prefix+"uc", m.uc.TopK(q, k), want["uc"])
-				exactRanking(t, prefix+"pruned", m.uc.TopKPruned(q, k), want["pruned"])
 				exactRanking(t, prefix+"sketch", m.uc.TopKSketch(q, k), want["sketch"])
 			}
 		}

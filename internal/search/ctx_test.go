@@ -3,31 +3,52 @@ package search
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
 	"geofootprint/internal/core"
+	"geofootprint/internal/geom"
 	"geofootprint/internal/store"
 )
 
-// ctxVariants enumerates every Ctx search entry point over one
-// database, so the contract tests cover them uniformly.
-func ctxVariants(db *store.FootprintDB) map[string]func(ctx context.Context, q core.Footprint, k int) ([]Result, error) {
-	lin := NewLinearScan(db)
+// testSources lists every candidate source over one database.
+func testSources(t *testing.T, db *store.FootprintDB) map[string]Source {
+	t.Helper()
 	roi := NewRoIIndex(db, BuildSTR, 0)
-	uc := NewUserCentricIndex(db, BuildSTR, 0)
+	gix, err := NewGridIndex(db, geom.Rect{MaxX: 1, MaxY: 1}, 32)
+	if err != nil {
+		t.Fatalf("NewGridIndex: %v", err)
+	}
+	return map[string]Source{
+		"all-users":    AllUsers(db),
+		"iterative":    roi.Iterative(),
+		"batch":        roi.Batch(),
+		"user-centric": NewUserCentricIndex(db, BuildSTR, 0),
+		"grid":         gix,
+	}
+}
+
+// ctxVariants enumerates every context-taking search over one
+// database — the oracle's own loop, and the one loop over each source,
+// serial and on four workers — so the contract tests cover them
+// uniformly.
+func ctxVariants(t *testing.T, db *store.FootprintDB) map[string]func(ctx context.Context, q core.Footprint, k int) ([]Result, error) {
 	if !db.SketchesEnabled() {
 		db.EnableSketches(0, 0)
 	}
-	return map[string]func(ctx context.Context, q core.Footprint, k int) ([]Result, error){
-		"linear":       lin.TopKCtx,
-		"iterative":    roi.TopKIterativeCtx,
-		"batch":        roi.TopKBatchCtx,
-		"user-centric": uc.TopKCtx,
-		"pruned":       uc.TopKPrunedCtx,
-		"sketch":       uc.TopKSketchCtx,
+	variants := map[string]func(ctx context.Context, q core.Footprint, k int) ([]Result, error){
+		"linear": NewLinearScan(db).TopKCtx,
 	}
+	for name, src := range testSources(t, db) {
+		for _, workers := range []int{1, 4} {
+			variants[fmt.Sprintf("%s/workers=%d", name, workers)] = func(ctx context.Context, q core.Footprint, k int) ([]Result, error) {
+				return TopK(ctx, db, src, q, k, nil, workers, nil)
+			}
+		}
+	}
+	return variants
 }
 
 // Every Ctx variant refuses an already-cancelled context: nil results
@@ -38,7 +59,7 @@ func TestCtxPreCancelled(t *testing.T) {
 	q := clusteredFootprints(rng, 1, 10)[0]
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for name, fn := range ctxVariants(db) {
+	for name, fn := range ctxVariants(t, db) {
 		res, err := fn(ctx, q, 10)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", name, err)
@@ -56,7 +77,7 @@ func TestCtxExpiredDeadline(t *testing.T) {
 	q := clusteredFootprints(rng, 1, 10)[0]
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Minute))
 	defer cancel()
-	for name, fn := range ctxVariants(db) {
+	for name, fn := range ctxVariants(t, db) {
 		if _, err := fn(ctx, q, 10); !errors.Is(err, context.DeadlineExceeded) {
 			t.Errorf("%s: err = %v, want context.DeadlineExceeded", name, err)
 		}
@@ -70,7 +91,7 @@ func TestCtxBackgroundMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	db := testDB(t, rng, 400)
 	queries := clusteredFootprints(rng, 5, 10)
-	variants := ctxVariants(db)
+	variants := ctxVariants(t, db)
 	for i, q := range queries {
 		want := referenceTopK(db, q, 10)
 		for name, fn := range variants {

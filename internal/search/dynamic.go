@@ -51,16 +51,6 @@ func (ix *UserCentricIndex) UpdateUser(u int) {
 	if !m.IsEmpty() {
 		ix.tree.Insert(m, int64(u))
 	}
-	// Keep the pruning caches coherent if they have been
-	// materialised.
-	if ix.maxW != nil {
-		for len(ix.maxW) <= u {
-			ix.maxW = append(ix.maxW, 0)
-			ix.twa = append(ix.twa, 0)
-		}
-		ix.maxW[u] = maxFreq(ix.db.Footprints[u])
-		ix.twa[u] = weightedArea(ix.db.Footprints[u])
-	}
 }
 
 func (ix *UserCentricIndex) growTo(u int) {

@@ -1,11 +1,12 @@
 package search
 
 import (
+	"context"
+
 	"geofootprint/internal/core"
 	"geofootprint/internal/geom"
 	"geofootprint/internal/grid"
 	"geofootprint/internal/store"
-	"geofootprint/internal/topk"
 )
 
 // GridIndex is the uniform-grid alternative to the Section 6.1 RoI
@@ -38,35 +39,35 @@ func NewGridIndex(db *store.FootprintDB, world geom.Rect, n int) (*GridIndex, er
 // Grid exposes the underlying grid (for stats).
 func (ix *GridIndex) Grid() *grid.Index { return ix.g }
 
-// TopK implements Searcher with iterative accumulation, mirroring
-// RoIIndex.TopKIterative over the grid.
-func (ix *GridIndex) TopK(q core.Footprint, k int) []Result {
-	qnorm := core.Norm(q)
-	if qnorm == 0 || k <= 0 {
-		return nil
-	}
+// Nominate implements Source exactly as the iterative R-tree search
+// does, over the grid. Like grid.Index.Search it is not safe for
+// concurrent use.
+//
+//geo:cancellable
+func (ix *GridIndex) Nominate(ctx context.Context, q core.Footprint, buf []int) ([]int, error) {
 	simn := make(map[int]float64)
-	for _, qr := range q {
+	var visits int
+	var cerr error
+	for i := range q {
+		qr := &q[i]
 		ix.g.Search(qr.Rect, func(e grid.Entry) bool {
-			if a := e.Rect.IntersectionArea(qr.Rect); a > 0 {
-				u, r := unpackPayload(e.Data)
-				simn[u] += a * ix.db.RegionWeight(u, r) * qr.Weight
+			if visits&(cancelStride-1) == 0 {
+				if cerr = ctx.Err(); cerr != nil {
+					return false
+				}
 			}
+			visits++
+			accumulate(ix.db, simn, e.Rect, e.Data, qr)
 			return true
 		})
-	}
-	// Candidacy comes from the accumulator; the score comes from the
-	// canonical kernel — see RoIIndex.rankCtx for why the accumulated
-	// sum (whose rounding depends on visit order) is never the score.
-	col := topk.New(k)
-	for u, n := range simn {
-		if n <= 0 {
-			continue
-		}
-		sim := ix.db.UserSimilarity(u, q, qnorm)
-		if sim > 0 {
-			col.Offer(ix.db.IDs[u], sim)
+		if cerr != nil {
+			return nil, cerr
 		}
 	}
-	return col.Results()
+	return positive(simn, buf), nil
+}
+
+// TopK implements Searcher.
+func (ix *GridIndex) TopK(q core.Footprint, k int) []Result {
+	return serial(ix.db, ix, q, k)
 }

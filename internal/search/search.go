@@ -10,10 +10,13 @@
 //   - UserCentricIndex — an R-tree with one entry per user (the MBR of
 //     the user's footprint), refined with Algorithm 4 (Section 6.2).
 //
-// All methods share the same scoring and tie-breaking, so on the same
-// database they return identical rankings (verified by tests). Users
-// with zero similarity are never returned, so a result may hold fewer
-// than k entries.
+// The indexes are candidate sources (source.go) for the one top-k loop
+// (TopK, topk.go): an index nominates users, the loop scores them with
+// Algorithm 4, so on the same database every method returns identical
+// rankings (verified by tests). LinearScan alone keeps a loop of its
+// own — the naive one every other path is checked against. Users with
+// zero similarity are never returned, so a result may hold fewer than
+// k entries.
 package search
 
 import (
@@ -39,7 +42,9 @@ type Searcher interface {
 
 // LinearScan is the baseline searcher: similarity against every user
 // with the join-based Algorithm 4 (norms are precomputed in the
-// database).
+// database). It is the oracle of every byte-identity suite, so it
+// deliberately shares nothing with TopK but the kernel and the
+// collector.
 type LinearScan struct {
 	db *store.FootprintDB
 }
@@ -53,6 +58,39 @@ func NewLinearScan(db *store.FootprintDB) *LinearScan {
 // (which never cancels, so the error is statically nil).
 func (s *LinearScan) TopK(q core.Footprint, k int) []Result {
 	res, _ := s.TopKCtx(context.Background(), q, k)
+	return res
+}
+
+// TopKCtx is TopK honouring ctx; it returns ctx.Err() when cancelled.
+//
+//geo:cancellable
+func (s *LinearScan) TopKCtx(ctx context.Context, q core.Footprint, k int) ([]Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	qnorm := core.Norm(q)
+	if qnorm == 0 || k <= 0 {
+		return nil, nil
+	}
+	col := topk.New(k)
+	for i := range s.db.Footprints {
+		if i&(cancelStride-1) == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		if sim := s.db.UserSimilarity(i, q, qnorm); sim > 0 {
+			col.Offer(s.db.IDs[i], sim)
+		}
+	}
+	return col.Results(), nil
+}
+
+// serial is the one loop on the calling goroutine, under a background
+// context (which never cancels, so the error is statically nil): what
+// every index's TopK spelling is.
+func serial(db *store.FootprintDB, src Source, q core.Footprint, k int) []Result {
+	res, _ := TopK(context.Background(), db, src, q, k, nil, 1, nil)
 	return res
 }
 
@@ -122,36 +160,21 @@ func NewRoIIndex(db *store.FootprintDB, mode BuildMode, maxEntries int) *RoIInde
 // Tree exposes the underlying R-tree (for stats and tests).
 func (ix *RoIIndex) Tree() *rtree.Tree { return ix.tree }
 
-// TopK implements Searcher via iterative search (Section 6.1.1): one
-// R-tree range query per query RoI, accumulating the numerator of
-// Equation 1 per candidate user.
+// TopK implements Searcher via iterative search.
 func (ix *RoIIndex) TopK(q core.Footprint, k int) []Result {
 	return ix.TopKIterative(q, k)
 }
 
-// TopKIterative is the Section 6.1.1 baseline search (TopKIterativeCtx
-// under a background context, which never cancels).
+// TopKIterative is the Section 6.1.1 search: one R-tree range query per
+// query RoI nominates the candidates.
 func (ix *RoIIndex) TopKIterative(q core.Footprint, k int) []Result {
-	res, _ := ix.TopKIterativeCtx(context.Background(), q, k)
-	return res
+	return serial(ix.db, ix.Iterative(), q, k)
 }
 
-// TopKBatch is the Section 6.1.2 batch search: a single traversal
-// guided by MBR(F(q)); at every reached leaf, entries not intersecting
-// MBR(F(q)) and query RoIs not intersecting the leaf MBR are
-// eliminated, and the survivors are joined by plane sweep.
+// TopKBatch is the Section 6.1.2 search: a single traversal guided by
+// MBR(F(q)) with per-leaf joins nominates the candidates.
 func (ix *RoIIndex) TopKBatch(q core.Footprint, k int) []Result {
-	res, _ := ix.TopKBatchCtx(context.Background(), q, k)
-	return res
-}
-
-// accumulate adds one (entry, query-region) pair's contribution to the
-// per-user numerator map.
-func (ix *RoIIndex) accumulate(simn map[int]float64, e *rtree.Entry, qr *core.Region) {
-	if a := e.Rect.IntersectionArea(qr.Rect); a > 0 {
-		u, r := unpackPayload(e.Data)
-		simn[u] += a * ix.db.RegionWeight(u, r) * qr.Weight
-	}
+	return serial(ix.db, ix.Batch(), q, k)
 }
 
 // UserCentricIndex is the Section 6.2 index R^U: one R-tree entry per
@@ -165,11 +188,6 @@ type UserCentricIndex struct {
 	// (empty when the user is not indexed), enabling incremental
 	// UpdateUser after database mutations.
 	indexed []geom.Rect
-	// maxW and twa cache each user's maximum footprint frequency
-	// and total weighted area for the upper-bound pruning of
-	// TopKPruned; nil until first use.
-	maxW []float64
-	twa  []float64
 }
 
 // NewUserCentricIndex indexes the footprint MBRs of db. Users with
@@ -205,8 +223,7 @@ func (ix *UserCentricIndex) Tree() *rtree.Tree { return ix.tree }
 
 // Candidates runs the filter step of the Section 6.2 search alone: the
 // dense indexes of every user whose footprint MBR intersects qmbr, in
-// R-tree traversal order, appended to buf. The engine package shards
-// the returned list across workers for parallel refinement.
+// R-tree traversal order, appended to buf.
 func (ix *UserCentricIndex) Candidates(qmbr geom.Rect, buf []int) []int {
 	ix.tree.Search(qmbr, func(e rtree.Entry) bool {
 		buf = append(buf, int(e.Data))
@@ -215,9 +232,7 @@ func (ix *UserCentricIndex) Candidates(qmbr geom.Rect, buf []int) []int {
 	return buf
 }
 
-// TopK implements Searcher (TopKCtx under a background context, which
-// never cancels).
+// TopK implements Searcher: the Section 6.2 search.
 func (ix *UserCentricIndex) TopK(q core.Footprint, k int) []Result {
-	res, _ := ix.TopKCtx(context.Background(), q, k)
-	return res
+	return serial(ix.db, ix, q, k)
 }

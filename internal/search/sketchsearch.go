@@ -7,7 +7,6 @@ import (
 	"geofootprint/internal/core"
 	"geofootprint/internal/sketch"
 	"geofootprint/internal/store"
-	"geofootprint/internal/topk"
 )
 
 // This file is the sketch filter-and-refine machinery: candidates —
@@ -20,17 +19,12 @@ import (
 // results — scores, IDs, order, tie-breaks — are byte-identical to
 // LinearScan.TopK (verified by tests on all four part presets).
 //
-// Two pieces are shared with the engine's refine loop, which runs them
-// for every method: SketchBound (the bound step) and BoundOrder (the
-// lazy descending order). TopKSketch is their serial spelling over the
-// user-centric index's MBR candidates.
-//
-// This is the remedy the O(1) bounds of TopKPruned could not deliver
-// (EXPERIMENTS.md records that negative result): a G×G sketch bound is
-// tight enough that most MBR-intersecting candidates never reach
-// Algorithm 4 — and refining best bound first means the collector's
-// threshold rises as fast as possible, which is what makes the early
-// exit bite.
+// The loop itself is TopK (topk.go), which runs these two pieces for
+// every source: SketchBound (the bound step) and BoundOrder (the lazy
+// descending order). A G×G sketch bound is tight enough that most
+// MBR-intersecting candidates never reach Algorithm 4 — and refining
+// best bound first means the collector's threshold rises as fast as
+// possible, which is what makes the early exit bite.
 
 // SketchStats reports how much work one bounded query did.
 type SketchStats struct {
@@ -45,9 +39,9 @@ type SketchStats struct {
 	Refined int
 }
 
-// TopKSketch implements the sketch filter-and-refine search. It
-// requires the database's sketch layer (store.EnableSketches); results
-// are identical to TopK.
+// TopKSketch is TopK under the name that insists on the sketch layer:
+// it panics on a database without one (store.EnableSketches) instead of
+// quietly joining every candidate.
 func (ix *UserCentricIndex) TopKSketch(q core.Footprint, k int) []Result {
 	res, _ := ix.TopKSketchStats(q, k)
 	return res
@@ -63,84 +57,12 @@ type SketchCandidate struct {
 // TopKSketchStats is TopKSketch, additionally reporting filter
 // effectiveness (for the geobench resolution sweep).
 func (ix *UserCentricIndex) TopKSketchStats(q core.Footprint, k int) ([]Result, SketchStats) {
-	var st SketchStats
-	res, _ := ix.topKSketch(context.Background(), q, k, &st)
-	return res, st
-}
-
-// topKSketch is the serial sketch search behind TopKSketchStats and
-// TopKSketchCtx: MBR candidates, bounded, refined best bound first
-// until the best remaining bound falls strictly below the k-th score.
-//
-//geo:cancellable
-func (ix *UserCentricIndex) topKSketch(ctx context.Context, q core.Footprint, k int, st *SketchStats) ([]Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	db := ix.db
-	if !db.SketchesEnabled() {
+	if !ix.db.SketchesEnabled() {
 		panic("search: TopKSketch requires store.FootprintDB.EnableSketches")
 	}
-	qnorm := core.Norm(q)
-	if qnorm == 0 || k <= 0 {
-		return nil, nil
-	}
-	cands := ix.Candidates(q.MBR(), nil)
-	st.Candidates = len(cands)
-	scored, err := SketchBound(ctx, db, cands, q, qnorm, nil)
-	if err != nil {
-		return nil, err
-	}
-	st.Scored = len(scored)
-
-	r := Refiner{Col: topk.New(k)}
-	order := OrderByBound(scored)
-	var block []SketchCandidate
-	for !r.Done && order.Len() > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		block = order.NextBlock(block[:0], RefineBlock)
-		r.Refine(db, block, 0, 1, q, k, qnorm)
-	}
-	st.Refined = r.Refined
-	return r.Col.Results(), nil
-}
-
-// RefineBlock is how many candidates one worker refines between two
-// draws from the order (and two cancellation polls): large enough that
-// a typical query — a few hundred joins — takes one or two blocks,
-// small enough that the candidates drawn past the stopping point cost
-// less than a handful of joins.
-const RefineBlock = 128
-
-// Refiner is one worker's share of a bounded refinement: its collector,
-// how many Algorithm 4 joins it has run, and whether it has stopped for
-// good. The serial search has one; the engine has one per worker.
-type Refiner struct {
-	Col     *topk.Collector
-	Refined int
-	Done    bool
-}
-
-// Refine joins positions start, start+stride, … of block — the next
-// stretch of the bound-descending order — into r.Col, and sets r.Done
-// at the first candidate whose bound is strictly below the collector's
-// k-th score: every remaining candidate's similarity is ≤ that bound,
-// so none can enter the collector (strict < keeps equal-score ID
-// tie-breaks exact).
-func (r *Refiner) Refine(db *store.FootprintDB, block []SketchCandidate, start, stride int, q core.Footprint, k int, qnorm float64) {
-	for i := start; i < len(block); i += stride {
-		c := block[i]
-		if r.Col.Len() == k && c.Bound < r.Col.Threshold() {
-			r.Done = true
-			return
-		}
-		r.Refined++
-		if sim := db.UserSimilarity(c.User, q, qnorm); sim > 0 {
-			r.Col.Offer(db.IDs[c.User], sim)
-		}
-	}
+	var st SketchStats
+	res, _ := TopK(context.Background(), ix.db, ix, q, k, nil, 1, &st)
+	return res, st
 }
 
 // SketchCandidates runs the filter steps of TopKSketch alone — MBR

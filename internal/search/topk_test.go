@@ -1,4 +1,4 @@
-package engine
+package search
 
 import "testing"
 
@@ -26,5 +26,17 @@ func TestRestrictFilterZeroAllocs(t *testing.T) {
 	var none *Restrict
 	if got := none.filter(cands); len(got) != len(cands) {
 		t.Fatalf("nil restriction dropped candidates: %d of %d", len(got), len(cands))
+	}
+}
+
+func TestShardWorkersBounds(t *testing.T) {
+	if w := shardWorkers(8, 10); w != 1 {
+		t.Errorf("shardWorkers(8, 10) = %d, want 1 (below minShard)", w)
+	}
+	if w := shardWorkers(8, 8*minShard*10); w != 8 {
+		t.Errorf("shardWorkers(8, big) = %d, want the pool size 8", w)
+	}
+	if w := shardWorkers(0, 8*minShard*10); w != 1 {
+		t.Errorf("shardWorkers(0, big) = %d, want 1 (the calling goroutine)", w)
 	}
 }

@@ -48,6 +48,5 @@ func TestWeightedSearch(t *testing.T) {
 		sameRanking(t, "weighted iterative", roi.TopKIterative(q, k), want)
 		sameRanking(t, "weighted batch", roi.TopKBatch(q, k), want)
 		sameRanking(t, "weighted user-centric", uc.TopK(q, k), want)
-		sameRanking(t, "weighted pruned", uc.TopKPruned(q, k), want)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"geofootprint/internal/classify"
+	"geofootprint/internal/engine"
 	"geofootprint/internal/search"
 )
 
@@ -22,7 +23,7 @@ import (
 func (s *Server) registerExtras() {
 	s.mux.HandleFunc("GET /v1/users", s.handleListUsers)
 	s.mux.HandleFunc("GET /v1/pairs", s.gated(s.handlePairs))
-	s.mux.HandleFunc("POST /v1/classify", s.handleClassify)
+	s.mux.HandleFunc("POST /v1/classify", s.gated(s.handleClassify))
 	s.mux.HandleFunc("GET /v1/explain", s.handleExplain)
 }
 
@@ -145,7 +146,7 @@ func (s *Server) SetLabels(labels map[int]string, k int) error {
 	// Validate shape up front (k, non-empty labels) so a bad call
 	// leaves the serving state untouched.
 	ep, v := s.acquire()
-	_, err := classify.New(v.DB(), v.Index(), labels, k)
+	_, err := newClassifier(v.View, labels, k)
 	ep.Release()
 	if err != nil {
 		return err
@@ -178,6 +179,17 @@ func (s *Server) handlePairs(w http.ResponseWriter, r *http.Request) {
 		out[i] = pairJSON{A: p.A, B: p.B, Similarity: p.Score}
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// newClassifier builds an epoch's classifier over its default engine,
+// so the neighbour search behind /v1/classify runs the same path, on
+// the same worker pool, as any other top-k request.
+func newClassifier(v *engine.View, labels map[int]string, k int) (*classify.Classifier, error) {
+	eng, err := v.Engine("")
+	if err != nil {
+		return nil, err
+	}
+	return classify.New(v.DB(), eng, labels, k)
 }
 
 type classifyRequest struct {

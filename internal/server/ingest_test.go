@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"geofootprint/internal/engine"
 	"geofootprint/internal/extract"
 	"geofootprint/internal/faultfs"
 	"geofootprint/internal/ingest"
@@ -209,14 +208,14 @@ func TestConcurrentQueriesDuringMutation(t *testing.T) {
 			}
 		}
 	}()
-	// Engine readers for the methods the HTTP API does not select
-	// (linear, iterative, batch), each against a pinned epoch — no
-	// lock, like the handlers. Engines are rebuilt per iteration:
-	// index construction over a frozen epoch is exactly how a
-	// deployment would refresh auxiliary indexes online.
-	for _, m := range []engine.Method{engine.MethodLinear, engine.MethodIterative, engine.MethodBatch} {
+	// Engine readers for the lazily built methods (linear, iterative,
+	// batch), each against a pinned epoch — no lock, like the handlers,
+	// which reach the same engines through View.Engine. Every publish
+	// starts a fresh view, so the readers keep racing its sync.Once
+	// construction against each other and against the mutators.
+	for _, m := range []string{"linear", "iterative", "batch"} {
 		wg.Add(1)
-		go func(m engine.Method) {
+		go func(m string) {
 			defer wg.Done()
 			for {
 				select {
@@ -224,14 +223,18 @@ func TestConcurrentQueriesDuringMutation(t *testing.T) {
 					return
 				default:
 				}
-				ep := s.epochs.Acquire()
-				db := ep.DB()
-				e := engine.New(db, engine.Options{Workers: 2, Method: m})
-				res := e.TopK(db.Footprints[0], 5)
+				ep, v := s.acquire()
+				e, err := v.Engine(m)
+				if err != nil {
+					ep.Release()
+					report("method %s: %v", m, err)
+					return
+				}
+				res := e.TopK(v.DB().Footprints[0], 5)
 				ep.Release()
 				for i := 1; i < len(res); i++ {
 					if res[i].Score > res[i-1].Score {
-						report("method %d: unsorted results %v", m, res)
+						report("method %s: unsorted results %v", m, res)
 						return
 					}
 				}

@@ -27,18 +27,19 @@ import (
 //
 // The admission gate is per-route, not a global middleware: only the
 // top-k routes (GET /v1/users/{id}/similar, POST /v1/query, GET
-// /v1/pairs) do unbounded CPU work, so only they shed load. Cheap
-// routes — health, single-user lookups, ingestion — keep answering
-// even when the query plane is saturated, which is exactly what an
-// operator probing a struggling server needs.
+// /v1/pairs, POST /v1/classify) do unbounded CPU work, so only they
+// shed load. Cheap routes — health, single-user lookups, ingestion —
+// keep answering even when the query plane is saturated, which is
+// exactly what an operator probing a struggling server needs.
 
 // Options configures the server's overload behaviour. The zero value
 // disables the admission gate and applies only the default deadline
 // cap, preserving the pre-options behaviour of New.
 type Options struct {
 	// MaxInflightQueries caps concurrently executing top-k requests
-	// (similar/query/pairs). Excess requests get 429 + Retry-After
-	// immediately instead of queueing. <= 0 disables the gate.
+	// (similar/query/pairs/classify). Excess requests get 429 +
+	// Retry-After immediately instead of queueing. <= 0 disables the
+	// gate.
 	MaxInflightQueries int
 	// DefaultTimeout is the per-request deadline when the client sends
 	// no ?timeout_ms=. <= 0 means no default deadline.

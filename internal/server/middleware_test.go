@@ -99,15 +99,18 @@ func TestAdmissionGateSheds(t *testing.T) {
 	h := s.Handler()
 
 	s.gate <- struct{}{} // occupy the only slot
-	rec, _ := do(t, h, "GET", "/v1/users/100/similar?k=3", "")
-	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("gated route at capacity returned %d, want 429", rec.Code)
-	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After")
-	}
-	if rec, _ := do(t, h, "POST", "/v1/query", `{"k":2,"regions":[{"rect":[0,0,1,1]}]}`); rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("POST /v1/query at capacity returned %d, want 429", rec.Code)
+	for _, route := range [][3]string{
+		{"GET", "/v1/users/100/similar?k=3", ""},
+		{"POST", "/v1/query", `{"k":2,"regions":[{"rect":[0,0,1,1]}]}`},
+		{"POST", "/v1/classify", `{"regions":[{"rect":[0,0,1,1]}]}`},
+	} {
+		rec, _ := do(t, h, route[0], route[1], route[2])
+		if rec.Code != http.StatusTooManyRequests {
+			t.Fatalf("%s %s at capacity returned %d, want 429", route[0], route[1], rec.Code)
+		}
+		if rec.Header().Get("Retry-After") == "" {
+			t.Fatalf("%s %s: 429 without Retry-After", route[0], route[1])
+		}
 	}
 
 	// Cheap routes are not gated.

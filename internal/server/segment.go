@@ -21,7 +21,7 @@
 // names are a contiguous range of positions [lo, hi), and each epoch
 // keeps, per ring, the position of every user's tuple. A segment query
 // is then the ordinary query — any method, the engine's workers, the
-// result cache — with one range test per candidate (engine.Restrict).
+// result cache — with one range test per candidate (search.Restrict).
 package server
 
 import (
@@ -31,8 +31,8 @@ import (
 	"strings"
 	"sync"
 
-	"geofootprint/internal/engine"
 	"geofootprint/internal/hashring"
+	"geofootprint/internal/search"
 )
 
 // segmentJSON names the ring segments a sub-query is restricted to,
@@ -107,7 +107,7 @@ func (v *epochView) segOf(table *hashring.SegmentTable) []uint16 {
 // users. Errors wrap errBadSegment. A segment the router and the shard
 // could read differently is refused rather than answered: an empty
 // answer would merge as a complete one.
-func (s *Server) restrict(v *epochView, seg *segmentJSON) (*engine.Restrict, error) {
+func (s *Server) restrict(v *epochView, seg *segmentJSON) (*search.Restrict, error) {
 	if seg.R < 1 || seg.R > len(seg.Shards) {
 		return nil, fmt.Errorf("%w: r must be in [1,%d] (the shard count), got %d", errBadSegment, len(seg.Shards), seg.R)
 	}
@@ -138,5 +138,5 @@ func (s *Server) restrict(v *epochView, seg *segmentJSON) (*engine.Restrict, err
 		return nil, fmt.Errorf("%w: %v", errBadSegment, err)
 	}
 	lo, hi := table.PrefixRange(prefix)
-	return &engine.Restrict{Partition: key, SegOf: v.segOf(table), Lo: uint16(lo), Hi: uint16(hi)}, nil
+	return &search.Restrict{Partition: key, SegOf: v.segOf(table), Lo: uint16(lo), Hi: uint16(hi)}, nil
 }

@@ -43,6 +43,7 @@ import (
 	"geofootprint/internal/engine"
 	"geofootprint/internal/geom"
 	"geofootprint/internal/ingest"
+	"geofootprint/internal/search"
 	"geofootprint/internal/store"
 )
 
@@ -154,10 +155,10 @@ func (s *Server) publishLocked() {
 	v := engine.NewView(db, 0)
 	aux := &epochView{View: v}
 	if s.labels != nil {
-		// Validated when installed; classify.New over a fresh view of
+		// Validated when installed; a classifier over a fresh view of
 		// the same labels can only fail if every labelled user vanished,
 		// in which case classification correctly degrades to 503.
-		if cls, err := classify.New(db, v.Index(), s.labels, s.labelsK); err == nil {
+		if cls, err := newClassifier(v, s.labels, s.labelsK); err == nil {
 			aux.cls = cls
 		}
 	}
@@ -439,7 +440,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", methodErr)
 		return
 	}
-	var in *engine.Restrict
+	var in *search.Restrict
 	if q.Segment != nil {
 		if in, err = s.restrict(v, q.Segment); err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)

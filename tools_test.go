@@ -63,12 +63,24 @@ func TestCommandLineTools(t *testing.T) {
 		t.Errorf("geoextract text output: %q", out)
 	}
 
-	// geoquery across all methods.
-	for _, method := range []string{"linear", "iterative", "batch", "user-centric"} {
+	// geoquery across all methods: every method prints the same
+	// result lines (the header names the method and the timings).
+	var ranking string
+	for _, method := range []string{"linear", "iterative", "batch", "user-centric", "sketch"} {
 		out = run("geoquery", "-db", dbPath, "-user", "5", "-k", "3", "-method", method)
-		if !strings.Contains(out, "similarity") {
+		_, results, _ := strings.Cut(out, "\n")
+		if !strings.Contains(results, "similarity") {
 			t.Errorf("geoquery %s output: %q", method, out)
 		}
+		if ranking == "" {
+			ranking = results
+		} else if results != ranking {
+			t.Errorf("geoquery %s printed\n%s\nbut linear printed\n%s", method, results, ranking)
+		}
+	}
+	// An unknown method is refused by the one name → engine mapping.
+	if msg, err := exec.Command(filepath.Join(bin, "geoquery"), "-db", dbPath, "-user", "5", "-method", "quantum").CombinedOutput(); err == nil || !strings.Contains(string(msg), `unknown method "quantum"`) {
+		t.Errorf("geoquery -method quantum: err=%v, output %q", err, msg)
 	}
 	out = run("geoquery", "-db", dbPath, "-user", "5", "-k", "3", "-exclude-self")
 	if strings.Contains(out, "user 5       ") {
