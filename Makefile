@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check test lint lintstats loc race chaos cluster-test cluster-chaos bench-fig3a bench-sketch bench-ingest bench-qps bench-restart bench-scatter bench-failover bench-smoke benchdiff clean
+.PHONY: check test lint lintstats loc race chaos fuzz cluster-test cluster-chaos bench-fig3a bench-sketch bench-ingest bench-qps bench-restart bench-scatter bench-failover bench-smoke benchdiff clean
 
 check:
 	./scripts/check.sh
@@ -48,6 +48,12 @@ chaos:
 		./internal/faultfs/... ./internal/wal/... ./internal/ingest/... \
 		./internal/server/... ./internal/store/... ./internal/cache/... \
 		./internal/colstore/...
+
+# Every committed Fuzz* target for a short fixed time each (the loop
+# check.sh runs as fuzz-smoke). Longer: `make fuzz FUZZTIME=2m`.
+FUZZTIME ?= 5s
+fuzz:
+	./scripts/fuzz.sh $(FUZZTIME)
 
 # Cross-shard equivalence suite: N in-process geoserve shards plus the
 # router on loopback, proving scatter-gathered top-k bit-identical to

@@ -1,8 +1,8 @@
 // Liveops: running geo-footprints as a live service. Location events
 // stream in while the system is serving queries: the online extractor
 // turns each closed session into RoIs, the footprint database absorbs
-// them with incremental norm updates, the search index is maintained
-// in place, and an HTTP API answers similarity queries throughout —
+// them with incremental norm updates, every write publishes the next
+// immutable epoch, and an HTTP API answers similarity queries throughout —
 // the full deployment story around the paper's algorithms.
 //
 // Run with:
@@ -94,8 +94,8 @@ func main() {
 	extractor.Flush()
 	fmt.Printf("session closed with %d RoIs\n", len(live))
 
-	// Publish the new footprint through the API: the index updates
-	// incrementally, no rebuild.
+	// Publish the new footprint through the API: the server swaps in
+	// the next epoch while queries keep running against the old one.
 	body, _ := json.Marshal(regionsJSON(live))
 	req, _ := http.NewRequest(http.MethodPut,
 		fmt.Sprintf("%s/v1/users/%d", api.URL, newID), bytes.NewReader(body))

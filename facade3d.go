@@ -113,14 +113,6 @@ func NewClassifier(db *FootprintDB, idx Searcher, labels map[int]string, k int) 
 	return classify.New(db, idx, labels, k)
 }
 
-// UpdateRoIIndex incrementally re-indexes user u (a dense index of db)
-// after db.Upsert, db.AppendRoIs or db.Remove.
-func UpdateRoIIndex(ix *RoIIndex, u int) { ix.UpdateUser(u) }
-
-// UpdateUserCentricIndex incrementally re-indexes user u after a
-// database mutation.
-func UpdateUserCentricIndex(ix *UserCentricIndex, u int) { ix.UpdateUser(u) }
-
 // ExtractDataset extracts the RoIs of every user of a dataset in
 // parallel, returning one slice per user in d.Users order.
 func ExtractDataset(d *Dataset, cfg ExtractionConfig) [][]RoI {

@@ -67,27 +67,34 @@ type qpsServing interface {
 	epochStats() (published, reclaimed uint64)
 }
 
-// lockedServing replicates the pre-epoch server: RWMutex around one
-// mutable database with an incrementally maintained index.
+// lockedServing replicates the pre-epoch server's discipline: RWMutex
+// around one mutable database, the index rebuilt under the write lock
+// after every apply (as the epoch modes rebuild theirs in NewView, so
+// the three modes differ in the locking alone; until PR 19 this mode
+// patched its tree in place, through index methods deleted since).
 type lockedServing struct {
 	mu  sync.RWMutex
 	db  *store.FootprintDB
-	idx *search.UserCentricIndex
 	eng *engine.QueryEngine
 }
 
 func newLockedServing() *lockedServing {
-	db := &store.FootprintDB{Name: "qps"}
-	idx := search.NewUserCentricIndex(db, search.BuildSTR, 0)
-	return &lockedServing{db: db, idx: idx, eng: engine.New(db, idx, 0)}
+	s := &lockedServing{db: &store.FootprintDB{Name: "qps"}}
+	s.reindexLocked()
+	return s
+}
+
+func (s *lockedServing) reindexLocked() {
+	s.eng = engine.New(s.db, search.NewUserCentricIndex(s.db, search.BuildSTR, 0), 0)
 }
 
 func (s *lockedServing) ApplyBatch(updates []ingest.UserRoIs) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, u := range updates {
-		s.idx.UpdateUser(s.db.AppendRoIs(u.User, core.FromRoIs(u.RoIs, 0)))
+		s.db.AppendRoIs(u.User, core.FromRoIs(u.RoIs, 0))
 	}
+	s.reindexLocked()
 }
 
 func (s *lockedServing) WithDB(fn func(db *store.FootprintDB)) {

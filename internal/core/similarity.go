@@ -80,8 +80,15 @@ func SimilarityJoin(fr, fs Footprint, normR, normS float64) float64 {
 // SortByMinX orders the footprint's regions by Rect.MinX in place.
 // Region order carries no meaning (a footprint is a set), and sorted
 // order lets SimilarityJoin skip its per-call sort.
+//
+// The sort is stable: regions of equal MinX keep their input order.
+// That makes the stored order of a footprint that grows by appends
+// ("existing regions, then arrival order" among equal keys) the same
+// whether the new regions arrive in one append or several, which is
+// what lets the ingest pipeline group WAL records freely while the
+// database stays a pure function of the record sequence.
 func SortByMinX(f Footprint) {
-	slices.SortFunc(f, func(a, b Region) int {
+	slices.SortStableFunc(f, func(a, b Region) int {
 		switch {
 		case a.Rect.MinX < b.Rect.MinX:
 			return -1

@@ -87,10 +87,12 @@ func (c Config) validate() error {
 }
 
 // Sink receives the pipeline's output. ApplyBatch is called from the
-// single apply goroutine with the RoIs finished during one WAL record;
-// implementations serialise it against their own readers (the HTTP
-// server holds its write lock). WithDB exposes the database quiesced —
-// no ApplyBatch runs during fn — for checkpointing.
+// single apply goroutine with the RoIs finished during one group of
+// consecutive WAL records (one record on an idle pipeline, everything
+// that queued up behind it on a busy one), per user in first-emission
+// order; implementations serialise it against their own readers (the
+// HTTP server holds its write lock). WithDB exposes the database
+// quiesced — no ApplyBatch runs during fn — for checkpointing.
 type Sink interface {
 	ApplyBatch(updates []UserRoIs)
 	WithDB(fn func(db *store.FootprintDB))
@@ -277,12 +279,16 @@ func (p *Pipeline) IngestCtx(ctx context.Context, samples []Sample) (uint64, err
 	return lsn, nil
 }
 
-// run is the single apply goroutine: sessionize each batch, apply the
-// finished RoIs, checkpoint when due.
+// run is the single apply goroutine: apply the queue one group at a
+// time, checkpoint when due.
 func (p *Pipeline) run() {
 	defer close(p.done)
 	for msg := range p.queue {
-		if err := p.applyBatch(msg); err != nil {
+		err := p.applyGroup(msg)
+		if err == nil && ((p.cfg.SnapshotEvery > 0 && p.sinceCP >= p.cfg.SnapshotEvery) || p.snapReq.Load()) {
+			err = p.checkpoint()
+		}
+		if err != nil {
 			p.fatal.Store(err)
 			// Drain without applying so Close does not hang; the error
 			// is surfaced by Ingest/Close/Err.
@@ -290,60 +296,77 @@ func (p *Pipeline) run() {
 			}
 			return
 		}
-		if (p.cfg.SnapshotEvery > 0 && p.sinceCP >= p.cfg.SnapshotEvery) || p.snapReq.Load() {
-			if err := p.checkpoint(); err != nil {
-				p.fatal.Store(err)
-				for range p.queue {
-				}
-				return
-			}
-		}
 	}
 }
 
-func (p *Pipeline) applyBatch(msg batchMsg) error {
-	for _, s := range msg.samples {
-		if err := p.sess.push(s); err != nil {
-			return err
+// applyGroup is the group commit: it applies head and every batch
+// already queued behind it as one unit — samples through the
+// sessionizer in WAL order, one collect, one Sink.ApplyBatch — so the
+// sink pays its per-apply cost (the server's epoch publish) once per
+// drained queue instead of once per record. The queue length is read
+// once, so a group always ends however fast writers append, and the
+// queue depth bounds it. Only after the sink holds the group's RoIs
+// does applied move to the group's last LSN: applied == appended still
+// means every acknowledged record is queryable.
+//
+// Grouping is invisible in the data: the sessionizer sees the same
+// sample sequence, collect keeps first-emission order across the
+// group, and footprints sort stably (core.SortByMinX), so the database
+// is the one a record-at-a-time apply (Recover) builds, bit for bit.
+func (p *Pipeline) applyGroup(head batchMsg) error {
+	msg := head
+	for queued := len(p.queue); ; queued-- {
+		for _, s := range msg.samples {
+			if err := p.sess.push(s); err != nil {
+				return err
+			}
 		}
+		p.sinceCP++
+		if queued == 0 {
+			break
+		}
+		// Cannot block: this goroutine is the only receiver, so the
+		// batches counted above are still there (also after Close,
+		// which leaves buffered batches receivable).
+		msg = <-p.queue
 	}
 	if updates := p.sess.collect(); len(updates) > 0 {
 		p.sink.ApplyBatch(updates)
 	}
 	p.applied.Store(msg.lsn)
-	p.sinceCP++
 	return nil
 }
 
-// checkpoint stalls admission, drains the queue, writes an atomic
-// snapshot of (applied sequence, open sessions, database), and resets
-// the WAL — which is safe exactly because admission is stalled and the
-// queue is empty, so every record on disk is covered by the snapshot.
-// The stall is the classic checkpoint pause; its length is bounded by
-// the queue depth plus one snapshot write.
+// checkpoint stalls admission, applies whatever is queued, writes an
+// atomic snapshot of (applied sequence, open sessions, database), and
+// resets the WAL — which is safe exactly because admission is stalled
+// and the queue is empty, so every record on disk is covered by the
+// snapshot. The stall is the classic checkpoint pause; its length is
+// bounded by one group (at most the queue depth) plus one snapshot
+// write.
 func (p *Pipeline) checkpoint() error {
 	p.snapReq.Store(false)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for {
-		select {
-		case msg, ok := <-p.queue:
-			if !ok {
-				// Close raced in; it writes the final snapshot itself
-				// once the loop exits.
-				return nil
-			}
-			if err := p.applyBatch(msg); err != nil {
-				return err
-			}
-		default:
-			if err := p.writeSnapshot(); err != nil {
-				return err
-			}
-			p.sinceCP = 0
-			return p.log.Reset()
-		}
+	if p.closed {
+		// Close raced in; run applies what is left in the queue and
+		// Close writes the final snapshot itself.
+		return nil
 	}
+	// Nothing is admitted while p.mu is held, so one group is the
+	// whole queue.
+	select {
+	case msg := <-p.queue:
+		if err := p.applyGroup(msg); err != nil {
+			return err
+		}
+	default:
+	}
+	if err := p.writeSnapshot(); err != nil {
+		return err
+	}
+	p.sinceCP = 0
+	return p.log.Reset()
 }
 
 // writeSnapshot persists the checkpoint; callers guarantee quiescence
@@ -362,9 +385,9 @@ func (p *Pipeline) writeSnapshot() error {
 	return nil
 }
 
-// TriggerSnapshot requests a checkpoint after the batch currently
+// TriggerSnapshot requests a checkpoint after the group currently
 // being applied; it returns immediately. A quiescent pipeline (empty
-// queue) checkpoints on the next applied batch.
+// queue) checkpoints after the next batch it applies.
 func (p *Pipeline) TriggerSnapshot() { p.snapReq.Store(true) }
 
 // Drain blocks until every acknowledged batch has been applied, or the

@@ -12,9 +12,10 @@
 // crash at any point loses nothing that was acknowledged under
 // SyncEveryAppend. Recovery = load the latest snapshot + replay the
 // WAL tail; both paths drive the identical sessionizer/extractor code
-// over the identical record batching, so the recovered database is
-// byte-identical to one produced by an uninterrupted run over the same
-// sample stream (tested).
+// over the identical record sequence, and how many records the live
+// pipeline applied at once cannot be seen in the data, so the recovered
+// database is byte-identical to one produced by an uninterrupted run
+// over the same sample stream (tested).
 package ingest
 
 import (
@@ -24,6 +25,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
+	"sync"
 )
 
 // Sample is one raw location report: user identifier, normalized
@@ -79,34 +82,61 @@ func DecodeBatch(payload []byte) ([]Sample, error) {
 	return samples, nil
 }
 
+// The line scanner starts on a pooled buffer of scanBufSize; a longer
+// line grows a private one, and one beyond maxLineSize is an error.
+const (
+	scanBufSize = 64 * 1024
+	maxLineSize = 1 << 20
+)
+
+// scanBufs recycles scanner buffers across ParseNDJSON calls: nothing
+// ParseNDJSON returns points into one.
+var scanBufs = sync.Pool{New: func() any { return new([scanBufSize]byte) }}
+
+// minPlainLine is the shortest line carrying all four fields, newline
+// included: a body of n bytes holds at most n/minPlainLine+1 of them.
+const minPlainLine = len(`{"user":0,"x":0,"y":0,"t":0}`) + 1
+
 // ParseNDJSON reads newline-delimited JSON samples (the POST
 // /v1/ingest body) up to max samples; one more line is an error, as is
 // any malformed line. Blank lines are skipped, so trailing newlines
 // and keep-alive blank lines are harmless.
+//
+// Every line means what encoding/json says it means: the plain shape a
+// feeder writes is decoded directly (decodePlain) and any other line —
+// valid or not — goes through json.Unmarshal, so acceptance, values
+// and error text are encoding/json's (FuzzParseNDJSON holds the two
+// together). A reader that knows its remaining length (Len() int, as
+// bytes.Reader, bytes.Buffer and strings.Reader have) gets the result
+// slice sized up front.
 func ParseNDJSON(r io.Reader, max int) ([]Sample, error) {
 	var samples []Sample
+	if l, ok := r.(interface{ Len() int }); ok && l.Len() > 0 && max > 0 {
+		samples = make([]Sample, 0, min(l.Len()/minPlainLine+1, max))
+	}
+	buf := scanBufs.Get().(*[scanBufSize]byte)
+	defer scanBufs.Put(buf)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(buf[:0], maxLineSize)
 	line := 0
 	for sc.Scan() {
 		line++
 		b := sc.Bytes()
-		trimmed := false
-		for _, c := range b {
-			if c != ' ' && c != '\t' && c != '\r' {
-				trimmed = true
-				break
-			}
-		}
-		if !trimmed {
+		if skipSpace(b, 0) == len(b) {
 			continue
 		}
 		if len(samples) == max {
 			return nil, fmt.Errorf("ingest: batch exceeds %d samples", max)
 		}
-		var s Sample
-		if err := json.Unmarshal(b, &s); err != nil {
-			return nil, fmt.Errorf("ingest: line %d: %w", line, err)
+		s, ok := decodePlain(b)
+		if !ok {
+			// A variable of its own: the one json.Unmarshal takes the
+			// address of lives on the heap.
+			var parsed Sample
+			if err := json.Unmarshal(b, &parsed); err != nil {
+				return nil, fmt.Errorf("ingest: line %d: %w", line, err)
+			}
+			s = parsed
 		}
 		samples = append(samples, s)
 	}
@@ -114,4 +144,163 @@ func ParseNDJSON(r io.Reader, max int) ([]Sample, error) {
 		return nil, err
 	}
 	return samples, nil
+}
+
+// skipSpace returns the index of the first byte of b at or after i
+// that is not JSON whitespace.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
+		i++
+	}
+	return i
+}
+
+// Bits of decodePlain's seen mask, one per Sample field.
+const (
+	seenUser = 1 << iota
+	seenX
+	seenY
+	seenT
+	seenAll = seenUser | seenX | seenY | seenT
+)
+
+// decodePlain decodes the one line shape a feeder writes — an object
+// with exactly the keys "user", "x", "y", "t" (lower case, unescaped,
+// any order, each once), JSON numbers as values, optional JSON
+// whitespace — without reflection or allocation. It reports false for
+// every other line, well-formed or not, and for a number the field
+// cannot hold (a fraction or exponent in user, an out-of-range value):
+// the caller then asks json.Unmarshal, which accepts or rejects the
+// line in its own words. Numbers that pass the JSON grammar are
+// converted by the same strconv calls encoding/json makes, so an
+// accepted line yields the bits json.Unmarshal would.
+//
+//geo:hotpath
+func decodePlain(b []byte) (s Sample, ok bool) {
+	i := skipSpace(b, 0)
+	if i == len(b) || b[i] != '{' {
+		return s, false
+	}
+	i++
+	seen := 0
+	for {
+		i = skipSpace(b, i)
+		// The shortest member left is `"x":0}`.
+		if len(b)-i < 6 || b[i] != '"' {
+			return s, false
+		}
+		field, keyLen := 0, 1
+		switch b[i+1] {
+		case 'x':
+			field = seenX
+		case 'y':
+			field = seenY
+		case 't':
+			field = seenT
+		case 'u':
+			if b[i+2] != 's' || b[i+3] != 'e' || b[i+4] != 'r' {
+				return s, false
+			}
+			field, keyLen = seenUser, 4
+		default:
+			return s, false
+		}
+		i += 1 + keyLen // at the key's closing quote
+		if b[i] != '"' || seen&field != 0 {
+			return s, false
+		}
+		seen |= field
+		i = skipSpace(b, i+1)
+		if i == len(b) || b[i] != ':' {
+			return s, false
+		}
+		i = skipSpace(b, i+1)
+		end := numberEnd(b, i)
+		if end < 0 {
+			return s, false
+		}
+		// The conversions do not retain their argument, so the string
+		// lives on the stack for any number a feeder writes.
+		num := string(b[i:end])
+		if field == seenUser {
+			n, err := strconv.ParseInt(num, 10, 64)
+			if err != nil || int64(int(n)) != n {
+				return s, false
+			}
+			s.User = int(n)
+		} else {
+			f, err := strconv.ParseFloat(num, 64)
+			if err != nil {
+				return s, false
+			}
+			switch field {
+			case seenX:
+				s.X = f
+			case seenY:
+				s.Y = f
+			default:
+				s.T = f
+			}
+		}
+		i = skipSpace(b, end)
+		if i == len(b) {
+			return s, false
+		}
+		if b[i] == '}' {
+			break
+		}
+		if b[i] != ',' {
+			return s, false
+		}
+		i++
+	}
+	return s, seen == seenAll && skipSpace(b, i+1) == len(b)
+}
+
+// numberEnd returns the end of the JSON number starting at b[i] —
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? — or -1 when b[i:]
+// does not start with one. The grammar check comes first because
+// strconv accepts more than JSON does ("01", ".5", "5.", "+1", "0x1p3",
+// "Inf").
+func numberEnd(b []byte, i int) int {
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i == len(b):
+		return -1
+	case b[i] == '0':
+		i++
+	case '1' <= b[i] && b[i] <= '9':
+		i = digitsEnd(b, i)
+	default:
+		return -1
+	}
+	if i < len(b) && b[i] == '.' {
+		j := digitsEnd(b, i+1)
+		if j == i+1 {
+			return -1
+		}
+		i = j
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := digitsEnd(b, i)
+		if j == i {
+			return -1
+		}
+		i = j
+	}
+	return i
+}
+
+// digitsEnd returns the index of the first non-digit of b at or after i.
+func digitsEnd(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
 }

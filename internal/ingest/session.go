@@ -92,7 +92,7 @@ func (sz *sessionizer) push(s Sample) error {
 }
 
 // UserRoIs is the unit of application to the database: the RoIs one
-// user finished during a batch.
+// user finished between two collects, in emission order.
 type UserRoIs struct {
 	User int
 	RoIs []extract.RoI

@@ -15,7 +15,7 @@ package rtree
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"geofootprint/internal/geom"
 )
@@ -435,79 +435,77 @@ func Bulk(entries []Entry, maxEntries int) *Tree {
 }
 
 func packLeaves(entries []Entry, m int) []*node {
-	es := make([]Entry, len(entries))
-	copy(es, entries)
-	sort.Slice(es, func(i, j int) bool {
-		return es[i].Rect.Center().X < es[j].Rect.Center().X
+	leaves := make([]*node, 0, (len(entries)+m-1)/m)
+	strTile(len(entries), m, func(i int) geom.Rect { return entries[i].Rect }, func(run []strKey) {
+		leaf := &node{leaf: true, rects: make([]geom.Rect, len(run)), data: make([]int64, len(run))}
+		for j, k := range run {
+			leaf.rects[j], leaf.data[j] = entries[k.idx].Rect, entries[k.idx].Data
+		}
+		leaves = append(leaves, leaf)
 	})
-	nLeaves := (len(es) + m - 1) / m
-	nSlabs := int(math.Ceil(math.Sqrt(float64(nLeaves))))
-	slabSize := nSlabs * m
-
-	var leaves []*node
-	for s := 0; s < len(es); s += slabSize {
-		e := s + slabSize
-		if e > len(es) {
-			e = len(es)
-		}
-		slab := es[s:e]
-		sort.Slice(slab, func(i, j int) bool {
-			return slab[i].Rect.Center().Y < slab[j].Rect.Center().Y
-		})
-		for ls := 0; ls < len(slab); ls += m {
-			le := ls + m
-			if le > len(slab) {
-				le = len(slab)
-			}
-			leaf := &node{leaf: true}
-			for _, en := range slab[ls:le] {
-				leaf.rects = append(leaf.rects, en.Rect)
-				leaf.data = append(leaf.data, en.Data)
-			}
-			leaves = append(leaves, leaf)
-		}
-	}
 	return leaves
 }
 
 func packInner(level []*node, m int) []*node {
-	type boxed struct {
-		mbr geom.Rect
-		n   *node
-	}
-	bs := make([]boxed, len(level))
+	mbrs := make([]geom.Rect, len(level))
 	for i, n := range level {
-		bs[i] = boxed{mbrOf(n), n}
+		mbrs[i] = mbrOf(n)
 	}
-	sort.Slice(bs, func(i, j int) bool {
-		return bs[i].mbr.Center().X < bs[j].mbr.Center().X
+	out := make([]*node, 0, (len(level)+m-1)/m)
+	strTile(len(level), m, func(i int) geom.Rect { return mbrs[i] }, func(run []strKey) {
+		inner := &node{rects: make([]geom.Rect, len(run)), children: make([]*node, len(run))}
+		for j, k := range run {
+			inner.rects[j], inner.children[j] = mbrs[k.idx], level[k.idx]
+		}
+		out = append(out, inner)
 	})
-	nNodes := (len(bs) + m - 1) / m
+	return out
+}
+
+// strKey is what STR sorts: one coordinate of a rectangle's centre and
+// the rectangle's position in the caller's slice. Sixteen bytes and a
+// plain float comparison, instead of swapping whole entries through a
+// reflection-based sort that recomputes both centres per comparison.
+type strKey struct {
+	key float64
+	idx int
+}
+
+func sortSTRKeys(ks []strKey) {
+	slices.SortFunc(ks, func(a, b strKey) int {
+		switch {
+		case a.key < b.key:
+			return -1
+		case a.key > b.key:
+			return 1
+		default:
+			return 0
+		}
+	})
+}
+
+// strTile is one level of sort-tile-recursive packing over the n
+// rectangles rect(0..n-1): sort by x-centre, cut into vertical slabs
+// of about sqrt(n/m) nodes each, sort every slab by y-centre, and hand
+// emit each run of at most m consecutive rectangles — one node. emit
+// must not retain run.
+func strTile(n, m int, rect func(i int) geom.Rect, emit func(run []strKey)) {
+	ks := make([]strKey, n)
+	for i := range ks {
+		ks[i] = strKey{key: rect(i).Center().X, idx: i}
+	}
+	sortSTRKeys(ks)
+	nNodes := (n + m - 1) / m
 	nSlabs := int(math.Ceil(math.Sqrt(float64(nNodes))))
 	slabSize := nSlabs * m
-
-	var out []*node
-	for s := 0; s < len(bs); s += slabSize {
-		e := s + slabSize
-		if e > len(bs) {
-			e = len(bs)
+	for s := 0; s < n; s += slabSize {
+		slab := ks[s:min(s+slabSize, n)]
+		for i := range slab {
+			slab[i].key = rect(slab[i].idx).Center().Y
 		}
-		slab := bs[s:e]
-		sort.Slice(slab, func(i, j int) bool {
-			return slab[i].mbr.Center().Y < slab[j].mbr.Center().Y
-		})
-		for ns := 0; ns < len(slab); ns += m {
-			ne := ns + m
-			if ne > len(slab) {
-				ne = len(slab)
-			}
-			inner := &node{}
-			for _, b := range slab[ns:ne] {
-				inner.rects = append(inner.rects, b.mbr)
-				inner.children = append(inner.children, b.n)
-			}
-			out = append(out, inner)
+		sortSTRKeys(slab)
+		for r := 0; r < len(slab); r += m {
+			emit(slab[r:min(r+m, len(slab))])
 		}
 	}
-	return out
 }

@@ -111,10 +111,6 @@ func unpackPayload(p int64) (user, region int) {
 type RoIIndex struct {
 	db   *store.FootprintDB
 	tree *rtree.Tree
-	// indexed records, per user, the rectangles currently in the
-	// tree, enabling incremental UpdateUser after database
-	// mutations.
-	indexed [][]geom.Rect
 }
 
 // BuildMode selects the R-tree construction path.
@@ -131,12 +127,7 @@ const (
 // NewRoIIndex indexes every region of every footprint in db.
 // maxEntries <= 0 selects the default node capacity.
 func NewRoIIndex(db *store.FootprintDB, mode BuildMode, maxEntries int) *RoIIndex {
-	ix := &RoIIndex{db: db, indexed: make([][]geom.Rect, db.Len())}
-	for u, f := range db.Footprints {
-		for _, reg := range f {
-			ix.indexed[u] = append(ix.indexed[u], reg.Rect)
-		}
-	}
+	ix := &RoIIndex{db: db}
 	switch mode {
 	case BuildInsert:
 		ix.tree = rtree.New(maxEntries)
@@ -184,20 +175,13 @@ func (ix *RoIIndex) TopKBatch(q core.Footprint, k int) []Result {
 type UserCentricIndex struct {
 	db   *store.FootprintDB
 	tree *rtree.Tree
-	// indexed records, per user, the MBR currently in the tree
-	// (empty when the user is not indexed), enabling incremental
-	// UpdateUser after database mutations.
-	indexed []geom.Rect
 }
 
 // NewUserCentricIndex indexes the footprint MBRs of db. Users with
 // empty footprints are not indexed. maxEntries <= 0 selects the
 // default node capacity.
 func NewUserCentricIndex(db *store.FootprintDB, mode BuildMode, maxEntries int) *UserCentricIndex {
-	ix := &UserCentricIndex{db: db, indexed: make([]geom.Rect, db.Len())}
-	for u, m := range db.MBRs {
-		ix.indexed[u] = m
-	}
+	ix := &UserCentricIndex{db: db}
 	switch mode {
 	case BuildInsert:
 		ix.tree = rtree.New(maxEntries)

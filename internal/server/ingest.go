@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 
 	"geofootprint/internal/cache"
@@ -20,10 +21,12 @@ import (
 //	GET  /v1/ingest/stats  pipeline + epoch + cache counters
 //
 // The pipeline's apply goroutine lands finished RoIs through a sink
-// that takes the server's write mutex, applies the whole batch to the
-// epoch builder, and publishes the next epoch — one atomic swap per
-// batch. Queries on all methods keep serving lock-free against the
-// previous epoch while the batch lands, and stay exact.
+// that takes the server's write mutex, applies them to the epoch
+// builder, and publishes the next epoch — one atomic swap per apply
+// group: a single batch while the pipeline keeps up, everything that
+// queued behind it when it does not (ingest.Pipeline's group commit).
+// Queries on all methods keep serving lock-free against the previous
+// epoch while the group lands, and stay exact.
 
 // maxIngestSamples bounds one POST /v1/ingest body; clients split
 // larger loads into multiple requests (and get per-batch LSNs).
@@ -31,7 +34,7 @@ const maxIngestSamples = 10000
 
 // serverSink is the ingest.Sink that applies pipeline output to the
 // serving state: mutations into the epoch builder behind the write
-// mutex, one epoch publish per batch — the same discipline as
+// mutex, one epoch publish per call — the same discipline as
 // PUT /v1/users/{id}.
 type serverSink struct {
 	s         *Server
@@ -77,8 +80,19 @@ func (s *Server) AttachPipeline(cfg ingest.Config, state *ingest.State) (*ingest
 	return p, nil
 }
 
+// sizedBody is a request body that reports its Content-Length the way
+// the in-memory readers report what is left of them, so ParseNDJSON
+// sizes its result once instead of growing it line by line. An unknown
+// length (-1, chunked) gives no hint.
+type sizedBody struct {
+	io.Reader
+	n int64
+}
+
+func (b sizedBody) Len() int { return int(b.n) }
+
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	samples, err := ingest.ParseNDJSON(r.Body, maxIngestSamples)
+	samples, err := ingest.ParseNDJSON(sizedBody{r.Body, r.ContentLength}, maxIngestSamples)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad batch: %v", err)
 		return

@@ -9,9 +9,10 @@ import (
 
 // This file adds dynamic maintenance to FootprintDB. A deployment
 // tracks users continuously: new customers appear, returning customers
-// extend their footprints. Upsert and Remove keep the database — and,
-// via the search indexes' UpdateUser, the indexes — current without a
-// full rebuild.
+// extend their footprints. Upsert, AppendRoIs and Remove keep the
+// database current without recomputing untouched users; indexes are
+// immutable views, rebuilt over the mutated database (the serving
+// plane does so once per published epoch).
 //
 // Dense user indexes are stable: Remove tombstones a user (empty
 // footprint, zero norm) instead of compacting, so indexes held by

@@ -100,6 +100,14 @@ go test ./...
 echo "== go test -tags strictsort ./... =="
 go test -tags strictsort ./...
 
+# Every committed testing.F target, five seconds each, after its seed
+# corpus has already run as plain tests above: generated inputs at the
+# untrusted byte boundaries (NDJSON lines against encoding/json,
+# trajectory files) and against the structural oracles (R-tree
+# operations, the sketch bound).
+echo "== fuzz-smoke: every Fuzz* target for 5s =="
+./scripts/fuzz.sh 5s
+
 # The benchmark ledger is a separate module the passes above do not
 # build: its unit tests plus a smoke pass of every workload against
 # real geoserve/georouter binaries (1 s phases, 300-user corpus),
