@@ -1,11 +1,11 @@
 # Developer entry points. `make check` is the gate every PR must pass:
-# vet + geolint + build + race detector over the whole module + the
-# full test suite (the tier-1 command plus the race and strictsort
+# gofmt + vet + geolint + build + race detector over the whole module +
+# the full test suite (the tier-1 command plus the race and strictsort
 # passes).
 
 GO ?= go
 
-.PHONY: check test lint lintstats loc race chaos fuzz cluster-test cluster-chaos bench-fig3a bench-sketch bench-ingest bench-qps bench-restart bench-scatter bench-failover bench-smoke benchdiff clean
+.PHONY: check test lint lintstats loc race chaos fuzz cluster-test cluster-chaos bench-fig3a bench-sketch bench-failover bench-smoke benchdiff clean
 
 check:
 	./scripts/check.sh
@@ -83,35 +83,9 @@ bench-fig3a:
 	$(GO) run ./cmd/geobench -exp fig3a -scale 0.05 -parallel -json .
 
 # Regenerate the committed BENCH_sketch.json evidence (sketch
-# filter-and-refine resolution sweep vs linear/user-centric; the
-# committed report also carries the frozen pruned_seconds of the
-# upper-bound-pruned search deleted in PR 18).
+# filter-and-refine resolution sweep vs linear/user-centric).
 bench-sketch:
 	$(GO) run ./cmd/geobench -exp sketch -scale 0.05 -json .
-
-# Regenerate the committed BENCH_ingest.json evidence (WAL-durable
-# streaming ingestion throughput per fsync policy + query latency
-# during vs after ingest).
-bench-ingest:
-	$(GO) run ./cmd/geobench -exp ingest -scale 0.05 -json .
-
-# Regenerate the committed BENCH_qps.json evidence (concurrent query
-# throughput vs live ingest per serving discipline: locked baseline,
-# epoch MVCC, epoch MVCC + result cache).
-bench-qps:
-	$(GO) run ./cmd/geobench -exp qps -scale 0.05 -json .
-
-# Regenerate the committed BENCH_restart.json evidence (cold-start to
-# first answered request per snapshot format/load path: gob decode vs
-# columnar read vs columnar mmap, plus flat-kernel scan throughput).
-bench-restart:
-	$(GO) run ./cmd/geobench -exp restart -scale 0.05 -json .
-
-# Regenerate the committed BENCH_scatter.json evidence (router top-k
-# throughput scaling over 1/2/4 ring-split shards, every answer
-# verified bit-identical to LinearScan on the union store).
-bench-scatter:
-	$(GO) run ./cmd/geobench -exp scatter -scale 0.05 -json .
 
 # Regenerate the committed BENCH_failover.json evidence (router top-k
 # over 4 shards with shard-1 killed and restarted by fault injection,
@@ -129,7 +103,8 @@ bench-smoke:
 	cd benchmark && $(GO) test ./...
 
 # Compare two BENCH_<exp>.json reports; fails on >15% wall-clock
-# regression of any method. Usage:
+# regression of any method, and refuses reports whose experiment,
+# scale, num_cpu or gomaxprocs differ. Usage:
 #   make benchdiff OLD=old/BENCH_fig3a.json NEW=BENCH_fig3a.json
 benchdiff:
 	./scripts/benchdiff.sh $(OLD) $(NEW)

@@ -15,53 +15,90 @@
 //	benchdiff old/BENCH_fig3a.json new/BENCH_fig3a.json
 //	benchdiff -threshold 0.10 old.json new.json
 //
+// Two reports are compared only when their experiment, scale, num_cpu
+// and gomaxprocs agree; otherwise benchdiff refuses, naming the fields.
+//
 // Exit status: 0 when no timing regressed beyond the threshold, 1 when
-// at least one did, 2 on usage or read errors.
+// at least one did, 2 on usage or read errors and on reports that are
+// not comparable.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"reflect"
 	"sort"
 	"strings"
 )
 
 func main() {
-	threshold := flag.Float64("threshold", 0.15,
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// headerFields are the report-envelope fields that must agree before
+// any timing is compared: a different experiment, scale or core count
+// makes every ratio meaningless.
+var headerFields = []string{"experiment", "scale", "num_cpu", "gomaxprocs"}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	threshold := fs.Float64("threshold", 0.15,
 		"maximum allowed relative wall-clock regression (0.15 = +15%)")
-	minSeconds := flag.Float64("min-seconds", 0.001,
+	minSeconds := fs.Float64("min-seconds", 0.001,
 		"ignore timings below this many seconds (noise floor; micros are converted)")
-	flag.Parse()
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-threshold 0.15] OLD.json NEW.json")
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	oldDoc, err := readJSON(flag.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
+	if fs.NArg() != 2 {
+		fmt.Fprintln(stderr, "usage: benchdiff [-threshold 0.15] OLD.json NEW.json")
+		return 2
 	}
-	newDoc, err := readJSON(flag.Arg(1))
+	oldDoc, err := readJSON(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchdiff:", err)
+		return 2
+	}
+	newDoc, err := readJSON(fs.Arg(1))
+	if err != nil {
+		fmt.Fprintln(stderr, "benchdiff:", err)
+		return 2
+	}
+
+	oldHdr, _ := oldDoc.(map[string]interface{})
+	newHdr, _ := newDoc.(map[string]interface{})
+	var mismatch []string
+	for _, f := range headerFields {
+		if !reflect.DeepEqual(oldHdr[f], newHdr[f]) {
+			mismatch = append(mismatch, fmt.Sprintf("%s (%v vs %v)", f, oldHdr[f], newHdr[f]))
+		}
+	}
+	if len(mismatch) > 0 {
+		fmt.Fprintf(stderr, "benchdiff: reports are not comparable, they differ in %s\n", strings.Join(mismatch, ", "))
+		return 2
 	}
 
 	d := differ{threshold: *threshold, minSeconds: *minSeconds}
 	d.walk("", oldDoc, newDoc)
 	sort.Strings(d.notes)
 	for _, n := range d.notes {
-		fmt.Println(n)
+		fmt.Fprintln(stdout, n)
 	}
 	if d.regressions > 0 {
-		fmt.Printf("benchdiff: FAIL — %d timing(s) regressed more than %.0f%% (%d compared)\n",
+		fmt.Fprintf(stdout, "benchdiff: FAIL — %d timing(s) regressed more than %.0f%% (%d compared)\n",
 			d.regressions, *threshold*100, d.compared)
-		os.Exit(1)
+		return 1
 	}
-	fmt.Printf("benchdiff: OK — %d timings compared, none regressed more than %.0f%%\n",
+	fmt.Fprintf(stdout, "benchdiff: OK — %d timings compared, none regressed more than %.0f%%\n",
 		d.compared, *threshold*100)
+	return 0
 }
 
 func readJSON(path string) (interface{}, error) {

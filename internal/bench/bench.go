@@ -80,8 +80,14 @@ func NewWorkload(part string, scale float64, workers int) (*Workload, error) {
 	return w, nil
 }
 
-// Parts is the canonical evaluation order.
-var Parts = []string{"A", "B", "C", "D"}
+// sampleUsers draws min(n, db.Len()) distinct user indexes: the query
+// (or clustering) sample an experiment takes from its part.
+func sampleUsers(db *store.FootprintDB, n int, seed int64) []int {
+	if n > db.Len() {
+		n = db.Len()
+	}
+	return rand.New(rand.NewSource(seed)).Perm(db.Len())[:n]
+}
 
 // Table1Row reproduces one row of Table 1: dataset statistics after
 // footprint extraction.
@@ -148,13 +154,10 @@ type Table3Row struct {
 // Algorithm 4 (norms precomputed, as in the paper), reporting average
 // per-computation cost.
 func Table3(w *Workload, queries int, seed int64) Table3Row {
-	rng := rand.New(rand.NewSource(seed))
 	db := w.DB
 	n := db.Len()
-	if queries > n {
-		queries = n
-	}
-	qIdx := rng.Perm(n)[:queries]
+	qIdx := sampleUsers(db, queries, seed)
+	queries = len(qIdx)
 	row := Table3Row{Part: w.Part, Queries: queries, Pairs: queries * n}
 
 	var sink float64
@@ -229,13 +232,9 @@ type Fig3aRow struct {
 // the data, as in the paper) against each of the three methods of
 // Section 6 and reports total wall time per method.
 func Fig3a(w *Workload, queries, k int, seed int64) Fig3aRow {
-	rng := rand.New(rand.NewSource(seed))
 	db := w.DB
-	n := db.Len()
-	if queries > n {
-		queries = n
-	}
-	qIdx := rng.Perm(n)[:queries]
+	qIdx := sampleUsers(db, queries, seed)
+	queries = len(qIdx)
 	row := Fig3aRow{Part: w.Part, Queries: queries, K: k}
 
 	// Insertion-built trees, matching the paper's indexing path
@@ -353,13 +352,9 @@ type KSensitivityRow struct {
 // KSensitivity re-times the Figure 3(a) user-centric measurement for
 // several K values on the same query set.
 func KSensitivity(w *Workload, ks []int, queries int, seed int64) []KSensitivityRow {
-	rng := rand.New(rand.NewSource(seed))
 	db := w.DB
-	n := db.Len()
-	if queries > n {
-		queries = n
-	}
-	qIdx := rng.Perm(n)[:queries]
+	qIdx := sampleUsers(db, queries, seed)
+	queries = len(qIdx)
 	uc := search.NewUserCentricIndex(db, search.BuildSTR, 0)
 	rows := make([]KSensitivityRow, 0, len(ks))
 	for _, k := range ks {
@@ -424,12 +419,8 @@ func GridComparison(w *Workload, queries, k, gridN int, seed int64) (GridRow, er
 	if err != nil {
 		return GridRow{}, err
 	}
-	rng := rand.New(rand.NewSource(seed))
-	n := db.Len()
-	if queries > n {
-		queries = n
-	}
-	qs := rng.Perm(n)[:queries]
+	qs := sampleUsers(db, queries, seed)
+	queries = len(qs)
 	row := GridRow{Queries: queries, GridN: gridN, GridReplication: gr.Grid().Stats().Replication}
 
 	start := time.Now()

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -146,6 +145,24 @@ func startFailoverCluster(db *store.FootprintDB, n, R int) (*failoverCluster, er
 	return c, nil
 }
 
+// encodeRegions renders a footprint in the server's region wire format
+// (`[{"rect":[minx,miny,maxx,maxy],"weight":w},…]`), the body the
+// router forwards to every shard.
+func encodeRegions(f core.Footprint) (json.RawMessage, error) {
+	type region struct {
+		Rect   [4]float64 `json:"rect"`
+		Weight float64    `json:"weight"`
+	}
+	regs := make([]region, len(f))
+	for i, r := range f {
+		regs[i] = region{
+			Rect:   [4]float64{r.Rect.MinX, r.Rect.MinY, r.Rect.MaxX, r.Rect.MaxY},
+			Weight: r.Weight,
+		}
+	}
+	return json.Marshal(regs)
+}
+
 // FailoverBench measures the distributed plane through a kill/restart
 // cycle of one of 4 shards, at R=1 and R=2. Three phases per R:
 // healthy, one-down (shard-1's host answers nothing), restarted
@@ -156,17 +173,14 @@ func startFailoverCluster(db *store.FootprintDB, n, R int) (*failoverCluster, er
 func FailoverBench(w *Workload, queries, k, clients int, seed int64) ([]FailoverRow, error) {
 	db := w.DB
 	n := db.Len()
-	if queries > n {
-		queries = n
-	}
+	qIdx := sampleUsers(db, queries, seed)
+	queries = len(qIdx)
 	if clients <= 0 {
 		clients = runtime.GOMAXPROCS(0)
 		if clients > 8 {
 			clients = 8
 		}
 	}
-	rng := rand.New(rand.NewSource(seed))
-	qIdx := rng.Perm(n)[:queries]
 	bodies := make([]json.RawMessage, queries)
 	for i, qi := range qIdx {
 		b, err := encodeRegions(db.Footprints[qi])

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"math/rand"
 	"time"
 
 	"geofootprint/internal/cluster"
@@ -32,12 +31,7 @@ type Fig3bResult struct {
 // clusters them into k groups with average-link over footprint
 // distance, and extracts characteristic regions on a grid.
 func Fig3b(w *Workload, sample, k int, seed int64) (*Fig3bResult, error) {
-	rng := rand.New(rand.NewSource(seed))
-	n := w.DB.Len()
-	if sample > n {
-		sample = n
-	}
-	idxs := rng.Perm(n)[:sample]
+	idxs := sampleUsers(w.DB, sample, seed)
 
 	start := time.Now()
 	m := cluster.DistanceMatrix(w.DB, idxs, 0)
@@ -57,7 +51,7 @@ func Fig3b(w *Workload, sample, k int, seed int64) (*Fig3bResult, error) {
 	}
 
 	res := &Fig3bResult{
-		SampleSize:     sample,
+		SampleSize:     len(idxs),
 		Clusters:       k,
 		ClusterSizes:   make([]int, k),
 		Regions:        regions,
@@ -85,12 +79,7 @@ type ClusterMethodRow struct {
 // complete-link and k-medoids on the same sample and reports persona
 // purity and silhouette for each — the clustering-method ablation.
 func ClusterMethods(w *Workload, sample, k int, seed int64) ([]ClusterMethodRow, error) {
-	rng := rand.New(rand.NewSource(seed))
-	n := w.DB.Len()
-	if sample > n {
-		sample = n
-	}
-	idxs := rng.Perm(n)[:sample]
+	idxs := sampleUsers(w.DB, sample, seed)
 	base := cluster.DistanceMatrix(w.DB, idxs, 0)
 
 	copyM := func() *cluster.Matrix {

@@ -11,8 +11,6 @@ import (
 	"geofootprint/internal/core"
 	"geofootprint/internal/engine"
 	"geofootprint/internal/search"
-
-	"math/rand"
 )
 
 // Fig3aParallelRow is the Figure 3(a) workload executed twice per
@@ -52,13 +50,9 @@ func (r Fig3aParallelRow) SpeedupUserCentric() float64 {
 // through engine.TopKBatch on `workers` workers, per method, with the
 // parallel results verified byte-identical to the serial ones.
 func Fig3aParallel(w *Workload, queries, k, workers int, seed int64) Fig3aParallelRow {
-	rng := rand.New(rand.NewSource(seed))
 	db := w.DB
-	n := db.Len()
-	if queries > n {
-		queries = n
-	}
-	qIdx := rng.Perm(n)[:queries]
+	qIdx := sampleUsers(db, queries, seed)
+	queries = len(qIdx)
 	qs := make([]core.Footprint, queries)
 	for i, qi := range qIdx {
 		qs[i] = db.Footprints[qi]
@@ -141,7 +135,7 @@ func WriteReport(dir string, r Report) (string, error) {
 	}
 	if r.GoMaxProcs == 1 {
 		r.Warnings = append(r.Warnings,
-			"GOMAXPROCS=1: parallel speedups and concurrent-ingest latencies are not meaningful in this report")
+			"GOMAXPROCS=1: parallel speedups are not meaningful in this report")
 	}
 	path := fmt.Sprintf("%s/BENCH_%s.json", dir, r.Experiment)
 	b, err := json.MarshalIndent(r, "", "  ")

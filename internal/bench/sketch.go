@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"math/rand"
 	"reflect"
 	"time"
 
@@ -55,13 +54,9 @@ type SketchReport struct {
 // against the linear scan at every G. The workload matches
 // Fig3a: query users sampled from the data.
 func SketchSweep(w *Workload, gs []int, queries, k, workers int, seed int64) SketchReport {
-	rng := rand.New(rand.NewSource(seed))
 	db := w.DB
-	n := db.Len()
-	if queries > n {
-		queries = n
-	}
-	qIdx := rng.Perm(n)[:queries]
+	qIdx := sampleUsers(db, queries, seed)
+	queries = len(qIdx)
 	rep := SketchReport{Part: w.Part, Queries: queries, K: k}
 
 	lin := search.NewLinearScan(db)

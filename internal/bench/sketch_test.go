@@ -11,7 +11,7 @@ import (
 // level: on every part preset, TopKSketch answers the Fig3a-style
 // workload byte-identically to LinearScan.TopK for k ∈ {1, 5, 50}.
 func TestSketchExactOnAllParts(t *testing.T) {
-	for _, part := range Parts {
+	for _, part := range []string{"A", "B", "C", "D"} {
 		w, err := NewWorkload(part, 0.0008, 0)
 		if err != nil {
 			t.Fatalf("part %s: %v", part, err)

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"math/rand"
 	"time"
 
 	"geofootprint/internal/core"
@@ -49,13 +48,9 @@ func WeightedComparison(w *Workload, queries, k int, seed int64) (WeightedResult
 	uIdx := search.NewUserCentricIndex(w.DB, search.BuildSTR, 0)
 	wIdx := search.NewUserCentricIndex(wdb, search.BuildSTR, 0)
 
-	rng := rand.New(rand.NewSource(seed))
-	n := w.DB.Len()
-	if queries > n {
-		queries = n
-	}
+	qs := sampleUsers(w.DB, queries, seed)
+	queries = len(qs)
 	res.Queries = queries
-	qs := rng.Perm(n)[:queries]
 
 	var uTime, wTime time.Duration
 	var jaccardSum float64

@@ -3,7 +3,7 @@
 // the paper's single-query algorithms into a service that can sustain
 // top-k similarity traffic from many concurrent clients.
 //
-// It parallelises on three axes:
+// It parallelises on two axes:
 //
 //   - Across queries — TopKBatch distributes a batch over a worker
 //     pool (the pattern of internal/extract/parallel.go); each query
@@ -16,9 +16,6 @@
 //     its own bounded top-k heap; the per-worker heaps are merged
 //     deterministically under the global (score desc, ID asc) total
 //     order, so the parallel result equals the serial one bit for bit.
-//   - Preprocessing — PrecomputeNorms recomputes every norm and MBR
-//     on a work-queue of users, which load-balances the skewed
-//     footprint sizes better than static chunking.
 //
 // Determinism under parallel merge: a topk.Collector's retained set is
 // a function of the *multiset* of offers, not of their order, because
@@ -114,15 +111,4 @@ func MergeParts(parts [][]search.Result, k int) []search.Result {
 		}
 	}
 	return col.Results()
-}
-
-// PrecomputeNorms recomputes every user's norm (Algorithm 2) and MBR
-// on the engine's worker count using a work queue, which load-balances
-// skewed footprint sizes better than the static chunking of
-// store.ComputeNorms. Use after bulk mutations, before serving. The
-// writes themselves live in store.ComputeNormsBalanced: only
-// internal/store mutates FootprintDB's parallel slices (the
-// sortedfootprint geolint rule).
-func (e *QueryEngine) PrecomputeNorms() {
-	e.db.ComputeNormsBalanced(e.workers)
 }

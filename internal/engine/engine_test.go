@@ -233,28 +233,6 @@ func TestConcurrentQueries(t *testing.T) {
 	wg.Wait()
 }
 
-func TestPrecomputeNorms(t *testing.T) {
-	rng := rand.New(rand.NewSource(59))
-	db := testDB(t, rng, 120)
-	wantNorms := append([]float64(nil), db.Norms...)
-	wantMBRs := append([]geom.Rect(nil), db.MBRs...)
-	// Scribble over the precomputed state, then recompute in parallel.
-	for i := range db.Norms {
-		db.Norms[i] = -1
-		db.MBRs[i] = geom.Rect{}
-	}
-	e := New(db, search.AllUsers(db), 4)
-	e.PrecomputeNorms()
-	for i := range wantNorms {
-		if db.Norms[i] != wantNorms[i] {
-			t.Fatalf("norm %d = %v, want %v", i, db.Norms[i], wantNorms[i])
-		}
-		if db.MBRs[i] != wantMBRs[i] {
-			t.Fatalf("MBR %d = %v, want %v", i, db.MBRs[i], wantMBRs[i])
-		}
-	}
-}
-
 func TestEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	db := testDB(t, rng, 30)
@@ -281,5 +259,4 @@ func TestEdgeCases(t *testing.T) {
 	if got := ee.TopK(db.Footprints[0], 5); len(got) != 0 {
 		t.Errorf("empty db returned %v", got)
 	}
-	ee.PrecomputeNorms() // must not panic
 }

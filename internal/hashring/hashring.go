@@ -16,8 +16,8 @@
 //     deterministic byte strings, ties broken by shard ID, no
 //     process-local state. The same shard-map file yields the same
 //     placement on every host, every run — which is what lets an
-//     offline splitter (geobench -exp scatter, bench.SplitByRing) and
-//     a live router agree on who owns whom.
+//     offline splitter (geobench -exp failover, the ledger's corpus
+//     builder) and a live router agree on who owns whom.
 //   - Stability. Consistent hashing moves only ~1/N of the users when
 //     a shard is added or removed, so resharding is incremental
 //     rather than a full reshuffle.

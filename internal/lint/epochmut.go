@@ -18,9 +18,9 @@ import (
 // (internal/store):
 //
 //   - calls to a mutating FootprintDB method (Upsert, AppendRoIs,
-//     Remove, Merge, Compact, ComputeNorms, ComputeNormsBalanced,
-//     EnableSketches, DisableSketches) whose receiver is `x.DB()` for
-//     an Epoch or EpochBuilder x;
+//     Remove, Merge, Compact, ComputeNorms, EnableSketches,
+//     DisableSketches) whose receiver is `x.DB()` for an Epoch or
+//     EpochBuilder x;
 //   - the same calls on a local variable assigned (possibly through a
 //     chain of local aliases) from such a `DB()` call.
 //
@@ -38,15 +38,14 @@ var EpochMut = &analysis.Analyzer{
 // footprintDBMutators are the FootprintDB methods that mutate the
 // database in place.
 var footprintDBMutators = map[string]bool{
-	"Upsert":               true,
-	"AppendRoIs":           true,
-	"Remove":               true,
-	"Merge":                true,
-	"Compact":              true,
-	"ComputeNorms":         true,
-	"ComputeNormsBalanced": true,
-	"EnableSketches":       true,
-	"DisableSketches":      true,
+	"Upsert":          true,
+	"AppendRoIs":      true,
+	"Remove":          true,
+	"Merge":           true,
+	"Compact":         true,
+	"ComputeNorms":    true,
+	"EnableSketches":  true,
+	"DisableSketches": true,
 }
 
 // epochTypes are the internal/store types whose DB() yields

@@ -300,9 +300,6 @@ func (r *Router) Shards() []ShardHealth {
 	return out
 }
 
-// Ring exposes the ring (the bench harness splits corpora with it).
-func (r *Router) Ring() *hashring.Ring { return r.ring }
-
 func (r *Router) monitor() {
 	defer close(r.done)
 	// Probe intervals are jittered with the same decorrelated-jitter

@@ -368,7 +368,7 @@ func TestRouteIngestPartitions(t *testing.T) {
 			case sub := <-received[i]:
 				seen += len(sub)
 				for j, s := range sub {
-					if own := r.Ring().Owner(s.User).ID; own != fmt.Sprintf("shard-%d", i) {
+					if own := r.ring.Owner(s.User).ID; own != fmt.Sprintf("shard-%d", i) {
 						t.Fatalf("shard-%d received user %d owned by %s", i, s.User, own)
 					}
 					// Wire round-trip must preserve exact float bits
@@ -481,7 +481,7 @@ func TestTopKOneLegPerShard(t *testing.T) {
 	})
 	r := newTestRouter(t, m, func(c *Config) { c.Replicas = 2; c.MaxAttempts = 1 })
 	r.CheckHealth(context.Background())
-	segments := len(r.Ring().Segments(2))
+	segments := len(r.ring.Segments(2))
 	addrOf := map[string]string{}
 	for _, s := range shards {
 		addrOf[s.id] = s.srv.URL
@@ -505,7 +505,7 @@ func TestTopKOneLegPerShard(t *testing.T) {
 	legs = nil
 	res, err = r.TopK(context.Background(), testQuery(5))
 	led := 0 // segments shard-1 leads: each fails over once
-	for _, tuple := range r.Ring().Segments(2) {
+	for _, tuple := range r.ring.Segments(2) {
 		if tuple[0] == 1 {
 			led++
 		}

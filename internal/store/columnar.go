@@ -333,13 +333,6 @@ func LoadColumnar(path string, mode colstore.Mode) (*FootprintDB, error) {
 // columnar load).
 func (db *FootprintDB) ColumnarBacked() bool { return db.cols != nil }
 
-// DetachColumns drops the columnar fast-path view, forcing every
-// subsequent query onto the classic slice kernels. Results are
-// identical either way; the benchmark harness uses it to time both
-// kernel families over one database. The snapshot (and mmap) backing
-// Norms and the sketch blocks stays pinned.
-func (db *FootprintDB) DetachColumns() { db.detachCols() }
-
 // detachCols is called by every mutation that changes footprint
 // geometry or the user axis: the columns describe state that no
 // longer exists, so the dispatch helpers must fall back to the

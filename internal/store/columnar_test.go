@@ -180,7 +180,7 @@ func TestColumnarDispatchMatchesAoS(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	aos.DetachColumns()
+	aos.detachCols()
 	if !got.ColumnarBacked() || aos.ColumnarBacked() {
 		t.Fatalf("backings: columnar=%v aos=%v", got.ColumnarBacked(), aos.ColumnarBacked())
 	}

@@ -157,54 +157,6 @@ func (db *FootprintDB) ComputeNorms(workers int) {
 	wg.Wait()
 }
 
-// ComputeNormsBalanced recomputes every norm and MBR like
-// ComputeNorms, but distributes users over a work queue instead of
-// static chunks, which load-balances skewed footprint sizes (one user
-// with a huge footprint no longer serialises its whole chunk). The
-// query engine's PrecomputeNorms delegates here: keeping the writes in
-// this package preserves the rule — enforced by geolint's
-// sortedfootprint analyzer — that only internal/store mutates the
-// parallel slices.
-func (db *FootprintDB) ComputeNormsBalanced(workers int) {
-	n := len(db.Footprints)
-	if len(db.Norms) != n {
-		db.Norms = make([]float64, n)
-	}
-	if len(db.MBRs) != n {
-		db.MBRs = make([]geom.Rect, n)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i, f := range db.Footprints {
-			db.Norms[i] = core.Norm(f)
-			db.MBRs[i] = f.MBR()
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				db.Norms[i] = core.Norm(db.Footprints[i])
-				db.MBRs[i] = db.Footprints[i].MBR()
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-}
-
 // Len returns the number of users in the database.
 func (db *FootprintDB) Len() int { return len(db.IDs) }
 

@@ -1,10 +1,20 @@
 #!/usr/bin/env sh
 # Repo-wide static + concurrency checks. `make check` runs this.
 #
-# Order: cheap static analysis first (vet, then the repo's own
+# Order: cheap static analysis first (gofmt, vet, then the repo's own
 # analyzers), then builds, then the race detector and the test suite.
 set -eu
 cd "$(dirname "$0")/.."
+
+# Tracked Go files only; the analyzer fixtures under
+# internal/lint/testdata/ are deliberately odd and stay as written.
+echo "== gofmt =="
+unformatted=$(git ls-files '*.go' | grep -v '^internal/lint/testdata/' | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+	echo "gofmt -l lists:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "== go vet ./... =="
 go vet ./...

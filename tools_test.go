@@ -108,6 +108,17 @@ func TestCommandLineTools(t *testing.T) {
 	if !strings.Contains(out, "Table 1") || !strings.Contains(out, "avg#regions") {
 		t.Errorf("geobench output: %q", out)
 	}
+	// A name outside the experiment table exits non-zero and says what
+	// is valid; a retired serving experiment points at the ledger.
+	for exp, want := range map[string]string{
+		"nosuch": "valid: table1, ",
+		"qps":    "bash benchmark/run.sh --workload topk_hot",
+	} {
+		msg, err := exec.Command(filepath.Join(bin, "geobench"), "-exp", exp, "-json", "").CombinedOutput()
+		if err == nil || !strings.Contains(string(msg), want) {
+			t.Errorf("geobench -exp %s: err=%v, output %q, want %q", exp, err, msg, want)
+		}
+	}
 }
 
 // TestCommandLineErrors verifies the tools fail loudly on bad input.
