@@ -77,3 +77,24 @@ func TestNormSquaredAllocationLean(t *testing.T) {
 	}
 	_ = sink
 }
+
+// TestDisjointRegionsAllocationLean pins the map-free decomposition:
+// the open lists and the closed rectangles are pooled, so a call
+// allocates its returned slice and nothing else (the two per-call maps
+// it replaces cost 14 to 22 allocations, BenchmarkDisjointRegionsBySize).
+// It runs once per ad-hoc query, under sketch.Build.
+func TestDisjointRegionsAllocationLean(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; counts unstable")
+	}
+	rng := rand.New(rand.NewSource(19))
+	f := randomSortedFootprint(rng, 17)
+	sink := len(DisjointRegions(f)) // warm the pools
+	avg := testing.AllocsPerRun(200, func() {
+		sink += len(DisjointRegions(f))
+	})
+	if avg > 2 {
+		t.Fatalf("DisjointRegions allocates %v times per run, want at most 2", avg)
+	}
+	_ = sink
+}

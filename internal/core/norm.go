@@ -152,6 +152,12 @@ func Compact(f Footprint) Footprint {
 // vertical interval and weight are merged, so the output is compact.
 // The union of the result equals the union of the input regions, and
 // Σ |X|·f_X² equals NormSquared(f).
+//
+// The rectangles come back in (MinX, MinY) order, a unique key because
+// their interiors are disjoint: sketch construction and every other
+// consumer that accumulates floats over the result depend on that
+// order being a function of the footprint alone, or stored sketches,
+// snapshots and replay would differ by an ulp from run to run.
 func DisjointRegions(f Footprint) []WeightedRect {
 	if len(f) == 0 {
 		return nil
@@ -160,40 +166,37 @@ func DisjointRegions(f Footprint) []WeightedRect {
 	evs := footprintEvents(f, 0, buf.evs)
 	sortEvents(evs)
 	d := sweep.Acquire()
-	defer func() {
-		sweep.Release(d)
-		releaseEvents(buf, evs)
-	}()
-
-	type ykey struct {
-		lo, hi, w float64
-	}
-	// open tracks rectangles still extendable by the next stripe:
-	// their right edge equals the current sweep position.
-	// Two maps for the whole sweep, swapped and cleared per stripe.
-	open, next := make(map[ykey]geom.Rect), make(map[ykey]geom.Rect)
-	var out []WeightedRect
+	sc := disjointPool.Get().(*disjointScratch)
+	// open holds the rectangles the next stripe may still extend — their
+	// right edge is the sweep position — in the ascending order of lo in
+	// which Segments produced them. A stripe's segments never share a
+	// lo, so matching them against open is a merge join on (lo, hi, w).
+	open, next, out := sc.open[:0], sc.next[:0], sc.out[:0]
 
 	prev := evs[0].v
 	for _, e := range evs {
 		if e.v > prev {
-			clear(next)
+			i := 0
 			d.Segments(func(lo, hi, w float64) {
-				k := ykey{lo, hi, w}
-				if r, ok := open[k]; ok && r.MaxX == prev {
-					r.MaxX = e.v
-					next[k] = r
-				} else {
-					next[k] = geom.Rect{MinX: prev, MinY: lo, MaxX: e.v, MaxY: hi}
+				for ; i < len(open) && open[i].lo < lo; i++ {
+					out = append(out, open[i].closed())
 				}
+				r := geom.Rect{MinX: prev, MinY: lo, MaxX: e.v, MaxY: hi}
+				if i < len(open) && open[i].lo == lo {
+					if o := &open[i]; o.hi == hi && o.w == w && o.r.MaxX == prev {
+						r = o.r
+						r.MaxX = e.v
+					} else {
+						out = append(out, o.closed())
+					}
+					i++
+				}
+				next = append(next, openRect{lo: lo, hi: hi, w: w, r: r})
 			})
-			// Emit rectangles that did not continue into this stripe.
-			for k, r := range open {
-				if nr, ok := next[k]; !ok || nr.MinX != r.MinX {
-					out = append(out, WeightedRect{Rect: r, Weight: k.w})
-				}
+			for ; i < len(open); i++ {
+				out = append(out, open[i].closed())
 			}
-			open, next = next, open
+			open, next = next, open[:0]
 			prev = e.v
 		}
 		r := f[e.idx]
@@ -203,29 +206,62 @@ func DisjointRegions(f Footprint) []WeightedRect {
 			d.Remove(r.Rect.MinY, r.Rect.MaxY, r.Weight)
 		}
 	}
-	for k, r := range open {
-		out = append(out, WeightedRect{Rect: r, Weight: k.w})
+	for i := range open {
+		out = append(out, open[i].closed())
 	}
-	// Rectangles are collected from map walks, so their order so far is
-	// nondeterministic. Canonicalize it: downstream consumers that
-	// accumulate floats over the result (sketch construction, norms by
-	// summation) would otherwise produce run-to-run ULP differences,
-	// breaking byte-identical snapshots and replay determinism. The
-	// rectangles have disjoint interiors, so (MinX, MinY) is a unique
-	// sort key.
-	slices.SortFunc(out, func(a, b WeightedRect) int {
-		switch {
-		case a.Rect.MinX < b.Rect.MinX:
-			return -1
-		case a.Rect.MinX > b.Rect.MinX:
-			return 1
-		case a.Rect.MinY < b.Rect.MinY:
-			return -1
-		case a.Rect.MinY > b.Rect.MinY:
-			return 1
-		default:
-			return 0
-		}
-	})
-	return out
+	sweep.Release(d)
+	releaseEvents(buf, evs)
+
+	var res []WeightedRect
+	if len(out) > 0 {
+		res = make([]WeightedRect, len(out))
+		copy(res, out)
+		slices.SortFunc(res, func(a, b WeightedRect) int {
+			switch {
+			case a.Rect.MinX < b.Rect.MinX:
+				return -1
+			case a.Rect.MinX > b.Rect.MinX:
+				return 1
+			case a.Rect.MinY < b.Rect.MinY:
+				return -1
+			case a.Rect.MinY > b.Rect.MinY:
+				return 1
+			default:
+				return 0
+			}
+		})
+	}
+	if cap(out) <= maxPooledRects {
+		sc.open, sc.next, sc.out = open, next, out
+	}
+	disjointPool.Put(sc)
+	return res
 }
+
+// openRect is a rectangle DisjointRegions may still extend: r so far,
+// and the stripe segment (lo, hi, w) that last produced or extended it.
+// r keeps the MinY/MaxY of its first stripe and the weight reported is
+// that of its last — the two can differ from (lo, hi, w) only in the
+// sign of a zero, but stored sketches are compared byte for byte.
+type openRect struct {
+	lo, hi, w float64
+	r         geom.Rect
+}
+
+func (o *openRect) closed() WeightedRect { return WeightedRect{Rect: o.r, Weight: o.w} }
+
+// disjointScratch is DisjointRegions' working memory: the two open
+// lists and the rectangles in the order the sweep closed them. The
+// function runs once per ad-hoc query (under sketch.Build), so only
+// the returned slice is allocated afresh.
+type disjointScratch struct {
+	open, next []openRect
+	out        []WeightedRect
+}
+
+var disjointPool = sync.Pool{New: func() any { return new(disjointScratch) }}
+
+// maxPooledRects caps the rectangle list a pooled scratch keeps; a
+// footprint of n regions can decompose into O(n²) rectangles once, and
+// the pool must not hold on to that.
+const maxPooledRects = 1 << 14

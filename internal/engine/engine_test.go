@@ -108,17 +108,24 @@ func restrictedOracle(db *store.FootprintDB, q core.Footprint, k int, in *search
 }
 
 // TestParallelTopKByteIdentical is the determinism contract of the one
-// top-k loop: every source, with the sketch layer on and off, over the
-// whole corpus and over a prefix-style restriction, for k from 1 to
-// more than there are candidates, on 1, 2 and 8 workers, returns
-// LinearScan's bytes.
+// top-k loop: every source, with the sketch layer off, on, and on with
+// its cell-major transpose ready from the first query, over the whole
+// corpus and over a prefix-style restriction, for k from 1 to more than
+// there are candidates, on 1, 2 and 8 workers, returns LinearScan's
+// bytes. The plain "sketch" rows start on a database too young to have
+// a transpose and cross its build line part-way through, so they cover
+// the gather, the query that builds inline, and the walk after it.
 func TestParallelTopKByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	ctx := context.Background()
-	for _, sketches := range []bool{true, false} {
+	for _, layer := range []string{"sketch", "sketch+postings", "none"} {
+		sketches := layer != "none"
 		db := testDB(t, rng, 400)
 		if sketches {
 			db.EnableSketches(0, 0)
+		}
+		if layer == "sketch+postings" && db.SketchPostings(1<<40) == nil {
+			t.Fatal("no transpose after a paid-up gather")
 		}
 		segOf := make([]uint16, db.Len())
 		for u := range segOf {
@@ -142,8 +149,8 @@ func TestParallelTopKByteIdentical(t *testing.T) {
 						for _, workers := range []int{1, 2, 8} {
 							got, err := New(db, src, workers).TopKInCtx(ctx, q, k, in)
 							if err != nil || !reflect.DeepEqual(got, want) {
-								t.Fatalf("%s sketches=%v restricted=%v k=%d workers=%d: diverged from LinearScan (err=%v)\ngot:  %v\nwant: %v",
-									name, sketches, in != nil, k, workers, err, got, want)
+								t.Fatalf("%s layer=%s restricted=%v k=%d workers=%d: diverged from LinearScan (err=%v)\ngot:  %v\nwant: %v",
+									name, layer, in != nil, k, workers, err, got, want)
 							}
 						}
 					}
@@ -152,6 +159,9 @@ func TestParallelTopKByteIdentical(t *testing.T) {
 		}
 		if db.SketchesEnabled() != sketches {
 			t.Fatalf("the sketch layer changed under the test: enabled=%v, want %v", db.SketchesEnabled(), sketches)
+		}
+		if sketches && db.SketchPostings(0) == nil {
+			t.Fatalf("layer=%s: the queries above never took the database across its build line", layer)
 		}
 	}
 }

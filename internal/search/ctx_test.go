@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"geofootprint/internal/core"
 	"geofootprint/internal/geom"
+	"geofootprint/internal/sketch"
 	"geofootprint/internal/store"
 )
 
@@ -101,5 +104,88 @@ func TestCtxBackgroundMatchesReference(t *testing.T) {
 			}
 			sameRanking(t, name, got, want)
 		}
+	}
+}
+
+// countdownCtx reports cancellation from its n-th Err call on.
+type countdownCtx struct {
+	context.Context
+	left int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left--; c.left < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// pooledAccumulatorClean takes an accumulator off the pool and fails
+// unless it is all +0 with nothing remembered — what every user of the
+// pool promises to leave behind, cancelled or not.
+func pooledAccumulatorClean(t *testing.T, when string, users int) {
+	t.Helper()
+	acc := acquireAccumulator(users)
+	for u, v := range acc.sum {
+		if math.Float64bits(v) != 0 {
+			t.Fatalf("%s: pooled accumulator holds %v for user %d", when, v, u)
+		}
+	}
+	if len(acc.touched) != 0 {
+		t.Fatalf("%s: pooled accumulator remembers %d users", when, len(acc.touched))
+	}
+	accumulatorPool.Put(acc)
+}
+
+// TestCtxCancelledMidBound cancels a query between two polls of the
+// posting-list bound step and of each accumulating source: the call
+// returns the context's error and no results, the accumulator it used
+// goes back to the pool zeroed, and the next query — which draws that
+// accumulator — returns LinearScan's bytes.
+func TestCtxCancelledMidBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(92))
+	db := testDB(t, rng, 900)
+	db.EnableSketches(0, 0)
+	ready, post := transposed(t, db)
+	// A query over the whole hotspot map: every user is a candidate and
+	// every source visits far more than one poll stride of entries.
+	var q core.Footprint
+	for _, f := range db.Footprints[:40] {
+		q = append(q, f...)
+	}
+	core.SortByMinX(q)
+	qnorm := core.Norm(q)
+	qsk := sketch.Build(q, db.SketchParams)
+	want := NewLinearScan(db).TopK(q, 10)
+	if len(want) == 0 {
+		t.Fatal("the query matches nobody")
+	}
+	followUp := func(when string) {
+		t.Helper()
+		pooledAccumulatorClean(t, when, db.Len())
+		for name, src := range testSources(t, db) {
+			got, err := TopK(context.Background(), ready, src, q, 10, nil, 1, nil)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, then %s: %v (err %v), LinearScan %v", when, name, got, err, want)
+			}
+		}
+	}
+
+	cands, _ := AllUsers(db).Nominate(context.Background(), q, nil)
+	got, err := boundByPostings(&countdownCtx{Context: context.Background(), left: 2}, ready, post, cands, &qsk, qnorm, nil)
+	if err != context.Canceled || got != nil {
+		t.Fatalf("bound step cancelled at its third poll returned %d bounds, err %v", len(got), err)
+	}
+	followUp("cancelled mid-bound")
+
+	for name, src := range testSources(t, db) {
+		if name == "all-users" || name == "user-centric" {
+			continue // they never poll
+		}
+		got, err := src.Nominate(&countdownCtx{Context: context.Background(), left: 2}, q, nil)
+		if err != context.Canceled || got != nil {
+			t.Fatalf("%s cancelled at its third poll nominated %d users, err %v", name, len(got), err)
+		}
+		followUp("cancelled mid-" + name)
 	}
 }

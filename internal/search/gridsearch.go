@@ -45,7 +45,7 @@ func (ix *GridIndex) Grid() *grid.Index { return ix.g }
 //
 //geo:cancellable
 func (ix *GridIndex) Nominate(ctx context.Context, q core.Footprint, buf []int) ([]int, error) {
-	simn := make(map[int]float64)
+	acc := acquireAccumulator(ix.db.Len())
 	var visits int
 	var cerr error
 	for i := range q {
@@ -57,14 +57,15 @@ func (ix *GridIndex) Nominate(ctx context.Context, q core.Footprint, buf []int) 
 				}
 			}
 			visits++
-			accumulate(ix.db, simn, e.Rect, e.Data, qr)
+			accumulate(ix.db, acc, e.Rect, e.Data, qr)
 			return true
 		})
 		if cerr != nil {
+			acc.drain(buf)
 			return nil, cerr
 		}
 	}
-	return positive(simn, buf), nil
+	return acc.drain(buf), nil
 }
 
 // TopK implements Searcher.

@@ -20,11 +20,13 @@ import (
 // LinearScan.TopK (verified by tests on all four part presets).
 //
 // The loop itself is TopK (topk.go), which runs these two pieces for
-// every source: SketchBound (the bound step) and BoundOrder (the lazy
-// descending order). A G×G sketch bound is tight enough that most
-// MBR-intersecting candidates never reach Algorithm 4 — and refining
-// best bound first means the collector's threshold rises as fast as
-// possible, which is what makes the early exit bite.
+// every source: SketchBound (the bound step, over whichever storage
+// order of the sketch layer is cheaper for the query — boundAgainst)
+// and BoundOrder (the lazy descending order). A G×G sketch bound is
+// tight enough that most MBR-intersecting candidates never reach
+// Algorithm 4 — and refining best bound first means the collector's
+// threshold rises as fast as possible, which is what makes the early
+// exit bite.
 
 // SketchStats reports how much work one bounded query did.
 type SketchStats struct {
@@ -103,12 +105,31 @@ func SketchBound(ctx context.Context, db *store.FootprintDB, cands []int, q core
 	return boundAgainst(ctx, db, cands, &qsk, qnorm, buf)
 }
 
-// boundAgainst is SketchBound with the query sketch already built: it
-// scatters the sketch into a pooled dense table once and gathers every
-// candidate's stored sketch against it (sketch.DotDense).
+// boundAgainst is SketchBound with the query sketch already built. The
+// sketch layer exists in two orders and each query takes the cheaper
+// one, known before any work is done: walking the posting lists of the
+// query's cells visits every user sharing a cell with it, whoever
+// nominated them (sketch.Postings.Walk postings); gathering visits the
+// stored cells of the candidates and nobody else's (len(cands) × the
+// mean cells per user). An unrestricted query over an R-tree source
+// walks; a segment leg with a narrow restriction, a tiny-MBR query, and
+// every query of a database too young to have been transposed
+// (store.SketchPostings) gather. The two sides produce the same bits —
+// see sketch/postings.go — so the choice is invisible in any answer or
+// count.
+func boundAgainst(ctx context.Context, db *store.FootprintDB, cands []int, qsk *sketch.Sketch, qnorm float64, buf []SketchCandidate) ([]SketchCandidate, error) {
+	if p := db.SketchPostings(len(cands)); p != nil && p.Walk(qsk)*db.Len() <= len(cands)*p.Len() {
+		return boundByPostings(ctx, db, p, cands, qsk, qnorm, buf)
+	}
+	return boundByGather(ctx, db, cands, qsk, qnorm, buf)
+}
+
+// boundByGather scatters the query sketch into a pooled dense table
+// once and gathers every candidate's stored sketch against it
+// (sketch.DotDense).
 //
 //geo:cancellable
-func boundAgainst(ctx context.Context, db *store.FootprintDB, cands []int, qsk *sketch.Sketch, qnorm float64, buf []SketchCandidate) ([]SketchCandidate, error) {
+func boundByGather(ctx context.Context, db *store.FootprintDB, cands []int, qsk *sketch.Sketch, qnorm float64, buf []SketchCandidate) ([]SketchCandidate, error) {
 	raster := sketch.Rasterize(qsk, db.SketchParams.G)
 	defer raster.Release()
 	dense := raster.Table()
@@ -123,6 +144,34 @@ func boundAgainst(ctx context.Context, db *store.FootprintDB, cands []int, qsk *
 		}
 	}
 	return buf, nil
+}
+
+// boundByPostings accumulates the query's dot product against every
+// user sharing a cell with it into a pooled per-user accumulator
+// (sketch.Postings.Accumulate) and reads the candidates' entries off
+// it, in candidate order. The accumulator goes back to the pool only
+// once it is all +0 again, on the cancelled path too; a panic between
+// the two walks leaves it to the collector instead.
+//
+//geo:cancellable
+func boundByPostings(ctx context.Context, db *store.FootprintDB, p *sketch.Postings, cands []int, qsk *sketch.Sketch, qnorm float64, buf []SketchCandidate) ([]SketchCandidate, error) {
+	acc := acquireAccumulator(db.Len())
+	p.Accumulate(qsk, acc.sum)
+	var err error
+	for i, u := range cands {
+		if i&(cancelStride-1) == 0 {
+			if err = ctx.Err(); err != nil {
+				buf = nil
+				break
+			}
+		}
+		if b := sketch.UpperBound(acc.sum[u], db.Norms[u], qnorm); b > 0 {
+			buf = append(buf, SketchCandidate{User: u, Bound: b})
+		}
+	}
+	p.Clear(qsk, acc.sum)
+	accumulatorPool.Put(acc)
+	return buf, err
 }
 
 // BoundOrder hands out scored candidates best first — bound

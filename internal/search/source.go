@@ -25,8 +25,10 @@ import (
 //   - On cancellation the search returns (nil, ctx.Err()) — never a
 //     partial ranking. A truncated top-k is indistinguishable from a
 //     complete one and therefore worse than no answer.
-//   - All state is query-local (collectors, accumulator maps), so an
-//     abandoned search leaves nothing to poison later queries.
+//   - All state is query-local or pooled-and-cleared: collectors are
+//     the query's own, and a pooled accumulator is zeroed on the
+//     cancelled path before it goes back, so an abandoned search leaves
+//     nothing to poison later queries.
 
 // cancelStride is how many loop iterations run between ctx.Err()
 // polls; a power of two so the test is a mask.
@@ -87,22 +89,15 @@ type (
 // shared kernel makes every method's score a pure function of (user
 // footprint, query) — the invariant the result cache, the columnar
 // kernels, and cross-shard scatter-gather all lean on.
-func accumulate(db *store.FootprintDB, simn map[int]float64, rect geom.Rect, data int64, qr *core.Region) {
+//
+// The numerators live in a pooled dense accumulator, so a user's sum
+// adds up in index visit order and the users come out in the order the
+// index first reached them — both functions of the tree alone.
+func accumulate(db *store.FootprintDB, acc *accumulator, rect geom.Rect, data int64, qr *core.Region) {
 	if a := rect.IntersectionArea(qr.Rect); a > 0 {
 		u, r := unpackPayload(data)
-		simn[u] += a * db.RegionWeight(u, r) * qr.Weight
+		acc.add(u, a*db.RegionWeight(u, r)*qr.Weight)
 	}
-}
-
-// positive appends to buf the users an accumulator map holds a
-// positive numerator for.
-func positive(simn map[int]float64, buf []int) []int {
-	for u, n := range simn {
-		if n > 0 {
-			buf = append(buf, u)
-		}
-	}
-	return buf
 }
 
 // Nominate runs one R-tree range query per query RoI, accumulating the
@@ -113,7 +108,7 @@ func positive(simn map[int]float64, buf []int) []int {
 //
 //geo:cancellable
 func (s iterativeSource) Nominate(ctx context.Context, q core.Footprint, buf []int) ([]int, error) {
-	simn := make(map[int]float64)
+	acc := acquireAccumulator(s.ix.db.Len())
 	var visits int
 	var cerr error
 	for i := range q {
@@ -125,14 +120,15 @@ func (s iterativeSource) Nominate(ctx context.Context, q core.Footprint, buf []i
 				}
 			}
 			visits++
-			accumulate(s.ix.db, simn, e.Rect, e.Data, qr)
+			accumulate(s.ix.db, acc, e.Rect, e.Data, qr)
 			return true
 		})
 		if cerr != nil {
+			acc.drain(buf)
 			return nil, cerr
 		}
 	}
-	return positive(simn, buf), nil
+	return acc.drain(buf), nil
 }
 
 // Nominate runs the single traversal guided by MBR(F(q)): at every
@@ -147,7 +143,7 @@ func (s iterativeSource) Nominate(ctx context.Context, q core.Footprint, buf []i
 //geo:cancellable
 func (s batchSource) Nominate(ctx context.Context, q core.Footprint, buf []int) ([]int, error) {
 	qmbr := q.MBR()
-	simn := make(map[int]float64)
+	acc := acquireAccumulator(s.ix.db.Len())
 
 	// The query regions are sorted by MinX once for the whole
 	// traversal (footprints from FromRoIs already are; ensureSorted
@@ -200,12 +196,13 @@ func (s batchSource) Nominate(ctx context.Context, q core.Footprint, buf []int) 
 				if qs[j].Rect.MinX > e.Rect.MaxX {
 					break
 				}
-				accumulate(s.ix.db, simn, e.Rect, e.Data, &qs[j])
+				accumulate(s.ix.db, acc, e.Rect, e.Data, &qs[j])
 			}
 		}
 	})
 	if cerr != nil {
+		acc.drain(buf)
 		return nil, cerr
 	}
-	return positive(simn, buf), nil
+	return acc.drain(buf), nil
 }

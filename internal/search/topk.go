@@ -15,9 +15,10 @@ import (
 // source's candidates, minus those outside the restriction, bounded by
 // their sketch (SketchBound), are refined with Algorithm 4 best bound
 // first, and the loop stops once no remaining bound can reach the top
-// k. The bound step and the order stay serial (a gather per candidate,
-// a heap pop per refined candidate); the joins are sharded across the
-// workers. Serial is workers = 1.
+// k. The bound step and the order stay serial (a walk down the posting
+// lists of the query's cells, or a gather per candidate where that is
+// shorter — sketchsearch.go; a heap pop per refined candidate); the
+// joins are sharded across the workers. Serial is workers = 1.
 //
 // The order is drawn lazily, a block at a time (BoundOrder: a query
 // that refines 200 of 2 500 candidates never orders the other 2 300).
@@ -92,7 +93,8 @@ func (in *Restrict) filter(cands []int) []int {
 
 // scratch is the per-query working memory the pool recycles: the
 // candidate list, their bounds (which become the order's heap) and the
-// block being refined. With every method bounding thousands of
+// block being refined (the bound step's per-user accumulator has its
+// own pool, accumulator.go, shared with the accumulating sources). With every method bounding thousands of
 // candidates per query, allocating these afresh would scale the
 // garbage with the request rate.
 type scratch struct {

@@ -26,3 +26,46 @@ func TestDotAllocationFree(t *testing.T) {
 	}
 	_ = sink
 }
+
+// TestAccumulateAllocationFree pins the posting-list bound step — the
+// weighing, the walk and the clearing walk — at zero allocations: it
+// runs once per uncached query over tens of thousands of postings.
+func TestAccumulateAllocationFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	p := Params{G: 64, Domain: geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}}
+	sks := postingsLayer(rng, p, 200)
+	post := BuildPostings(p.G, len(sks), func(u int) ([]int32, []float64) { return sks[u].Cells, sks[u].Root })
+	q := Build(randomFootprint(rng, 18, 1), p)
+	acc := make([]float64, len(sks))
+	var sink int
+	avg := testing.AllocsPerRun(200, func() {
+		sink += post.Walk(&q)
+		post.Accumulate(&q, acc)
+		post.Clear(&q, acc)
+	})
+	if avg != 0 {
+		t.Fatalf("Walk+Accumulate+Clear allocate %v times per run, want 0", avg)
+	}
+	_ = sink
+}
+
+// TestBuildAllocationLean pins what a query sketch costs the heap: the
+// three columns of the result and the disjoint-region list under them.
+// Everything else — the contribution list here, the open lists of
+// core.DisjointRegions — is pooled.
+func TestBuildAllocationLean(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; counts unstable")
+	}
+	rng := rand.New(rand.NewSource(29))
+	p := Params{G: 64, Domain: geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}}
+	f := randomFootprint(rng, 17, 1)
+	sink := len(Build(f, p).Cells) // warm the pools
+	avg := testing.AllocsPerRun(200, func() {
+		sink += len(Build(f, p).Cells)
+	})
+	if avg > 4 {
+		t.Fatalf("Build allocates %v times per run, want at most 4", avg)
+	}
+	_ = sink
+}

@@ -35,9 +35,14 @@
 // an allocation-free two-pointer merge join — the same shape as the
 // Algorithm 4 kernel, but over O(occupied cells) instead of O(regions²)
 // — and DotDense (dense.go) the same sum as a gather against a query
-// scattered once into a dense table, which is what makes sketch scoring
-// cheap enough to run against every candidate of every search before
-// any Algorithm 4 refinement.
+// scattered once into a dense table. Postings (postings.go) is the
+// whole layer transposed cell-major, so that one query's dot products
+// against every user sharing a cell with it are a walk down the posting
+// lists of its own few dozen cells; a search bounds its candidates by
+// the walk or by the gather, whichever visits less (the same bits
+// either way), which is what makes sketch scoring cheap enough to run
+// for every candidate of every search before any Algorithm 4
+// refinement.
 package sketch
 
 import (

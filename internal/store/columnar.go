@@ -339,16 +339,22 @@ func (db *FootprintDB) ColumnarBacked() bool { return db.cols != nil }
 // materialised slices. The view pointer is replaced, never mutated —
 // frozen epochs sharing the old pointer keep serving their (still
 // consistent) pre-mutation state. colSrc survives so the mmap backing
-// Norms/sketch aliases stays alive.
-func (db *FootprintDB) detachCols() { db.cols = nil }
+// Norms/sketch aliases stays alive. The sketch transpose goes too: it
+// is indexed by the user axis and holds copies of the sketch rows.
+func (db *FootprintDB) detachCols() {
+	db.cols = nil
+	db.dropPostings()
+}
 
 // detachSketchCols drops only the sketch half of the view — called
 // when the in-memory sketch layer is rebuilt or dropped
 // (EnableSketches/DisableSketches) while footprint geometry is
 // untouched, so the region columns keep serving the similarity
-// kernels. A fresh view value is installed (never an in-place write;
+// kernels; the transpose of the old layer is dropped with it. A fresh
+// view value is installed (never an in-place write;
 // frozen epochs share the old one).
 func (db *FootprintDB) detachSketchCols() {
+	db.dropPostings()
 	if c := db.cols; c != nil && c.cellStarts != nil {
 		db.cols = &colView{regions: c.regions, starts: c.starts}
 	}
@@ -369,33 +375,40 @@ func (db *FootprintDB) UserSimilarity(u int, q core.Footprint, qnorm float64) fl
 	return core.SimilarityJoin(db.Footprints[u], q, db.Norms[u], qnorm)
 }
 
+// sketchRow returns stored user u's occupied cells and their roots:
+// slices of the contiguous on-file blocks when the database is
+// columnar-backed with sketch sections, the materialised sketch's
+// columns otherwise. Same values either way.
+//
+//geo:hotpath
+func (db *FootprintDB) sketchRow(u int) (cells []int32, root []float64) {
+	if c := db.cols; c != nil && c.cellStarts != nil {
+		lo, hi := c.cellStarts[u], c.cellStarts[u+1]
+		return c.cells[lo:hi], c.cellRoot[lo:hi]
+	}
+	sk := &db.Sketches[u]
+	return sk.Cells, sk.Root
+}
+
 // UserSketchDot is the sketch merge-join dot of stored user u's sketch
-// against the query sketch — the filter-step kernel. Columnar-backed
-// databases with on-file sketch sections run the flat kernel over the
-// contiguous cell/root blocks.
+// against the query sketch — the reference filter-step kernel, over
+// whichever backing the database has.
 //
 //geo:hotpath
 func (db *FootprintDB) UserSketchDot(u int, qsk *sketch.Sketch) float64 {
-	if c := db.cols; c != nil && c.cellStarts != nil {
-		lo, hi := c.cellStarts[u], c.cellStarts[u+1]
-		return sketch.DotFlat(c.cells[lo:hi], c.cellRoot[lo:hi], qsk.Cells, qsk.Root)
-	}
-	return sketch.Dot(&db.Sketches[u], qsk)
+	cells, root := db.sketchRow(u)
+	return sketch.DotFlat(cells, root, qsk.Cells, qsk.Root)
 }
 
 // UserSketchDotDense is UserSketchDot against a query sketch already
 // scattered into a dense table (sketch.Rasterize at the database's
-// resolution) — the kernel the bound step runs per candidate, for both
-// backings. Same bits as UserSketchDot.
+// resolution) — the kernel the gather side of the bound step runs per
+// candidate, for both backings. Same bits as UserSketchDot.
 //
 //geo:hotpath
 func (db *FootprintDB) UserSketchDotDense(u int, dense []float64) float64 {
-	if c := db.cols; c != nil && c.cellStarts != nil {
-		lo, hi := c.cellStarts[u], c.cellStarts[u+1]
-		return sketch.DotDense(c.cells[lo:hi], c.cellRoot[lo:hi], dense)
-	}
-	sk := &db.Sketches[u]
-	return sketch.DotDense(sk.Cells, sk.Root, dense)
+	cells, root := db.sketchRow(u)
+	return sketch.DotDense(cells, root, dense)
 }
 
 // RegionWeight returns the weight of region r of user u (the RoI-index

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"geofootprint/internal/colstore"
 	"geofootprint/internal/core"
@@ -60,6 +61,14 @@ type FootprintDB struct {
 	// Norms or the sketch slices may alias it; it is never cleared.
 	cols   *colView
 	colSrc *colstore.Snapshot
+
+	// The sketch layer's cell-major transpose, once this database has
+	// served enough gathers to be worth one, and the candidates those
+	// gathers bounded so far (see postings.go). Dropped by every
+	// mutation; a Freeze snapshot starts without either. The atomics
+	// mean a FootprintDB must not be copied by value.
+	postings atomic.Pointer[sketch.Postings]
+	gathered atomic.Int64
 }
 
 // Build extracts every user's footprint from the dataset with
