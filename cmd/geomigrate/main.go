@@ -2,8 +2,10 @@
 // legacy gob format and the current columnar format (internal/colstore),
 // and diagnoses existing files.
 //
-// Convert mode reads a snapshot of either format and rewrites it in the
-// requested one (atomically, next to the destination):
+// Convert mode reads a snapshot of either format — a columnar file of
+// any version this release reads — and rewrites it in the requested
+// one (atomically, next to the destination; columnar is always the
+// current version):
 //
 //	geomigrate convert -in partA.db -out partA.col            # → columnar
 //	geomigrate convert -in partA.col -out partA.db -to gob    # → legacy gob
@@ -161,7 +163,7 @@ func diffDBs(a, b *store.FootprintDB) error {
 			return fmt.Errorf("user %d: sketch size mismatch", u)
 		}
 		for i := range sa.Cells {
-			if sa.Cells[i] != sb.Cells[i] || sa.Mass[i] != sb.Mass[i] || sa.Root[i] != sb.Root[i] {
+			if sa.Cells[i] != sb.Cells[i] || sa.Mass[i] != sb.Mass[i] || sa.Peak[i] != sb.Peak[i] || sa.Root[i] != sb.Root[i] {
 				return fmt.Errorf("user %d: sketch cell %d mismatch", u, i)
 			}
 		}
@@ -184,7 +186,10 @@ func info(args []string) {
 	snap, err := colstore.Open(*in, colstore.ModeRead)
 	switch {
 	case err == nil:
-		fmt.Printf("%s: columnar v%d, %d bytes\n", *in, colstore.Version, st.Size())
+		fmt.Printf("%s: columnar v%d, %d bytes\n", *in, snap.Version, st.Size())
+		if snap.Version != colstore.Version {
+			fmt.Printf("  an older version: `geomigrate convert` rewrites it as v%d\n", colstore.Version)
+		}
 		fmt.Printf("  users=%d regions=%d sketches=%v", snap.NumUsers(), snap.NumRegions(), snap.HasSketches())
 		if snap.HasSketches() {
 			fmt.Printf(" (g=%d, %d cells)", snap.SketchG, len(snap.Cells))

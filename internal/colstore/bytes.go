@@ -50,6 +50,21 @@ func int64Bytes(s []int64) []byte {
 	return b
 }
 
+// float32Bytes is float64Bytes for float32 columns.
+func float32Bytes(s []float32) []byte {
+	if len(s) == 0 {
+		return nil
+	}
+	if hostLittleEndian {
+		return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*4)
+	}
+	b := make([]byte, len(s)*4)
+	for i, v := range s {
+		binary.LittleEndian.PutUint32(b[i*4:], *(*uint32)(unsafe.Pointer(&v)))
+	}
+	return b
+}
+
 // int32Bytes is float64Bytes for int32 columns.
 func int32Bytes(s []int32) []byte {
 	if len(s) == 0 {
@@ -112,6 +127,24 @@ func int32sFrom(b []byte) []int32 {
 	out := make([]int32, n)
 	for i := range out {
 		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
+	}
+	return out
+}
+
+// float32sFrom is float64sFrom for float32 columns (4-byte alignment
+// suffices; sections are 8-aligned anyway).
+func float32sFrom(b []byte) []float32 {
+	n := len(b) / 4
+	if n == 0 {
+		return nil
+	}
+	if hostLittleEndian {
+		return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), n)
+	}
+	out := make([]float32, n)
+	for i := range out {
+		u := binary.LittleEndian.Uint32(b[i*4:])
+		out[i] = *(*float32)(unsafe.Pointer(&u))
 	}
 	return out
 }

@@ -8,7 +8,7 @@
 //
 //	offset 0  header (40 bytes)
 //	  [0:8)   magic "GFCOLSNP"
-//	  [8:12)  version  uint32 (currently 1)
+//	  [8:12)  version  uint32 (currently 2; 1 is still read)
 //	  [12:16) flags    uint32 (bit 0: sketch sections present,
 //	                           bit 1: meta section present)
 //	  [16:20) sections uint32 (table entry count)
@@ -33,8 +33,18 @@
 //	mbrs        float64 × 4·users      per-user MBR (minx,miny,maxx,maxy)
 //	cellstarts  int64 × users+1        sketch cell offsets (CSR)
 //	cells       int32 × cells          occupied sketch cell ids
-//	cellmass    float64 × cells        sketch Mass blocks
+//	cellmass    float32 × cells        sketch Mass blocks
+//	cellpeak    float32 × cells        sketch Peak blocks
 //	cellroot    float64 × cells        sketch Root blocks
+//
+// Version 1 differs only in the sketch blocks: cellmass is float64 and
+// there is no cellpeak. Open still reads it — rounding each mass up to
+// the float32 a version-2 writer would store and leaving Peak nil for
+// the loader to derive from the region columns (sketch.FillPeak), so the
+// layer a query sees does not depend on the version of the file — and
+// EncodeTo always writes version 2, which is how `geomigrate convert`
+// upgrades a file. The two float32 blocks take the bytes the float64
+// mass took.
 //
 // The region columns are stored in each footprint's MinX-sorted order
 // (the database invariant from PR 1), so the on-disk order IS the
@@ -68,9 +78,10 @@ import (
 // the store.WriteColumnar seam — the colwrite analyzer enforces that.
 const Magic = "GFCOLSNP"
 
-// Version is the current format version. Version 1 is the initial
-// columnar layout; unknown versions fail loudly with ErrVersion.
-const Version = 1
+// Version is the format version EncodeTo writes. Version 1 (the initial
+// layout, float64 mass and no peak) is still read; any other version
+// fails loudly with ErrVersion.
+const Version = 2
 
 // Header flag bits.
 const (
@@ -96,7 +107,8 @@ const (
 	secCells
 	secCellMass
 	secCellRoot
-	secKindMax = secCellRoot
+	secCellPeak
+	secKindMax = secCellPeak
 )
 
 const (
@@ -136,6 +148,10 @@ func corruptf(format string, args ...any) error {
 type Snapshot struct {
 	Name string
 
+	// Version is the format version the file was read in (EncodeTo
+	// always writes Version).
+	Version int
+
 	// IDs and Starts define the user axis: user u owns regions
 	// [Starts[u], Starts[u+1]) of the region columns.
 	IDs    []int64
@@ -151,12 +167,14 @@ type Snapshot struct {
 	MBRs  []float64
 
 	// Sketch layer (nil CellStarts when absent): user u owns sketch
-	// cells [CellStarts[u], CellStarts[u+1]).
+	// cells [CellStarts[u], CellStarts[u+1]). CellPeak is nil on a
+	// snapshot read from a version-1 file, which has no peaks.
 	SketchG    int
 	Domain     [4]float64
 	CellStarts []int64
 	Cells      []int32
-	CellMass   []float64
+	CellMass   []float32
+	CellPeak   []float32
 	CellRoot   []float64
 
 	// Meta is an opaque CRC-guarded blob for the embedder (the ingest

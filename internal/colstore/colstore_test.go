@@ -37,7 +37,8 @@ func sampleSnapshot() *Snapshot {
 		Domain:     [4]float64{-2, -2, 3, 3},
 		CellStarts: []int64{0, 3, 4, 4},
 		Cells:      []int32{0, 9, 18, 1},
-		CellMass:   []float64{0.5, 0.25, 0.25, 2.0},
+		CellMass:   []float32{0.5, 0.25, 0.25, 2.0},
+		CellPeak:   []float32{0.25, 1.5, 0.5, 2.0},
 		CellRoot:   []float64{0.70, 0.5, 0.5, 1.41},
 	}
 }
@@ -66,6 +67,18 @@ func equalF64(a, b []float64) bool {
 	}
 	for i := range a {
 		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func equalF32(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
 			return false
 		}
 	}
@@ -111,12 +124,14 @@ func checkEqual(t *testing.T, want, got *Snapshot) {
 		"minx": {got.MinX, want.MinX}, "miny": {got.MinY, want.MinY},
 		"maxx": {got.MaxX, want.MaxX}, "maxy": {got.MaxY, want.MaxY},
 		"weight": {got.Weight, want.Weight}, "norms": {got.Norms, want.Norms},
-		"mbrs": {got.MBRs, want.MBRs},
-		"mass": {got.CellMass, want.CellMass}, "root": {got.CellRoot, want.CellRoot},
+		"mbrs": {got.MBRs, want.MBRs}, "root": {got.CellRoot, want.CellRoot},
 	} {
 		if !equalF64(pair[0], pair[1]) {
 			t.Errorf("%s column mismatch", name)
 		}
+	}
+	if !equalF32(got.CellMass, want.CellMass) || !equalF32(got.CellPeak, want.CellPeak) {
+		t.Errorf("mass/peak column mismatch")
 	}
 	if got.SketchG != want.SketchG || got.Domain != want.Domain {
 		t.Errorf("raster params %d/%v, want %d/%v", got.SketchG, got.Domain, want.SketchG, want.Domain)
@@ -150,11 +165,47 @@ func TestRoundTripBothModes(t *testing.T) {
 			if got.ZeroCopy() != tc.zero {
 				t.Errorf("ZeroCopy() = %v, want %v", got.ZeroCopy(), tc.zero)
 			}
-			if got.NumUsers() != 3 || got.NumRegions() != 4 || !got.HasSketches() {
-				t.Errorf("counts: users=%d regions=%d sketches=%v",
-					got.NumUsers(), got.NumRegions(), got.HasSketches())
+			if got.NumUsers() != 3 || got.NumRegions() != 4 || !got.HasSketches() || got.Version != Version {
+				t.Errorf("counts: users=%d regions=%d sketches=%v version=%d",
+					got.NumUsers(), got.NumRegions(), got.HasSketches(), got.Version)
 			}
 		})
+	}
+}
+
+// v1Fixture is a version-1 file — float64 mass, no peak block —
+// written by the last release of the version-1 writer: 41 users at
+// G = 16, one tombstoned, one escaping the sketch domain.
+const v1Fixture = "../store/testdata/v1-sketch.col"
+
+// TestOpenVersion1: a version-1 file opens on both paths, reports its
+// version, carries no peaks, and holds each float64 mass of the file
+// rounded up to float32 — what a version-2 writer would have stored.
+func TestOpenVersion1(t *testing.T) {
+	raw, err := os.ReadFile(v1Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(raw[8:12]); v != 1 {
+		t.Fatalf("fixture is version %d", v)
+	}
+	e := tableEntry(t, raw, secCellMass)
+	off, n := binary.LittleEndian.Uint64(e[8:16]), binary.LittleEndian.Uint64(e[16:24])
+	for _, mode := range []Mode{ModeRead, ModeMmap} {
+		snap, err := Open(v1Fixture, mode)
+		if err != nil {
+			t.Fatalf("mode %d: %v", mode, err)
+		}
+		if snap.Version != 1 || !snap.HasSketches() || snap.CellPeak != nil || uint64(len(snap.CellMass))*8 != n {
+			t.Fatalf("mode %d: version %d, sketches %v, %d peaks, %d masses for a %d-byte block",
+				mode, snap.Version, snap.HasSketches(), len(snap.CellPeak), len(snap.CellMass), n)
+		}
+		for i, m := range snap.CellMass {
+			if want := sketch.Float32Up(math.Float64frombits(binary.LittleEndian.Uint64(raw[off+8*uint64(i):]))); m != want {
+				t.Fatalf("mode %d: mass %d is %v, want %v", mode, i, m, want)
+			}
+		}
+		snap.Close()
 	}
 }
 
@@ -162,7 +213,7 @@ func TestRoundTripNoSketchesNoMeta(t *testing.T) {
 	want := sampleSnapshot()
 	want.Meta = nil
 	want.SketchG, want.Domain = 0, [4]float64{}
-	want.CellStarts, want.Cells, want.CellMass, want.CellRoot = nil, nil, nil, nil
+	want.CellStarts, want.Cells, want.CellMass, want.CellPeak, want.CellRoot = nil, nil, nil, nil, nil
 	got, err := Open(writeFile(t, encode(t, want)), ModeAuto)
 	if err != nil {
 		t.Fatal(err)
@@ -199,6 +250,7 @@ func TestEncodeRejectsBadShape(t *testing.T) {
 		"starts span":    func(s *Snapshot) { s.Starts[3] = 9 },
 		"cell span":      func(s *Snapshot) { s.CellStarts[3] = 9 },
 		"ragged sketch":  func(s *Snapshot) { s.CellRoot = s.CellRoot[:1] },
+		"ragged peak":    func(s *Snapshot) { s.CellPeak = s.CellPeak[:3] },
 		"decreasing CSR": func(s *Snapshot) { s.Starts[1], s.Starts[2] = 4, 3 },
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -237,6 +289,40 @@ func patchSection(t *testing.T, data []byte, kind uint32, mutate func(payload []
 		mutate(payload)
 		binary.LittleEndian.PutUint32(e[4:8], crc32.Checksum(payload, castagnoli))
 		recrcHeader(data)
+		return
+	}
+	t.Fatalf("no section of kind %d", kind)
+}
+
+// tableEntry returns kind's section table entry (a view into data).
+func tableEntry(t *testing.T, data []byte, kind uint32) []byte {
+	t.Helper()
+	count := int(binary.LittleEndian.Uint32(data[16:20]))
+	for i := 0; i < count; i++ {
+		if e := data[headerSize+i*tableEntrySize:]; binary.LittleEndian.Uint32(e[0:4]) == kind {
+			return e[:tableEntrySize]
+		}
+	}
+	t.Fatalf("no section of kind %d", kind)
+	return nil
+}
+
+// dropSection removes kind's entry from the section table — swapped to
+// the end, then cut off by the section count — leaving its payload in
+// the file unreferenced. The caller restamps the header CRC.
+func dropSection(t *testing.T, data []byte, kind uint32) {
+	t.Helper()
+	count := int(binary.LittleEndian.Uint32(data[16:20]))
+	for i := 0; i < count; i++ {
+		e := data[headerSize+i*tableEntrySize : headerSize+(i+1)*tableEntrySize]
+		if binary.LittleEndian.Uint32(e[0:4]) != kind {
+			continue
+		}
+		last := data[headerSize+(count-1)*tableEntrySize : headerSize+count*tableEntrySize]
+		tmp := append([]byte(nil), e...)
+		copy(e, last)
+		copy(last, tmp)
+		binary.LittleEndian.PutUint32(data[16:20], uint32(count-1))
 		return
 	}
 	t.Fatalf("no section of kind %d", kind)
@@ -335,6 +421,32 @@ func TestCorruptionFaultMatrix(t *testing.T) {
 			patchSection(t, d, secManifest, func(p []byte) {
 				binary.LittleEndian.PutUint32(p[24:28], 0)
 			})
+			return d
+		}, ErrCorrupt},
+		// The version-2 peak block, damaged every way the others can be.
+		{"cellpeak CRC flipped", func(d []byte) []byte {
+			e := tableEntry(t, d, secCellPeak)
+			d[binary.LittleEndian.Uint64(e[8:16])] ^= 0x08 // its first payload byte, CRC left stale
+			return d
+		}, ErrCorrupt},
+		{"cellpeak truncated", func(d []byte) []byte {
+			e := tableEntry(t, d, secCellPeak)
+			binary.LittleEndian.PutUint64(e[16:24], binary.LittleEndian.Uint64(e[16:24])-4)
+			off, n := binary.LittleEndian.Uint64(e[8:16]), binary.LittleEndian.Uint64(e[16:24])
+			binary.LittleEndian.PutUint32(e[4:8], crc32.Checksum(d[off:off+n], castagnoli))
+			recrcHeader(d)
+			return d
+		}, ErrCorrupt},
+		{"cellpeak missing from a version-2 table", func(d []byte) []byte {
+			// The sketch flag promises a peak block the table no longer
+			// lists.
+			dropSection(t, d, secCellPeak)
+			recrcHeader(d)
+			return d
+		}, ErrCorrupt},
+		{"cellpeak in a version-1 file", func(d []byte) []byte {
+			binary.LittleEndian.PutUint32(d[8:12], 1)
+			recrcHeader(d)
 			return d
 		}, ErrCorrupt},
 	}

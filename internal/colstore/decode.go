@@ -133,8 +133,9 @@ func parse(data []byte, path string) (*Snapshot, error) {
 	if len(data) < headerSize {
 		return nil, corruptf("%s: %d bytes is shorter than the header", path, len(data))
 	}
-	if v := binary.LittleEndian.Uint32(data[8:12]); v != Version {
-		return nil, fmt.Errorf("%w: %s has version %d, reader supports %d", ErrVersion, path, v, Version)
+	version := binary.LittleEndian.Uint32(data[8:12])
+	if version != 1 && version != Version {
+		return nil, fmt.Errorf("%w: %s has version %d, reader supports 1 and %d", ErrVersion, path, version, Version)
 	}
 	flags := binary.LittleEndian.Uint32(data[12:16])
 	count := binary.LittleEndian.Uint32(data[16:20])
@@ -190,7 +191,7 @@ func parse(data []byte, path string) (*Snapshot, error) {
 		bykind[kind] = payload
 	}
 
-	s := &Snapshot{}
+	s := &Snapshot{Version: int(version)}
 	man, err := s.decodeManifest(bykind[secManifest], path)
 	if err != nil {
 		return nil, err
@@ -244,10 +245,9 @@ func parse(data []byte, path string) (*Snapshot, error) {
 			return nil, err
 		}
 		s.Cells = int32sFrom(b)
-		if b, err = grab(secCellMass, "cellmass", cells*8); err != nil {
+		if err := s.decodeMassPeak(grab, bykind, path, cells); err != nil {
 			return nil, err
 		}
-		s.CellMass = float64sFrom(b)
 		if b, err = grab(secCellRoot, "cellroot", cells*8); err != nil {
 			return nil, err
 		}
@@ -266,6 +266,37 @@ func parse(data []byte, path string) (*Snapshot, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// decodeMassPeak installs the sketch mass and peak blocks: two float32
+// sections in a version-2 file; in a version-1 file a float64 mass,
+// rounded up here to what a version-2 writer stores (a heap copy), and
+// no peak — the loader derives it from the region columns.
+func (s *Snapshot) decodeMassPeak(grab func(uint32, string, int) ([]byte, error), bykind map[uint32][]byte, path string, cells int) error {
+	if s.Version == 1 {
+		if _, ok := bykind[secCellPeak]; ok {
+			return corruptf("%s: cellpeak section in a version-1 file", path)
+		}
+		b, err := grab(secCellMass, "cellmass", cells*8)
+		if err != nil {
+			return err
+		}
+		s.CellMass = make([]float32, cells)
+		for i, m := range float64sFrom(b) {
+			s.CellMass[i] = sketch.Float32Up(m)
+		}
+		return nil
+	}
+	b, err := grab(secCellMass, "cellmass", cells*4)
+	if err != nil {
+		return err
+	}
+	s.CellMass = float32sFrom(b)
+	if b, err = grab(secCellPeak, "cellpeak", cells*4); err != nil {
+		return err
+	}
+	s.CellPeak = float32sFrom(b)
+	return nil
 }
 
 // manifest is the fixed-size prefix of the manifest section.

@@ -49,7 +49,8 @@ func (s *Snapshot) EncodeTo(w io.Writer) error {
 		secs = append(secs,
 			section{kind: secCellStarts, data: int64Bytes(s.CellStarts)},
 			section{kind: secCells, data: int32Bytes(s.Cells)},
-			section{kind: secCellMass, data: float64Bytes(s.CellMass)},
+			section{kind: secCellMass, data: float32Bytes(s.CellMass)},
+			section{kind: secCellPeak, data: float32Bytes(s.CellPeak)},
 			section{kind: secCellRoot, data: float64Bytes(s.CellRoot)},
 		)
 	}
@@ -130,7 +131,7 @@ func (s *Snapshot) checkShape() error {
 		if len(s.CellStarts) != users+1 {
 			return fmt.Errorf("colstore: encode: %d cell starts for %d users", len(s.CellStarts), users)
 		}
-		if len(s.CellMass) != cells || len(s.CellRoot) != cells {
+		if len(s.CellMass) != cells || len(s.CellPeak) != cells || len(s.CellRoot) != cells {
 			return fmt.Errorf("colstore: encode: ragged sketch columns")
 		}
 		if users > 0 && (s.CellStarts[0] != 0 || s.CellStarts[users] != int64(cells)) {

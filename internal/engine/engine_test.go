@@ -114,7 +114,9 @@ func restrictedOracle(db *store.FootprintDB, q core.Footprint, k int, in *search
 // there are candidates, on 1, 2 and 8 workers, returns LinearScan's
 // bytes. The plain "sketch" rows start on a database too young to have
 // a transpose and cross its build line part-way through, so they cover
-// the gather, the query that builds inline, and the walk after it.
+// the gather, the query that builds inline, and the walk after it. The
+// seeded rows (k ∈ {1, 5, 300}) hold the seed to its contract: a rerun
+// does the same work, and the k seed joins are among the joins counted.
 func TestParallelTopKByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	ctx := context.Background()
@@ -142,7 +144,8 @@ func TestParallelTopKByteIdentical(t *testing.T) {
 			}
 		}
 		for _, q := range queries {
-			for _, k := range []int{1, 5, 50, db.Len() + 10} {
+			for _, k := range []int{1, 5, 50, 300, db.Len() + 10} {
+				seeded := k == 1 || k == 5 || k == 300
 				for _, in := range restrictions {
 					want := restrictedOracle(db, q, k, in)
 					for name, src := range srcs {
@@ -151,6 +154,18 @@ func TestParallelTopKByteIdentical(t *testing.T) {
 							if err != nil || !reflect.DeepEqual(got, want) {
 								t.Fatalf("%s layer=%s restricted=%v k=%d workers=%d: diverged from LinearScan (err=%v)\ngot:  %v\nwant: %v",
 									name, layer, in != nil, k, workers, err, got, want)
+							}
+							if !seeded {
+								continue
+							}
+							var first, again search.SketchStats
+							a, errA := search.TopK(ctx, db, src, q, k, in, workers, &first)
+							b, errB := search.TopK(ctx, db, src, q, k, in, workers, &again)
+							if errA != nil || errB != nil || !reflect.DeepEqual(a, want) || !reflect.DeepEqual(b, want) {
+								t.Fatalf("%s layer=%s restricted=%v k=%d workers=%d: seeded run diverged (errs %v, %v)", name, layer, in != nil, k, workers, errA, errB)
+							}
+							if first != again || first.Refined < min(k, first.Scored) || first.Refined > first.Scored {
+								t.Fatalf("%s layer=%s restricted=%v k=%d workers=%d: work %v, then %v", name, layer, in != nil, k, workers, first, again)
 							}
 						}
 					}

@@ -27,6 +27,8 @@ import (
 	"math"
 	"strconv"
 	"sync"
+
+	"geofootprint/internal/jsonlex"
 )
 
 // Sample is one raw location report: user identifier, normalized
@@ -122,7 +124,7 @@ func ParseNDJSON(r io.Reader, max int) ([]Sample, error) {
 	for sc.Scan() {
 		line++
 		b := sc.Bytes()
-		if skipSpace(b, 0) == len(b) {
+		if jsonlex.SkipSpace(b, 0) == len(b) {
 			continue
 		}
 		if len(samples) == max {
@@ -144,15 +146,6 @@ func ParseNDJSON(r io.Reader, max int) ([]Sample, error) {
 		return nil, err
 	}
 	return samples, nil
-}
-
-// skipSpace returns the index of the first byte of b at or after i
-// that is not JSON whitespace.
-func skipSpace(b []byte, i int) int {
-	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
-		i++
-	}
-	return i
 }
 
 // Bits of decodePlain's seen mask, one per Sample field.
@@ -177,14 +170,14 @@ const (
 //
 //geo:hotpath
 func decodePlain(b []byte) (s Sample, ok bool) {
-	i := skipSpace(b, 0)
+	i := jsonlex.SkipSpace(b, 0)
 	if i == len(b) || b[i] != '{' {
 		return s, false
 	}
 	i++
 	seen := 0
 	for {
-		i = skipSpace(b, i)
+		i = jsonlex.SkipSpace(b, i)
 		// The shortest member left is `"x":0}`.
 		if len(b)-i < 6 || b[i] != '"' {
 			return s, false
@@ -210,12 +203,12 @@ func decodePlain(b []byte) (s Sample, ok bool) {
 			return s, false
 		}
 		seen |= field
-		i = skipSpace(b, i+1)
+		i = jsonlex.SkipSpace(b, i+1)
 		if i == len(b) || b[i] != ':' {
 			return s, false
 		}
-		i = skipSpace(b, i+1)
-		end := numberEnd(b, i)
+		i = jsonlex.SkipSpace(b, i+1)
+		end := jsonlex.NumberEnd(b, i)
 		if end < 0 {
 			return s, false
 		}
@@ -242,7 +235,7 @@ func decodePlain(b []byte) (s Sample, ok bool) {
 				s.T = f
 			}
 		}
-		i = skipSpace(b, end)
+		i = jsonlex.SkipSpace(b, end)
 		if i == len(b) {
 			return s, false
 		}
@@ -254,53 +247,5 @@ func decodePlain(b []byte) (s Sample, ok bool) {
 		}
 		i++
 	}
-	return s, seen == seenAll && skipSpace(b, i+1) == len(b)
-}
-
-// numberEnd returns the end of the JSON number starting at b[i] —
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? — or -1 when b[i:]
-// does not start with one. The grammar check comes first because
-// strconv accepts more than JSON does ("01", ".5", "5.", "+1", "0x1p3",
-// "Inf").
-func numberEnd(b []byte, i int) int {
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i == len(b):
-		return -1
-	case b[i] == '0':
-		i++
-	case '1' <= b[i] && b[i] <= '9':
-		i = digitsEnd(b, i)
-	default:
-		return -1
-	}
-	if i < len(b) && b[i] == '.' {
-		j := digitsEnd(b, i+1)
-		if j == i+1 {
-			return -1
-		}
-		i = j
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		j := digitsEnd(b, i)
-		if j == i {
-			return -1
-		}
-		i = j
-	}
-	return i
-}
-
-// digitsEnd returns the index of the first non-digit of b at or after i.
-func digitsEnd(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
+	return s, seen == seenAll && jsonlex.SkipSpace(b, i+1) == len(b)
 }

@@ -35,13 +35,17 @@ type benchCorpus struct {
 }
 
 var (
+	ledgerOnce sync.Once
+	ledgerAoS  *store.FootprintDB
 	corpusOnce sync.Once
 	corpus     benchCorpus
 )
 
-func loadBenchCorpus(b *testing.B) *benchCorpus {
-	b.Helper()
-	corpusOnce.Do(func() {
+// ledgerCorpus returns the ledger's corpus with its sketch layer, AoS-
+// backed, generated once per process.
+func ledgerCorpus(tb testing.TB) *store.FootprintDB {
+	tb.Helper()
+	ledgerOnce.Do(func() {
 		cfg, err := synth.PartConfig("A", 0.05)
 		if err != nil {
 			panic(err)
@@ -50,11 +54,19 @@ func loadBenchCorpus(b *testing.B) *benchCorpus {
 		if err != nil {
 			panic(err)
 		}
-		aos, err := store.Build(ds, extract.Config{Epsilon: 0.02, Tau: 30}, core.UnitWeight, 0)
+		ledgerAoS, err = store.Build(ds, extract.Config{Epsilon: 0.02, Tau: 30}, core.UnitWeight, 0)
 		if err != nil {
 			panic(err)
 		}
-		aos.EnableSketches(0, 0)
+		ledgerAoS.EnableSketches(0, 0)
+	})
+	return ledgerAoS
+}
+
+func loadBenchCorpus(b *testing.B) *benchCorpus {
+	b.Helper()
+	corpusOnce.Do(func() {
+		aos := ledgerCorpus(b)
 		cols, err := store.FromColumnar(aos.Columnar(nil))
 		if err != nil {
 			panic(err)
@@ -164,7 +176,8 @@ func BenchmarkBoundStep(b *testing.B) {
 }
 
 // BenchmarkPostingsBuild times the transpose an epoch builds once it
-// has crossed its build line, per backing, and reports its size.
+// has crossed its build line, per backing, and reports its size: 20
+// bytes per posting (user, root, float32 mass and peak) plus the starts.
 func BenchmarkPostingsBuild(b *testing.B) {
 	c := loadBenchCorpus(b)
 	for _, backing := range []struct {
@@ -182,15 +195,18 @@ func BenchmarkPostingsBuild(b *testing.B) {
 			}
 			g := backing.db.SketchParams.G
 			b.ReportMetric(float64(postings), "postings")
-			b.ReportMetric(float64(12*postings+4*(g*g+1))/(1<<20), "MiB")
+			b.ReportMetric(float64(20*postings+4*(g*g+1))/(1<<20), "MiB")
 		})
 	}
 }
 
 // BenchmarkMissStages replays one serial uncached query the way TopK
 // runs it (user-centric source, k = 5, one worker) with a stopwatch
-// between the stages, the bound step forced onto each side. Before
-// timing anything it checks the replay against the real loop: the same
+// between the stages, the bound step forced onto each side: the seed
+// (select the k best bounds, join them, drop the bounds below their
+// k-th score) and the order of what survives it are timed apart, and
+// survivors/op counts the bounds the order heapifies. Before timing
+// anything it checks the replay against the real loop: the same
 // refinement count on every query, or the table would describe a loop
 // nobody runs.
 func BenchmarkMissStages(b *testing.B) {
@@ -199,15 +215,17 @@ func BenchmarkMissStages(b *testing.B) {
 	const k = 5
 	db := young(c.cols)
 	post := db.SketchPostings(1 << 40)
-	stageNames := [...]string{"candidates", "norm", "build", "bound", "order", "refine"}
+	stageNames := [...]string{"candidates", "norm", "build", "bound", "seed", "order", "refine"}
 	for _, side := range []string{"gather", "postings"} {
 		b.Run(side, func(b *testing.B) {
 			var (
-				stages  [len(stageNames)]time.Duration
-				cands   []int
-				scored  []SketchCandidate
-				block   []SketchCandidate
-				refined int
+				stages    [len(stageNames)]time.Duration
+				cands     []int
+				scored    []SketchCandidate
+				best      []SketchCandidate
+				block     []SketchCandidate
+				refined   int
+				survivors int
 			)
 			replay := func(q core.Footprint) int {
 				t0 := time.Now()
@@ -223,20 +241,25 @@ func BenchmarkMissStages(b *testing.B) {
 					scored, _ = boundByPostings(ctx, db, post, cands, &qsk, qnorm, scored[:0])
 				}
 				t4 := time.Now()
+				r := Refiner{Col: topk.New(k)}
+				var rest []SketchCandidate
+				rest, best = r.Seed(db, scored, best[:0], q, k, qnorm)
+				t5 := time.Now()
+				order := OrderByBound(rest)
 				stages[0] += t1.Sub(t0)
 				stages[1] += t2.Sub(t1)
 				stages[2] += t3.Sub(t2)
 				stages[3] += t4.Sub(t3)
-				order := OrderByBound(scored)
-				stages[4] += time.Since(t4)
-				r := Refiner{Col: topk.New(k)}
+				stages[4] += t5.Sub(t4)
+				stages[5] += time.Since(t5)
+				survivors += len(rest)
 				for !r.Done && order.Len() > 0 {
 					ta := time.Now()
 					block = order.NextBlock(block[:0], RefineBlock)
 					tb := time.Now()
 					r.Refine(db, block, 0, 1, q, k, qnorm)
-					stages[4] += tb.Sub(ta)
-					stages[5] += time.Since(tb)
+					stages[5] += tb.Sub(ta)
+					stages[6] += time.Since(tb)
 				}
 				return r.Refined
 			}
@@ -249,7 +272,7 @@ func BenchmarkMissStages(b *testing.B) {
 					b.Fatalf("the replay refined %d candidates, TopK %d", got, st.Refined)
 				}
 			}
-			stages = [len(stageNames)]time.Duration{}
+			stages, survivors = [len(stageNames)]time.Duration{}, 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				refined += replay(c.queries[i%len(c.queries)])
@@ -258,6 +281,7 @@ func BenchmarkMissStages(b *testing.B) {
 				b.ReportMetric(float64(stages[s].Microseconds())/float64(b.N), name+"-µs/op")
 			}
 			b.ReportMetric(float64(refined)/float64(b.N), "refined/op")
+			b.ReportMetric(float64(survivors)/float64(b.N), "survivors/op")
 		})
 	}
 }

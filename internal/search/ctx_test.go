@@ -189,3 +189,29 @@ func TestCtxCancelledMidBound(t *testing.T) {
 		followUp("cancelled mid-" + name)
 	}
 }
+
+// TestCtxPollsBeforeSeed: the seed's joins have a poll of their own in
+// front of them, so a query cancelled after its bound step joins
+// nothing — even one whose seed would join every candidate and leave
+// no refinement block to poll. A full run of such a query polls exactly
+// at entry, once per stride of the bound step, before the seed and
+// before the merge; cancelled at any of them it returns no answer.
+func TestCtxPollsBeforeSeed(t *testing.T) {
+	rng := rand.New(rand.NewSource(94))
+	db := testDB(t, rng, 300)
+	db.EnableSketches(0, 0)
+	q := db.Footprints[7]
+	k := db.Len() + 1 // the seed takes every candidate
+	want := NewLinearScan(db).TopK(q, k)
+	boundPolls := (db.Len() + cancelStride - 1) / cancelStride
+	full := 1 + boundPolls + 2
+	for left := 0; left <= full; left++ {
+		got, err := TopK(&countdownCtx{Context: context.Background(), left: left}, young(db), AllUsers(db), q, k, nil, 1, nil)
+		if left < full && (err != context.Canceled || got != nil) {
+			t.Fatalf("cancelled at poll %d of %d: %d results, err %v", left+1, full, len(got), err)
+		}
+		if left == full && (err != nil || !reflect.DeepEqual(got, want)) {
+			t.Fatalf("with all %d polls passing: %v (err %v), LinearScan %v", full, got, err, want)
+		}
+	}
+}

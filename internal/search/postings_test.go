@@ -50,7 +50,8 @@ func restrictedLinear(db *store.FootprintDB, q core.Footprint, k int, in *Restri
 
 // TestBoundSidesIdentical forces each side of the bound step on the
 // candidates of every source, whole-corpus and restricted: the same
-// users, the same bound bits, the same order — and through the whole
+// users, the same bound bits — those of the three-term merge-join
+// reference, sketch.BoundDot — the same order, and through the whole
 // loop, the same work counts and LinearScan's answer.
 func TestBoundSidesIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
@@ -96,6 +97,10 @@ func TestBoundSidesIdentical(t *testing.T) {
 					for i := range gather {
 						if gather[i].User != walk[i].User || math.Float64bits(gather[i].Bound) != math.Float64bits(walk[i].Bound) {
 							t.Fatalf("%s/%s query %d restriction %d: bound %d is %+v by gather, %+v by postings", backing, name, qi, ri, i, gather[i], walk[i])
+						}
+						u := gather[i].User
+						if ref := sketch.UpperBound(ready.UserSketchDot(u, &qsk), ready.Norms[u], qnorm); math.Float64bits(ref) != math.Float64bits(gather[i].Bound) {
+							t.Fatalf("%s/%s query %d restriction %d: user %d bound %v, the reference gives %v", backing, name, qi, ri, u, gather[i].Bound, ref)
 						}
 					}
 

@@ -11,22 +11,24 @@ import (
 
 // This file is the sketch filter-and-refine machinery: candidates —
 // whoever nominated them — are ranked by their sketch upper bound
-// (internal/sketch — a per-cell Cauchy–Schwarz bound on Equation 1) and
-// refined with Algorithm 4 in descending bound order, stopping as soon
-// as the best remaining bound falls strictly below the current k-th
-// score. Because the bound provably dominates the true similarity,
-// every skipped candidate is provably outside the top k, so the
-// results — scores, IDs, order, tie-breaks — are byte-identical to
-// LinearScan.TopK (verified by tests on all four part presets).
+// (internal/sketch — per cell, the least of a Cauchy–Schwarz and two
+// Hölder bounds on Equation 1's numerator) and refined with Algorithm 4
+// in descending bound order, stopping as soon as the best remaining
+// bound falls strictly below the current k-th score. Because the bound
+// provably dominates the similarity as computed, every skipped
+// candidate is provably outside the top k, so the results — scores,
+// IDs, order, tie-breaks — are byte-identical to LinearScan.TopK
+// (verified by tests on all four part presets).
 //
-// The loop itself is TopK (topk.go), which runs these two pieces for
-// every source: SketchBound (the bound step, over whichever storage
-// order of the sketch layer is cheaper for the query — boundAgainst)
-// and BoundOrder (the lazy descending order). A G×G sketch bound is
-// tight enough that most MBR-intersecting candidates never reach
-// Algorithm 4 — and refining best bound first means the collector's
-// threshold rises as fast as possible, which is what makes the early
-// exit bite.
+// The loop itself is TopK (topk.go), which runs these pieces for every
+// source: SketchBound (the bound step, over whichever storage order of
+// the sketch layer is cheaper for the query — boundAgainst), the seed
+// (Refiner.Seed: the k best bounds joined first, every bound below
+// their k-th score dropped) and BoundOrder (the lazy descending order
+// of what is left). A G×G sketch bound is tight enough that most
+// MBR-intersecting candidates never reach Algorithm 4 — and refining
+// best bound first means the collector's threshold rises as fast as
+// possible, which is what makes the early exit bite.
 
 // SketchStats reports how much work one bounded query did.
 type SketchStats struct {
@@ -146,7 +148,7 @@ func boundByGather(ctx context.Context, db *store.FootprintDB, cands []int, qsk 
 	return buf, nil
 }
 
-// boundByPostings accumulates the query's dot product against every
+// boundByPostings accumulates the query's bound sum against every
 // user sharing a cell with it into a pooled per-user accumulator
 // (sketch.Postings.Accumulate) and reads the candidates' entries off
 // it, in candidate order. The accumulator goes back to the pool only

@@ -15,10 +15,21 @@ import (
 // source's candidates, minus those outside the restriction, bounded by
 // their sketch (SketchBound), are refined with Algorithm 4 best bound
 // first, and the loop stops once no remaining bound can reach the top
-// k. The bound step and the order stay serial (a walk down the posting
-// lists of the query's cells, or a gather per candidate where that is
-// shorter — sketchsearch.go; a heap pop per refined candidate); the
-// joins are sharded across the workers. Serial is workers = 1.
+// k. The bound step, the seed and the order stay serial (a walk down
+// the posting lists of the query's cells, or a gather per candidate
+// where that is shorter — sketchsearch.go; k joins; a heap pop per
+// refined candidate); the joins after the seed are sharded across the
+// workers. Serial is workers = 1.
+//
+// The seed (Refiner.Seed) comes first: the k best bounds, selected in
+// one O(n log k) pass, are joined into worker 0's collector, and their
+// k-th exact score τ₀ prices every other candidate before any ordering
+// is paid for. A candidate whose bound is below τ₀ cannot enter the
+// top k — sim ≤ bound < τ₀ ≤ the final threshold, and k users already
+// score at least τ₀ — so it is dropped outright; those at τ₀ or above
+// stay (an equal score can still win its ID tie-break). On a typical
+// miss that leaves ≈ 6 % of the bounds for the order to heapify (140 of
+// 2 370 on the ledger corpus at k = 5).
 //
 // The order is drawn lazily, a block at a time (BoundOrder: a query
 // that refines 200 of 2 500 candidates never orders the other 2 300).
@@ -45,19 +56,23 @@ import (
 // global multiset too, so c is outside the global top k and skipping
 // it (and, by descending bounds, everything after it in the worker's
 // subsequence, in this block and every later one) cannot change the
-// answer. Every global top-k result is necessarily in its worker's
-// local top k, and a collector's retained set depends only on the
-// multiset of its offers, so offering every worker's results to one
+// answer. Worker 0's collector starts with the seed's offers, which
+// only makes its threshold — still a k-th score of users offered —
+// rise sooner. Every global top-k result is necessarily in its
+// worker's local top k, and a collector's retained set depends only on
+// the multiset of its offers, so offering every worker's results to one
 // collector reconstructs the exact answer — byte-identical to
 // LinearScan, whose result is the unique top k under the strict total
 // order. The loop ends when every worker has stopped or the order is
-// drained; each worker's stopping point depends only on its own
-// subsequence, so the number of joins run is a function of
-// (query, k, workers), not of scheduling.
+// drained; the seed is a function of the bounds, and each worker's
+// stopping point depends only on its own subsequence, so the number of
+// joins run — seed included — is a function of (query, k, workers),
+// not of scheduling.
 //
-// Without a sketch layer every bound is 1, no worker ever stops early,
-// and the same loop joins every candidate: the paper's methods as
-// published.
+// Without a sketch layer every bound is 1: the seed joins k arbitrary
+// — lowest-index — candidates, no bound falls below τ₀ ≤ 1, no worker
+// ever stops early, and the same loop joins every candidate: the
+// paper's methods as published.
 
 // Restrict narrows a query to part of the corpus: the users whose
 // entry in SegOf — one segment number per dense user index — lies in
@@ -92,14 +107,16 @@ func (in *Restrict) filter(cands []int) []int {
 }
 
 // scratch is the per-query working memory the pool recycles: the
-// candidate list, their bounds (which become the order's heap) and the
-// block being refined (the bound step's per-user accumulator has its
-// own pool, accumulator.go, shared with the accumulating sources). With every method bounding thousands of
-// candidates per query, allocating these afresh would scale the
+// candidate list, their bounds (whose survivors become the order's
+// heap), the seed's selection and the block being refined (the bound
+// step's per-user accumulator has its own pool, accumulator.go, shared
+// with the accumulating sources). With every method bounding thousands
+// of candidates per query, allocating these afresh would scale the
 // garbage with the request rate.
 type scratch struct {
 	cands  []int
 	scored []SketchCandidate
+	best   []SketchCandidate
 	block  []SketchCandidate
 }
 
@@ -131,10 +148,10 @@ const RefineBlock = 128
 // is LinearScan's ranking with the users outside `in` removed, byte for
 // byte, whatever the source and the worker count. st, when non-nil,
 // receives the work counts. Cancellation is polled at entry, inside the
-// source and the bound step, before every block and before the merge;
-// workers never outlive the block they were started for, and a
-// cancelled query returns (nil, ctx.Err()), its partial collectors
-// discarded.
+// source and the bound step, before the seed's joins, before every
+// block and before the merge; workers never outlive the block they were
+// started for, and a cancelled query returns (nil, ctx.Err()), its
+// partial collectors discarded.
 //
 //geo:cancellable
 func TopK(ctx context.Context, db *store.FootprintDB, src Source, q core.Footprint, k int, in *Restrict, workers int, st *SketchStats) ([]Result, error) {
@@ -161,12 +178,19 @@ func TopK(ctx context.Context, db *store.FootprintDB, src Source, q core.Footpri
 	if st != nil {
 		st.Candidates, st.Scored = len(cands), len(scored)
 	}
-	order := OrderByBound(scored)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	seed := Refiner{Col: topk.New(k)}
+	rest, best := seed.Seed(db, scored, sc.best[:0], q, k, qnorm)
+	sc.best = best
+	order := OrderByBound(rest)
 
 	workers = shardWorkers(workers, order.Len())
 	ws := make([]Refiner, workers)
+	ws[0] = seed
 	//lint:ignore ctxcancel bounded by the worker count
-	for w := range ws {
+	for w := 1; w < workers; w++ {
 		ws[w].Col = topk.New(k)
 	}
 	for live := workers; live > 0 && order.Len() > 0; {
@@ -238,9 +262,92 @@ func (r *Refiner) Refine(db *store.FootprintDB, block []SketchCandidate, start, 
 			r.Done = true
 			return
 		}
-		r.Refined++
-		if sim := db.UserSimilarity(c.User, q, qnorm); sim > 0 {
-			r.Col.Offer(db.IDs[c.User], sim)
+		r.join(db, c.User, q, qnorm)
+	}
+}
+
+// join runs the Algorithm 4 join of user u against q and offers a
+// positive score to r's collector.
+func (r *Refiner) join(db *store.FootprintDB, u int, q core.Footprint, qnorm float64) {
+	r.Refined++
+	if sim := db.UserSimilarity(u, q, qnorm); sim > 0 {
+		r.Col.Offer(db.IDs[u], sim)
+	}
+}
+
+// Seed joins the k best candidates of scored — first in the bound
+// order — into r.Col, selecting them in one O(n log k) pass as a heap
+// of the k best so far in best (the caller's buffer, returned for
+// reuse). It returns, compacted in place in scored and in scored's
+// order, the other candidates whose bound is at least τ₀, the k-th
+// score the seed put in the collector (all of them when the collector
+// holds fewer than k): the only ones left that can still enter the top
+// k. With k or fewer candidates the seed joins them all and nothing is
+// left.
+func (r *Refiner) Seed(db *store.FootprintDB, scored, best []SketchCandidate, q core.Footprint, k int, qnorm float64) (rest, bestBuf []SketchCandidate) {
+	if len(scored) <= k {
+		for _, c := range scored {
+			r.join(db, c.User, q, qnorm)
 		}
+		return scored[:0], best
+	}
+	// best is a heap with the worst of the k best at its root: a
+	// candidate gets in only by beating it, which most do not.
+	for _, c := range scored {
+		switch {
+		case len(best) < k:
+			best = append(best, c)
+			worstUp(best, len(best)-1)
+		case boundBefore(c, best[0]):
+			best[0] = c
+			worstDown(best, 0)
+		}
+	}
+	for _, c := range best {
+		r.join(db, c.User, q, qnorm)
+	}
+	tau := 0.0 // every bound is positive
+	if r.Col.Len() == k {
+		tau = r.Col.Threshold()
+	}
+	// The order is total, so the seed is exactly the candidates at or
+	// before its worst one.
+	kth := best[0]
+	rest = scored[:0]
+	for _, c := range scored {
+		if c.Bound >= tau && boundBefore(kth, c) {
+			rest = append(rest, c)
+		}
+	}
+	return rest, best
+}
+
+// worstUp and worstDown keep h a binary heap whose root is its last
+// candidate in the bound order.
+func worstUp(h []SketchCandidate, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !boundBefore(h[parent], h[i]) {
+			return
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+}
+
+func worstDown(h []SketchCandidate, i int) {
+	for {
+		kid := 2*i + 1
+		if kid >= len(h) {
+			return
+		}
+		if r := kid + 1; r < len(h) && boundBefore(h[kid], h[r]) {
+			kid = r
+		}
+		if !boundBefore(h[i], h[kid]) {
+			return
+		}
+		h[i], h[kid] = h[kid], h[i]
+		i = kid
 	}
 }

@@ -420,8 +420,10 @@ func (s *Server) handlePairwise(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	sc := queryScratches.Get().(*queryScratch)
+	defer sc.release()
 	var q queryJSON
-	if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
+	if err := sc.decodeQuery(r.Body, &q); err != nil {
 		writeError(w, http.StatusBadRequest, "bad body: %v", err)
 		return
 	}

@@ -7,7 +7,7 @@ import (
 	"geofootprint/internal/geom"
 )
 
-// TestDotAllocationFree pins the filter-step kernel at zero
+// TestDotAllocationFree pins the merge-join kernels at zero
 // allocations, joining the Algorithm 4 / sweep guards in
 // internal/core/alloc_test.go: sketch scoring runs once per candidate
 // per query, so a single allocation here would dwarf the joins it
@@ -19,10 +19,10 @@ func TestDotAllocationFree(t *testing.T) {
 	b := Build(randomFootprint(rng, 18, 1), p)
 	var sink float64
 	avg := testing.AllocsPerRun(200, func() {
-		sink += Dot(&a, &b)
+		sink += Dot(&a, &b) + BoundDot(&a, &b)
 	})
 	if avg != 0 {
-		t.Fatalf("Dot allocates %v times per run, want 0", avg)
+		t.Fatalf("Dot and BoundDot allocate %v times per run, want 0", avg)
 	}
 	_ = sink
 }
@@ -34,7 +34,7 @@ func TestAccumulateAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	p := Params{G: 64, Domain: geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}}
 	sks := postingsLayer(rng, p, 200)
-	post := BuildPostings(p.G, len(sks), func(u int) ([]int32, []float64) { return sks[u].Cells, sks[u].Root })
+	post := BuildPostings(p.G, sks)
 	q := Build(randomFootprint(rng, 18, 1), p)
 	acc := make([]float64, len(sks))
 	var sink int
@@ -50,9 +50,10 @@ func TestAccumulateAllocationFree(t *testing.T) {
 }
 
 // TestBuildAllocationLean pins what a query sketch costs the heap: the
-// three columns of the result and the disjoint-region list under them.
-// Everything else — the contribution list here, the open lists of
-// core.DisjointRegions — is pooled.
+// columns of the result (Mass and Peak share one array) and the
+// disjoint-region list under them. Everything else — the contribution
+// list and the cell loads here, the open lists of core.DisjointRegions —
+// is pooled.
 func TestBuildAllocationLean(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; counts unstable")

@@ -14,7 +14,9 @@ import (
 // buildByMap is Build as it was written before the per-call map and
 // sort.Slice were removed: a per-cell accumulator filled in disjoint-
 // region order. Stored sketches were made by it, so the rewritten
-// Build must reproduce it bit for bit.
+// Build must reproduce it bit for bit — its masses rounded up, as Build
+// stores them. The peaks come from a per-cell map filled in region
+// order, the oracle of FillPeak's sorted-run lookup.
 func buildByMap(f core.Footprint, p Params) Sketch {
 	if len(f) == 0 {
 		return Sketch{}
@@ -49,35 +51,55 @@ func buildByMap(f core.Footprint, p Params) Sketch {
 			}
 		}
 	}
-	s := Sketch{Cells: []int32{}, Mass: []float64{}, Root: []float64{}}
+	load := make(map[int32]float64)
+	for _, r := range f {
+		for iy := 0; iy < g; iy++ {
+			if spanOverlap(r.Rect.MinY, r.Rect.MaxY, p.Domain.MinY, ch, iy, g) <= 0 {
+				continue
+			}
+			for ix := 0; ix < g; ix++ {
+				if spanOverlap(r.Rect.MinX, r.Rect.MaxX, p.Domain.MinX, cw, ix, g) > 0 {
+					load[int32(iy*g+ix)] += r.Weight
+				}
+			}
+		}
+	}
+	s := Sketch{Cells: []int32{}, Mass: []float32{}, Peak: []float32{}, Root: []float64{}}
 	for id := range acc {
 		s.Cells = append(s.Cells, id)
 	}
 	sort.Slice(s.Cells, func(i, j int) bool { return s.Cells[i] < s.Cells[j] })
 	for _, id := range s.Cells {
-		s.Mass = append(s.Mass, acc[id].mass)
+		s.Mass = append(s.Mass, Float32Up(acc[id].mass))
+		s.Peak = append(s.Peak, Float32Up(load[id]))
 		s.Root = append(s.Root, math.Sqrt(acc[id].energy))
 	}
 	return s
 }
 
-// TestBuildMatchesMapAccumulator: same cells, same mass and root bits,
-// on footprints with heavy overlap (many contributions per cell) and
-// rasters the footprints overflow.
+// TestBuildMatchesMapAccumulator: same cells, same mass, peak and root
+// bits, on footprints with heavy overlap (many contributions per cell)
+// and rasters the footprints overflow; FillPeak alone, run on the
+// stored cells as a loader runs it, gives the same peaks.
 func TestBuildMatchesMapAccumulator(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for it := 0; it < 300; it++ {
 		p := randomParams(rng)
 		f := randomFootprint(rng, rng.Intn(30), 0.2+rng.Float64())
+		for i := range f {
+			f[i].Weight *= 0.3 + rng.Float64() // sums that round
+		}
 		got, want := Build(f, p), buildByMap(f, p)
 		if !slices.Equal(got.Cells, want.Cells) {
 			t.Fatalf("iteration %d: cells %v, want %v", it, got.Cells, want.Cells)
 		}
+		peak := make([]float32, len(got.Cells))
+		FillPeak(f, p, got.Cells, peak)
 		for i := range want.Cells {
-			if math.Float64bits(got.Mass[i]) != math.Float64bits(want.Mass[i]) ||
+			if got.Mass[i] != want.Mass[i] || got.Peak[i] != want.Peak[i] || peak[i] != want.Peak[i] ||
 				math.Float64bits(got.Root[i]) != math.Float64bits(want.Root[i]) {
-				t.Fatalf("iteration %d cell %d: (mass, root) = (%v, %v), the map accumulator gives (%v, %v)",
-					it, want.Cells[i], got.Mass[i], got.Root[i], want.Mass[i], want.Root[i])
+				t.Fatalf("iteration %d cell %d: (mass, peak, root) = (%v, %v, %v), FillPeak %v, the map accumulator gives (%v, %v, %v)",
+					it, want.Cells[i], got.Mass[i], got.Peak[i], got.Root[i], peak[i], want.Mass[i], want.Peak[i], want.Root[i])
 			}
 		}
 	}
@@ -97,9 +119,10 @@ func TestRasterPoolHygiene(t *testing.T) {
 		}
 		set := 0
 		for c, v := range r.Table() {
-			if v != 0 {
+			if v != (Entry{}) {
 				set++
-				if i := sort.Search(len(s.Cells), func(i int) bool { return s.Cells[i] >= int32(c) }); i == len(s.Cells) || s.Cells[i] != int32(c) || s.Root[i] != v {
+				if i := sort.Search(len(s.Cells), func(i int) bool { return s.Cells[i] >= int32(c) }); i == len(s.Cells) || s.Cells[i] != int32(c) ||
+					v != (Entry{Root: s.Root[i], Mass: s.Mass[i], Peak: s.Peak[i]}) {
 					t.Fatalf("G=%d: table[%d] = %v is not the sketch's", p.G, c, v)
 				}
 			}
@@ -110,14 +133,14 @@ func TestRasterPoolHygiene(t *testing.T) {
 		table := r.Table()
 		r.Release()
 		for c, v := range table {
-			if v != 0 {
+			if v != (Entry{}) {
 				t.Fatalf("G=%d: released table still holds %v in cell %d", p.G, v, c)
 			}
 		}
 	}
 	// A sketch built for a finer raster is a caller's bug, reported as
 	// such instead of as an index panic somewhere in the gather.
-	fine := Sketch{Cells: []int32{3, 70}, Mass: []float64{1, 1}, Root: []float64{1, 1}}
+	fine := Sketch{Cells: []int32{3, 70}, Mass: []float32{1, 1}, Peak: []float32{1, 1}, Root: []float64{1, 1}}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Rasterize accepted a sketch with cells outside the raster")
@@ -130,7 +153,7 @@ func TestRasterPoolHygiene(t *testing.T) {
 // formats without one of their own.
 func TestSketchInRange(t *testing.T) {
 	ok := func(cells ...int32) Sketch {
-		return Sketch{Cells: cells, Mass: make([]float64, len(cells)), Root: make([]float64, len(cells))}
+		return Sketch{Cells: cells, Mass: make([]float32, len(cells)), Peak: make([]float32, len(cells)), Root: make([]float64, len(cells))}
 	}
 	for _, tc := range []struct {
 		name string
@@ -145,8 +168,10 @@ func TestSketchInRange(t *testing.T) {
 		{"negative", ok(-1, 2), 4, false},
 		{"duplicate", ok(2, 2), 4, false},
 		{"descending", ok(5, 3), 4, false},
-		{"short root column", Sketch{Cells: []int32{1, 2}, Mass: []float64{1, 1}, Root: []float64{1}}, 4, false},
-		{"short mass column", Sketch{Cells: []int32{1}, Root: []float64{1}}, 4, false},
+		{"short root column", Sketch{Cells: []int32{1, 2}, Mass: []float32{1, 1}, Peak: []float32{1, 1}, Root: []float64{1}}, 4, false},
+		{"short mass column", Sketch{Cells: []int32{1}, Peak: []float32{1}, Root: []float64{1}}, 4, false},
+		{"short peak column", Sketch{Cells: []int32{1, 2}, Mass: []float32{1, 1}, Peak: []float32{1}, Root: []float64{1, 1}}, 4, false},
+		{"no peak column", Sketch{Cells: []int32{1}, Mass: []float32{1}, Root: []float64{1}}, 4, false},
 	} {
 		if got := tc.s.InRange(tc.g); got != tc.want {
 			t.Errorf("%s: InRange(%d) = %v, want %v", tc.name, tc.g, got, tc.want)
@@ -192,9 +217,9 @@ func degenerateFootprint(rng *rand.Rand, n int, scale float64) core.Footprint {
 // zero-extent and duplicate regions, ±0 coordinates, and region areas
 // near 1e-300 and 1e300. On each pair the AoS and columnar kernels must
 // agree bit for bit, both must agree with the coordinate-compression
-// oracle of core/reference.go, and the sketch bound — through Dot and
-// through the dense gather, which must agree bit for bit — must
-// dominate the exact similarity.
+// oracle of core/reference.go, and the sketch bound — through BoundDot
+// and through the dense gather, which must agree bit for bit — must
+// dominate the exact similarity, as computed.
 func TestKernelsOnDegenerateFootprints(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	positive := map[float64]int{}
@@ -231,12 +256,12 @@ func TestKernelsOnDegenerateFootprints(t *testing.T) {
 		}
 		sr, ss := Build(r, p), Build(s, p)
 		raster := Rasterize(&ss, p.G)
-		dot, dense := Dot(&sr, &ss), DotDense(sr.Cells, sr.Root, raster.Table())
+		dot, dense := BoundDot(&sr, &ss), DotDense(&sr, raster.Table())
 		raster.Release()
 		if math.Float64bits(dot) != math.Float64bits(dense) {
 			t.Fatalf("iteration %d (scale %g, G=%d): dense dot %v != dot %v", it, scale, p.G, dense, dot)
 		}
-		if bound := UpperBound(dense, nr, ns); bound < join-1e-9 {
+		if bound := UpperBound(dense, nr, ns); bound < join {
 			t.Fatalf("iteration %d (scale %g, G=%d): bound %v below the exact similarity %v\nr=%v\ns=%v",
 				it, scale, p.G, bound, join, r, s)
 		}

@@ -6,45 +6,47 @@ import (
 )
 
 // This file is the sketch layer stored cell-major. A query occupies a
-// few dozen of the G² cells, so its dot product against every user that
+// few dozen of the G² cells, so its bound against every user that
 // shares a cell with it is a walk down those cells' posting lists —
-// sequential memory, one multiply-add per posting — instead of a gather
-// over each candidate's own cells (DotDense), which is random access
-// into the stored blocks and also visits the cells the query does not
+// sequential memory, one term per posting — instead of a gather over
+// each candidate's own cells (DotDense), which is random access into
+// the stored blocks and also visits the cells the query does not
 // occupy.
 //
 // Bit-identity with the merge join: a user's accumulator entry starts
-// at +0 and receives root_u[c]·root_q[c] for exactly the cells c the
-// two sketches share, in increasing c, because Accumulate visits the
-// query's cells in increasing id and a user appears at most once per
-// list. That is Dot's sequence of additions, to which DotDense is
-// already bit-equal (dense.go) — so a bound read from the accumulator
+// at +0 and receives cellBound(user's cell c, query's cell c) for
+// exactly the cells c the two sketches share, in increasing c, because
+// Accumulate visits the query's cells in increasing id and a user
+// appears at most once per list. A posting holds the very values of the
+// stored row (the float32 mass and peak are not converted on the way
+// in), so that is BoundDot's sequence of additions, to which DotDense
+// is already bit-equal (dense.go) — a bound read from the accumulator
 // has the bits of the bound the gather computes, and the refinement
 // order, the counts and the answers cannot move.
 
 // Postings is the transpose of a database's sketches in CSR form over
 // the G² cells: cell c's list is users[starts[c]:starts[c+1]], dense
-// user indexes in increasing order, with the user's Root in that cell
-// beside each. Immutable once built.
+// user indexes in increasing order, with the user's Entry in that cell
+// beside each — 20 bytes per posting. Immutable once built.
 type Postings struct {
 	starts []int32 // G²+1
 	users  []int32
-	roots  []float64
+	vals   []Entry
 }
 
-// BuildPostings transposes the sketches of users 0…n-1 at resolution g
-// in two passes of counting sort; row(u) returns user u's occupied
-// cells and their roots (parallel, cells increasing inside [0, g²), as
-// Build makes them and the snapshot loaders check). The three slices
-// are allocated at their final size and the per-cell cursors are the
-// starts array itself, so the transpose holds 12 bytes per stored cell
-// plus 4·(g²+1) and nothing else while it is built. It returns nil when
-// there are more stored cells than an int32 offset can address.
-func BuildPostings(g, n int, row func(u int) (cells []int32, root []float64)) *Postings {
+// BuildPostings transposes the sketches of a layer at resolution g —
+// rows[u] is user u's, its cells increasing inside [0, g²) as Build
+// makes them and the snapshot loaders check — in two passes of
+// counting sort. The slices are allocated at their final size and the
+// per-cell cursors are the starts array itself, so the transpose holds
+// 20 bytes per stored cell plus 4·(g²+1) and nothing else while it is
+// built. It returns nil when there are more stored cells than an int32
+// offset can address.
+func BuildPostings(g int, rows []Sketch) *Postings {
 	starts := make([]int32, g*g+1)
 	total := 0
-	for u := 0; u < n; u++ {
-		cells, _ := row(u)
+	for u := range rows {
+		cells := rows[u].Cells
 		total += len(cells)
 		if total > math.MaxInt32 {
 			return nil
@@ -60,13 +62,16 @@ func BuildPostings(g, n int, row func(u int) (cells []int32, root []float64)) *P
 	for c, sum := 1, int32(0); c < len(starts); c++ {
 		starts[c], sum = sum, sum+starts[c]
 	}
-	p := &Postings{starts: starts, users: make([]int32, total), roots: make([]float64, total)}
-	for u := 0; u < n; u++ {
-		cells, root := row(u)
+	p := &Postings{starts: starts, users: make([]int32, total), vals: make([]Entry, total)}
+	for u := range rows {
+		s := &rows[u]
+		cells := s.Cells
+		root, mass, peak := s.Root[:len(cells)], s.Mass[:len(cells)], s.Peak[:len(cells)]
 		for i, c := range cells {
 			at := starts[c+1]
 			starts[c+1]++
-			p.users[at], p.roots[at] = int32(u), root[i]
+			p.users[at] = int32(u)
+			p.vals[at] = Entry{Root: root[i], Mass: mass[i], Peak: peak[i]}
 		}
 	}
 	return p
@@ -91,20 +96,24 @@ func (p *Postings) Walk(q *Sketch) int {
 	return walk
 }
 
-// Accumulate adds Dot(user, q) into acc[user] for every user sharing a
-// cell with q, term at a time: for each cell of q in increasing id,
-// acc[u] += root_u·root_q down the cell's list. acc must be all +0 on
-// entry and at least as long as the user count the postings were built
-// over; entries of users sharing no cell stay +0. q's cells must lie
-// inside the raster (Walk checks).
+// Accumulate adds BoundDot(user, q) into acc[user] for every user
+// sharing a cell with q, term at a time: for each cell of q in
+// increasing id, acc[u] += cellBound(u's entry, q's) down the cell's
+// list. acc must be all +0 on entry and at least as long as the user
+// count the postings were built over; entries of users sharing no cell
+// stay +0. q's cells must lie inside the raster (Walk checks).
 //
 //geo:hotpath
 func (p *Postings) Accumulate(q *Sketch, acc []float64) {
 	for i, c := range q.Cells {
 		lo, hi := p.starts[c], p.starts[c+1]
-		users, roots, qr := p.users[lo:hi], p.roots[lo:hi], q.Root[i]
+		users := p.users[lo:hi]
+		vals := p.vals[lo:hi]
+		vals = vals[:len(users)]
+		qr, qm, qp := q.Root[i], float64(q.Mass[i]), float64(q.Peak[i])
 		for j, u := range users {
-			acc[u] += roots[j] * qr
+			v := &vals[j]
+			acc[u] += cellBound(v.Root, float64(v.Mass), float64(v.Peak), qr, qm, qp)
 		}
 	}
 }

@@ -41,9 +41,9 @@ func postingsLayer(rng *rand.Rand, p Params, n int) []Sketch {
 }
 
 // TestPostingsMatchDot: for every user of a generated layer the
-// accumulator holds the bits of Dot and of DotDense, whichever backing
-// the transpose was built from; Walk counts the postings visited; and
-// Clear leaves the accumulator all +0.
+// accumulator holds the bits of the three-term reference BoundDot and
+// of DotDense, whichever backing the transpose was built from; Walk
+// counts the postings visited; and Clear leaves the accumulator all +0.
 func TestPostingsMatchDot(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	for trial := 0; trial < 60; trial++ {
@@ -54,20 +54,25 @@ func TestPostingsMatchDot(t *testing.T) {
 		}
 		n := rng.Intn(80)
 		sks := postingsLayer(rng, p, n)
-		post := BuildPostings(g, n, func(u int) ([]int32, []float64) { return sks[u].Cells, sks[u].Root })
+		post := BuildPostings(g, sks)
 
 		// The flat backing: the same layer as CSR columns.
 		starts := []int64{0}
-		var cells []int32
-		var roots []float64
+		var flatCols Sketch
 		for u := range sks {
-			cells = append(cells, sks[u].Cells...)
-			roots = append(roots, sks[u].Root...)
-			starts = append(starts, int64(len(cells)))
+			flatCols.Cells = append(flatCols.Cells, sks[u].Cells...)
+			flatCols.Mass = append(flatCols.Mass, sks[u].Mass...)
+			flatCols.Peak = append(flatCols.Peak, sks[u].Peak...)
+			flatCols.Root = append(flatCols.Root, sks[u].Root...)
+			starts = append(starts, int64(len(flatCols.Cells)))
 		}
-		flat := BuildPostings(g, n, func(u int) ([]int32, []float64) {
-			return cells[starts[u]:starts[u+1]], roots[starts[u]:starts[u+1]]
-		})
+		cells := flatCols.Cells
+		views := make([]Sketch, n)
+		for u := range views {
+			lo, hi := starts[u], starts[u+1]
+			views[u] = Sketch{Cells: cells[lo:hi], Mass: flatCols.Mass[lo:hi], Peak: flatCols.Peak[lo:hi], Root: flatCols.Root[lo:hi]}
+		}
+		flat := BuildPostings(g, views)
 		if !reflect.DeepEqual(post, flat) {
 			t.Fatalf("trial %d (G=%d): transpose differs between the AoS and the flat backing", trial, g)
 		}
@@ -84,8 +89,8 @@ func TestPostingsMatchDot(t *testing.T) {
 			raster := Rasterize(q, g)
 			post.Accumulate(q, acc)
 			for u := range sks {
-				dot := Dot(&sks[u], q)
-				dense := DotDense(sks[u].Cells, sks[u].Root, raster.Table())
+				dot := BoundDot(&sks[u], q)
+				dense := DotDense(&sks[u], raster.Table())
 				if math.Float64bits(acc[u]) != math.Float64bits(dot) || math.Float64bits(dense) != math.Float64bits(dot) {
 					t.Fatalf("trial %d (G=%d) query %d user %d: accumulate %v, dense %v, dot %v", trial, g, qi, u, acc[u], dense, dot)
 				}
@@ -121,11 +126,11 @@ func containsCell(s *Sketch, c int32) bool {
 // A query sketch from a finer raster must be refused before it indexes
 // the starts array, like Rasterize refuses it.
 func TestPostingsRejectForeignSketch(t *testing.T) {
-	post := BuildPostings(4, 0, nil)
+	post := BuildPostings(4, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("Walk accepted cell 16 of a 4×4 raster")
 		}
 	}()
-	post.Walk(&Sketch{Cells: []int32{16}, Mass: []float64{1}, Root: []float64{1}})
+	post.Walk(&Sketch{Cells: []int32{16}, Mass: []float32{1}, Peak: []float32{1}, Root: []float64{1}})
 }

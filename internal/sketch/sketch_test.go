@@ -44,9 +44,10 @@ func randomParams(rng *rand.Rand) Params {
 
 // TestUpperBoundDominatesSimilarity is the correctness property of the
 // whole filter layer: for any two footprints and any shared raster,
-// the sketch bound must dominate the exact Equation 1 similarity.
-// Domains smaller than the data are included, so the border clamp is
-// covered too.
+// the sketch bound must dominate the exact Equation 1 similarity — as
+// computed, with no tolerance: the slack UpperBound adds is what makes
+// the comparison exact. Domains smaller than the data are included, so
+// the border clamp is covered too.
 func TestUpperBoundDominatesSimilarity(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for it := 0; it < 500; it++ {
@@ -56,22 +57,28 @@ func TestUpperBoundDominatesSimilarity(t *testing.T) {
 		sx, sy := Build(fx, p), Build(fy, p)
 		nx, ny := core.Norm(fx), core.Norm(fy)
 
-		sim := core.Similarity(fx, fy)
-		bound := UpperBound(Dot(&sx, &sy), nx, ny)
-		if bound < sim-1e-9 {
-			t.Fatalf("iteration %d (G=%d domain=%v): bound %.12f < similarity %.12f",
+		sim := core.SimilarityJoin(fx, fy, nx, ny)
+		bound := UpperBound(BoundDot(&sx, &sy), nx, ny)
+		if bound < sim {
+			t.Fatalf("iteration %d (G=%d domain=%v): bound %.17g < similarity %.17g",
 				it, p.G, p.Domain, bound, sim)
 		}
 		if bound > 1 {
 			t.Fatalf("iteration %d: bound %v above 1", it, bound)
 		}
+		if cs := UpperBound(Dot(&sx, &sy), nx, ny); bound > cs {
+			t.Fatalf("iteration %d: three-term bound %v looser than Cauchy–Schwarz alone %v", it, bound, cs)
+		}
 	}
 }
 
-// TestSketchConservation checks the two exactness invariants the bound
-// proof rests on: the sketch preserves total mass (Σ Mass = Σ |R|·w)
-// and the norm (Σ Root² = ||f||²) bit-for-bit up to round-off, even
-// when the footprint overflows the domain.
+// TestSketchConservation checks the invariants the bound proof rests
+// on, even when the footprint overflows the domain: the norm is
+// preserved (Σ Root² = ||f||² up to round-off); every stored mass is the
+// float32 at or above the cell's mass, so they sum to the total mass
+// (Σ |R|·w) within float32 rounding and never below it; and every peak
+// is at least the weight of every region meeting the cell and at most
+// the sum of all weights.
 func TestSketchConservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for it := 0; it < 200; it++ {
@@ -79,16 +86,53 @@ func TestSketchConservation(t *testing.T) {
 		f := randomFootprint(rng, 1+rng.Intn(24), 1)
 		s := Build(f, p)
 
-		var wantMass float64
+		var wantMass, weights, maxW float64
 		for _, r := range f {
 			wantMass += r.Rect.Area() * r.Weight
+			weights += r.Weight
+			maxW = max(maxW, r.Weight)
 		}
-		if got := s.MassTotal(); math.Abs(got-wantMass) > 1e-9*(1+wantMass) {
-			t.Fatalf("iteration %d: mass %v, want %v", it, got, wantMass)
+		var mass float64
+		for _, m := range s.Mass {
+			mass += float64(m)
+		}
+		if mass < wantMass*(1-1e-12) || mass > wantMass*(1+1e-6) {
+			t.Fatalf("iteration %d: mass %v, want %v rounded up", it, mass, wantMass)
 		}
 		wantSq := core.NormSquared(f)
-		if got := s.NormSquared(); math.Abs(got-wantSq) > 1e-9*(1+wantSq) {
-			t.Fatalf("iteration %d: norm² %v, want %v", it, got, wantSq)
+		var sq float64
+		for _, r := range s.Root {
+			sq += r * r
+		}
+		if math.Abs(sq-wantSq) > 1e-9*(1+wantSq) {
+			t.Fatalf("iteration %d: norm² %v, want %v", it, sq, wantSq)
+		}
+		for i, pk := range s.Peak {
+			if pk <= 0 || pk > Float32Up(weights) || (len(f) == 1 && pk != Float32Up(maxW)) {
+				t.Fatalf("iteration %d cell %d: peak %v outside (0, %v]", it, s.Cells[i], pk, weights)
+			}
+		}
+	}
+}
+
+// TestFloat32Up: the narrowing is the least float32 at or above its
+// argument, everywhere in range and at both ends of it.
+func TestFloat32Up(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for it := 0; it < 10000; it++ {
+		x := math.Ldexp(rng.Float64(), rng.Intn(200)-100)
+		f := Float32Up(x)
+		if float64(f) < x || (f > 0 && float64(math.Nextafter32(f, 0)) >= x) {
+			t.Fatalf("Float32Up(%v) = %v", x, f)
+		}
+	}
+	for x, want := range map[float64]float32{
+		0: 0, 1: 1, 0.5: 0.5, math.MaxFloat32: math.MaxFloat32,
+		math.Nextafter(math.MaxFloat32, math.Inf(1)): float32(math.Inf(1)),
+		1e300: float32(math.Inf(1)), 1e-300: math.SmallestNonzeroFloat32,
+	} {
+		if got := Float32Up(x); got != want {
+			t.Errorf("Float32Up(%v) = %v, want %v", x, got, want)
 		}
 	}
 }
@@ -104,9 +148,9 @@ func TestBuildDeterministic(t *testing.T) {
 		t.Fatalf("cell counts differ: %d vs %d", len(a.Cells), len(b.Cells))
 	}
 	for i := range a.Cells {
-		if a.Cells[i] != b.Cells[i] || a.Mass[i] != b.Mass[i] || a.Root[i] != b.Root[i] {
-			t.Fatalf("cell %d differs: %v/%v/%v vs %v/%v/%v",
-				i, a.Cells[i], a.Mass[i], a.Root[i], b.Cells[i], b.Mass[i], b.Root[i])
+		if a.Cells[i] != b.Cells[i] || a.Mass[i] != b.Mass[i] || a.Peak[i] != b.Peak[i] || a.Root[i] != b.Root[i] {
+			t.Fatalf("cell %d differs: %v/%v/%v/%v vs %v/%v/%v/%v",
+				i, a.Cells[i], a.Mass[i], a.Peak[i], a.Root[i], b.Cells[i], b.Mass[i], b.Peak[i], b.Root[i])
 		}
 	}
 }
@@ -154,8 +198,8 @@ func TestEmptyAndDegenerate(t *testing.T) {
 	}
 	// Degenerate (zero-area) regions carry no mass.
 	deg := core.Footprint{{Rect: geom.Rect{MinX: 0.5, MinY: 0.5, MaxX: 0.5, MaxY: 0.7}, Weight: 3}}
-	if ds := Build(deg, p); ds.MassTotal() != 0 {
-		t.Fatalf("degenerate footprint mass %v, want 0", ds.MassTotal())
+	if ds := Build(deg, p); ds.Len() != 0 {
+		t.Fatalf("degenerate footprint occupies %d cells, want none", ds.Len())
 	}
 }
 
@@ -176,7 +220,8 @@ func TestFitDomain(t *testing.T) {
 
 // FuzzUpperBound drives the domination property from fuzzed rectangle
 // coordinates: two three-region footprints derived from the inputs
-// must never exceed their sketch bound.
+// must never exceed their sketch bound. FuzzSketchBound (bound_test.go)
+// covers arbitrary footprints and the agreement of the three kernels.
 func FuzzUpperBound(f *testing.F) {
 	f.Add(0.1, 0.2, 0.3, 0.4, 0.15, 0.25, int64(1))
 	f.Add(0.0, 0.0, 1.0, 1.0, 0.5, 0.5, int64(9))
@@ -199,10 +244,11 @@ func FuzzUpperBound(f *testing.F) {
 		fx, fy := mk(x, y), mk(qx, qy)
 		p := Params{G: 1 + rng.Intn(48), Domain: geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}}
 		sx, sy := Build(fx, p), Build(fy, p)
-		sim := core.Similarity(fx, fy)
-		bound := UpperBound(Dot(&sx, &sy), core.Norm(fx), core.Norm(fy))
-		if bound < sim-1e-9 {
-			t.Fatalf("G=%d: bound %.12f < similarity %.12f", p.G, bound, sim)
+		nx, ny := core.Norm(fx), core.Norm(fy)
+		sim := core.SimilarityJoin(fx, fy, nx, ny)
+		bound := UpperBound(BoundDot(&sx, &sy), nx, ny)
+		if bound < sim {
+			t.Fatalf("G=%d: bound %.17g < similarity %.17g", p.G, bound, sim)
 		}
 	})
 }

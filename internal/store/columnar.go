@@ -24,11 +24,12 @@ import (
 //
 // A database loaded from a columnar file carries two extra things:
 //
-//   - db.cols, the dense column view (core.RegionCols + CSR starts +
-//     flat sketch blocks). The hot-path dispatch helpers
-//     (UserSimilarity, UserSketchDot, RegionWeight) run the flattened
-//     kernels when it is present and the classic slice kernels when
-//     not; results are bit-for-bit identical either way. Any mutation
+//   - db.cols, the dense column view (core.RegionCols + CSR starts).
+//     The hot-path dispatch helpers (UserSimilarity, RegionWeight) run
+//     the flattened kernels when it is present and the classic slice
+//     kernels when not; results are bit-for-bit identical either way.
+//     (The sketch blocks need no view of their own: db.Sketches are
+//     slices of them.) Any mutation
 //     of the database detaches the view (the columns describe state
 //     that no longer exists), after which the same queries run on the
 //     materialised slices — correctness never depends on the view.
@@ -57,12 +58,6 @@ func corruptSnapshot(path string, err error) error {
 type colView struct {
 	regions core.RegionCols
 	starts  []int64
-
-	// Sketch blocks; cellStarts nil when the sketch layer was not in
-	// the file (or was rebuilt in memory after load).
-	cellStarts []int64
-	cells      []int32
-	cellRoot   []float64
 }
 
 // Columnar converts the database to a colstore.Snapshot, flattening
@@ -120,13 +115,15 @@ func (db *FootprintDB) Columnar(meta []byte) *colstore.Snapshot {
 		snap.Domain = [4]float64{d.MinX, d.MinY, d.MaxX, d.MaxY}
 		snap.CellStarts = make([]int64, users+1)
 		snap.Cells = make([]int32, 0, cells)
-		snap.CellMass = make([]float64, 0, cells)
+		snap.CellMass = make([]float32, 0, cells)
+		snap.CellPeak = make([]float32, 0, cells)
 		snap.CellRoot = make([]float64, 0, cells)
 		for u := range db.Sketches {
 			snap.CellStarts[u] = int64(len(snap.Cells))
 			sk := &db.Sketches[u]
 			snap.Cells = append(snap.Cells, sk.Cells...)
 			snap.CellMass = append(snap.CellMass, sk.Mass...)
+			snap.CellPeak = append(snap.CellPeak, sk.Peak...)
 			snap.CellRoot = append(snap.CellRoot, sk.Root...)
 		}
 		snap.CellStarts[users] = int64(len(snap.Cells))
@@ -141,7 +138,10 @@ func (db *FootprintDB) Columnar(meta []byte) *colstore.Snapshot {
 // path), the AoS Footprints are rebuilt with one O(regions) transpose
 // into a single backing array, and the columnar fast-path view is
 // attached so the flattened kernels serve queries straight from the
-// columns.
+// columns. A snapshot from a version-1 file has no peak block; it is
+// derived once here, in parallel, from the stored footprints
+// (sketch.FillPeak, the function Build uses), so its bits are those a
+// version-2 file would hold.
 func FromColumnar(snap *colstore.Snapshot) (*FootprintDB, error) {
 	users := snap.NumUsers()
 	db := &FootprintDB{
@@ -183,12 +183,22 @@ func FromColumnar(snap *colstore.Snapshot) (*FootprintDB, error) {
 				fmt.Errorf("sketch sections present but raster params %+v are invalid", p))
 		}
 		db.SketchParams = p
+		if snap.CellPeak == nil {
+			snap.CellPeak = make([]float32, len(snap.Cells))
+			inParallel(users, 256, func(first, end int) {
+				for u := first; u < end; u++ {
+					lo, hi := snap.CellStarts[u], snap.CellStarts[u+1]
+					sketch.FillPeak(db.Footprints[u], p, snap.Cells[lo:hi], snap.CellPeak[lo:hi])
+				}
+			})
+		}
 		db.Sketches = make([]sketch.Sketch, users)
 		for u := range db.Sketches {
 			lo, hi := snap.CellStarts[u], snap.CellStarts[u+1]
 			db.Sketches[u] = sketch.Sketch{
 				Cells: snap.Cells[lo:hi:hi],
 				Mass:  snap.CellMass[lo:hi:hi],
+				Peak:  snap.CellPeak[lo:hi:hi],
 				Root:  snap.CellRoot[lo:hi:hi],
 			}
 		}
@@ -199,39 +209,42 @@ func FromColumnar(snap *colstore.Snapshot) (*FootprintDB, error) {
 			MinX: snap.MinX, MinY: snap.MinY,
 			MaxX: snap.MaxX, MaxY: snap.MaxY, W: snap.Weight,
 		},
-		starts:     snap.Starts,
-		cellStarts: snap.CellStarts,
-		cells:      snap.Cells,
-		cellRoot:   snap.CellRoot,
+		starts: snap.Starts,
 	}
 	return db, nil
 }
 
-// transposeRegions fills dst from the five parallel columns, in
-// parallel for large databases (cold-start latency is dominated by
-// this loop; every chunk is disjoint so the result is deterministic).
-func transposeRegions(dst []core.Region, snap *colstore.Snapshot) {
-	minx, miny, maxx, maxy, w := snap.MinX, snap.MinY, snap.MaxX, snap.MaxY, snap.Weight
-	n := len(dst)
-	workers := runtime.GOMAXPROCS(0)
-	if workers <= 1 || n < 1<<15 {
-		fillRegions(dst, minx, miny, maxx, maxy, w)
+// inParallel runs fn over [0, n) cut into contiguous chunks of at
+// least minChunk, one goroutine per chunk and at most GOMAXPROCS
+// chunks, and returns when all are done — for load work whose chunks
+// write disjoint places, so the result is deterministic.
+func inParallel(n, minChunk int, fn func(lo, hi int)) {
+	workers := min(runtime.GOMAXPROCS(0), n/minChunk)
+	if workers <= 1 {
+		fn(0, n)
 		return
 	}
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			fillRegions(dst[lo:hi], minx[lo:hi], miny[lo:hi], maxx[lo:hi], maxy[lo:hi], w[lo:hi])
-		}(lo, hi)
+			fn(lo, hi)
+		}()
 	}
 	wg.Wait()
+}
+
+// transposeRegions fills dst from the five parallel columns, in
+// parallel for large databases (cold-start latency is dominated by
+// this loop).
+func transposeRegions(dst []core.Region, snap *colstore.Snapshot) {
+	minx, miny, maxx, maxy, w := snap.MinX, snap.MinY, snap.MaxX, snap.MaxY, snap.Weight
+	inParallel(len(dst), 1<<14, func(lo, hi int) {
+		fillRegions(dst[lo:hi], minx[lo:hi], miny[lo:hi], maxx[lo:hi], maxy[lo:hi], w[lo:hi])
+	})
 }
 
 // fillRegions is the sequential transpose kernel: column locals are
@@ -346,20 +359,6 @@ func (db *FootprintDB) detachCols() {
 	db.dropPostings()
 }
 
-// detachSketchCols drops only the sketch half of the view — called
-// when the in-memory sketch layer is rebuilt or dropped
-// (EnableSketches/DisableSketches) while footprint geometry is
-// untouched, so the region columns keep serving the similarity
-// kernels; the transpose of the old layer is dropped with it. A fresh
-// view value is installed (never an in-place write;
-// frozen epochs share the old one).
-func (db *FootprintDB) detachSketchCols() {
-	db.dropPostings()
-	if c := db.cols; c != nil && c.cellStarts != nil {
-		db.cols = &colView{regions: c.regions, starts: c.starts}
-	}
-}
-
 // UserSimilarity is the Algorithm 4 similarity of stored user u
 // against query footprint q with norm qnorm — the one kernel every
 // search method and the engine refine through. Columnar-backed
@@ -375,40 +374,24 @@ func (db *FootprintDB) UserSimilarity(u int, q core.Footprint, qnorm float64) fl
 	return core.SimilarityJoin(db.Footprints[u], q, db.Norms[u], qnorm)
 }
 
-// sketchRow returns stored user u's occupied cells and their roots:
-// slices of the contiguous on-file blocks when the database is
-// columnar-backed with sketch sections, the materialised sketch's
-// columns otherwise. Same values either way.
-//
-//geo:hotpath
-func (db *FootprintDB) sketchRow(u int) (cells []int32, root []float64) {
-	if c := db.cols; c != nil && c.cellStarts != nil {
-		lo, hi := c.cellStarts[u], c.cellStarts[u+1]
-		return c.cells[lo:hi], c.cellRoot[lo:hi]
-	}
-	sk := &db.Sketches[u]
-	return sk.Cells, sk.Root
-}
-
-// UserSketchDot is the sketch merge-join dot of stored user u's sketch
-// against the query sketch — the reference filter-step kernel, over
-// whichever backing the database has.
+// UserSketchDot is the sketch bound sum of stored user u against the
+// query sketch by the reference merge join (sketch.BoundDot). On a
+// columnar-backed database the stored sketch is a slice of the on-file
+// blocks; the values are the same either way.
 //
 //geo:hotpath
 func (db *FootprintDB) UserSketchDot(u int, qsk *sketch.Sketch) float64 {
-	cells, root := db.sketchRow(u)
-	return sketch.DotFlat(cells, root, qsk.Cells, qsk.Root)
+	return sketch.BoundDot(&db.Sketches[u], qsk)
 }
 
 // UserSketchDotDense is UserSketchDot against a query sketch already
 // scattered into a dense table (sketch.Rasterize at the database's
 // resolution) — the kernel the gather side of the bound step runs per
-// candidate, for both backings. Same bits as UserSketchDot.
+// candidate. Same bits as UserSketchDot.
 //
 //geo:hotpath
-func (db *FootprintDB) UserSketchDotDense(u int, dense []float64) float64 {
-	cells, root := db.sketchRow(u)
-	return sketch.DotDense(cells, root, dense)
+func (db *FootprintDB) UserSketchDotDense(u int, dense []sketch.Entry) float64 {
+	return sketch.DotDense(&db.Sketches[u], dense)
 }
 
 // RegionWeight returns the weight of region r of user u (the RoI-index

@@ -80,7 +80,8 @@ func sameDB(t *testing.T, want, got *FootprintDB) {
 		}
 		for c := range sw.Cells {
 			if sw.Cells[c] != sg.Cells[c] ||
-				math.Float64bits(sw.Mass[c]) != math.Float64bits(sg.Mass[c]) ||
+				math.Float32bits(sw.Mass[c]) != math.Float32bits(sg.Mass[c]) ||
+				math.Float32bits(sw.Peak[c]) != math.Float32bits(sg.Peak[c]) ||
 				math.Float64bits(sw.Root[c]) != math.Float64bits(sg.Root[c]) {
 				t.Fatalf("sketch[%d] cell %d differs", i, c)
 			}
@@ -118,8 +119,8 @@ func TestColumnarRoundTripModes(t *testing.T) {
 
 // TestGobColumnarGobRoundTrip converts gob -> columnar -> gob and
 // requires the final gob file to be byte-identical to the first: the
-// columnar format loses nothing the legacy format carried. check.sh
-// runs this as the migration self-test.
+// columnar format loses nothing the legacy format carried, the sketch
+// peaks included. check.sh runs this as the migration self-test.
 func TestGobColumnarGobRoundTrip(t *testing.T) {
 	db := columnarTestDB(t, 60, true)
 	dir := t.TempDir()
@@ -158,6 +159,10 @@ func TestGobColumnarGobRoundTrip(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("gob -> columnar -> gob is not byte-identical (%d vs %d bytes)", len(a), len(b))
 	}
+	if !bytes.Contains(a, []byte("Peak")) {
+		t.Fatal("the gob file carries no Peak field")
+	}
+	sameDB(t, db, fromGob)
 	sameDB(t, db, fromCol)
 }
 
@@ -193,9 +198,9 @@ func TestColumnarDispatchMatchesAoS(t *testing.T) {
 		raster := sketch.Rasterize(&qsk, got.SketchParams.G)
 		defer raster.Release()
 		for u := range got.IDs {
-			want := math.Float64bits(sketch.Dot(&got.Sketches[u], &qsk))
+			want := math.Float64bits(sketch.BoundDot(&got.Sketches[u], &qsk))
 			if dc, da := got.UserSketchDotDense(u, raster.Table()), aos.UserSketchDotDense(u, raster.Table()); math.Float64bits(dc) != want || math.Float64bits(da) != want {
-				t.Fatalf("UserSketchDotDense(%d): columnar %v, AoS %v, Dot %v", u, dc, da, math.Float64frombits(want))
+				t.Fatalf("UserSketchDotDense(%d): columnar %v, AoS %v, BoundDot %v", u, dc, da, math.Float64frombits(want))
 			}
 			fast := got.UserSimilarity(u, q, qn)
 			slow := core.SimilarityJoin(got.Footprints[u], q, got.Norms[u], qn)
@@ -203,7 +208,7 @@ func TestColumnarDispatchMatchesAoS(t *testing.T) {
 				t.Fatalf("UserSimilarity(%d) columnar %v != AoS %v", u, fast, slow)
 			}
 			df := got.UserSketchDot(u, &qsk)
-			ds := sketch.Dot(&got.Sketches[u], &qsk)
+			ds := sketch.BoundDot(&got.Sketches[u], &qsk)
 			if math.Float64bits(df) != math.Float64bits(ds) {
 				t.Fatalf("UserSketchDot(%d) columnar %v != AoS %v", u, df, ds)
 			}
@@ -266,7 +271,7 @@ func TestColumnarDetachOnMutation(t *testing.T) {
 		t.Fatal("EnableSketches dropped the region columns")
 	}
 	qsk := sketch.Build(db.Footprints[0], db.SketchParams)
-	if got, want := db.UserSketchDot(0, &qsk), sketch.Dot(&db.Sketches[0], &qsk); math.Float64bits(got) != math.Float64bits(want) {
+	if got, want := db.UserSketchDot(0, &qsk), sketch.BoundDot(&db.Sketches[0], &qsk); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("post-EnableSketches dot %v != %v", got, want)
 	}
 	db.DisableSketches()

@@ -21,15 +21,16 @@ import "geofootprint/internal/sketch"
 
 // postingsAfter is the ski-rental multiple. On the 13 900-user ledger
 // corpus (internal/search's BenchmarkBoundStep and
-// BenchmarkPostingsBuild, EXPERIMENTS.md) the transpose takes 3.4 ms to
-// build and saves a query ≈ 180 µs of a ≈ 235 µs gather over ≈ 2 700
-// candidates: the gathers' excess over the walk adds up to one build
-// after ≈ 19 queries, ≈ 52 000 candidates, 3.8 × the user count. Both
-// costs scale with the stored cells, so the multiple carries to other
-// corpus sizes; building at that point costs an epoch, whatever its
-// lifetime turns out to be, at most twice what the better choice would
-// have.
-const postingsAfter = 4
+// BenchmarkPostingsBuild, EXPERIMENTS.md), with 20-byte postings and the
+// three-term bound, the transpose takes 4.2–5.2 ms to build and saves a
+// query ≈ 285–340 µs of a ≈ 365–430 µs gather over ≈ 2 700 candidates:
+// the gathers' excess over the walk adds up to one build after ≈ 15
+// queries, ≈ 41 000 candidates, 3.0 × the user count (3.3 × on the AoS
+// backing). Both costs scale with the stored cells, so the multiple
+// carries to other corpus sizes; building at that point costs an epoch,
+// whatever its lifetime turns out to be, at most twice what the better
+// choice would have.
+const postingsAfter = 3
 
 // SketchPostings returns the database's cell-major sketch transpose
 // when it has one. When it has none the call is charged as a gather
@@ -52,7 +53,7 @@ func (db *FootprintDB) SketchPostings(cands int) *sketch.Postings {
 	if after < line || after-int64(cands) >= line {
 		return nil
 	}
-	p := sketch.BuildPostings(db.SketchParams.G, db.Len(), db.sketchRow)
+	p := sketch.BuildPostings(db.SketchParams.G, db.Sketches)
 	if p != nil {
 		db.postings.Store(p)
 	}
@@ -60,10 +61,10 @@ func (db *FootprintDB) SketchPostings(cands int) *sketch.Postings {
 }
 
 // dropPostings forgets the transpose and the gathers charged towards
-// it. Every in-place mutation of the user axis or of the sketch layer
-// runs it (through detachCols and detachSketchCols): the transpose
-// describes rows, a resolution and a user count that may no longer
-// exist. Published epochs are separate structs (Freeze) and keep
+// it. Every in-place mutation of the user axis (through detachCols) or
+// of the sketch layer (EnableSketches, DisableSketches) runs it: the
+// transpose describes rows, a resolution and a user count that may no
+// longer exist. Published epochs are separate structs (Freeze) and keep
 // theirs.
 func (db *FootprintDB) dropPostings() {
 	db.postings.Store(nil)

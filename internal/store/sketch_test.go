@@ -183,8 +183,8 @@ func TestSketchDomainFixedUnderUpsert(t *testing.T) {
 	}
 	for v := range db.IDs {
 		sim := core.SimilarityJoin(db.Footprints[u], db.Footprints[v], db.Norms[u], db.Norms[v])
-		bound := sketch.UpperBound(sketch.Dot(&db.Sketches[u], &db.Sketches[v]), db.Norms[u], db.Norms[v])
-		if bound < sim-1e-9 {
+		bound := sketch.UpperBound(sketch.BoundDot(&db.Sketches[u], &db.Sketches[v]), db.Norms[u], db.Norms[v])
+		if bound < sim {
 			t.Fatalf("user %d: clamped bound %v < similarity %v", v, bound, sim)
 		}
 	}

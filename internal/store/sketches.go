@@ -28,10 +28,9 @@ func (db *FootprintDB) SketchesEnabled() bool { return db.SketchParams.Valid() }
 // (see the sketch package proof), so re-enabling with a fresh domain
 // is an optimisation, not a correctness requirement.
 func (db *FootprintDB) EnableSketches(g, workers int) {
-	// The on-file sketch blocks (if any) no longer describe the layer
-	// being built; the region columns stay valid for the similarity
-	// kernels.
-	db.detachSketchCols()
+	// The transpose describes the layer being replaced; the region
+	// columns stay valid for the similarity kernels.
+	db.dropPostings()
 	if g <= 0 {
 		g = sketch.DefaultG
 	}
@@ -76,7 +75,7 @@ func (db *FootprintDB) EnableSketches(g, workers int) {
 
 // DisableSketches drops the sketch layer.
 func (db *FootprintDB) DisableSketches() {
-	db.detachSketchCols()
+	db.dropPostings()
 	db.SketchParams = sketch.Params{}
 	db.Sketches = nil
 }

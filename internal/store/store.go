@@ -44,11 +44,13 @@ type FootprintDB struct {
 	MBRs       []geom.Rect
 
 	// SketchParams and Sketches are the optional filter layer:
-	// per-user grid sketches (internal/sketch) whose dot product upper
-	// bounds Equation 1 similarity. EnableSketches turns the layer on;
-	// a zero SketchParams means disabled. When enabled, every dynamic
-	// mutation keeps Sketches aligned with Footprints, and Save/Load
-	// persist them with the rest of the database.
+	// per-user grid sketches (internal/sketch) whose per-cell bound sum
+	// against a query's sketch upper-bounds Equation 1 similarity.
+	// EnableSketches turns the layer on; a zero SketchParams means
+	// disabled. When enabled, every dynamic mutation keeps Sketches
+	// aligned with Footprints, and Save/Load persist them with the rest
+	// of the database; on a columnar-backed database they are slices of
+	// the snapshot's cell blocks.
 	SketchParams sketch.Params
 	Sketches     []sketch.Sketch
 
@@ -213,15 +215,38 @@ type dbWire struct {
 	MBRs       []geom.Rect
 
 	SketchParams sketch.Params
-	Sketches     []sketch.Sketch
+	Sketches     []sketchWire
+}
+
+// sketchWire is a sketch as gob carries it. Mass travels as float64,
+// as it always has: files written before Mass narrowed to float32 hold
+// the unrounded sums, which the decoder rounds up itself (gob's own
+// narrowing rounds to nearest). Peak is absent from those files; the
+// decoder derives it from the footprint, as the columnar loader does.
+type sketchWire struct {
+	Cells []int32
+	Mass  []float64
+	Peak  []float32
+	Root  []float64
 }
 
 // EncodeTo writes the database's gob wire form to w. Save wraps it in
 // an atomic file write; the ingest snapshot embeds it in a larger
 // stream.
 func (db *FootprintDB) EncodeTo(w io.Writer) error {
+	var sketches []sketchWire
+	if db.Sketches != nil {
+		sketches = make([]sketchWire, len(db.Sketches))
+		for u, sk := range db.Sketches {
+			mass := make([]float64, len(sk.Mass))
+			for i, m := range sk.Mass {
+				mass[i] = float64(m)
+			}
+			sketches[u] = sketchWire{Cells: sk.Cells, Mass: mass, Peak: sk.Peak, Root: sk.Root}
+		}
+	}
 	wire := dbWire{db.Name, db.IDs, db.Footprints, db.Norms, db.MBRs,
-		db.SketchParams, db.Sketches}
+		db.SketchParams, sketches}
 	err := gob.NewEncoder(w).Encode(&wire)
 	// Norms and the sketch slices may alias a memory-mapped snapshot
 	// that only db keeps mapped (colSrc; the mapping is unmapped by a
@@ -339,35 +364,45 @@ func DecodeFrom(r io.Reader, name string) (*FootprintDB, error) {
 		return nil, fmt.Errorf("store: decoding %s: %w", name, err)
 	}
 	db := &FootprintDB{Name: w.Name, IDs: w.IDs, Footprints: w.Footprints,
-		Norms: w.Norms, MBRs: w.MBRs,
-		SketchParams: w.SketchParams, Sketches: w.Sketches}
+		Norms: w.Norms, MBRs: w.MBRs, SketchParams: w.SketchParams}
 	if len(db.Norms) != len(db.IDs) || len(db.Footprints) != len(db.IDs) {
 		return nil, fmt.Errorf("store: %s: inconsistent lengths", name)
 	}
 	if g := db.SketchParams.G; g > sketch.MaxG {
 		return nil, fmt.Errorf("store: %s: sketch resolution %d exceeds the maximum %d", name, g, sketch.MaxG)
 	}
-	if db.SketchesEnabled() && len(db.Sketches) != len(db.IDs) {
+	if db.SketchesEnabled() && len(w.Sketches) != len(db.IDs) {
 		return nil, fmt.Errorf("store: %s: %d sketches for %d users",
-			name, len(db.Sketches), len(db.IDs))
-	}
-	// The bound step indexes a G×G table by cell id, so a sketch the
-	// file got wrong must fail the load, not a query.
-	if db.SketchesEnabled() {
-		for u := range db.Sketches {
-			if !db.Sketches[u].InRange(db.SketchParams.G) {
-				return nil, fmt.Errorf("store: %s: user %d sketch is malformed for a %d×%d raster",
-					name, u, db.SketchParams.G, db.SketchParams.G)
-			}
-		}
+			name, len(w.Sketches), len(db.IDs))
 	}
 	// Databases saved before the sorted-footprint invariant existed may
 	// hold unsorted footprints; restoring it here is an O(n) check per
-	// footprint for modern files. Their sketches (if any) are
-	// order-independent, so they stay valid.
+	// footprint for modern files. Their sketch cells, masses and roots
+	// (if any) are order-independent, so they stay valid; a peak derived
+	// below is derived from the stored order, as Build derives it.
 	for _, f := range db.Footprints {
 		if !core.IsSortedByMinX(f) {
 			core.SortByMinX(f)
+		}
+	}
+	if db.SketchesEnabled() {
+		db.Sketches = make([]sketch.Sketch, len(w.Sketches))
+		for u, ws := range w.Sketches {
+			sk := sketch.Sketch{Cells: ws.Cells, Peak: ws.Peak, Root: ws.Root, Mass: make([]float32, len(ws.Mass))}
+			for i, m := range ws.Mass {
+				sk.Mass[i] = sketch.Float32Up(m)
+			}
+			if sk.Peak == nil && len(sk.Cells) > 0 {
+				sk.Peak = make([]float32, len(sk.Cells))
+				sketch.FillPeak(db.Footprints[u], db.SketchParams, sk.Cells, sk.Peak)
+			}
+			// The bound step indexes a G×G table by cell id, so a sketch
+			// the file got wrong must fail the load, not a query.
+			if !sk.InRange(db.SketchParams.G) {
+				return nil, fmt.Errorf("store: %s: user %d sketch is malformed for a %d×%d raster",
+					name, u, db.SketchParams.G, db.SketchParams.G)
+			}
+			db.Sketches[u] = sk
 		}
 	}
 	return db, nil
