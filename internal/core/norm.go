@@ -157,7 +157,11 @@ func Compact(f Footprint) Footprint {
 // their interiors are disjoint: sketch construction and every other
 // consumer that accumulates floats over the result depend on that
 // order being a function of the footprint alone, or stored sketches,
-// snapshots and replay would differ by an ulp from run to run.
+// snapshots and replay would differ by an ulp from run to run. No sort
+// is needed for it: the sweep opens stripes in increasing x, and within
+// a stripe rectangles in increasing lo, so the order in which it opens
+// rectangles is (MinX, MinY) order, and each lands in the slot it was
+// given when opened.
 func DisjointRegions(f Footprint) []WeightedRect {
 	if len(f) == 0 {
 		return nil
@@ -171,6 +175,8 @@ func DisjointRegions(f Footprint) []WeightedRect {
 	// right edge is the sweep position — in the ascending order of lo in
 	// which Segments produced them. A stripe's segments never share a
 	// lo, so matching them against open is a merge join on (lo, hi, w).
+	// out holds every rectangle in the order it was opened: a slot is
+	// reserved when the sweep opens a rectangle, and filled when it closes.
 	open, next, out := sc.open[:0], sc.next[:0], sc.out[:0]
 
 	prev := evs[0].v
@@ -179,22 +185,26 @@ func DisjointRegions(f Footprint) []WeightedRect {
 			i := 0
 			d.Segments(func(lo, hi, w float64) {
 				for ; i < len(open) && open[i].lo < lo; i++ {
-					out = append(out, open[i].closed())
+					open[i].close(out)
 				}
-				r := geom.Rect{MinX: prev, MinY: lo, MaxX: e.v, MaxY: hi}
+				o := openRect{lo: lo, hi: hi, w: w, r: geom.Rect{MinX: prev, MinY: lo, MaxX: e.v, MaxY: hi}, slot: -1}
 				if i < len(open) && open[i].lo == lo {
-					if o := &open[i]; o.hi == hi && o.w == w && o.r.MaxX == prev {
-						r = o.r
-						r.MaxX = e.v
+					if p := &open[i]; p.hi == hi && p.w == w && p.r.MaxX == prev {
+						o.r, o.slot = p.r, p.slot
+						o.r.MaxX = e.v
 					} else {
-						out = append(out, o.closed())
+						p.close(out)
 					}
 					i++
 				}
-				next = append(next, openRect{lo: lo, hi: hi, w: w, r: r})
+				if o.slot < 0 { // opened here: reserve its slot
+					o.slot = len(out)
+					out = append(out, WeightedRect{})
+				}
+				next = append(next, o)
 			})
 			for ; i < len(open); i++ {
-				out = append(out, open[i].closed())
+				open[i].close(out)
 			}
 			open, next = next, open[:0]
 			prev = e.v
@@ -207,29 +217,14 @@ func DisjointRegions(f Footprint) []WeightedRect {
 		}
 	}
 	for i := range open {
-		out = append(out, open[i].closed())
+		open[i].close(out)
 	}
 	sweep.Release(d)
 	releaseEvents(buf, evs)
 
 	var res []WeightedRect
 	if len(out) > 0 {
-		res = make([]WeightedRect, len(out))
-		copy(res, out)
-		slices.SortFunc(res, func(a, b WeightedRect) int {
-			switch {
-			case a.Rect.MinX < b.Rect.MinX:
-				return -1
-			case a.Rect.MinX > b.Rect.MinX:
-				return 1
-			case a.Rect.MinY < b.Rect.MinY:
-				return -1
-			case a.Rect.MinY > b.Rect.MinY:
-				return 1
-			default:
-				return 0
-			}
-		})
+		res = slices.Clone(out)
 	}
 	if cap(out) <= maxPooledRects {
 		sc.open, sc.next, sc.out = open, next, out
@@ -239,19 +234,22 @@ func DisjointRegions(f Footprint) []WeightedRect {
 }
 
 // openRect is a rectangle DisjointRegions may still extend: r so far,
-// and the stripe segment (lo, hi, w) that last produced or extended it.
-// r keeps the MinY/MaxY of its first stripe and the weight reported is
-// that of its last — the two can differ from (lo, hi, w) only in the
-// sign of a zero, but stored sketches are compared byte for byte.
+// the stripe segment (lo, hi, w) that last produced or extended it, and
+// its slot in the output. r keeps the MinY/MaxY of its first stripe and
+// the weight reported is that of its last — the two can differ from
+// (lo, hi, w) only in the sign of a zero, but stored sketches are
+// compared byte for byte.
 type openRect struct {
 	lo, hi, w float64
 	r         geom.Rect
+	slot      int
 }
 
-func (o *openRect) closed() WeightedRect { return WeightedRect{Rect: o.r, Weight: o.w} }
+// close writes the finished rectangle into its slot of out.
+func (o *openRect) close(out []WeightedRect) { out[o.slot] = WeightedRect{Rect: o.r, Weight: o.w} }
 
 // disjointScratch is DisjointRegions' working memory: the two open
-// lists and the rectangles in the order the sweep closed them. The
+// lists and the rectangles in the order the sweep opened them. The
 // function runs once per ad-hoc query (under sketch.Build), so only
 // the returned slice is allocated afresh.
 type disjointScratch struct {

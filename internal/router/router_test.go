@@ -27,7 +27,7 @@ type fakeShard struct {
 // newFakeShards starts n fake shards, each answering /healthz as a
 // healthy instance of its map ID and /v1/query with the given
 // handler (nil: empty result list).
-func newFakeShards(t *testing.T, n int, query http.HandlerFunc) ([]*fakeShard, *hashring.Map) {
+func newFakeShards(t testing.TB, n int, query http.HandlerFunc) ([]*fakeShard, *hashring.Map) {
 	t.Helper()
 	m := &hashring.Map{Version: hashring.MapVersion}
 	var shards []*fakeShard
@@ -56,7 +56,7 @@ func newFakeShards(t *testing.T, n int, query http.HandlerFunc) ([]*fakeShard, *
 
 func quietLogger() *log.Logger { return log.New(io.Discard, "", 0) }
 
-func newTestRouter(t *testing.T, m *hashring.Map, mut func(*Config)) *Router {
+func newTestRouter(t testing.TB, m *hashring.Map, mut func(*Config)) *Router {
 	t.Helper()
 	cfg := Config{
 		Map:            m,
@@ -430,8 +430,8 @@ func TestNewValidates(t *testing.T) {
 
 // The fan-out plan — segment tree, shard-ID list, marshalled ring
 // description — is built once in New; per query the set-up is one
-// marshal of the query and one body per leg. The ceiling keeps
-// per-query ring walks and per-leg marshals from creeping back.
+// query prefix and one body per leg, appended, not marshalled. The pin
+// keeps per-query ring walks and per-leg marshals from creeping back.
 func TestTopKFanoutSetupAllocs(t *testing.T) {
 	_, m := newFakeShards(t, 4, nil)
 	r := newTestRouter(t, m, func(c *Config) { c.Replicas = 2 })
@@ -441,18 +441,13 @@ func TestTopKFanoutSetupAllocs(t *testing.T) {
 	q := testQuery(5)
 	var size int
 	avg := testing.AllocsPerRun(100, func() {
-		query, err := json.Marshal(wireQuery{Regions: q.Regions, K: q.K, Method: q.Method})
-		if err != nil {
-			t.Fatal(err)
-		}
+		prefix := legPrefix(q)
 		for _, n := range r.segRoots {
-			size += len(n.body(query))
+			size += len(n.body(prefix))
 		}
 	})
-	// One allocation per leg body plus the query marshal (the encoder's
-	// buffer is pooled; the race detector empties pools at random).
-	if ceiling := float64(len(r.segRoots) + 6); avg > ceiling || size == 0 {
-		t.Fatalf("fan-out set-up: %v allocs per query, ceiling %v", avg, ceiling)
+	if want := float64(1 + len(r.segRoots)); avg != want || size == 0 {
+		t.Fatalf("fan-out set-up: %v allocs per query, want %v (the prefix and one body per leg)", avg, want)
 	}
 }
 

@@ -9,9 +9,11 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 
 	"geofootprint/internal/engine"
+	"geofootprint/internal/jsonlex"
 	"geofootprint/internal/search"
 )
 
@@ -19,7 +21,9 @@ import (
 // and forwarded to every shard byte-for-byte: the router never
 // re-encodes the query geometry, so the footprint every shard scores
 // is bit-identical to the one a single node would have parsed from
-// the same client body.
+// the same client body. Regions must hold one valid JSON value — the
+// coordinator's json.Decoder has checked it — because TopK writes it
+// into the leg bodies as it is.
 type Query struct {
 	Regions json.RawMessage `json:"regions"`
 	K       int             `json:"k"`
@@ -53,12 +57,6 @@ type TopKResult struct {
 	FailedOver int
 }
 
-// shardResultJSON mirrors the shard's /v1/query response entry.
-type shardResultJSON struct {
-	ID         int     `json:"id"`
-	Similarity float64 `json:"similarity"`
-}
-
 // ErrBadQuery marks client-side validation failures (the coordinator
 // maps it to 400); ErrUnavailable marks "no shard could answer" (503).
 var (
@@ -76,14 +74,6 @@ type wireSegment struct {
 	Vnodes  int      `json:"vnodes,omitempty"`
 	R       int      `json:"r"`
 	Members []string `json:"members"`
-}
-
-// wireQuery is the shard-bound query body without its segment; a leg
-// appends its node's pre-marshalled one (segNode.body).
-type wireQuery struct {
-	Regions json.RawMessage `json:"regions"`
-	K       int             `json:"k"`
-	Method  string          `json:"method,omitempty"`
 }
 
 // segNode is one possible fan-out leg: the ring segments whose replica
@@ -141,18 +131,39 @@ func (r *Router) buildSegTree(segs [][]int, depth int, shardIDs []string) ([]*se
 	return nodes, nil
 }
 
-// body is the leg's request body: the marshalled query with its
-// closing brace replaced by the node's segment.
-func (n *segNode) body(query []byte) []byte {
-	b := make([]byte, 0, len(query)-1+len(n.wire))
-	return append(append(b, query[:len(query)-1]...), n.wire...)
+// legPrefix writes the shard-bound query body up to its segment:
+// {"regions":…,"k":…[,"method":"…"] — the regions as they came, k, and
+// the method when there is one. A leg closes it with its node's segment
+// (segNode.body). A method that is not a plain string goes through
+// json.Marshal, which escapes it; nothing else is re-encoded.
+func legPrefix(q Query) []byte {
+	b := make([]byte, 0, len(`{"regions":,"k":,"method":""`)+len(q.Regions)+20+len(q.Method))
+	b = append(append(b, `{"regions":`...), q.Regions...)
+	b = strconv.AppendInt(append(b, `,"k":`...), int64(q.K), 10)
+	switch {
+	case q.Method == "":
+	case jsonlex.Plain(q.Method):
+		b = append(append(append(b, `,"method":"`...), q.Method...), '"')
+	default:
+		m, _ := json.Marshal(q.Method) // a string always marshals
+		b = append(append(b, `,"method":`...), m...)
+	}
+	return b
+}
+
+// body is the leg's request body: the query prefix closed by the node's
+// segment.
+func (n *segNode) body(prefix []byte) []byte {
+	b := make([]byte, 0, len(prefix)+len(n.wire))
+	return append(append(b, prefix...), n.wire...)
 }
 
 // fanout is the state one TopK call's legs share.
 type fanout struct {
-	r     *Router
-	query []byte // marshalled wireQuery
-	wg    sync.WaitGroup
+	r      *Router
+	prefix []byte // legPrefix of the query
+	k      int
+	wg     sync.WaitGroup
 
 	mu        sync.Mutex // guards res, gather and firstFail
 	res       *TopKResult
@@ -179,11 +190,7 @@ func (r *Router) TopK(ctx context.Context, q Query) (*TopKResult, error) {
 	if len(q.Regions) == 0 {
 		return nil, fmt.Errorf("%w: query has no regions", ErrBadQuery)
 	}
-	query, err := json.Marshal(wireQuery{Regions: q.Regions, K: q.K, Method: q.Method}) // regions pass through as raw bytes
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
-	}
-	f := &fanout{r: r, query: query, res: &TopKResult{Epochs: make(map[string]uint64)}, gather: newSegGather()}
+	f := &fanout{r: r, prefix: legPrefix(q), k: q.K, res: &TopKResult{Epochs: make(map[string]uint64)}, gather: newSegGather()}
 	f.wg.Add(len(r.segRoots))
 	for _, n := range r.segRoots {
 		go f.leg(ctx, n, nil)
@@ -249,8 +256,10 @@ func (f *fanout) ask(ctx context.Context, s *shard, n *segNode) ([]search.Result
 	if why, stale := s.syncState(); stale {
 		return nil, 0, fmt.Errorf("replica %s stale: %s", s.id, why)
 	}
-	body := n.body(f.query)
-	var list []shardResultJSON
+	body := n.body(f.prefix)
+	buf := answerBufs.Get().(*[]byte)
+	defer answerBufs.Put(buf)
+	var part []search.Result
 	err := f.r.callBrk(ctx, s,
 		func(ctx context.Context) (*http.Request, error) {
 			req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.addr+"/v1/query", bytes.NewReader(body))
@@ -261,17 +270,15 @@ func (f *fanout) ask(ctx context.Context, s *shard, n *segNode) ([]search.Result
 			return req, nil
 		},
 		func(_ int, rb io.Reader) error {
-			return decodeJSONBody(rb, &list)
+			var err error
+			part, *buf, err = readLegAnswer(rb, f.k, (*buf)[:0])
+			return err
 		})
 	if err != nil {
 		if !errors.Is(err, ErrBreakerOpen) {
 			f.r.cfg.Logger.Printf("router: segment %s leg to replica %s failed: %v", n.id, s.id, err)
 		}
 		return nil, 0, fmt.Errorf("replica %s: %w", s.id, err)
-	}
-	part := make([]search.Result, len(list))
-	for i, e := range list {
-		part[i] = search.Result{ID: e.ID, Score: e.Similarity}
 	}
 	return part, h.Epoch, nil
 }

@@ -16,12 +16,14 @@ package search
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"geofootprint/internal/core"
 	"geofootprint/internal/extract"
+	"geofootprint/internal/hashring"
 	"geofootprint/internal/sketch"
 	"geofootprint/internal/store"
 	"geofootprint/internal/synth"
@@ -115,6 +117,54 @@ func BenchmarkQuerySketch(b *testing.B) {
 	_ = sink
 }
 
+// benchShard is shard-0 of the ledger's cluster_r2 split (benchmark/
+// corpus.go): every user whose two-replica tuple on the four-shard ring
+// holds shard-0 — about half the corpus — with its own sketch layer,
+// over both backings, its R-tree, and lead[u], whether shard-0 leads
+// user u's tuple: the users its leg (segment members ["shard-0"]) keeps.
+type benchShard struct {
+	cols, aos *store.FootprintDB
+	uc        *UserCentricIndex
+	lead      []bool
+}
+
+var (
+	shardOnce sync.Once
+	shard     benchShard
+)
+
+func loadBenchShard(b *testing.B) *benchShard {
+	b.Helper()
+	shardOnce.Do(func() {
+		db := ledgerCorpus(b)
+		ring, err := hashring.RingFromIDs([]string{"shard-0", "shard-1", "shard-2", "shard-3"}, 0)
+		if err != nil {
+			panic(err)
+		}
+		var (
+			ids  []int
+			fps  []core.Footprint
+			lead []bool
+		)
+		for u, id := range db.IDs {
+			if tuple := ring.ReplicaIndices(id, 2); slices.Contains(tuple, 0) {
+				ids, fps, lead = append(ids, id), append(fps, db.Footprints[u]), append(lead, tuple[0] == 0)
+			}
+		}
+		aos, err := store.FromFootprints("shard-0", ids, fps)
+		if err != nil {
+			panic(err)
+		}
+		aos.EnableSketches(0, 0)
+		cols, err := store.FromColumnar(aos.Columnar(nil))
+		if err != nil {
+			panic(err)
+		}
+		shard = benchShard{cols: cols, aos: aos, uc: NewUserCentricIndex(cols, BuildSTR, 0), lead: lead}
+	})
+	return &shard
+}
+
 // benchQuery is one query with everything before the bound step done.
 type benchQuery struct {
 	cands  []int
@@ -123,10 +173,15 @@ type benchQuery struct {
 	stored int // stored cells of the candidates: what a gather visits
 }
 
-func prepareQueries(c *benchCorpus, db *store.FootprintDB) []benchQuery {
-	out := make([]benchQuery, len(c.queries))
-	for i, q := range c.queries {
-		bq := benchQuery{cands: c.uc.Candidates(q.MBR(), nil), qsk: sketch.Build(q, db.SketchParams), qnorm: core.Norm(q)}
+// prepareQueries readies the corpus queries for the bound step over db,
+// with uc's candidates of each, cut to the users keep selects (nil: all).
+func prepareQueries(queries []core.Footprint, db *store.FootprintDB, uc *UserCentricIndex, keep []bool) []benchQuery {
+	out := make([]benchQuery, len(queries))
+	for i, q := range queries {
+		bq := benchQuery{cands: uc.Candidates(q.MBR(), nil), qsk: sketch.Build(q, db.SketchParams), qnorm: core.Norm(q)}
+		if keep != nil {
+			bq.cands = slices.DeleteFunc(bq.cands, func(u int) bool { return !keep[u] })
+		}
 		for _, u := range bq.cands {
 			bq.stored += db.Sketches[u].Len()
 		}
@@ -136,20 +191,45 @@ func prepareQueries(c *benchCorpus, db *store.FootprintDB) []benchQuery {
 }
 
 // BenchmarkBoundStep times the bound step alone — R-tree candidates in,
-// non-zero bounds out — forced onto each side, over each backing.
+// non-zero bounds out — forced onto each side, over each backing, for
+// whole-corpus queries and for the cluster_r2 leg shard-0 answers
+// ("-leg": its half of the corpus, the half of that it leads). ns/op
+// over cells-gathered/op and over postings-walked/op price a gathered
+// cell and a walked posting: gatherPerWalk is their ratio.
+// "-leg-borderline" keeps the legs whose walk is estimated at 1 to
+// gatherPerWalk times their gather — the ones the weight sends to walk
+// where an unweighted rule gathered — and reports how many of the
+// queries they are.
 func BenchmarkBoundStep(b *testing.B) {
 	c := loadBenchCorpus(b)
+	sh := loadBenchShard(b)
 	ctx := context.Background()
-	for _, backing := range []struct {
-		name string
-		db   *store.FootprintDB
-	}{{"columnar", c.cols}, {"aos", c.aos}} {
-		db := young(backing.db)
+	for _, run := range []struct {
+		name       string
+		db         *store.FootprintDB
+		uc         *UserCentricIndex
+		keep       []bool
+		borderline bool
+	}{
+		{"/columnar", c.cols, c.uc, nil, false},
+		{"/aos", c.aos, c.uc, nil, false},
+		{"-leg/columnar", sh.cols, sh.uc, sh.lead, false},
+		{"-leg/aos", sh.aos, sh.uc, sh.lead, false},
+		{"-leg-borderline/columnar", sh.cols, sh.uc, sh.lead, true},
+	} {
+		db := young(run.db)
 		post := db.SketchPostings(1 << 40)
-		qs := prepareQueries(c, db)
+		qs := prepareQueries(c.queries, db, run.uc, run.keep)
+		if run.borderline {
+			qs = slices.DeleteFunc(qs, func(q benchQuery) bool {
+				walk := float64(post.Walk(&q.qsk)*db.Len()) / float64(len(q.cands)*post.Len())
+				return walk <= 1 || walk > gatherPerWalk
+			})
+		}
 		var scored []SketchCandidate
-		b.Run("gather/"+backing.name, func(b *testing.B) {
+		b.Run("gather"+run.name, func(b *testing.B) {
 			b.ReportAllocs()
+			b.ReportMetric(float64(len(qs)), "queries")
 			var cands, cells, bounds int
 			for i := 0; i < b.N; i++ {
 				q := &qs[i%len(qs)]
@@ -160,7 +240,7 @@ func BenchmarkBoundStep(b *testing.B) {
 			b.ReportMetric(float64(cells)/float64(b.N), "cells-gathered/op")
 			b.ReportMetric(float64(bounds)/float64(b.N), "bounds/op")
 		})
-		b.Run("postings/"+backing.name, func(b *testing.B) {
+		b.Run("postings"+run.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var cands, walked, bounds int
 			for i := 0; i < b.N; i++ {

@@ -107,20 +107,33 @@ func SketchBound(ctx context.Context, db *store.FootprintDB, cands []int, q core
 	return boundAgainst(ctx, db, cands, &qsk, qnorm, buf)
 }
 
+// gatherPerWalk is what bounding one gathered cell costs, in walked
+// postings. BenchmarkBoundStep on the ledger corpus, columnar (2-core
+// x86-64 host, whose runs spread ±20 %), gathers 64 894 stored cells in
+// ≈ 400 µs — ≈ 6.2 ns each, a random lookup into the query's dense
+// table and the cell's term — and walks 23 394 postings in ≈ 87 µs —
+// ≈ 3.7 ns each, sequential, clearing walk and read-off included; on
+// the cluster_r2 leg of shard-0 ("-leg", a shard's own postings) the
+// two cost ≈ 5.3 and ≈ 3.2 ns. The ratios, ≈ 1.65 to 1.75, are the
+// weight. The legs it moves ("-leg-borderline", 67 of 512; about one in
+// ten of that workload's legs) walk in about half their gather's time.
+const gatherPerWalk = 1.75
+
 // boundAgainst is SketchBound with the query sketch already built. The
 // sketch layer exists in two orders and each query takes the cheaper
 // one, known before any work is done: walking the posting lists of the
 // query's cells visits every user sharing a cell with it, whoever
 // nominated them (sketch.Postings.Walk postings); gathering visits the
 // stored cells of the candidates and nobody else's (len(cands) × the
-// mean cells per user). An unrestricted query over an R-tree source
-// walks; a segment leg with a narrow restriction, a tiny-MBR query, and
-// every query of a database too young to have been transposed
-// (store.SketchPostings) gather. The two sides produce the same bits —
-// see sketch/postings.go — so the choice is invisible in any answer or
-// count.
+// mean cells per user), each at gatherPerWalk times a posting's cost.
+// An unrestricted query over an R-tree source walks, and so does a
+// segment leg that keeps half its shard's candidates; a leg with a
+// narrower restriction, a tiny-MBR query, and every query of a database
+// too young to have been transposed (store.SketchPostings) gather. The two
+// sides produce the same bits — see sketch/postings.go — so the choice
+// is invisible in any answer or count.
 func boundAgainst(ctx context.Context, db *store.FootprintDB, cands []int, qsk *sketch.Sketch, qnorm float64, buf []SketchCandidate) ([]SketchCandidate, error) {
-	if p := db.SketchPostings(len(cands)); p != nil && p.Walk(qsk)*db.Len() <= len(cands)*p.Len() {
+	if p := db.SketchPostings(len(cands)); p != nil && float64(p.Walk(qsk)*db.Len()) <= gatherPerWalk*float64(len(cands)*p.Len()) {
 		return boundByPostings(ctx, db, p, cands, qsk, qnorm, buf)
 	}
 	return boundByGather(ctx, db, cands, qsk, qnorm, buf)

@@ -11,13 +11,13 @@ import (
 )
 
 // This file decodes the POST /v1/query body. Every body means what
-// encoding/json says it means: the shape a client writes —
-// {"k":…,"regions":[{"rect":[…],"weight":…},…]} — is decoded directly
-// (decodeQueryPlain), without reflection, and any other body, valid or
-// not, goes to json.Decoder, so acceptance, values and error text are
-// encoding/json's (FuzzQueryBody holds the two together). A router's
-// segment leg, which carries "method" and "segment", is such another
-// body.
+// encoding/json says it means: the shapes a client and a router write —
+// {"k":…,"regions":[{"rect":[…],"weight":…},…]}, and a router's segment
+// leg, which adds "method" and "segment":{"shards","vnodes","r","members"}
+// — are decoded directly (decodeQueryPlain), without reflection, and any
+// other body, valid or not, goes to json.Decoder, so acceptance, values
+// and error text are encoding/json's (FuzzQueryBody holds the two
+// together).
 
 // queryScratch is one request's decoding memory: the body and the
 // region list it decodes to. Nothing the handler keeps past the
@@ -57,11 +57,13 @@ func (sc *queryScratch) release() {
 	}
 }
 
-// decodeQueryPlain decodes the one body shape a client writes — an
-// object whose keys are "k" and "regions" (lower case, unescaped, any
-// order, each at most once), k a JSON integer, regions an array of
-// objects whose keys are "rect" and "weight" (each at most once), rect
-// an array of exactly four JSON numbers and weight a JSON number,
+// decodeQueryPlain decodes the body shapes a client and a router write —
+// an object whose keys are among "k", "regions", "method" and "segment"
+// (lower case, unescaped, any order, each at most once), k a JSON
+// integer, regions an array of objects whose keys are "rect" and
+// "weight" (each at most once), rect an array of exactly four JSON
+// numbers and weight a JSON number, method a plain string
+// (jsonlex.PlainStringEnd), segment an object as decodeSegment reads it,
 // optional JSON whitespace, nothing after the object but whitespace —
 // appending the regions to q.Regions. It reports false for every other
 // body, well-formed or not, and for a number its field cannot hold: the
@@ -69,12 +71,14 @@ func (sc *queryScratch) release() {
 // its own words. Numbers are converted by the strconv calls
 // encoding/json makes, so an accepted body yields the values
 // json.Decoder would; a key left out leaves its field zero, as there.
+//
+//geo:hotpath
 func decodeQueryPlain(b []byte, q *queryJSON) bool {
 	i := jsonlex.SkipSpace(b, 0)
 	if i == len(b) || b[i] != '{' {
 		return false
 	}
-	var seenK, seenRegions, more, ok bool
+	var seenK, seenRegions, seenMethod, seenSegment, more, ok bool
 	for i, more, ok = openObject(b, i+1); more; i, more, ok = nextMember(b, i) {
 		var name []byte
 		if name, i, ok = memberKey(b, i); !ok {
@@ -83,26 +87,105 @@ func decodeQueryPlain(b []byte, q *queryJSON) bool {
 		switch {
 		case string(name) == "k" && !seenK:
 			seenK = true
-			end := jsonlex.NumberEnd(b, i)
-			if end < 0 {
-				return false
-			}
-			// Does not retain its argument: the string stays on the stack.
-			k, err := strconv.ParseInt(string(b[i:end]), 10, 64)
-			if err != nil || int64(int(k)) != k {
-				return false
-			}
-			q.K, i = int(k), end
+			i, ok = decodeInt(b, i, &q.K)
 		case string(name) == "regions" && !seenRegions:
 			seenRegions = true
-			if i, ok = decodeRegions(b, i, q); !ok {
-				return false
+			i, ok = decodeRegions(b, i, q)
+		case string(name) == "method" && !seenMethod:
+			seenMethod = true
+			var m []byte
+			if m, i, ok = plainString(b, i); ok {
+				q.Method = string(m)
 			}
+		case string(name) == "segment" && !seenSegment:
+			seenSegment = true
+			q.Segment, i, ok = decodeSegment(b, i)
 		default:
+			return false
+		}
+		if !ok {
 			return false
 		}
 	}
 	return ok && jsonlex.SkipSpace(b, i) == len(b)
+}
+
+// decodeSegment decodes the segment object starting at b[i]: keys among
+// "shards", "vnodes", "r" and "members" (each at most once, any order),
+// the two lists arrays of plain strings, the two counts JSON integers.
+// A key left out leaves its field zero (a list nil), as json.Decoder
+// does; an empty list decodes to an empty, non-nil slice, as there.
+// The segment, its lists and their strings are the leg's only
+// allocations.
+func decodeSegment(b []byte, i int) (*segmentJSON, int, bool) {
+	if i == len(b) || b[i] != '{' {
+		return nil, i, false
+	}
+	seg := new(segmentJSON)
+	var seenShards, seenVnodes, seenR, seenMembers, more, ok bool
+	for i, more, ok = openObject(b, i+1); more; i, more, ok = nextMember(b, i) {
+		var name []byte
+		if name, i, ok = memberKey(b, i); !ok {
+			return nil, i, false
+		}
+		switch {
+		case string(name) == "shards" && !seenShards:
+			seenShards = true
+			seg.Shards, i, ok = decodeStrings(b, i)
+		case string(name) == "members" && !seenMembers:
+			seenMembers = true
+			seg.Members, i, ok = decodeStrings(b, i)
+		case string(name) == "vnodes" && !seenVnodes:
+			seenVnodes = true
+			i, ok = decodeInt(b, i, &seg.Vnodes)
+		case string(name) == "r" && !seenR:
+			seenR = true
+			i, ok = decodeInt(b, i, &seg.R)
+		default:
+			ok = false
+		}
+		if !ok {
+			return nil, i, false
+		}
+	}
+	return seg, i, ok
+}
+
+// decodeStrings decodes the array of plain strings starting at b[i].
+func decodeStrings(b []byte, i int) ([]string, int, bool) {
+	if i == len(b) || b[i] != '[' {
+		return nil, i, false
+	}
+	list := []string{} // json.Decoder's empty list is not nil
+	if i = jsonlex.SkipSpace(b, i+1); i < len(b) && b[i] == ']' {
+		return list, i + 1, true
+	}
+	for {
+		s, end, ok := plainString(b, i)
+		if !ok {
+			return nil, i, false
+		}
+		list = append(list, string(s))
+		i = jsonlex.SkipSpace(b, end)
+		switch {
+		case i == len(b):
+			return nil, i, false
+		case b[i] == ']':
+			return list, i + 1, true
+		case b[i] != ',':
+			return nil, i, false
+		}
+		i = jsonlex.SkipSpace(b, i+1)
+	}
+}
+
+// plainString returns the contents of the plain JSON string starting at
+// b[i] and the index past it.
+func plainString(b []byte, i int) (s []byte, end int, ok bool) {
+	if end = jsonlex.PlainStringEnd(b, i); end < 0 {
+		return nil, i, false
+	}
+	return b[i+1 : end-1], end, true
 }
 
 // decodeRegions decodes the array of region objects starting at b[i],
@@ -181,23 +264,14 @@ func nextMember(b []byte, i int) (next int, more, ok bool) {
 	return i, false, false
 }
 
-// memberKey reads a member's plain key — a string without escapes, which every
-// key decodeQueryPlain accepts is — and its ':', returning the index of
-// the value.
+// memberKey reads a member's key — a plain string, which every key
+// decodeQueryPlain accepts is — and its ':', returning the index of the
+// value.
 func memberKey(b []byte, i int) (name []byte, value int, ok bool) {
-	if i == len(b) || b[i] != '"' {
+	if name, i, ok = plainString(b, i); !ok {
 		return nil, i, false
 	}
-	end := bytes.IndexByte(b[i+1:], '"')
-	if end < 0 {
-		return nil, i, false
-	}
-	name = b[i+1 : i+1+end]
-	if bytes.IndexByte(name, '\\') >= 0 {
-		return nil, i, false
-	}
-	i = jsonlex.SkipSpace(b, i+2+end)
-	if i == len(b) || b[i] != ':' {
+	if i = jsonlex.SkipSpace(b, i); i == len(b) || b[i] != ':' {
 		return nil, i, false
 	}
 	return name, jsonlex.SkipSpace(b, i+1), true
@@ -219,6 +293,21 @@ func decodeRect(b []byte, i int, dst *[4]float64) (int, bool) {
 		}
 	}
 	return i + 1, true
+}
+
+// decodeInt decodes the JSON integer starting at b[i] into an int field.
+func decodeInt(b []byte, i int, dst *int) (int, bool) {
+	end := jsonlex.NumberEnd(b, i)
+	if end < 0 {
+		return i, false
+	}
+	// Does not retain its argument: the string stays on the stack.
+	n, err := strconv.ParseInt(string(b[i:end]), 10, 64)
+	if err != nil || int64(int(n)) != n {
+		return i, false
+	}
+	*dst = int(n)
+	return end, true
 }
 
 // decodeNumber decodes the JSON number starting at b[i] into a float64 field.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -48,7 +49,8 @@ func sameQueryDecode(t *testing.T, body []byte) {
 // names the boundaries between the two: key order, case, escapes and
 // repeats, whitespace, rects of the wrong length, numbers that are
 // almost JSON or out of range, null, trailing bytes, and the router's
-// segment legs.
+// segment legs — prefix members, vnodes left out, a repeated or null
+// segment, an empty method, shard IDs with an escape or non-ASCII bytes.
 func FuzzQueryBody(f *testing.F) {
 	f.Add([]byte(`{"k":5,"regions":[{"rect":[0.1,0.2,0.3,0.4],"weight":2}]}`))
 	f.Fuzz(sameQueryDecode)
@@ -65,6 +67,12 @@ func TestDecodeQueryPlain(t *testing.T) {
 		`{"k":5}`,
 		`{"regions":[{}]}`,
 		`{}`,
+		`{"regions":[{"rect":[0,0,1,1]}],"k":3,"method":"linear"}`,
+		`{"regions":[{"rect":[0,0,1,1]}],"k":3,"segment":{"shards":["a","b"],"r":2,"members":["a"]}}`,
+		`{"k":3,"method":"","segment":{"members":[ "b" ],"r":2,"vnodes":-0,"shards":["a", "b"]},"regions":[]}`,
+		`{"k":3,"segment":{"shards":[],"members":[]}}`,
+		`{"k":3,"segment":{}}`,
+		`{"k":3,"method":"<&> ~"}`,
 	} {
 		var q queryJSON
 		if !decodeQueryPlain([]byte(body), &q) {
@@ -90,8 +98,26 @@ func TestDecodeQueryPlain(t *testing.T) {
 		`{"k":5,"regions":[],}`,
 		`{"k":5,"regions":[{"rect":[0,0,1,1]},]}`,
 		`{"k":5,"regions":[{"rect":[0,0,1,1],"weight":2,"extra":1}]}`,
-		`{"regions":[{"rect":[0,0,1,1]}],"k":3,"method":"linear"}`,
-		`{"regions":[{"rect":[0,0,1,1]}],"k":3,"segment":{"shards":["a","b"],"r":2,"members":["a"]}}`,
+		`{"k":3,"method":"linear","method":"batch"}`,
+		`{"k":3,"method":null}`,
+		`{"k":3,"method":"line\u0061r"}`,
+		`{"k":3,"method":"lin\near"}`,
+		"{\"k\":3,\"method\":\"s\u00e9\"}",
+		"{\"k\":3,\"method\":\"a\x7f\"}",
+		`{"k":3,"Method":"linear"}`,
+		`{"k":3,"segment":null}`,
+		`{"k":3,"segment":{"r":2},"segment":{"r":3}}`,
+		`{"k":3,"segment":{"r":2,"r":3}}`,
+		`{"k":3,"segment":{"shards":null}}`,
+		`{"k":3,"segment":{"shards":["a",null]}}`,
+		`{"k":3,"segment":{"shards":["a",]}}`,
+		`{"k":3,"segment":{"shards":["\u0061"]}}`,
+		"{\"k\":3,\"segment\":{\"members\":[\"sh\xc3\xa4rd\"]}}",
+		`{"k":3,"segment":{"r":2.0}}`,
+		`{"k":3,"segment":{"vnodes":1e2}}`,
+		`{"k":3,"segment":{"R":2}}`,
+		`{"k":3,"segment":{"r":2,"extra":1}}`,
+		`{"k":3,"segment":[]}`,
 		`[]`,
 		``,
 		`{"k":5,"regions":[`,
@@ -106,8 +132,35 @@ func TestDecodeQueryPlain(t *testing.T) {
 
 // The direct path costs a query body no allocation once its scratch is
 // warm — where json.Decoder pays for its state, its reflection and the
-// region slice on every body.
+// region slice on every body. A router's segment leg
+// (testdata/leg-body.json, the body a router sends shard-0 of a
+// four-shard R = 2 cluster) allocates its regions nothing either: its
+// only allocations are the segment itself, its two lists and their
+// strings.
 func TestDecodeQueryAllocs(t *testing.T) {
+	leg, err := os.ReadFile("testdata/leg-body.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := new(queryScratch)
+	var q queryJSON
+	if err := sc.decodeQuery(bytes.NewReader(leg), &q); err != nil || q.Segment == nil || len(q.Segment.Shards) != 4 || len(q.Regions) != 17 {
+		t.Fatalf("leg body: %+v, %v", q, err)
+	}
+	sameQueryDecode(t, leg)
+	// The segment, one string per shard ID and member, and the arrays
+	// append grows the lists through: 1, 2 and 4 shard IDs, 1 member.
+	segment := 1 + len(q.Segment.Shards) + len(q.Segment.Members) + 3 + 1
+	rd := bytes.NewReader(leg)
+	if avg := testing.AllocsPerRun(100, func() {
+		rd.Reset(leg)
+		if err := sc.decodeQuery(rd, &q); err != nil || q.Segment == nil {
+			t.Fatalf("leg body: %v", err)
+		}
+	}); avg != float64(segment) {
+		t.Errorf("decodeQuery: %v allocations per leg body, want the segment's %d", avg, segment)
+	}
+
 	var b strings.Builder
 	b.WriteString(`{"k":5,"regions":[`)
 	for i := 0; i < 17; i++ {
@@ -118,9 +171,6 @@ func TestDecodeQueryAllocs(t *testing.T) {
 	}
 	b.WriteString(`]}`)
 	body := []byte(b.String())
-	rd := bytes.NewReader(body)
-	sc := new(queryScratch)
-	var q queryJSON
 	direct := testing.AllocsPerRun(100, func() {
 		rd.Reset(body)
 		if err := sc.decodeQuery(rd, &q); err != nil || len(q.Regions) != 17 {
@@ -139,4 +189,39 @@ func TestDecodeQueryAllocs(t *testing.T) {
 	if viaJSON <= direct {
 		t.Errorf("json.Decoder allocates %v times, the direct path %v: nothing to win", viaJSON, direct)
 	}
+}
+
+// BenchmarkLegCodec/shard-decode times the shard's half of a segment
+// leg's wire path: decoding the recorded router leg body with a warm
+// scratch (shard-decode-json: the json.Decoder fallback on the same
+// body, for comparison). The router's halves (leg-body assembly, answer
+// decoding) are BenchmarkLegCodec in internal/router.
+func BenchmarkLegCodec(b *testing.B) {
+	leg, err := os.ReadFile("testdata/leg-body.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("shard-decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(leg)))
+		sc := new(queryScratch)
+		rd := bytes.NewReader(leg)
+		var q queryJSON
+		for i := 0; i < b.N; i++ {
+			rd.Reset(leg)
+			if err := sc.decodeQuery(rd, &q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("shard-decode-json", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(leg)))
+		for i := 0; i < b.N; i++ {
+			var q queryJSON
+			if err := json.NewDecoder(bytes.NewReader(leg)).Decode(&q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -51,9 +51,9 @@ func TestAccumulateAllocationFree(t *testing.T) {
 
 // TestBuildAllocationLean pins what a query sketch costs the heap: the
 // columns of the result (Mass and Peak share one array) and the
-// disjoint-region list under them. Everything else — the contribution
-// list and the cell loads here, the open lists of core.DisjointRegions —
-// is pooled.
+// disjoint-region list under them. Everything else — the per-cell sums,
+// their index and sort order and the cell loads here, the open lists of
+// core.DisjointRegions — is pooled.
 func TestBuildAllocationLean(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; counts unstable")

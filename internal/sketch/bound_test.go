@@ -118,10 +118,11 @@ func fuzzFootprint(data []byte, scale float64) core.Footprint {
 // FuzzSketchBound is the generated oracle of the three-term bound: for
 // arbitrary positive-weight footprints — zero-width or zero-height,
 // duplicated, nested, border-clamped, with huge weights — at any
-// resolution, the bound dominates the similarity as computed (no
-// tolerance), and the three kernels — the merge-join reference, the
-// dense gather and the posting-list walk — give the same bits. The
-// seeds are committed under testdata/fuzz/FuzzSketchBound.
+// resolution, Build gives the bits the sorting Build gave, the bound
+// dominates the similarity as computed (no tolerance), and the three
+// kernels — the merge-join reference, the dense gather and the
+// posting-list walk — give the same bits. The seeds are committed under
+// testdata/fuzz/FuzzSketchBound.
 func FuzzSketchBound(f *testing.F) {
 	f.Add(uint8(64), uint8(1), []byte("\x03\x00\x20\x00\x20\x0a\x00\x00"), []byte("\x03\x10\x30\x10\x30\x14\x00\x01"))
 	f.Fuzz(func(t *testing.T, g, scaleSel uint8, a, b []byte) {
@@ -135,6 +136,8 @@ func FuzzSketchBound(f *testing.F) {
 				t.Fatalf("Build made a sketch outside its own %d×%d raster: %v", p.G, p.G, s.Cells)
 			}
 		}
+		sameSketchBits(t, "footprint a", sa, buildSorted(fa, p))
+		sameSketchBits(t, "footprint b", sb, buildSorted(fb, p))
 
 		ref := BoundDot(&sa, &sb)
 		raster := Rasterize(&sb, p.G)

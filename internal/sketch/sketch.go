@@ -58,6 +58,7 @@ package sketch
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -154,12 +155,12 @@ func Build(f core.Footprint, p Params) Sketch {
 	cw := (p.Domain.MaxX - p.Domain.MinX) / float64(g)
 	ch := (p.Domain.MaxY - p.Domain.MinY) / float64(g)
 
-	// One contribution per (disjoint region, cell) pair, in region
-	// order; sorting by (cell, seq) then groups each cell's
-	// contributions in that same order, so the per-cell sums add up in
-	// exactly the sequence a per-cell accumulator would have seen.
+	// Each (disjoint region, cell) contribution is added to its cell's
+	// running sums as it is generated, in region order — the order fixed
+	// for every stored sketch, so each sum keeps its bits — and only the
+	// distinct cells are sorted afterwards: O(contributions + cells·log
+	// cells).
 	sc := buildPool.Get().(*buildScratch)
-	parts := sc.parts[:0]
 	for _, d := range core.DisjointRegions(f) {
 		w := d.Weight
 		ix0 := cellIndex(d.Rect.MinX, p.Domain.MinX, cw, g)
@@ -177,47 +178,37 @@ func Build(f core.Footprint, p Params) Sketch {
 					continue
 				}
 				a := wx * wy
-				parts = append(parts, cellPart{
-					cell: int32(iy*g + ix), seq: len(parts),
-					mass: w * a, energy: w * w * a,
-				})
+				// The conversions round each product before it is added:
+				// no platform may fuse the two into one multiply-add,
+				// whose other rounding would change stored sketches.
+				c := sc.cell(int32(iy*g + ix))
+				c.mass += float64(w * a)
+				c.energy += float64(w * w * a)
 			}
 		}
 	}
-	slices.SortFunc(parts, func(a, b cellPart) int {
-		if a.cell != b.cell {
-			return int(a.cell) - int(b.cell)
-		}
-		return a.seq - b.seq
-	})
-	cells := 0
-	for i := range parts {
-		if i == 0 || parts[i].cell != parts[i-1].cell {
-			cells++
-		}
+	order := sc.order[:0]
+	for i := range sc.sums {
+		order = append(order, uint64(sc.sums[i].cell)<<32|uint64(i))
 	}
+	slices.Sort(order)
+	cells := len(order)
 	// Mass and Peak share one allocation, capacity-bounded apart.
 	narrow := make([]float32, 2*cells)
 	s := Sketch{
-		Cells: make([]int32, 0, cells),
-		Mass:  narrow[:0:cells],
+		Cells: make([]int32, cells),
+		Mass:  narrow[:cells:cells],
 		Peak:  narrow[cells:],
-		Root:  make([]float64, 0, cells),
+		Root:  make([]float64, cells),
 	}
-	for i := 0; i < len(parts); {
-		cell := parts[i].cell
-		var mass, energy float64
-		for ; i < len(parts) && parts[i].cell == cell; i++ {
-			mass += parts[i].mass
-			energy += parts[i].energy
-		}
-		s.Cells = append(s.Cells, cell)
-		s.Mass = append(s.Mass, Float32Up(mass))
-		s.Root = append(s.Root, math.Sqrt(energy))
+	for j, key := range order {
+		c := &sc.sums[uint32(key)]
+		s.Cells[j] = c.cell
+		s.Mass[j] = Float32Up(c.mass)
+		s.Root[j] = math.Sqrt(c.energy)
 	}
-	if cap(parts) <= maxPooledParts {
-		sc.parts = parts
-	}
+	sc.order = order
+	sc.reset()
 	sc.load = fillPeak(f, p, s.Cells, s.Peak, sc.load)
 	buildPool.Put(sc)
 	return s
@@ -280,25 +271,87 @@ func fillPeak(f core.Footprint, p Params, cells []int32, peak []float32, load []
 // pool must not hold on to that.
 const maxPooledParts = 1 << 14
 
-// cellPart is one disjoint region's contribution to one cell; seq is
-// its position in generation order, the tie-break that makes the sort
-// key unique (so an unstable sort still groups deterministically).
-type cellPart struct {
+// cellSum is one cell's running sums of its contributions, and where
+// the cell sits in the index.
+type cellSum struct {
 	cell         int32
-	seq          int
+	slot         int32
 	mass, energy float64
 }
 
-// buildScratch is Build's reusable contribution list and FillPeak's
-// per-cell load. Build runs per query on the read path and per touched
-// user on the write path, from many goroutines; the pool keeps both
-// from allocating them afresh.
+// buildScratch is Build's per-cell sums, with the open-addressing index
+// that finds a cell's entry and the list the cells are sorted in, and
+// FillPeak's per-cell load. Build runs per query on the read path and
+// per touched user on the write path, from many goroutines; the pool
+// keeps all of it from being allocated afresh. A pooled scratch has no
+// sums and an all-zero index.
 type buildScratch struct {
-	parts []cellPart
+	sums  []cellSum
+	slots []int32 // 1 + index into sums, 0 for an empty slot
+	shift uint8   // 32 - log2(len(slots))
+	order []uint64
 	load  []float64
 }
 
 var buildPool = sync.Pool{New: func() any { return new(buildScratch) }}
+
+// minSlots is the index size a fresh scratch starts with: room for the
+// few dozen cells of a typical footprint at DefaultG without a rehash.
+const minSlots = 128
+
+// cell returns the running sums of cell id c, adding a zero entry the
+// first time c is seen. The index is kept at most half full, so probes
+// are short; when it would not be, it doubles and every entry is
+// re-inserted.
+func (sc *buildScratch) cell(c int32) *cellSum {
+	if 2*(len(sc.sums)+1) > len(sc.slots) {
+		sc.grow()
+	}
+	mask := int32(len(sc.slots) - 1)
+	h := sc.hash(c)
+	for ; sc.slots[h] != 0; h = (h + 1) & mask {
+		if s := &sc.sums[sc.slots[h]-1]; s.cell == c {
+			return s
+		}
+	}
+	sc.sums = append(sc.sums, cellSum{cell: c, slot: h})
+	sc.slots[h] = int32(len(sc.sums))
+	return &sc.sums[len(sc.sums)-1]
+}
+
+// hash is Fibonacci hashing: the top bits of the product, so that the
+// cells of a footprint — runs of neighbouring ids, rows g apart — spread
+// over the index.
+func (sc *buildScratch) hash(c int32) int32 { return int32(uint32(c) * 0x9e3779b1 >> sc.shift) }
+
+// grow doubles the index (or makes the first one) and re-inserts every
+// entry.
+func (sc *buildScratch) grow() {
+	n := max(minSlots, 2*len(sc.slots))
+	sc.slots, sc.shift = make([]int32, n), uint8(32-bits.TrailingZeros(uint(n)))
+	mask := int32(n - 1)
+	for i := range sc.sums {
+		h := sc.hash(sc.sums[i].cell)
+		for sc.slots[h] != 0 {
+			h = (h + 1) & mask
+		}
+		sc.slots[h], sc.sums[i].slot = int32(i+1), h
+	}
+}
+
+// reset empties the sums and zeroes the index through them — O(cells),
+// whatever size the index grew to — or drops both when a huge footprint
+// grew them past maxPooledParts.
+func (sc *buildScratch) reset() {
+	if cap(sc.sums) > maxPooledParts {
+		sc.sums, sc.slots, sc.order = nil, nil, nil
+		return
+	}
+	for _, s := range sc.sums {
+		sc.slots[s.slot] = 0
+	}
+	sc.sums = sc.sums[:0]
+}
 
 // cellIndex maps a coordinate to its cell index along one axis,
 // clamped into [0, g-1] so out-of-domain coordinates land in the
