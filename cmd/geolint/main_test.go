@@ -155,3 +155,36 @@ func (s *Server) zzSeededLeak(bad bool) uint64 {
 		t.Errorf("finding not attributed to the seeded file:\n%s", out.String())
 	}
 }
+
+// TestSeededTestOnlyFailsGate seeds an export no binary calls into
+// internal/server, behind the build tag TestSeededPinLeakFailsGate
+// uses, and proves a run over that one package judges it against the
+// whole program: the rest of the module and the benchmark module load
+// as well, and the seed is still a testonly finding.
+func TestSeededTestOnlyFailsGate(t *testing.T) {
+	root := moduleRoot(t)
+	seed := filepath.Join(root, "internal", "server", "zz_lintseed_testonly_probe.go")
+	src := `//go:build lintseed
+
+package server
+
+// ZzSeededTestOnly has no caller.
+func ZzSeededTestOnly() {}
+`
+	if err := os.WriteFile(seed, []byte(src), 0o644); err != nil {
+		t.Fatalf("writing seed: %v", err)
+	}
+	t.Cleanup(func() { os.Remove(seed) })
+	t.Setenv("GOFLAGS", "-tags=lintseed")
+
+	var out, errw bytes.Buffer
+	code := run(root, []string{"./internal/server"}, &out, &errw)
+	if code != 1 {
+		t.Fatalf("exit code = %d, want 1 (a seeded test-only export must fail the gate)\nstdout:\n%s\nstderr:\n%s",
+			code, out.String(), errw.String())
+	}
+	if got := strings.TrimSpace(out.String()); strings.Count(got, "\n") != 0 ||
+		!strings.Contains(got, "zz_lintseed_testonly_probe.go") || !strings.Contains(got, "testonly: func ZzSeededTestOnly") {
+		t.Errorf("want exactly the seed's testonly finding, got:\n%s", got)
+	}
+}

@@ -1,14 +1,12 @@
-// Command geomigrate converts FootprintDB snapshot files between the
-// legacy gob format and the current columnar format (internal/colstore),
-// and diagnoses existing files.
+// Command geomigrate converts FootprintDB snapshot files from the
+// legacy gob format, or an older columnar version, to the current
+// columnar format (internal/colstore), and diagnoses existing files.
 //
 // Convert mode reads a snapshot of either format — a columnar file of
-// any version this release reads — and rewrites it in the requested
-// one (atomically, next to the destination; columnar is always the
-// current version):
+// any version this release reads — and rewrites it as the current
+// columnar version, atomically, next to the destination:
 //
-//	geomigrate convert -in partA.db -out partA.col            # → columnar
-//	geomigrate convert -in partA.col -out partA.db -to gob    # → legacy gob
+//	geomigrate convert -in partA.db -out partA.col
 //
 // Verify mode opens a file the way geoserve would — sniffing the
 // format, checking every section CRC on columnar files — and, for
@@ -60,7 +58,6 @@ func convert(args []string) {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	in := fs.String("in", "", "source snapshot (gob or columnar; required)")
 	out := fs.String("out", "", "destination path (required)")
-	to := fs.String("to", "columnar", "target format: columnar|gob")
 	fs.Parse(args)
 	if *in == "" || *out == "" {
 		fs.Usage()
@@ -70,18 +67,10 @@ func convert(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	switch *to {
-	case "columnar":
-		err = db.Save(*out)
-	case "gob":
-		err = db.SaveGob(*out)
-	default:
-		log.Fatalf("unknown target format %q (want columnar or gob)", *to)
-	}
-	if err != nil {
+	if err := db.Save(*out); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("wrote %s (%s): %d users, %d regions", *out, *to, db.Len(), db.NumRegions())
+	log.Printf("wrote %s (columnar): %d users, %d regions", *out, db.Len(), db.NumRegions())
 }
 
 func verify(args []string) {

@@ -108,9 +108,6 @@ type Breaker struct {
 	fails    int    // failures among the valid entries
 	openedAt time.Time
 	probing  bool // a half-open probe token is outstanding
-
-	// Counters for observability (Stats).
-	trips, probes, rejected uint64
 }
 
 // New builds a breaker in the closed state.
@@ -141,18 +138,15 @@ func (b *Breaker) Allow() (*Token, bool) {
 		return &Token{b: b}, true
 	case Open:
 		if b.cfg.Clock().Sub(b.openedAt) < b.cfg.OpenFor {
-			b.rejected++
 			return nil, false
 		}
 		b.state = HalfOpen
 		fallthrough
 	case HalfOpen:
 		if b.probing {
-			b.rejected++
 			return nil, false
 		}
 		b.probing = true
-		b.probes++
 		return &Token{b: b, probe: true}, true
 	}
 	return nil, false
@@ -201,7 +195,6 @@ func (t *Token) Done(success bool) {
 func (b *Breaker) maybeTrip() {
 	if b.filled >= b.cfg.MinSamples &&
 		float64(b.fails)/float64(b.filled) >= b.cfg.Threshold {
-		b.trips++
 		b.reset(Open)
 		b.openedAt = b.cfg.Clock()
 	}
@@ -239,20 +232,4 @@ func (b *Breaker) State() State {
 		return HalfOpen
 	}
 	return b.state
-}
-
-// Stats is a point-in-time snapshot of the breaker counters.
-type Stats struct {
-	State    string `json:"state"`
-	Trips    uint64 `json:"trips"`
-	Probes   uint64 `json:"probes"`
-	Rejected uint64 `json:"rejected"`
-}
-
-// Stats returns the breaker's counters for observability surfaces.
-func (b *Breaker) Stats() Stats {
-	st := b.State() // takes mu internally; read before re-locking
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return Stats{State: st.String(), Trips: b.trips, Probes: b.probes, Rejected: b.rejected}
 }

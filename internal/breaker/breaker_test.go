@@ -203,23 +203,7 @@ func TestConcurrentChaos(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	st := b.Stats()
-	if st.State == "invalid" {
-		t.Fatalf("breaker reached invalid state: %+v", st)
-	}
-}
-
-func TestStats(t *testing.T) {
-	clk := &fakeClock{now: time.Unix(0, 0)}
-	b := newTestBreaker(clk)
-	for i := 0; i < 4; i++ {
-		outcome(t, b, false)
-	}
-	if _, ok := b.Allow(); ok {
-		t.Fatal("open allowed")
-	}
-	st := b.Stats()
-	if st.Trips != 1 || st.Rejected != 1 || st.State != "open" {
-		t.Fatalf("stats = %+v, want 1 trip, 1 rejected, open", st)
+	if st := b.State(); st.String() == "invalid" {
+		t.Fatalf("breaker reached invalid state: %v", st)
 	}
 }

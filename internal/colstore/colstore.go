@@ -194,11 +194,6 @@ func (s *Snapshot) NumRegions() int { return len(s.MinX) }
 // HasSketches reports whether the sketch sections are present.
 func (s *Snapshot) HasSketches() bool { return s.CellStarts != nil }
 
-// ZeroCopy reports whether the column slices alias an mmap (true) or
-// own heap memory (false: the io.ReadFull path, or a freshly built
-// snapshot).
-func (s *Snapshot) ZeroCopy() bool { return s.src != nil }
-
 // Close unmaps the backing mapping, if any. After Close every column
 // slice of a zero-copy snapshot is invalid; callers that materialised
 // or copied out of the snapshot (store.Load does not — it aliases) must

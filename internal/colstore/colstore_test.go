@@ -162,8 +162,8 @@ func TestRoundTripBothModes(t *testing.T) {
 			}
 			defer got.Close()
 			checkEqual(t, want, got)
-			if got.ZeroCopy() != tc.zero {
-				t.Errorf("ZeroCopy() = %v, want %v", got.ZeroCopy(), tc.zero)
+			if zero := got.src != nil; zero != tc.zero {
+				t.Errorf("aliases a mapping = %v, want %v", zero, tc.zero)
 			}
 			if got.NumUsers() != 3 || got.NumRegions() != 4 || !got.HasSketches() || got.Version != Version {
 				t.Errorf("counts: users=%d regions=%d sketches=%v version=%d",

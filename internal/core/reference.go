@@ -37,6 +37,8 @@ func NormNaive(f Footprint) float64 {
 
 // SimilarityNaive computes sim(F(r), F(s)) (Equation 1) by coordinate
 // compression over the union of both footprints' boundaries.
+//
+//lint:ignore testonly the reference the kernel suites compare Algorithms 3 and 4 against
 func SimilarityNaive(fr, fs Footprint) float64 {
 	all := make(Footprint, 0, len(fr)+len(fs))
 	all = append(all, fr...)

@@ -193,67 +193,6 @@ func activeFootprint(f Footprint3, active map[int32]struct{}) core.Footprint {
 	return fp
 }
 
-// WeightedBox is one element of a 3D footprint's disjoint-region
-// decomposition: a box and the total weight of the regions covering
-// it.
-type WeightedBox struct {
-	Box    geom.Box3
-	Weight float64
-}
-
-// DisjointRegions3 decomposes a 3D footprint into non-overlapping
-// boxes with total weights — the Section 5.1 alternative
-// representation carried to 3D. The sweep plane walks the x-axis; each
-// stripe's active y-z rectangles decompose with the 2D machinery.
-// Boxes are not merged across stripes, so the output can be longer
-// than minimal; Σ |B|·w² still equals NormSquared exactly (tested).
-func DisjointRegions3(f Footprint3) []WeightedBox {
-	if len(f) == 0 {
-		return nil
-	}
-	evs := events3(f, 0, make([]event3, 0, 2*len(f)))
-	sortEvents3(evs)
-	active := make(map[int32]struct{}, len(f))
-	var out []WeightedBox
-	prev := evs[0].v
-	for _, e := range evs {
-		if e.v > prev {
-			if len(active) > 0 {
-				fp := activeFootprint(f, active)
-				for _, d := range core.DisjointRegions(fp) {
-					out = append(out, WeightedBox{
-						Box: geom.Box3{
-							MinX: prev, MaxX: e.v,
-							MinY: d.Rect.MinX, MaxY: d.Rect.MaxX,
-							MinZ: d.Rect.MinY, MaxZ: d.Rect.MaxY,
-						},
-						Weight: d.Weight,
-					})
-				}
-			}
-			prev = e.v
-		}
-		if e.start {
-			active[e.idx] = struct{}{}
-		} else {
-			delete(active, e.idx)
-		}
-	}
-	return out
-}
-
-// Compact3 rewrites a 3D footprint as its disjoint decomposition;
-// norms and similarities are preserved exactly.
-func Compact3(f Footprint3) Footprint3 {
-	boxes := DisjointRegions3(f)
-	g := make(Footprint3, len(boxes))
-	for i, b := range boxes {
-		g[i] = Region3{Box: b.Box, Weight: b.Weight}
-	}
-	sortByMinX(g)
-	return g
-}
-
 // SimilarityJoin is the 3D analogue of Algorithm 4: every intersecting
 // pair of boxes contributes its intersection volume times the weight
 // product. Boxes are swept along x so only x-overlapping pairs are
@@ -330,6 +269,8 @@ func NormNaive(f Footprint3) float64 {
 
 // SimilarityNaive computes the 3D similarity by coordinate
 // compression.
+//
+//lint:ignore testonly the reference the 3D similarity tests compare the sweep and the join against
 func SimilarityNaive(fr, fs Footprint3) float64 {
 	all := make(Footprint3, 0, len(fr)+len(fs))
 	all = append(all, fr...)

@@ -71,6 +71,8 @@ func Extract3(t Trajectory3, cfg extract.Config) []RoI3 {
 
 // ExtractNaive3 is the prose-literal sliding-window reference, the
 // test oracle for Extract3.
+//
+//lint:ignore testonly the reference TestExtract3MatchesNaive compares Extract3 against
 func ExtractNaive3(t Trajectory3, cfg extract.Config) []RoI3 {
 	var out []RoI3
 	s := 0

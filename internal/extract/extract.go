@@ -138,6 +138,8 @@ func Extract(t traj.Trajectory, cfg Config) []RoI {
 // a start index s; once the τ locations from s form a valid region,
 // extend the end maximally, emit, and continue after the emitted
 // region. It is O(|T|·τ²) and exists as a test oracle for Extract.
+//
+//lint:ignore testonly the reference the extraction tests compare Algorithm 1 against
 func ExtractNaive(t traj.Trajectory, cfg Config) []RoI {
 	var out []RoI
 	s := 0

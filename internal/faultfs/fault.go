@@ -77,12 +77,16 @@ type Fault struct {
 }
 
 // NewFault returns a fault-injecting filesystem over inner.
+//
+//lint:ignore testonly fault injection: the crash and fault-matrix suites build their filesystems with it
 func NewFault(inner FS, sched Schedule) *Fault {
 	return &Fault{inner: inner, sched: sched}
 }
 
 // Fired reports, in order, the faults that have fired — the test
 // oracle that a schedule actually exercised what it meant to.
+//
+//lint:ignore testonly fault injection: the suites check a schedule fired what it meant to
 func (f *Fault) Fired() []string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -93,6 +97,8 @@ func (f *Fault) Fired() []string {
 
 // Counts reports the operations attempted so far (writes, syncs,
 // renames) — used to calibrate schedules against a workload.
+//
+//lint:ignore testonly fault injection: the suites calibrate schedules against a workload with it
 func (f *Fault) Counts() (writes, syncs, renames int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

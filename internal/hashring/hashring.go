@@ -234,12 +234,6 @@ func hashUser(user int) uint64 {
 	return mix64(h.Sum64())
 }
 
-// OwnerIndex returns the index (into Shards()) of the shard owning
-// user: the first virtual node clockwise from the user's hash.
-func (r *Ring) OwnerIndex(user int) int {
-	return r.points[r.pointOf(user)].shard
-}
-
 // pointOf locates the first virtual node clockwise from user's hash.
 func (r *Ring) pointOf(user int) int {
 	r.lookups.Add(1)
@@ -252,9 +246,11 @@ func (r *Ring) pointOf(user int) int {
 }
 
 // Lookups returns how many times a user has been located on the ring
-// (Owner, Replicas, a SegmentTable column entry — one each). A query
+// (ReplicaIndices or a SegmentTable column entry — one each). A query
 // path that should run off a memoised column shows as a count that
 // stops moving.
+//
+//lint:ignore testonly a probe: TestSegmentColumnMemoised counts lookups to prove the segment column is built once per epoch
 func (r *Ring) Lookups() uint64 { return r.lookups.Load() }
 
 // clampR bounds a replication factor to [1, N]: replication can never
@@ -296,25 +292,16 @@ func (r *Ring) successorWalk(p, R int) []int {
 }
 
 // ReplicaIndices returns the ordered replica set for user under
-// replication factor R: the owning shard first, then the next R-1
+// replication factor R: the owning shard (that of the first virtual
+// node clockwise from the user's hash) first, then the next R-1
 // distinct shards clockwise from the user's ring position. R is
-// clamped to [1, N]. ReplicaIndices(u, 1)[0] == OwnerIndex(u) always.
+// clamped to [1, N].
 //
 // Because the walk starts at the user's successor point, re-running it
 // with a larger R only appends shards — growing the replication factor
 // never moves an existing copy.
 func (r *Ring) ReplicaIndices(user, R int) []int {
 	return r.successorWalk(r.pointOf(user), r.clampR(R))
-}
-
-// Replicas returns the ordered replica shards for user.
-func (r *Ring) Replicas(user, R int) []Shard {
-	idx := r.ReplicaIndices(user, R)
-	out := make([]Shard, len(idx))
-	for i, s := range idx {
-		out[i] = r.shards[s]
-	}
-	return out
 }
 
 // Segments enumerates the distinct ordered replica tuples the ring
@@ -401,6 +388,8 @@ func (r *Ring) SegmentTable(R int) (*SegmentTable, error) {
 }
 
 // Ring returns the ring the table was built from.
+//
+//lint:ignore testonly a probe: TestSegmentColumnMemoised reads the lookup count of the ring a server's table holds
 func (t *SegmentTable) Ring() *Ring { return t.ring }
 
 // Segments returns the sorted segment list — Ring.Segments for the
@@ -457,14 +446,6 @@ func RingFromIDs(ids []string, replicas int) (*Ring, error) {
 	return NewRing(m)
 }
 
-// Owner returns the shard owning user.
-func (r *Ring) Owner(user int) Shard {
-	return r.shards[r.OwnerIndex(user)]
-}
-
 // Shards returns the ring's shards in map order. The returned slice
 // is shared — read-only.
 func (r *Ring) Shards() []Shard { return r.shards }
-
-// N returns the shard count.
-func (r *Ring) N() int { return len(r.shards) }

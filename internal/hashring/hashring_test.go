@@ -40,11 +40,11 @@ func TestRingDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for u := 0; u < 10000; u++ {
-		a := r1.Owner(u).ID
-		if b := r2.Owner(u).ID; a != b {
+		a := r1.shards[r1.ReplicaIndices(u, 1)[0]].ID
+		if b := r2.shards[r2.ReplicaIndices(u, 1)[0]].ID; a != b {
 			t.Fatalf("user %d: run 1 says %s, run 2 says %s", u, a, b)
 		}
-		if c := r3.Owner(u).ID; a != c {
+		if c := r3.shards[r3.ReplicaIndices(u, 1)[0]].ID; a != c {
 			t.Fatalf("user %d: map order changed owner %s -> %s", u, a, c)
 		}
 	}
@@ -61,7 +61,7 @@ func TestRingBalance(t *testing.T) {
 		counts := make([]int, n)
 		const users = 100000
 		for u := 1; u <= users; u++ {
-			counts[r.OwnerIndex(u)]++
+			counts[r.ReplicaIndices(u, 1)[0]]++
 		}
 		fair := float64(users) / float64(n)
 		for i, c := range counts {
@@ -87,7 +87,7 @@ func TestRingStability(t *testing.T) {
 	}
 	moved := 0
 	for u := 1; u <= users; u++ {
-		a, b := r4.Owner(u).ID, r5.Owner(u).ID
+		a, b := r4.shards[r4.ReplicaIndices(u, 1)[0]].ID, r5.shards[r5.ReplicaIndices(u, 1)[0]].ID
 		if a != b {
 			moved++
 			if b != "shard-4" {
@@ -149,7 +149,7 @@ func TestMapFileRoundTrip(t *testing.T) {
 	r1, _ := NewRing(m)
 	r2, _ := NewRing(got)
 	for u := 0; u < 5000; u++ {
-		if r1.Owner(u) != r2.Owner(u) {
+		if r1.shards[r1.ReplicaIndices(u, 1)[0]] != r2.shards[r2.ReplicaIndices(u, 1)[0]] {
 			t.Fatalf("user %d: owner changed across save/load", u)
 		}
 	}
@@ -181,8 +181,8 @@ func TestReplicaIndices(t *testing.T) {
 			if len(got) != wantLen {
 				t.Fatalf("user %d R=%d: %d replicas, want %d", u, R, len(got), wantLen)
 			}
-			if got[0] != r.OwnerIndex(u) {
-				t.Fatalf("user %d R=%d: first replica %d != owner %d", u, R, got[0], r.OwnerIndex(u))
+			if got[0] != r.ReplicaIndices(u, 1)[0] {
+				t.Fatalf("user %d R=%d: first replica %d != owner %d", u, R, got[0], r.ReplicaIndices(u, 1)[0])
 			}
 			seen := map[int]bool{}
 			for _, s := range got {

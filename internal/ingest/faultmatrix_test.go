@@ -3,6 +3,7 @@ package ingest
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -53,13 +54,15 @@ func refOver(t *testing.T, cfg Config, batches [][]Sample, m int) *store.Footpri
 	return db
 }
 
-// encodeDB renders a database to its canonical gob bytes.
+// encodeDB renders a database to its canonical bytes: the columnar
+// snapshot a checkpoint writes, whose float columns carry every bit.
 func encodeDB(t *testing.T, db *store.FootprintDB) []byte {
 	t.Helper()
 	var b bytes.Buffer
-	if err := db.EncodeTo(&b); err != nil {
+	if err := db.Columnar(nil).EncodeTo(&b); err != nil {
 		t.Fatal(err)
 	}
+	runtime.KeepAlive(db) // the snapshot aliases columns db may keep mapped
 	return b.Bytes()
 }
 

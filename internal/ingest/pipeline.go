@@ -388,6 +388,8 @@ func (p *Pipeline) writeSnapshot() error {
 // TriggerSnapshot requests a checkpoint after the group currently
 // being applied; it returns immediately. A quiescent pipeline (empty
 // queue) checkpoints after the next batch it applies.
+//
+//lint:ignore testonly a crash-test hook: the crash and group-commit suites checkpoint at a chosen point
 func (p *Pipeline) TriggerSnapshot() { p.snapReq.Store(true) }
 
 // Drain blocks until every acknowledged batch has been applied, or the
@@ -439,15 +441,9 @@ func (p *Pipeline) Close() error {
 	return err
 }
 
-// Err reports the error that stopped the apply loop, if any.
-func (p *Pipeline) Err() error {
-	err, _ := p.fatal.Load().(error)
-	return err
-}
-
 // WALErr reports the error that sealed the write-ahead log, or nil
-// while it is healthy. Unlike Err, this also catches faults raised by
-// the log's background fsync goroutine on an otherwise idle pipeline.
+// while it is healthy. It also catches faults raised by the log's
+// background fsync goroutine on an otherwise idle pipeline.
 func (p *Pipeline) WALErr() error { return p.log.Err() }
 
 // Stats returns a consistent-enough snapshot of the counters for

@@ -107,7 +107,8 @@ func runReference(t *testing.T, cfg Config, db *store.FootprintDB, batches [][]S
 }
 
 // mustMatch asserts got is byte-identical to want: footprints, norms,
-// MBRs, sketches, and the full gob encoding.
+// MBRs, sketches, and the columnar snapshot a checkpoint writes (which
+// also tells -0 from 0).
 func mustMatch(t *testing.T, got, want *store.FootprintDB) {
 	t.Helper()
 	if !reflect.DeepEqual(got.IDs, want.IDs) {
@@ -125,15 +126,8 @@ func mustMatch(t *testing.T, got, want *store.FootprintDB) {
 	if got.SketchParams != want.SketchParams || !reflect.DeepEqual(got.Sketches, want.Sketches) {
 		t.Fatal("sketches differ")
 	}
-	var gb, wb bytes.Buffer
-	if err := got.EncodeTo(&gb); err != nil {
-		t.Fatal(err)
-	}
-	if err := want.EncodeTo(&wb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
-		t.Fatal("gob encodings differ")
+	if !bytes.Equal(encodeDB(t, got), encodeDB(t, want)) {
+		t.Fatal("columnar snapshot encodings differ")
 	}
 }
 

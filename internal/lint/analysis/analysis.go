@@ -30,6 +30,11 @@ type Analyzer struct {
 	// Run applies the analyzer to a single type-checked package,
 	// reporting violations through pass.Report.
 	Run func(*Pass) error
+	// RunProgram, set instead of Run, applies a whole-program analyzer
+	// to every package of a run at once, reporting through each
+	// package's own Pass. Upstream expresses such checks with facts;
+	// this is the one place the mirror departs from its API.
+	RunProgram func([]*Pass) error
 }
 
 // Diagnostic is one reported violation.

@@ -34,23 +34,46 @@ import (
 // Run loads each fixture package (a path relative to the module root,
 // e.g. "./internal/lint/testdata/src/floatrange/a"), applies the
 // analyzer, and reports mismatches against the // want expectations.
+//
+//lint:ignore testonly the fixture harness: only the analyzers' tests import this package
 func Run(t *testing.T, a *analysis.Analyzer, fixtures ...string) {
 	t.Helper()
-	root := ModuleRoot(t)
-	pkgs, err := loader.Load(root, fixtures...)
+	pkgs, err := loader.Load(ModuleRoot(t), fixtures...)
 	if err != nil {
 		t.Fatalf("loading fixtures %v: %v", fixtures, err)
 	}
 	if len(pkgs) == 0 {
 		t.Fatalf("no packages matched %v", fixtures)
 	}
+	var findings []lint.Finding
 	for _, pkg := range pkgs {
-		findings, err := lint.RunOne(pkg, a)
+		fs, err := lint.RunOne(pkg, a)
 		if err != nil {
 			t.Fatalf("%s on %s: %v", a.Name, pkg.Path, err)
 		}
-		check(t, pkg, findings)
+		findings = append(findings, fs...)
 	}
+	check(t, pkgs, findings)
+}
+
+// RunModule is Run for a whole-program analyzer, whose fixture is a
+// module of its own (a facade, mains, a second module nested under it):
+// it loads every package of the module at dir, relative to the module
+// root, and applies the analyzer to all of them at once through
+// lint.Run.
+//
+//lint:ignore testonly the fixture harness: only the analyzers' tests import this package
+func RunModule(t *testing.T, a *analysis.Analyzer, dir string) {
+	t.Helper()
+	pkgs, err := loader.Load(filepath.Join(ModuleRoot(t), dir), "./...")
+	if err != nil {
+		t.Fatalf("loading fixture module %s: %v", dir, err)
+	}
+	findings, err := lint.Run(pkgs, []*analysis.Analyzer{a})
+	if err != nil {
+		t.Fatalf("%s on %s: %v", a.Name, dir, err)
+	}
+	check(t, pkgs, findings)
 }
 
 // ModuleRoot locates the module root directory via the go command.
@@ -77,27 +100,29 @@ type expectation struct {
 
 var wantRE = regexp.MustCompile("`([^`]*)`|\"((?:[^\"\\\\]|\\\\.)*)\"")
 
-func check(t *testing.T, pkg *loader.Package, findings []lint.Finding) {
+func check(t *testing.T, pkgs []*loader.Package, findings []lint.Finding) {
 	t.Helper()
 	var wants []*expectation
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text, ok := strings.CutPrefix(c.Text, "// want ")
-				if !ok {
-					continue
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				for _, m := range wantRE.FindAllStringSubmatch(text, -1) {
-					lit := m[1]
-					if lit == "" {
-						lit = m[2]
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					text, ok := strings.CutPrefix(c.Text, "// want ")
+					if !ok {
+						continue
 					}
-					rx, err := regexp.Compile(lit)
-					if err != nil {
-						t.Fatalf("%s:%d: bad want pattern %q: %v", pos.Filename, pos.Line, lit, err)
+					pos := pkg.Fset.Position(c.Pos())
+					for _, m := range wantRE.FindAllStringSubmatch(text, -1) {
+						lit := m[1]
+						if lit == "" {
+							lit = m[2]
+						}
+						rx, err := regexp.Compile(lit)
+						if err != nil {
+							t.Fatalf("%s:%d: bad want pattern %q: %v", pos.Filename, pos.Line, lit, err)
+						}
+						wants = append(wants, &expectation{file: pos.Filename, line: pos.Line, rx: rx})
 					}
-					wants = append(wants, &expectation{file: pos.Filename, line: pos.Line, rx: rx})
 				}
 			}
 		}

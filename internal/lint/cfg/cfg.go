@@ -33,7 +33,6 @@
 package cfg
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -525,17 +524,4 @@ func (g *CFG) Reachable() []*Block {
 		}
 	}
 	return out
-}
-
-// Format renders the CFG for debugging and tests.
-func (g *CFG) Format(fset *token.FileSet) string {
-	var sb strings.Builder
-	for _, blk := range g.Blocks {
-		fmt.Fprintf(&sb, "b%d(%s):", blk.Index, blk.Kind)
-		for _, s := range blk.Succs {
-			fmt.Fprintf(&sb, " ->b%d", s.Index)
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

@@ -276,7 +276,7 @@ func f(n int) int {
 		}
 	}
 	if !found {
-		t.Fatalf("fallthrough edge missing: %s", g.Format(fset))
+		t.Fatalf("fallthrough edge missing from case block b%d", ft.Index)
 	}
 }
 

@@ -7,7 +7,7 @@
 //   - floatrange      — PR 3's ULP-drift bug class: float accumulation
 //     in map iteration order is non-deterministic.
 //   - atomicwrite     — PR 3's truncated-checkpoint bug class: raw
-//     file writes on persistence paths bypass WriteFileAtomic.
+//     file writes on persistence paths bypass WriteFileAtomicFS.
 //   - hotalloc        — PR 1's 0-alloc kernels: allocation sources in
 //     //geo:hotpath functions.
 //   - hotmath         — math.Min/math.Max in //geo:hotpath functions:
@@ -25,6 +25,9 @@
 //   - colwrite        — PR 7's columnar-snapshot contract: a
 //     colstore.Snapshot encode on a persistence path must go through
 //     the WriteColumnar atomic writer seam, never a raw writer.
+//   - testonly        — code no binary runs: an exported name in an
+//     internal/ package whose every reference is in a _test.go file
+//     or its own body. The one whole-program analyzer (testonly.go).
 //
 // Suppression: a diagnostic is suppressed by a comment
 // `//lint:ignore <analyzer> <reason>` on the offending line or the
@@ -64,6 +67,7 @@ var Analyzers = []*analysis.Analyzer{
 	PinLeak,
 	BodyClose,
 	LockBalance,
+	TestOnly,
 }
 
 // Finding is one surfaced (non-suppressed) diagnostic.
@@ -88,13 +92,15 @@ func (f Finding) String() string {
 const StaleIgnore = "staleignore"
 
 // Run applies every analyzer to every package — packages in parallel,
-// bounded by GOMAXPROCS — and returns the surviving findings sorted by
-// position, so the output order is deterministic regardless of
-// scheduling. Suppression directives are applied centrally, and
-// directives that suppressed nothing across the whole suite are
-// reported under the staleignore pseudo-analyzer.
+// bounded by GOMAXPROCS, then each whole-program analyzer once over
+// all of them — and returns the surviving findings sorted by position,
+// so the output order is deterministic regardless of scheduling.
+// Suppression directives are applied centrally, one index per package
+// shared by the whole suite, and directives that suppressed nothing
+// are reported under the staleignore pseudo-analyzer.
 func Run(pkgs []*loader.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
 	results := make([][]Finding, len(pkgs))
+	sups := make([]*suppressions, len(pkgs))
 	errs := make([]error, len(pkgs))
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
@@ -104,16 +110,38 @@ func Run(pkgs []*loader.Package, analyzers []*analysis.Analyzer) ([]Finding, err
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			results[i], errs[i] = RunPackage(pkg, analyzers)
+			sups[i] = newSuppressions(pkg.Fset, pkg.Files)
+			for _, a := range analyzers {
+				if a.RunProgram != nil {
+					continue
+				}
+				if err := a.Run(newPass(pkg, a, sups[i], &results[i])); err != nil {
+					errs[i] = fmt.Errorf("lint: %s on %s: %v", a.Name, pkg.Path, err)
+					return
+				}
+			}
 		}()
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
+	for _, a := range analyzers {
+		if a.RunProgram == nil {
+			continue
+		}
+		passes := make([]*analysis.Pass, len(pkgs))
+		for i, pkg := range pkgs {
+			passes[i] = newPass(pkg, a, sups[i], &results[i])
+		}
+		if err := a.RunProgram(passes); err != nil {
+			return nil, fmt.Errorf("lint: %s: %v", a.Name, err)
+		}
+	}
 	var all []Finding
-	for _, fs := range results {
+	for i, fs := range results {
 		all = append(all, fs...)
+		all = append(all, staleFindings(sups[i], analyzers)...)
 	}
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i], all[j]
@@ -131,37 +159,25 @@ func Run(pkgs []*loader.Package, analyzers []*analysis.Analyzer) ([]Finding, err
 	return all, nil
 }
 
-// RunPackage applies a suite of analyzers to one package with a single
-// shared suppression index, so directive usage can be tracked across
-// the whole suite: after every analyzer has run, any directive that
-// suppressed nothing becomes a staleignore finding.
-func RunPackage(pkg *loader.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	sup := newSuppressions(pkg.Fset, pkg.Files)
+// RunOne applies a single per-package analyzer to a single package,
+// returning the findings that survive //lint:ignore suppression. Used
+// by fixture tests, which exercise one analyzer at a time;
+// stale-suppression detection deliberately does not run here (a
+// fixture's directives for other analyzers would all read as stale).
+func RunOne(pkg *loader.Package, a *analysis.Analyzer) ([]Finding, error) {
 	var out []Finding
-	for _, a := range analyzers {
-		fs, err := runWith(pkg, a, sup)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, fs...)
+	if err := a.Run(newPass(pkg, a, newSuppressions(pkg.Fset, pkg.Files), &out)); err != nil {
+		return nil, fmt.Errorf("lint: %s on %s: %v", a.Name, pkg.Path, err)
 	}
-	out = append(out, staleFindings(sup, analyzers)...)
 	return out, nil
 }
 
-// RunOne applies a single analyzer to a single package, returning the
-// findings that survive //lint:ignore suppression. Used by fixture
-// tests, which exercise one analyzer at a time; stale-suppression
-// detection deliberately does not run here (a fixture's directives for
-// other analyzers would all read as stale).
-func RunOne(pkg *loader.Package, a *analysis.Analyzer) ([]Finding, error) {
-	return runWith(pkg, a, newSuppressions(pkg.Fset, pkg.Files))
-}
-
-func runWith(pkg *loader.Package, a *analysis.Analyzer, sup *suppressions) ([]Finding, error) {
-	var out []Finding
+// newPass builds the Pass through which analyzer a sees pkg: its
+// Report applies sup's directives, drops exact duplicates and appends
+// what survives to out.
+func newPass(pkg *loader.Package, a *analysis.Analyzer, sup *suppressions, out *[]Finding) *analysis.Pass {
 	seen := make(map[string]bool)
-	pass := &analysis.Pass{
+	return &analysis.Pass{
 		Analyzer:  a,
 		Fset:      pkg.Fset,
 		Files:     pkg.Files,
@@ -177,13 +193,9 @@ func runWith(pkg *loader.Package, a *analysis.Analyzer, sup *suppressions) ([]Fi
 				return
 			}
 			seen[key] = true
-			out = append(out, Finding{Pos: pos, Analyzer: a.Name, Message: d.Message})
+			*out = append(*out, Finding{Pos: pos, Analyzer: a.Name, Message: d.Message})
 		},
 	}
-	if err := a.Run(pass); err != nil {
-		return nil, fmt.Errorf("lint: %s on %s: %v", a.Name, pkg.Path, err)
-	}
-	return out, nil
 }
 
 // staleFindings reports unused directives after a suite run. A

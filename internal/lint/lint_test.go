@@ -75,6 +75,10 @@ func TestLockBalance(t *testing.T) {
 		"./internal/lint/testdata/src/lockbalance/a")
 }
 
+func TestTestOnly(t *testing.T) {
+	analysistest.RunModule(t, lint.TestOnly, "internal/lint/testdata/src/testonly")
+}
+
 // TestStaleIgnore pins the driver-level stale-suppression detection:
 // after a full suite run over the fixture, the unused lockbalance
 // directive and the typo'd analyzer name are findings, and the live
@@ -90,9 +94,9 @@ func TestStaleIgnore(t *testing.T) {
 	if len(pkgs) != 1 {
 		t.Fatalf("got %d packages, want 1", len(pkgs))
 	}
-	findings, err := lint.RunPackage(pkgs[0], lint.Analyzers)
+	findings, err := lint.Run(pkgs, lint.Analyzers)
 	if err != nil {
-		t.Fatalf("RunPackage: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	var stale []lint.Finding
 	for _, f := range findings {

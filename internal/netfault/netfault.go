@@ -130,6 +130,8 @@ func (t *Transport) Clear(host string) {
 // Fired reports, in order, the faults that have fired as
 // "host:fault" strings — the oracle that a schedule exercised the
 // path it meant to.
+//
+//lint:ignore testonly fault injection: the chaos suites check a schedule fired what it meant to
 func (t *Transport) Fired() []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -139,6 +141,8 @@ func (t *Transport) Fired() []string {
 }
 
 // Requests returns how many requests were admitted for host.
+//
+//lint:ignore testonly fault injection: the chaos suites count the legs a schedule admitted
 func (t *Transport) Requests(host string) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -149,6 +153,8 @@ func (t *Transport) Requests(host string) int {
 }
 
 // Targets lists the hosts with schedules installed, sorted.
+//
+//lint:ignore testonly fault injection: the chaos suites list the hosts a schedule covers
 func (t *Transport) Targets() []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()

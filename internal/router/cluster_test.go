@@ -123,7 +123,7 @@ func startCluster(t *testing.T, n int, ids []int, fps []core.Footprint) *cluster
 	subIDs := make([][]int, n)
 	subFPs := make([][]core.Footprint, n)
 	for j, id := range ids {
-		i := ring.OwnerIndex(id)
+		i := ring.ReplicaIndices(id, 1)[0]
 		subIDs[i] = append(subIDs[i], id)
 		subFPs[i] = append(subFPs[i], fps[j])
 	}

@@ -368,7 +368,7 @@ func TestRouteIngestPartitions(t *testing.T) {
 			case sub := <-received[i]:
 				seen += len(sub)
 				for j, s := range sub {
-					if own := r.ring.Owner(s.User).ID; own != fmt.Sprintf("shard-%d", i) {
+					if own := r.ring.Shards()[r.ring.ReplicaIndices(s.User, 1)[0]].ID; own != fmt.Sprintf("shard-%d", i) {
 						t.Fatalf("shard-%d received user %d owned by %s", i, s.User, own)
 					}
 					// Wire round-trip must preserve exact float bits

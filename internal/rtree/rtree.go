@@ -65,16 +65,6 @@ func New(maxEntries int) *Tree {
 // Len returns the number of entries in the tree.
 func (t *Tree) Len() int { return t.size }
 
-// Height returns the number of levels (a tree holding only a root
-// leaf has height 1).
-func (t *Tree) Height() int {
-	h := 1
-	for n := t.root; !n.leaf; n = n.children[0] {
-		h++
-	}
-	return h
-}
-
 // Insert adds an entry to the tree (Guttman insertion with quadratic
 // split).
 func (t *Tree) Insert(r geom.Rect, data int64) {
@@ -306,58 +296,12 @@ func (t *Tree) SearchLeaves(q geom.Rect, fn func(leafMBR geom.Rect, entries []En
 	}
 }
 
-// All calls fn for every entry in the tree.
-func (t *Tree) All(fn func(Entry) bool) {
-	var walk func(n *node) bool
-	walk = func(n *node) bool {
-		if n.leaf {
-			for i, r := range n.rects {
-				if !fn(Entry{Rect: r, Data: n.data[i]}) {
-					return false
-				}
-			}
-			return true
-		}
-		for _, c := range n.children {
-			if !walk(c) {
-				return false
-			}
-		}
-		return true
-	}
-	walk(t.root)
-}
-
-// Stats summarises the tree's shape.
-type Stats struct {
-	Entries    int
-	Height     int
-	LeafNodes  int
-	InnerNodes int
-}
-
-// Stats returns size statistics of the tree.
-func (t *Tree) Stats() Stats {
-	s := Stats{Entries: t.size, Height: t.Height()}
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n.leaf {
-			s.LeafNodes++
-			return
-		}
-		s.InnerNodes++
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(t.root)
-	return s
-}
-
 // Validate checks the structural invariants of the tree: parent MBRs
 // exactly cover their children, node occupancy is within [min, max]
 // (except the root), all leaves are at the same depth, and the entry
 // count matches Len. It returns the first violation found.
+//
+//lint:ignore testonly the structural oracle FuzzTreeOps and the unit tests check every tree against
 func (t *Tree) Validate() error {
 	leafDepth := -1
 	entries := 0

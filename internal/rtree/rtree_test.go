@@ -64,8 +64,8 @@ func TestEmptyTree(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Errorf("Len = %d, want 0", tr.Len())
 	}
-	if tr.Height() != 1 {
-		t.Errorf("Height = %d, want 1", tr.Height())
+	if !tr.root.leaf {
+		t.Error("empty tree's root is not a leaf")
 	}
 	hits := collectSearch(tr, geom.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100})
 	if len(hits) != 0 {
@@ -117,7 +117,7 @@ func TestInsertManyMatchesLinear(t *testing.T) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("M=%d: Validate: %v", maxEntries, err)
 		}
-		if tr.Height() < 2 {
+		if tr.root.leaf {
 			t.Fatalf("M=%d: tree of 2000 entries should have split", maxEntries)
 		}
 		for trial := 0; trial < 50; trial++ {
@@ -215,48 +215,6 @@ func insertAll(es []Entry, m int) *Tree {
 		tr.Insert(e.Rect, e.Data)
 	}
 	return tr
-}
-
-func TestAll(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	es := randEntries(rng, 300, 10)
-	tr := insertAll(es, 8)
-	seen := map[int64]bool{}
-	tr.All(func(e Entry) bool {
-		seen[e.Data] = true
-		return true
-	})
-	if len(seen) != len(es) {
-		t.Errorf("All visited %d entries, want %d", len(seen), len(es))
-	}
-	// Early stop.
-	count := 0
-	tr.All(func(e Entry) bool {
-		count++
-		return false
-	})
-	if count != 1 {
-		t.Errorf("All early stop visited %d, want 1", count)
-	}
-}
-
-func TestStats(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	es := randEntries(rng, 1000, 10)
-	tr := Bulk(es, 16)
-	s := tr.Stats()
-	if s.Entries != 1000 {
-		t.Errorf("Entries = %d", s.Entries)
-	}
-	if s.Height != tr.Height() {
-		t.Errorf("Height mismatch: %d vs %d", s.Height, tr.Height())
-	}
-	if s.LeafNodes < 1000/16 {
-		t.Errorf("LeafNodes = %d, implausibly few", s.LeafNodes)
-	}
-	if s.InnerNodes < 1 {
-		t.Errorf("InnerNodes = %d", s.InnerNodes)
-	}
 }
 
 func TestDuplicateRects(t *testing.T) {

@@ -29,29 +29,22 @@ func exactRanking(t *testing.T, label string, got, want []Result) {
 }
 
 // TestColumnarBackingEquivalence is the end-to-end acceptance property
-// of the columnar snapshot: a database loaded through gob, the
-// columnar read path, and the columnar mmap path must produce
-// bit-identical top-k results for every search method, every k.
+// of the columnar snapshot: a database in memory and the same database
+// saved and loaded through the columnar read path and the columnar mmap
+// path must produce bit-identical top-k results for every search
+// method, every k.
 func TestColumnarBackingEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(4096))
 	db := testDB(t, rng, 300)
 	db.EnableSketches(32, 2)
 
-	dir := t.TempDir()
-	gobPath := filepath.Join(dir, "db.gob")
-	colPath := filepath.Join(dir, "db.col")
-	if err := db.SaveGob(gobPath); err != nil {
-		t.Fatalf("save gob: %v", err)
-	}
+	colPath := filepath.Join(t.TempDir(), "db.col")
 	if err := db.Save(colPath); err != nil {
 		t.Fatalf("save columnar: %v", err)
 	}
 
-	backings := map[string]*store.FootprintDB{}
+	backings := map[string]*store.FootprintDB{"aos": db}
 	var err error
-	if backings["gob"], err = store.Load(gobPath); err != nil {
-		t.Fatalf("load gob: %v", err)
-	}
 	if backings["col-read"], err = store.LoadColumnar(colPath, colstore.ModeRead); err != nil {
 		t.Fatalf("load columnar read: %v", err)
 	}
@@ -78,7 +71,7 @@ func TestColumnarBackingEquivalence(t *testing.T) {
 	queries := clusteredFootprints(rng, 10, 12)
 	for qi, q := range queries {
 		for _, k := range []int{1, 5, 50} {
-			ref := built["gob"]
+			ref := built["aos"]
 			want := map[string][]Result{
 				"linear":    ref.linear.TopK(q, k),
 				"iterative": ref.roi.TopKIterative(q, k),
@@ -86,12 +79,12 @@ func TestColumnarBackingEquivalence(t *testing.T) {
 				"uc":        ref.uc.TopK(q, k),
 				"sketch":    ref.uc.TopKSketch(q, k),
 			}
-			// The gob ranking must itself be correct (oracle check keeps
-			// this test honest, not just self-consistent).
-			sameRanking(t, "gob/linear", want["linear"], referenceTopK(backings["gob"], q, k))
+			// The in-memory ranking must itself be correct (oracle check
+			// keeps this test honest, not just self-consistent).
+			sameRanking(t, "aos/linear", want["linear"], referenceTopK(db, q, k))
 
 			for name, m := range built {
-				if name == "gob" {
+				if name == "aos" {
 					continue
 				}
 				prefix := name + "/q" + string(rune('0'+qi)) + "/"
@@ -105,7 +98,7 @@ func TestColumnarBackingEquivalence(t *testing.T) {
 	}
 
 	for name, b := range backings {
-		wantBacked := name != "gob"
+		wantBacked := name != "aos"
 		if b.ColumnarBacked() != wantBacked {
 			t.Fatalf("%s: ColumnarBacked = %v, want %v", name, b.ColumnarBacked(), wantBacked)
 		}

@@ -154,7 +154,7 @@ func boundByGather(ctx context.Context, db *store.FootprintDB, cands []int, qsk 
 				return nil, err
 			}
 		}
-		if b := sketch.UpperBound(db.UserSketchDotDense(u, dense), db.Norms[u], qnorm); b > 0 {
+		if b := sketch.UpperBound(sketch.DotDense(&db.Sketches[u], dense), db.Norms[u], qnorm); b > 0 {
 			buf = append(buf, SketchCandidate{User: u, Bound: b})
 		}
 	}

@@ -205,8 +205,8 @@ type classifyResponse struct {
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	var req classifyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad body: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody)).Decode(&req); err != nil {
+		writeBodyError(w, err)
 		return
 	}
 	f, err := toFootprint(req.Regions)

@@ -31,6 +31,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -269,6 +270,24 @@ func writeError(w http.ResponseWriter, status int, format string, args ...interf
 	writeJSON(w, status, errorJSON{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxJSONBody caps the JSON bodies geoserve reads (POST /v1/query, PUT
+// /v1/users/{id}, POST /v1/classify). The largest legitimate one is a
+// router leg: georouter's 1 MiB /v1/topk body plus the segment object
+// it appends, whose shard list grows with the cluster — hence twice
+// the router's cap.
+const maxJSONBody = 2 << 20
+
+// writeBodyError answers a body that failed to decode: 413 when it ran
+// past maxJSONBody, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "body larger than %d bytes", tooLarge.Limit)
+		return
+	}
+	writeError(w, http.StatusBadRequest, "bad body: %v", err)
+}
+
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	ep, v := s.acquire()
 	users, regions, seq := v.DB().Len(), v.DB().NumRegions(), ep.Seq()
@@ -423,8 +442,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	sc := queryScratches.Get().(*queryScratch)
 	defer sc.release()
 	var q queryJSON
-	if err := sc.decodeQuery(r.Body, &q); err != nil {
-		writeError(w, http.StatusBadRequest, "bad body: %v", err)
+	if err := sc.decodeQuery(http.MaxBytesReader(w, r.Body, maxJSONBody), &q); err != nil {
+		writeBodyError(w, err)
 		return
 	}
 	if q.K < 1 || q.K > 1000 {
@@ -467,8 +486,8 @@ func (s *Server) handlePutUser(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var regs []regionJSON
-	if err := json.NewDecoder(r.Body).Decode(&regs); err != nil {
-		writeError(w, http.StatusBadRequest, "bad body: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody)).Decode(&regs); err != nil {
+		writeBodyError(w, err)
 		return
 	}
 	f, err := toFootprint(regs)

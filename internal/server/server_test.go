@@ -238,3 +238,35 @@ func TestConcurrentReadsAndWrites(t *testing.T) {
 		t.Error(e)
 	}
 }
+
+// Every JSON body geoserve reads stops at maxJSONBody with a 413, and a
+// router leg as large as georouter lets through — a 1 MiB /v1/topk body
+// closed with the segment object the router appends — is still served.
+func TestJSONBodyCap(t *testing.T) {
+	s, _ := testServer(t)
+	pad := strings.Repeat(" ", maxJSONBody)
+	for _, c := range []struct{ method, path, body string }{
+		{"POST", "/v1/query", `{"k":5,"regions":[` + pad + `]}`},
+		{"PUT", "/v1/users/7", `[` + pad + `]`},
+		{"POST", "/v1/classify", `{"regions":[` + pad + `]}`},
+	} {
+		if rec, _ := do(t, s.Handler(), c.method, c.path, c.body); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s %s, %d bytes: status %d, want 413", c.method, c.path, len(c.body), rec.Code)
+		}
+	}
+
+	shards := make([]string, 64)
+	for i := range shards {
+		shards[i] = fmt.Sprintf("shard-%02d", i)
+	}
+	seg, err := json.Marshal(segmentJSON{Shards: shards, R: 2, Members: shards[:1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const head, tail = `{"regions":[{"rect":[0.1,0.1,0.5,0.5],"weight":1}`, `],"k":5}`
+	topk := head + strings.Repeat(" ", 1<<20-len(head)-len(tail)) + tail
+	leg := topk[:len(topk)-1] + `,"segment":` + string(seg) + `}`
+	if rec, _ := do(t, s.Handler(), "POST", "/v1/query", leg); rec.Code != http.StatusOK {
+		t.Fatalf("a %d-byte leg: status %d: %s", len(leg), rec.Code, rec.Body)
+	}
+}

@@ -393,6 +393,7 @@ func spanOverlap(a, b, lo, cell float64, i, g int) float64 {
 // Allocation-free two-pointer merge over the sorted cell lists.
 //
 //geo:hotpath
+//lint:ignore testonly the reference the bound tests check BoundDot, the gather and the walk against
 func Dot(a, b *Sketch) float64 {
 	var dot float64
 	i, j := 0, 0

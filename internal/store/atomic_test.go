@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"geofootprint/internal/core"
+	"geofootprint/internal/faultfs"
 	"geofootprint/internal/geom"
 )
 
@@ -42,14 +43,14 @@ func TestPartialWriteNeverCorruptsExistingDB(t *testing.T) {
 	// Simulated crash mid-write: emit some bytes, then fail, exactly
 	// what a full disk or a killed process leaves behind.
 	fail := errors.New("simulated partial write")
-	err = WriteFileAtomic(path, func(w io.Writer) error {
+	err = WriteFileAtomicFS(faultfs.OS, path, func(w io.Writer) error {
 		if _, err := w.Write([]byte("partial garbage that must never reach the target")); err != nil {
 			return err
 		}
 		return fail
 	})
 	if !errors.Is(err, fail) {
-		t.Fatalf("WriteFileAtomic error = %v, want simulated failure", err)
+		t.Fatalf("WriteFileAtomicFS error = %v, want simulated failure", err)
 	}
 
 	after, err := os.ReadFile(path)
@@ -134,12 +135,12 @@ func TestWriteFileAtomicBareFilename(t *testing.T) {
 		t.Errorf("saved file mode = %o, want 644", perm)
 	}
 
-	// Overwrite through WriteFileAtomic directly, still bare.
-	if err := WriteFileAtomic("users.db", func(w io.Writer) error {
+	// Overwrite through WriteFileAtomicFS directly, still bare.
+	if err := WriteFileAtomicFS(faultfs.OS, "users.db", func(w io.Writer) error {
 		_, err := w.Write([]byte("v2"))
 		return err
 	}); err != nil {
-		t.Fatalf("WriteFileAtomic to bare filename: %v", err)
+		t.Fatalf("WriteFileAtomicFS to bare filename: %v", err)
 	}
 	b, err := os.ReadFile("users.db")
 	if err != nil {
@@ -154,7 +155,7 @@ func TestEncodeToDecodeFromRoundTrip(t *testing.T) {
 	db := testDB(t, "wire")
 	db.EnableSketches(16, 1)
 	var buf strings.Builder
-	if err := db.EncodeTo(&buf); err != nil {
+	if err := encodeGobForTest(&buf, db); err != nil {
 		t.Fatal(err)
 	}
 	got, err := DecodeFrom(strings.NewReader(buf.String()), "wire-test")

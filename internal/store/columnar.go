@@ -384,16 +384,6 @@ func (db *FootprintDB) UserSketchDot(u int, qsk *sketch.Sketch) float64 {
 	return sketch.BoundDot(&db.Sketches[u], qsk)
 }
 
-// UserSketchDotDense is UserSketchDot against a query sketch already
-// scattered into a dense table (sketch.Rasterize at the database's
-// resolution) — the kernel the gather side of the bound step runs per
-// candidate. Same bits as UserSketchDot.
-//
-//geo:hotpath
-func (db *FootprintDB) UserSketchDotDense(u int, dense []sketch.Entry) float64 {
-	return sketch.DotDense(&db.Sketches[u], dense)
-}
-
 // RegionWeight returns the weight of region r of user u (the RoI-index
 // accumulation reads it per R-tree hit).
 //

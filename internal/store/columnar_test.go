@@ -3,13 +3,12 @@ package store
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
-	"time"
 
 	"geofootprint/internal/colstore"
 	"geofootprint/internal/core"
@@ -117,19 +116,18 @@ func TestColumnarRoundTripModes(t *testing.T) {
 	}
 }
 
-// TestGobColumnarGobRoundTrip converts gob -> columnar -> gob and
-// requires the final gob file to be byte-identical to the first: the
-// columnar format loses nothing the legacy format carried, the sketch
-// peaks included. check.sh runs this as the migration self-test.
+// TestGobColumnarGobRoundTrip reads a legacy gob file, saves it as
+// columnar, reads that back and re-encodes it in the gob wire form: the
+// two gob encodings must be byte-identical, so the migration loses
+// nothing, peaks included.
 func TestGobColumnarGobRoundTrip(t *testing.T) {
 	db := columnarTestDB(t, 60, true)
 	dir := t.TempDir()
 	gobA := filepath.Join(dir, "a.gob")
 	col := filepath.Join(dir, "b.col")
-	gobB := filepath.Join(dir, "c.gob")
 
-	if err := db.SaveGob(gobA); err != nil {
-		t.Fatalf("save gob: %v", err)
+	if err := WriteFileAtomicFS(faultfs.OS, gobA, func(w io.Writer) error { return encodeGobForTest(w, db) }); err != nil {
+		t.Fatalf("write gob: %v", err)
 	}
 	fromGob, err := Load(gobA)
 	if err != nil {
@@ -145,19 +143,16 @@ func TestGobColumnarGobRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load columnar: %v", err)
 	}
-	if err := fromCol.SaveGob(gobB); err != nil {
-		t.Fatalf("re-save gob: %v", err)
+	var b bytes.Buffer
+	if err := encodeGobForTest(&b, fromCol); err != nil {
+		t.Fatalf("re-encode gob: %v", err)
 	}
 	a, err := os.ReadFile(gobA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(gobB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("gob -> columnar -> gob is not byte-identical (%d vs %d bytes)", len(a), len(b))
+	if !bytes.Equal(a, b.Bytes()) {
+		t.Fatalf("gob -> columnar -> gob is not byte-identical (%d vs %d bytes)", len(a), b.Len())
 	}
 	if !bytes.Contains(a, []byte("Peak")) {
 		t.Fatal("the gob file carries no Peak field")
@@ -199,8 +194,8 @@ func TestColumnarDispatchMatchesAoS(t *testing.T) {
 		defer raster.Release()
 		for u := range got.IDs {
 			want := math.Float64bits(sketch.BoundDot(&got.Sketches[u], &qsk))
-			if dc, da := got.UserSketchDotDense(u, raster.Table()), aos.UserSketchDotDense(u, raster.Table()); math.Float64bits(dc) != want || math.Float64bits(da) != want {
-				t.Fatalf("UserSketchDotDense(%d): columnar %v, AoS %v, BoundDot %v", u, dc, da, math.Float64frombits(want))
+			if dc, da := sketch.DotDense(&got.Sketches[u], raster.Table()), sketch.DotDense(&aos.Sketches[u], raster.Table()); math.Float64bits(dc) != want || math.Float64bits(da) != want {
+				t.Fatalf("DotDense(%d): columnar %v, AoS %v, BoundDot %v", u, dc, da, math.Float64frombits(want))
 			}
 			fast := got.UserSimilarity(u, q, qn)
 			slow := core.SimilarityJoin(got.Footprints[u], q, got.Norms[u], qn)
@@ -446,47 +441,11 @@ func TestLoadFaultClassification(t *testing.T) {
 		bad := columnarTestDB(t, 15, true)
 		craft.db(bad)
 		craftedGob := filepath.Join(dir, "crafted.gob")
-		if err := bad.SaveGob(craftedGob); err != nil {
+		if err := WriteFileAtomicFS(faultfs.OS, craftedGob, func(w io.Writer) error { return encodeGobForTest(w, bad) }); err != nil {
 			t.Fatalf("%s: writing the crafted gob file: %v", name, err)
 		}
 		if _, err := Load(craftedGob); !errors.Is(err, ErrCorruptSnapshot) {
 			t.Fatalf("gob file with %s: want ErrCorruptSnapshot, got %v", name, err)
 		}
-	}
-}
-
-// gcWriter forces garbage collections — and gives finalizers time to
-// run — on its first Write, i.e. after a gob encoder has sent its type
-// descriptors and before it reads the value.
-type gcWriter struct{ collected bool }
-
-func (w *gcWriter) Write(p []byte) (int, error) {
-	if !w.collected {
-		w.collected = true
-		for i := 0; i < 3; i++ {
-			runtime.GC()
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	return len(p), nil
-}
-
-// TestEncodeKeepsMappingAlive: a mapped database's Norms alias the
-// file mapping, which a finalizer unmaps once the database is
-// unreachable. Encoding must keep the database alive while it reads
-// them, even when the encode is the caller's last use of it — without
-// that a GC mid-encode is a segmentation fault (seen as a rare crash of
-// the ingest recovery tests).
-func TestEncodeKeepsMappingAlive(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "snap.col")
-	if err := columnarTestDB(t, 40, true).Save(path); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	mm, err := LoadColumnar(path, colstore.ModeMmap)
-	if err != nil {
-		t.Skipf("mmap unavailable on this platform: %v", err)
-	}
-	if err := mm.EncodeTo(&gcWriter{}); err != nil { // the last use of mm
-		t.Fatal(err)
 	}
 }

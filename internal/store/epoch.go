@@ -68,6 +68,8 @@ func (e *Epoch) Seq() uint64 { return e.seq }
 
 // DB returns the epoch's immutable database. Callers must treat it as
 // read-only; the epochmut analyzer enforces this at lint time.
+//
+//lint:ignore testonly the epoch's read side: epochmut and pinleak are built around it, and their fixtures call it
 func (e *Epoch) DB() *FootprintDB { return e.db }
 
 // Aux returns the opaque value attached at Publish (prebuilt indexes,

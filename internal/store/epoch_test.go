@@ -272,7 +272,7 @@ func TestEpochBuilderSnapshotBytesUnchanged(t *testing.T) {
 		b := NewEpochBuilder(epochSeedDB(t, 6))
 		mutate(b, publish)
 		var buf writerBuf
-		if err := b.DB().EncodeTo(&buf); err != nil {
+		if err := b.DB().Columnar(nil).EncodeTo(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.b

@@ -2,8 +2,8 @@
 // user geo-footprints with their precomputed norms — the preprocessing
 // output of Section 5.1 that similarity computation and search build
 // on. The database persists in the columnar snapshot format of
-// internal/colstore (see columnar.go); the legacy gob format is still
-// read transparently and written via SaveGob, one release behind.
+// internal/colstore (see columnar.go); files in the legacy gob format
+// are still read transparently.
 package store
 
 import (
@@ -203,10 +203,9 @@ func (db *FootprintDB) NumRegions() int {
 	return n
 }
 
-// dbWire is the gob wire format, decoupled from unexported fields.
-// The sketch fields gob-default to zero, so files written before the
-// sketch layer existed load as sketch-disabled databases, and old
-// readers skip the unknown fields.
+// dbWire is the legacy gob wire format, decoupled from unexported
+// fields. The sketch fields gob-default to zero, so files written
+// before the sketch layer existed load as sketch-disabled databases.
 type dbWire struct {
 	Name       string
 	IDs        []int
@@ -230,70 +229,28 @@ type sketchWire struct {
 	Root  []float64
 }
 
-// EncodeTo writes the database's gob wire form to w. Save wraps it in
-// an atomic file write; the ingest snapshot embeds it in a larger
-// stream.
-func (db *FootprintDB) EncodeTo(w io.Writer) error {
-	var sketches []sketchWire
-	if db.Sketches != nil {
-		sketches = make([]sketchWire, len(db.Sketches))
-		for u, sk := range db.Sketches {
-			mass := make([]float64, len(sk.Mass))
-			for i, m := range sk.Mass {
-				mass[i] = float64(m)
-			}
-			sketches[u] = sketchWire{Cells: sk.Cells, Mass: mass, Peak: sk.Peak, Root: sk.Root}
-		}
-	}
-	wire := dbWire{db.Name, db.IDs, db.Footprints, db.Norms, db.MBRs,
-		db.SketchParams, sketches}
-	err := gob.NewEncoder(w).Encode(&wire)
-	// Norms and the sketch slices may alias a memory-mapped snapshot
-	// that only db keeps mapped (colSrc; the mapping is unmapped by a
-	// finalizer). The wire struct holds the slices, not db, so without
-	// this a caller's last use of db could be this call and a GC in
-	// the middle of the encode would unmap what it is reading.
-	runtime.KeepAlive(db)
-	return err
-}
-
 // Save writes the database to path in the columnar snapshot format —
 // the current on-disk format, loadable with zero-copy mmap. The write
 // is atomic: it goes to a temporary file in the target's directory, is
 // fsynced, and is renamed over path only when complete — a crash or
 // error at any point leaves an existing database at path untouched.
-// Use SaveGob for the legacy format (readable by the previous
-// release); Load reads both.
+// Load reads it, and the legacy gob format too.
 func (db *FootprintDB) Save(path string) error {
 	err := WriteColumnar(path, db.Columnar(nil))
-	runtime.KeepAlive(db) // the snapshot aliases db.Norms; see EncodeTo
+	// Norms and the sketch slices may alias a memory-mapped snapshot
+	// that only db keeps mapped (colSrc; the mapping is unmapped by a
+	// finalizer). The snapshot holds the slices, not db, so without
+	// this a caller's last use of db could be this call and a GC in
+	// the middle of the write would unmap what it is reading.
+	runtime.KeepAlive(db)
 	return err
 }
 
-// SaveGob writes the database to path in the legacy gob format, with
-// the same atomic-rename discipline as Save. It exists one release
-// behind the columnar format as a migration escape hatch (geomigrate
-// uses it to down-convert); new snapshots should use Save.
-func (db *FootprintDB) SaveGob(path string) error {
-	return WriteFileAtomic(path, func(w io.Writer) error {
-		if err := db.EncodeTo(w); err != nil {
-			return fmt.Errorf("store: encoding %s: %w", path, err)
-		}
-		return nil
-	})
-}
-
-// WriteFileAtomic writes a file through `write` into a temporary file
-// next to path, fsyncs it, and renames it over path, all on the real
-// OS filesystem. See WriteFileAtomicFS.
-func WriteFileAtomic(path string, write func(io.Writer) error) error {
-	return WriteFileAtomicFS(faultfs.OS, path, write)
-}
-
-// WriteFileAtomicFS is WriteFileAtomic over an explicit filesystem, so
-// the crash-matrix tests can drive every step — temp-file write,
-// fsync, rename, directory fsync — through a deterministic fault
-// schedule. On any error the temporary file is removed and path is
+// WriteFileAtomicFS writes a file through `write` into a temporary file
+// next to path, fsyncs it, and renames it over path, on fsys (faultfs.OS
+// for the real filesystem) so the crash-matrix tests can drive every
+// step — temp-file write, fsync, rename, directory fsync — through a
+// deterministic fault schedule. On any error the temporary file is removed and path is
 // left exactly as it was. The same-directory temp file keeps the
 // rename on one filesystem, which is what makes it atomic.
 func WriteFileAtomicFS(fsys faultfs.FS, path string, write func(io.Writer) error) error {

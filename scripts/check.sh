@@ -31,7 +31,7 @@ go vet -copylocks ./internal/store/... ./internal/wal/... ./internal/ingest/... 
 	./internal/server/... ./internal/engine/... ./internal/sweep/... ./internal/core/...
 
 # Repo-local analyzers: floatrange (map-order float accumulation),
-# atomicwrite (persistence writes outside WriteFileAtomic/-FS),
+# atomicwrite (persistence writes outside WriteFileAtomicFS),
 # hotalloc (allocation in //geo:hotpath kernels), hotmath (math.Min/
 # math.Max calls in them; the builtins compile inline), sortedfootprint
 # (FootprintDB slice writes outside internal/store), errdiscard
@@ -40,9 +40,12 @@ go vet -copylocks ./internal/store/... ./internal/wal/... ./internal/ingest/... 
 # (mutation of epoch-published databases outside the internal/store
 # builder seam), plus the flow-sensitive suite: pinleak (epoch pins
 # Released on every path), bodyclose (*http.Response bodies closed on
-# every path), lockbalance (mutex Lock/Unlock balanced per path), and
-# staleignore (//lint:ignore directives that suppress nothing). Any
-# finding fails the gate; suppressions need an inline justification.
+# every path), lockbalance (mutex Lock/Unlock balanced per path),
+# testonly (exported names in internal/ packages that only tests or
+# their own bodies reference, judged over every main, the facade and
+# the benchmark module), and staleignore (//lint:ignore directives
+# that suppress nothing). Any finding fails the gate; suppressions
+# need an inline justification.
 echo "== geolint ./... =="
 go run ./cmd/geolint ./...
 
@@ -91,11 +94,11 @@ go test -race -count=1 ./internal/netfault/ ./internal/breaker/
 go test -race -count=1 -run 'Chaos|Failover|Breaker|Stale|Replica|Segment' \
 	./internal/router/ ./internal/server/ ./internal/hashring/
 
-# Snapshot-format migration self-test: gob -> columnar -> gob must be
-# byte-identical, so operators can migrate snapshots in either
-# direction without a diffing step.
-echo "== columnar migration round-trip (gob -> columnar -> gob byte-identical) =="
-go test -count=1 -run 'TestGobColumnarGobRoundTrip' ./internal/store/
+# Snapshot-format migration self-test: the committed gob fixture, saved
+# as columnar, must read back bit for bit as a fresh build of its
+# users, so operators can migrate old snapshots without a diffing step.
+echo "== columnar migration (gob fixture -> columnar = fresh build) =="
+go test -count=1 -run 'TestVersion1FixturesOpenBitIdentical' ./internal/store/
 
 echo "== go test -race ./... =="
 go test -race ./...
