@@ -1,16 +1,17 @@
-// Command geomigrate converts FootprintDB snapshot files from the
-// legacy gob format, or an older columnar version, to the current
-// columnar format (internal/colstore), and diagnoses existing files.
+// Command geomigrate rewrites FootprintDB snapshot files of an older
+// columnar version (internal/colstore) as the current one, and
+// diagnoses existing files. A file without the columnar magic — a
+// trajectory dataset, say — is "not a columnar snapshot" to every mode,
+// which exits 1.
 //
-// Convert mode reads a snapshot of either format — a columnar file of
-// any version this release reads — and rewrites it as the current
-// columnar version, atomically, next to the destination:
+// Convert mode reads a columnar file of any version this release reads
+// and rewrites it as the current version, atomically, next to the
+// destination:
 //
 //	geomigrate convert -in partA.db -out partA.col
 //
-// Verify mode opens a file the way geoserve would — sniffing the
-// format, checking every section CRC on columnar files — and, for
-// columnar files, additionally loads it through BOTH the mmap and the
+// Verify mode opens a file the way geoserve would — checking every
+// section CRC — and additionally loads it through BOTH the mmap and the
 // read path and cross-checks that the two produce identical databases:
 //
 //	geomigrate verify -in partA.col
@@ -56,7 +57,7 @@ func usage() {
 
 func convert(args []string) {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
-	in := fs.String("in", "", "source snapshot (gob or columnar; required)")
+	in := fs.String("in", "", "source snapshot (any columnar version; required)")
 	out := fs.String("out", "", "destination path (required)")
 	fs.Parse(args)
 	if *in == "" || *out == "" {
@@ -81,8 +82,8 @@ func verify(args []string) {
 		fs.Usage()
 		os.Exit(2)
 	}
-	// The auto path is what geoserve runs: magic sniff, full CRC
-	// verification on columnar files, gob decode otherwise.
+	// The auto path is what geoserve runs: magic check and full CRC
+	// verification.
 	db, err := store.Load(*in)
 	if err != nil {
 		if errors.Is(err, store.ErrCorruptSnapshot) {
@@ -90,13 +91,9 @@ func verify(args []string) {
 		}
 		log.Fatal(err)
 	}
-	if !db.ColumnarBacked() {
-		log.Printf("OK (gob): %d users, %d regions", db.Len(), db.NumRegions())
-		return
-	}
-	// Columnar: cross-check the two load paths against each other. Any
-	// divergence means a bug in exactly one of them, which is the
-	// failure this subcommand exists to catch before geoserve does.
+	// Cross-check the two load paths against each other. Any divergence
+	// means a bug in exactly one of them, which is the failure this
+	// subcommand exists to catch before geoserve does.
 	viaMmap, err := store.LoadColumnar(*in, colstore.ModeMmap)
 	if err != nil {
 		log.Fatalf("mmap load: %v", err)
@@ -173,23 +170,19 @@ func info(args []string) {
 		log.Fatal(err)
 	}
 	snap, err := colstore.Open(*in, colstore.ModeRead)
-	switch {
-	case err == nil:
-		fmt.Printf("%s: columnar v%d, %d bytes\n", *in, snap.Version, st.Size())
-		if snap.Version != colstore.Version {
-			fmt.Printf("  an older version: `geomigrate convert` rewrites it as v%d\n", colstore.Version)
-		}
-		fmt.Printf("  users=%d regions=%d sketches=%v", snap.NumUsers(), snap.NumRegions(), snap.HasSketches())
-		if snap.HasSketches() {
-			fmt.Printf(" (g=%d, %d cells)", snap.SketchG, len(snap.Cells))
-		}
-		fmt.Println()
-		if snap.Meta != nil {
-			fmt.Printf("  meta section: %d bytes (ingest checkpoint state)\n", len(snap.Meta))
-		}
-	case errors.Is(err, colstore.ErrNotColumnar):
-		fmt.Printf("%s: legacy gob, %d bytes (convert with `geomigrate convert`)\n", *in, st.Size())
-	default:
+	if err != nil {
 		log.Fatal(err)
+	}
+	fmt.Printf("%s: columnar v%d, %d bytes\n", *in, snap.Version, st.Size())
+	if snap.Version != colstore.Version {
+		fmt.Printf("  an older version: `geomigrate convert` rewrites it as v%d\n", colstore.Version)
+	}
+	fmt.Printf("  users=%d regions=%d sketches=%v", snap.NumUsers(), snap.NumRegions(), snap.HasSketches())
+	if snap.HasSketches() {
+		fmt.Printf(" (g=%d, %d cells)", snap.SketchG, len(snap.Cells))
+	}
+	fmt.Println()
+	if snap.Meta != nil {
+		fmt.Printf("  meta section: %d bytes (ingest checkpoint state)\n", len(snap.Meta))
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -8,7 +9,9 @@ import (
 	"testing"
 
 	"geofootprint/internal/colstore"
+	"geofootprint/internal/geom"
 	"geofootprint/internal/store"
+	"geofootprint/internal/traj"
 )
 
 // TestMain lets the test binary stand in for geomigrate: run with
@@ -21,7 +24,8 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-func geomigrate(t *testing.T, args ...string) string {
+// run runs geomigrate with args and returns its output and exit code.
+func run(t *testing.T, args ...string) (string, int) {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
@@ -30,10 +34,46 @@ func geomigrate(t *testing.T, args ...string) string {
 	cmd := exec.Command(exe, args...)
 	cmd.Env = append(os.Environ(), "GEOMIGRATE_MAIN=1")
 	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("geomigrate %v: %v\n%s", args, err, out)
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("geomigrate %v: %v", args, err)
 	}
-	return string(out)
+	return string(out), cmd.ProcessState.ExitCode()
+}
+
+func geomigrate(t *testing.T, args ...string) string {
+	t.Helper()
+	out, code := run(t, args...)
+	if code != 0 {
+		t.Fatalf("geomigrate %v: exit %d\n%s", args, code, out)
+	}
+	return out
+}
+
+// TestTrajectoryDatasetRefused: a trajectory dataset in the gob format
+// geogen writes is not a database, and every mode says so and exits 1.
+func TestTrajectoryDatasetRefused(t *testing.T) {
+	dir := t.TempDir()
+	dataset := filepath.Join(dir, "partA.gob")
+	session := traj.Trajectory{{P: geom.Point{X: 0.4, Y: 0.4}, T: 0}, {P: geom.Point{X: 0.41, Y: 0.4}, T: 1}}
+	if err := traj.SaveGob(dataset, &traj.Dataset{Name: "partA", SampleInterval: 1,
+		Users: []traj.User{{ID: 1, Sessions: []traj.Trajectory{session}}}}); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "out.col")
+	for _, args := range [][]string{
+		{"verify", "-in", dataset},
+		{"info", "-in", dataset},
+		{"convert", "-in", dataset, "-out", out},
+	} {
+		msg, code := run(t, args...)
+		if code != 1 || !strings.Contains(msg, "not a columnar snapshot") {
+			t.Errorf("geomigrate %v: exit %d\n%s", args, code, msg)
+		}
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("convert of a dataset wrote %s (stat: %v)", out, err)
+	}
 }
 
 // TestConvertRewritesVersion1: convert reads a version-1 columnar file

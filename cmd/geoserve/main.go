@@ -6,7 +6,7 @@
 //
 //	geoserve -db partA.db -addr :8080
 //
-// serves a static corpus built offline (geobuild). Alternatively,
+// serves a static corpus built offline (geoextract). Alternatively,
 //
 //	geoserve -wal ingest.wal -snapshot ingest.snap -addr :8080
 //
@@ -110,7 +110,7 @@ func main() {
 				// A static corpus has no WAL to rebuild from, so
 				// -allow-corrupt-snapshot cannot help here; name the
 				// remedy instead of dying with a generic load error.
-				log.Fatalf("%v\nthe database file is damaged; rebuild it with geobuild or restore from a backup (geomigrate verify diagnoses the file)", err)
+				log.Fatalf("%v\nthe file is damaged or not a database; rebuild it with geoextract or restore from a backup (geomigrate verify diagnoses the file)", err)
 			}
 			log.Fatal(err)
 		}

@@ -164,7 +164,7 @@ func TestWeightedDB(t *testing.T) {
 
 func TestSaveLoadThroughFacade(t *testing.T) {
 	_, db := endToEnd(t)
-	path := t.TempDir() + "/db.gob"
+	path := t.TempDir() + "/db.col"
 	if err := db.Save(path); err != nil {
 		t.Fatalf("Save: %v", err)
 	}

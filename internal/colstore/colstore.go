@@ -1,6 +1,6 @@
 // Package colstore defines the columnar snapshot file format — the
-// on-disk shape of a FootprintDB designed so that restart cost is
-// dominated by one sequential CRC scan instead of a reflective gob
+// only on-disk shape of a FootprintDB, designed so that restart cost is
+// one sequential CRC scan of columns a query can use in place, not a
 // decode of millions of region values.
 //
 // The file is a fixed header, a section table, and 8-byte-aligned
@@ -72,10 +72,9 @@ import (
 	"hash/crc32"
 )
 
-// Magic identifies a columnar snapshot file. Readers outside this
-// package use it only to sniff the format (store.Load falls back to
-// gob on a mismatch); writers must go through Snapshot.EncodeTo inside
-// the store.WriteColumnar seam — the colwrite analyzer enforces that.
+// Magic identifies a columnar snapshot file; a file without it is
+// ErrNotColumnar. Writers must go through Snapshot.EncodeTo inside the
+// store.WriteColumnar seam — the colwrite analyzer enforces that.
 const Magic = "GFCOLSNP"
 
 // Version is the format version EncodeTo writes. Version 1 (the initial
@@ -124,8 +123,8 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrNotColumnar reports that the file does not start with the
-// columnar magic — it is some other format (for store.Load, a legacy
-// gob snapshot), not a damaged columnar file.
+// columnar magic: it is some other kind of file (a trajectory dataset
+// handed over by mistake, say), not a damaged columnar file.
 var ErrNotColumnar = errors.New("colstore: not a columnar snapshot (bad magic)")
 
 // ErrCorrupt is wrapped by every integrity failure: bad CRC, impossible

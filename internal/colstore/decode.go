@@ -39,8 +39,8 @@ func Open(path string, mode Mode) (*Snapshot, error) {
 // Every section CRC is verified before the snapshot is returned, on
 // both paths — a torn or flipped file fails here, never at query time.
 // A file that does not start with the columnar magic returns
-// ErrNotColumnar (callers sniffing formats fall back to gob); a
-// damaged columnar file returns an error wrapping ErrCorrupt.
+// ErrNotColumnar; a damaged columnar file returns an error wrapping
+// ErrCorrupt.
 func OpenFS(fsys faultfs.FS, path string, mode Mode) (*Snapshot, error) {
 	f, err := fsys.Open(path)
 	if err != nil {

@@ -8,10 +8,11 @@
 //	(i)  every pair of locations is within spatial distance ε, and
 //	(ii) the run contains at least τ locations.
 //
-// The package provides the optimised single-pass extractor with the
-// paper's back-tracking step (Extract) and a naive reference that
-// follows the prose description literally (ExtractNaive); the two are
-// equivalent and tested against each other.
+// The package provides the single-pass extractor with the paper's
+// back-tracking step (Extractor; Extract and ExtractUser run it over
+// whole trajectories) and a naive reference that follows the prose
+// description literally (ExtractNaive); the two are equivalent and
+// tested against each other.
 package extract
 
 import (
@@ -95,41 +96,19 @@ func (r RoI) Duration() float64 { return r.TEnd - r.TStart }
 // RoIs in temporal order. The result is empty (nil) when the
 // trajectory has fewer than cfg.Tau locations or no qualifying run.
 func Extract(t traj.Trajectory, cfg Config) []RoI {
-	if len(t) < cfg.Tau || len(t) == 0 {
-		return nil
-	}
+	return extractSessions([]traj.Trajectory{t}, cfg)
+}
+
+// extractSessions pushes every session through one Extractor, flushing
+// between sessions, and returns the RoIs in session order.
+func extractSessions(sessions []traj.Trajectory, cfg Config) []RoI {
 	var out []RoI
-	w := newWindow(t, cfg)
-	w.reset(0, 1) // current region R = t[0:1]
-	for i := 1; i < len(t); i++ {
-		if w.fits(t[i].P) {
-			w.extendTo(i)
-			continue
+	e := Extractor{cfg: cfg, epsSq: cfg.Epsilon * cfg.Epsilon, emit: func(r RoI) { out = append(out, r) }}
+	for _, s := range sessions {
+		for _, l := range s {
+			e.Push(l)
 		}
-		// Adding l_i to R would violate ε.
-		if w.size() >= cfg.Tau {
-			// Current region has enough points: finalize it
-			// and restart from l_i (Alg. 1 lines 6-8).
-			out = append(out, makeRoI(t, w.lo, w.hi))
-			w.reset(i, i+1)
-			continue
-		}
-		// Back-tracking step (Alg. 1 lines 10-14): start a new
-		// region at l_i and extend it backwards with the trailing
-		// locations of R, for as long as ε holds. This guarantees
-		// that the maximal region containing l_i is not missed
-		// while avoiding a full restart.
-		oldLo := w.lo
-		w.reset(i, i+1)
-		for j := i - 1; j >= oldLo; j-- {
-			if !w.fits(t[j].P) {
-				break
-			}
-			w.extendBackTo(j)
-		}
-	}
-	if w.size() >= cfg.Tau {
-		out = append(out, makeRoI(t, w.lo, w.hi))
+		e.Flush()
 	}
 	return out
 }
@@ -185,71 +164,4 @@ func makeRoI(t traj.Trajectory, s, e int) RoI {
 		m = m.ExtendPoint(l.P)
 	}
 	return RoI{Rect: m, TStart: t[s].T, TEnd: t[e-1].T, Count: e - s}
-}
-
-// window tracks the current region R = t[lo:hi] of Algorithm 1
-// together with its MBR, supporting incremental ε checks.
-type window struct {
-	t      traj.Trajectory
-	cfg    Config
-	epsSq  float64
-	lo, hi int
-	mbr    geom.Rect
-}
-
-func newWindow(t traj.Trajectory, cfg Config) *window {
-	return &window{t: t, cfg: cfg, epsSq: cfg.Epsilon * cfg.Epsilon}
-}
-
-func (w *window) size() int { return w.hi - w.lo }
-
-// reset makes the window track t[lo:hi], recomputing the MBR.
-func (w *window) reset(lo, hi int) {
-	w.lo, w.hi = lo, hi
-	m := geom.RectFromPoints(w.t[lo].P)
-	for _, l := range w.t[lo+1 : hi] {
-		m = m.ExtendPoint(l.P)
-	}
-	w.mbr = m
-}
-
-// extendTo grows the window forward to include t[i] (i == hi), which
-// the caller has verified fits.
-func (w *window) extendTo(i int) {
-	w.hi = i + 1
-	w.mbr = w.mbr.ExtendPoint(w.t[i].P)
-}
-
-// extendBackTo grows the window backwards to include t[j] (j == lo-1),
-// which the caller has verified fits.
-func (w *window) extendBackTo(j int) {
-	w.lo = j
-	w.mbr = w.mbr.ExtendPoint(w.t[j].P)
-}
-
-// fits reports whether point p can join the current region without
-// violating ε under the configured mode.
-func (w *window) fits(p geom.Point) bool {
-	ext := w.mbr.ExtendPoint(p)
-	if w.cfg.Mode == ExtentMBR {
-		return ext.Diagonal() <= w.cfg.Epsilon
-	}
-	// Fast accept: if the extended MBR's diagonal is within ε,
-	// every pairwise distance is too.
-	if ext.Diagonal() <= w.cfg.Epsilon {
-		return true
-	}
-	// Fast reject: a single axis extent beyond ε already implies a
-	// pair (p and the extreme point on that axis) farther than ε
-	// apart in that coordinate alone.
-	if ext.Width() > w.cfg.Epsilon || ext.Height() > w.cfg.Epsilon {
-		return false
-	}
-	// Exact pairwise check of the candidate against the region.
-	for j := w.lo; j < w.hi; j++ {
-		if p.DistSq(w.t[j].P) > w.epsSq {
-			return false
-		}
-	}
-	return true
 }

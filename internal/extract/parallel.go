@@ -12,11 +12,7 @@ import (
 // Per Definition 3.3, the collection of these RoIs — disregarding
 // their temporal dimension — is the user's geo-footprint.
 func ExtractUser(u *traj.User, cfg Config) []RoI {
-	var out []RoI
-	for _, s := range u.Sessions {
-		out = append(out, Extract(s, cfg)...)
-	}
-	return out
+	return extractSessions(u.Sessions, cfg)
 }
 
 // ExtractDataset extracts the RoIs of every user in the dataset,

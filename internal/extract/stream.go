@@ -5,12 +5,12 @@ import (
 	"geofootprint/internal/traj"
 )
 
-// Extractor is the online (streaming) form of Algorithm 1: locations
-// are pushed one at a time as the positioning system reports them, and
-// finished RoIs are emitted as soon as they are known to be maximal.
-// It produces exactly the same RoIs as the batch Extract (tested), so
-// a deployment can extract footprints live instead of buffering whole
-// sessions.
+// Extractor is Algorithm 1 in its one-pass form: locations are pushed
+// one at a time as the positioning system reports them, and finished
+// RoIs are emitted as soon as they are known to be maximal. Extract
+// and ExtractUser push whole trajectories through it; ingest pushes
+// live samples, so a deployment extracts footprints without buffering
+// whole sessions.
 //
 // The zero value is not usable; construct with NewExtractor. A session
 // ends with Flush, which emits the final region (if any) and resets
@@ -21,7 +21,9 @@ type Extractor struct {
 	emit  func(RoI)
 
 	// Current region R: its locations, kept because both the exact
-	// diameter check and the back-tracking step need them.
+	// diameter check and the back-tracking step need them. The buffer
+	// is reused across regions and sessions, so once it has grown to
+	// the longest run Push allocates nothing.
 	run []traj.Location
 	mbr geom.Rect
 }
@@ -46,39 +48,33 @@ func (e *Extractor) Push(l traj.Location) {
 		e.mbr = geom.RectFromPoints(l.P)
 		return
 	}
-	if e.fits(l.P) {
+	if e.fits(l.P, e.run) {
 		e.run = append(e.run, l)
 		e.mbr = e.mbr.ExtendPoint(l.P)
 		return
 	}
 	if len(e.run) >= e.cfg.Tau {
 		e.emitRun()
-		e.run = e.run[:0]
-		e.run = append(e.run, l)
+		e.run = append(e.run[:0], l)
 		e.mbr = geom.RectFromPoints(l.P)
 		return
 	}
-	// Back-tracking (Alg. 1 lines 10-14): start a new region at l
-	// and extend it backwards through the trailing locations of the
-	// old run while ε holds. The run's internal order is irrelevant
-	// to the ε checks (they are pairwise), so the kept suffix is
-	// re-ordered temporally only once, at the end.
-	old := e.run
-	e.run = make([]traj.Location, 1, cap(old)+1)
-	e.run[0] = l
+	// Back-tracking (Alg. 1 lines 10-14): start a new region at l and
+	// extend it backwards through the trailing locations of the old run
+	// while ε holds. l goes at the end of the buffer, so the region
+	// kept so far is always the buffer's suffix run[j+1:] and each
+	// trailing location is checked against exactly that (the ε checks
+	// are pairwise, so order does not matter). The kept suffix then
+	// moves to the front, in temporal order, in place.
+	n := len(e.run)
+	e.run = append(e.run, l)
 	e.mbr = geom.RectFromPoints(l.P)
-	keep := len(old)
-	for j := len(old) - 1; j >= 0; j-- {
-		if !e.fits(old[j].P) {
-			break
-		}
-		e.run = append(e.run, old[j])
-		e.mbr = e.mbr.ExtendPoint(old[j].P)
+	keep := n
+	for j := n - 1; j >= 0 && e.fits(e.run[j].P, e.run[j+1:]); j-- {
+		e.mbr = e.mbr.ExtendPoint(e.run[j].P)
 		keep = j
 	}
-	e.run = e.run[:0]
-	e.run = append(e.run, old[keep:]...)
-	e.run = append(e.run, l)
+	e.run = e.run[:copy(e.run, e.run[keep:])]
 }
 
 // Flush ends the current session, emitting the trailing region if it
@@ -123,20 +119,27 @@ func (e *Extractor) emitRun() {
 	})
 }
 
-// fits mirrors window.fits for the streaming run.
-func (e *Extractor) fits(p geom.Point) bool {
+// fits reports whether point p can join region, whose MBR is e.mbr,
+// without violating ε under the configured mode.
+func (e *Extractor) fits(p geom.Point, region []traj.Location) bool {
 	ext := e.mbr.ExtendPoint(p)
 	if e.cfg.Mode == ExtentMBR {
 		return ext.Diagonal() <= e.cfg.Epsilon
 	}
+	// Fast accept: if the extended MBR's diagonal is within ε, every
+	// pairwise distance is too.
 	if ext.Diagonal() <= e.cfg.Epsilon {
 		return true
 	}
+	// Fast reject: a single axis extent beyond ε already implies a
+	// pair (p and the extreme point on that axis) farther than ε apart
+	// in that coordinate alone.
 	if ext.Width() > e.cfg.Epsilon || ext.Height() > e.cfg.Epsilon {
 		return false
 	}
-	for i := range e.run {
-		if p.DistSq(e.run[i].P) > e.epsSq {
+	// Exact pairwise check of the candidate against the region.
+	for i := range region {
+		if p.DistSq(region[i].P) > e.epsSq {
 			return false
 		}
 	}

@@ -2,39 +2,39 @@ package extract
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"geofootprint/internal/traj"
 )
 
-func streamAll(t *testing.T, tr traj.Trajectory, cfg Config) []RoI {
-	t.Helper()
-	var out []RoI
-	ex, err := NewExtractor(cfg, func(r RoI) { out = append(out, r) })
+// TestExtractorPushAllocs: once a pass has grown its buffer to the
+// longest run, Push allocates nothing on any of its paths — extending,
+// emitting and back-tracking — nor does Flush.
+func TestExtractorPushAllocs(t *testing.T) {
+	cfg := Config{Epsilon: 1, Tau: 4}
+	// TestExtractBacktracking's trajectory: c back-tracks onto b, then
+	// the far point emits b..e.
+	backtrack := mkTraj(pt(0, 0), pt(0.9, 0), pt(1.5, 0), pt(1.2, 0), pt(1.3, 0.1), pt(100, 100), pt(100, 100.1))
+	walk := dwellWalk(rand.New(rand.NewSource(3)), 2000, cfg.Epsilon)
+	emitted := 0
+	ex, err := NewExtractor(cfg, func(RoI) { emitted++ })
 	if err != nil {
-		t.Fatalf("NewExtractor: %v", err)
+		t.Fatal(err)
 	}
-	for _, l := range tr {
-		ex.Push(l)
-	}
-	ex.Flush()
-	return out
-}
-
-func TestExtractorMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(777))
-	for _, mode := range []Mode{DiameterL2, ExtentMBR} {
-		for trial := 0; trial < 60; trial++ {
-			cfg := Config{Epsilon: 0.02, Tau: 2 + rng.Intn(25), Mode: mode}
-			tr := dwellWalk(rng, 100+rng.Intn(400), cfg.Epsilon)
-			batch := Extract(tr, cfg)
-			stream := streamAll(t, tr, cfg)
-			if !reflect.DeepEqual(batch, stream) {
-				t.Fatalf("mode=%v tau=%d: stream differs from batch\nbatch:  %+v\nstream: %+v",
-					mode, cfg.Tau, batch, stream)
+	pass := func() {
+		for _, session := range []traj.Trajectory{backtrack, walk} {
+			for _, l := range session {
+				ex.Push(l)
 			}
+			ex.Flush()
 		}
+	}
+	pass()
+	if emitted == 0 {
+		t.Fatal("the warm-up pass emitted no region")
+	}
+	if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
+		t.Fatalf("a pass allocates %v times after the warm-up", allocs)
 	}
 }
 

@@ -1,14 +1,12 @@
 package ingest
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
 
-	"geofootprint/internal/colstore"
 	"geofootprint/internal/faultfs"
 	"geofootprint/internal/store"
 	"geofootprint/internal/wal"
@@ -22,12 +20,6 @@ import (
 // what keeps the snapshot and its sequence number in lockstep: a
 // database newer than its Seq would make recovery double-apply WAL
 // records, a database older would drop acknowledged writes.
-//
-// Checkpoints from the previous release — a gob stream of the metadata
-// followed by the database wire form — are still read transparently
-// (the format is sniffed from the file magic); the next checkpoint
-// rewrites the file columnar, so a deployment migrates on its first
-// snapshot interval with no operator action.
 
 type snapMeta struct {
 	Seq      uint64
@@ -42,57 +34,25 @@ func writeSnapshotFile(fsys faultfs.FS, path string, state State, db *store.Foot
 	return store.WriteColumnarFS(fsys, path, db.Columnar(meta.Bytes()))
 }
 
-// readSnapshotFile loads a snapshot of either format; a missing file
-// yields a fresh empty database and zero state. Corrupt files of
-// either format report store.ErrCorruptSnapshot so the caller can
-// distinguish damaged durable state from a first boot.
+// readSnapshotFile loads a checkpoint; a missing file yields a fresh
+// empty database and zero state. A file store cannot trust — damaged,
+// or not a columnar snapshot at all — and undecodable checkpoint meta
+// report store.ErrCorruptSnapshot, so the caller can distinguish
+// damaged durable state from a first boot.
 func readSnapshotFile(fsys faultfs.FS, path, name string) (*store.FootprintDB, State, error) {
-	snap, err := colstore.OpenFS(fsys, path, colstore.ModeAuto)
-	switch {
-	case err == nil:
-		db, cerr := store.FromColumnar(snap)
-		if cerr != nil {
-			return nil, State{}, cerr
-		}
-		var meta snapMeta
-		if snap.Meta != nil {
-			if err := gob.NewDecoder(bytes.NewReader(snap.Meta)).Decode(&meta); err != nil {
-				return nil, State{}, fmt.Errorf("%w: %s: decoding snapshot meta: %w",
-					store.ErrCorruptSnapshot, path, err)
-			}
-		}
-		return db, State{Seq: meta.Seq, Sessions: meta.Sessions}, nil
-	case errors.Is(err, colstore.ErrNotColumnar):
-		return readGobSnapshotFile(fsys, path, name)
-	case errors.Is(err, colstore.ErrCorrupt) || errors.Is(err, colstore.ErrVersion):
-		return nil, State{}, fmt.Errorf("%w: %s: %w", store.ErrCorruptSnapshot, path, err)
-	case os.IsNotExist(err):
-		return &store.FootprintDB{Name: name}, State{}, nil
-	default:
-		return nil, State{}, err
-	}
-}
-
-// readGobSnapshotFile reads the previous release's checkpoint format.
-func readGobSnapshotFile(fsys faultfs.FS, path, name string) (*store.FootprintDB, State, error) {
-	f, err := fsys.Open(path)
+	db, blob, err := store.LoadMetaFS(fsys, path)
 	if os.IsNotExist(err) {
 		return &store.FootprintDB{Name: name}, State{}, nil
 	}
 	if err != nil {
 		return nil, State{}, err
 	}
-	//lint:ignore errdiscard read-only snapshot handle; decode errors are surfaced below
-	defer f.Close()
-	r := bufio.NewReader(f)
 	var meta snapMeta
-	if err := gob.NewDecoder(r).Decode(&meta); err != nil {
-		return nil, State{}, fmt.Errorf("%w: %s: decoding snapshot meta: %w",
-			store.ErrCorruptSnapshot, path, err)
-	}
-	db, err := store.DecodeFrom(r, path)
-	if err != nil {
-		return nil, State{}, fmt.Errorf("%w: %s: %w", store.ErrCorruptSnapshot, path, err)
+	if blob != nil {
+		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&meta); err != nil {
+			return nil, State{}, fmt.Errorf("%w: %s: decoding snapshot meta: %w",
+				store.ErrCorruptSnapshot, path, err)
+		}
 	}
 	return db, State{Seq: meta.Seq, Sessions: meta.Sessions}, nil
 }

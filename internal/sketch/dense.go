@@ -92,22 +92,3 @@ func DotDense(s *Sketch, dense []Entry) float64 {
 	}
 	return dot
 }
-
-// InRange reports whether s is structurally sound for a raster of
-// resolution g: parallel columns of equal length and cells strictly
-// increasing inside [0, g²). Loaders of formats that carry no
-// structural check of their own (gob) run it per sketch, because
-// DotDense indexes a table by cell id.
-func (s *Sketch) InRange(g int) bool {
-	if len(s.Mass) != len(s.Cells) || len(s.Peak) != len(s.Cells) || len(s.Root) != len(s.Cells) {
-		return false
-	}
-	prev := int32(-1)
-	for _, c := range s.Cells {
-		if c <= prev || int(c) >= g*g {
-			return false
-		}
-		prev = c
-	}
-	return true
-}

@@ -149,8 +149,8 @@ func TestRasterPoolHygiene(t *testing.T) {
 	Rasterize(&fine, 8)
 }
 
-// TestSketchInRange: the structural check loaders run on sketches from
-// formats without one of their own.
+// TestSketchInRange: the structural check FuzzSketchBound runs on every
+// sketch Build makes rejects each malformed shape.
 func TestSketchInRange(t *testing.T) {
 	ok := func(cells ...int32) Sketch {
 		return Sketch{Cells: cells, Mass: make([]float32, len(cells)), Peak: make([]float32, len(cells)), Root: make([]float64, len(cells))}
@@ -173,7 +173,7 @@ func TestSketchInRange(t *testing.T) {
 		{"short peak column", Sketch{Cells: []int32{1, 2}, Mass: []float32{1, 1}, Peak: []float32{1}, Root: []float64{1, 1}}, 4, false},
 		{"no peak column", Sketch{Cells: []int32{1}, Mass: []float32{1}, Root: []float64{1}}, 4, false},
 	} {
-		if got := tc.s.InRange(tc.g); got != tc.want {
+		if got := inRange(&tc.s, tc.g); got != tc.want {
 			t.Errorf("%s: InRange(%d) = %v, want %v", tc.name, tc.g, got, tc.want)
 		}
 	}

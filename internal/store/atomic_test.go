@@ -150,22 +150,3 @@ func TestWriteFileAtomicBareFilename(t *testing.T) {
 		t.Fatalf("content = %q, want %q", b, "v2")
 	}
 }
-
-func TestEncodeToDecodeFromRoundTrip(t *testing.T) {
-	db := testDB(t, "wire")
-	db.EnableSketches(16, 1)
-	var buf strings.Builder
-	if err := encodeGobForTest(&buf, db); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeFrom(strings.NewReader(buf.String()), "wire-test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Footprints, db.Footprints) ||
-		!reflect.DeepEqual(got.Norms, db.Norms) ||
-		!reflect.DeepEqual(got.Sketches, db.Sketches) ||
-		got.SketchParams != db.SketchParams {
-		t.Fatal("wire round-trip lost data")
-	}
-}

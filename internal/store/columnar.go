@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -18,9 +17,9 @@ import (
 // This file binds FootprintDB to the columnar snapshot format
 // (internal/colstore): conversion in both directions, the single
 // crash-atomic writer seam (WriteColumnarFS — the colwrite analyzer
-// flags columnar encodes anywhere else on a persistence path), format
-// sniffing on load with a gob fallback one release behind, and the
-// columnar fast-path view the flattened kernels dispatch on.
+// flags columnar encodes anywhere else on a persistence path), the one
+// load path and its error classification, and the columnar fast-path
+// view the flattened kernels dispatch on.
 //
 // A database loaded from a columnar file carries two extra things:
 //
@@ -40,8 +39,8 @@ import (
 //     detachCols and is copied to every Freeze snapshot.
 
 // ErrCorruptSnapshot marks a snapshot file that exists but cannot be
-// trusted — failed CRC, truncation, impossible geometry, undecodable
-// gob — as opposed to one that is merely absent (plain os.IsNotExist).
+// trusted — no columnar magic, failed CRC, truncation, impossible
+// geometry, an unknown version — as opposed to one that is merely absent (plain os.IsNotExist).
 // Callers distinguish the two to report "durable state is damaged"
 // (geoserve refuses to start, or serves degraded with the error in
 // /healthz) instead of a generic load failure.
@@ -279,64 +278,40 @@ func WriteColumnarFS(fsys faultfs.FS, path string, snap *colstore.Snapshot) erro
 	})
 }
 
-// loadFSMode is the shared load path: sniff the format by magic, open
-// columnar files through colstore (verifying every checksum), fall
-// back to the legacy gob decoder for pre-columnar files, and classify
-// every failure as absent (os.IsNotExist), corrupt (ErrCorruptSnapshot)
-// or an I/O error.
-func loadFSMode(fsys faultfs.FS, path string, mode colstore.Mode) (*FootprintDB, error) {
+// LoadColumnar loads a columnar snapshot with an explicit mapping mode
+// — `geomigrate verify` uses it to pin down exactly which load path
+// ran. Errors are classified as LoadMetaFS classifies them.
+func LoadColumnar(path string, mode colstore.Mode) (*FootprintDB, error) {
+	db, _, err := loadFS(faultfs.OS, path, mode)
+	return db, err
+}
+
+// LoadMetaFS loads a columnar snapshot through fsys with ModeAuto
+// mapping and returns its meta blob (nil for none) beside the database;
+// the ingest checkpoint keeps its state there. Every failure is absent
+// (os.IsNotExist), untrustworthy (ErrCorruptSnapshot: a file without
+// the columnar magic, a damaged file or an unknown version) or an I/O
+// error.
+func LoadMetaFS(fsys faultfs.FS, path string) (*FootprintDB, []byte, error) {
+	return loadFS(fsys, path, colstore.ModeAuto)
+}
+
+func loadFS(fsys faultfs.FS, path string, mode colstore.Mode) (*FootprintDB, []byte, error) {
 	snap, err := colstore.OpenFS(fsys, path, mode)
 	switch {
 	case err == nil:
-		db, cerr := FromColumnar(snap)
-		if cerr != nil {
-			return nil, cerr
-		}
-		return db, nil
-	case errors.Is(err, colstore.ErrNotColumnar):
-		return loadGobFS(fsys, path)
-	case errors.Is(err, colstore.ErrCorrupt) || errors.Is(err, colstore.ErrVersion):
-		return nil, corruptSnapshot(path, err)
+	case errors.Is(err, colstore.ErrNotColumnar) || errors.Is(err, colstore.ErrCorrupt) || errors.Is(err, colstore.ErrVersion):
+		return nil, nil, corruptSnapshot(path, err)
 	default:
 		// Open/stat/read errors (including absence) pass through
 		// untouched so os.IsNotExist keeps working on them.
-		return nil, err
+		return nil, nil, err
 	}
-}
-
-// loadGobFS decodes a legacy gob database file. Decode failures are
-// corruption (the file exists and claims to be a snapshot); open
-// errors pass through so absence stays os.IsNotExist.
-func loadGobFS(fsys faultfs.FS, path string) (*FootprintDB, error) {
-	f, err := fsys.Open(path)
+	db, err := FromColumnar(snap)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	//lint:ignore errdiscard read-only load handle; decode errors are surfaced by DecodeFrom
-	defer f.Close()
-	db, err := DecodeFrom(bufio.NewReader(f), path)
-	if err != nil {
-		return nil, corruptSnapshot(path, err)
-	}
-	return db, nil
-}
-
-// LoadFS loads a snapshot of either format (columnar by magic, legacy
-// gob otherwise) through an explicit filesystem, with ModeAuto mapping.
-func LoadFS(fsys faultfs.FS, path string) (*FootprintDB, error) {
-	return loadFSMode(fsys, path, colstore.ModeAuto)
-}
-
-// LoadColumnar loads a columnar snapshot with an explicit mapping mode
-// and no gob fallback — the restart benchmark and `geomigrate verify`
-// use it to pin down exactly which load path ran. A gob file returns
-// colstore.ErrNotColumnar.
-func LoadColumnar(path string, mode colstore.Mode) (*FootprintDB, error) {
-	snap, err := colstore.OpenFS(faultfs.OS, path, mode)
-	if err != nil {
-		return nil, err
-	}
-	return FromColumnar(snap)
+	return db, snap.Meta, nil
 }
 
 // ---- columnar fast-path state on FootprintDB ----

@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"errors"
-	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -15,6 +14,7 @@ import (
 	"geofootprint/internal/faultfs"
 	"geofootprint/internal/geom"
 	"geofootprint/internal/sketch"
+	"geofootprint/internal/traj"
 )
 
 // columnarTestDB builds a deterministic random database with norms,
@@ -114,51 +114,6 @@ func TestColumnarRoundTripModes(t *testing.T) {
 			t.Fatal("mmap load did not keep the columnar fast path")
 		}
 	}
-}
-
-// TestGobColumnarGobRoundTrip reads a legacy gob file, saves it as
-// columnar, reads that back and re-encodes it in the gob wire form: the
-// two gob encodings must be byte-identical, so the migration loses
-// nothing, peaks included.
-func TestGobColumnarGobRoundTrip(t *testing.T) {
-	db := columnarTestDB(t, 60, true)
-	dir := t.TempDir()
-	gobA := filepath.Join(dir, "a.gob")
-	col := filepath.Join(dir, "b.col")
-
-	if err := WriteFileAtomicFS(faultfs.OS, gobA, func(w io.Writer) error { return encodeGobForTest(w, db) }); err != nil {
-		t.Fatalf("write gob: %v", err)
-	}
-	fromGob, err := Load(gobA)
-	if err != nil {
-		t.Fatalf("load gob: %v", err)
-	}
-	if fromGob.ColumnarBacked() {
-		t.Fatal("gob load should not claim columnar backing")
-	}
-	if err := fromGob.Save(col); err != nil {
-		t.Fatalf("save columnar: %v", err)
-	}
-	fromCol, err := Load(col)
-	if err != nil {
-		t.Fatalf("load columnar: %v", err)
-	}
-	var b bytes.Buffer
-	if err := encodeGobForTest(&b, fromCol); err != nil {
-		t.Fatalf("re-encode gob: %v", err)
-	}
-	a, err := os.ReadFile(gobA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b.Bytes()) {
-		t.Fatalf("gob -> columnar -> gob is not byte-identical (%d vs %d bytes)", len(a), b.Len())
-	}
-	if !bytes.Contains(a, []byte("Peak")) {
-		t.Fatal("the gob file carries no Peak field")
-	}
-	sameDB(t, db, fromGob)
-	sameDB(t, db, fromCol)
 }
 
 // TestColumnarDispatchMatchesAoS checks the //geo:hotpath dispatch
@@ -351,8 +306,9 @@ func TestColumnarTornRenameFault(t *testing.T) {
 	}
 }
 
-// TestLoadFaultClassification: Load distinguishes absence, corrupt
-// columnar, and corrupt gob — callers branch on these.
+// TestLoadFaultClassification: Load distinguishes absence from a file
+// it cannot trust — damaged, crafted, or not a columnar snapshot at
+// all — callers branch on these.
 func TestLoadFaultClassification(t *testing.T) {
 	dir := t.TempDir()
 
@@ -397,40 +353,32 @@ func TestLoadFaultClassification(t *testing.T) {
 		t.Fatalf("truncated file: want ErrCorruptSnapshot, got %v", err)
 	}
 
-	// Garbage that is neither columnar nor gob.
-	gobPath := filepath.Join(dir, "bad.gob")
-	if err := os.WriteFile(gobPath, bytes.Repeat([]byte{0x5a}, 128), 0o644); err != nil {
+	// Files that are not columnar snapshots: garbage, and a trajectory
+	// dataset in the gob format geogen writes by default.
+	garbage := filepath.Join(dir, "garbage.db")
+	if err := os.WriteFile(garbage, bytes.Repeat([]byte{0x5a}, 128), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Load(gobPath)
-	if !errors.Is(err, ErrCorruptSnapshot) {
-		t.Fatalf("garbage gob: want ErrCorruptSnapshot, got %v", err)
+	dataset := filepath.Join(dir, "partA.gob")
+	saveTrajDataset(t, dataset)
+	for _, path := range []string{garbage, dataset} {
+		if db, err := Load(path); !errors.Is(err, ErrCorruptSnapshot) || !errors.Is(err, colstore.ErrNotColumnar) {
+			t.Fatalf("%s: want ErrCorruptSnapshot wrapping ErrNotColumnar, got a database %v and %v", path, db != nil, err)
+		}
 	}
 
-	// Crafted files, every checksum valid: a sketch cell outside the
-	// G×G raster, or a raster resolution past sketch.MaxG, in either
-	// format. The bound step indexes a dense table by cell id, so these
-	// must fail the load — typed — not panic or over-allocate in a query.
+	// Crafted columnar files, every checksum valid: a sketch cell
+	// outside the G×G raster, or a raster resolution past sketch.MaxG.
+	// The bound step indexes a dense table by cell id, so these must
+	// fail the load — typed — not panic or over-allocate in a query.
 	g := db.SketchParams.G
-	for name, craft := range map[string]struct {
-		db   func(db *FootprintDB)
-		snap func(snap *colstore.Snapshot)
-	}{
-		"cell past the raster": {
-			func(db *FootprintDB) { sk := &db.Sketches[3]; sk.Cells[len(sk.Cells)-1] = int32(g * g) },
-			func(snap *colstore.Snapshot) { snap.Cells[snap.CellStarts[4]-1] = int32(g * g) },
-		},
-		"negative cell": {
-			func(db *FootprintDB) { db.Sketches[0].Cells[0] = -1 },
-			func(snap *colstore.Snapshot) { snap.Cells[0] = -1 },
-		},
-		"resolution above the maximum": {
-			func(db *FootprintDB) { db.SketchParams.G = sketch.MaxG + 1 },
-			func(snap *colstore.Snapshot) { snap.SketchG = sketch.MaxG + 1 },
-		},
+	for name, craft := range map[string]func(snap *colstore.Snapshot){
+		"cell past the raster":         func(snap *colstore.Snapshot) { snap.Cells[snap.CellStarts[4]-1] = int32(g * g) },
+		"negative cell":                func(snap *colstore.Snapshot) { snap.Cells[0] = -1 },
+		"resolution above the maximum": func(snap *colstore.Snapshot) { snap.SketchG = sketch.MaxG + 1 },
 	} {
 		snap := columnarTestDB(t, 15, true).Columnar(nil)
-		craft.snap(snap)
+		craft(snap)
 		crafted := filepath.Join(dir, "crafted.col")
 		if err := WriteColumnar(crafted, snap); err != nil {
 			t.Fatalf("%s: writing the crafted columnar file: %v", name, err)
@@ -438,14 +386,17 @@ func TestLoadFaultClassification(t *testing.T) {
 		if _, err := Load(crafted); !errors.Is(err, ErrCorruptSnapshot) {
 			t.Fatalf("columnar file with %s: want ErrCorruptSnapshot, got %v", name, err)
 		}
-		bad := columnarTestDB(t, 15, true)
-		craft.db(bad)
-		craftedGob := filepath.Join(dir, "crafted.gob")
-		if err := WriteFileAtomicFS(faultfs.OS, craftedGob, func(w io.Writer) error { return encodeGobForTest(w, bad) }); err != nil {
-			t.Fatalf("%s: writing the crafted gob file: %v", name, err)
-		}
-		if _, err := Load(craftedGob); !errors.Is(err, ErrCorruptSnapshot) {
-			t.Fatalf("gob file with %s: want ErrCorruptSnapshot, got %v", name, err)
-		}
+	}
+}
+
+// saveTrajDataset writes a small trajectory dataset to path with
+// traj.SaveGob: a file of the wrong kind that a database path can be
+// handed by mistake.
+func saveTrajDataset(t *testing.T, path string) {
+	t.Helper()
+	session := traj.Trajectory{{P: geom.Point{X: 0.4, Y: 0.4}, T: 0}, {P: geom.Point{X: 0.41, Y: 0.4}, T: 1}}
+	d := &traj.Dataset{Name: "partA", SampleInterval: 1, Users: []traj.User{{ID: 1, Sessions: []traj.Trajectory{session}}}}
+	if err := traj.SaveGob(path, d); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -130,7 +130,7 @@ func TestSketchMaintenance(t *testing.T) {
 	checkAligned(t, db, "after compact")
 }
 
-// TestSketchPersistence round-trips an enabled database through gob
+// TestSketchPersistence round-trips an enabled database through a file
 // and checks params and sketches survive; a database without sketches
 // must load as sketch-disabled.
 func TestSketchPersistence(t *testing.T) {

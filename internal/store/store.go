@@ -2,13 +2,11 @@
 // user geo-footprints with their precomputed norms — the preprocessing
 // output of Section 5.1 that similarity computation and search build
 // on. The database persists in the columnar snapshot format of
-// internal/colstore (see columnar.go); files in the legacy gob format
-// are still read transparently.
+// internal/colstore (see columnar.go), its only file format.
 package store
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -203,38 +201,12 @@ func (db *FootprintDB) NumRegions() int {
 	return n
 }
 
-// dbWire is the legacy gob wire format, decoupled from unexported
-// fields. The sketch fields gob-default to zero, so files written
-// before the sketch layer existed load as sketch-disabled databases.
-type dbWire struct {
-	Name       string
-	IDs        []int
-	Footprints []core.Footprint
-	Norms      []float64
-	MBRs       []geom.Rect
-
-	SketchParams sketch.Params
-	Sketches     []sketchWire
-}
-
-// sketchWire is a sketch as gob carries it. Mass travels as float64,
-// as it always has: files written before Mass narrowed to float32 hold
-// the unrounded sums, which the decoder rounds up itself (gob's own
-// narrowing rounds to nearest). Peak is absent from those files; the
-// decoder derives it from the footprint, as the columnar loader does.
-type sketchWire struct {
-	Cells []int32
-	Mass  []float64
-	Peak  []float32
-	Root  []float64
-}
-
-// Save writes the database to path in the columnar snapshot format —
-// the current on-disk format, loadable with zero-copy mmap. The write
+// Save writes the database to path in the columnar snapshot format,
+// loadable with zero-copy mmap. The write
 // is atomic: it goes to a temporary file in the target's directory, is
 // fsynced, and is renamed over path only when complete — a crash or
 // error at any point leaves an existing database at path untouched.
-// Load reads it, and the legacy gob format too.
+// Load reads it back.
 func (db *FootprintDB) Save(path string) error {
 	err := WriteColumnar(path, db.Columnar(nil))
 	// Norms and the sketch slices may alias a memory-mapped snapshot
@@ -313,62 +285,10 @@ func WriteFileAtomicFS(fsys faultfs.FS, path string, write func(io.Writer) error
 	return nil
 }
 
-// DecodeFrom reads one database in gob wire form from r, restoring the
-// MinX-sorted invariant (see Load for why). name labels errors.
-func DecodeFrom(r io.Reader, name string) (*FootprintDB, error) {
-	var w dbWire
-	if err := gob.NewDecoder(r).Decode(&w); err != nil {
-		return nil, fmt.Errorf("store: decoding %s: %w", name, err)
-	}
-	db := &FootprintDB{Name: w.Name, IDs: w.IDs, Footprints: w.Footprints,
-		Norms: w.Norms, MBRs: w.MBRs, SketchParams: w.SketchParams}
-	if len(db.Norms) != len(db.IDs) || len(db.Footprints) != len(db.IDs) {
-		return nil, fmt.Errorf("store: %s: inconsistent lengths", name)
-	}
-	if g := db.SketchParams.G; g > sketch.MaxG {
-		return nil, fmt.Errorf("store: %s: sketch resolution %d exceeds the maximum %d", name, g, sketch.MaxG)
-	}
-	if db.SketchesEnabled() && len(w.Sketches) != len(db.IDs) {
-		return nil, fmt.Errorf("store: %s: %d sketches for %d users",
-			name, len(w.Sketches), len(db.IDs))
-	}
-	// Databases saved before the sorted-footprint invariant existed may
-	// hold unsorted footprints; restoring it here is an O(n) check per
-	// footprint for modern files. Their sketch cells, masses and roots
-	// (if any) are order-independent, so they stay valid; a peak derived
-	// below is derived from the stored order, as Build derives it.
-	for _, f := range db.Footprints {
-		if !core.IsSortedByMinX(f) {
-			core.SortByMinX(f)
-		}
-	}
-	if db.SketchesEnabled() {
-		db.Sketches = make([]sketch.Sketch, len(w.Sketches))
-		for u, ws := range w.Sketches {
-			sk := sketch.Sketch{Cells: ws.Cells, Peak: ws.Peak, Root: ws.Root, Mass: make([]float32, len(ws.Mass))}
-			for i, m := range ws.Mass {
-				sk.Mass[i] = sketch.Float32Up(m)
-			}
-			if sk.Peak == nil && len(sk.Cells) > 0 {
-				sk.Peak = make([]float32, len(sk.Cells))
-				sketch.FillPeak(db.Footprints[u], db.SketchParams, sk.Cells, sk.Peak)
-			}
-			// The bound step indexes a G×G table by cell id, so a sketch
-			// the file got wrong must fail the load, not a query.
-			if !sk.InRange(db.SketchParams.G) {
-				return nil, fmt.Errorf("store: %s: user %d sketch is malformed for a %d×%d raster",
-					name, u, db.SketchParams.G, db.SketchParams.G)
-			}
-			db.Sketches[u] = sk
-		}
-	}
-	return db, nil
-}
-
-// Load reads a database previously written by Save (columnar,
-// preferring zero-copy mmap) or by the legacy gob writer — the format
-// is sniffed from the file magic. Corrupt files of either format
-// report ErrCorruptSnapshot; a missing file stays os.IsNotExist.
+// Load reads a database previously written by Save, preferring
+// zero-copy mmap. A file that is not a columnar snapshot, or one that
+// is damaged, reports ErrCorruptSnapshot; a missing file stays
+// os.IsNotExist.
 func Load(path string) (*FootprintDB, error) {
-	return LoadFS(faultfs.OS, path)
+	return LoadColumnar(path, colstore.ModeAuto)
 }

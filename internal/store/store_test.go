@@ -155,7 +155,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		ids[i] = i * 7
 	}
 	db, _ := FromFootprints("round", ids, fps)
-	path := filepath.Join(t.TempDir(), "db.gob")
+	path := filepath.Join(t.TempDir(), "db.col")
 	if err := db.Save(path); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
@@ -186,7 +186,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadMissing(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "absent.gob")); err == nil {
+	if _, err := Load(filepath.Join(t.TempDir(), "absent.col")); err == nil {
 		t.Error("Load of missing file should fail")
 	}
 }

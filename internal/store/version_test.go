@@ -10,12 +10,11 @@ import (
 	"geofootprint/internal/sketch"
 )
 
-// The fixtures are one database — 41 users at G = 16 with non-integer
+// v1Fixture is a database — 41 users at G = 16 with non-integer
 // weights, a duplicated region, one tombstone and one user escaping the
-// sketch domain — written by the last release whose sketches had a
-// float64 mass and no peak: once as a version-1 columnar file, once as
-// gob.
-var v1Fixtures = []string{"testdata/v1-sketch.col", "testdata/v1-sketch.gob"}
+// sketch domain — written as a version-1 columnar file by the last
+// release whose sketches had a float64 mass and no peak.
+const v1Fixture = "testdata/v1-sketch.col"
 
 // sameSketchBits fails unless got is, column by column and bit for bit,
 // the sketch Build makes of f under p.
@@ -34,58 +33,47 @@ func sameSketchBits(t *testing.T, when string, got *sketch.Sketch, f core.Footpr
 	}
 }
 
-// TestVersion1FixturesOpenBitIdentical: a version-1 columnar file and a
-// gob file from before the peak column open with every sketch equal,
-// bit for bit, to what Build makes of the stored footprint today — the
-// masses rounded up on load, the peaks derived from the regions — so
-// every bound, through the reference kernel and through the gather,
-// has the bits a freshly built layer gives. Both files equal, bit for
-// bit, a fresh build of their users under the file's raster, and the
-// gob file saved as columnar (geomigrate convert) is a version-2 file
-// that reads back as that build: the migration self-test check.sh
-// runs.
+// TestVersion1FixturesOpenBitIdentical: a version-1 columnar file from
+// before the peak column opens with every sketch equal, bit for bit, to
+// what Build makes of the stored footprint today — the masses rounded
+// up on load, the peaks derived from the regions — so every bound,
+// through the reference kernel and through the gather, has the bits a
+// freshly built layer gives. The file equals, bit for bit, a fresh
+// build of its users under the file's raster, and saved again
+// (geomigrate convert) it is a version-2 file that reads back as that
+// build: the migration self-test check.sh runs.
 func TestVersion1FixturesOpenBitIdentical(t *testing.T) {
-	var loaded []*FootprintDB
-	for _, path := range v1Fixtures {
-		db, err := Load(path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if !db.SketchesEnabled() || db.Len() != 41 || db.SketchParams.G != 16 {
-			t.Fatalf("%s: %d users, sketches %v at G=%d", path, db.Len(), db.SketchesEnabled(), db.SketchParams.G)
-		}
-		fresh := &FootprintDB{Footprints: db.Footprints, SketchParams: db.SketchParams}
-		for u := range db.IDs {
-			sameSketchBits(t, path, &db.Sketches[u], db.Footprints[u], db.SketchParams)
-			fresh.Sketches = append(fresh.Sketches, sketch.Build(db.Footprints[u], db.SketchParams))
-		}
-		for qi, q := range []core.Footprint{db.Footprints[0], db.Footprints[17], db.Footprints[40]} {
-			qsk := sketch.Build(q, db.SketchParams)
-			raster := sketch.Rasterize(&qsk, db.SketchParams.G)
-			for u := range db.IDs {
-				want := math.Float64bits(sketch.BoundDot(&fresh.Sketches[u], &qsk))
-				if ref, dense := db.UserSketchDot(u, &qsk), sketch.DotDense(&db.Sketches[u], raster.Table()); math.Float64bits(ref) != want || math.Float64bits(dense) != want {
-					t.Fatalf("%s query %d user %d: reference %v, gather %v, a fresh layer %v", path, qi, u, ref, dense, math.Float64frombits(want))
-				}
-			}
-			raster.Release()
-		}
-		loaded = append(loaded, db)
-	}
-	gobDB := loaded[1]
-	built, err := FromFootprints(gobDB.Name, gobDB.IDs, gobDB.Footprints)
+	db, err := Load(v1Fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	built.SketchParams = gobDB.SketchParams
-	for _, f := range built.Footprints {
+	if !db.SketchesEnabled() || db.Len() != 41 || db.SketchParams.G != 16 {
+		t.Fatalf("%d users, sketches %v at G=%d", db.Len(), db.SketchesEnabled(), db.SketchParams.G)
+	}
+	built, err := FromFootprints(db.Name, db.IDs, db.Footprints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built.SketchParams = db.SketchParams
+	for u, f := range built.Footprints {
+		sameSketchBits(t, v1Fixture, &db.Sketches[u], f, db.SketchParams)
 		built.Sketches = append(built.Sketches, sketch.Build(f, built.SketchParams))
 	}
-	sameDB(t, built, loaded[0])
-	sameDB(t, built, gobDB)
+	for qi, q := range []core.Footprint{db.Footprints[0], db.Footprints[17], db.Footprints[40]} {
+		qsk := sketch.Build(q, db.SketchParams)
+		raster := sketch.Rasterize(&qsk, db.SketchParams.G)
+		for u := range db.IDs {
+			want := math.Float64bits(sketch.BoundDot(&built.Sketches[u], &qsk))
+			if ref, dense := db.UserSketchDot(u, &qsk), sketch.DotDense(&db.Sketches[u], raster.Table()); math.Float64bits(ref) != want || math.Float64bits(dense) != want {
+				t.Fatalf("query %d user %d: reference %v, gather %v, a fresh layer %v", qi, u, ref, dense, math.Float64frombits(want))
+			}
+		}
+		raster.Release()
+	}
+	sameDB(t, built, db)
 
 	upgraded := filepath.Join(t.TempDir(), "v2.col")
-	if err := gobDB.Save(upgraded); err != nil {
+	if err := db.Save(upgraded); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := colstore.Open(upgraded, colstore.ModeRead)

@@ -94,10 +94,11 @@ go test -race -count=1 ./internal/netfault/ ./internal/breaker/
 go test -race -count=1 -run 'Chaos|Failover|Breaker|Stale|Replica|Segment' \
 	./internal/router/ ./internal/server/ ./internal/hashring/
 
-# Snapshot-format migration self-test: the committed gob fixture, saved
-# as columnar, must read back bit for bit as a fresh build of its
-# users, so operators can migrate old snapshots without a diffing step.
-echo "== columnar migration (gob fixture -> columnar = fresh build) =="
+# Snapshot-format migration self-test: the committed version-1 columnar
+# fixture, and its version-2 rewrite, must read back bit for bit as a
+# fresh build of its users, so operators can migrate old snapshots
+# without a diffing step.
+echo "== columnar migration (version-1 fixture -> version 2 = fresh build) =="
 go test -count=1 -run 'TestVersion1FixturesOpenBitIdentical' ./internal/store/
 
 echo "== go test -race ./... =="
