@@ -71,7 +71,7 @@ func main() {
 	tau := flag.Int("tau", 30, "RoI extraction τ (minimum dwell samples)")
 
 	shardID := flag.String("shard-id", "", "this instance's id in a georouter shard map; reported by /healthz for routing cross-checks (empty: single-node)")
-	cacheSize := flag.Int("cache-size", 0, "epoch-keyed result cache capacity in entries (0: cache disabled)")
+	cacheSize := flag.Int("cache-size", 0, "epoch-keyed result cache capacity in encoded answers; a full cache admits an answer only over a less frequently asked LRU victim (0: cache disabled)")
 	statsEvery := flag.Duration("stats-interval", 0, "log epoch/cache serving stats at this period (0: only on shutdown)")
 	allowCorrupt := flag.Bool("allow-corrupt-snapshot", false, "serve despite a corrupt snapshot file: static mode refuses, streaming mode rebuilds from the WAL alone; /healthz reports degraded")
 	maxInflight := flag.Int("max-inflight-queries", 0, "cap on concurrent top-k queries; excess get 429 (0: unlimited)")
@@ -164,7 +164,7 @@ func main() {
 	log.Printf("loaded %d users (%d regions) in %.2fs; listening on %s",
 		db.Len(), db.NumRegions(), time.Since(start).Seconds(), *addr)
 	if *cacheSize > 0 {
-		log.Printf("result cache enabled: %d entries, keyed by (epoch, method, query, k)", *cacheSize)
+		log.Printf("result cache enabled: %d entries, keyed by (epoch, method, user or query, k), admitted by frequency", *cacheSize)
 	}
 	if *statsEvery > 0 {
 		go func() {
@@ -214,14 +214,14 @@ func main() {
 }
 
 // logServingStats reports the epoch lifecycle counters and, when the
-// result cache is on, its hit/miss/evict accounting — the same numbers
+// result cache is on, its hit/miss/evict/reject accounting — the same numbers
 // /healthz and /v1/ingest/stats expose over HTTP.
 func logServingStats(srv *server.Server) {
 	es := srv.EpochStats()
 	log.Printf("epoch: seq=%d published=%d reclaimed=%d live=%d pinned=%d",
 		es.Seq, es.Published, es.Reclaimed, es.Live, es.Pins)
 	if cs, ok := srv.CacheStats(); ok {
-		log.Printf("cache: hits=%d misses=%d evictions=%d purged=%d entries=%d/%d",
-			cs.Hits, cs.Misses, cs.Evictions, cs.Purged, cs.Entries, cs.Cap)
+		log.Printf("cache: hits=%d misses=%d evictions=%d rejected=%d purged=%d entries=%d/%d",
+			cs.Hits, cs.Misses, cs.Evictions, cs.Rejected, cs.Purged, cs.Entries, cs.Cap)
 	}
 }

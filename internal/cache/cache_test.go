@@ -44,26 +44,149 @@ func TestGetOrComputeHitMiss(t *testing.T) {
 	}
 }
 
+// The LRU entry is still the victim, but a newcomer replaces it only
+// when strictly more frequent: seen as often as the victim, its answer
+// goes back to its caller unstored and counts as rejected.
 func TestLRUEviction(t *testing.T) {
 	c := New(2)
 	ctx := context.Background()
-	put := func(q string) {
-		c.GetOrCompute(ctx, key(1, q), func() (any, error) { return q, nil })
+	put := func(q string) bool {
+		_, hit, _ := c.GetOrCompute(ctx, key(1, q), func() (any, error) { return q, nil })
+		return hit
 	}
 	put("a")
 	put("b")
 	// Touch "a" so "b" is the LRU victim when "c" lands.
-	if _, hit, _ := c.GetOrCompute(ctx, key(1, "a"), nil); !hit {
+	if !put("a") {
 		t.Fatal("warm entry missed")
 	}
-	put("c")
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
+	if put("c") {
+		t.Fatal("new key hit")
 	}
-	if _, hit, _ := c.GetOrCompute(ctx, key(1, "b"), func() (any, error) { return "b", nil }); hit {
-		t.Fatal("LRU victim survived")
+	if st := c.Stats(); st.Rejected != 1 || st.Evictions != 0 || c.Len() != 2 {
+		t.Fatalf("c, as frequent as the victim b, was admitted: %+v", st)
 	}
-	if st := c.Stats(); st.Evictions < 1 {
+	if _, ok := c.Get(key(1, "c")); ok {
+		t.Fatal("rejected answer stored")
+	}
+	// Its second request makes "c" more frequent than "b": it replaces
+	// the LRU victim, not the warmer "a".
+	if put("c") {
+		t.Fatal("rejected answer hit")
+	}
+	if st := c.Stats(); st.Rejected != 1 || st.Evictions != 1 || c.Len() != 2 {
+		t.Fatalf("after c's second request: %+v", st)
+	}
+	for q, want := range map[string]bool{"a": true, "b": false, "c": true} {
+		if _, ok := c.Get(key(1, q)); ok != want {
+			t.Fatalf("%q cached = %v, want %v", q, ok, want)
+		}
+	}
+}
+
+// A key read three times survives a scan of ten times the capacity in
+// one-off keys, none of which is more frequent than it. Under plain
+// LRU the scan's first capacity keys push it out.
+func TestScanResistance(t *testing.T) {
+	const capacity = 64
+	c := New(capacity)
+	ctx := context.Background()
+	compute := func() (any, error) { return "v", nil }
+	for i := 0; i < 3; i++ {
+		c.GetOrCompute(ctx, key(1, "hot"), compute)
+	}
+	for i := 0; i < 10*capacity; i++ {
+		c.GetOrCompute(ctx, key(1, fmt.Sprintf("scan%d", i)), compute)
+	}
+	if _, ok := c.Get(key(1, "hot")); !ok {
+		t.Fatalf("the three-times key was scanned out: %+v", c.Stats())
+	}
+	if st := c.Stats(); st.Rejected == 0 || st.Entries != capacity {
+		t.Fatalf("the scan was admitted wholesale: %+v", st)
+	}
+}
+
+// A cache with room admits every answer: a miss followed by a
+// GetOrCompute without a compute function hits, the pattern of the
+// benchmark's cache layer.
+func TestMissThenHitWithRoom(t *testing.T) {
+	c := New(4)
+	ctx := context.Background()
+	for i := 0; i < 4; i++ {
+		q := fmt.Sprintf("q%d", i)
+		if _, hit, _ := c.GetOrCompute(ctx, key(1, q), func() (any, error) { return q, nil }); hit {
+			t.Fatalf("%s: first call hit", q)
+		}
+		if v, hit, err := c.GetOrCompute(ctx, key(1, q), nil); err != nil || !hit || v != q {
+			t.Fatalf("%s: v=%v hit=%v err=%v", q, v, hit, err)
+		}
+	}
+	if st := c.Stats(); st.Rejected != 0 || st.Entries != 4 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// Popularity is counted without the epoch, so it outlives the purge at
+// a publish: a key read often in epoch 1 is admitted in epoch 2 over a
+// colder victim, where a cold newcomer is not.
+func TestAdmissionRemembersAcrossPurge(t *testing.T) {
+	c := New(4)
+	ctx := context.Background()
+	compute := func() (any, error) { return "v", nil }
+	for i := 0; i < 5; i++ {
+		c.GetOrCompute(ctx, key(1, "hot"), compute)
+	}
+	c.Purge(2)
+	for i := 0; i < 4; i++ {
+		c.GetOrCompute(ctx, key(2, fmt.Sprintf("cold%d", i)), compute)
+	}
+	if c.Len() != 4 {
+		t.Fatalf("len = %d after filling epoch 2", c.Len())
+	}
+	c.GetOrCompute(ctx, key(2, "newcomer"), compute)
+	if st := c.Stats(); st.Rejected != 1 || st.Evictions != 0 {
+		t.Fatalf("a cold newcomer replaced a cold victim: %+v", st)
+	}
+	c.GetOrCompute(ctx, key(2, "hot"), compute)
+	if _, ok := c.Get(key(2, "hot")); !ok {
+		t.Fatalf("the epoch-1 favourite was not admitted in epoch 2: %+v", c.Stats())
+	}
+	if st := c.Stats(); st.Evictions != 1 || st.Rejected != 1 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// Get and GetOrCompute from many goroutines over more keys than fit,
+// with purges in between: admission runs on every insert, and every
+// answer is the key's own. Run under -race.
+func TestConcurrentAdmission(t *testing.T) {
+	c := New(8)
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				epoch := uint64(1 + i/500)
+				q := fmt.Sprintf("q%d", (i*(g+1))%(3+i%40))
+				if v, ok := c.Get(key(epoch, q)); ok && v != q {
+					t.Errorf("Get(%s) = %v", q, v)
+					return
+				}
+				v, _, err := c.GetOrCompute(ctx, key(epoch, q), func() (any, error) { return q, nil })
+				if err != nil || v != q {
+					t.Errorf("GetOrCompute(%s) = %v, %v", q, v, err)
+					return
+				}
+				if g == 0 && i%500 == 499 {
+					c.Purge(epoch + 1)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := c.Stats(); st.Rejected == 0 || st.Hits == 0 || st.Entries > 8 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

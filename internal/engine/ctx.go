@@ -41,7 +41,15 @@ func (e *QueryEngine) TopKCtx(ctx context.Context, q core.Footprint, k int) ([]s
 // answer is the unrestricted ranking with the other users removed,
 // whatever the method.
 func (e *QueryEngine) TopKInCtx(ctx context.Context, q core.Footprint, k int, in *search.Restrict) ([]search.Result, error) {
-	return search.TopK(ctx, e.db, e.src, q, k, in, e.workers, nil)
+	return search.TopK(ctx, e.db, e.src, q, search.AdHoc, k, in, e.workers, nil)
+}
+
+// TopKRowCtx is TopKCtx with stored user u's row as the query: its
+// footprint, and the norm and sketch the database holds for it, which
+// an ad-hoc query computes. The answer is TopKCtx's over
+// db.Footprints[u], bit for bit.
+func (e *QueryEngine) TopKRowCtx(ctx context.Context, u, k int) ([]search.Result, error) {
+	return search.TopK(ctx, e.db, e.src, e.db.Footprints[u], u, k, nil, e.workers, nil)
 }
 
 // TopKBatchCtx is TopKBatch honouring ctx. On cancellation the whole
@@ -64,7 +72,7 @@ func (e *QueryEngine) TopKBatchCtx(ctx context.Context, queries []core.Footprint
 	if workers <= 1 {
 		//lint:ignore ctxcancel search.TopK polls at entry, so every iteration observes cancellation
 		for i, q := range queries {
-			res, err := search.TopK(ctx, e.db, e.src, q, k, nil, 1, nil)
+			res, err := search.TopK(ctx, e.db, e.src, q, search.AdHoc, k, nil, 1, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -82,7 +90,7 @@ func (e *QueryEngine) TopKBatchCtx(ctx context.Context, queries []core.Footprint
 				if ctx.Err() != nil {
 					continue // drain; the batch is already failed
 				}
-				res, err := search.TopK(ctx, e.db, e.src, queries[i], k, nil, 1, nil)
+				res, err := search.TopK(ctx, e.db, e.src, queries[i], search.AdHoc, k, nil, 1, nil)
 				if err != nil {
 					continue
 				}

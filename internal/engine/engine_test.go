@@ -2,7 +2,9 @@ package engine
 
 import (
 	"context"
+	"math"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -159,8 +161,8 @@ func TestParallelTopKByteIdentical(t *testing.T) {
 								continue
 							}
 							var first, again search.SketchStats
-							a, errA := search.TopK(ctx, db, src, q, k, in, workers, &first)
-							b, errB := search.TopK(ctx, db, src, q, k, in, workers, &again)
+							a, errA := search.TopK(ctx, db, src, q, search.AdHoc, k, in, workers, &first)
+							b, errB := search.TopK(ctx, db, src, q, search.AdHoc, k, in, workers, &again)
 							if errA != nil || errB != nil || !reflect.DeepEqual(a, want) || !reflect.DeepEqual(b, want) {
 								t.Fatalf("%s layer=%s restricted=%v k=%d workers=%d: seeded run diverged (errs %v, %v)", name, layer, in != nil, k, workers, errA, errB)
 							}
@@ -179,6 +181,70 @@ func TestParallelTopKByteIdentical(t *testing.T) {
 			t.Fatalf("layer=%s: the queries above never took the database across its build line", layer)
 		}
 	}
+
+	// The stored-row row: every user of the four part presets, queried
+	// by its row — the loop then reads the user's norm and sketch from
+	// the database instead of computing them — gets the bits of the same
+	// query by footprint. On an in-memory and a version-2 database the
+	// stored sketch is the one a build makes, so the work is the same
+	// too; a version-1 database only has to answer the same. Under the
+	// race detector every seventh user stands in for all of them.
+	stride := 1
+	if raceEnabled {
+		stride = 7
+	}
+	dir := t.TempDir()
+	v1, err := store.Load("../store/testdata/v1-sketch.col")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dbs := map[string]*store.FootprintDB{"v1 fixture": v1}
+	for _, part := range []string{"A", "B", "C", "D"} {
+		mem := partDB(t, part, 0.002)
+		mem.EnableSketches(0, 0)
+		path := filepath.Join(dir, part+".col")
+		if err := mem.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		v2, err := store.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dbs[part+" in memory"], dbs[part+" v2"] = mem, v2
+	}
+	for name, db := range dbs {
+		sameWork := name != "v1 fixture"
+		src := search.NewUserCentricIndex(db, search.BuildSTR, 0)
+		for u := 0; u < db.Len(); u += stride {
+			for _, k := range []int{1, 5, 50} {
+				for _, workers := range []int{1, 2, 4} {
+					var byRow, byFootprint search.SketchStats
+					got, errR := search.TopK(ctx, db, src, db.Footprints[u], u, k, nil, workers, &byRow)
+					want, errF := search.TopK(ctx, db, src, db.Footprints[u], search.AdHoc, k, nil, workers, &byFootprint)
+					if errR != nil || errF != nil || !sameBits(got, want) {
+						t.Fatalf("%s user %d k=%d workers=%d: by row %v (err %v), by footprint %v (err %v)", name, u, k, workers, got, errR, want, errF)
+					}
+					if sameWork && byRow != byFootprint {
+						t.Fatalf("%s user %d k=%d workers=%d: work by row %v, by footprint %v", name, u, k, workers, byRow, byFootprint)
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameBits reports whether two rankings hold the same IDs and the same
+// score bits, in the same order.
+func sameBits(a, b []search.Result) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID || math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestBatchByteIdentical asserts that the batched worker-pool path

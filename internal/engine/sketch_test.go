@@ -59,11 +59,11 @@ func TestSketchForcedFanout(t *testing.T) {
 	}
 }
 
-// partA builds a small Part A database the way geobench does: the
-// indoor-mobility generator, Algorithm 1, unit weights.
-func partA(t *testing.T, scale float64) *store.FootprintDB {
+// partDB builds a small database of the named part preset the way
+// geobench does: the preset's generator, Algorithm 1, unit weights.
+func partDB(t *testing.T, part string, scale float64) *store.FootprintDB {
 	t.Helper()
-	cfg, err := synth.PartConfig("A", scale)
+	cfg, err := synth.PartConfig(part, scale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func partA(t *testing.T, scale float64) *store.FootprintDB {
 // for every worker count. Counts are a function of (query, k, workers),
 // so two runs agree exactly.
 func TestEveryMethodRefinesByBound(t *testing.T) {
-	db := partA(t, 0.002)
+	db := partDB(t, "A", 0.002)
 	db.EnableSketches(0, 0)
 	srcs := sources(t, db)
 	uc := srcs["user-centric"].(*search.UserCentricIndex)
@@ -101,11 +101,11 @@ func TestEveryMethodRefinesByBound(t *testing.T) {
 			did := map[string]search.SketchStats{}
 			for name, src := range srcs {
 				var st, again search.SketchStats
-				got, err := search.TopK(ctx, db, src, q, k, nil, workers, &st)
+				got, err := search.TopK(ctx, db, src, q, search.AdHoc, k, nil, workers, &st)
 				if err != nil || !reflect.DeepEqual(got, want) {
 					t.Fatalf("query %d %s workers %d: diverged (err=%v)", qi, name, workers, err)
 				}
-				if _, err := search.TopK(ctx, db, src, q, k, nil, workers, &again); err != nil || again != st {
+				if _, err := search.TopK(ctx, db, src, q, search.AdHoc, k, nil, workers, &again); err != nil || again != st {
 					t.Fatalf("query %d %s workers %d: counts %v then %v", qi, name, workers, st, again)
 				}
 				if st.Refined > st.Scored || st.Scored > st.Candidates {

@@ -101,6 +101,16 @@ func (v *View) Engine(method string) (*QueryEngine, error) {
 	}
 }
 
+// CacheName is the name a method's answers are cached under: one per
+// engine, so "", "user-centric" and "sketch" — one engine — share their
+// entries.
+func CacheName(method string) string {
+	if method == "" || method == "sketch" {
+		return "user-centric"
+	}
+	return method
+}
+
 // TopKCached answers a top-k query through the epoch-keyed result
 // cache: a hit returns the previously computed (and, the epoch being
 // immutable, still exact) answer; a miss computes on the selected
@@ -123,10 +133,7 @@ func (v *View) TopKCachedIn(ctx context.Context, c *cache.Cache, epoch uint64, m
 		res, err := eng.TopKInCtx(ctx, q, k, in)
 		return res, false, err
 	}
-	if method == "" || method == "sketch" {
-		method = "user-centric" // one engine, one entry
-	}
-	key := cache.Key{Epoch: epoch, Method: method, K: k, Query: cache.FootprintKey(q)}
+	key := cache.Key{Epoch: epoch, Method: CacheName(method), K: k, Query: cache.FootprintKey(q)}
 	if in != nil {
 		key.Partition, key.Lo, key.Hi = in.Partition, in.Lo, in.Hi
 	}

@@ -345,7 +345,7 @@ func BenchmarkMissStages(b *testing.B) {
 			}
 			for _, q := range c.queries[:64] {
 				var st SketchStats
-				if _, err := TopK(ctx, db, c.uc, q, k, nil, 1, &st); err != nil {
+				if _, err := TopK(ctx, db, c.uc, q, AdHoc, k, nil, 1, &st); err != nil {
 					b.Fatal(err)
 				}
 				if got := replay(q); got != st.Refined {

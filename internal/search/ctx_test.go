@@ -47,7 +47,7 @@ func ctxVariants(t *testing.T, db *store.FootprintDB) map[string]func(ctx contex
 	for name, src := range testSources(t, db) {
 		for _, workers := range []int{1, 4} {
 			variants[fmt.Sprintf("%s/workers=%d", name, workers)] = func(ctx context.Context, q core.Footprint, k int) ([]Result, error) {
-				return TopK(ctx, db, src, q, k, nil, workers, nil)
+				return TopK(ctx, db, src, q, AdHoc, k, nil, workers, nil)
 			}
 		}
 	}
@@ -164,7 +164,7 @@ func TestCtxCancelledMidBound(t *testing.T) {
 		t.Helper()
 		pooledAccumulatorClean(t, when, db.Len())
 		for name, src := range testSources(t, db) {
-			got, err := TopK(context.Background(), ready, src, q, 10, nil, 1, nil)
+			got, err := TopK(context.Background(), ready, src, q, AdHoc, 10, nil, 1, nil)
 			if err != nil || !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s, then %s: %v (err %v), LinearScan %v", when, name, got, err, want)
 			}
@@ -206,7 +206,7 @@ func TestCtxPollsBeforeSeed(t *testing.T) {
 	boundPolls := (db.Len() + cancelStride - 1) / cancelStride
 	full := 1 + boundPolls + 2
 	for left := 0; left <= full; left++ {
-		got, err := TopK(&countdownCtx{Context: context.Background(), left: left}, young(db), AllUsers(db), q, k, nil, 1, nil)
+		got, err := TopK(&countdownCtx{Context: context.Background(), left: left}, young(db), AllUsers(db), q, AdHoc, k, nil, 1, nil)
 		if left < full && (err != context.Canceled || got != nil) {
 			t.Fatalf("cancelled at poll %d of %d: %d results, err %v", left+1, full, len(got), err)
 		}

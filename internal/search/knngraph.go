@@ -1,10 +1,9 @@
 package search
 
 import (
+	"context"
 	"runtime"
 	"sync"
-
-	"geofootprint/internal/core"
 )
 
 // KNNGraph computes, for every user of the index's database, its k
@@ -37,7 +36,7 @@ func KNNGraph(ix *UserCentricIndex, k, workers int) [][]Result {
 				if db.Norms[u] == 0 {
 					continue
 				}
-				out[u] = neighboursOf(ix, db.Footprints[u], db.IDs[u], k)
+				out[u] = neighboursOf(ix, u, k)
 			}
 		}()
 	}
@@ -49,13 +48,14 @@ func KNNGraph(ix *UserCentricIndex, k, workers int) [][]Result {
 	return out
 }
 
-// neighboursOf returns the k most similar users to q, excluding
-// selfID.
-func neighboursOf(ix *UserCentricIndex, q core.Footprint, selfID, k int) []Result {
-	res := ix.TopK(q, k+1)
+// neighboursOf returns the k users most similar to stored user u,
+// excluding u: the one loop queried with u's row.
+func neighboursOf(ix *UserCentricIndex, u, k int) []Result {
+	db := ix.db
+	res, _ := TopK(context.Background(), db, ix, db.Footprints[u], u, k+1, nil, 1, nil)
 	out := make([]Result, 0, k)
 	for _, r := range res {
-		if r.ID == selfID {
+		if r.ID == db.IDs[u] {
 			continue
 		}
 		out = append(out, r)

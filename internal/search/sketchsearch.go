@@ -65,7 +65,7 @@ func (ix *UserCentricIndex) TopKSketchStats(q core.Footprint, k int) ([]Result, 
 		panic("search: TopKSketch requires store.FootprintDB.EnableSketches")
 	}
 	var st SketchStats
-	res, _ := TopK(context.Background(), ix.db, ix, q, k, nil, 1, &st)
+	res, _ := TopK(context.Background(), ix.db, ix, q, AdHoc, k, nil, 1, &st)
 	return res, st
 }
 
@@ -92,16 +92,20 @@ func (ix *UserCentricIndex) SketchCandidates(q core.Footprint, qsk *sketch.Sketc
 // buf in candidate order with the zero bounds dropped (a zero bound
 // certifies zero similarity, and zero-similarity users are never
 // returned). It reads only the database, so it serves R-tree, RoI and
-// all-users candidates alike. A database without a sketch layer gives
-// every candidate the trivial bound 1: the same refine loop then runs
-// with no early exit. Cancellation is polled every cancelStride
-// candidates.
-func SketchBound(ctx context.Context, db *store.FootprintDB, cands []int, q core.Footprint, qnorm float64, buf []SketchCandidate) ([]SketchCandidate, error) {
+// all-users candidates alike. The query's sketch is the stored
+// db.Sketches[row] when q is that row, else built from q (row AdHoc).
+// A database without a sketch layer gives every candidate the trivial
+// bound 1: the same refine loop then runs with no early exit.
+// Cancellation is polled every cancelStride candidates.
+func SketchBound(ctx context.Context, db *store.FootprintDB, cands []int, q core.Footprint, row int, qnorm float64, buf []SketchCandidate) ([]SketchCandidate, error) {
 	if !db.SketchesEnabled() {
 		for _, u := range cands {
 			buf = append(buf, SketchCandidate{User: u, Bound: 1})
 		}
 		return buf, nil
+	}
+	if row != AdHoc {
+		return boundAgainst(ctx, db, cands, &db.Sketches[row], qnorm, buf)
 	}
 	qsk := sketch.Build(q, db.SketchParams)
 	return boundAgainst(ctx, db, cands, &qsk, qnorm, buf)

@@ -170,7 +170,7 @@ func TestSketchBoundWithoutSketchLayer(t *testing.T) {
 	db := testDB(t, rng, 600)
 	q := db.Footprints[5]
 	cands := rng.Perm(db.Len())
-	scored, err := SketchBound(context.Background(), db, cands, q, core.Norm(q), nil)
+	scored, err := SketchBound(context.Background(), db, cands, q, AdHoc, core.Norm(q), nil)
 	if err != nil || len(scored) != len(cands) {
 		t.Fatalf("sketch-less bound: %d of %d candidates, err=%v", len(scored), len(cands), err)
 	}
@@ -180,13 +180,13 @@ func TestSketchBoundWithoutSketchLayer(t *testing.T) {
 		}
 	}
 	db.EnableSketches(0, 0)
-	bounded, err := SketchBound(context.Background(), db, cands, q, core.Norm(q), nil)
+	bounded, err := SketchBound(context.Background(), db, cands, q, AdHoc, core.Norm(q), nil)
 	if err != nil || len(bounded) == 0 || len(bounded) >= len(cands) {
 		t.Fatalf("sketch bound kept %d of %d candidates, err=%v; want some dropped at bound 0", len(bounded), len(cands), err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if got, err := SketchBound(ctx, db, cands, q, core.Norm(q), nil); err != context.Canceled || got != nil {
+	if got, err := SketchBound(ctx, db, cands, q, AdHoc, core.Norm(q), nil); err != context.Canceled || got != nil {
 		t.Fatalf("cancelled bound step returned %d candidates, err=%v", len(got), err)
 	}
 }

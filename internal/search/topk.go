@@ -141,24 +141,39 @@ func shardWorkers(workers, n int) int {
 // less than a handful of joins.
 const RefineBlock = 128
 
+// AdHoc is the row argument of TopK and SketchBound for a query
+// footprint that is not a stored user's.
+const AdHoc = -1
+
+// queryNorm is q's norm: the stored one when q is db's row `row`
+// (db.Norms[row] is core.Norm(db.Footprints[row]), bit for bit).
+func queryNorm(db *store.FootprintDB, q core.Footprint, row int) float64 {
+	if row == AdHoc {
+		return core.Norm(q)
+	}
+	return db.Norms[row]
+}
+
 // TopK returns the k users of db most similar to q among those src
 // nominates and `in` selects (nil: all of them), best first, on up to
 // `workers` goroutines (fewer when the candidates do not justify the
 // fan-out; anything below 2 is the calling goroutine alone). The answer
 // is LinearScan's ranking with the users outside `in` removed, byte for
-// byte, whatever the source and the worker count. st, when non-nil,
-// receives the work counts. Cancellation is polled at entry, inside the
-// source and the bound step, before the seed's joins, before every
-// block and before the merge; workers never outlive the block they were
-// started for, and a cancelled query returns (nil, ctx.Err()), its
-// partial collectors discarded.
+// byte, whatever the source and the worker count. row is the dense
+// index of the stored user whose footprint q is — its norm and sketch
+// are then read from db instead of computed — or AdHoc. st, when
+// non-nil, receives the work counts. Cancellation is polled at entry,
+// inside the source and the bound step, before the seed's joins, before
+// every block and before the merge; workers never outlive the block
+// they were started for, and a cancelled query returns (nil,
+// ctx.Err()), its partial collectors discarded.
 //
 //geo:cancellable
-func TopK(ctx context.Context, db *store.FootprintDB, src Source, q core.Footprint, k int, in *Restrict, workers int, st *SketchStats) ([]Result, error) {
+func TopK(ctx context.Context, db *store.FootprintDB, src Source, q core.Footprint, row, k int, in *Restrict, workers int, st *SketchStats) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	qnorm := core.Norm(q)
+	qnorm := queryNorm(db, q, row)
 	if qnorm == 0 || k <= 0 {
 		return nil, nil
 	}
@@ -170,7 +185,7 @@ func TopK(ctx context.Context, db *store.FootprintDB, src Source, q core.Footpri
 	}
 	sc.cands = cands
 	cands = in.filter(cands)
-	scored, err := SketchBound(ctx, db, cands, q, qnorm, sc.scored[:0])
+	scored, err := SketchBound(ctx, db, cands, q, row, qnorm, sc.scored[:0])
 	if err != nil {
 		return nil, err
 	}

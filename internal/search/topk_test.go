@@ -44,7 +44,7 @@ func TestDuplicateFootprintTieBreak(t *testing.T) {
 		for _, side := range []*store.FootprintDB{young(db), walked} {
 			for name, src := range testSources(t, side) {
 				for _, workers := range []int{1, 2} {
-					got, err := TopK(ctx, side, src, dup, 1, nil, workers, nil)
+					got, err := TopK(ctx, side, src, dup, AdHoc, 1, nil, workers, nil)
 					if err != nil || !reflect.DeepEqual(got, want) {
 						t.Fatalf("trial %d, %s on %d workers: %v (err %v), LinearScan %v", trial, name, workers, got, err, want)
 					}
@@ -65,7 +65,7 @@ func TestSeedMatchesFullOrder(t *testing.T) {
 	for qi, q := range clusteredFootprints(rng, 12, 12) {
 		qnorm := core.Norm(q)
 		cands, _ := AllUsers(db).Nominate(context.Background(), q, nil)
-		scored, err := SketchBound(context.Background(), db, cands, q, qnorm, nil)
+		scored, err := SketchBound(context.Background(), db, cands, q, AdHoc, qnorm, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

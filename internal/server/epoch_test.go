@@ -80,6 +80,33 @@ func TestCacheCorrectnessOverHTTP(t *testing.T) {
 		if recP.Body.String() != recC.Body.String() {
 			t.Fatalf("%s: POST /v1/query diverged", stage)
 		}
+
+		// /similar answers by user key, computed from the stored row:
+		// on the miss and on the hit, the body is LinearScan's list as
+		// json.NewEncoder writes it, on both servers.
+		ep, v := cachedSrv.acquire()
+		db := v.DB()
+		defer ep.Release()
+		for _, id := range []int{105, 110} {
+			for _, k := range []int{1, 5, 50} {
+				for _, excl := range []bool{false, true} {
+					want := similarOracle(db, id, k, excl)
+					for _, method := range []string{"", "sketch", "linear"} {
+						p := fmt.Sprintf("/v1/users/%d/similar?k=%d&exclude_self=%v&method=%s", id, k, excl, method)
+						before, _ := cachedSrv.CacheStats()
+						for pass, h := range []http.Handler{hc, hc, hp} {
+							rec, _ := do(t, h, "GET", p, "")
+							if rec.Code != http.StatusOK || rec.Body.String() != want {
+								t.Fatalf("%s: GET %s (pass %d): %d %s, want %s", stage, p, pass, rec.Code, rec.Body, want)
+							}
+						}
+						if after, _ := cachedSrv.CacheStats(); after.Hits-before.Hits < 1 {
+							t.Fatalf("%s: GET %s never hit: %+v then %+v", stage, p, before, after)
+						}
+					}
+				}
+			}
+		}
 	}
 
 	check("pre-swap")

@@ -3,10 +3,12 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"log"
 	"net/http"
 	"runtime/debug"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -19,11 +21,15 @@ import (
 //     SIGTERM arrives) every request except /healthz is refused with
 //     503 + Retry-After, so load balancers move on while in-flight
 //     requests finish under the outer http.Server.Shutdown grace.
-//  3. Deadline — every request's context gets a deadline: the client's
+//  3. Deadline — every request gets a deadline: the client's
 //     ?timeout_ms= if given, else Options.DefaultTimeout; both clamped
-//     to Options.MaxTimeout. Query handlers run the engine through
-//     TopKCtx, so an expired deadline abandons the search (workers
-//     notice within cancelStride candidates) and maps to 503.
+//     to Options.MaxTimeout. The two cached top-k routes arm it around
+//     their work only — an engine call, or a wait on another request's
+//     computation of the same answer — so a cache hit arms no timer;
+//     every other route gets it on its request context here. Query
+//     handlers run the engine through TopKCtx, so an expired deadline
+//     abandons the search (workers notice within cancelStride
+//     candidates) and maps to 503.
 //
 // The admission gate is per-route, not a global middleware: only the
 // top-k routes (GET /v1/users/{id}/similar, POST /v1/query, GET
@@ -125,25 +131,61 @@ func (s *Server) withDrainGate(next http.Handler) http.Handler {
 
 // withDeadline attaches the per-request deadline to r.Context(). A bad
 // ?timeout_ms= is a 400; a valid one is clamped to MaxTimeout rather
-// than rejected, so clients need not know the server's cap.
+// than rejected, so clients need not know the server's cap. The cached
+// top-k routes (armsOwnDeadline) get no deadline here: they arm it
+// around their work (computeAnswer), so a cache hit arms no timer and
+// copies no request.
 func (s *Server) withDeadline(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		d := s.opts.DefaultTimeout
-		if raw := r.URL.Query().Get("timeout_ms"); raw != "" {
-			ms, err := strconv.Atoi(raw)
-			if err != nil || ms <= 0 {
-				writeError(w, http.StatusBadRequest, "bad timeout_ms %q", raw)
-				return
-			}
-			d = time.Duration(ms) * time.Millisecond
+		d, err := s.queryTimeout(r)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
 		}
-		if d <= 0 || d > s.opts.MaxTimeout {
-			d = s.opts.MaxTimeout
+		if armsOwnDeadline(r) {
+			next.ServeHTTP(w, r)
+			return
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), d)
 		defer cancel()
 		next.ServeHTTP(w, r.WithContext(ctx))
 	})
+}
+
+// queryTimeout returns r's query deadline: ?timeout_ms= if given, else
+// Options.DefaultTimeout, either clamped to MaxTimeout — and an error
+// for a malformed timeout_ms. The query string is parsed only when it
+// could name timeout_ms (literally, or through a %-escape).
+func (s *Server) queryTimeout(r *http.Request) (time.Duration, error) {
+	d := s.opts.DefaultTimeout
+	if q := r.URL.RawQuery; strings.Contains(q, "timeout_ms") || strings.Contains(q, "%") {
+		if raw := r.URL.Query().Get("timeout_ms"); raw != "" {
+			ms, err := strconv.Atoi(raw)
+			if err != nil || ms <= 0 {
+				return s.opts.MaxTimeout, fmt.Errorf("bad timeout_ms %q", raw)
+			}
+			d = time.Duration(ms) * time.Millisecond
+		}
+	}
+	if d <= 0 || d > s.opts.MaxTimeout {
+		d = s.opts.MaxTimeout
+	}
+	return d, nil
+}
+
+// armsOwnDeadline reports whether r is for one of the routes that arm
+// the query deadline themselves (computeAnswer): GET
+// /v1/users/{id}/similar and POST /v1/query. A path this admits that
+// the mux does not route answers 404 without a deadline, which needs
+// none.
+func armsOwnDeadline(r *http.Request) bool {
+	switch r.Method {
+	case http.MethodGet:
+		return strings.HasPrefix(r.URL.Path, "/v1/users/") && strings.HasSuffix(r.URL.Path, "/similar")
+	case http.MethodPost:
+		return r.URL.Path == "/v1/query"
+	}
+	return false
 }
 
 // gated wraps one top-k handler with the admission gate: a slot from

@@ -26,15 +26,27 @@
 // with one atomic pointer swap — so reads never contend with writes,
 // and a swap is immediately visible to the next query (read your
 // writes). Top-k answers are cached per epoch (internal/cache) when a
-// cache is configured; the swap invalidates the cache wholesale.
+// cache is configured; the swap invalidates the cache wholesale. The
+// cache holds the bytes a top-k route writes, so a hit is a pin, a
+// lookup and a write: no re-encoding, and no deadline armed (only a
+// miss runs the engine). A /similar entry is keyed by the user's ID,
+// method, k and exclude_self, and its miss queries with the user's
+// stored row — footprint, norm and sketch as the epoch holds them; a
+// /v1/query entry is keyed by the query footprint's encoding. A full
+// cache admits a new answer only over a less frequently asked LRU
+// victim.
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -373,48 +385,109 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad user id: %v", err)
 		return
 	}
+	params := parseSimilarQuery(r.URL.RawQuery)
 	k := 5
-	if kq := r.URL.Query().Get("k"); kq != "" {
-		if k, err = strconv.Atoi(kq); err != nil || k < 1 || k > 1000 {
-			writeError(w, http.StatusBadRequest, "bad k %q", kq)
+	if params.k != "" {
+		if k, err = strconv.Atoi(params.k); err != nil || k < 1 || k > 1000 {
+			writeError(w, http.StatusBadRequest, "bad k %q", params.k)
 			return
 		}
 	}
-	excludeSelf := r.URL.Query().Get("exclude_self") == "true"
-	method := r.URL.Query().Get("method")
+	excludeSelf := params.excludeSelf == "true"
 
 	ep, v := s.acquire()
 	defer ep.Release()
-	i, ok := v.DB().IndexOf(id)
+	u, ok := v.DB().IndexOf(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown user %d", id)
 		return
 	}
-	want := k
-	if excludeSelf {
-		want++
-	}
-	res, _, err := v.TopKCached(r.Context(), s.cache, ep.Seq(), method, v.DB().Footprints[i], want)
+	eng, err := v.Engine(params.method)
 	if err != nil {
-		if _, methodErr := v.Engine(method); methodErr != nil {
-			writeError(w, http.StatusBadRequest, "%v", methodErr)
-			return
-		}
-		if writeQueryCtxErr(w, err) {
-			return
-		}
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
-	out := make([]resultJSON, 0, k)
-	for _, rr := range res {
-		if excludeSelf && rr.ID == id {
-			continue
-		}
-		out = append(out, resultJSON{ID: rr.ID, Similarity: rr.Score})
-		if len(out) == k {
-			break
-		}
+	key := cache.Key{
+		Epoch: ep.Seq(), Method: engine.CacheName(params.method), K: k,
+		ByID: true, User: id, ExcludeSelf: excludeSelf,
 	}
-	writeJSON(w, http.StatusOK, out)
+	if body, ok := s.cachedAnswer(key); ok {
+		writeAnswer(w, body)
+		return
+	}
+	s.computeAnswer(w, r, key, func(ctx context.Context) ([]byte, error) {
+		want := k
+		if excludeSelf {
+			want++
+		}
+		res, err := eng.TopKRowCtx(ctx, u, want)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]resultJSON, 0, k)
+		for _, rr := range res {
+			if excludeSelf && rr.ID == id {
+				continue
+			}
+			out = append(out, resultJSON{ID: rr.ID, Similarity: rr.Score})
+			if len(out) == k {
+				break
+			}
+		}
+		return encodeAnswer(out), nil
+	})
+}
+
+// cachedAnswer returns the encoded answer the result cache holds for
+// key, if there is a cache and it does.
+func (s *Server) cachedAnswer(key cache.Key) ([]byte, bool) {
+	if s.cache == nil {
+		return nil, false
+	}
+	body, ok := s.cache.Get(key)
+	if !ok {
+		return nil, false
+	}
+	return body.([]byte), true
+}
+
+// computeAnswer answers a request whose answer the cache does not
+// hold: compute, under the query deadline armed here — the only place
+// a top-k route arms it, so a hit arms none — runs once however many
+// requests ask for key at the same time (the others wait for it under
+// their own deadlines), and its answer is offered to the cache.
+func (s *Server) computeAnswer(w http.ResponseWriter, r *http.Request, key cache.Key, compute func(context.Context) ([]byte, error)) {
+	d, _ := s.queryTimeout(r) // withDeadline has answered a bad one with 400
+	ctx, cancel := context.WithTimeout(r.Context(), d)
+	defer cancel()
+	var body []byte
+	var err error
+	if s.cache == nil {
+		body, err = compute(ctx)
+	} else {
+		var val any
+		val, _, err = s.cache.GetOrCompute(ctx, key, func() (any, error) { return compute(ctx) })
+		body, _ = val.([]byte)
+	}
+	if writeQueryCtxErr(w, err) {
+		return
+	}
+	writeAnswer(w, body)
+}
+
+// encodeAnswer encodes a top-k answer as the top-k routes write it:
+// the bytes json.NewEncoder writes for the list.
+func encodeAnswer(out []resultJSON) []byte {
+	var b bytes.Buffer
+	json.NewEncoder(&b).Encode(out) // a list of ints and finite floats cannot fail
+	return b.Bytes()
+}
+
+// writeAnswer writes an encoded top-k answer with status 200.
+func writeAnswer(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
 func (s *Server) handlePairwise(w http.ResponseWriter, r *http.Request) {
@@ -457,8 +530,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ep, v := s.acquire()
 	defer ep.Release()
-	if _, methodErr := v.Engine(q.Method); methodErr != nil {
-		writeError(w, http.StatusBadRequest, "%v", methodErr)
+	eng, err := v.Engine(q.Method)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	var in *search.Restrict
@@ -468,15 +542,29 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	res, _, err := v.TopKCachedIn(r.Context(), s.cache, ep.Seq(), q.Method, f, q.K, in)
-	if err != nil && writeQueryCtxErr(w, err) {
-		return
+	k := q.K
+	var key cache.Key
+	if s.cache != nil {
+		key = cache.Key{Epoch: ep.Seq(), Method: engine.CacheName(q.Method), K: k, Query: cache.FootprintKey(f)}
+		if in != nil {
+			key.Partition, key.Lo, key.Hi = in.Partition, in.Lo, in.Hi
+		}
+		if body, ok := s.cachedAnswer(key); ok {
+			writeAnswer(w, body)
+			return
+		}
 	}
-	out := make([]resultJSON, len(res))
-	for i, rr := range res {
-		out[i] = resultJSON{ID: rr.ID, Similarity: rr.Score}
-	}
-	writeJSON(w, http.StatusOK, out)
+	s.computeAnswer(w, r, key, func(ctx context.Context) ([]byte, error) {
+		res, err := eng.TopKInCtx(ctx, f, k, in)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]resultJSON, len(res))
+		for i, rr := range res {
+			out[i] = resultJSON{ID: rr.ID, Similarity: rr.Score}
+		}
+		return encodeAnswer(out), nil
+	})
 }
 
 func (s *Server) handlePutUser(w http.ResponseWriter, r *http.Request) {
@@ -522,4 +610,43 @@ func (s *Server) handleDeleteUser(w http.ResponseWriter, r *http.Request) {
 	s.builder.Remove(id)
 	s.publishLocked()
 	writeJSON(w, http.StatusOK, map[string]interface{}{"id": id, "deleted": true})
+}
+
+// similarQuery is what GET /v1/users/{id}/similar reads from its query
+// string: the first value of each parameter, as url.Values.Get gives
+// it.
+type similarQuery struct{ k, excludeSelf, method string }
+
+// parseSimilarQuery reads raw in one pass under url.ParseQuery's rules —
+// pairs split at '&', a pair holding ';' or failing to unescape
+// skipped, keys and values query-unescaped — keeping only the
+// parameters the route reads. Plain pairs cost no allocation
+// (url.QueryUnescape returns an unescaped string as it is).
+func parseSimilarQuery(raw string) similarQuery {
+	var q similarQuery
+	var seenK, seenSelf, seenMethod bool
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		key, val, _ := strings.Cut(pair, "=")
+		key, err := url.QueryUnescape(key)
+		if err != nil {
+			continue
+		}
+		if val, err = url.QueryUnescape(val); err != nil {
+			continue
+		}
+		switch {
+		case key == "k" && !seenK:
+			q.k, seenK = val, true
+		case key == "exclude_self" && !seenSelf:
+			q.excludeSelf, seenSelf = val, true
+		case key == "method" && !seenMethod:
+			q.method, seenMethod = val, true
+		}
+	}
+	return q
 }

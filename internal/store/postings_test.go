@@ -68,7 +68,7 @@ func checkBounds(t *testing.T, when string, db *store.FootprintDB, q core.Footpr
 			want = append(want, search.SketchCandidate{User: u, Bound: b})
 		}
 	}
-	got, err := search.SketchBound(context.Background(), db, cands, q, qnorm, nil)
+	got, err := search.SketchBound(context.Background(), db, cands, q, search.AdHoc, qnorm, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", when, err)
 	}
@@ -222,7 +222,7 @@ func TestEpochPostingsBuiltOncePerEpoch(t *testing.T) {
 				}
 				ep := es.Acquire()
 				edb, q := ep.DB(), queries[(r+i)%len(queries)]
-				got, err := search.TopK(context.Background(), edb, ep.Aux().(*search.UserCentricIndex), q, 5, nil, 1, nil)
+				got, err := search.TopK(context.Background(), edb, ep.Aux().(*search.UserCentricIndex), q, search.AdHoc, 5, nil, 1, nil)
 				if want := search.NewLinearScan(edb).TopK(q, 5); err != nil || !reflect.DeepEqual(got, want) {
 					t.Errorf("epoch %d: %v (err %v), LinearScan %v", ep.Seq(), got, err, want)
 				}

@@ -76,6 +76,13 @@ go test -race -run '(Fault|Chaos|Crash|Seal|Epoch)' \
 	./internal/server/... ./internal/store/... ./internal/cache/... \
 	./internal/colstore/...
 
+# The hot read path: the result cache — whose admission sketch every
+# access mutates under the cache mutex — and the server's /similar hit,
+# miss and admission tests, raced.
+echo "== hot read path: result cache + /similar hit, miss & admission (-race) =="
+go test -race -count=1 ./internal/cache/
+go test -race -count=1 -run 'Similar|Hit|Admission' ./internal/server/
+
 # Cross-shard equivalence suite: scatter-gathered top-k through real
 # shard servers must be bit-identical to single-node LinearScan, stay
 # exact (and explicit) under a degraded shard, and route ingest to the
