@@ -1,6 +1,6 @@
 // Command geogen generates a synthetic indoor-mobility dataset (the
-// ATC-substitute of the evaluation) and writes it to disk in gob or
-// text format.
+// ATC-substitute of the evaluation) and writes it to disk in gob,
+// binary or text format.
 //
 // Usage:
 //
@@ -72,7 +72,7 @@ func main() {
 			}
 		}
 	default:
-		log.Fatalf("unknown format %q (want gob or text)", *format)
+		log.Fatalf("unknown format %q (want gob, binary or text)", *format)
 	}
 	if err != nil {
 		log.Fatal(err)

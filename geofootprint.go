@@ -183,10 +183,9 @@ func NewUserCentricIndex(db *FootprintDB) *UserCentricIndex {
 
 // Parallel query execution (internal/engine).
 type (
-	// QueryEngine executes top-k similarity queries in parallel:
-	// batches across a worker pool, and candidate refinement sharded
-	// within a query, with results byte-identical to the serial
-	// search paths.
+	// QueryEngine executes top-k similarity queries: one on its
+	// caller's goroutine, a batch across a worker pool, with results
+	// byte-identical to the serial search paths.
 	QueryEngine = engine.QueryEngine
 	// CandidateSource is what a search method is to the engine: it
 	// nominates the users worth scoring. *UserCentricIndex is one;
@@ -194,8 +193,8 @@ type (
 	CandidateSource = search.Source
 )
 
-// NewQueryEngine builds a parallel query engine over db that scores
-// src's candidates on `workers` workers (<= 0: GOMAXPROCS).
+// NewQueryEngine builds a query engine over db that scores src's
+// candidates, its batches on `workers` workers (<= 0: GOMAXPROCS).
 func NewQueryEngine(db *FootprintDB, src CandidateSource, workers int) *QueryEngine {
 	return engine.New(db, src, workers)
 }

@@ -14,11 +14,10 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"geofootprint/internal/core"
+	"geofootprint/internal/par"
 	"geofootprint/internal/store"
 )
 
@@ -104,33 +103,16 @@ func (m *Matrix) Set(i, j int, v float64) {
 func DistanceMatrix(db *store.FootprintDB, idxs []int, workers int) *Matrix {
 	n := len(idxs)
 	m := NewMatrix(n)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	rows := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range rows {
-				fi := db.Footprints[idxs[i]]
-				ni := db.Norms[idxs[i]]
-				for j := i + 1; j < n; j++ {
-					sim := core.SimilarityJoin(fi, db.Footprints[idxs[j]], ni, db.Norms[idxs[j]])
-					m.Set(i, j, 1-sim)
-				}
+	par.For(n, workers, 1, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			fi := db.Footprints[idxs[i]]
+			ni := db.Norms[idxs[i]]
+			for j := i + 1; j < n; j++ {
+				sim := core.SimilarityJoin(fi, db.Footprints[idxs[j]], ni, db.Norms[idxs[j]])
+				m.Set(i, j, 1-sim)
 			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		rows <- i
-	}
-	close(rows)
-	wg.Wait()
+		}
+	})
 	return m
 }
 

@@ -2,9 +2,9 @@ package engine
 
 import (
 	"context"
-	"sync"
 
 	"geofootprint/internal/core"
+	"geofootprint/internal/par"
 	"geofootprint/internal/search"
 )
 
@@ -18,16 +18,14 @@ import (
 // Cancellation protocol (search.TopK's, which every query here is):
 //
 //   - The candidate and bound steps poll ctx.Err() every 256
-//     candidates.
-//   - The refine loop polls once per block — at most
-//     search.RefineBlock joins per worker — and the coordinator always
-//     waits for every worker of a block before it looks at the
-//     context, so an abandoned query never leaves a goroutine writing
-//     into engine-held state.
+//     candidates, and the refinement every 256 joins.
+//   - The query polls once more before it returns, so a cancellation
+//     seen anywhere in it is never answered with a ranking.
 //   - On cancellation the query returns (nil, ctx.Err()) — never a
-//     partial ranking. All per-query state (collectors, candidate
-//     slices) is local and unpublished, so later queries on the same
-//     engine are unaffected (verified under -race by tests).
+//     partial ranking. All per-query state (the collector, candidate
+//     slices) is local and unpublished, and the query runs on its
+//     caller's goroutine, so later queries on the same engine are
+//     unaffected (verified under -race by tests).
 
 // TopKCtx is TopK honouring ctx: it returns ctx.Err() when the
 // context is cancelled or past its deadline, and never a partial
@@ -37,11 +35,11 @@ func (e *QueryEngine) TopKCtx(ctx context.Context, q core.Footprint, k int) ([]s
 }
 
 // TopKInCtx is TopKCtx over the users `in` selects (nil: all of them):
-// search.TopK over the engine's source and worker pool, so a restricted
-// answer is the unrestricted ranking with the other users removed,
-// whatever the method.
+// search.TopK over the engine's source, so a restricted answer is the
+// unrestricted ranking with the other users removed, whatever the
+// method.
 func (e *QueryEngine) TopKInCtx(ctx context.Context, q core.Footprint, k int, in *search.Restrict) ([]search.Result, error) {
-	return search.TopK(ctx, e.db, e.src, q, search.AdHoc, k, in, e.workers, nil)
+	return e.query(ctx, q, search.AdHoc, k, in, nil)
 }
 
 // TopKRowCtx is TopKCtx with stored user u's row as the query: its
@@ -49,63 +47,32 @@ func (e *QueryEngine) TopKInCtx(ctx context.Context, q core.Footprint, k int, in
 // an ad-hoc query computes. The answer is TopKCtx's over
 // db.Footprints[u], bit for bit.
 func (e *QueryEngine) TopKRowCtx(ctx context.Context, u, k int) ([]search.Result, error) {
-	return search.TopK(ctx, e.db, e.src, e.db.Footprints[u], u, k, nil, e.workers, nil)
+	return e.query(ctx, e.db.Footprints[u], u, k, nil, nil)
+}
+
+// query is the call every entry point makes: search.TopK over the
+// engine's database and source, on the calling goroutine. st, when
+// non-nil, receives the work counts.
+func (e *QueryEngine) query(ctx context.Context, q core.Footprint, row, k int, in *search.Restrict, st *search.SketchStats) ([]search.Result, error) {
+	return search.TopK(ctx, e.db, e.src, q, row, k, in, st)
 }
 
 // TopKBatchCtx is TopKBatch honouring ctx. On cancellation the whole
 // batch fails with ctx.Err(): per-query results computed so far are
 // discarded, because a batch with silently missing entries is worse
-// than a clean error. Workers drain the feed channel after a
-// cancellation (each query then fails fast at its entry poll), so the
-// producer never blocks and every goroutine exits before return.
+// than a clean error. Once the context is cancelled the pool skips the
+// queries it has not started (each would fail at its entry poll
+// anyway), and every goroutine exits before return.
 //
 //geo:cancellable
 func (e *QueryEngine) TopKBatchCtx(ctx context.Context, queries []core.Footprint, k int) ([][]search.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	out := make([][]search.Result, len(queries))
-	workers := e.workers
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	if workers <= 1 {
-		//lint:ignore ctxcancel search.TopK polls at entry, so every iteration observes cancellation
-		for i, q := range queries {
-			res, err := search.TopK(ctx, e.db, e.src, q, search.AdHoc, k, nil, 1, nil)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = res
+	par.For(len(queries), e.workers, 1, func(_, lo, hi int) {
+		for i := lo; i < hi && ctx.Err() == nil; i++ {
+			// A query fails only with ctx's error, returned below.
+			out[i], _ = e.query(ctx, queries[i], search.AdHoc, k, nil, nil)
 		}
-		return out, nil
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if ctx.Err() != nil {
-					continue // drain; the batch is already failed
-				}
-				res, err := search.TopK(ctx, e.db, e.src, queries[i], search.AdHoc, k, nil, 1, nil)
-				if err != nil {
-					continue
-				}
-				out[i] = res
-			}
-		}()
-	}
-	for i := range queries {
-		if ctx.Err() != nil {
-			break
-		}
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -1,28 +1,15 @@
-// Package engine is the parallel query-execution layer over a
-// FootprintDB and the Section 6 search indexes: the piece that turns
-// the paper's single-query algorithms into a service that can sustain
-// top-k similarity traffic from many concurrent clients.
+// Package engine is the query-execution layer over a FootprintDB and
+// the Section 6 search indexes: the piece that turns the paper's
+// single-query algorithms into a service that can sustain top-k
+// similarity traffic from many concurrent clients.
 //
-// It parallelises on two axes:
-//
-//   - Across queries — TopKBatch distributes a batch over a worker
-//     pool (the pattern of internal/extract/parallel.go); each query
-//     runs the one top-k loop (search.TopK) on a single worker, so
-//     batch results are byte-identical to one-at-a-time execution.
-//   - Within a query — TopK hands that loop the whole pool: it shards
-//     the refinement work (the join-based Algorithm 4 computation of
-//     every candidate the sketch bound does not exclude, whichever
-//     source nominated the candidates) across workers, each holding
-//     its own bounded top-k heap; the per-worker heaps are merged
-//     deterministically under the global (score desc, ID asc) total
-//     order, so the parallel result equals the serial one bit for bit.
-//
-// Determinism under parallel merge: a topk.Collector's retained set is
-// a function of the *multiset* of offers, not of their order, because
-// retention follows the strict total order (higher score first, ties
-// by smaller user ID). Each candidate's similarity is computed by
-// exactly one worker with the same kernel the serial path uses, so
-// sharding changes neither any score bit nor the merged ranking.
+// It parallelises across queries only. A query runs the one top-k loop
+// (search.TopK) on its caller's goroutine — after the sketch bound and
+// the seed it is ≈ 130 Algorithm 4 joins, too short to split — and
+// concurrent requests each have their own. TopKBatch distributes a
+// batch over a pool of `workers` goroutines (internal/par), one query
+// per item, so batch results are byte-identical to one-at-a-time
+// execution.
 package engine
 
 import (
@@ -35,19 +22,19 @@ import (
 	"geofootprint/internal/topk"
 )
 
-// QueryEngine executes top-k similarity queries over a FootprintDB in
-// parallel: one candidate source (the method), one worker pool, and the
-// one loop of internal/search. It is safe for concurrent use as long
-// as the source is and the underlying database and indexes are not
-// mutated concurrently (the server publishes immutable epochs).
+// QueryEngine executes top-k similarity queries over a FootprintDB:
+// one candidate source (the method), the one loop of internal/search,
+// and the width of the pool a batch runs on. It is safe for concurrent
+// use as long as the source is and the underlying database and indexes
+// are not mutated concurrently (the server publishes immutable epochs).
 type QueryEngine struct {
 	db      *store.FootprintDB
 	src     search.Source
 	workers int
 }
 
-// New builds an engine answering from src's candidates over db on
-// `workers` workers; <= 0 selects GOMAXPROCS.
+// New builds an engine answering from src's candidates over db, its
+// batches on `workers` goroutines; <= 0 selects GOMAXPROCS.
 func New(db *store.FootprintDB, src search.Source, workers int) *QueryEngine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -55,17 +42,16 @@ func New(db *store.FootprintDB, src search.Source, workers int) *QueryEngine {
 	return &QueryEngine{db: db, src: src, workers: workers}
 }
 
-// Workers returns the engine's worker-pool size.
+// Workers returns the width of the engine's batch pool.
 func (e *QueryEngine) Workers() int { return e.workers }
 
 // DB returns the wrapped database.
 func (e *QueryEngine) DB() *store.FootprintDB { return e.db }
 
-// TopK answers a single top-k query, parallelising the refinement
-// step when enough candidates justify the fan-out. Results are
-// identical — including every score bit and tie-break — to LinearScan. It is
-// TopKCtx under a background context (which never cancels, so the
-// error is statically nil).
+// TopK answers a single top-k query on the calling goroutine. Results
+// are identical — including every score bit and tie-break — to
+// LinearScan. It is TopKCtx under a background context (which never
+// cancels, so the error is statically nil).
 func (e *QueryEngine) TopK(q core.Footprint, k int) []search.Result {
 	res, _ := e.TopKCtx(context.Background(), q, k)
 	return res
@@ -85,10 +71,10 @@ func (e *QueryEngine) TopKBatch(queries []core.Footprint, k int) [][]search.Resu
 // into the global top-k under the system-wide total order (score
 // desc, user ID asc). It is the deterministic merge seam every
 // composition layers share: per-shard partial heaps across the wire
-// (internal/router) reduce to this function, and the per-worker heaps
-// within a query (search.TopK) to the same offers into one collector —
-// which is why the cross-shard result is byte-identical to a
-// single-node run.
+// (internal/router) reduce to this function — offers into one
+// collector, as the single-node loop (search.TopK) makes them — which
+// is why the cross-shard result is byte-identical to a single-node
+// run.
 //
 // The operation is associative: merging pre-merged partials equals
 // merging the flat parts, MergeParts([MergeParts(A,k),

@@ -118,7 +118,8 @@ func restrictedOracle(db *store.FootprintDB, q core.Footprint, k int, in *search
 // a transpose and cross its build line part-way through, so they cover
 // the gather, the query that builds inline, and the walk after it. The
 // seeded rows (k ∈ {1, 5, 300}) hold the seed to its contract: a rerun
-// does the same work, and the k seed joins are among the joins counted.
+// does the same work, the k seed joins are among the joins counted, and
+// the work is the same on every worker count — a query never fans out.
 func TestParallelTopKByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	ctx := context.Background()
@@ -151,8 +152,10 @@ func TestParallelTopKByteIdentical(t *testing.T) {
 				for _, in := range restrictions {
 					want := restrictedOracle(db, q, k, in)
 					for name, src := range srcs {
+						var serial search.SketchStats
 						for _, workers := range []int{1, 2, 8} {
-							got, err := New(db, src, workers).TopKInCtx(ctx, q, k, in)
+							e := New(db, src, workers)
+							got, err := e.TopKInCtx(ctx, q, k, in)
 							if err != nil || !reflect.DeepEqual(got, want) {
 								t.Fatalf("%s layer=%s restricted=%v k=%d workers=%d: diverged from LinearScan (err=%v)\ngot:  %v\nwant: %v",
 									name, layer, in != nil, k, workers, err, got, want)
@@ -161,13 +164,18 @@ func TestParallelTopKByteIdentical(t *testing.T) {
 								continue
 							}
 							var first, again search.SketchStats
-							a, errA := search.TopK(ctx, db, src, q, search.AdHoc, k, in, workers, &first)
-							b, errB := search.TopK(ctx, db, src, q, search.AdHoc, k, in, workers, &again)
+							a, errA := e.query(ctx, q, search.AdHoc, k, in, &first)
+							b, errB := e.query(ctx, q, search.AdHoc, k, in, &again)
 							if errA != nil || errB != nil || !reflect.DeepEqual(a, want) || !reflect.DeepEqual(b, want) {
 								t.Fatalf("%s layer=%s restricted=%v k=%d workers=%d: seeded run diverged (errs %v, %v)", name, layer, in != nil, k, workers, errA, errB)
 							}
 							if first != again || first.Refined < min(k, first.Scored) || first.Refined > first.Scored {
 								t.Fatalf("%s layer=%s restricted=%v k=%d workers=%d: work %v, then %v", name, layer, in != nil, k, workers, first, again)
+							}
+							if workers == 1 {
+								serial = first
+							} else if first != serial {
+								t.Fatalf("%s layer=%s restricted=%v k=%d: work %v on %d workers, %v on one", name, layer, in != nil, k, first, workers, serial)
 							}
 						}
 					}
@@ -217,16 +225,14 @@ func TestParallelTopKByteIdentical(t *testing.T) {
 		src := search.NewUserCentricIndex(db, search.BuildSTR, 0)
 		for u := 0; u < db.Len(); u += stride {
 			for _, k := range []int{1, 5, 50} {
-				for _, workers := range []int{1, 2, 4} {
-					var byRow, byFootprint search.SketchStats
-					got, errR := search.TopK(ctx, db, src, db.Footprints[u], u, k, nil, workers, &byRow)
-					want, errF := search.TopK(ctx, db, src, db.Footprints[u], search.AdHoc, k, nil, workers, &byFootprint)
-					if errR != nil || errF != nil || !sameBits(got, want) {
-						t.Fatalf("%s user %d k=%d workers=%d: by row %v (err %v), by footprint %v (err %v)", name, u, k, workers, got, errR, want, errF)
-					}
-					if sameWork && byRow != byFootprint {
-						t.Fatalf("%s user %d k=%d workers=%d: work by row %v, by footprint %v", name, u, k, workers, byRow, byFootprint)
-					}
+				var byRow, byFootprint search.SketchStats
+				got, errR := search.TopK(ctx, db, src, db.Footprints[u], u, k, nil, &byRow)
+				want, errF := search.TopK(ctx, db, src, db.Footprints[u], search.AdHoc, k, nil, &byFootprint)
+				if errR != nil || errF != nil || !sameBits(got, want) {
+					t.Fatalf("%s user %d k=%d: by row %v (err %v), by footprint %v (err %v)", name, u, k, got, errR, want, errF)
+				}
+				if sameWork && byRow != byFootprint {
+					t.Fatalf("%s user %d k=%d: work by row %v, by footprint %v", name, u, k, byRow, byFootprint)
 				}
 			}
 		}
@@ -279,8 +285,8 @@ func TestBatchByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRepeatedParallelRunsAgree re-runs the same parallel query many
-// times: scheduling must never change the answer.
+// TestRepeatedParallelRunsAgree re-runs the same query on an engine
+// with an eight-wide pool many times: nothing must change the answer.
 func TestRepeatedParallelRunsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	db := testDB(t, rng, 300)

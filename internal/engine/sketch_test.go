@@ -39,26 +39,6 @@ func TestSketchAutoEnable(t *testing.T) {
 	}
 }
 
-// TestSketchForcedFanout drives the strided parallel path directly by
-// using a single-candidate-per-shard threshold-beating workload: a
-// large database queried with a broad footprint so the candidate list
-// far exceeds minShard per worker.
-func TestSketchForcedFanout(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	db := testDB(t, rng, 600)
-	db.EnableSketches(0, 0)
-	e := New(db, search.NewUserCentricIndex(db, search.BuildSTR, 0), 8)
-	lin := search.NewLinearScan(db)
-	for trial := 0; trial < 15; trial++ {
-		q := db.Footprints[rng.Intn(db.Len())]
-		k := 1 + rng.Intn(12)
-		want := lin.TopK(q, k)
-		if got := e.TopK(q, k); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d k=%d: diverged\ngot:  %v\nwant: %v", trial, k, got, want)
-		}
-	}
-}
-
 // partDB builds a small database of the named part preset the way
 // geobench does: the preset's generator, Algorithm 1, unit weights.
 func partDB(t *testing.T, part string, scale float64) *store.FootprintDB {
@@ -80,10 +60,10 @@ func partDB(t *testing.T, part string, scale float64) *store.FootprintDB {
 
 // TestEveryMethodRefinesByBound: on Part A every source's candidates
 // are bounded and refined by the one loop — the serial spelling's work
-// counts on one worker, the same counts for sources nominating the same
-// users, a number of Algorithm 4 joins well below the candidate count —
-// for every worker count. Counts are a function of (query, k, workers),
-// so two runs agree exactly.
+// counts on every worker count, the same counts for sources nominating
+// the same users, a number of Algorithm 4 joins well below the
+// candidate count. Counts are a function of (query, k), so two runs
+// agree exactly.
 func TestEveryMethodRefinesByBound(t *testing.T) {
 	db := partDB(t, "A", 0.002)
 	db.EnableSketches(0, 0)
@@ -100,12 +80,13 @@ func TestEveryMethodRefinesByBound(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			did := map[string]search.SketchStats{}
 			for name, src := range srcs {
+				e := New(db, src, workers)
 				var st, again search.SketchStats
-				got, err := search.TopK(ctx, db, src, q, search.AdHoc, k, nil, workers, &st)
+				got, err := e.query(ctx, q, search.AdHoc, k, nil, &st)
 				if err != nil || !reflect.DeepEqual(got, want) {
 					t.Fatalf("query %d %s workers %d: diverged (err=%v)", qi, name, workers, err)
 				}
-				if _, err := search.TopK(ctx, db, src, q, search.AdHoc, k, nil, workers, &again); err != nil || again != st {
+				if _, err := e.query(ctx, q, search.AdHoc, k, nil, &again); err != nil || again != st {
 					t.Fatalf("query %d %s workers %d: counts %v then %v", qi, name, workers, st, again)
 				}
 				if st.Refined > st.Scored || st.Scored > st.Candidates {
@@ -119,10 +100,10 @@ func TestEveryMethodRefinesByBound(t *testing.T) {
 				t.Fatalf("query %d workers %d: iterative did %v, batch %v, grid %v",
 					qi, workers, did["iterative"], did["batch"], did["grid"])
 			}
+			if did["user-centric"] != serial {
+				t.Fatalf("query %d workers %d: the engine did %v, the serial sketch search %v", qi, workers, did["user-centric"], serial)
+			}
 			if workers == 1 {
-				if did["user-centric"] != serial {
-					t.Fatalf("query %d: the one-worker loop did %v, the serial sketch search %v", qi, did["user-centric"], serial)
-				}
 				candidates += serial.Candidates
 				refined += serial.Refined
 			}

@@ -1,9 +1,7 @@
 package extract
 
 import (
-	"runtime"
-	"sync"
-
+	"geofootprint/internal/par"
 	"geofootprint/internal/traj"
 )
 
@@ -20,30 +18,10 @@ func ExtractUser(u *traj.User, cfg Config) []RoI {
 // uses GOMAXPROCS goroutines; workers == 1 forces a sequential run.
 func ExtractDataset(d *traj.Dataset, cfg Config, workers int) [][]RoI {
 	out := make([][]RoI, len(d.Users))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 || len(d.Users) < 2 {
-		for i := range d.Users {
+	par.For(len(d.Users), workers, 1, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
 			out[i] = ExtractUser(&d.Users[i], cfg)
 		}
-		return out
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i] = ExtractUser(&d.Users[i], cfg)
-			}
-		}()
-	}
-	for i := range d.Users {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	})
 	return out
 }

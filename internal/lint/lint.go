@@ -44,13 +44,12 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"geofootprint/internal/lint/analysis"
 	"geofootprint/internal/lint/loader"
+	"geofootprint/internal/par"
 )
 
 // Analyzers is the full geolint suite, in reporting order.
@@ -102,14 +101,9 @@ func Run(pkgs []*loader.Package, analyzers []*analysis.Analyzer) ([]Finding, err
 	results := make([][]Finding, len(pkgs))
 	sups := make([]*suppressions, len(pkgs))
 	errs := make([]error, len(pkgs))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, pkg := range pkgs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
+	par.For(len(pkgs), 0, 1, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			pkg := pkgs[i]
 			sups[i] = newSuppressions(pkg.Fset, pkg.Files)
 			for _, a := range analyzers {
 				if a.RunProgram != nil {
@@ -117,12 +111,11 @@ func Run(pkgs []*loader.Package, analyzers []*analysis.Analyzer) ([]Finding, err
 				}
 				if err := a.Run(newPass(pkg, a, sups[i], &results[i])); err != nil {
 					errs[i] = fmt.Errorf("lint: %s on %s: %v", a.Name, pkg.Path, err)
-					return
+					break
 				}
 			}
-		}()
-	}
-	wg.Wait()
+		}
+	})
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}

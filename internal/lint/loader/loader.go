@@ -41,9 +41,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"sync"
+
+	"geofootprint/internal/par"
 )
 
 // Package is one type-checked root package.
@@ -132,18 +132,11 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		err error
 	}
 	results := make([]result, len(roots))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i := range roots {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
+	par.For(len(roots), 0, 1, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
 			results[i].pkg, results[i].err = checkRoot(&roots[i], exports)
-		}()
-	}
-	wg.Wait()
+		}
+	})
 
 	errs := listErrs
 	var pkgs []*Package

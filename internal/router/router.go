@@ -11,9 +11,9 @@
 //     shard's WAL has the records).
 //   - Top-k (topk.go): the query fans out to every healthy shard,
 //     each shard answers its local top-k over its own users, and the
-//     partials merge through engine.MergeParts — the same
-//     deterministic (score desc, ID asc) reduction the engine uses
-//     for per-worker heaps, so the cross-shard result is
+//     partials merge through engine.MergeParts — offers into one
+//     collector under the (score desc, ID asc) order the single-node
+//     loop keeps, so the cross-shard result is
 //     byte-identical to a single-node run (proven by the cluster
 //     equivalence suite).
 //

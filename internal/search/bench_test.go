@@ -280,9 +280,8 @@ func BenchmarkPostingsBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkMissStages replays one serial uncached query the way TopK
-// runs it (user-centric source, k = 5, one worker) with a stopwatch
-// between the stages, the bound step forced onto each side: the seed
+// BenchmarkMissStages replays one uncached query the way TopK runs it
+// (user-centric source, k = 5) with a stopwatch between the stages, the bound step forced onto each side: the seed
 // (select the k best bounds, join them, drop the bounds below their
 // k-th score) and the order of what survives it are timed apart, and
 // survivors/op counts the bounds the order heapifies. Before timing
@@ -303,7 +302,6 @@ func BenchmarkMissStages(b *testing.B) {
 				cands     []int
 				scored    []SketchCandidate
 				best      []SketchCandidate
-				block     []SketchCandidate
 				refined   int
 				survivors int
 			)
@@ -333,19 +331,22 @@ func BenchmarkMissStages(b *testing.B) {
 				stages[4] += t5.Sub(t4)
 				stages[5] += time.Since(t5)
 				survivors += len(rest)
-				for !r.Done && order.Len() > 0 {
-					ta := time.Now()
-					block = order.NextBlock(block[:0], RefineBlock)
-					tb := time.Now()
-					r.Refine(db, block, 0, 1, q, k, qnorm)
-					stages[5] += tb.Sub(ta)
-					stages[6] += time.Since(tb)
+				for t := time.Now(); order.Len() > 0; {
+					c := order.Next()
+					tn := time.Now()
+					stages[5] += tn.Sub(t)
+					if r.Col.Len() == k && c.Bound < r.Col.Threshold() {
+						break
+					}
+					r.join(db, c.User, q, qnorm)
+					t = time.Now()
+					stages[6] += t.Sub(tn)
 				}
 				return r.Refined
 			}
 			for _, q := range c.queries[:64] {
 				var st SketchStats
-				if _, err := TopK(ctx, db, c.uc, q, AdHoc, k, nil, 1, &st); err != nil {
+				if _, err := TopK(ctx, db, c.uc, q, AdHoc, k, nil, &st); err != nil {
 					b.Fatal(err)
 				}
 				if got := replay(q); got != st.Refined {

@@ -3,7 +3,6 @@ package search
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -34,9 +33,8 @@ func testSources(t *testing.T, db *store.FootprintDB) map[string]Source {
 }
 
 // ctxVariants enumerates every context-taking search over one
-// database — the oracle's own loop, and the one loop over each source,
-// serial and on four workers — so the contract tests cover them
-// uniformly.
+// database — the oracle's own loop, and the one loop over each
+// source — so the contract tests cover them uniformly.
 func ctxVariants(t *testing.T, db *store.FootprintDB) map[string]func(ctx context.Context, q core.Footprint, k int) ([]Result, error) {
 	if !db.SketchesEnabled() {
 		db.EnableSketches(0, 0)
@@ -45,10 +43,8 @@ func ctxVariants(t *testing.T, db *store.FootprintDB) map[string]func(ctx contex
 		"linear": NewLinearScan(db).TopKCtx,
 	}
 	for name, src := range testSources(t, db) {
-		for _, workers := range []int{1, 4} {
-			variants[fmt.Sprintf("%s/workers=%d", name, workers)] = func(ctx context.Context, q core.Footprint, k int) ([]Result, error) {
-				return TopK(ctx, db, src, q, AdHoc, k, nil, workers, nil)
-			}
+		variants[name] = func(ctx context.Context, q core.Footprint, k int) ([]Result, error) {
+			return TopK(ctx, db, src, q, AdHoc, k, nil, nil)
 		}
 	}
 	return variants
@@ -164,7 +160,7 @@ func TestCtxCancelledMidBound(t *testing.T) {
 		t.Helper()
 		pooledAccumulatorClean(t, when, db.Len())
 		for name, src := range testSources(t, db) {
-			got, err := TopK(context.Background(), ready, src, q, AdHoc, 10, nil, 1, nil)
+			got, err := TopK(context.Background(), ready, src, q, AdHoc, 10, nil, nil)
 			if err != nil || !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s, then %s: %v (err %v), LinearScan %v", when, name, got, err, want)
 			}
@@ -195,7 +191,7 @@ func TestCtxCancelledMidBound(t *testing.T) {
 // nothing — even one whose seed would join every candidate and leave
 // no refinement block to poll. A full run of such a query polls exactly
 // at entry, once per stride of the bound step, before the seed and
-// before the merge; cancelled at any of them it returns no answer.
+// before returning; cancelled at any of them it returns no answer.
 func TestCtxPollsBeforeSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	db := testDB(t, rng, 300)
@@ -206,7 +202,7 @@ func TestCtxPollsBeforeSeed(t *testing.T) {
 	boundPolls := (db.Len() + cancelStride - 1) / cancelStride
 	full := 1 + boundPolls + 2
 	for left := 0; left <= full; left++ {
-		got, err := TopK(&countdownCtx{Context: context.Background(), left: left}, young(db), AllUsers(db), q, AdHoc, k, nil, 1, nil)
+		got, err := TopK(&countdownCtx{Context: context.Background(), left: left}, young(db), AllUsers(db), q, AdHoc, k, nil, nil)
 		if left < full && (err != context.Canceled || got != nil) {
 			t.Fatalf("cancelled at poll %d of %d: %d results, err %v", left+1, full, len(got), err)
 		}

@@ -2,8 +2,8 @@ package search
 
 import (
 	"context"
-	"runtime"
-	"sync"
+
+	"geofootprint/internal/par"
 )
 
 // KNNGraph computes, for every user of the index's database, its k
@@ -20,31 +20,13 @@ func KNNGraph(ix *UserCentricIndex, k, workers int) [][]Result {
 	if k <= 0 || n == 0 {
 		return out
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	rows := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for u := range rows {
-				if db.Norms[u] == 0 {
-					continue
-				}
+	par.For(n, workers, 1, func(_, lo, hi int) {
+		for u := lo; u < hi; u++ {
+			if db.Norms[u] != 0 {
 				out[u] = neighboursOf(ix, u, k)
 			}
-		}()
-	}
-	for u := 0; u < n; u++ {
-		rows <- u
-	}
-	close(rows)
-	wg.Wait()
+		}
+	})
 	return out
 }
 
@@ -52,7 +34,7 @@ func KNNGraph(ix *UserCentricIndex, k, workers int) [][]Result {
 // excluding u: the one loop queried with u's row.
 func neighboursOf(ix *UserCentricIndex, u, k int) []Result {
 	db := ix.db
-	res, _ := TopK(context.Background(), db, ix, db.Footprints[u], u, k+1, nil, 1, nil)
+	res, _ := TopK(context.Background(), db, ix, db.Footprints[u], u, k+1, nil, nil)
 	out := make([]Result, 0, k)
 	for _, r := range res {
 		if r.ID == db.IDs[u] {

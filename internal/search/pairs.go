@@ -4,9 +4,9 @@ import (
 	"container/heap"
 	"runtime"
 	"sort"
-	"sync"
 
 	"geofootprint/internal/core"
+	"geofootprint/internal/par"
 	"geofootprint/internal/rtree"
 )
 
@@ -75,46 +75,30 @@ func TopSimilarPairs(ix *UserCentricIndex, k, workers int) []Pair {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-
 	locals := make([]pairHeap, workers)
-	var wg sync.WaitGroup
-	rows := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			local := &locals[w]
-			for u := range rows {
-				if db.Norms[u] == 0 {
-					continue
-				}
-				fu, nu := db.Footprints[u], db.Norms[u]
-				ix.tree.Search(db.MBRs[u], func(e rtree.Entry) bool {
-					v := int(e.Data)
-					if v <= u { // score each unordered pair once
-						return true
-					}
-					sim := core.SimilarityJoin(fu, db.Footprints[v], nu, db.Norms[v])
-					if sim > 0 {
-						a, b := db.IDs[u], db.IDs[v]
-						if b < a {
-							a, b = b, a
-						}
-						local.offer(k, Pair{A: a, B: b, Score: sim})
-					}
-					return true
-				})
+	par.For(n, workers, 1, func(w, lo, hi int) {
+		for u := lo; u < hi; u++ {
+			if db.Norms[u] == 0 {
+				continue
 			}
-		}(w)
-	}
-	for u := 0; u < n; u++ {
-		rows <- u
-	}
-	close(rows)
-	wg.Wait()
+			fu, nu := db.Footprints[u], db.Norms[u]
+			ix.tree.Search(db.MBRs[u], func(e rtree.Entry) bool {
+				v := int(e.Data)
+				if v <= u { // score each unordered pair once
+					return true
+				}
+				sim := core.SimilarityJoin(fu, db.Footprints[v], nu, db.Norms[v])
+				if sim > 0 {
+					a, b := db.IDs[u], db.IDs[v]
+					if b < a {
+						a, b = b, a
+					}
+					locals[w].offer(k, Pair{A: a, B: b, Score: sim})
+				}
+				return true
+			})
+		}
+	})
 
 	var all []Pair
 	for _, l := range locals {

@@ -108,11 +108,11 @@ func TestBoundSidesIdentical(t *testing.T) {
 						continue
 					}
 					var stGather, stWalk SketchStats
-					fromGather, err := TopK(ctx, young(db), src, q, AdHoc, 5, in, 2, &stGather)
+					fromGather, err := TopK(ctx, young(db), src, q, AdHoc, 5, in, &stGather)
 					if err != nil {
 						t.Fatal(err)
 					}
-					fromWalk, err := TopK(ctx, ready, src, q, AdHoc, 5, in, 2, &stWalk)
+					fromWalk, err := TopK(ctx, ready, src, q, AdHoc, 5, in, &stWalk)
 					if err != nil {
 						t.Fatal(err)
 					}

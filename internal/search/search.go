@@ -90,7 +90,7 @@ func (s *LinearScan) TopKCtx(ctx context.Context, q core.Footprint, k int) ([]Re
 // context (which never cancels, so the error is statically nil): what
 // every index's TopK spelling is.
 func serial(db *store.FootprintDB, src Source, q core.Footprint, k int) []Result {
-	res, _ := TopK(context.Background(), db, src, q, AdHoc, k, nil, 1, nil)
+	res, _ := TopK(context.Background(), db, src, q, AdHoc, k, nil, nil)
 	return res
 }
 

@@ -65,7 +65,7 @@ func (ix *UserCentricIndex) TopKSketchStats(q core.Footprint, k int) ([]Result, 
 		panic("search: TopKSketch requires store.FootprintDB.EnableSketches")
 	}
 	var st SketchStats
-	res, _ := TopK(context.Background(), ix.db, ix, q, AdHoc, k, nil, 1, &st)
+	res, _ := TopK(context.Background(), ix.db, ix, q, AdHoc, k, nil, &st)
 	return res, st
 }
 
@@ -229,17 +229,6 @@ func (o *BoundOrder) Next() SketchCandidate {
 		o.siftDown(0)
 	}
 	return top
-}
-
-// NextBlock appends the best n remaining candidates (all of them if
-// fewer remain) to dst, in order.
-//
-//geo:hotpath
-func (o *BoundOrder) NextBlock(dst []SketchCandidate, n int) []SketchCandidate {
-	for ; n > 0 && len(o.heap) > 0; n-- {
-		dst = append(dst, o.Next())
-	}
-	return dst
 }
 
 //geo:hotpath

@@ -92,8 +92,8 @@ func TestTopKSketchRequiresEnable(t *testing.T) {
 }
 
 // TestBoundOrderMatchesFullSort: the lazy order hands out exactly the
-// sequence a full sort by (bound desc, dense index asc) produces — one
-// candidate at a time, in blocks, or mixed — on lists where most
+// sequence a full sort by (bound desc, dense index asc) produces, one
+// candidate at a time, on lists where most
 // bounds are equal, so the tie-break carries the order. The refinement
 // count of every query is a function of this sequence.
 func TestBoundOrderMatchesFullSort(t *testing.T) {
@@ -121,20 +121,13 @@ func TestBoundOrderMatchesFullSort(t *testing.T) {
 		order := OrderByBound(scored)
 		got := make([]SketchCandidate, 0, n)
 		for order.Len() > 0 {
-			if rng.Intn(2) == 0 {
-				got = append(got, order.Next())
-			} else {
-				got = order.NextBlock(got, 1+rng.Intn(200))
-			}
+			got = append(got, order.Next())
 			if order.Len() != n-len(got) {
 				t.Fatalf("iteration %d: Len() = %d after %d of %d", it, order.Len(), len(got), n)
 			}
 		}
 		if !reflect.DeepEqual(got, want) && n > 0 {
 			t.Fatalf("iteration %d (n=%d): lazy order diverges from the full sort", it, n)
-		}
-		if extra := order.NextBlock(nil, 5); len(extra) != 0 {
-			t.Fatalf("iteration %d: a drained order handed out %v", it, extra)
 		}
 	}
 }
@@ -148,13 +141,11 @@ func TestBoundOrderAllocationFree(t *testing.T) {
 		src[i] = SketchCandidate{User: i, Bound: rng.Float64()}
 	}
 	scored := make([]SketchCandidate, len(src))
-	block := make([]SketchCandidate, 0, 256)
 	if avg := testing.AllocsPerRun(50, func() {
 		copy(scored, src)
 		order := OrderByBound(scored)
-		block = order.NextBlock(block[:0], 256)
-		for i := 0; i < 100; i++ {
-			block[0] = order.Next()
+		for i := 0; i < 356; i++ {
+			order.Next()
 		}
 	}); avg != 0 {
 		t.Fatalf("the bound order allocates %v times per run, want 0", avg)

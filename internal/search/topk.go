@@ -10,69 +10,49 @@ import (
 )
 
 // This file is the one top-k loop. Every search — the serial spellings
-// of this package, the engine's parallel and batched queries, a
-// replicated router's segment legs — is TopK over some Source: the
-// source's candidates, minus those outside the restriction, bounded by
-// their sketch (SketchBound), are refined with Algorithm 4 best bound
-// first, and the loop stops once no remaining bound can reach the top
-// k. The bound step, the seed and the order stay serial (a walk down
-// the posting lists of the query's cells, or a gather per candidate
-// where that is shorter — sketchsearch.go; k joins; a heap pop per
-// refined candidate); the joins after the seed are sharded across the
-// workers. Serial is workers = 1.
+// of this package, the engine's queries and batches, a replicated
+// router's segment legs — is TopK over some Source, on the calling
+// goroutine: the source's candidates, minus those outside the
+// restriction, bounded by their sketch (SketchBound), are refined with
+// Algorithm 4 best bound first, and the loop stops once no remaining
+// bound can reach the top k. The bound step is a walk down the posting
+// lists of the query's cells, or a gather per candidate where that is
+// shorter (sketchsearch.go); the seed is k joins; the order costs a heap
+// pop per refined candidate. A query is ≈ 130 joins on the ledger
+// corpus at k = 5 — too short to split across goroutines, so
+// parallelism lives across queries (engine.TopKBatch, the server's
+// concurrent requests), never within one.
 //
 // The seed (Refiner.Seed) comes first: the k best bounds, selected in
-// one O(n log k) pass, are joined into worker 0's collector, and their
-// k-th exact score τ₀ prices every other candidate before any ordering
-// is paid for. A candidate whose bound is below τ₀ cannot enter the
-// top k — sim ≤ bound < τ₀ ≤ the final threshold, and k users already
-// score at least τ₀ — so it is dropped outright; those at τ₀ or above
-// stay (an equal score can still win its ID tie-break). On a typical
-// miss that leaves ≈ 6 % of the bounds for the order to heapify (140 of
-// 2 370 on the ledger corpus at k = 5).
+// one O(n log k) pass, are joined into the query's one collector, and
+// their k-th exact score τ₀ prices every other candidate before any
+// ordering is paid for. A candidate whose bound is below τ₀ cannot
+// enter the top k — sim ≤ bound < τ₀ ≤ the final threshold, and k users
+// already score at least τ₀ — so it is dropped outright; those at τ₀ or
+// above stay (an equal score can still win its ID tie-break). On a
+// typical miss that leaves ≈ 6 % of the bounds for the order to heapify
+// (140 of 2 370 on the ledger corpus at k = 5).
 //
-// The order is drawn lazily, a block at a time (BoundOrder: a query
-// that refines 200 of 2 500 candidates never orders the other 2 300).
-// Within a block of workers·RefineBlock candidates the shards are
-// STRIDED, not contiguous: worker w of W refines positions
-// w, w+W, w+2W, … — and because every block's length but the last is a
-// multiple of W, those are positions w, w+W, … of the whole
-// bound-descending sequence, whatever the block size. Two consequences:
-//
-//   - Every worker's subsequence is itself bound-descending (any
-//     subsequence of a descending list is), so the per-worker early
-//     exit below is sound.
-//   - Every worker sees high-bound candidates early, so its local
-//     collector's threshold rises fast — with contiguous chunks, the
-//     tail workers would hold only low-bound candidates and a nearly
-//     empty heap, and could never exit early.
-//
-// Exactness of the worker-local early exit: a worker stops at
-// candidate c once its local collector holds k results and
-// c.Bound < local threshold. The bound dominates the similarity, so
-// sim(c) ≤ c.Bound < the worker's k-th local score — meaning k
-// already-offered users beat c by strictly greater score, under the
-// global (score desc, ID asc) total order. Those k users exist in the
-// global multiset too, so c is outside the global top k and skipping
-// it (and, by descending bounds, everything after it in the worker's
-// subsequence, in this block and every later one) cannot change the
-// answer. Worker 0's collector starts with the seed's offers, which
-// only makes its threshold — still a k-th score of users offered —
-// rise sooner. Every global top-k result is necessarily in its
-// worker's local top k, and a collector's retained set depends only on
-// the multiset of its offers, so offering every worker's results to one
-// collector reconstructs the exact answer — byte-identical to
-// LinearScan, whose result is the unique top k under the strict total
-// order. The loop ends when every worker has stopped or the order is
-// drained; the seed is a function of the bounds, and each worker's
-// stopping point depends only on its own subsequence, so the number of
-// joins run — seed included — is a function of (query, k, workers),
-// not of scheduling.
+// The order is drawn lazily, one candidate at a time (BoundOrder: a
+// query that refines 200 of 2 500 candidates never orders the other
+// 2 300), into the same collector. Exactness of the early exit: the loop
+// stops at candidate c once the collector holds k results and
+// c.Bound < its threshold. The bound dominates the similarity, so
+// sim(c) ≤ c.Bound < the k-th score held — k already-offered users beat
+// c by strictly greater score, under the (score desc, ID asc) total
+// order — and every candidate after c in the bound-descending order has
+// a bound, and so a similarity, no greater. None of them can enter the
+// top k, and stopping (strict <, so an equal score still gets its ID
+// tie-break) cannot change the answer: the collector retains the
+// unique top k of everything offered, which is LinearScan's ranking
+// byte for byte. The seed is a function of the bounds and the order is
+// total, so the number of joins run — seed included — is a function of
+// (query, k), not of scheduling or of any worker count.
 //
 // Without a sketch layer every bound is 1: the seed joins k arbitrary
-// — lowest-index — candidates, no bound falls below τ₀ ≤ 1, no worker
-// ever stops early, and the same loop joins every candidate: the
-// paper's methods as published.
+// — lowest-index — candidates, no bound falls below τ₀ ≤ 1, the loop
+// never stops early, and it joins every candidate: the paper's methods
+// as published.
 
 // Restrict narrows a query to part of the corpus: the users whose
 // entry in SegOf — one segment number per dense user index — lies in
@@ -108,7 +88,7 @@ func (in *Restrict) filter(cands []int) []int {
 
 // scratch is the per-query working memory the pool recycles: the
 // candidate list, their bounds (whose survivors become the order's
-// heap), the seed's selection and the block being refined (the bound
+// heap) and the seed's selection (the bound
 // step's per-user accumulator has its own pool, accumulator.go, shared
 // with the accumulating sources). With every method bounding thousands
 // of candidates per query, allocating these afresh would scale the
@@ -117,29 +97,9 @@ type scratch struct {
 	cands  []int
 	scored []SketchCandidate
 	best   []SketchCandidate
-	block  []SketchCandidate
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-// minShard is the smallest number of refinement candidates worth
-// handing to an extra worker; below it, goroutine handoff costs more
-// than the Algorithm 4 joins it would offload.
-const minShard = 32
-
-// shardWorkers sizes the within-query fan-out over n candidates: at
-// most one worker per minShard candidates, capped by the pool size, and
-// never fewer than the calling goroutine.
-func shardWorkers(workers, n int) int {
-	return max(1, min(workers, n/minShard))
-}
-
-// RefineBlock is how many candidates one worker refines between two
-// draws from the order (and two cancellation polls): large enough that
-// a typical query — a few hundred joins — takes one or two blocks,
-// small enough that the candidates drawn past the stopping point cost
-// less than a handful of joins.
-const RefineBlock = 128
 
 // AdHoc is the row argument of TopK and SketchBound for a query
 // footprint that is not a stored user's.
@@ -155,21 +115,18 @@ func queryNorm(db *store.FootprintDB, q core.Footprint, row int) float64 {
 }
 
 // TopK returns the k users of db most similar to q among those src
-// nominates and `in` selects (nil: all of them), best first, on up to
-// `workers` goroutines (fewer when the candidates do not justify the
-// fan-out; anything below 2 is the calling goroutine alone). The answer
-// is LinearScan's ranking with the users outside `in` removed, byte for
-// byte, whatever the source and the worker count. row is the dense
-// index of the stored user whose footprint q is — its norm and sketch
-// are then read from db instead of computed — or AdHoc. st, when
+// nominates and `in` selects (nil: all of them), best first, on the
+// calling goroutine. The answer is LinearScan's ranking with the users
+// outside `in` removed, byte for byte, whatever the source. row is the
+// dense index of the stored user whose footprint q is — its norm and
+// sketch are then read from db instead of computed — or AdHoc. st, when
 // non-nil, receives the work counts. Cancellation is polled at entry,
-// inside the source and the bound step, before the seed's joins, before
-// every block and before the merge; workers never outlive the block
-// they were started for, and a cancelled query returns (nil,
-// ctx.Err()), its partial collectors discarded.
+// inside the source and the bound step, before the seed's joins, every
+// cancelStride joins after it and once more before returning; a
+// cancelled query returns (nil, ctx.Err()), its collector discarded.
 //
 //geo:cancellable
-func TopK(ctx context.Context, db *store.FootprintDB, src Source, q core.Footprint, row, k int, in *Restrict, workers int, st *SketchStats) ([]Result, error) {
+func TopK(ctx context.Context, db *store.FootprintDB, src Source, q core.Footprint, row, k int, in *Restrict, st *SketchStats) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -196,89 +153,36 @@ func TopK(ctx context.Context, db *store.FootprintDB, src Source, q core.Footpri
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	seed := Refiner{Col: topk.New(k)}
-	rest, best := seed.Seed(db, scored, sc.best[:0], q, k, qnorm)
+	r := Refiner{Col: topk.New(k)}
+	rest, best := r.Seed(db, scored, sc.best[:0], q, k, qnorm)
 	sc.best = best
 	order := OrderByBound(rest)
-
-	workers = shardWorkers(workers, order.Len())
-	ws := make([]Refiner, workers)
-	ws[0] = seed
-	//lint:ignore ctxcancel bounded by the worker count
-	for w := 1; w < workers; w++ {
-		ws[w].Col = topk.New(k)
-	}
-	for live := workers; live > 0 && order.Len() > 0; {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	for i := 0; order.Len() > 0; i++ {
+		c := order.Next()
+		if r.Col.Len() == k && c.Bound < r.Col.Threshold() {
+			break
 		}
-		block := order.NextBlock(sc.block[:0], workers*RefineBlock)
-		sc.block = block
-		var wg sync.WaitGroup
-		for w := 1; w < workers; w++ {
-			if ws[w].Done {
-				continue
-			}
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				ws[w].Refine(db, block, w, workers, q, k, qnorm)
-			}(w)
-		}
-		if !ws[0].Done {
-			// The caller's goroutine is worker 0.
-			ws[0].Refine(db, block, 0, workers, q, k, qnorm)
-		}
-		wg.Wait()
-		live = 0
-		for w := range ws {
-			if !ws[w].Done {
-				live++
+		if i&(cancelStride-1) == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
 		}
+		r.join(db, c.User, q, qnorm)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Merge into worker 0's collector.
-	col := ws[0].Col
-	//lint:ignore ctxcancel bounded by the worker count times k
-	for w := range ws {
-		if st != nil {
-			st.Refined += ws[w].Refined
-		}
-		if w > 0 {
-			for _, r := range ws[w].Col.Results() {
-				col.Offer(r.ID, r.Score)
-			}
-		}
+	if st != nil {
+		st.Refined = r.Refined
 	}
-	return col.Results(), nil
+	return r.Col.Results(), nil
 }
 
-// Refiner is one worker's share of the loop: its collector, how many
-// Algorithm 4 joins it has run, and whether it has stopped for good.
+// Refiner is one query's collector and how many Algorithm 4 joins it
+// has run.
 type Refiner struct {
 	Col     *topk.Collector
 	Refined int
-	Done    bool
-}
-
-// Refine joins positions start, start+stride, … of block — the next
-// stretch of the bound-descending order — into r.Col, and sets r.Done
-// at the first candidate whose bound is strictly below the collector's
-// k-th score: every remaining candidate's similarity is ≤ that bound,
-// so none can enter the collector (strict < keeps equal-score ID
-// tie-breaks exact).
-func (r *Refiner) Refine(db *store.FootprintDB, block []SketchCandidate, start, stride int, q core.Footprint, k int, qnorm float64) {
-	for i := start; i < len(block); i += stride {
-		c := block[i]
-		if r.Col.Len() == k && c.Bound < r.Col.Threshold() {
-			r.Done = true
-			return
-		}
-		r.join(db, c.User, q, qnorm)
-	}
 }
 
 // join runs the Algorithm 4 join of user u against q and offers a

@@ -14,8 +14,7 @@ import (
 
 // TestDuplicateFootprintTieBreak: two users with identical footprints,
 // stored as IDs 5 then 3, tie on every score; asked for the one user
-// most similar to that footprint, every source on one and two workers,
-// gathering and walking, must return LinearScan's choice — the smaller
+// most similar to that footprint, every source, gathering and walking, must return LinearScan's choice — the smaller
 // ID. A bound that falls an ulp below the similarity it bounds prunes
 // user 3 as soon as user 5 has been refined, which is what the sketch
 // bound did before UpperBound got its slack.
@@ -43,11 +42,9 @@ func TestDuplicateFootprintTieBreak(t *testing.T) {
 		walked, _ := transposed(t, db)
 		for _, side := range []*store.FootprintDB{young(db), walked} {
 			for name, src := range testSources(t, side) {
-				for _, workers := range []int{1, 2} {
-					got, err := TopK(ctx, side, src, dup, AdHoc, 1, nil, workers, nil)
-					if err != nil || !reflect.DeepEqual(got, want) {
-						t.Fatalf("trial %d, %s on %d workers: %v (err %v), LinearScan %v", trial, name, workers, got, err, want)
-					}
+				got, err := TopK(ctx, side, src, dup, AdHoc, 1, nil, nil)
+				if err != nil || !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d, %s: %v (err %v), LinearScan %v", trial, name, got, err, want)
 				}
 			}
 		}
@@ -164,17 +161,5 @@ func TestRestrictFilterZeroAllocs(t *testing.T) {
 	var none *Restrict
 	if got := none.filter(cands); len(got) != len(cands) {
 		t.Fatalf("nil restriction dropped candidates: %d of %d", len(got), len(cands))
-	}
-}
-
-func TestShardWorkersBounds(t *testing.T) {
-	if w := shardWorkers(8, 10); w != 1 {
-		t.Errorf("shardWorkers(8, 10) = %d, want 1 (below minShard)", w)
-	}
-	if w := shardWorkers(8, 8*minShard*10); w != 8 {
-		t.Errorf("shardWorkers(8, big) = %d, want the pool size 8", w)
-	}
-	if w := shardWorkers(0, 8*minShard*10); w != 1 {
-		t.Errorf("shardWorkers(0, big) = %d, want 1 (the calling goroutine)", w)
 	}
 }

@@ -28,8 +28,8 @@ import (
 //     computation of the same answer — so a cache hit arms no timer;
 //     every other route gets it on its request context here. Query
 //     handlers run the engine through TopKCtx, so an expired deadline
-//     abandons the search (workers notice within cancelStride
-//     candidates) and maps to 503.
+//     abandons the search (it notices within cancelStride candidates
+//     or joins) and maps to 503.
 //
 // The admission gate is per-route, not a global middleware: only the
 // top-k routes (GET /v1/users/{id}/similar, POST /v1/query, GET

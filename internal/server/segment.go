@@ -20,8 +20,8 @@
 // segment list is sorted, so the tuples starting with the members a leg
 // names are a contiguous range of positions [lo, hi), and each epoch
 // keeps, per ring, the position of every user's tuple. A segment query
-// is then the ordinary query — any method, the engine's workers, the
-// result cache — with one range test per candidate (search.Restrict).
+// is then the ordinary query — any method, the result cache — with
+// one range test per candidate (search.Restrict).
 package server
 
 import (

@@ -150,9 +150,8 @@ func TestSegmentQueryValidation(t *testing.T) {
 	}
 }
 
-// segCorpus is a corpus large enough that k=50 truncates and the
-// engine shards refinement across workers: n users clustered so that a
-// mid-plane query overlaps a good share of them.
+// segCorpus is a corpus large enough that k=50 truncates: n users
+// clustered so that a mid-plane query overlaps a good share of them.
 func segCorpus(t *testing.T, n int) ([]int, []core.Footprint) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))

@@ -231,7 +231,7 @@ type queryJSON struct {
 	Method string `json:"method,omitempty"`
 	// Segment, when set, restricts the answer to the users whose
 	// replica tuple starts with the segment's members (segment.go).
-	// Method, workers and the result cache apply as without it.
+	// Method and the result cache apply as without it.
 	Segment *segmentJSON `json:"segment,omitempty"`
 }
 

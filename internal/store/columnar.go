@@ -4,13 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 
 	"geofootprint/internal/colstore"
 	"geofootprint/internal/core"
 	"geofootprint/internal/faultfs"
 	"geofootprint/internal/geom"
+	"geofootprint/internal/par"
 	"geofootprint/internal/sketch"
 )
 
@@ -184,7 +183,7 @@ func FromColumnar(snap *colstore.Snapshot) (*FootprintDB, error) {
 		db.SketchParams = p
 		if snap.CellPeak == nil {
 			snap.CellPeak = make([]float32, len(snap.Cells))
-			inParallel(users, 256, func(first, end int) {
+			par.For(users, 0, 256, func(_, first, end int) {
 				for u := first; u < end; u++ {
 					lo, hi := snap.CellStarts[u], snap.CellStarts[u+1]
 					sketch.FillPeak(db.Footprints[u], p, snap.Cells[lo:hi], snap.CellPeak[lo:hi])
@@ -213,35 +212,12 @@ func FromColumnar(snap *colstore.Snapshot) (*FootprintDB, error) {
 	return db, nil
 }
 
-// inParallel runs fn over [0, n) cut into contiguous chunks of at
-// least minChunk, one goroutine per chunk and at most GOMAXPROCS
-// chunks, and returns when all are done — for load work whose chunks
-// write disjoint places, so the result is deterministic.
-func inParallel(n, minChunk int, fn func(lo, hi int)) {
-	workers := min(runtime.GOMAXPROCS(0), n/minChunk)
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(lo, hi)
-		}()
-	}
-	wg.Wait()
-}
-
 // transposeRegions fills dst from the five parallel columns, in
 // parallel for large databases (cold-start latency is dominated by
 // this loop).
 func transposeRegions(dst []core.Region, snap *colstore.Snapshot) {
 	minx, miny, maxx, maxy, w := snap.MinX, snap.MinY, snap.MaxX, snap.MaxY, snap.Weight
-	inParallel(len(dst), 1<<14, func(lo, hi int) {
+	par.For(len(dst), 0, 1<<14, func(_, lo, hi int) {
 		fillRegions(dst[lo:hi], minx[lo:hi], miny[lo:hi], maxx[lo:hi], maxy[lo:hi], w[lo:hi])
 	})
 }

@@ -222,7 +222,7 @@ func TestEpochPostingsBuiltOncePerEpoch(t *testing.T) {
 				}
 				ep := es.Acquire()
 				edb, q := ep.DB(), queries[(r+i)%len(queries)]
-				got, err := search.TopK(context.Background(), edb, ep.Aux().(*search.UserCentricIndex), q, search.AdHoc, 5, nil, 1, nil)
+				got, err := search.TopK(context.Background(), edb, ep.Aux().(*search.UserCentricIndex), q, search.AdHoc, 5, nil, nil)
 				if want := search.NewLinearScan(edb).TopK(q, 5); err != nil || !reflect.DeepEqual(got, want) {
 					t.Errorf("epoch %d: %v (err %v), LinearScan %v", ep.Seq(), got, err, want)
 				}

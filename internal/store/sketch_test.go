@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -201,4 +202,32 @@ func TestEnableSketchesClampsResolution(t *testing.T) {
 		t.Fatalf("EnableSketches(MaxG+500): enabled=%v G=%d, want G=%d", db.SketchesEnabled(), db.SketchParams.G, sketch.MaxG)
 	}
 	checkAligned(t, db, "after the clamped enable")
+}
+
+// TestEnableSketchesWorkerCountBitIdentical: the layer is a function of
+// the footprints and the resolution, not of how many goroutines built
+// it — every cell, mass, peak and root bit is the same on one worker as
+// on eight.
+func TestEnableSketchesWorkerCountBitIdentical(t *testing.T) {
+	for _, g := range []int{0, 16, 64} {
+		one, eight := sketchDB(t, 8, 300), sketchDB(t, 8, 300)
+		one.EnableSketches(g, 1)
+		eight.EnableSketches(g, 8)
+		if one.SketchParams != eight.SketchParams {
+			t.Fatalf("G=%d: params %+v on one worker, %+v on eight", g, one.SketchParams, eight.SketchParams)
+		}
+		for u := range one.Sketches {
+			a, b := &one.Sketches[u], &eight.Sketches[u]
+			same := reflect.DeepEqual(a.Cells, b.Cells) && len(a.Mass) == len(b.Mass) &&
+				len(a.Peak) == len(b.Peak) && len(a.Root) == len(b.Root)
+			for i := 0; same && i < len(a.Cells); i++ {
+				same = math.Float32bits(a.Mass[i]) == math.Float32bits(b.Mass[i]) &&
+					math.Float32bits(a.Peak[i]) == math.Float32bits(b.Peak[i]) &&
+					math.Float64bits(a.Root[i]) == math.Float64bits(b.Root[i])
+			}
+			if !same {
+				t.Fatalf("G=%d user %d: sketch %+v on one worker, %+v on eight", g, u, *a, *b)
+			}
+		}
+	}
 }

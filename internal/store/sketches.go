@@ -1,10 +1,8 @@
 package store
 
 import (
-	"runtime"
-	"sync"
-
 	"geofootprint/internal/geom"
+	"geofootprint/internal/par"
 	"geofootprint/internal/sketch"
 )
 
@@ -42,35 +40,11 @@ func (db *FootprintDB) EnableSketches(g, workers int) {
 	db.SketchParams = sketch.Params{G: g, Domain: sketch.FitDomain(union)}
 	db.Sketches = make([]sketch.Sketch, len(db.Footprints))
 
-	n := len(db.Footprints)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i, f := range db.Footprints {
-			db.Sketches[i] = sketch.Build(f, db.SketchParams)
+	par.For(len(db.Footprints), workers, 16, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			db.Sketches[i] = sketch.Build(db.Footprints[i], db.SketchParams)
 		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				db.Sketches[i] = sketch.Build(db.Footprints[i], db.SketchParams)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	})
 }
 
 // DisableSketches drops the sketch layer.

@@ -11,7 +11,6 @@ import (
 	"io"
 	"path/filepath"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"geofootprint/internal/colstore"
@@ -19,6 +18,7 @@ import (
 	"geofootprint/internal/extract"
 	"geofootprint/internal/faultfs"
 	"geofootprint/internal/geom"
+	"geofootprint/internal/par"
 	"geofootprint/internal/sketch"
 	"geofootprint/internal/traj"
 )
@@ -125,45 +125,19 @@ func New(name string, ids []int, fps []core.Footprint) (*FootprintDB, error) {
 	return &FootprintDB{Name: name, IDs: ids, Footprints: fps}, nil
 }
 
-// ComputeNorms (re)computes the norm and MBR of every footprint, in
-// parallel (the preprocessing phase of Section 5.1).
+// ComputeNorms (re)computes the norm and MBR of every footprint, on
+// `workers` goroutines (GOMAXPROCS if <= 0) — the preprocessing phase
+// of Section 5.1.
 func (db *FootprintDB) ComputeNorms(workers int) {
 	n := len(db.Footprints)
 	db.Norms = make([]float64, n)
 	db.MBRs = make([]geom.Rect, n)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i, f := range db.Footprints {
-			db.Norms[i] = core.Norm(f)
-			db.MBRs[i] = f.MBR()
+	par.For(n, workers, 64, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			db.Norms[i] = core.Norm(db.Footprints[i])
+			db.MBRs[i] = db.Footprints[i].MBR()
 		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				db.Norms[i] = core.Norm(db.Footprints[i])
-				db.MBRs[i] = db.Footprints[i].MBR()
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 }
 
 // Len returns the number of users in the database.

@@ -108,6 +108,14 @@ go test -race -count=1 -run 'Chaos|Failover|Breaker|Stale|Replica|Segment' \
 echo "== columnar migration (version-1 fixture -> version 2 = fresh build) =="
 go test -count=1 -run 'TestVersion1FixturesOpenBitIdentical' ./internal/store/
 
+# BenchmarkMissStages' stage table is a replay of search.TopK's loop
+# with a stopwatch between the stages; before timing anything it checks
+# that the replay refines as many candidates as TopK on every query.
+# One iteration runs that check, so the table cannot drift from the
+# loop it describes unnoticed.
+echo "== stage replay: BenchmarkMissStages refines what search.TopK refines =="
+go test -run '^$' -bench MissStages -benchtime 1x ./internal/search/
+
 echo "== go test -race ./... =="
 go test -race ./...
 
