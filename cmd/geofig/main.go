@@ -77,14 +77,14 @@ func main() {
 
 	// Figure 2(a): a footprint with overlapping regions.
 	var fp core.Footprint
-	for u := range w.DB.Footprints {
-		if hasOverlap(w.DB.Footprints[u]) {
-			fp = w.DB.Footprints[u]
+	for u := range w.DB.IDs {
+		if hasOverlap(w.DB.Row(u)) {
+			fp = w.DB.Row(u)
 			break
 		}
 	}
 	if fp == nil {
-		fp = w.DB.Footprints[0]
+		fp = w.DB.Row(0)
 	}
 	writeSVG(filepath.Join(*out, "fig2-footprint.svg"), func(f *os.File) error {
 		return viz.FootprintSVG(f, fp, 640, 640)
@@ -112,8 +112,12 @@ func main() {
 	})
 
 	// Bonus: the aggregate dwell-density heatmap of the whole part.
+	rows := make([]core.Footprint, w.DB.Len())
+	for u := range rows {
+		rows[u] = w.DB.Row(u)
+	}
 	writeSVG(filepath.Join(*out, "heatmap.svg"), func(f *os.File) error {
-		return viz.HeatmapSVG(f, w.DB.Footprints, 64, 800, 800)
+		return viz.HeatmapSVG(f, rows, 64, 800, 800)
 	})
 }
 

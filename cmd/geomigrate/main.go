@@ -127,7 +127,7 @@ func diffDBs(a, b *store.FootprintDB) error {
 		if a.MBRs[u] != b.MBRs[u] {
 			return fmt.Errorf("user %d: MBR mismatch", u)
 		}
-		fa, fb := a.Footprints[u], b.Footprints[u]
+		fa, fb := a.Row(u), b.Row(u)
 		if len(fa) != len(fb) {
 			return fmt.Errorf("user %d: %d vs %d regions", u, len(fa), len(fb))
 		}

@@ -61,7 +61,7 @@ func main() {
 		if !ok {
 			log.Fatalf("user %d not in %s", *user, *dbPath)
 		}
-		q = db.Footprints[qi]
+		q = db.Row(qi)
 		if len(q) == 0 {
 			log.Fatalf("user %d has an empty footprint", *user)
 		}
@@ -115,7 +115,7 @@ func main() {
 			continue
 		}
 		ui, _ := db.IndexOf(r.ID)
-		ex := search.Explain(db.Footprints[ui], q, db.Norms[ui], qnorm, 3)
+		ex := search.Explain(db.Row(ui), q, db.Norms[ui], qnorm, 3)
 		for _, c := range ex.Contributions {
 			fmt.Printf("      %.0f%% from overlap %v (area %.6f)\n",
 				100*c.Share, c.Overlap, c.Overlap.Area())

@@ -105,7 +105,7 @@ func main() {
 	var snapErr error
 	if *dbPath != "" {
 		var err error
-		if db, err = store.Load(*dbPath); err != nil {
+		if db, err = store.Open(*dbPath); err != nil {
 			if errors.Is(err, store.ErrCorruptSnapshot) {
 				// A static corpus has no WAL to rebuild from, so
 				// -allow-corrupt-snapshot cannot help here; name the

@@ -59,7 +59,7 @@ func main() {
 		}
 	}
 	for i := 0; i < n; i++ {
-		for _, r := range idx.TopK(db.Footprints[i], 12) {
+		for _, r := range idx.TopK(db.Row(i), 12) {
 			j, _ := db.IndexOf(r.ID)
 			if j == i {
 				continue
@@ -109,7 +109,7 @@ func main() {
 			continue
 		}
 		trials++
-		cands := idx.TopK(db.Footprints[i], k+1+len(visible[i]))
+		cands := idx.TopK(db.Row(i), k+1+len(visible[i]))
 		got := 0
 		for _, r := range cands {
 			j, _ := db.IndexOf(r.ID)

@@ -70,7 +70,7 @@ func main() {
 
 	// Simulate the visit: three dwells at popular areas of the store
 	// (picked from existing customers' regions), transit in between.
-	host := db.Footprints[rng.Intn(db.Len())]
+	host := db.Row(rng.Intn(db.Len()))
 	t := 0.0
 	for stop := 0; stop < 3; stop++ {
 		c := host[rng.Intn(len(host))].Rect.Center()

@@ -43,7 +43,7 @@ func main() {
 
 	// 3. Pairwise similarity, three ways (they agree; Algorithm 4 is
 	//    the fastest when norms are precomputed).
-	a, b := db.Footprints[0], db.Footprints[1]
+	a, b := db.Row(0), db.Row(1)
 	fmt.Printf("similarity(user %d, user %d):\n", db.IDs[0], db.IDs[1])
 	fmt.Printf("  one-pass sweep (Alg. 3 + norms): %.6f\n", geofootprint.Similarity(a, b))
 	fmt.Printf("  sweep w/ precomputed norms:      %.6f\n",

@@ -62,9 +62,9 @@ func main() {
 	// reconstruct the layout we derive "zone of a region" from its
 	// position, which is exactly what a store planogram join would do.
 	purchases := make(map[int][]string, db.Len())
-	for i := range db.Footprints {
+	for i := range db.IDs {
 		seen := map[string]bool{}
-		for _, reg := range db.Footprints[i] {
+		for _, reg := range db.Row(i) {
 			if rng.Float64() < 0.8 {
 				seen[productNear(reg.Rect.Center().X, reg.Rect.Center().Y)] = true
 			}
@@ -82,7 +82,7 @@ func main() {
 	// purchase history yet.
 	coldStart := db.IDs[17]
 	fmt.Printf("\ncold-start customer %d dwelled near: %v\n",
-		coldStart, zonesOf(db.Footprints[idxOf(db, coldStart)]))
+		coldStart, zonesOf(db.Row(idxOf(db, coldStart))))
 
 	// Footprint-based recommendation: neighbours by geo-footprint
 	// similarity, recommend what they bought.

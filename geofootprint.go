@@ -15,7 +15,7 @@
 //	cfg := geofootprint.DefaultExtraction()          // ε=0.02, τ=30
 //	db, _ := geofootprint.BuildDB(dataset, cfg)      // Alg. 1 + Alg. 2
 //	idx := geofootprint.NewUserCentricIndex(db)      // Sec. 6.2 index
-//	top := idx.TopK(db.Footprints[q], 5)             // most similar users
+//	top := idx.TopK(db.Row(q), 5)                    // most similar users
 //
 // This root package is a thin façade over the internal packages; it
 // exposes everything a downstream application needs: the trajectory
@@ -206,7 +206,7 @@ func MostSimilarUsers(db *FootprintDB, idx Searcher, id, k int) ([]Result, error
 	if !ok {
 		return nil, errUnknownUser(id)
 	}
-	res := idx.TopK(db.Footprints[i], k+1)
+	res := idx.TopK(db.Row(i), k+1)
 	out := res[:0]
 	for _, r := range res {
 		if r.ID != id {

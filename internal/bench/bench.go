@@ -104,7 +104,8 @@ func Table1(w *Workload) Table1Row {
 	row := Table1Row{Part: w.Part, Users: w.DB.Len()}
 	var regions int
 	var sx, sy float64
-	for _, f := range w.DB.Footprints {
+	for u := range w.DB.IDs {
+		f := w.DB.Row(u)
 		regions += len(f)
 		for _, r := range f {
 			sx += r.Rect.Width()
@@ -163,18 +164,18 @@ func Table3(w *Workload, queries int, seed int64) Table3Row {
 	var sink float64
 	start := time.Now()
 	for _, qi := range qIdx {
-		q, qn := db.Footprints[qi], db.Norms[qi]
+		q, qn := db.Row(qi), db.Norms[qi]
 		for j := 0; j < n; j++ {
-			sink += core.SimilaritySweep(q, db.Footprints[j], qn, db.Norms[j])
+			sink += core.SimilaritySweep(q, db.Row(j), qn, db.Norms[j])
 		}
 	}
 	row.Alg3Micros = time.Since(start).Seconds() * 1e6 / float64(row.Pairs)
 
 	start = time.Now()
 	for _, qi := range qIdx {
-		q, qn := db.Footprints[qi], db.Norms[qi]
+		q, qn := db.Row(qi), db.Norms[qi]
 		for j := 0; j < n; j++ {
-			sink += core.SimilarityJoin(q, db.Footprints[j], qn, db.Norms[j])
+			sink += core.SimilarityJoin(q, db.Row(j), qn, db.Norms[j])
 		}
 	}
 	row.Alg4Micros = time.Since(start).Seconds() * 1e6 / float64(row.Pairs)
@@ -246,19 +247,19 @@ func Fig3a(w *Workload, queries, k int, seed int64) Fig3aRow {
 
 	start := time.Now()
 	for _, qi := range qIdx {
-		roi.TopKIterative(db.Footprints[qi], k)
+		roi.TopKIterative(db.Row(qi), k)
 	}
 	row.IterativeSeconds = time.Since(start).Seconds()
 
 	start = time.Now()
 	for _, qi := range qIdx {
-		roi.TopKBatch(db.Footprints[qi], k)
+		roi.TopKBatch(db.Row(qi), k)
 	}
 	row.BatchSeconds = time.Since(start).Seconds()
 
 	start = time.Now()
 	for _, qi := range qIdx {
-		uc.TopK(db.Footprints[qi], k)
+		uc.TopK(db.Row(qi), k)
 	}
 	row.UserCentricSeconds = time.Since(start).Seconds()
 	return row
@@ -328,7 +329,7 @@ func MBRSensitivity(w *Workload, spreads []float64, queries, k int, seed int64) 
 			for u := 0; u < db.Len(); u++ {
 				if db.MBRs[u].Intersects(qmbr) && !db.MBRs[u].IsEmpty() {
 					refined++
-					if core.SimilarityJoin(db.Footprints[u], q, db.Norms[u], core.Norm(q)) > 0 {
+					if core.SimilarityJoin(db.Row(u), q, db.Norms[u], core.Norm(q)) > 0 {
 						relevant++
 					}
 				}
@@ -360,7 +361,7 @@ func KSensitivity(w *Workload, ks []int, queries int, seed int64) []KSensitivity
 	for _, k := range ks {
 		start := time.Now()
 		for _, qi := range qIdx {
-			uc.TopK(db.Footprints[qi], k)
+			uc.TopK(db.Row(qi), k)
 		}
 		rows = append(rows, KSensitivityRow{K: k, Seconds: time.Since(start).Seconds()})
 	}
@@ -425,13 +426,13 @@ func GridComparison(w *Workload, queries, k, gridN int, seed int64) (GridRow, er
 
 	start := time.Now()
 	for _, q := range qs {
-		rt.TopKIterative(db.Footprints[q], k)
+		rt.TopKIterative(db.Row(q), k)
 	}
 	row.RTreeMicros = time.Since(start).Seconds() * 1e6 / float64(queries)
 
 	start = time.Now()
 	for _, q := range qs {
-		gr.TopK(db.Footprints[q], k)
+		gr.TopK(db.Row(q), k)
 	}
 	row.GridMicros = time.Since(start).Seconds() * 1e6 / float64(queries)
 	return row, nil

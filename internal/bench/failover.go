@@ -88,7 +88,7 @@ func startFailoverCluster(db *store.FootprintDB, n, R int) (*failoverCluster, er
 		segOf[id] = ring.SegmentID(tuple)
 		for _, i := range tuple {
 			subIDs[i] = append(subIDs[i], id)
-			subFPs[i] = append(subFPs[i], db.Footprints[u])
+			subFPs[i] = append(subFPs[i], db.Row(u))
 		}
 	}
 
@@ -183,7 +183,7 @@ func FailoverBench(w *Workload, queries, k, clients int, seed int64) ([]Failover
 	}
 	bodies := make([]json.RawMessage, queries)
 	for i, qi := range qIdx {
-		b, err := encodeRegions(db.Footprints[qi])
+		b, err := encodeRegions(db.Row(qi))
 		if err != nil {
 			return nil, err
 		}
@@ -192,7 +192,7 @@ func FailoverBench(w *Workload, queries, k, clients int, seed int64) ([]Failover
 	oracle := search.NewLinearScan(db)
 	want := make([][]search.Result, queries)
 	for i, qi := range qIdx {
-		want[i] = oracle.TopK(db.Footprints[qi], k)
+		want[i] = oracle.TopK(db.Row(qi), k)
 	}
 
 	const shards = 4
@@ -216,7 +216,7 @@ func FailoverBench(w *Workload, queries, k, clients int, seed int64) ([]Failover
 				}
 				expect := want[i]
 				if res.Partial {
-					expect = c.survivorOracle(db, res.Missing).TopK(db.Footprints[qi], k)
+					expect = c.survivorOracle(db, res.Missing).TopK(db.Row(qi), k)
 				}
 				g, _ := json.Marshal(res.Results)
 				o, _ := json.Marshal(expect)
@@ -304,7 +304,7 @@ func (c *failoverCluster) survivorOracle(db *store.FootprintDB, missing []string
 	for u, id := range db.IDs {
 		if !lost[c.segOf[id]] {
 			ids = append(ids, id)
-			fps = append(fps, db.Footprints[u])
+			fps = append(fps, db.Row(u))
 		}
 	}
 	rest, err := store.FromFootprints("survivors", ids, fps)

@@ -55,7 +55,7 @@ func Fig3aParallel(w *Workload, queries, k, workers int, seed int64) Fig3aParall
 	queries = len(qIdx)
 	qs := make([]core.Footprint, queries)
 	for i, qi := range qIdx {
-		qs[i] = db.Footprints[qi]
+		qs[i] = db.Row(qi)
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -66,13 +66,13 @@ func SketchSweep(w *Workload, gs []int, queries, k, workers int, seed int64) Ske
 	want := make([][]search.Result, queries)
 	start := time.Now()
 	for i, qi := range qIdx {
-		want[i] = lin.TopK(db.Footprints[qi], k)
+		want[i] = lin.TopK(db.Row(qi), k)
 	}
 	rep.LinearSeconds = time.Since(start).Seconds()
 
 	start = time.Now()
 	for _, qi := range qIdx {
-		uc.TopK(db.Footprints[qi], k)
+		uc.TopK(db.Row(qi), k)
 	}
 	rep.UserCentricSeconds = time.Since(start).Seconds()
 
@@ -86,7 +86,7 @@ func SketchSweep(w *Workload, gs []int, queries, k, workers int, seed int64) Ske
 		var cand, scored, refined int
 		start = time.Now()
 		for i, qi := range qIdx {
-			res, st := uc.TopKSketchStats(db.Footprints[qi], k)
+			res, st := uc.TopKSketchStats(db.Row(qi), k)
 			cand += st.Candidates
 			scored += st.Scored
 			refined += st.Refined

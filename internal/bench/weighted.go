@@ -61,11 +61,11 @@ func WeightedComparison(w *Workload, queries, k int, seed int64) (WeightedResult
 		self := w.DB.IDs[q]
 
 		start := time.Now()
-		ur := uIdx.TopK(w.DB.Footprints[q], k+1)
+		ur := uIdx.TopK(w.DB.Row(q), k+1)
 		uTime += time.Since(start)
 
 		start = time.Now()
-		wr := wIdx.TopK(wdb.Footprints[q], k+1)
+		wr := wIdx.TopK(wdb.Row(q), k+1)
 		wTime += time.Since(start)
 
 		ur = dropSelf(ur, self, k)

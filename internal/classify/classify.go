@@ -81,7 +81,7 @@ func (c *Classifier) ClassifyUser(id int) (Prediction, error) {
 	if !ok {
 		return Prediction{}, fmt.Errorf("classify: unknown user ID %d", id)
 	}
-	res := c.idx.TopK(c.db.Footprints[i], c.k+1+len(c.labels))
+	res := c.idx.TopK(c.db.Row(i), c.k+1+len(c.labels))
 	p := Prediction{Votes: map[string]float64{}}
 	for _, r := range res {
 		if r.ID == id {

@@ -103,12 +103,16 @@ func (m *Matrix) Set(i, j int, v float64) {
 func DistanceMatrix(db *store.FootprintDB, idxs []int, workers int) *Matrix {
 	n := len(idxs)
 	m := NewMatrix(n)
+	rows := make([]core.Footprint, n)
+	for i, u := range idxs {
+		rows[i] = db.Row(u)
+	}
 	par.For(n, workers, 1, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			fi := db.Footprints[idxs[i]]
+			fi := rows[i]
 			ni := db.Norms[idxs[i]]
 			for j := i + 1; j < n; j++ {
-				sim := core.SimilarityJoin(fi, db.Footprints[idxs[j]], ni, db.Norms[idxs[j]])
+				sim := core.SimilarityJoin(fi, rows[j], ni, db.Norms[idxs[j]])
 				m.Set(i, j, 1-sim)
 			}
 		}

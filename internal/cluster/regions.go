@@ -56,7 +56,7 @@ func CharacteristicRegions(db *store.FootprintDB, idxs []int, labels []int, k in
 		}
 		sizes[c]++
 		seen := make(map[int]bool)
-		for _, reg := range db.Footprints[dbIdx] {
+		for _, reg := range db.Row(dbIdx) {
 			r := reg.Rect
 			x0 := clampCell(int(r.MinX/cell), n)
 			x1 := clampCell(int(r.MaxX/cell), n)

@@ -195,7 +195,7 @@ func (s *Snapshot) HasSketches() bool { return s.CellStarts != nil }
 
 // Close unmaps the backing mapping, if any. After Close every column
 // slice of a zero-copy snapshot is invalid; callers that materialised
-// or copied out of the snapshot (store.Load does not — it aliases) must
+// or copied out of the snapshot (store.Open does not — it aliases) must
 // not Close while those aliases live. Heap-backed snapshots are a
 // no-op. Close is idempotent.
 func (s *Snapshot) Close() error {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"sync"
 
 	"geofootprint/internal/core"
 	"geofootprint/internal/par"
@@ -42,12 +43,20 @@ func (e *QueryEngine) TopKInCtx(ctx context.Context, q core.Footprint, k int, in
 	return e.query(ctx, q, search.AdHoc, k, in, nil)
 }
 
+// rowPool holds the buffers TopKRowCtx reads its query row into, so a
+// row query allocates nothing for it on either backing.
+var rowPool = sync.Pool{New: func() any { return new(core.Footprint) }}
+
 // TopKRowCtx is TopKCtx with stored user u's row as the query: its
 // footprint, and the norm and sketch the database holds for it, which
-// an ad-hoc query computes. The answer is TopKCtx's over
-// db.Footprints[u], bit for bit.
+// an ad-hoc query computes. The answer is TopKCtx's over db.Row(u),
+// bit for bit.
 func (e *QueryEngine) TopKRowCtx(ctx context.Context, u, k int) ([]search.Result, error) {
-	return e.query(ctx, e.db.Footprints[u], u, k, nil, nil)
+	row := rowPool.Get().(*core.Footprint)
+	*row = e.db.AppendRow((*row)[:0], u)
+	res, err := e.query(ctx, *row, u, k, nil, nil)
+	rowPool.Put(row)
+	return res, err
 }
 
 // query is the call every entry point makes: search.TopK over the

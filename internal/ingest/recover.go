@@ -40,7 +40,7 @@ func writeSnapshotFile(fsys faultfs.FS, path string, state State, db *store.Foot
 // report store.ErrCorruptSnapshot, so the caller can distinguish
 // damaged durable state from a first boot.
 func readSnapshotFile(fsys faultfs.FS, path, name string) (*store.FootprintDB, State, error) {
-	db, blob, err := store.LoadMetaFS(fsys, path)
+	db, blob, err := store.OpenMetaFS(fsys, path)
 	if os.IsNotExist(err) {
 		return &store.FootprintDB{Name: name}, State{}, nil
 	}

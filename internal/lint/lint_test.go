@@ -44,6 +44,11 @@ func TestSortedFootprint(t *testing.T) {
 		"./internal/lint/testdata/src/sortedfootprint/a")
 }
 
+func TestFootprintRead(t *testing.T) {
+	analysistest.Run(t, lint.FootprintRead,
+		"./internal/lint/testdata/src/footprintread/a")
+}
+
 func TestEpochMut(t *testing.T) {
 	analysistest.Run(t, lint.EpochMut,
 		"./internal/lint/testdata/src/epochmut/a")

@@ -41,23 +41,29 @@ var dbSliceFields = map[string]bool{
 
 func runSortedFootprint(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					reportDBWrite(pass, lhs)
-				}
-			case *ast.IncDecStmt:
-				reportDBWrite(pass, n.X)
-			case *ast.CallExpr:
-				if isBuiltin(pass.TypesInfo, n, "append") && len(n.Args) > 0 {
-					reportDBWrite(pass, n.Args[0])
-				}
-			}
-			return true
-		})
+		eachWriteTarget(pass, file, func(e ast.Expr) { reportDBWrite(pass, e) })
 	}
 	return nil
+}
+
+// eachWriteTarget calls fn with every expression file writes through:
+// assignment and inc/dec left-hand sides and append destinations.
+func eachWriteTarget(pass *analysis.Pass, file *ast.File, fn func(ast.Expr)) {
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				fn(lhs)
+			}
+		case *ast.IncDecStmt:
+			fn(n.X)
+		case *ast.CallExpr:
+			if isBuiltin(pass.TypesInfo, n, "append") && len(n.Args) > 0 {
+				fn(n.Args[0])
+			}
+		}
+		return true
+	})
 }
 
 // reportDBWrite flags e when it writes into a FootprintDB parallel

@@ -4,10 +4,12 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"geofootprint/internal/colstore"
 	"geofootprint/internal/core"
+	"geofootprint/internal/geom"
 	"geofootprint/internal/store"
 )
 
@@ -31,8 +33,9 @@ func exactRanking(t *testing.T, label string, got, want []Result) {
 // TestColumnarBackingEquivalence is the end-to-end acceptance property
 // of the columnar snapshot: a database in memory and the same database
 // saved and loaded through the columnar read path and the columnar mmap
-// path must produce bit-identical top-k results for every search
-// method, every k.
+// path, or opened column-only (the serving path, whose regions live
+// only in the columns), must produce bit-identical top-k results for
+// every search method, every k.
 func TestColumnarBackingEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(4096))
 	db := testDB(t, rng, 300)
@@ -52,6 +55,9 @@ func TestColumnarBackingEquivalence(t *testing.T) {
 		backings["col-mmap"] = mm
 	} else {
 		t.Logf("mmap unavailable, skipping that backing: %v", err)
+	}
+	if backings["col-open"], err = store.Open(colPath); err != nil {
+		t.Fatalf("open column-only: %v", err)
 	}
 
 	type methods struct {
@@ -97,13 +103,48 @@ func TestColumnarBackingEquivalence(t *testing.T) {
 		}
 	}
 
+	// The whole-corpus loops read every row through the accessors: on
+	// the column-only backing they must see every user, and score them
+	// with the same bits.
+	refGraph := KNNGraph(built["aos"].uc, 5, 2)
+	refPairs := TopSimilarPairs(built["aos"].uc, 20, 2)
+	refGrid, err := NewGridIndex(db, unitSquare, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range built {
+		graph := KNNGraph(m.uc, 5, 2)
+		for u := range refGraph {
+			exactRanking(t, name+"/knngraph", graph[u], refGraph[u])
+		}
+		if pairs := TopSimilarPairs(m.uc, 20, 2); !slices.Equal(pairs, refPairs) || len(pairs) == 0 {
+			t.Fatalf("%s: TopSimilarPairs %v, want %v", name, pairs, refPairs)
+		}
+		grid, err := NewGridIndex(backings[name], unitSquare, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi, q := range queries {
+			exactRanking(t, name+"/grid/q"+string(rune('0'+qi)), grid.TopK(q, 5), refGrid.TopK(q, 5))
+		}
+	}
+
 	for name, b := range backings {
 		wantBacked := name != "aos"
 		if b.ColumnarBacked() != wantBacked {
 			t.Fatalf("%s: ColumnarBacked = %v, want %v", name, b.ColumnarBacked(), wantBacked)
 		}
+		wantBacking := "materialised"
+		if name == "col-open" {
+			wantBacking = "columns"
+		}
+		if got := b.Backing(); got != wantBacking {
+			t.Fatalf("%s: backing %q after every query, want %q", name, got, wantBacking)
+		}
 	}
 }
+
+var unitSquare = geom.Rect{MaxX: 1, MaxY: 1}
 
 // TestColumnarBackingEquivalenceDegenerate covers the edge queries on
 // a columnar-backed database: nil, zero-area, disjoint.

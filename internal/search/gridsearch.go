@@ -28,7 +28,9 @@ func NewGridIndex(db *store.FootprintDB, world geom.Rect, n int) (*GridIndex, er
 		return nil, err
 	}
 	ix := &GridIndex{db: db, g: g}
-	for u, f := range db.Footprints {
+	var f core.Footprint
+	for u := range db.IDs {
+		f = db.AppendRow(f[:0], u)
 		for r, reg := range f {
 			g.Insert(reg.Rect, packPayload(u, r))
 		}

@@ -34,7 +34,7 @@ func KNNGraph(ix *UserCentricIndex, k, workers int) [][]Result {
 // excluding u: the one loop queried with u's row.
 func neighboursOf(ix *UserCentricIndex, u, k int) []Result {
 	db := ix.db
-	res, _ := TopK(context.Background(), db, ix, db.Footprints[u], u, k+1, nil, nil)
+	res, _ := TopK(context.Background(), db, ix, db.Row(u), u, k+1, nil, nil)
 	out := make([]Result, 0, k)
 	for _, r := range res {
 		if r.ID == db.IDs[u] {

@@ -77,17 +77,22 @@ func TopSimilarPairs(ix *UserCentricIndex, k, workers int) []Pair {
 	}
 	locals := make([]pairHeap, workers)
 	par.For(n, workers, 1, func(w, lo, hi int) {
+		var fu core.Footprint
 		for u := lo; u < hi; u++ {
 			if db.Norms[u] == 0 {
 				continue
 			}
-			fu, nu := db.Footprints[u], db.Norms[u]
+			// Each unordered pair {v, u}, v < u, is scored once, here,
+			// with the lower index in the R role: stored row v against
+			// u's row as the query.
+			fu = db.AppendRow(fu[:0], u)
+			nu := db.Norms[u]
 			ix.tree.Search(db.MBRs[u], func(e rtree.Entry) bool {
 				v := int(e.Data)
-				if v <= u { // score each unordered pair once
+				if v >= u {
 					return true
 				}
-				sim := core.SimilarityJoin(fu, db.Footprints[v], nu, db.Norms[v])
+				sim := db.UserSimilarity(v, fu, nu)
 				if sim > 0 {
 					a, b := db.IDs[u], db.IDs[v]
 					if b < a {

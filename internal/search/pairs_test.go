@@ -57,6 +57,16 @@ func TestTopSimilarPairsMatchesBruteForce(t *testing.T) {
 			if got[i].A >= got[i].B {
 				t.Fatalf("pair not ordered: %+v", got[i])
 			}
+			// The score is Algorithm 4's with the lower dense index in
+			// the R role, bit for bit.
+			lo, _ := db.IndexOf(got[i].A)
+			hi, _ := db.IndexOf(got[i].B)
+			if hi < lo {
+				lo, hi = hi, lo
+			}
+			if want := core.SimilarityJoin(db.Footprints[lo], db.Footprints[hi], db.Norms[lo], db.Norms[hi]); math.Float64bits(got[i].Score) != math.Float64bits(want) {
+				t.Fatalf("k=%d pair %d scores %v, Algorithm 4 %v", k, i, got[i].Score, want)
+			}
 		}
 	}
 }

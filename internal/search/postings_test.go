@@ -71,7 +71,7 @@ func TestBoundSidesIdentical(t *testing.T) {
 			t.Fatalf("%s: frozen copy is columnar-backed=%v", backing, ready.ColumnarBacked())
 		}
 		restrictions := testRestrictions(rng, db.Len())
-		queries := append(clusteredFootprints(rng, 6, 12), db.Footprints[3], db.Footprints[17])
+		queries := append(clusteredFootprints(rng, 6, 12), db.Row(3), db.Row(17))
 		ctx := context.Background()
 		for name, src := range testSources(t, db) {
 			for qi, q := range queries {

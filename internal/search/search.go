@@ -73,7 +73,7 @@ func (s *LinearScan) TopKCtx(ctx context.Context, q core.Footprint, k int) ([]Re
 		return nil, nil
 	}
 	col := topk.New(k)
-	for i := range s.db.Footprints {
+	for i := range s.db.IDs {
 		if i&(cancelStride-1) == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -128,17 +128,20 @@ const (
 // maxEntries <= 0 selects the default node capacity.
 func NewRoIIndex(db *store.FootprintDB, mode BuildMode, maxEntries int) *RoIIndex {
 	ix := &RoIIndex{db: db}
+	var f core.Footprint
 	switch mode {
 	case BuildInsert:
 		ix.tree = rtree.New(maxEntries)
-		for u, f := range db.Footprints {
+		for u := range db.IDs {
+			f = db.AppendRow(f[:0], u)
 			for r, reg := range f {
 				ix.tree.Insert(reg.Rect, packPayload(u, r))
 			}
 		}
 	default:
 		entries := make([]rtree.Entry, 0, db.NumRegions())
-		for u, f := range db.Footprints {
+		for u := range db.IDs {
+			f = db.AppendRow(f[:0], u)
 			for r, reg := range f {
 				entries = append(entries, rtree.Entry{Rect: reg.Rect, Data: packPayload(u, r)})
 			}

@@ -49,7 +49,7 @@ func AllUsers(db *store.FootprintDB) Source { return allUsers{db} }
 type allUsers struct{ db *store.FootprintDB }
 
 func (s allUsers) Nominate(_ context.Context, _ core.Footprint, buf []int) ([]int, error) {
-	for u := range s.db.Footprints {
+	for u := range s.db.IDs {
 		buf = append(buf, u)
 	}
 	return buf, nil

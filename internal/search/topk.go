@@ -106,7 +106,7 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 const AdHoc = -1
 
 // queryNorm is q's norm: the stored one when q is db's row `row`
-// (db.Norms[row] is core.Norm(db.Footprints[row]), bit for bit).
+// (db.Norms[row] is core.Norm(db.Row(row)), bit for bit).
 func queryNorm(db *store.FootprintDB, q core.Footprint, row int) float64 {
 	if row == AdHoc {
 		return core.Norm(q)

@@ -66,7 +66,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown user")
 		return
 	}
-	ex := search.Explain(db.Footprints[ia], db.Footprints[ib],
+	ex := search.Explain(db.Row(ia), db.Row(ib),
 		db.Norms[ia], db.Norms[ib], pairs)
 	out := explanationJSON{
 		Similarity:    ex.Similarity,
@@ -122,12 +122,13 @@ func (s *Server) handleListUsers(w http.ResponseWriter, r *http.Request) {
 	out := userListJSON{Total: db.Len(), Next: -1, Users: []userSummaryJSON{}}
 	i := offset
 	for ; i < db.Len() && len(out.Users) < limit; i++ {
-		if len(db.Footprints[i]) == 0 {
+		n := db.RowLen(i)
+		if n == 0 {
 			continue
 		}
 		out.Users = append(out.Users, userSummaryJSON{
 			ID:      db.IDs[i],
-			Regions: len(db.Footprints[i]),
+			Regions: n,
 			Norm:    db.Norms[i],
 		})
 	}

@@ -302,11 +302,15 @@ func writeBodyError(w http.ResponseWriter, err error) {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	ep, v := s.acquire()
-	users, regions, seq := v.DB().Len(), v.DB().NumRegions(), ep.Seq()
+	db := v.DB()
+	users, regions, backing, seq := db.Len(), db.NumRegions(), db.Backing(), ep.Seq()
 	ep.Release()
 	out := map[string]interface{}{
 		"status": "ok", "users": users, "regions": regions,
-		"epoch": s.epochs.Stats(),
+		// "columns" until a write to an opened database has paid for
+		// the AoS copy of its regions, "materialised" after.
+		"backing": backing,
+		"epoch":   s.epochs.Stats(),
 		// epoch_seq is the epoch this probe actually pinned — flat, so
 		// the router can log which epoch answered without digging into
 		// the stats object.
@@ -373,7 +377,7 @@ func (s *Server) handleGetUser(w http.ResponseWriter, r *http.Request) {
 	m := db.MBRs[i]
 	writeJSON(w, http.StatusOK, userJSON{
 		ID:      id,
-		Regions: fromFootprint(db.Footprints[i]),
+		Regions: fromFootprint(db.Row(i)),
 		Norm:    db.Norms[i],
 		MBR:     [4]float64{m.MinX, m.MinY, m.MaxX, m.MaxY},
 	})
@@ -507,7 +511,7 @@ func (s *Server) handlePairwise(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown user")
 		return
 	}
-	sim := db.UserSimilarity(ia, db.Footprints[ib], db.Norms[ib])
+	sim := db.UserSimilarity(ia, db.Row(ib), db.Norms[ib])
 	writeJSON(w, http.StatusOK, map[string]float64{"similarity": sim})
 }
 
@@ -603,7 +607,7 @@ func (s *Server) handleDeleteUser(w http.ResponseWriter, r *http.Request) {
 	// absent so deletes are not silently idempotent.
 	db := s.builder.DB()
 	u, ok := db.IndexOf(id)
-	if !ok || len(db.Footprints[u]) == 0 {
+	if !ok || db.RowLen(u) == 0 {
 		writeError(w, http.StatusNotFound, "unknown user %d", id)
 		return
 	}

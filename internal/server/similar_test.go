@@ -67,7 +67,7 @@ func TestSimilarHitAllocs(t *testing.T) {
 func similarOracle(db *store.FootprintDB, id, k int, excludeSelf bool) string {
 	u, _ := db.IndexOf(id)
 	out := make([]resultJSON, 0, k)
-	for _, r := range search.NewLinearScan(db).TopK(db.Footprints[u], k+1) {
+	for _, r := range search.NewLinearScan(db).TopK(db.Row(u), k+1) {
 		if excludeSelf && r.ID == id {
 			continue
 		}

@@ -16,21 +16,24 @@ import (
 // This file binds FootprintDB to the columnar snapshot format
 // (internal/colstore): conversion in both directions, the single
 // crash-atomic writer seam (WriteColumnarFS — the colwrite analyzer
-// flags columnar encodes anywhere else on a persistence path), the one
-// load path and its error classification, and the columnar fast-path
-// view the flattened kernels dispatch on.
+// flags columnar encodes anywhere else on a persistence path), the
+// load paths and their error classification, and the columnar view
+// the flattened kernels dispatch on.
 //
-// A database loaded from a columnar file carries two extra things:
+// A database opened from a columnar file carries two extra things:
 //
 //   - db.cols, the dense column view (core.RegionCols + CSR starts).
-//     The hot-path dispatch helpers (UserSimilarity, RegionWeight) run
-//     the flattened kernels when it is present and the classic slice
-//     kernels when not; results are bit-for-bit identical either way.
-//     (The sketch blocks need no view of their own: db.Sketches are
-//     slices of them.) Any mutation
-//     of the database detaches the view (the columns describe state
-//     that no longer exists), after which the same queries run on the
-//     materialised slices — correctness never depends on the view.
+//     An opened database (Open) holds its regions only there:
+//     Footprints stays nil, and every row reader — the kernels through
+//     the dispatch helpers (UserSimilarity, RegionWeight), everything
+//     else through Row, AppendRow and RowLen — reads the columns.
+//     Results are bit-for-bit identical to the slice kernels over the
+//     AoS footprints. (The sketch blocks need no view of their own:
+//     db.Sketches are slices of them.) The first mutation detaches the
+//     view (the columns describe state that no longer exists), and
+//     detachCols is where the AoS Footprints are built, once, by one
+//     O(regions) transpose; Load does the same transpose up front for
+//     the callers that want the slices, and keeps the view.
 //   - db.colSrc, which pins the snapshot (and its mmap, when the load
 //     was zero-copy) for the lifetime of the database. Norms and the
 //     sketch cell blocks alias the mapping directly; detaching the
@@ -60,41 +63,51 @@ type colView struct {
 
 // Columnar converts the database to a colstore.Snapshot, flattening
 // the per-user slices into dense columns in stored (MinX-sorted)
-// order. meta is an opaque blob stored in the file's CRC-guarded meta
-// section (nil for none); the ingest checkpoint keeps its sequence
-// number and open sessions there. The snapshot aliases db.Norms and
-// the sketch payloads; it is valid only while db is unmutated
-// (encode immediately, as Save and the checkpoint do).
+// order; a database whose column view is attached hands its columns
+// over as they are. meta is an opaque blob stored in the file's
+// CRC-guarded meta section (nil for none); the ingest checkpoint keeps
+// its sequence number and open sessions there. The snapshot aliases
+// db.Norms, the region columns and the sketch payloads; it is valid
+// only while db is unmutated (encode immediately, as Save and the
+// checkpoint do).
 func (db *FootprintDB) Columnar(meta []byte) *colstore.Snapshot {
 	users := db.Len()
-	total := db.NumRegions()
 	snap := &colstore.Snapshot{
-		Name:   db.Name,
-		Meta:   meta,
-		IDs:    make([]int64, users),
-		Starts: make([]int64, users+1),
-		MinX:   make([]float64, total),
-		MinY:   make([]float64, total),
-		MaxX:   make([]float64, total),
-		MaxY:   make([]float64, total),
-		Weight: make([]float64, total),
-		Norms:  db.Norms,
-		MBRs:   make([]float64, 4*users),
+		Name:  db.Name,
+		Meta:  meta,
+		IDs:   make([]int64, users),
+		Norms: db.Norms,
+		MBRs:  make([]float64, 4*users),
 	}
-	off := 0
-	for u, f := range db.Footprints {
-		snap.IDs[u] = int64(db.IDs[u])
-		snap.Starts[u] = int64(off)
-		for _, r := range f {
-			snap.MinX[off] = r.Rect.MinX
-			snap.MinY[off] = r.Rect.MinY
-			snap.MaxX[off] = r.Rect.MaxX
-			snap.MaxY[off] = r.Rect.MaxY
-			snap.Weight[off] = r.Weight
-			off++
+	for u, id := range db.IDs {
+		snap.IDs[u] = int64(id)
+	}
+	if c := db.cols; c != nil {
+		snap.Starts = c.starts
+		snap.MinX, snap.MinY, snap.MaxX, snap.MaxY, snap.Weight =
+			c.regions.MinX, c.regions.MinY, c.regions.MaxX, c.regions.MaxY, c.regions.W
+	} else {
+		total := db.NumRegions()
+		snap.Starts = make([]int64, users+1)
+		snap.MinX = make([]float64, total)
+		snap.MinY = make([]float64, total)
+		snap.MaxX = make([]float64, total)
+		snap.MaxY = make([]float64, total)
+		snap.Weight = make([]float64, total)
+		off := 0
+		for u, f := range db.Footprints {
+			snap.Starts[u] = int64(off)
+			for _, r := range f {
+				snap.MinX[off] = r.Rect.MinX
+				snap.MinY[off] = r.Rect.MinY
+				snap.MaxX[off] = r.Rect.MaxX
+				snap.MaxY[off] = r.Rect.MaxY
+				snap.Weight[off] = r.Weight
+				off++
+			}
 		}
+		snap.Starts[users] = int64(off)
 	}
-	snap.Starts[users] = int64(off)
 	if len(db.MBRs) == users {
 		for u, m := range db.MBRs {
 			snap.MBRs[4*u+0] = m.MinX
@@ -129,17 +142,15 @@ func (db *FootprintDB) Columnar(meta []byte) *colstore.Snapshot {
 	return snap
 }
 
-// FromColumnar materialises a FootprintDB from a decoded columnar
-// snapshot. The big payloads stay zero-copy where the in-memory
-// representation allows it: Norms and the per-user sketch slices alias
-// the snapshot's columns (and therefore the mmap on the zero-copy
-// path), the AoS Footprints are rebuilt with one O(regions) transpose
-// into a single backing array, and the columnar fast-path view is
-// attached so the flattened kernels serve queries straight from the
-// columns. A snapshot from a version-1 file has no peak block; it is
-// derived once here, in parallel, from the stored footprints
-// (sketch.FillPeak, the function Build uses), so its bits are those a
-// version-2 file would hold.
+// FromColumnar builds an opened FootprintDB over a decoded columnar
+// snapshot, copying no region: the column view serves every row read,
+// Norms and the per-user sketch slices alias the snapshot's columns
+// (and therefore the mmap on the zero-copy path), and Footprints stays
+// nil until the first mutation builds it (detachCols). Only IDs and
+// MBRs — O(users) — are converted. A snapshot from a version-1 file
+// has no peak block; it is derived once here, in parallel, from the
+// stored rows (sketch.FillPeak, the function Build uses), so its bits
+// are those a version-2 file would hold.
 func FromColumnar(snap *colstore.Snapshot) (*FootprintDB, error) {
 	users := snap.NumUsers()
 	db := &FootprintDB{
@@ -147,6 +158,14 @@ func FromColumnar(snap *colstore.Snapshot) (*FootprintDB, error) {
 		IDs:   make([]int, users),
 		Norms: snap.Norms,
 		MBRs:  make([]geom.Rect, users),
+		cols: &colView{
+			regions: core.RegionCols{
+				MinX: snap.MinX, MinY: snap.MinY,
+				MaxX: snap.MaxX, MaxY: snap.MaxY, W: snap.Weight,
+			},
+			starts: snap.Starts,
+		},
+		colSrc: snap,
 	}
 	for u := range db.IDs {
 		db.IDs[u] = int(snap.IDs[u])
@@ -157,19 +176,6 @@ func FromColumnar(snap *colstore.Snapshot) (*FootprintDB, error) {
 	}
 	if db.Norms == nil {
 		db.Norms = []float64{}
-	}
-	// One backing array for all regions; per-user footprints are
-	// capacity-bounded subslices so an AppendRoIs on one user can
-	// never grow into its neighbour's regions. The transpose is the
-	// only O(regions) work on the mmap load path, so it is chunked
-	// across CPUs — each goroutine owns a disjoint range, the result is
-	// deterministic.
-	regions := make([]core.Region, snap.NumRegions())
-	transposeRegions(regions, snap)
-	db.Footprints = make([]core.Footprint, users)
-	for u := range db.Footprints {
-		lo, hi := snap.Starts[u], snap.Starts[u+1]
-		db.Footprints[u] = core.Footprint(regions[lo:hi:hi])
 	}
 	if snap.HasSketches() {
 		p := sketch.Params{G: snap.SketchG, Domain: geom.Rect{
@@ -184,9 +190,11 @@ func FromColumnar(snap *colstore.Snapshot) (*FootprintDB, error) {
 		if snap.CellPeak == nil {
 			snap.CellPeak = make([]float32, len(snap.Cells))
 			par.For(users, 0, 256, func(_, first, end int) {
+				var row core.Footprint
 				for u := first; u < end; u++ {
 					lo, hi := snap.CellStarts[u], snap.CellStarts[u+1]
-					sketch.FillPeak(db.Footprints[u], p, snap.Cells[lo:hi], snap.CellPeak[lo:hi])
+					row = db.AppendRow(row[:0], u)
+					sketch.FillPeak(row, p, snap.Cells[lo:hi], snap.CellPeak[lo:hi])
 				}
 			})
 		}
@@ -201,25 +209,27 @@ func FromColumnar(snap *colstore.Snapshot) (*FootprintDB, error) {
 			}
 		}
 	}
-	db.colSrc = snap
-	db.cols = &colView{
-		regions: core.RegionCols{
-			MinX: snap.MinX, MinY: snap.MinY,
-			MaxX: snap.MaxX, MaxY: snap.MaxY, W: snap.Weight,
-		},
-		starts: snap.Starts,
-	}
 	return db, nil
 }
 
-// transposeRegions fills dst from the five parallel columns, in
-// parallel for large databases (cold-start latency is dominated by
-// this loop).
-func transposeRegions(dst []core.Region, snap *colstore.Snapshot) {
-	minx, miny, maxx, maxy, w := snap.MinX, snap.MinY, snap.MaxX, snap.MaxY, snap.Weight
-	par.For(len(dst), 0, 1<<14, func(_, lo, hi int) {
-		fillRegions(dst[lo:hi], minx[lo:hi], miny[lo:hi], maxx[lo:hi], maxy[lo:hi], w[lo:hi])
+// footprints transposes the columns into AoS footprints: one backing
+// array for all regions, the per-user footprints capacity-bounded
+// subslices of it, so an AppendRoIs on one user can never grow into
+// its neighbour's regions. The transpose is chunked across CPUs; each
+// goroutine owns a disjoint range, so the result is deterministic.
+func (c *colView) footprints() []core.Footprint {
+	users := len(c.starts) - 1
+	regions := make([]core.Region, c.starts[users])
+	r := &c.regions
+	par.For(len(regions), 0, 1<<14, func(_, lo, hi int) {
+		fillRegions(regions[lo:hi], r.MinX[lo:hi], r.MinY[lo:hi], r.MaxX[lo:hi], r.MaxY[lo:hi], r.W[lo:hi])
 	})
+	fps := make([]core.Footprint, users)
+	for u := range fps {
+		lo, hi := c.starts[u], c.starts[u+1]
+		fps[u] = core.Footprint(regions[lo:hi:hi])
+	}
+	return fps
 }
 
 // fillRegions is the sequential transpose kernel: column locals are
@@ -256,23 +266,28 @@ func WriteColumnarFS(fsys faultfs.FS, path string, snap *colstore.Snapshot) erro
 
 // LoadColumnar loads a columnar snapshot with an explicit mapping mode
 // — `geomigrate verify` uses it to pin down exactly which load path
-// ran. Errors are classified as LoadMetaFS classifies them.
+// ran — and materialises it (see Load). Errors are classified as
+// OpenMetaFS classifies them.
 func LoadColumnar(path string, mode colstore.Mode) (*FootprintDB, error) {
-	db, _, err := loadFS(faultfs.OS, path, mode)
-	return db, err
+	db, _, err := openFS(faultfs.OS, path, mode)
+	if err != nil {
+		return nil, err
+	}
+	db.materialise()
+	return db, nil
 }
 
-// LoadMetaFS loads a columnar snapshot through fsys with ModeAuto
-// mapping and returns its meta blob (nil for none) beside the database;
-// the ingest checkpoint keeps its state there. Every failure is absent
-// (os.IsNotExist), untrustworthy (ErrCorruptSnapshot: a file without
-// the columnar magic, a damaged file or an unknown version) or an I/O
-// error.
-func LoadMetaFS(fsys faultfs.FS, path string) (*FootprintDB, []byte, error) {
-	return loadFS(fsys, path, colstore.ModeAuto)
+// OpenMetaFS opens a columnar snapshot through fsys with ModeAuto
+// mapping, column-only (see Open), and returns its meta blob (nil for
+// none) beside the database; the ingest checkpoint keeps its state
+// there. Every failure is absent (os.IsNotExist), untrustworthy
+// (ErrCorruptSnapshot: a file without the columnar magic, a damaged
+// file or an unknown version) or an I/O error.
+func OpenMetaFS(fsys faultfs.FS, path string) (*FootprintDB, []byte, error) {
+	return openFS(fsys, path, colstore.ModeAuto)
 }
 
-func loadFS(fsys faultfs.FS, path string, mode colstore.Mode) (*FootprintDB, []byte, error) {
+func openFS(fsys faultfs.FS, path string, mode colstore.Mode) (*FootprintDB, []byte, error) {
 	snap, err := colstore.OpenFS(fsys, path, mode)
 	switch {
 	case err == nil:
@@ -297,15 +312,42 @@ func loadFS(fsys faultfs.FS, path string, mode colstore.Mode) (*FootprintDB, []b
 // columnar load).
 func (db *FootprintDB) ColumnarBacked() bool { return db.cols != nil }
 
+// colsOnly reports whether the columns are the database's only copy of
+// its regions: opened, and not yet written.
+func (db *FootprintDB) colsOnly() bool { return db.cols != nil && db.Footprints == nil }
+
+// Backing names where the database's regions live, for /healthz:
+// "columns" while an opened database holds them only in its snapshot's
+// columns, "materialised" once the AoS Footprints exist (a write to an
+// opened database, Load, or a database built in memory).
+func (db *FootprintDB) Backing() string {
+	if db.colsOnly() {
+		return "columns"
+	}
+	return "materialised"
+}
+
+// materialise builds the AoS Footprints from the columns of an opened
+// database, keeping the column view. Load runs it up front; otherwise
+// only detachCols does, at the first write.
+func (db *FootprintDB) materialise() {
+	if db.colsOnly() {
+		db.Footprints = db.cols.footprints()
+	}
+}
+
 // detachCols is called by every mutation that changes footprint
 // geometry or the user axis: the columns describe state that no
-// longer exists, so the dispatch helpers must fall back to the
-// materialised slices. The view pointer is replaced, never mutated —
-// frozen epochs sharing the old pointer keep serving their (still
-// consistent) pre-mutation state. colSrc survives so the mmap backing
-// Norms/sketch aliases stays alive. The sketch transpose goes too: it
-// is indexed by the user axis and holds copies of the sketch rows.
+// longer exists, so the rows must live in the AoS Footprints from now
+// on. On an opened database this is where they are built — the one
+// O(regions) transpose an opened database ever pays, at its first
+// write. The view pointer is replaced, never mutated — frozen epochs
+// sharing the old pointer keep serving their (still consistent)
+// pre-mutation state. colSrc survives so the mmap backing Norms/sketch
+// aliases stays alive. The sketch transpose goes too: it is indexed by
+// the user axis and holds copies of the sketch rows.
 func (db *FootprintDB) detachCols() {
+	db.materialise()
 	db.cols = nil
 	db.dropPostings()
 }

@@ -56,7 +56,7 @@ func sameDB(t *testing.T, want, got *FootprintDB) {
 		if want.MBRs[i] != got.MBRs[i] {
 			t.Fatalf("mbr[%d] %+v != %+v", i, got.MBRs[i], want.MBRs[i])
 		}
-		fw, fg := want.Footprints[i], got.Footprints[i]
+		fw, fg := want.Row(i), got.Row(i)
 		if len(fw) != len(fg) {
 			t.Fatalf("footprint[%d] has %d regions, want %d", i, len(fg), len(fw))
 		}

@@ -119,7 +119,13 @@ func (db *FootprintDB) Merge(other *FootprintDB) error {
 			return fmt.Errorf("store: merge would duplicate user ID %d", id)
 		}
 	}
-	for _, f := range other.Footprints {
+	incoming := other.Footprints
+	if other.colsOnly() {
+		// An opened database's rows are sorted (validated at open);
+		// they are copied out, and other stays column-only.
+		incoming = other.cols.footprints()
+	}
+	for _, f := range incoming {
 		if !core.IsSortedByMinX(f) {
 			core.SortByMinX(f)
 		}
@@ -127,7 +133,7 @@ func (db *FootprintDB) Merge(other *FootprintDB) error {
 	db.detachCols()
 	base := len(db.IDs)
 	db.IDs = append(db.IDs, other.IDs...)
-	db.Footprints = append(db.Footprints, other.Footprints...)
+	db.Footprints = append(db.Footprints, incoming...)
 	db.Norms = append(db.Norms, other.Norms...)
 	db.MBRs = append(db.MBRs, other.MBRs...)
 	if db.SketchesEnabled() {

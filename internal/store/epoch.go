@@ -260,6 +260,7 @@ func (b *EpochBuilder) growOwned(i int) {
 // a snapshot, the builder replaces it with a private copy so in-place
 // sorting (AppendRoIs) cannot tear a published footprint.
 func (b *EpochBuilder) ensureOwned(i int) {
+	b.db.detachCols() // an opened database builds its rows first
 	b.growOwned(i)
 	if b.owned[i] == b.gen {
 		return
@@ -366,8 +367,10 @@ func (b *EpochBuilder) Freeze() *FootprintDB {
 	// builder's copy-on-write discipline means the frozen state is
 	// exactly the state the columns describe (the builder detaches its
 	// own view on the first mutation after load, so a stale view can
-	// never be frozen). colSrc rides along to keep the mmap pinned for
-	// the epoch's lifetime.
+	// never be frozen). Before that first mutation the columns are the
+	// only copy of the regions, and builder and snapshot both have nil
+	// Footprints. colSrc rides along to keep the mmap pinned for the
+	// epoch's lifetime.
 	snap.cols = db.cols
 	snap.colSrc = db.colSrc
 	// Everything the snapshot references is now shared: bump the

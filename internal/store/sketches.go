@@ -1,6 +1,7 @@
 package store
 
 import (
+	"geofootprint/internal/core"
 	"geofootprint/internal/geom"
 	"geofootprint/internal/par"
 	"geofootprint/internal/sketch"
@@ -38,11 +39,13 @@ func (db *FootprintDB) EnableSketches(g, workers int) {
 		union = union.Extend(m)
 	}
 	db.SketchParams = sketch.Params{G: g, Domain: sketch.FitDomain(union)}
-	db.Sketches = make([]sketch.Sketch, len(db.Footprints))
+	db.Sketches = make([]sketch.Sketch, db.Len())
 
-	par.For(len(db.Footprints), workers, 16, func(_, lo, hi int) {
+	par.For(db.Len(), workers, 16, func(_, lo, hi int) {
+		var row core.Footprint
 		for i := lo; i < hi; i++ {
-			db.Sketches[i] = sketch.Build(db.Footprints[i], db.SketchParams)
+			row = db.AppendRow(row[:0], i)
+			db.Sketches[i] = sketch.Build(row, db.SketchParams)
 		}
 	})
 }

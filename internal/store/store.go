@@ -11,6 +11,7 @@ import (
 	"io"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync/atomic"
 
 	"geofootprint/internal/colstore"
@@ -27,10 +28,14 @@ import (
 // Euclidean norm ||F(u)|| (Equation 2, computed with Algorithm 2) and
 // its MBR (the key of the user-centric index of Section 6.2). The
 // parallel slices are indexed by a dense user index; IDs maps back to
-// external user identifiers.
+// external user identifiers. An opened database (Open) leaves
+// Footprints nil and keeps its regions in the snapshot's columns until
+// its first mutation; read rows through Row, AppendRow and RowLen,
+// which serve both (the footprintread analyzer flags direct reads of
+// Footprints outside this package).
 //
 // Invariant: every stored footprint is sorted by Rect.MinX. All ingest
-// paths (Build, FromFootprints, Load, Upsert, AppendRoIs) establish it,
+// paths (Build, FromFootprints, Open, Upsert, AppendRoIs) establish it,
 // so the join-based Algorithm 4 — the kernel of every search method —
 // takes its allocation-free sorted fast path on every call instead of
 // copying and re-sorting.
@@ -55,10 +60,11 @@ type FootprintDB struct {
 	byID map[int]int // lazily built ID → index
 
 	// Columnar fast-path state (set by FromColumnar, see columnar.go).
-	// cols is the dense column view the flattened kernels dispatch on;
-	// dropped by detachCols on any mutation. colSrc pins the decoded
-	// snapshot — and its mmap on the zero-copy path — for as long as
-	// Norms or the sketch slices may alias it; it is never cleared.
+	// cols is the dense column view the flattened kernels and the row
+	// accessors read; dropped by detachCols on any mutation. colSrc
+	// pins the decoded snapshot — and its mmap on the zero-copy path —
+	// for as long as Norms or the sketch slices may alias it; it is
+	// never cleared.
 	cols   *colView
 	colSrc *colstore.Snapshot
 
@@ -125,9 +131,9 @@ func New(name string, ids []int, fps []core.Footprint) (*FootprintDB, error) {
 	return &FootprintDB{Name: name, IDs: ids, Footprints: fps}, nil
 }
 
-// ComputeNorms (re)computes the norm and MBR of every footprint, on
-// `workers` goroutines (GOMAXPROCS if <= 0) — the preprocessing phase
-// of Section 5.1.
+// ComputeNorms (re)computes the norm and MBR of every footprint of a
+// database built in memory (New's output), on `workers` goroutines
+// (GOMAXPROCS if <= 0) — the preprocessing phase of Section 5.1.
 func (db *FootprintDB) ComputeNorms(workers int) {
 	n := len(db.Footprints)
 	db.Norms = make([]float64, n)
@@ -168,11 +174,50 @@ func (db *FootprintDB) ensureByID() {
 // NumRegions returns the total number of footprint regions across all
 // users.
 func (db *FootprintDB) NumRegions() int {
+	if c := db.cols; c != nil {
+		return int(c.starts[len(c.starts)-1])
+	}
 	n := 0
 	for _, f := range db.Footprints {
 		n += len(f)
 	}
 	return n
+}
+
+// Row returns user u's stored footprint, read-only: the stored slice
+// itself once the database is materialised, a fresh copy read from the
+// columns while an opened database holds its regions only there. Loops
+// use AppendRow with a reused buffer instead.
+func (db *FootprintDB) Row(u int) core.Footprint {
+	if db.colsOnly() {
+		return db.AppendRow(nil, u)
+	}
+	return db.Footprints[u]
+}
+
+// AppendRow appends user u's stored regions, in stored (MinX-sorted)
+// order, to dst and returns the extended slice.
+func (db *FootprintDB) AppendRow(dst core.Footprint, u int) core.Footprint {
+	c := db.cols
+	if c == nil {
+		return append(dst, db.Footprints[u]...)
+	}
+	lo, hi := int(c.starts[u]), int(c.starts[u+1])
+	dst = slices.Grow(dst, hi-lo)
+	n := len(dst)
+	dst = dst[:n+hi-lo]
+	r := &c.regions
+	fillRegions(dst[n:], r.MinX[lo:hi], r.MinY[lo:hi], r.MaxX[lo:hi], r.MaxY[lo:hi], r.W[lo:hi])
+	return dst
+}
+
+// RowLen returns the number of regions user u holds (0 for a
+// tombstone).
+func (db *FootprintDB) RowLen(u int) int {
+	if c := db.cols; c != nil {
+		return int(c.starts[u+1] - c.starts[u])
+	}
+	return len(db.Footprints[u])
 }
 
 // Save writes the database to path in the columnar snapshot format,
@@ -259,10 +304,23 @@ func WriteFileAtomicFS(fsys faultfs.FS, path string, write func(io.Writer) error
 	return nil
 }
 
-// Load reads a database previously written by Save, preferring
-// zero-copy mmap. A file that is not a columnar snapshot, or one that
-// is damaged, reports ErrCorruptSnapshot; a missing file stays
+// Open opens a database previously written by Save, column-only and
+// preferring zero-copy mmap: the regions stay in the snapshot's
+// columns, which every row reader and kernel reads, and Footprints
+// stays nil until the first mutation builds it (see detachCols). This
+// is the serving load path; what it allocates grows with the users, not
+// the regions. A file that is not a columnar snapshot, or one that is
+// damaged, reports ErrCorruptSnapshot; a missing file stays
 // os.IsNotExist.
+func Open(path string) (*FootprintDB, error) {
+	db, _, err := openFS(faultfs.OS, path, colstore.ModeAuto)
+	return db, err
+}
+
+// Load is Open followed by one O(regions) transpose into the AoS
+// Footprints, for the callers (tools, the facade) that read them
+// directly; the column view stays attached, so queries still run the
+// flattened kernels. Errors are Open's.
 func Load(path string) (*FootprintDB, error) {
 	return LoadColumnar(path, colstore.ModeAuto)
 }
