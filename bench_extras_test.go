@@ -5,6 +5,7 @@ package geofootprint
 // explanations.
 
 import (
+	"context"
 	"testing"
 
 	"geofootprint/internal/search"
@@ -16,7 +17,7 @@ func BenchmarkExtrasTopPairs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		search.TopSimilarPairs(ix, 20, 0)
+		search.TopSimilarPairs(context.Background(), ix, 20, 0)
 	}
 }
 

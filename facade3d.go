@@ -1,6 +1,7 @@
 package geofootprint
 
 import (
+	"context"
 	"geofootprint/internal/classify"
 	"geofootprint/internal/core"
 	"geofootprint/internal/d3"
@@ -126,7 +127,8 @@ type Pair = search.Pair
 // the index's database (the similarity self-join), best-first, using
 // all CPUs.
 func TopSimilarPairs(ix *UserCentricIndex, k int) []Pair {
-	return search.TopSimilarPairs(ix, k, 0)
+	pairs, _ := search.TopSimilarPairs(context.Background(), ix, k, 0) // never cancels
+	return pairs
 }
 
 // CompactFootprint rewrites a footprint as its disjoint-region

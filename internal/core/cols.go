@@ -1,11 +1,12 @@
 package core
 
-// RegionCols is the columnar (structure-of-arrays) view of a set of
-// footprints: five parallel float64 columns over all regions of a
-// database, in each footprint's MinX-sorted order, with footprints
-// addressed as contiguous [lo, hi) ranges (the CSR layout of the
-// colstore snapshot). The columns may alias an mmap'd snapshot file;
-// the holder (store.FootprintDB) keeps that mapping alive.
+// RegionCols is the columnar (structure-of-arrays) layout of a set of
+// footprints: five parallel float64 columns over their regions, in
+// each footprint's MinX-sorted order, with footprints addressed as
+// contiguous [lo, hi) ranges (the CSR layout of the colstore
+// snapshot). The columns may alias an mmap'd snapshot file; the holder
+// (store.FootprintDB, whose chunks each hold one) keeps that mapping
+// alive.
 type RegionCols struct {
 	MinX, MinY, MaxX, MaxY, W []float64
 }
@@ -28,8 +29,8 @@ type RegionCols struct {
 //
 // The stored side is NOT re-checked for sortedness: the columnar
 // loader validates the MinX order of every footprint at open, and the
-// store detaches the columnar view before any mutation, so a column
-// range can never be unsorted where a live []Region footprint could.
+// store writes a row into its chunk only once it is sorted, so a
+// column range is never unsorted.
 // The query side runs through the same ensureSorted fast path as
 // SimilarityJoin (and panics under -tags strictsort when violated).
 //

@@ -50,6 +50,13 @@ const DefaultReplicas = 128
 // MapVersion is the current shard-map file format version.
 const MapVersion = 1
 
+// MaxRingPoints bounds a ring's virtual nodes, shards × replicas. A
+// shard rebuilds the ring on its request path from the shard list and
+// vnode count a segment query carries, so the count must be bounded
+// where every map is checked: 65 536 points is 512 shards at
+// DefaultReplicas, 64 times this system's largest target.
+const MaxRingPoints = 1 << 16
+
 // Shard is one geoserve instance in the map: a stable identifier
 // (used for hashing, logging and /healthz cross-checks) and the base
 // URL the router dials.
@@ -80,11 +87,12 @@ type Map struct {
 }
 
 // Validate checks the structural invariants the router and ring rely
-// on: supported version, at least one shard, and non-empty, unique
-// shard IDs and addresses. A duplicate shard ID would make ownership
-// ambiguous (two shards claiming the same hash points), which is
-// exactly the misconfiguration the router's /healthz cross-check
-// exists to catch at runtime — here it is caught at load time.
+// on: supported version, at least one shard, at most MaxRingPoints
+// virtual nodes, and non-empty, unique shard IDs and addresses. A
+// duplicate shard ID would make ownership ambiguous (two shards
+// claiming the same hash points), which is exactly the
+// misconfiguration the router's /healthz cross-check exists to catch
+// at runtime — here it is caught at load time.
 func (m *Map) Validate() error {
 	if m.Version != MapVersion {
 		return fmt.Errorf("hashring: unsupported shard-map version %d (want %d)", m.Version, MapVersion)
@@ -94,6 +102,9 @@ func (m *Map) Validate() error {
 	}
 	if m.Replicas < 0 {
 		return fmt.Errorf("hashring: negative replica count %d", m.Replicas)
+	}
+	if m.replicas() > MaxRingPoints/len(m.Shards) {
+		return fmt.Errorf("hashring: %d shards × %d replicas exceed %d ring points", len(m.Shards), m.replicas(), MaxRingPoints)
 	}
 	ids := make(map[string]bool, len(m.Shards))
 	addrs := make(map[string]bool, len(m.Shards))

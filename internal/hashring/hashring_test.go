@@ -114,6 +114,9 @@ func TestMapValidate(t *testing.T) {
 		{"dup id", &Map{Version: MapVersion, Shards: []Shard{{ID: "a", Addr: "http://x"}, {ID: "a", Addr: "http://y"}}}, "duplicate shard id"},
 		{"dup addr", &Map{Version: MapVersion, Shards: []Shard{{ID: "a", Addr: "http://x"}, {ID: "b", Addr: "http://x"}}}, "duplicate shard addr"},
 		{"negative replicas", &Map{Version: MapVersion, Replicas: -1, Shards: testMap(1).Shards}, "negative replica"},
+		{"too many replicas", &Map{Version: MapVersion, Replicas: MaxRingPoints/2 + 1, Shards: testMap(2).Shards}, "ring points"},
+		{"huge replicas", &Map{Version: MapVersion, Replicas: math.MaxInt, Shards: testMap(3).Shards}, "ring points"},
+		{"too many shards", &Map{Version: MapVersion, Shards: testMap(MaxRingPoints/DefaultReplicas + 1).Shards}, "ring points"},
 	}
 	for _, c := range cases {
 		err := c.m.Validate()
@@ -123,6 +126,9 @@ func TestMapValidate(t *testing.T) {
 	}
 	if err := testMap(3).Validate(); err != nil {
 		t.Errorf("valid map rejected: %v", err)
+	}
+	if err := (&Map{Version: MapVersion, Replicas: MaxRingPoints / 2, Shards: testMap(2).Shards}).Validate(); err != nil {
+		t.Errorf("a map of exactly MaxRingPoints points rejected: %v", err)
 	}
 }
 

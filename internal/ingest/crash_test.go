@@ -361,7 +361,7 @@ func TestRecoveredTopKMatchesLinearScan(t *testing.T) {
 	v := engine.NewView(db, 4)
 	const k = 8
 	for qi := 0; qi < db.Len(); qi += 3 {
-		q := db.Footprints[qi]
+		q := db.Row(qi)
 		want := lin.TopK(q, k)
 		for _, name := range []string{"linear", "iterative", "batch", "user-centric", "sketch"} {
 			e, err := v.Engine(name)

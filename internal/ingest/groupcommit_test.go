@@ -133,7 +133,8 @@ func newGroupRef(t *testing.T, cfg Config, batches [][]Sample) *groupRef {
 		}
 	}
 	regions, shared := 0, false
-	for _, f := range ref.plain.Footprints {
+	for u := range ref.plain.IDs {
+		f := ref.plain.Row(u)
 		regions = max(regions, len(f))
 		for i := 1; i < len(f); i++ {
 			shared = shared || (f[i].Rect.MinX == f[i-1].Rect.MinX && f[i].Rect != f[i-1].Rect)

@@ -6,13 +6,14 @@ import (
 	"geofootprint/internal/lint/analysis"
 )
 
-// FootprintRead keeps the one-copy serving path honest. A database
-// opened from a columnar snapshot (store.Open, the server's load path)
-// holds its regions only in the snapshot's columns: FootprintDB's AoS
-// Footprints field stays nil until the first write builds it, so a
-// reader that ranges or indexes it sees zero users, or panics. Every
-// row read outside internal/store goes through FootprintDB.Row,
-// AppendRow or RowLen, which serve both backings; the analyzer flags,
+// FootprintRead keeps the one row layout honest. A database holds its
+// regions only in chunked columns; FootprintDB's AoS Footprints field
+// is an export the store never reads — nil on a database opened from a
+// columnar snapshot (store.Open, the server's load path), and set to
+// nil by the first write to any database — so a reader that ranges or
+// indexes it sees zero users, or panics. Every row read outside
+// internal/store goes through FootprintDB.Row, AppendRow or RowLen,
+// which read the chunks; the analyzer flags,
 // outside FootprintDB's defining package, every read of the Footprints
 // field — indexing, ranging, len, passing it on. Writes are
 // sortedfootprint's to report and are left alone here. Test files are
@@ -20,7 +21,7 @@ import (
 // they built.
 var FootprintRead = &analysis.Analyzer{
 	Name: "footprintread",
-	Doc: "flag reads of FootprintDB.Footprints outside internal/store; an opened database keeps it nil — " +
+	Doc: "flag reads of FootprintDB.Footprints outside internal/store; an opened or written database keeps it nil — " +
 		"read rows through Row, AppendRow or RowLen",
 	Run: runFootprintRead,
 }
@@ -40,7 +41,7 @@ func runFootprintRead(pass *analysis.Pass) error {
 				return true
 			}
 			pass.Reportf(sel.Pos(),
-				"read of FootprintDB.Footprints outside its defining package: an opened database keeps it nil; use Row, AppendRow or RowLen")
+				"read of FootprintDB.Footprints outside its defining package: an opened or written database keeps it nil; use Row, AppendRow or RowLen")
 			return true
 		})
 	}

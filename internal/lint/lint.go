@@ -15,9 +15,10 @@
 //     min/max builtins compile inline.
 //   - sortedfootprint — PR 2's strictsort invariant: direct writes to
 //     FootprintDB's parallel slices outside internal/store.
-//   - footprintread   — the one-copy serving path: reads of
-//     FootprintDB.Footprints outside internal/store, which an opened
-//     database keeps nil; rows are read through Row/AppendRow/RowLen.
+//   - footprintread   — the one row layout: reads of
+//     FootprintDB.Footprints outside internal/store, an export an
+//     opened or written database keeps nil; rows are read through
+//     Row/AppendRow/RowLen.
 //   - errdiscard      — dropped errors from Sync/Close and the WAL
 //     API on durability paths.
 //   - ctxcancel       — PR 5's cancellation contract: loops in

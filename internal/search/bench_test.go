@@ -31,20 +31,20 @@ import (
 )
 
 type benchCorpus struct {
-	cols, aos *store.FootprintDB // one corpus, both backings
-	uc        *UserCentricIndex
-	queries   []core.Footprint
+	cols    *store.FootprintDB // the corpus, opened from its columns
+	uc      *UserCentricIndex
+	queries []core.Footprint
 }
 
 var (
 	ledgerOnce sync.Once
-	ledgerAoS  *store.FootprintDB
+	ledgerDB   *store.FootprintDB
 	corpusOnce sync.Once
 	corpus     benchCorpus
 )
 
-// ledgerCorpus returns the ledger's corpus with its sketch layer, AoS-
-// backed, generated once per process.
+// ledgerCorpus returns the ledger's corpus with its sketch layer, built
+// in memory once per process.
 func ledgerCorpus(tb testing.TB) *store.FootprintDB {
 	tb.Helper()
 	ledgerOnce.Do(func() {
@@ -56,35 +56,35 @@ func ledgerCorpus(tb testing.TB) *store.FootprintDB {
 		if err != nil {
 			panic(err)
 		}
-		ledgerAoS, err = store.Build(ds, extract.Config{Epsilon: 0.02, Tau: 30}, core.UnitWeight, 0)
+		ledgerDB, err = store.Build(ds, extract.Config{Epsilon: 0.02, Tau: 30}, core.UnitWeight, 0)
 		if err != nil {
 			panic(err)
 		}
-		ledgerAoS.EnableSketches(0, 0)
+		ledgerDB.EnableSketches(0, 0)
 	})
-	return ledgerAoS
+	return ledgerDB
 }
 
 func loadBenchCorpus(b *testing.B) *benchCorpus {
 	b.Helper()
 	corpusOnce.Do(func() {
-		aos := ledgerCorpus(b)
-		cols, err := store.FromColumnar(aos.Columnar(nil))
+		mem := ledgerCorpus(b)
+		cols, err := store.FromColumnar(mem.Columnar(nil))
 		if err != nil {
 			panic(err)
 		}
 		rng := rand.New(rand.NewSource(101))
 		queries := make([]core.Footprint, 512)
 		for i := range queries {
-			u := rng.Intn(aos.Len())
-			for len(aos.Footprints[u]) == 0 {
-				u = rng.Intn(aos.Len())
+			u := rng.Intn(mem.Len())
+			for mem.RowLen(u) == 0 {
+				u = rng.Intn(mem.Len())
 			}
-			q := aos.Footprints[u].Translate((2*rng.Float64()-1)*0.002, (2*rng.Float64()-1)*0.002)
+			q := mem.Row(u).Translate((2*rng.Float64()-1)*0.002, (2*rng.Float64()-1)*0.002)
 			core.SortByMinX(q)
 			queries[i] = q
 		}
-		corpus = benchCorpus{cols: cols, aos: aos, uc: NewUserCentricIndex(cols, BuildSTR, 0), queries: queries}
+		corpus = benchCorpus{cols: cols, uc: NewUserCentricIndex(cols, BuildSTR, 0), queries: queries}
 	})
 	return &corpus
 }
@@ -120,12 +120,13 @@ func BenchmarkQuerySketch(b *testing.B) {
 // benchShard is shard-0 of the ledger's cluster_r2 split (benchmark/
 // corpus.go): every user whose two-replica tuple on the four-shard ring
 // holds shard-0 — about half the corpus — with its own sketch layer,
-// over both backings, its R-tree, and lead[u], whether shard-0 leads
-// user u's tuple: the users its leg (segment members ["shard-0"]) keeps.
+// opened from its columns, its R-tree, and lead[u], whether shard-0
+// leads user u's tuple: the users its leg (segment members ["shard-0"])
+// keeps.
 type benchShard struct {
-	cols, aos *store.FootprintDB
-	uc        *UserCentricIndex
-	lead      []bool
+	cols *store.FootprintDB
+	uc   *UserCentricIndex
+	lead []bool
 }
 
 var (
@@ -148,19 +149,19 @@ func loadBenchShard(b *testing.B) *benchShard {
 		)
 		for u, id := range db.IDs {
 			if tuple := ring.ReplicaIndices(id, 2); slices.Contains(tuple, 0) {
-				ids, fps, lead = append(ids, id), append(fps, db.Footprints[u]), append(lead, tuple[0] == 0)
+				ids, fps, lead = append(ids, id), append(fps, db.Row(u)), append(lead, tuple[0] == 0)
 			}
 		}
-		aos, err := store.FromFootprints("shard-0", ids, fps)
+		mem, err := store.FromFootprints("shard-0", ids, fps)
 		if err != nil {
 			panic(err)
 		}
-		aos.EnableSketches(0, 0)
-		cols, err := store.FromColumnar(aos.Columnar(nil))
+		mem.EnableSketches(0, 0)
+		cols, err := store.FromColumnar(mem.Columnar(nil))
 		if err != nil {
 			panic(err)
 		}
-		shard = benchShard{cols: cols, aos: aos, uc: NewUserCentricIndex(cols, BuildSTR, 0), lead: lead}
+		shard = benchShard{cols: cols, uc: NewUserCentricIndex(cols, BuildSTR, 0), lead: lead}
 	})
 	return &shard
 }
@@ -191,8 +192,7 @@ func prepareQueries(queries []core.Footprint, db *store.FootprintDB, uc *UserCen
 }
 
 // BenchmarkBoundStep times the bound step alone — R-tree candidates in,
-// non-zero bounds out — forced onto each side, over each backing, for
-// whole-corpus queries and for the cluster_r2 leg shard-0 answers
+// non-zero bounds out — forced onto each side, for whole-corpus queries and for the cluster_r2 leg shard-0 answers
 // ("-leg": its half of the corpus, the half of that it leads). ns/op
 // over cells-gathered/op and over postings-walked/op price a gathered
 // cell and a walked posting: gatherPerWalk is their ratio.
@@ -212,9 +212,7 @@ func BenchmarkBoundStep(b *testing.B) {
 		borderline bool
 	}{
 		{"/columnar", c.cols, c.uc, nil, false},
-		{"/aos", c.aos, c.uc, nil, false},
 		{"-leg/columnar", sh.cols, sh.uc, sh.lead, false},
-		{"-leg/aos", sh.aos, sh.uc, sh.lead, false},
 		{"-leg-borderline/columnar", sh.cols, sh.uc, sh.lead, true},
 	} {
 		db := young(run.db)
@@ -256,28 +254,23 @@ func BenchmarkBoundStep(b *testing.B) {
 }
 
 // BenchmarkPostingsBuild times the transpose an epoch builds once it
-// has crossed its build line, per backing, and reports its size: 20
+// has crossed its build line, and reports its size: 20
 // bytes per posting (user, root, float32 mass and peak) plus the starts.
 func BenchmarkPostingsBuild(b *testing.B) {
 	c := loadBenchCorpus(b)
-	for _, backing := range []struct {
-		name string
-		db   *store.FootprintDB
-	}{{"columnar", c.cols}, {"aos", c.aos}} {
-		b.Run(backing.name, func(b *testing.B) {
-			b.ReportAllocs()
-			postings := 0
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				db := young(backing.db)
-				b.StartTimer()
-				postings = db.SketchPostings(1 << 40).Len()
-			}
-			g := backing.db.SketchParams.G
-			b.ReportMetric(float64(postings), "postings")
-			b.ReportMetric(float64(20*postings+4*(g*g+1))/(1<<20), "MiB")
-		})
-	}
+	b.Run("columnar", func(b *testing.B) {
+		b.ReportAllocs()
+		postings := 0
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			db := young(c.cols)
+			b.StartTimer()
+			postings = db.SketchPostings(1 << 40).Len()
+		}
+		g := c.cols.SketchParams.G
+		b.ReportMetric(float64(postings), "postings")
+		b.ReportMetric(float64(20*postings+4*(g*g+1))/(1<<20), "MiB")
+	})
 }
 
 // BenchmarkMissStages replays one uncached query the way TopK runs it

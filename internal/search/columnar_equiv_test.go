@@ -11,6 +11,7 @@ import (
 	"geofootprint/internal/core"
 	"geofootprint/internal/geom"
 	"geofootprint/internal/store"
+	"geofootprint/internal/topk"
 )
 
 // exactRanking requires bit-identical results: the columnar kernels
@@ -31,11 +32,14 @@ func exactRanking(t *testing.T, label string, got, want []Result) {
 }
 
 // TestColumnarBackingEquivalence is the end-to-end acceptance property
-// of the columnar snapshot: a database in memory and the same database
-// saved and loaded through the columnar read path and the columnar mmap
-// path, or opened column-only (the serving path, whose regions live
-// only in the columns), must produce bit-identical top-k results for
-// every search method, every k.
+// of the columnar snapshot: a database built in memory and the same
+// database saved and loaded through the columnar read path and the
+// columnar mmap path, or opened (the serving path, whose chunks alias
+// the mapping), must produce bit-identical top-k results for every
+// search method, every k. A "written" database — opened, then put
+// through a seeded sequence of Upsert, AppendRoIs and Remove, so its
+// rows live in rewritten chunks beside mapped ones — must give every
+// method the answer of a scan of SimilarityJoin over its Rows.
 func TestColumnarBackingEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(4096))
 	db := testDB(t, rng, 300)
@@ -46,7 +50,7 @@ func TestColumnarBackingEquivalence(t *testing.T) {
 		t.Fatalf("save columnar: %v", err)
 	}
 
-	backings := map[string]*store.FootprintDB{"aos": db}
+	backings := map[string]*store.FootprintDB{"memory": db}
 	var err error
 	if backings["col-read"], err = store.LoadColumnar(colPath, colstore.ModeRead); err != nil {
 		t.Fatalf("load columnar read: %v", err)
@@ -57,8 +61,13 @@ func TestColumnarBackingEquivalence(t *testing.T) {
 		t.Logf("mmap unavailable, skipping that backing: %v", err)
 	}
 	if backings["col-open"], err = store.Open(colPath); err != nil {
-		t.Fatalf("open column-only: %v", err)
+		t.Fatalf("open: %v", err)
 	}
+	written, err := store.Open(colPath)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	writeSeeded(written, rand.New(rand.NewSource(17)), 120)
 
 	type methods struct {
 		linear *LinearScan
@@ -77,7 +86,7 @@ func TestColumnarBackingEquivalence(t *testing.T) {
 	queries := clusteredFootprints(rng, 10, 12)
 	for qi, q := range queries {
 		for _, k := range []int{1, 5, 50} {
-			ref := built["aos"]
+			ref := built["memory"]
 			want := map[string][]Result{
 				"linear":    ref.linear.TopK(q, k),
 				"iterative": ref.roi.TopKIterative(q, k),
@@ -87,10 +96,10 @@ func TestColumnarBackingEquivalence(t *testing.T) {
 			}
 			// The in-memory ranking must itself be correct (oracle check
 			// keeps this test honest, not just self-consistent).
-			sameRanking(t, "aos/linear", want["linear"], referenceTopK(db, q, k))
+			sameRanking(t, "memory/linear", want["linear"], referenceTopK(db, q, k))
 
 			for name, m := range built {
-				if name == "aos" {
+				if name == "memory" {
 					continue
 				}
 				prefix := name + "/q" + string(rune('0'+qi)) + "/"
@@ -104,10 +113,10 @@ func TestColumnarBackingEquivalence(t *testing.T) {
 	}
 
 	// The whole-corpus loops read every row through the accessors: on
-	// the column-only backing they must see every user, and score them
-	// with the same bits.
-	refGraph := KNNGraph(built["aos"].uc, 5, 2)
-	refPairs := TopSimilarPairs(built["aos"].uc, 20, 2)
+	// every backing they must see every user, and score them with the
+	// same bits.
+	refGraph := KNNGraph(built["memory"].uc, 5, 2)
+	refPairs := topPairs(built["memory"].uc, 20, 2)
 	refGrid, err := NewGridIndex(db, unitSquare, 32)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +126,7 @@ func TestColumnarBackingEquivalence(t *testing.T) {
 		for u := range refGraph {
 			exactRanking(t, name+"/knngraph", graph[u], refGraph[u])
 		}
-		if pairs := TopSimilarPairs(m.uc, 20, 2); !slices.Equal(pairs, refPairs) || len(pairs) == 0 {
+		if pairs := topPairs(m.uc, 20, 2); !slices.Equal(pairs, refPairs) || len(pairs) == 0 {
 			t.Fatalf("%s: TopSimilarPairs %v, want %v", name, pairs, refPairs)
 		}
 		grid, err := NewGridIndex(backings[name], unitSquare, 32)
@@ -129,19 +138,50 @@ func TestColumnarBackingEquivalence(t *testing.T) {
 		}
 	}
 
-	for name, b := range backings {
-		wantBacked := name != "aos"
-		if b.ColumnarBacked() != wantBacked {
-			t.Fatalf("%s: ColumnarBacked = %v, want %v", name, b.ColumnarBacked(), wantBacked)
-		}
-		wantBacking := "materialised"
-		if name == "col-open" {
-			wantBacking = "columns"
-		}
-		if got := b.Backing(); got != wantBacking {
-			t.Fatalf("%s: backing %q after every query, want %q", name, got, wantBacking)
+	wl, wr, wu := NewLinearScan(written), NewRoIIndex(written, BuildSTR, 16), NewUserCentricIndex(written, BuildSTR, 16)
+	for qi, q := range append(queries, written.Row(3), written.Row(written.Len()-1)) {
+		for _, k := range []int{1, 5, 50} {
+			want := rowScan(written, q, k)
+			prefix := "written/q" + string(rune('0'+qi)) + "/"
+			exactRanking(t, prefix+"linear", wl.TopK(q, k), want)
+			exactRanking(t, prefix+"iterative", wr.TopKIterative(q, k), want)
+			exactRanking(t, prefix+"batch", wr.TopKBatch(q, k), want)
+			exactRanking(t, prefix+"uc", wu.TopK(q, k), want)
+			exactRanking(t, prefix+"sketch", wu.TopKSketch(q, k), want)
 		}
 	}
+}
+
+// writeSeeded puts db through n seeded writes: Upserts of new and of
+// existing users, AppendRoIs and Removes.
+func writeSeeded(db *store.FootprintDB, rng *rand.Rand, n int) {
+	fresh := clusteredFootprints(rng, n, 12)
+	for i, f := range fresh {
+		id := db.IDs[rng.Intn(db.Len())]
+		switch i % 4 {
+		case 0:
+			db.Upsert(100000+i, f)
+		case 1:
+			db.Upsert(id, f)
+		case 2:
+			db.AppendRoIs(id, f)
+		case 3:
+			db.Remove(id)
+		}
+	}
+}
+
+// rowScan is the oracle for a written database: SimilarityJoin over
+// every stored Row, best k kept.
+func rowScan(db *store.FootprintDB, q core.Footprint, k int) []Result {
+	col := topk.New(k)
+	qn := core.Norm(q)
+	for u := range db.IDs {
+		if sim := core.SimilarityJoin(db.Row(u), q, db.Norms[u], qn); sim > 0 {
+			col.Offer(db.IDs[u], sim)
+		}
+	}
+	return col.Results()
 }
 
 var unitSquare = geom.Rect{MaxX: 1, MaxY: 1}

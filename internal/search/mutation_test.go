@@ -69,7 +69,7 @@ func TestAppendRoIsKeepsSorted(t *testing.T) {
 	db.AppendRoIs(1, []core.Region{
 		{Rect: geom.Rect{MinX: 0.1, MinY: 0, MaxX: 0.2, MaxY: 0.1}, Weight: 1},
 	})
-	f := db.Footprints[0]
+	f := db.Row(0)
 	if len(f) != 2 || f[0].Rect.MinX > f[1].Rect.MinX {
 		t.Errorf("footprint not sorted after AppendRoIs: %+v", f)
 	}

@@ -2,6 +2,7 @@ package search
 
 import (
 	"container/heap"
+	"context"
 	"runtime"
 	"sort"
 
@@ -65,12 +66,18 @@ func (h *pairHeap) offer(k int, p Pair) {
 // The user-centric R-tree prunes the quadratic pair space: for each
 // user only users whose footprint MBR intersects theirs are refined
 // (with Algorithm 4), and every unordered pair is scored exactly once.
-// Runs on `workers` goroutines (GOMAXPROCS if <= 0).
-func TopSimilarPairs(ix *UserCentricIndex, k, workers int) []Pair {
+// Runs on `workers` goroutines (GOMAXPROCS if <= 0), each polling ctx
+// every cancelStride joins; it returns ctx.Err() when cancelled.
+//
+//geo:cancellable
+func TopSimilarPairs(ctx context.Context, ix *UserCentricIndex, k, workers int) ([]Pair, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	db := ix.db
 	n := db.Len()
 	if k <= 0 || n < 2 {
-		return nil
+		return nil, nil
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -78,7 +85,8 @@ func TopSimilarPairs(ix *UserCentricIndex, k, workers int) []Pair {
 	locals := make([]pairHeap, workers)
 	par.For(n, workers, 1, func(w, lo, hi int) {
 		var fu core.Footprint
-		for u := lo; u < hi; u++ {
+		joins := 0
+		for u := lo; u < hi && ctx.Err() == nil; u++ {
 			if db.Norms[u] == 0 {
 				continue
 			}
@@ -92,6 +100,9 @@ func TopSimilarPairs(ix *UserCentricIndex, k, workers int) []Pair {
 				if v >= u {
 					return true
 				}
+				if joins++; joins&(cancelStride-1) == 0 && ctx.Err() != nil {
+					return false
+				}
 				sim := db.UserSimilarity(v, fu, nu)
 				if sim > 0 {
 					a, b := db.IDs[u], db.IDs[v]
@@ -104,8 +115,12 @@ func TopSimilarPairs(ix *UserCentricIndex, k, workers int) []Pair {
 			})
 		}
 	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 
 	var all []Pair
+	//lint:ignore ctxcancel one heap of at most k pairs per worker
 	for _, l := range locals {
 		all = append(all, l...)
 	}
@@ -113,5 +128,5 @@ func TopSimilarPairs(ix *UserCentricIndex, k, workers int) []Pair {
 	if len(all) > k {
 		all = all[:k]
 	}
-	return all
+	return all, nil
 }

@@ -1,8 +1,11 @@
 package search
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -10,12 +13,44 @@ import (
 	"geofootprint/internal/store"
 )
 
+// topPairs is TopSimilarPairs under a context that never cancels.
+func topPairs(ix *UserCentricIndex, k, workers int) []Pair {
+	pairs, _ := TopSimilarPairs(context.Background(), ix, k, workers)
+	return pairs
+}
+
+// The self-join polls its context: cancelled before it starts, or at
+// any later poll, it stops and returns the context's error, and a
+// cancel late enough to be past every poll leaves the answer whole.
+func TestTopSimilarPairsCancel(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	db := testDB(t, rng, 600)
+	ix := NewUserCentricIndex(db, BuildSTR, 0)
+	want := topPairs(ix, 10, 1)
+	counter := &countdownCtx{Context: context.Background(), left: math.MaxInt}
+	if got, err := TopSimilarPairs(counter, ix, 10, 1); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("uncancelled run: %v, %v", got, err)
+	}
+	polls := math.MaxInt - counter.left
+	for _, left := range []int{0, 1, polls / 2, polls - 1} {
+		ctx := &countdownCtx{Context: context.Background(), left: left}
+		if got, err := TopSimilarPairs(ctx, ix, 10, 1); !errors.Is(err, context.Canceled) || got != nil {
+			t.Fatalf("cancelled after %d of %d polls: %d pairs, %v", left, polls, len(got), err)
+		}
+		// The poll that sees the cancel, the user loop's and the final
+		// check: nothing runs on past it.
+		if ctx.left < -3 {
+			t.Fatalf("cancelled after %d polls, it polled %d more times", left, -ctx.left)
+		}
+	}
+}
+
 // bruteForcePairs scores every pair with the naive grid similarity.
 func bruteForcePairs(db *store.FootprintDB, k int) []Pair {
 	var all []Pair
 	for i := 0; i < db.Len(); i++ {
 		for j := i + 1; j < db.Len(); j++ {
-			sim := core.SimilarityNaive(db.Footprints[i], db.Footprints[j])
+			sim := core.SimilarityNaive(db.Row(i), db.Row(j))
 			if sim > 0 {
 				a, b := db.IDs[i], db.IDs[j]
 				if b < a {
@@ -38,7 +73,7 @@ func TestTopSimilarPairsMatchesBruteForce(t *testing.T) {
 	ix := NewUserCentricIndex(db, BuildSTR, 0)
 
 	for _, k := range []int{1, 5, 20} {
-		got := TopSimilarPairs(ix, k, 4)
+		got := topPairs(ix, k, 4)
 		want := bruteForcePairs(db, k)
 		if len(got) != len(want) {
 			t.Fatalf("k=%d: %d pairs, want %d", k, len(got), len(want))
@@ -75,8 +110,8 @@ func TestTopSimilarPairsWorkersAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	db := testDB(t, rng, 80)
 	ix := NewUserCentricIndex(db, BuildSTR, 0)
-	seq := TopSimilarPairs(ix, 10, 1)
-	par := TopSimilarPairs(ix, 10, 8)
+	seq := topPairs(ix, 10, 1)
+	par := topPairs(ix, 10, 8)
 	if len(seq) != len(par) {
 		t.Fatalf("length mismatch: %d vs %d", len(seq), len(par))
 	}
@@ -91,7 +126,7 @@ func TestTopSimilarPairsEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	db := testDB(t, rng, 10)
 	ix := NewUserCentricIndex(db, BuildSTR, 0)
-	if got := TopSimilarPairs(ix, 0, 1); got != nil {
+	if got := topPairs(ix, 0, 1); got != nil {
 		t.Errorf("k=0 returned %v", got)
 	}
 	// Single-user database.
@@ -99,11 +134,11 @@ func TestTopSimilarPairsEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := TopSimilarPairs(NewUserCentricIndex(one, BuildSTR, 0), 5, 1); got != nil {
+	if got := topPairs(NewUserCentricIndex(one, BuildSTR, 0), 5, 1); got != nil {
 		t.Errorf("single-user db returned %v", got)
 	}
 	// Pairs never contain self-pairs or duplicates.
-	pairs := TopSimilarPairs(ix, 100, 4)
+	pairs := topPairs(ix, 100, 4)
 	seen := map[[2]int]bool{}
 	for _, p := range pairs {
 		if p.A == p.B {

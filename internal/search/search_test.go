@@ -61,8 +61,8 @@ func testDB(t *testing.T, rng *rand.Rand, users int) *store.FootprintDB {
 // slowest but most trustworthy oracle.
 func referenceTopK(db *store.FootprintDB, q core.Footprint, k int) []Result {
 	col := topk.New(k)
-	for i, f := range db.Footprints {
-		if sim := core.SimilarityNaive(f, q); sim > 0 {
+	for i := range db.IDs {
+		if sim := core.SimilarityNaive(db.Row(i), q); sim > 0 {
 			col.Offer(db.IDs[i], sim)
 		}
 	}

@@ -173,8 +173,11 @@ func (s *Server) handlePairs(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	ep, v := s.acquire()
-	pairs := search.TopSimilarPairs(v.Index(), k, 0)
+	pairs, err := search.TopSimilarPairs(r.Context(), v.Index(), k, 0)
 	ep.Release()
+	if writeQueryCtxErr(w, err) {
+		return
+	}
 	out := make([]pairJSON, len(pairs))
 	for i, p := range pairs {
 		out[i] = pairJSON{A: p.A, B: p.B, Similarity: p.Score}

@@ -1,9 +1,12 @@
 package server
 
 import (
+	"context"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"testing"
+	"time"
 )
 
 func TestPairsEndpoint(t *testing.T) {
@@ -33,6 +36,31 @@ func TestPairsEndpoint(t *testing.T) {
 	rec, _ = do(t, s.Handler(), "GET", "/v1/pairs?k=0", "")
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("k=0 status %d", rec.Code)
+	}
+}
+
+// /v1/pairs honours its deadline: a request whose deadline has passed
+// answers 503 without running the self-join, and leaves no epoch pinned
+// and no admission slot taken — the next request is answered.
+func TestPairsDeadline503(t *testing.T) {
+	s := NewWithOptions(testCorpus(t), Options{MaxInflightQueries: 1})
+	h := s.Handler()
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	rec := httptest.NewRecorder()
+	start := time.Now()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/pairs?k=5", nil).WithContext(ctx))
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("expired deadline: status %d %s, want 503 with Retry-After", rec.Code, rec.Body)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("the 503 took %v", d)
+	}
+	if pins := s.EpochStats().Pins; pins != 0 {
+		t.Fatalf("%d epoch pins left after the 503", pins)
+	}
+	if rec, _ := do(t, h, "GET", "/v1/pairs?k=5", ""); rec.Code != http.StatusOK {
+		t.Fatalf("the request after the 503: status %d", rec.Code)
 	}
 }
 

@@ -230,7 +230,7 @@ func TestConcurrentQueriesDuringMutation(t *testing.T) {
 					report("method %s: %v", m, err)
 					return
 				}
-				res := e.TopK(v.DB().Footprints[0], 5)
+				res := e.TopK(v.DB().Row(0), 5)
 				ep.Release()
 				for i := 1; i < len(res); i++ {
 					if res[i].Score > res[i-1].Score {

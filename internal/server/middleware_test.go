@@ -50,7 +50,7 @@ func TestQueryTimeoutMaps503(t *testing.T) {
 		ep, v := s.acquire()
 		defer ep.Release()
 		eng, _ := v.Engine("")
-		res, err := eng.TopKCtx(r.Context(), v.DB().Footprints[0], 3)
+		res, err := eng.TopKCtx(r.Context(), v.DB().Row(0), 3)
 		if writeQueryCtxErr(w, err) {
 			return
 		}

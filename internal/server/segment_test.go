@@ -141,6 +141,8 @@ func TestSegmentQueryValidation(t *testing.T) {
 		{"more members than R", &segmentJSON{Shards: shardIDs, R: 1, Members: []string{"s0", "s1"}}},
 		{"duplicate members", &segmentJSON{Shards: shardIDs, R: 2, Members: []string{"s0", "s0"}}},
 		{"R above the shard count", &segmentJSON{Shards: shardIDs, R: 3, Members: []string{"s0", "s1"}}},
+		// A ring of 2 × 2^22 points would be built on the request path.
+		{"vnodes above the ring bound", &segmentJSON{Shards: shardIDs, Vnodes: 1 << 22, R: 1, Members: []string{"s0"}}},
 	}
 	for _, tc := range cases {
 		code, body := segPost(t, s, tc.seg, "", 5)

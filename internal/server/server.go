@@ -303,14 +303,11 @@ func writeBodyError(w http.ResponseWriter, err error) {
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	ep, v := s.acquire()
 	db := v.DB()
-	users, regions, backing, seq := db.Len(), db.NumRegions(), db.Backing(), ep.Seq()
+	users, regions, seq := db.Len(), db.NumRegions(), ep.Seq()
 	ep.Release()
 	out := map[string]interface{}{
 		"status": "ok", "users": users, "regions": regions,
-		// "columns" until a write to an opened database has paid for
-		// the AoS copy of its regions, "materialised" after.
-		"backing": backing,
-		"epoch":   s.epochs.Stats(),
+		"epoch": s.epochs.Stats(),
 		// epoch_seq is the epoch this probe actually pinned — flat, so
 		// the router can log which epoch answered without digging into
 		// the stats object.

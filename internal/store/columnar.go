@@ -16,29 +16,16 @@ import (
 // This file binds FootprintDB to the columnar snapshot format
 // (internal/colstore): conversion in both directions, the single
 // crash-atomic writer seam (WriteColumnarFS — the colwrite analyzer
-// flags columnar encodes anywhere else on a persistence path), the
-// load paths and their error classification, and the columnar view
-// the flattened kernels dispatch on.
+// flags columnar encodes anywhere else on a persistence path), and the
+// load paths and their error classification.
 //
-// A database opened from a columnar file carries two extra things:
-//
-//   - db.cols, the dense column view (core.RegionCols + CSR starts).
-//     An opened database (Open) holds its regions only there:
-//     Footprints stays nil, and every row reader — the kernels through
-//     the dispatch helpers (UserSimilarity, RegionWeight), everything
-//     else through Row, AppendRow and RowLen — reads the columns.
-//     Results are bit-for-bit identical to the slice kernels over the
-//     AoS footprints. (The sketch blocks need no view of their own:
-//     db.Sketches are slices of them.) The first mutation detaches the
-//     view (the columns describe state that no longer exists), and
-//     detachCols is where the AoS Footprints are built, once, by one
-//     O(regions) transpose; Load does the same transpose up front for
-//     the callers that want the slices, and keeps the view.
-//   - db.colSrc, which pins the snapshot (and its mmap, when the load
-//     was zero-copy) for the lifetime of the database. Norms and the
-//     sketch cell blocks alias the mapping directly; detaching the
-//     fast-path view must NOT unmap, so this reference survives
-//     detachCols and is copied to every Freeze snapshot.
+// An opened database's chunks alias the snapshot's region columns, its
+// Norms and per-user sketch slices alias the snapshot's too, and
+// db.colSrc pins the snapshot (and its mmap, when the load was
+// zero-copy) for the database's lifetime; it is copied to every Freeze
+// snapshot. A write never writes into the region columns (chunks.go);
+// its in-place Norms write lands on the mapping's private copy-on-write
+// pages, never in the file.
 
 // ErrCorruptSnapshot marks a snapshot file that exists but cannot be
 // trusted — no columnar magic, failed CRC, truncation, impossible
@@ -52,18 +39,9 @@ func corruptSnapshot(path string, err error) error {
 	return fmt.Errorf("%w: %s: %w", ErrCorruptSnapshot, path, err)
 }
 
-// colView is the columnar fast-path state: dense parallel columns in
-// CSR layout, aliasing the loaded snapshot. Shared (by pointer) with
-// Freeze snapshots, hence never mutated in place — detachment replaces
-// the pointer.
-type colView struct {
-	regions core.RegionCols
-	starts  []int64
-}
-
-// Columnar converts the database to a colstore.Snapshot, flattening
-// the per-user slices into dense columns in stored (MinX-sorted)
-// order; a database whose column view is attached hands its columns
+// Columnar converts the database to a colstore.Snapshot, concatenating
+// the chunks into dense columns in stored (MinX-sorted) order; an
+// opened database no row has been written to hands its mapped columns
 // over as they are. meta is an opaque blob stored in the file's
 // CRC-guarded meta section (nil for none); the ingest checkpoint keeps
 // its sequence number and open sessions there. The snapshot aliases
@@ -82,31 +60,17 @@ func (db *FootprintDB) Columnar(meta []byte) *colstore.Snapshot {
 	for u, id := range db.IDs {
 		snap.IDs[u] = int64(id)
 	}
-	if c := db.cols; c != nil {
-		snap.Starts = c.starts
-		snap.MinX, snap.MinY, snap.MaxX, snap.MaxY, snap.Weight =
-			c.regions.MinX, c.regions.MinY, c.regions.MaxX, c.regions.MaxY, c.regions.W
+	if s := db.colSrc; db.mapped {
+		snap.Starts, snap.MinX, snap.MinY, snap.MaxX, snap.MaxY, snap.Weight =
+			s.Starts, s.MinX, s.MinY, s.MaxX, s.MaxY, s.Weight
 	} else {
-		total := db.NumRegions()
-		snap.Starts = make([]int64, users+1)
-		snap.MinX = make([]float64, total)
-		snap.MinY = make([]float64, total)
-		snap.MaxX = make([]float64, total)
-		snap.MaxY = make([]float64, total)
-		snap.Weight = make([]float64, total)
-		off := 0
-		for u, f := range db.Footprints {
-			snap.Starts[u] = int64(off)
-			for _, r := range f {
-				snap.MinX[off] = r.Rect.MinX
-				snap.MinY[off] = r.Rect.MinY
-				snap.MaxX[off] = r.Rect.MaxX
-				snap.MaxY[off] = r.Rect.MaxY
-				snap.Weight[off] = r.Weight
-				off++
-			}
+		all := newChunk(users, db.NumRegions())
+		for _, c := range db.chunks {
+			all.copyRows(c, 0, c.users())
 		}
-		snap.Starts[users] = int64(off)
+		r := &all.regions
+		snap.Starts, snap.MinX, snap.MinY, snap.MaxX, snap.MaxY, snap.Weight =
+			all.starts, r.MinX, r.MinY, r.MaxX, r.MaxY, r.W
 	}
 	if len(db.MBRs) == users {
 		for u, m := range db.MBRs {
@@ -143,29 +107,28 @@ func (db *FootprintDB) Columnar(meta []byte) *colstore.Snapshot {
 }
 
 // FromColumnar builds an opened FootprintDB over a decoded columnar
-// snapshot, copying no region: the column view serves every row read,
-// Norms and the per-user sketch slices alias the snapshot's columns
-// (and therefore the mmap on the zero-copy path), and Footprints stays
-// nil until the first mutation builds it (detachCols). Only IDs and
-// MBRs — O(users) — are converted. A snapshot from a version-1 file
+// snapshot, copying no region: its chunks alias the region columns and
+// subslice the starts, Norms and the per-user sketch slices alias the
+// snapshot's columns (and therefore the mmap on the zero-copy path),
+// and Footprints stays nil. Only IDs and MBRs — O(users) — are
+// converted, and the spine holds one pointer per chunkUsers users. A snapshot from a version-1 file
 // has no peak block; it is derived once here, in parallel, from the
 // stored rows (sketch.FillPeak, the function Build uses), so its bits
 // are those a version-2 file would hold.
 func FromColumnar(snap *colstore.Snapshot) (*FootprintDB, error) {
 	users := snap.NumUsers()
 	db := &FootprintDB{
-		Name:  snap.Name,
-		IDs:   make([]int, users),
-		Norms: snap.Norms,
-		MBRs:  make([]geom.Rect, users),
-		cols: &colView{
-			regions: core.RegionCols{
-				MinX: snap.MinX, MinY: snap.MinY,
-				MaxX: snap.MaxX, MaxY: snap.MaxY, W: snap.Weight,
-			},
-			starts: snap.Starts,
-		},
+		Name:   snap.Name,
+		IDs:    make([]int, users),
+		Norms:  snap.Norms,
+		MBRs:   make([]geom.Rect, users),
 		colSrc: snap,
+		mapped: true,
+	}
+	cols := core.RegionCols{MinX: snap.MinX, MinY: snap.MinY, MaxX: snap.MaxX, MaxY: snap.MaxY, W: snap.Weight}
+	for lo := 0; lo < users; lo += chunkUsers {
+		hi := min(lo+chunkUsers, users) + 1
+		db.chunks = append(db.chunks, &chunk{regions: cols, starts: snap.Starts[lo:hi:hi]})
 	}
 	for u := range db.IDs {
 		db.IDs[u] = int(snap.IDs[u])
@@ -212,37 +175,6 @@ func FromColumnar(snap *colstore.Snapshot) (*FootprintDB, error) {
 	return db, nil
 }
 
-// footprints transposes the columns into AoS footprints: one backing
-// array for all regions, the per-user footprints capacity-bounded
-// subslices of it, so an AppendRoIs on one user can never grow into
-// its neighbour's regions. The transpose is chunked across CPUs; each
-// goroutine owns a disjoint range, so the result is deterministic.
-func (c *colView) footprints() []core.Footprint {
-	users := len(c.starts) - 1
-	regions := make([]core.Region, c.starts[users])
-	r := &c.regions
-	par.For(len(regions), 0, 1<<14, func(_, lo, hi int) {
-		fillRegions(regions[lo:hi], r.MinX[lo:hi], r.MinY[lo:hi], r.MaxX[lo:hi], r.MaxY[lo:hi], r.W[lo:hi])
-	})
-	fps := make([]core.Footprint, users)
-	for u := range fps {
-		lo, hi := c.starts[u], c.starts[u+1]
-		fps[u] = core.Footprint(regions[lo:hi:hi])
-	}
-	return fps
-}
-
-// fillRegions is the sequential transpose kernel: column locals are
-// parameters so the compiler keeps them in registers across the loop.
-func fillRegions(dst []core.Region, minx, miny, maxx, maxy, w []float64) {
-	for i := range dst {
-		dst[i] = core.Region{
-			Rect:   geom.Rect{MinX: minx[i], MinY: miny[i], MaxX: maxx[i], MaxY: maxy[i]},
-			Weight: w[i],
-		}
-	}
-}
-
 // WriteColumnar writes snap to path on the real OS filesystem; see
 // WriteColumnarFS.
 func WriteColumnar(path string, snap *colstore.Snapshot) error {
@@ -278,7 +210,7 @@ func LoadColumnar(path string, mode colstore.Mode) (*FootprintDB, error) {
 }
 
 // OpenMetaFS opens a columnar snapshot through fsys with ModeAuto
-// mapping, column-only (see Open), and returns its meta blob (nil for
+// mapping (see Open), and returns its meta blob (nil for
 // none) beside the database; the ingest checkpoint keeps its state
 // there. Every failure is absent (os.IsNotExist), untrustworthy
 // (ErrCorruptSnapshot: a file without the columnar magic, a damaged
@@ -305,85 +237,12 @@ func openFS(fsys faultfs.FS, path string, mode colstore.Mode) (*FootprintDB, []b
 	return db, snap.Meta, nil
 }
 
-// ---- columnar fast-path state on FootprintDB ----
-
-// ColumnarBacked reports whether queries against this database run the
-// flattened columnar kernels (true until the first mutation after a
-// columnar load).
-func (db *FootprintDB) ColumnarBacked() bool { return db.cols != nil }
-
-// colsOnly reports whether the columns are the database's only copy of
-// its regions: opened, and not yet written.
-func (db *FootprintDB) colsOnly() bool { return db.cols != nil && db.Footprints == nil }
-
-// Backing names where the database's regions live, for /healthz:
-// "columns" while an opened database holds them only in its snapshot's
-// columns, "materialised" once the AoS Footprints exist (a write to an
-// opened database, Load, or a database built in memory).
-func (db *FootprintDB) Backing() string {
-	if db.colsOnly() {
-		return "columns"
-	}
-	return "materialised"
-}
-
-// materialise builds the AoS Footprints from the columns of an opened
-// database, keeping the column view. Load runs it up front; otherwise
-// only detachCols does, at the first write.
-func (db *FootprintDB) materialise() {
-	if db.colsOnly() {
-		db.Footprints = db.cols.footprints()
-	}
-}
-
-// detachCols is called by every mutation that changes footprint
-// geometry or the user axis: the columns describe state that no
-// longer exists, so the rows must live in the AoS Footprints from now
-// on. On an opened database this is where they are built — the one
-// O(regions) transpose an opened database ever pays, at its first
-// write. The view pointer is replaced, never mutated — frozen epochs
-// sharing the old pointer keep serving their (still consistent)
-// pre-mutation state. colSrc survives so the mmap backing Norms/sketch
-// aliases stays alive. The sketch transpose goes too: it is indexed by
-// the user axis and holds copies of the sketch rows.
-func (db *FootprintDB) detachCols() {
-	db.materialise()
-	db.cols = nil
-	db.dropPostings()
-}
-
-// UserSimilarity is the Algorithm 4 similarity of stored user u
-// against query footprint q with norm qnorm — the one kernel every
-// search method and the engine refine through. Columnar-backed
-// databases run the flattened SimilarityJoinCols over the dense
-// columns; otherwise the classic SimilarityJoin over the user's
-// region slice. Bit-for-bit identical results.
-//
-//geo:hotpath
-func (db *FootprintDB) UserSimilarity(u int, q core.Footprint, qnorm float64) float64 {
-	if c := db.cols; c != nil {
-		return core.SimilarityJoinCols(&c.regions, int(c.starts[u]), int(c.starts[u+1]), q, db.Norms[u], qnorm)
-	}
-	return core.SimilarityJoin(db.Footprints[u], q, db.Norms[u], qnorm)
-}
-
 // UserSketchDot is the sketch bound sum of stored user u against the
-// query sketch by the reference merge join (sketch.BoundDot). On a
-// columnar-backed database the stored sketch is a slice of the on-file
-// blocks; the values are the same either way.
+// query sketch by the reference merge join (sketch.BoundDot). On an
+// opened database the stored sketch is a slice of the on-file blocks;
+// the values are the same either way.
 //
 //geo:hotpath
 func (db *FootprintDB) UserSketchDot(u int, qsk *sketch.Sketch) float64 {
 	return sketch.BoundDot(&db.Sketches[u], qsk)
-}
-
-// RegionWeight returns the weight of region r of user u (the RoI-index
-// accumulation reads it per R-tree hit).
-//
-//geo:hotpath
-func (db *FootprintDB) RegionWeight(u, r int) float64 {
-	if c := db.cols; c != nil {
-		return c.regions.W[int(c.starts[u])+r]
-	}
-	return db.Footprints[u][r].Weight
 }

@@ -102,42 +102,26 @@ func TestColumnarRoundTripModes(t *testing.T) {
 			t.Fatalf("read-mode load: %v", err)
 		}
 		sameDB(t, db, rd)
-		if !rd.ColumnarBacked() {
-			t.Fatal("read-mode load did not keep the columnar fast path")
-		}
 		mm, err := LoadColumnar(path, colstore.ModeMmap)
 		if err != nil {
 			t.Skipf("mmap unavailable on this platform: %v", err)
 		}
 		sameDB(t, db, mm)
-		if !mm.ColumnarBacked() {
-			t.Fatal("mmap load did not keep the columnar fast path")
-		}
 	}
 }
 
-// TestColumnarDispatchMatchesAoS checks the //geo:hotpath dispatch
-// helpers give bitwise-identical answers on the columnar fast path and
-// after detaching to the slice-of-structs fallback.
+// TestColumnarDispatchMatchesAoS checks the //geo:hotpath row readers
+// of a loaded database against the slice kernels over its AoS export,
+// and its sketches against the in-memory source's, bit for bit.
 func TestColumnarDispatchMatchesAoS(t *testing.T) {
-	db := columnarTestDB(t, 50, true)
+	mem := columnarTestDB(t, 50, true)
 	path := filepath.Join(t.TempDir(), "snap.col")
-	if err := db.Save(path); err != nil {
+	if err := mem.Save(path); err != nil {
 		t.Fatalf("save: %v", err)
 	}
 	got, err := Load(path)
 	if err != nil {
 		t.Fatalf("load: %v", err)
-	}
-	// The same users after detaching to the AoS backing: the dense
-	// sketch gather must give Dot's bits on both.
-	aos, err := Load(path)
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	aos.detachCols()
-	if !got.ColumnarBacked() || aos.ColumnarBacked() {
-		t.Fatalf("backings: columnar=%v aos=%v", got.ColumnarBacked(), aos.ColumnarBacked())
 	}
 	rng := rand.New(rand.NewSource(9))
 	queries := randFootprints(rng, 8, 5)
@@ -149,8 +133,8 @@ func TestColumnarDispatchMatchesAoS(t *testing.T) {
 		defer raster.Release()
 		for u := range got.IDs {
 			want := math.Float64bits(sketch.BoundDot(&got.Sketches[u], &qsk))
-			if dc, da := sketch.DotDense(&got.Sketches[u], raster.Table()), sketch.DotDense(&aos.Sketches[u], raster.Table()); math.Float64bits(dc) != want || math.Float64bits(da) != want {
-				t.Fatalf("DotDense(%d): columnar %v, AoS %v, BoundDot %v", u, dc, da, math.Float64frombits(want))
+			if dc, dm := sketch.DotDense(&got.Sketches[u], raster.Table()), sketch.DotDense(&mem.Sketches[u], raster.Table()); math.Float64bits(dc) != want || math.Float64bits(dm) != want {
+				t.Fatalf("DotDense(%d): loaded %v, in memory %v, BoundDot %v", u, dc, dm, math.Float64frombits(want))
 			}
 			fast := got.UserSimilarity(u, q, qn)
 			slow := core.SimilarityJoin(got.Footprints[u], q, got.Norms[u], qn)
@@ -171,68 +155,68 @@ func TestColumnarDispatchMatchesAoS(t *testing.T) {
 	}
 }
 
-// TestColumnarDetachOnMutation: any structural mutation must drop the
-// columnar view (the on-disk order no longer describes the database)
-// while queries keep working through the fallback path.
-func TestColumnarDetachOnMutation(t *testing.T) {
+// TestColumnarMutationKeepsKernel: after every kind of write to a
+// loaded database the Footprints export is gone, and the kernel over
+// the rewritten chunks scores every row with SimilarityJoin's bits over
+// Row, sketches included.
+func TestColumnarMutationKeepsKernel(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "snap.col")
-	fresh := func() *FootprintDB {
-		db := columnarTestDB(t, 30, false)
-		if err := db.Save(path); err != nil {
-			t.Fatalf("save: %v", err)
+	if err := columnarTestDB(t, 150, true).Save(path); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	extra := core.Footprint{{Rect: geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, Weight: 1}}
+	other := func() *FootprintDB {
+		o := columnarTestDB(t, 70, false)
+		for i := range o.IDs {
+			o.IDs[i] += 100000
 		}
-		got, err := Load(path)
+		return o
+	}
+
+	mutations := map[string]func(db *FootprintDB){
+		"upsert":  func(db *FootprintDB) { db.Upsert(9999, append(core.Footprint(nil), extra...)) },
+		"replace": func(db *FootprintDB) { db.Upsert(db.IDs[70], append(core.Footprint(nil), extra...)) },
+		"append":  func(db *FootprintDB) { db.AppendRoIs(db.IDs[0], extra) },
+		"remove":  func(db *FootprintDB) { db.Remove(db.IDs[130]) },
+		"compact": func(db *FootprintDB) { db.Remove(db.IDs[0]); db.Remove(db.IDs[64]); db.Compact() },
+		"merge": func(db *FootprintDB) {
+			if err := db.Merge(other()); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for name, mutate := range mutations {
+		db, err := Load(path)
 		if err != nil {
 			t.Fatalf("load: %v", err)
 		}
-		if !got.ColumnarBacked() {
-			t.Fatal("load did not attach columns")
-		}
-		return got
-	}
-	extra := core.Footprint{{Rect: geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, Weight: 1}}
-
-	mutations := map[string]func(db *FootprintDB){
-		"upsert":  func(db *FootprintDB) { db.Upsert(9999, extra) },
-		"append":  func(db *FootprintDB) { db.AppendRoIs(db.IDs[0], extra) },
-		"remove":  func(db *FootprintDB) { db.Remove(db.IDs[0]) },
-		"compact": func(db *FootprintDB) { db.Remove(db.IDs[0]); db.Compact() },
-	}
-	for name, mutate := range mutations {
-		db := fresh()
 		mutate(db)
-		if db.ColumnarBacked() {
-			t.Fatalf("%s: columnar view survived a structural mutation", name)
+		if db.Footprints != nil {
+			t.Fatalf("%s: the write kept the Footprints export", name)
 		}
-		// Fallback still answers correctly.
-		q := db.Footprints[0]
-		qn := db.Norms[0]
-		want := core.SimilarityJoin(db.Footprints[0], q, db.Norms[0], qn)
-		if got := db.UserSimilarity(0, q, qn); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%s: post-detach UserSimilarity %v != %v", name, got, want)
+		q := db.Row(1)
+		qn := core.Norm(q)
+		qsk := sketch.Build(q, db.SketchParams)
+		for u := range db.IDs {
+			row := db.Row(u)
+			if !core.IsSortedByMinX(row) || math.Float64bits(core.Norm(row)) != math.Float64bits(db.Norms[u]) || row.MBR() != db.MBRs[u] {
+				t.Fatalf("%s: row %d disagrees with its norm or MBR", name, u)
+			}
+			want := core.SimilarityJoin(row, q, db.Norms[u], qn)
+			if got := db.UserSimilarity(u, q, qn); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: UserSimilarity(%d) %v != %v", name, u, got, want)
+			}
+			sk := sketch.Build(row, db.SketchParams)
+			if got, want := db.UserSketchDot(u, &qsk), sketch.BoundDot(&sk, &qsk); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: UserSketchDot(%d) %v != %v", name, u, got, want)
+			}
 		}
-	}
-
-	// Enabling sketches on a sketch-less columnar file keeps the region
-	// fast path: only the cell half of the view must be rebuilt.
-	db := fresh()
-	db.EnableSketches(16, 2)
-	if !db.ColumnarBacked() {
-		t.Fatal("EnableSketches dropped the region columns")
-	}
-	qsk := sketch.Build(db.Footprints[0], db.SketchParams)
-	if got, want := db.UserSketchDot(0, &qsk), sketch.BoundDot(&db.Sketches[0], &qsk); math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("post-EnableSketches dot %v != %v", got, want)
-	}
-	db.DisableSketches()
-	if !db.ColumnarBacked() {
-		t.Fatal("DisableSketches dropped the region columns")
 	}
 }
 
-// TestColumnarEpochFreeze: a frozen epoch taken before any mutation
-// keeps the columnar fast path; the first builder mutation detaches
-// the builder's view without disturbing the frozen snapshot.
+// TestColumnarEpochFreeze: an epoch frozen before any write keeps
+// serving the mapped columns — its rows and its encoding unchanged —
+// while the builder writes and freezes on.
 func TestColumnarEpochFreeze(t *testing.T) {
 	db := columnarTestDB(t, 25, false)
 	path := filepath.Join(t.TempDir(), "snap.col")
@@ -245,21 +229,22 @@ func TestColumnarEpochFreeze(t *testing.T) {
 	}
 	b := NewEpochBuilder(loaded)
 	frozen := b.Freeze()
-	if !frozen.ColumnarBacked() {
-		t.Fatal("pre-mutation freeze lost the columnar view")
+	if !frozen.mapped {
+		t.Fatal("pre-mutation freeze lost the mapped columns")
 	}
 	extra := core.Footprint{{Rect: geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, Weight: 1}}
 	b.Upsert(424242, extra)
-	next := b.Freeze()
-	if next.ColumnarBacked() {
-		t.Fatal("post-mutation freeze still claims columnar backing")
+	b.AppendRoIs(db.IDs[3], extra)
+	if next := b.Freeze(); next.mapped || next.Len() != 26 {
+		t.Fatal("post-mutation freeze still claims the mapped columns")
 	}
-	if !frozen.ColumnarBacked() {
-		t.Fatal("mutation in the builder detached the frozen epoch's view")
+	if !frozen.mapped {
+		t.Fatal("mutation in the builder changed the frozen epoch")
 	}
-	q := frozen.Footprints[3]
+	sameDB(t, db, frozen)
+	q := frozen.Row(3)
 	qn := frozen.Norms[3]
-	want := core.SimilarityJoin(frozen.Footprints[3], q, frozen.Norms[3], qn)
+	want := core.SimilarityJoin(db.Footprints[3], q, db.Norms[3], qn)
 	if got := frozen.UserSimilarity(3, q, qn); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("frozen epoch similarity %v != %v", got, want)
 	}

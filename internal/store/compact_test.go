@@ -18,7 +18,7 @@ func TestCompact(t *testing.T) {
 		if !ok || idx != i {
 			t.Errorf("user %d at index %d (%v), want %d", want, idx, ok, i)
 		}
-		if len(db.Footprints[i]) == 0 || db.Norms[i] == 0 {
+		if db.RowLen(i) == 0 || db.Norms[i] == 0 {
 			t.Errorf("survivor %d lost its footprint", want)
 		}
 	}

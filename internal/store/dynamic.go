@@ -22,11 +22,9 @@ import (
 
 // Upsert inserts or replaces the footprint of the user with the given
 // external ID, recomputing its norm (Algorithm 2) and MBR, and returns
-// the user's dense index. The footprint is stored as given and sorted
-// by Rect.MinX in place (the database invariant); pass a copy if the
-// caller retains it.
+// the user's dense index. The footprint is sorted by Rect.MinX in place
+// (the database invariant) and copied into the store.
 func (db *FootprintDB) Upsert(id int, f core.Footprint) int {
-	db.detachCols()
 	if !core.IsSortedByMinX(f) {
 		core.SortByMinX(f)
 	}
@@ -34,18 +32,25 @@ func (db *FootprintDB) Upsert(id int, f core.Footprint) int {
 	if !ok {
 		i = len(db.IDs)
 		db.IDs = append(db.IDs, id)
-		db.Footprints = append(db.Footprints, nil)
 		db.Norms = append(db.Norms, 0)
 		db.MBRs = append(db.MBRs, geom.EmptyRect())
 		if db.byID != nil {
 			db.byID[id] = i
 		}
 	}
-	db.Footprints[i] = f
+	db.setRow(i, f)
+	return i
+}
+
+// setRow is the one write of a row: it stores f, MinX-sorted, as user
+// i's row (i one past the last row appends it), with its norm, MBR and
+// sketch.
+func (db *FootprintDB) setRow(i int, f core.Footprint) {
+	db.putRow(i, f)
+	db.wrote()
 	db.Norms[i] = core.Norm(f)
 	db.MBRs[i] = f.MBR()
-	db.refreshSketch(i)
-	return i
+	db.refreshSketch(i, f)
 }
 
 // AppendRoIs extends a user's footprint with newly extracted regions
@@ -53,17 +58,13 @@ func (db *FootprintDB) Upsert(id int, f core.Footprint) int {
 // the user if needed, and refreshes norm and MBR. It returns the
 // user's dense index.
 func (db *FootprintDB) AppendRoIs(id int, regions []core.Region) int {
-	db.detachCols()
 	i, ok := db.IndexOf(id)
 	if !ok {
 		return db.Upsert(id, append(core.Footprint(nil), regions...))
 	}
-	f := append(db.Footprints[i], regions...)
+	f := append(db.AppendRow(make(core.Footprint, 0, db.RowLen(i)+len(regions)), i), regions...)
 	core.SortByMinX(f)
-	db.Footprints[i] = f
-	db.Norms[i] = core.Norm(f)
-	db.MBRs[i] = f.MBR()
-	db.refreshSketch(i)
+	db.setRow(i, f)
 	return i
 }
 
@@ -73,15 +74,15 @@ func (db *FootprintDB) AppendRoIs(id int, regions []core.Region) int {
 // invalidated and must be rebuilt; long-running services call this
 // during maintenance windows after many Removes.
 func (db *FootprintDB) Compact() int {
-	db.detachCols()
 	sketches := db.SketchesEnabled()
+	var rows []core.Footprint
 	keep := 0
 	for i := range db.IDs {
-		if len(db.Footprints[i]) == 0 {
+		if db.RowLen(i) == 0 {
 			continue
 		}
+		rows = append(rows, db.Row(i))
 		db.IDs[keep] = db.IDs[i]
-		db.Footprints[keep] = db.Footprints[i]
 		db.Norms[keep] = db.Norms[i]
 		db.MBRs[keep] = db.MBRs[i]
 		if sketches {
@@ -90,13 +91,18 @@ func (db *FootprintDB) Compact() int {
 		keep++
 	}
 	removed := len(db.IDs) - keep
+	if removed == 0 {
+		return 0
+	}
 	db.IDs = db.IDs[:keep]
-	db.Footprints = db.Footprints[:keep]
 	db.Norms = db.Norms[:keep]
 	db.MBRs = db.MBRs[:keep]
 	if sketches {
 		db.Sketches = db.Sketches[:keep]
 	}
+	db.chunks = nil
+	db.appendRows(rows)
+	db.wrote()
 	db.byID = nil // force rebuild on next IndexOf
 	return removed
 }
@@ -105,43 +111,31 @@ func (db *FootprintDB) Compact() int {
 // possible: norms and MBRs are copied. User IDs must be disjoint; a
 // duplicate ID aborts with an error before any change is applied. It
 // is the way to combine evaluation parts (e.g. Part A + Part B) or
-// shard extraction across machines.
-//
-// Incoming footprints are sorted by Rect.MinX in place when they are
-// not already (the database invariant; a hand-built `other` can
-// violate it — databases produced by this package never do, making the
-// check O(n)). When db's sketch layer is enabled, sketches for the
-// incoming users are copied if other shares db's exact sketch
-// parameters and rebuilt under db's parameters otherwise.
+// shard extraction across machines. When db's sketch layer is enabled,
+// sketches for the incoming users are copied if other shares db's
+// exact sketch parameters and rebuilt under db's parameters otherwise.
 func (db *FootprintDB) Merge(other *FootprintDB) error {
 	for _, id := range other.IDs {
 		if _, exists := db.IndexOf(id); exists {
 			return fmt.Errorf("store: merge would duplicate user ID %d", id)
 		}
 	}
-	incoming := other.Footprints
-	if other.colsOnly() {
-		// An opened database's rows are sorted (validated at open);
-		// they are copied out, and other stays column-only.
-		incoming = other.cols.footprints()
+	rows := make([]core.Footprint, other.Len())
+	for u := range rows {
+		rows[u] = other.Row(u)
 	}
-	for _, f := range incoming {
-		if !core.IsSortedByMinX(f) {
-			core.SortByMinX(f)
-		}
-	}
-	db.detachCols()
 	base := len(db.IDs)
+	db.appendRows(rows)
+	db.wrote()
 	db.IDs = append(db.IDs, other.IDs...)
-	db.Footprints = append(db.Footprints, incoming...)
 	db.Norms = append(db.Norms, other.Norms...)
 	db.MBRs = append(db.MBRs, other.MBRs...)
 	if db.SketchesEnabled() {
 		if other.SketchParams == db.SketchParams && len(other.Sketches) == len(other.IDs) {
 			db.Sketches = append(db.Sketches, other.Sketches...)
 		} else {
-			for i := range other.IDs {
-				db.refreshSketch(base + i)
+			for i, f := range rows {
+				db.refreshSketch(base+i, f)
 			}
 		}
 	}
@@ -162,10 +156,6 @@ func (db *FootprintDB) Remove(id int) bool {
 	if !ok {
 		return false
 	}
-	db.detachCols()
-	db.Footprints[i] = nil
-	db.Norms[i] = 0
-	db.MBRs[i] = geom.EmptyRect()
-	db.refreshSketch(i)
+	db.setRow(i, nil)
 	return true
 }

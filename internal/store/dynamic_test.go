@@ -50,7 +50,7 @@ func TestUpsertAndRemove(t *testing.T) {
 	if i, ok := db.IndexOf(10); !ok || i != 0 {
 		t.Error("tombstoned user lost its index")
 	}
-	if db.Norms[0] != 0 || len(db.Footprints[0]) != 0 {
+	if db.Norms[0] != 0 || db.RowLen(0) != 0 {
 		t.Error("tombstone incomplete")
 	}
 	if db.Remove(999) {

@@ -18,20 +18,18 @@ import (
 // slices and indexes, and release it on exit; a superseded epoch is
 // reclaimed when its last pinned query drains.
 //
-// Immutability is cheap because Freeze is copy-on-write at two
-// granularities:
+// Immutability is cheap because nothing a snapshot references is ever
+// written in place:
 //
-//   - The five parallel slice headers (IDs, Footprints, Norms, MBRs,
-//     Sketches) are copied per freeze — O(users) word copies — so the
-//     builder's later element writes and appends never touch a
-//     published snapshot.
-//   - The per-user region arrays (the O(users × regions) payload) are
-//     shared between builder and snapshot until the builder mutates
-//     that user. AppendRoIs sorts the region array in place, so the
-//     builder re-copies a user's regions before the first mutation
-//     after a freeze (generation-stamped, so an untouched user costs
-//     nothing). The ID → index map is likewise shared until the next
-//     user insertion.
+//   - The parallel slice headers (IDs, Norms, MBRs, Sketches) are
+//     copied per freeze — O(users) word copies — so the builder's later
+//     element writes and appends never touch a published snapshot.
+//   - The regions (the O(users × regions) payload) live in immutable
+//     chunks (chunks.go): a write replaces the chunk that holds its row
+//     with a fresh copy, so Freeze copies only the spine of chunk
+//     pointers, and builder and snapshot share every chunk the builder
+//     has not rewritten since. The ID → index map is likewise shared
+//     until the next user insertion.
 //
 // Reclamation is a flag-and-counter protocol: the publisher retires
 // the superseded epoch, and whoever moves the pin count to zero while
@@ -211,33 +209,24 @@ func (s *EpochStore) Stats() EpochStats {
 
 // EpochBuilder owns the mutable working database the next epoch is
 // built from. All mutations go through the builder — the seam the
-// epochmut analyzer enforces — so it can re-own shared per-user state
-// (copy-on-write) before delegating to the store's mutation methods.
-// It is not concurrency-safe: the caller serialises mutations and
-// Freeze behind its write path, exactly like FootprintDB itself.
+// epochmut analyzer enforces — so it can re-own the shared ID → index
+// map before delegating to the store's mutation methods. It is not
+// concurrency-safe: the caller serialises mutations and Freeze behind
+// its write path, exactly like FootprintDB itself.
 type EpochBuilder struct {
 	db *FootprintDB
 
-	// gen is bumped at every Freeze; owned[i] == gen means the builder
-	// re-owned user i's region array since the last freeze and may
-	// mutate it in place. Everything else is potentially shared with a
-	// published snapshot.
-	gen   uint64
-	owned []uint64
 	// mapShared marks db.byID as shared with the latest snapshot; it
 	// is copied before the next user insertion.
 	mapShared bool
 }
 
 // NewEpochBuilder wraps db (empty when nil) as the working state.
-// Conservatively, every pre-existing region array is treated as shared
-// — callers often retain references to the database they loaded — so
-// the first mutation of each user after construction copies once.
 func NewEpochBuilder(db *FootprintDB) *EpochBuilder {
 	if db == nil {
 		db = &FootprintDB{}
 	}
-	return &EpochBuilder{db: db, gen: 1, owned: make([]uint64, len(db.IDs))}
+	return &EpochBuilder{db: db}
 }
 
 // DB exposes the working database for reads under the caller's write
@@ -248,39 +237,13 @@ func (b *EpochBuilder) DB() *FootprintDB { return b.db }
 // Len returns the number of users in the working database.
 func (b *EpochBuilder) Len() int { return b.db.Len() }
 
-// growOwned extends the stamp array to cover dense index i (Upsert
-// and AppendRoIs can extend the user space).
-func (b *EpochBuilder) growOwned(i int) {
-	for len(b.owned) <= i {
-		b.owned = append(b.owned, 0)
-	}
-}
-
-// ensureOwned re-owns user i's region array: if it may be shared with
-// a snapshot, the builder replaces it with a private copy so in-place
-// sorting (AppendRoIs) cannot tear a published footprint.
-func (b *EpochBuilder) ensureOwned(i int) {
-	b.db.detachCols() // an opened database builds its rows first
-	b.growOwned(i)
-	if b.owned[i] == b.gen {
+// ensureMapOwned re-owns the ID → index map before id is inserted (a
+// no-op when id is present); point lookups on published epochs read
+// the shared map lock-free, so the builder must never add keys to it.
+func (b *EpochBuilder) ensureMapOwned(id int) {
+	if _, ok := b.db.IndexOf(id); ok || !b.mapShared {
 		return
 	}
-	if f := b.db.Footprints[i]; f != nil {
-		c := make(core.Footprint, len(f))
-		copy(c, f)
-		b.db.Footprints[i] = c
-	}
-	b.owned[i] = b.gen
-}
-
-// ensureMapOwned re-owns the ID → index map before an insertion; point
-// lookups on published epochs read the shared map lock-free, so the
-// builder must never add keys to it.
-func (b *EpochBuilder) ensureMapOwned() {
-	if !b.mapShared {
-		return
-	}
-	b.db.ensureByID()
 	m := make(map[int]int, len(b.db.byID)+1)
 	for k, v := range b.db.byID {
 		m[k] = v
@@ -290,93 +253,54 @@ func (b *EpochBuilder) ensureMapOwned() {
 }
 
 // Upsert inserts or replaces a user's footprint (FootprintDB.Upsert
-// semantics: stored as given, sorted in place; pass a copy if the
-// caller retains it) and returns the dense index.
+// semantics: sorted in place, then copied) and returns the dense
+// index.
 func (b *EpochBuilder) Upsert(id int, f core.Footprint) int {
-	if _, ok := b.db.IndexOf(id); !ok {
-		b.ensureMapOwned()
-	}
-	i := b.db.Upsert(id, f)
-	b.growOwned(i)
-	b.owned[i] = b.gen // Upsert installed a fresh array
-	return i
+	b.ensureMapOwned(id)
+	return b.db.Upsert(id, f)
 }
 
 // AppendRoIs extends a user's footprint with new regions, creating the
-// user if needed, and returns the dense index. The existing-user path
-// sorts the combined region array in place, so the builder re-owns it
-// first.
+// user if needed, and returns the dense index.
 func (b *EpochBuilder) AppendRoIs(id int, regions []core.Region) int {
-	if i, ok := b.db.IndexOf(id); ok {
-		b.ensureOwned(i)
-	} else {
-		b.ensureMapOwned()
-	}
-	i := b.db.AppendRoIs(id, regions)
-	b.growOwned(i)
-	b.owned[i] = b.gen
-	return i
+	b.ensureMapOwned(id)
+	return b.db.AppendRoIs(id, regions)
 }
 
-// Remove tombstones a user (FootprintDB.Remove semantics). Remove only
-// assigns fresh values into the builder's own parallel slices — it
-// never writes into the shared region array — so no copy is needed.
-func (b *EpochBuilder) Remove(id int) bool {
-	i, ok := b.db.IndexOf(id)
-	if !ok {
-		return false
-	}
-	if !b.db.Remove(id) {
-		return false
-	}
-	b.growOwned(i)
-	b.owned[i] = b.gen // footprint is now nil; nothing shared remains
-	return true
-}
+// Remove tombstones a user (FootprintDB.Remove semantics).
+func (b *EpochBuilder) Remove(id int) bool { return b.db.Remove(id) }
 
 // EnableSketches (re)builds the working database's sketch layer.
 // EnableSketches allocates a fresh Sketches array and never writes
-// into region arrays, so published snapshots are unaffected.
+// into the chunks, so published snapshots are unaffected.
 func (b *EpochBuilder) EnableSketches(g, workers int) {
 	b.db.EnableSketches(g, workers)
 }
 
 // Freeze snapshots the working database into an immutable FootprintDB
 // ready for EpochStore.Publish. The snapshot gets private copies of
-// the five parallel slice headers and shares each user's region
-// array, the sketch payloads and the ID → index map with the builder
-// until the builder's next mutation of that state (copy-on-write).
-// The ID map is materialised first so epoch readers never race a lazy
-// build. The builder remains valid and owns the working database.
+// the parallel slice headers and of the chunk spine, and shares the
+// chunks, the sketch payloads, the ID → index map and the pinned
+// snapshot (colSrc) with the builder. The ID map is materialised
+// first so epoch readers never race a lazy build. The builder remains
+// valid and owns the working database.
 func (b *EpochBuilder) Freeze() *FootprintDB {
 	db := b.db
 	db.ensureByID()
 	snap := &FootprintDB{
 		Name:         db.Name,
 		IDs:          append([]int(nil), db.IDs...),
-		Footprints:   append([]core.Footprint(nil), db.Footprints...),
 		Norms:        append([]float64(nil), db.Norms...),
 		MBRs:         append([]geom.Rect(nil), db.MBRs...),
 		SketchParams: db.SketchParams,
 		byID:         db.byID,
+		chunks:       append([]*chunk(nil), db.chunks...),
+		colSrc:       db.colSrc,
+		mapped:       db.mapped,
 	}
 	if db.Sketches != nil {
 		snap.Sketches = append([]sketch.Sketch(nil), db.Sketches...)
 	}
-	// The columnar fast-path view travels with the snapshot: the
-	// builder's copy-on-write discipline means the frozen state is
-	// exactly the state the columns describe (the builder detaches its
-	// own view on the first mutation after load, so a stale view can
-	// never be frozen). Before that first mutation the columns are the
-	// only copy of the regions, and builder and snapshot both have nil
-	// Footprints. colSrc rides along to keep the mmap pinned for the
-	// epoch's lifetime.
-	snap.cols = db.cols
-	snap.colSrc = db.colSrc
-	// Everything the snapshot references is now shared: bump the
-	// generation so the next mutation of any user re-owns its regions,
-	// and flag the map.
-	b.gen++
 	b.mapShared = true
 	return snap
 }

@@ -2,6 +2,9 @@ package store
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -48,7 +51,7 @@ func TestEpochPinnedSnapshotImmutable(t *testing.T) {
 	snap := ep.DB()
 	wantLen := snap.Len()
 	wantNorm := snap.Norms[4]
-	wantRegions := append(core.Footprint(nil), snap.Footprints[4]...)
+	wantRegions := snap.Row(4)
 
 	// Mutate the same user every way the serving write path can, and
 	// insert a new one; publish after each.
@@ -67,10 +70,10 @@ func TestEpochPinnedSnapshotImmutable(t *testing.T) {
 	if snap.Norms[4] != wantNorm {
 		t.Fatalf("pinned epoch norm changed: %v -> %v", wantNorm, snap.Norms[4])
 	}
-	if len(snap.Footprints[4]) != len(wantRegions) {
-		t.Fatalf("pinned footprint length changed: %d -> %d", len(wantRegions), len(snap.Footprints[4]))
+	if snap.RowLen(4) != len(wantRegions) {
+		t.Fatalf("pinned footprint length changed: %d -> %d", len(wantRegions), snap.RowLen(4))
 	}
-	for i, r := range snap.Footprints[4] {
+	for i, r := range snap.Row(4) {
 		if r != wantRegions[i] {
 			t.Fatalf("pinned footprint region %d changed: %+v -> %+v", i, wantRegions[i], r)
 		}
@@ -83,7 +86,7 @@ func TestEpochPinnedSnapshotImmutable(t *testing.T) {
 	}
 	cur := es.Acquire()
 	defer cur.Release()
-	if got := core.Norm(cur.DB().Footprints[4]); got != 0 {
+	if got := core.Norm(cur.DB().Row(4)); got != 0 {
 		t.Fatalf("Remove not visible in the current epoch: norm %v", got)
 	}
 }
@@ -200,13 +203,13 @@ func TestEpochSwapChaos(t *testing.T) {
 				ep := es.Acquire()
 				snap := ep.DB()
 				n := snap.Len()
-				if len(snap.Footprints) != n || len(snap.Norms) != n || len(snap.MBRs) != n {
+				if len(snap.chunks) != (n+chunkUsers-1)/chunkUsers || len(snap.Norms) != n || len(snap.MBRs) != n {
 					report("parallel slices misaligned")
 					ep.Release()
 					return
 				}
 				u := rng.Intn(n)
-				f := snap.Footprints[u]
+				f := snap.Row(u)
 				if !core.IsSortedByMinX(f) {
 					report("unsorted footprint in a published epoch")
 					ep.Release()
@@ -250,12 +253,37 @@ func TestEpochSwapChaos(t *testing.T) {
 // The builder's working database must encode byte-identically whether
 // or not epochs were frozen along the way: copy-on-write changes
 // backing arrays, never values. This is what keeps ingest checkpoints
-// (and so crash recovery) byte-identical to the pre-epoch world.
+// (and so crash recovery) byte-identical to the pre-epoch world. Both
+// seeds hold it: one built in memory, and one opened from a snapshot
+// file, whose chunks alias the mapping until a write copies them — the
+// writes leave the file's bytes, and the rows of an epoch frozen before
+// them, exactly as they were.
 func TestEpochBuilderSnapshotBytesUnchanged(t *testing.T) {
+	// 150 users: three chunks, the writes touching the first and the
+	// last.
+	const users = 150
+	path := filepath.Join(t.TempDir(), "seed.col")
+	if err := epochSeedDB(t, users).Save(path); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := map[string]func(t *testing.T) *FootprintDB{
+		"memory": func(t *testing.T) *FootprintDB { return epochSeedDB(t, users) },
+		"opened": func(t *testing.T) *FootprintDB {
+			db, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return db
+		},
+	}
 	mutate := func(b *EpochBuilder, publish bool) {
 		es := NewEpochStore()
 		for i := 0; i < 8; i++ {
-			b.AppendRoIs(1+i%4, []core.Region{{
+			b.AppendRoIs(1+i%4*(users/3), []core.Region{{
 				Rect:   geom.Rect{MinX: float64(i) / 10, MinY: 0.1, MaxX: float64(i)/10 + 0.05, MaxY: 0.2},
 				Weight: 2,
 			}})
@@ -263,24 +291,46 @@ func TestEpochBuilderSnapshotBytesUnchanged(t *testing.T) {
 				es.Publish(b.Freeze(), nil)
 			}
 		}
+		b.Upsert(users+1, core.Footprint{{Rect: geom.Rect{MinX: 0.3, MinY: 0.3, MaxX: 0.4, MaxY: 0.4}, Weight: 1}})
 		b.Remove(2)
 		if publish {
 			es.Publish(b.Freeze(), nil)
 		}
 	}
-	encode := func(t *testing.T, publish bool) []byte {
-		b := NewEpochBuilder(epochSeedDB(t, 6))
+	encode := func(t *testing.T, seed func(*testing.T) *FootprintDB, publish bool) []byte {
+		b := NewEpochBuilder(seed(t))
+		before := b.Freeze()
+		want := make([]core.Footprint, users)
+		for u := range want {
+			want[u] = before.Row(u)
+		}
 		mutate(b, publish)
+		for u := range want {
+			if !slices.Equal(before.Row(u), want[u]) {
+				t.Fatalf("the writes changed row %d of the epoch frozen before them", u)
+			}
+		}
 		var buf writerBuf
 		if err := b.DB().Columnar(nil).EncodeTo(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.b
 	}
-	plain := encode(t, false)
-	frozen := encode(t, true)
-	if string(plain) != string(frozen) {
-		t.Fatal("freezing epochs perturbed the builder's encoded state")
+	var want []byte
+	for _, name := range []string{"memory", "opened"} {
+		plain := encode(t, seeds[name], false)
+		frozen := encode(t, seeds[name], true)
+		if string(plain) != string(frozen) {
+			t.Fatalf("%s: freezing epochs perturbed the builder's encoded state", name)
+		}
+		if want == nil {
+			want = plain
+		} else if string(plain) != string(want) {
+			t.Fatalf("%s: the written database encodes differently from the in-memory one", name)
+		}
+	}
+	if after, err := os.ReadFile(path); err != nil || string(after) != string(file) {
+		t.Fatalf("the writes changed the snapshot file (%v)", err)
 	}
 }
 

@@ -25,8 +25,7 @@ import "geofootprint/internal/sketch"
 // three-term bound, the transpose takes 4.2–5.2 ms to build and saves a
 // query ≈ 285–340 µs of a ≈ 365–430 µs gather over ≈ 2 700 candidates:
 // the gathers' excess over the walk adds up to one build after ≈ 15
-// queries, ≈ 41 000 candidates, 3.0 × the user count (3.3 × on the AoS
-// backing). Both costs scale with the stored cells, so the multiple
+// queries, ≈ 41 000 candidates, 3.0 × the user count. Both costs scale with the stored cells, so the multiple
 // carries to other corpus sizes; building at that point costs an epoch,
 // whatever its lifetime turns out to be, at most twice what the better
 // choice would have.
@@ -61,8 +60,7 @@ func (db *FootprintDB) SketchPostings(cands int) *sketch.Postings {
 }
 
 // dropPostings forgets the transpose and the gathers charged towards
-// it. Every in-place mutation of the user axis (through detachCols) or
-// of the sketch layer (EnableSketches, DisableSketches) runs it: the
+// it. Every write of the rows (through wrote) or of the sketch layer (EnableSketches, DisableSketches) runs it: the
 // transpose describes rows, a resolution and a user count that may no
 // longer exist. Published epochs are separate structs (Freeze) and keep
 // theirs.

@@ -33,9 +33,9 @@ func sketchDB(t *testing.T, seed int64, users int) *FootprintDB {
 // maintenance must match. The domain is pinned (not refitted) because
 // mutations never move the domain.
 func rebuiltSketches(db *FootprintDB) []sketch.Sketch {
-	out := make([]sketch.Sketch, len(db.Footprints))
-	for i, f := range db.Footprints {
-		out[i] = sketch.Build(f, db.SketchParams)
+	out := make([]sketch.Sketch, db.Len())
+	for i := range out {
+		out[i] = sketch.Build(db.Row(i), db.SketchParams)
 	}
 	return out
 }
@@ -102,23 +102,23 @@ func TestSketchMaintenance(t *testing.T) {
 	}
 	checkAligned(t, db, "after merge-same-params")
 
-	// Merge with different params (rebuild path) and an unsorted
-	// incoming footprint (the invariant audit: Merge must restore
+	// Merge with different params (rebuild path) and an incoming
+	// footprint given unsorted (New sorts it, so the merged row is in
 	// MinX order).
-	other2 := sketchDB(t, 3, 4)
-	for i := range other2.IDs {
-		other2.IDs[i] += 2_000_000
-	}
-	other2.byID = nil
-	other2.Footprints[0] = core.Footprint{
+	unsorted := core.Footprint{
 		{Rect: geom.Rect{MinX: 0.9, MinY: 0.1, MaxX: 0.95, MaxY: 0.2}, Weight: 1},
 		{Rect: geom.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.2, MaxY: 0.2}, Weight: 1},
 	}
+	other2, err := FromFootprints("other", []int{2_000_000, 2_000_007}, []core.Footprint{unsorted, randFootprints(rng, 1, 4)[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other2.EnableSketches(16, 0)
 	if err := db.Merge(other2); err != nil {
 		t.Fatal(err)
 	}
-	for i, f := range db.Footprints {
-		if !core.IsSortedByMinX(f) {
+	for i := range db.IDs {
+		if !core.IsSortedByMinX(db.Row(i)) {
 			t.Fatalf("footprint %d unsorted after merge", i)
 		}
 	}
@@ -183,7 +183,7 @@ func TestSketchDomainFixedUnderUpsert(t *testing.T) {
 		t.Fatal("upsert moved the sketch domain")
 	}
 	for v := range db.IDs {
-		sim := core.SimilarityJoin(db.Footprints[u], db.Footprints[v], db.Norms[u], db.Norms[v])
+		sim := core.SimilarityJoin(db.Row(u), db.Row(v), db.Norms[u], db.Norms[v])
 		bound := sketch.UpperBound(sketch.BoundDot(&db.Sketches[u], &db.Sketches[v]), db.Norms[u], db.Norms[v])
 		if bound < sim {
 			t.Fatalf("user %d: clamped bound %v < similarity %v", v, bound, sim)

@@ -12,8 +12,8 @@ import (
 // provable similarity upper bound before paying for an Algorithm 4
 // refinement. The layer is opt-in — EnableSketches builds it — and
 // once enabled every mutation path (Upsert, AppendRoIs, Remove, Merge,
-// Compact) keeps it aligned with Footprints, so indexes can rely on
-// db.Sketches[u] being current whenever db.Footprints[u] is.
+// Compact) keeps it aligned with the rows, so indexes can rely on
+// db.Sketches[u] being current whenever user u's row is.
 
 // SketchesEnabled reports whether the sketch layer is active.
 func (db *FootprintDB) SketchesEnabled() bool { return db.SketchParams.Valid() }
@@ -57,15 +57,15 @@ func (db *FootprintDB) DisableSketches() {
 	db.Sketches = nil
 }
 
-// refreshSketch re-rasterises user i after a mutation. The Sketches
-// slice is grown on demand so Upsert can extend the user space before
-// calling it.
-func (db *FootprintDB) refreshSketch(i int) {
+// refreshSketch re-rasterises user i, whose row is now f, after a
+// mutation. The Sketches slice is grown on demand so Upsert can extend
+// the user space before calling it.
+func (db *FootprintDB) refreshSketch(i int, f core.Footprint) {
 	if !db.SketchesEnabled() {
 		return
 	}
 	for len(db.Sketches) <= i {
 		db.Sketches = append(db.Sketches, sketch.Sketch{})
 	}
-	db.Sketches[i] = sketch.Build(db.Footprints[i], db.SketchParams)
+	db.Sketches[i] = sketch.Build(f, db.SketchParams)
 }

@@ -11,7 +11,6 @@ import (
 	"io"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"sync/atomic"
 
 	"geofootprint/internal/colstore"
@@ -28,20 +27,21 @@ import (
 // Euclidean norm ||F(u)|| (Equation 2, computed with Algorithm 2) and
 // its MBR (the key of the user-centric index of Section 6.2). The
 // parallel slices are indexed by a dense user index; IDs maps back to
-// external user identifiers. An opened database (Open) leaves
-// Footprints nil and keeps its regions in the snapshot's columns until
-// its first mutation; read rows through Row, AppendRow and RowLen,
-// which serve both (the footprintread analyzer flags direct reads of
-// Footprints outside this package).
+// external user identifiers. The regions live in one layout, chunked
+// columns (chunks.go); read rows through Row, AppendRow and RowLen.
 //
 // Invariant: every stored footprint is sorted by Rect.MinX. All ingest
 // paths (Build, FromFootprints, Open, Upsert, AppendRoIs) establish it,
 // so the join-based Algorithm 4 — the kernel of every search method —
-// takes its allocation-free sorted fast path on every call instead of
-// copying and re-sorting.
+// never re-sorts a stored row.
 type FootprintDB struct {
-	Name       string
-	IDs        []int
+	Name string
+	IDs  []int
+	// Footprints is an export the store never reads: the rows New,
+	// Build and FromFootprints were given, or Load's transpose of the
+	// chunks, for the tools and the facade. Open leaves it nil and the
+	// first write sets it to nil (the footprintread analyzer flags
+	// reads of it outside this package).
 	Footprints []core.Footprint
 	Norms      []float64
 	MBRs       []geom.Rect
@@ -51,22 +51,23 @@ type FootprintDB struct {
 	// against a query's sketch upper-bounds Equation 1 similarity.
 	// EnableSketches turns the layer on; a zero SketchParams means
 	// disabled. When enabled, every dynamic mutation keeps Sketches
-	// aligned with Footprints, and Save/Load persist them with the rest
-	// of the database; on a columnar-backed database they are slices of
-	// the snapshot's cell blocks.
+	// aligned with the rows, and Save/Load persist them with the rest
+	// of the database; on an opened database they are slices of the
+	// snapshot's cell blocks.
 	SketchParams sketch.Params
 	Sketches     []sketch.Sketch
 
 	byID map[int]int // lazily built ID → index
 
-	// Columnar fast-path state (set by FromColumnar, see columnar.go).
-	// cols is the dense column view the flattened kernels and the row
-	// accessors read; dropped by detachCols on any mutation. colSrc
-	// pins the decoded snapshot — and its mmap on the zero-copy path —
-	// for as long as Norms or the sketch slices may alias it; it is
-	// never cleared.
-	cols   *colView
+	// chunks is the spine of region chunks (chunks.go). colSrc pins
+	// the snapshot an opened database was decoded from — and its mmap
+	// on the zero-copy path — for as long as the chunks, Norms or the
+	// sketch slices may alias it; it is never cleared. mapped reports
+	// that the chunks are still exactly colSrc's columns: no row has
+	// been written since Open.
+	chunks []*chunk
 	colSrc *colstore.Snapshot
+	mapped bool
 
 	// The sketch layer's cell-major transpose, once this database has
 	// served enough gathers to be worth one, and the candidates those
@@ -87,14 +88,15 @@ func Build(d *traj.Dataset, cfg extract.Config, w core.Weighting, workers int) (
 		return nil, err
 	}
 	rois := extract.ExtractDataset(d, cfg, workers)
-	db := &FootprintDB{
-		Name:       d.Name,
-		IDs:        make([]int, len(d.Users)),
-		Footprints: make([]core.Footprint, len(d.Users)),
-	}
+	ids := make([]int, len(d.Users))
+	fps := make([]core.Footprint, len(d.Users))
 	for i := range d.Users {
-		db.IDs[i] = d.Users[i].ID
-		db.Footprints[i] = core.FromRoIs(rois[i], w)
+		ids[i] = d.Users[i].ID
+		fps[i] = core.FromRoIs(rois[i], w)
+	}
+	db, err := New(d.Name, ids, fps)
+	if err != nil {
+		return nil, err
 	}
 	db.ComputeNorms(workers)
 	return db, nil
@@ -117,8 +119,9 @@ func FromFootprints(name string, ids []int, fps []core.Footprint) (*FootprintDB,
 // norms or MBRs — the two-phase form of FromFootprints for callers
 // that meter or parallelise the norm pass themselves (the bench
 // harness times extraction and norm computation separately). The
-// MinX-sorted invariant is established here; the database is not
-// servable until ComputeNorms has run.
+// MinX-sorted invariant is established here, and the rows are copied
+// into the chunks; fps stays as the Footprints export. The database is
+// not servable until ComputeNorms has run.
 func New(name string, ids []int, fps []core.Footprint) (*FootprintDB, error) {
 	if len(ids) != len(fps) {
 		return nil, fmt.Errorf("store: %d ids for %d footprints", len(ids), len(fps))
@@ -128,20 +131,24 @@ func New(name string, ids []int, fps []core.Footprint) (*FootprintDB, error) {
 			core.SortByMinX(f)
 		}
 	}
-	return &FootprintDB{Name: name, IDs: ids, Footprints: fps}, nil
+	db := &FootprintDB{Name: name, IDs: ids, Footprints: fps}
+	db.appendRows(fps)
+	return db, nil
 }
 
-// ComputeNorms (re)computes the norm and MBR of every footprint of a
-// database built in memory (New's output), on `workers` goroutines
-// (GOMAXPROCS if <= 0) — the preprocessing phase of Section 5.1.
+// ComputeNorms (re)computes the norm and MBR of every user, on
+// `workers` goroutines (GOMAXPROCS if <= 0) — the preprocessing phase
+// of Section 5.1.
 func (db *FootprintDB) ComputeNorms(workers int) {
-	n := len(db.Footprints)
+	n := db.Len()
 	db.Norms = make([]float64, n)
 	db.MBRs = make([]geom.Rect, n)
 	par.For(n, workers, 64, func(_, lo, hi int) {
+		var row core.Footprint
 		for i := lo; i < hi; i++ {
-			db.Norms[i] = core.Norm(db.Footprints[i])
-			db.MBRs[i] = db.Footprints[i].MBR()
+			row = db.AppendRow(row[:0], i)
+			db.Norms[i] = core.Norm(row)
+			db.MBRs[i] = row.MBR()
 		}
 	})
 }
@@ -169,55 +176,6 @@ func (db *FootprintDB) ensureByID() {
 		m[uid] = i
 	}
 	db.byID = m
-}
-
-// NumRegions returns the total number of footprint regions across all
-// users.
-func (db *FootprintDB) NumRegions() int {
-	if c := db.cols; c != nil {
-		return int(c.starts[len(c.starts)-1])
-	}
-	n := 0
-	for _, f := range db.Footprints {
-		n += len(f)
-	}
-	return n
-}
-
-// Row returns user u's stored footprint, read-only: the stored slice
-// itself once the database is materialised, a fresh copy read from the
-// columns while an opened database holds its regions only there. Loops
-// use AppendRow with a reused buffer instead.
-func (db *FootprintDB) Row(u int) core.Footprint {
-	if db.colsOnly() {
-		return db.AppendRow(nil, u)
-	}
-	return db.Footprints[u]
-}
-
-// AppendRow appends user u's stored regions, in stored (MinX-sorted)
-// order, to dst and returns the extended slice.
-func (db *FootprintDB) AppendRow(dst core.Footprint, u int) core.Footprint {
-	c := db.cols
-	if c == nil {
-		return append(dst, db.Footprints[u]...)
-	}
-	lo, hi := int(c.starts[u]), int(c.starts[u+1])
-	dst = slices.Grow(dst, hi-lo)
-	n := len(dst)
-	dst = dst[:n+hi-lo]
-	r := &c.regions
-	fillRegions(dst[n:], r.MinX[lo:hi], r.MinY[lo:hi], r.MaxX[lo:hi], r.MaxY[lo:hi], r.W[lo:hi])
-	return dst
-}
-
-// RowLen returns the number of regions user u holds (0 for a
-// tombstone).
-func (db *FootprintDB) RowLen(u int) int {
-	if c := db.cols; c != nil {
-		return int(c.starts[u+1] - c.starts[u])
-	}
-	return len(db.Footprints[u])
 }
 
 // Save writes the database to path in the columnar snapshot format,
@@ -304,12 +262,11 @@ func WriteFileAtomicFS(fsys faultfs.FS, path string, write func(io.Writer) error
 	return nil
 }
 
-// Open opens a database previously written by Save, column-only and
-// preferring zero-copy mmap: the regions stay in the snapshot's
-// columns, which every row reader and kernel reads, and Footprints
-// stays nil until the first mutation builds it (see detachCols). This
-// is the serving load path; what it allocates grows with the users, not
-// the regions. A file that is not a columnar snapshot, or one that is
+// Open opens a database previously written by Save, preferring
+// zero-copy mmap: its chunks alias the snapshot's columns, and a write
+// copies only the chunk it touches (chunks.go). Footprints stays nil.
+// This is the serving load path; what it allocates grows with the
+// users, not the regions. A file that is not a columnar snapshot, or one that is
 // damaged, reports ErrCorruptSnapshot; a missing file stays
 // os.IsNotExist.
 func Open(path string) (*FootprintDB, error) {
@@ -318,9 +275,9 @@ func Open(path string) (*FootprintDB, error) {
 }
 
 // Load is Open followed by one O(regions) transpose into the AoS
-// Footprints, for the callers (tools, the facade) that read them
-// directly; the column view stays attached, so queries still run the
-// flattened kernels. Errors are Open's.
+// Footprints export, for the callers (tools, the facade) that read
+// them directly; the store itself keeps reading the chunks. Errors are
+// Open's.
 func Load(path string) (*FootprintDB, error) {
 	return LoadColumnar(path, colstore.ModeAuto)
 }
