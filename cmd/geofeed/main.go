@@ -19,8 +19,9 @@
 //	geofeed query -url http://localhost:9090 -queries 200 -k 10
 //
 // Inspect mode reads a write-ahead log offline and reports every
-// record (LSN, samples, bytes, CRC validity) plus whether the tail is
-// torn or corrupt — the first thing to look at after a crash:
+// record (LSN, kind — sample batch, upsert or remove — size, CRC
+// validity) plus whether the tail is torn or corrupt — the first thing
+// to look at after a crash:
 //
 //	geofeed inspect -wal ingest.wal [-v]
 package main
@@ -29,6 +30,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"net/http"
@@ -172,44 +174,65 @@ func inspect(args []string) {
 		fs.Usage()
 		os.Exit(2)
 	}
+	damaged, err := inspectWAL(os.Stdout, *path, *verbose)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if damaged {
+		os.Exit(1)
+	}
+}
 
+// inspectWAL writes inspect's report on the log at path to w and says
+// whether its tail is damaged.
+func inspectWAL(w io.Writer, path string, verbose bool) (damaged bool, err error) {
 	var (
-		records, samples  int
-		bytesTotal        int64
-		firstLSN, lastLSN uint64
+		samples, upserts, removes int
+		bytesTotal                int64
+		firstLSN, lastLSN         uint64
 	)
-	n, damaged, err := wal.Replay(*path, func(rec wal.Record) error {
+	n, damaged, err := wal.Replay(path, func(rec wal.Record) error {
 		if firstLSN == 0 {
 			firstLSN = rec.LSN
 		}
 		lastLSN = rec.LSN
-		records++
 		bytesTotal += int64(len(rec.Payload))
-		batch, derr := ingest.DecodeBatch(rec.Payload)
+		r, derr := ingest.DecodeRecord(rec.Payload)
 		if derr != nil {
 			// CRC-valid but undecodable: a format-version mismatch.
-			fmt.Printf("record LSN %d: %v\n", rec.LSN, derr)
+			fmt.Fprintf(w, "record LSN %d: %v\n", rec.LSN, derr)
 			return nil
 		}
-		samples += len(batch)
-		if *verbose {
-			fmt.Printf("LSN %-8d %5d samples  %7d bytes  t=[%g, %g]\n",
-				rec.LSN, len(batch), len(rec.Payload), batch[0].T, batch[len(batch)-1].T)
+		var what string
+		switch {
+		case len(r.Samples) > 0:
+			samples += len(r.Samples)
+			what = fmt.Sprintf("%5d samples  t=[%g, %g]", len(r.Samples), r.Samples[0].T, r.Samples[len(r.Samples)-1].T)
+		case r.Edit.Op == ingest.OpUpsert:
+			upserts++
+			what = fmt.Sprintf("upsert user %d, %d regions", r.Edit.User, len(r.Edit.Regions))
+		default:
+			removes++
+			what = fmt.Sprintf("remove user %d", r.Edit.User)
+		}
+		if verbose {
+			fmt.Fprintf(w, "LSN %-8d %7d bytes  %s\n", rec.LSN, len(rec.Payload), what)
 		}
 		return nil
 	})
 	if err != nil {
-		log.Fatal(err)
+		return false, err
 	}
-	fi, err := os.Stat(*path)
+	fi, err := os.Stat(path)
 	if err != nil {
-		log.Fatal(err)
+		return false, err
 	}
-	fmt.Printf("%s: %d records (LSN %d..%d), %d samples, %d payload bytes, %d file bytes\n",
-		*path, n, firstLSN, lastLSN, samples, bytesTotal, fi.Size())
+	fmt.Fprintf(w, "%s: %d records (LSN %d..%d), %d samples, %d upserts, %d removes, %d payload bytes, %d file bytes\n",
+		path, n, firstLSN, lastLSN, samples, upserts, removes, bytesTotal, fi.Size())
 	if damaged {
-		fmt.Println("TAIL DAMAGED: the last record is torn or corrupt; recovery applies the intact prefix and the next open truncates the tail")
-		os.Exit(1)
+		fmt.Fprintln(w, "TAIL DAMAGED: the last record is torn or corrupt; recovery applies the intact prefix and the next open truncates the tail")
+		return true, nil
 	}
-	fmt.Println("tail clean: every record passes CRC")
+	fmt.Fprintln(w, "tail clean: every record passes CRC")
+	return false, nil
 }

@@ -12,7 +12,7 @@
 //
 // serves a live corpus fed through POST /v1/ingest: on startup the
 // durable state is recovered (snapshot + WAL tail replay), and every
-// acknowledged sample batch survives a crash. The WAL fsync policy is
+// acknowledged write — sample batch, PUT or DELETE — survives a crash. The WAL fsync policy is
 // -sync (batch|interval|none); -snapshot-every bounds replay work by
 // checkpointing after that many WAL records. On SIGINT/SIGTERM the
 // server drains in-flight requests, then checkpoints and closes the
@@ -27,7 +27,8 @@
 // As a cluster shard behind georouter, /v1/query additionally accepts
 // a segment restriction (the replica tuple whose users this sub-query
 // covers — see internal/server segment.go), and /healthz reports
-// ingest_seq, the last applied WAL LSN, which the router compares
+// ingest_seq, the last acknowledged WAL LSN (the last record appended;
+// on stable storage only under -sync batch), which the router compares
 // against its acked high-water mark to detect replicas that restarted
 // onto an older snapshot.
 //

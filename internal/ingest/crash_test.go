@@ -53,6 +53,11 @@ func walRecordSize(batch []Sample) int64 {
 	return 16 + 4 + int64(len(batch))*sampleWireSize
 }
 
+// recordSize is the on-disk footprint of any record.
+func recordSize(rec Record) int64 {
+	return 16 + int64(len(appendRecord(nil, rec)))
+}
+
 func copyFile(t *testing.T, src, dst string) {
 	t.Helper()
 	b, err := os.ReadFile(src)

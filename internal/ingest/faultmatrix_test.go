@@ -13,25 +13,26 @@ import (
 )
 
 // The fault matrix: each case injects one deterministic storage fault
-// under a live pipeline and asserts the only acceptable outcomes —
+// under a live pipeline fed sample batches and edits, and asserts the
+// only acceptable outcomes —
 //
-//   - acknowledged batches form a prefix of the stream, and
+//   - acknowledged records form a prefix of the stream, and
 //   - recovery on a healthy filesystem rebuilds exactly the reference
-//     database over batches[:m], where m is either the acknowledged
+//     database over recs[:m], where m is either the acknowledged
 //     count or (only when the faulted record physically reached the
 //     file, as after a failed fsync) acknowledged+1.
 //
-// Anything else — a missing acknowledged batch, a half-applied batch,
+// Anything else — a missing acknowledged record, a half-applied one,
 // a decode error, a crash — is silent corruption, the one thing the
 // WAL exists to rule out.
 
-// feedUntilError pushes batches until one is refused, returning how
+// feedUntilError pushes records until one is refused, returning how
 // many were acknowledged and the first non-backpressure error.
-func feedUntilError(t *testing.T, p *Pipeline, batches [][]Sample) (acked int, ferr error) {
+func feedUntilError(t *testing.T, p *Pipeline, recs []Record) (acked int, ferr error) {
 	t.Helper()
-	for _, b := range batches {
+	for _, rec := range recs {
 		for {
-			_, err := p.Ingest(b)
+			_, err := submitRecord(p, rec)
 			if err == nil {
 				acked++
 				break
@@ -46,11 +47,11 @@ func feedUntilError(t *testing.T, p *Pipeline, batches [][]Sample) (acked int, f
 	return acked, nil
 }
 
-// refOver builds the uninterrupted-run oracle over batches[:m].
-func refOver(t *testing.T, cfg Config, batches [][]Sample, m int) *store.FootprintDB {
+// refOver builds the uninterrupted-run oracle over recs[:m].
+func refOver(t *testing.T, cfg Config, recs []Record, m int) *store.FootprintDB {
 	t.Helper()
 	db := &store.FootprintDB{Name: "ingest"}
-	runReference(t, cfg, db, batches[:m])
+	runRecords(t, cfg, db, recs[:m])
 	return db
 }
 
@@ -68,13 +69,13 @@ func encodeDB(t *testing.T, db *store.FootprintDB) []byte {
 
 func TestFaultMatrix(t *testing.T) {
 	stream := genStream(8, 600, 404)
-	batches := splitBatches(stream, 405)
+	recs := withEdits(splitBatches(stream, 405), 406)
 
 	// enospcBudget lands mid-record-13: twelve full records plus a few
 	// bytes of the thirteenth.
 	var enospcBudget int64 = 10
-	for i := 0; i < 12 && i < len(batches); i++ {
-		enospcBudget += walRecordSize(batches[i])
+	for i := 0; i < 12 && i < len(recs); i++ {
+		enospcBudget += recordSize(recs[i])
 	}
 
 	cases := []struct {
@@ -101,11 +102,11 @@ func TestFaultMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			acked, ferr := feedUntilError(t, p, batches)
+			acked, ferr := feedUntilError(t, p, recs)
 
 			if tc.wantWALFault {
 				if ferr == nil {
-					t.Fatalf("fault never fired during feed (acked all %d batches); fired=%v", acked, fault.Fired())
+					t.Fatalf("fault never fired during feed (acked all %d records); fired=%v", acked, fault.Fired())
 				}
 				if p.WALErr() == nil {
 					t.Fatal("WAL did not seal after the injected fault")
@@ -115,7 +116,7 @@ func TestFaultMatrix(t *testing.T) {
 				}
 				// Sealed means fail-fast read-only: the next batch is
 				// refused with ErrSealed, not silently dropped.
-				if _, err := p.Ingest(batches[0]); !errors.Is(err, wal.ErrSealed) {
+				if _, err := p.Ingest(recs[0].Samples); !errors.Is(err, wal.ErrSealed) {
 					t.Fatalf("ingest on sealed WAL: %v, want ErrSealed", err)
 				}
 			} else if ferr != nil {
@@ -140,19 +141,19 @@ func TestFaultMatrix(t *testing.T) {
 			}
 
 			got := encodeDB(t, rec.DB)
-			wantA := encodeDB(t, refOver(t, cfg, batches, acked))
+			wantA := encodeDB(t, refOver(t, cfg, recs, acked))
 			if bytes.Equal(got, wantA) {
 				return
 			}
 			// A record that reached the file but whose ack was eaten
 			// by a failed fsync may legitimately replay.
-			if acked < len(batches) {
-				wantA1 := encodeDB(t, refOver(t, cfg, batches, acked+1))
+			if acked < len(recs) {
+				wantA1 := encodeDB(t, refOver(t, cfg, recs, acked+1))
 				if bytes.Equal(got, wantA1) {
 					return
 				}
 			}
-			t.Fatalf("recovered database matches neither ref(batches[:%d]) nor ref(batches[:%d]) — silent corruption", acked, acked+1)
+			t.Fatalf("recovered database matches neither ref(recs[:%d]) nor ref(recs[:%d]) — silent corruption", acked, acked+1)
 		})
 	}
 }
@@ -171,7 +172,7 @@ func TestSealedWALStillReplayable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acked, ferr := feedUntilError(t, p, batches)
+	acked, ferr := feedUntilError(t, p, asRecords(batches))
 	if ferr == nil {
 		t.Fatal("write fault never fired")
 	}

@@ -95,37 +95,37 @@ type roiKey struct {
 // ApplyBatch through DBSink. Besides the databases (with the sketch
 // layer, and without for WAL-only recoveries, which start sketch-less)
 // it keeps which record finished which RoI, so a live run's sink can
-// tell which records an ApplyBatch covered. Records are numbered by
-// LSN, 1-based.
+// tell which records an ApplyBatch covered (an edit finishes none).
+// Records are numbered by LSN, 1-based.
 type groupRef struct {
 	sketched, plain *store.FootprintDB
 	origin          map[roiKey]uint64
 	cum             []uint64 // cum[l] = RoIs finished by records 1..l
 }
 
-func newGroupRef(t *testing.T, cfg Config, batches [][]Sample) *groupRef {
+func newGroupRef(t *testing.T, cfg Config, recs []Record) *groupRef {
 	t.Helper()
 	ref := &groupRef{
 		sketched: &store.FootprintDB{Name: "ingest", SketchParams: testSketchParams},
 		plain:    &store.FootprintDB{Name: "ingest"},
 		origin:   make(map[roiKey]uint64),
-		cum:      make([]uint64, len(batches)+1),
+		cum:      make([]uint64, len(recs)+1),
 	}
-	runReference(t, cfg, ref.sketched, batches)
-	runReference(t, cfg, ref.plain, batches)
+	runRecords(t, cfg, ref.sketched, recs)
+	runRecords(t, cfg, ref.plain, recs)
 	sz, err := newSessionizer(cfg.Extract, cfg.withDefaults().SessionGap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, b := range batches {
-		for _, s := range b {
+	for i, rec := range recs {
+		for _, s := range rec.Samples {
 			if err := sz.push(s); err != nil {
 				t.Fatal(err)
 			}
 		}
 		lsn := uint64(i + 1)
 		ref.cum[lsn] = ref.cum[lsn-1]
-		for _, up := range sz.collect() {
+		for _, up := range sz.collect(nil) {
 			for _, r := range up.RoIs {
 				ref.origin[roiKey{up.User, r}] = lsn
 				ref.cum[lsn]++
@@ -154,6 +154,7 @@ type groupCall struct {
 	maxOrigin uint64 // newest record with an RoI in the call
 	records   int    // distinct records with an RoI in the call
 	rois      uint64
+	edits     int // upserts and removals in the call
 }
 
 // holdSink is the live run's sink: it checks every ApplyBatch against
@@ -189,6 +190,9 @@ func (h *holdSink) ApplyBatch(updates []UserRoIs) {
 		}
 		seen := map[uint64]bool{}
 		for _, up := range updates {
+			if up.Op != OpAppend {
+				call.edits++
+			}
 			for _, r := range up.RoIs {
 				lsn, ok := h.ref.origin[roiKey{up.User, r}]
 				if !ok || lsn <= call.applied {
@@ -200,7 +204,8 @@ func (h *holdSink) ApplyBatch(updates []UserRoIs) {
 			}
 		}
 		call.records = len(seen)
-		if want := h.ref.cum[call.maxOrigin] - h.ref.cum[call.applied]; call.rois != want {
+		// A call of edits alone finishes no RoI.
+		if want := h.ref.cum[max(call.maxOrigin, call.applied)] - h.ref.cum[call.applied]; call.rois != want {
 			h.t.Errorf("call after applied=%d reaches record %d with %d RoIs, those records finished %d", call.applied, call.maxOrigin, call.rois, want)
 		}
 	}
@@ -248,18 +253,25 @@ func await(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// mustIngest feeds one record and checks it got the LSN the reference
+// mustSubmit feeds one record and checks it got the LSN the reference
 // numbered it with.
-func mustIngest(t *testing.T, p *Pipeline, b []Sample, want uint64) {
+func mustSubmit(t *testing.T, p *Pipeline, rec Record, want uint64) {
 	t.Helper()
-	lsn, err := p.Ingest(b)
+	lsn, err := submitRecord(p, rec)
 	if err != nil || lsn != want {
-		t.Fatalf("Ingest = (%d, %v), want LSN %d", lsn, err, want)
+		t.Fatalf("submit = (%d, %v), want LSN %d", lsn, err, want)
 	}
 }
 
-// The property: (a) one record per ApplyBatch, (b) the live pipeline
-// with groups of one, of two, of a whole full queue and whatever a
+// mustIngest is mustSubmit for a sample batch.
+func mustIngest(t *testing.T, p *Pipeline, b []Sample, want uint64) {
+	t.Helper()
+	mustSubmit(t, p, Record{Samples: b}, want)
+}
+
+// The property: over sample batches with upserts and removals among
+// them, (a) one record per ApplyBatch, (b) the live pipeline with
+// groups of one, of two, of a whole full queue and whatever a
 // free-running tail produces, and (c) recovery from the WAL (b) wrote —
 // alone, and on top of a checkpoint taken mid-stream through the
 // checkpoint's own group — end in the same bits. Meanwhile applied
@@ -278,8 +290,8 @@ func TestGroupCommitCrashEquivalence(t *testing.T) {
 func groupedRun(t *testing.T, seed int64, checkpoint bool) {
 	cfg := testConfig(t)
 	cfg.QueueDepth = 16
-	batches := revisitBatches(seed)
-	ref := newGroupRef(t, cfg, batches)
+	recs := withEdits(revisitBatches(seed), seed+100)
+	ref := newGroupRef(t, cfg, recs)
 	depth := uint64(cfg.QueueDepth)
 
 	// Where the test shapes groups: records two, two+1, two+2 all
@@ -287,20 +299,20 @@ func groupedRun(t *testing.T, seed int64, checkpoint bool) {
 	// together); full finishes one too and has a queue's worth of
 	// records after it.
 	var two, full uint64
-	for l := uint64(3); l+2 < uint64(len(batches)); l++ {
+	for l := uint64(3); l+2 < uint64(len(recs)); l++ {
 		if ref.emits(l) && ref.emits(l+1) && ref.emits(l+2) {
 			two = l
 			break
 		}
 	}
-	for l := two + 4; two > 0 && l+depth+4 < uint64(len(batches)); l++ {
+	for l := two + 4; two > 0 && l+depth+4 < uint64(len(recs)); l++ {
 		if ref.emits(l) {
 			full = l
 			break
 		}
 	}
 	if full == 0 {
-		t.Fatalf("stream of %d records has no room for the shaped groups (two=%d)", len(batches), two)
+		t.Fatalf("stream of %d records has no room for the shaped groups (two=%d)", len(recs), two)
 	}
 
 	live := &store.FootprintDB{Name: "ingest", SketchParams: testSketchParams}
@@ -342,7 +354,7 @@ func groupedRun(t *testing.T, seed int64, checkpoint bool) {
 	defer close(stop)
 
 	next := uint64(1)
-	feed := func() { mustIngest(t, p, batches[next-1], next); next++ }
+	feed := func() { mustSubmit(t, p, recs[next-1], next); next++ }
 	appliedIs := func(l uint64) func() bool { return func() bool { return p.Stats().Applied >= l } }
 	// One record at a time, each applied before the next is sent:
 	// groups of one.
@@ -377,7 +389,7 @@ func groupedRun(t *testing.T, seed int64, checkpoint bool) {
 	for i := uint64(0); i < depth; i++ {
 		feed()
 	}
-	if _, err := p.Ingest(batches[next-1]); err != ErrBacklogFull {
+	if _, err := submitRecord(p, recs[next-1]); err != ErrBacklogFull {
 		t.Fatalf("record %d behind a parked sink and a full queue: %v, want ErrBacklogFull", next, err)
 	}
 	sink.release <- struct{}{}
@@ -387,21 +399,21 @@ func groupedRun(t *testing.T, seed int64, checkpoint bool) {
 	for _, c := range sink.snapshotCalls() {
 		sawOne = sawOne || (c.records == 1 && c.maxOrigin == c.applied+1)
 		sawTwo = sawTwo || (c.applied == two && c.maxOrigin == two+2 && c.records == 2)
-		sawFull = sawFull || (c.applied == full && c.records >= 2 && c.rois == ref.cum[full+depth]-ref.cum[full])
+		sawFull = sawFull || (c.applied == full && c.records >= 2 && c.edits > 0 && c.rois == ref.cum[full+depth]-ref.cum[full])
 	}
 	if !sawOne || !sawTwo || !sawFull {
-		t.Fatalf("groups seen: one=%v two=%v full queue=%v in %+v", sawOne, sawTwo, sawFull, sink.snapshotCalls())
+		t.Fatalf("groups seen: one=%v two=%v full queue with edits=%v in %+v", sawOne, sawTwo, sawFull, sink.snapshotCalls())
 	}
 
 	// The tail runs free: the writer does not wait, so groups are
 	// whatever the race between it and the apply goroutine makes them.
-	ingestAll(t, p, batches[next-1:])
+	submitAll(t, p, recs[next-1:])
 	if err := p.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	st := p.Stats()
-	if st.Applied != uint64(len(batches)) || st.RoIs != ref.cum[len(batches)] {
-		t.Fatalf("drained at applied=%d rois=%d, want %d and %d", st.Applied, st.RoIs, len(batches), ref.cum[len(batches)])
+	if st.Applied != uint64(len(recs)) || st.RoIs != ref.cum[len(recs)] {
+		t.Fatalf("drained at applied=%d rois=%d, want %d and %d", st.Applied, st.RoIs, len(recs), ref.cum[len(recs)])
 	}
 	mustMatch(t, live, ref.sketched)
 
@@ -411,13 +423,13 @@ func groupedRun(t *testing.T, seed int64, checkpoint bool) {
 		t.Fatal(err)
 	}
 	if checkpoint {
-		if want := len(batches) - int(two+2); rec.Replayed != want || rec.Skipped != 0 {
+		if want := len(recs) - int(two+2); rec.Replayed != want || rec.Skipped != 0 {
 			t.Fatalf("replayed %d, skipped %d; want the %d records after the checkpoint", rec.Replayed, rec.Skipped, want)
 		}
 		mustMatch(t, rec.DB, ref.sketched)
 	} else {
-		if rec.Replayed != len(batches) {
-			t.Fatalf("replayed %d of %d records", rec.Replayed, len(batches))
+		if rec.Replayed != len(recs) {
+			t.Fatalf("replayed %d of %d records", rec.Replayed, len(recs))
 		}
 		mustMatch(t, rec.DB, ref.plain)
 	}

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"geofootprint/internal/core"
 	"geofootprint/internal/extract"
 	"geofootprint/internal/geom"
 	"geofootprint/internal/sketch"
@@ -84,10 +86,26 @@ func splitBatches(stream []Sample, seed int64) [][]Sample {
 	return batches
 }
 
-// runReference drives the exact live code path (sessionize per record
-// batch, apply collected RoIs) without WAL or goroutines: the
-// uninterrupted-run oracle every recovery result must match.
+// runReference is runRecords over one sample batch a record.
 func runReference(t *testing.T, cfg Config, db *store.FootprintDB, batches [][]Sample) {
+	t.Helper()
+	runRecords(t, cfg, db, asRecords(batches))
+}
+
+func asRecords(batches [][]Sample) []Record {
+	recs := make([]Record, len(batches))
+	for i, b := range batches {
+		recs[i] = Record{Samples: b}
+	}
+	return recs
+}
+
+// runRecords applies records one at a time without WAL, goroutines or
+// the pipeline's apply function — a batch's samples through a
+// sessionizer and the RoIs they finished in one ApplyBatch, an edit in
+// an ApplyBatch of its own: the uninterrupted-run oracle every
+// recovery result must match.
+func runRecords(t *testing.T, cfg Config, db *store.FootprintDB, recs []Record) {
 	t.Helper()
 	cfg = cfg.withDefaults()
 	sz, err := newSessionizer(cfg.Extract, cfg.SessionGap)
@@ -95,16 +113,61 @@ func runReference(t *testing.T, cfg Config, db *store.FootprintDB, batches [][]S
 		t.Fatal(err)
 	}
 	sink := &DBSink{DB: db, Weighting: cfg.Weighting}
-	for _, b := range batches {
-		for _, s := range b {
+	for _, rec := range recs {
+		if len(rec.Samples) == 0 {
+			sink.ApplyBatch([]UserRoIs{rec.Edit})
+			continue
+		}
+		for _, s := range rec.Samples {
 			if err := sz.push(s); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if updates := sz.collect(); len(updates) > 0 {
+		if updates := sz.collect(nil); len(updates) > 0 {
 			sink.ApplyBatch(updates)
 		}
 	}
+}
+
+// withEdits interleaves edits with a stream's sample batches: after
+// every third batch, an upsert or a removal of a user that batch names
+// (in the first half of the stream) or of one no sample names. Edits
+// therefore land between a user's RoIs, on users with open sessions,
+// and on users that do not exist, while the second half lets the
+// stream's footprints grow back.
+func withEdits(batches [][]Sample, seed int64) []Record {
+	rng := rand.New(rand.NewSource(seed))
+	var recs []Record
+	for i, b := range batches {
+		recs = append(recs, Record{Samples: b})
+		if i%3 != 2 {
+			continue
+		}
+		e := UserRoIs{User: 1000 + rng.Intn(4), Op: OpRemove}
+		if 2*i < len(batches) && rng.Intn(3) != 0 {
+			e.User = b[rng.Intn(len(b))].User
+		}
+		if rng.Intn(2) == 0 {
+			e.Op = OpUpsert
+			for n := 1 + rng.Intn(3); len(e.Regions) < n; {
+				x, y, d := rng.Float64()*0.9, rng.Float64()*0.9, 0.01+rng.Float64()*0.09
+				e.Regions = append(e.Regions, core.Region{Rect: geom.Rect{MinX: x, MinY: y, MaxX: x + d, MaxY: y + d}, Weight: float64(1 + rng.Intn(3))})
+			}
+			core.SortByMinX(e.Regions)
+		}
+		recs = append(recs, Record{Edit: e})
+	}
+	return recs
+}
+
+// submitRecord feeds one record as a client would, without waiting for
+// an edit to apply: a batch through Ingest, an edit through the
+// admission Upsert and Remove share.
+func submitRecord(p *Pipeline, rec Record) (uint64, error) {
+	if len(rec.Samples) > 0 {
+		return p.Ingest(rec.Samples)
+	}
+	return p.submit(context.Background(), rec)
 }
 
 // mustMatch asserts got is byte-identical to want: footprints, norms,
@@ -134,13 +197,19 @@ func mustMatch(t *testing.T, got, want *store.FootprintDB) {
 	}
 }
 
-// ingestAll feeds batches with the retry-on-429 behavior a real
-// client has: back off briefly when the pipeline pushes back.
+// ingestAll is submitAll over one sample batch a record.
 func ingestAll(t *testing.T, p *Pipeline, batches [][]Sample) {
 	t.Helper()
-	for _, b := range batches {
+	submitAll(t, p, asRecords(batches))
+}
+
+// submitAll feeds records with the retry-on-429 behavior a real
+// client has: back off briefly when the pipeline pushes back.
+func submitAll(t *testing.T, p *Pipeline, recs []Record) {
+	t.Helper()
+	for _, rec := range recs {
 		for {
-			_, err := p.Ingest(b)
+			_, err := submitRecord(p, rec)
 			if err == nil {
 				break
 			}
@@ -283,14 +352,14 @@ func TestPeriodicSnapshots(t *testing.T) {
 func TestSampleBatchRoundTrip(t *testing.T) {
 	in := []Sample{{User: 7, X: 0.25, Y: -0.5, T: 1234.5}, {User: -3, X: 0, Y: 1, T: 0}}
 	payload := EncodeBatch(nil, in)
-	out, err := DecodeBatch(payload)
+	out, err := decodeBatch(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("round trip: %v vs %v", in, out)
 	}
-	if _, err := DecodeBatch(payload[:len(payload)-1]); err == nil {
+	if _, err := decodeBatch(payload[:len(payload)-1]); err == nil {
 		t.Fatal("short payload not rejected")
 	}
 }
@@ -336,11 +405,11 @@ func TestCollectOrderIsEmissionOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	updates := sz.collect()
+	updates := sz.collect(nil)
 	if len(updates) != 2 || updates[0].User != 9 || updates[1].User != 1 {
 		t.Fatalf("collect order = %+v, want user 9 then 1", updates)
 	}
-	if sz.collect() != nil {
+	if sz.collect(nil) != nil {
 		t.Fatal("second collect not empty")
 	}
 }
@@ -357,8 +426,53 @@ func TestNonIncreasingTimeSplitsSession(t *testing.T) {
 	}
 	// Clock reset: must flush the 3-sample region above.
 	sz.push(Sample{User: 1, X: 0.5, Y: 0.5, T: 1})
-	updates := sz.collect()
+	updates := sz.collect(nil)
 	if len(updates) != 1 || len(updates[0].RoIs) != 1 || updates[0].RoIs[0].Count != 3 {
 		t.Fatalf("updates = %+v, want one 3-sample RoI", updates)
+	}
+}
+
+// With no log, every record — a sample batch or an edit — is applied
+// by the call that submits it, through the same apply function, and
+// nothing runs in the background: no apply goroutine to close, no WAL
+// in the stats.
+func TestUnloggedPipelineAppliesInline(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.WALPath, cfg.SnapshotPath = "", ""
+	db := &store.FootprintDB{Name: "ingest"}
+	p, err := New(cfg, &DBSink{DB: db}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.done != nil {
+		t.Fatal("an unlogged pipeline started an apply goroutine")
+	}
+	ctx := context.Background()
+	f := core.Footprint{{Rect: geom.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.2, MaxY: 0.2}, Weight: 1}}
+	if lsn, err := p.Upsert(ctx, 5, f); err != nil || lsn != 1 {
+		t.Fatalf("Upsert = (%d, %v), want LSN 1", lsn, err)
+	}
+	if lsn, err := p.Ingest(emittingRecord); err != nil || lsn != 2 {
+		t.Fatalf("Ingest = (%d, %v), want LSN 2", lsn, err)
+	}
+	if lsn, err := p.Remove(ctx, 5); err != nil || lsn != 3 {
+		t.Fatalf("Remove = (%d, %v), want LSN 3", lsn, err)
+	}
+	// No Drain needed: each call returned with its record applied.
+	want := &store.FootprintDB{Name: "ingest"}
+	runRecords(t, cfg, want, []Record{
+		{Edit: UserRoIs{User: 5, Op: OpUpsert, Regions: f}},
+		{Samples: emittingRecord},
+		{Edit: UserRoIs{User: 5, Op: OpRemove}},
+	})
+	mustMatch(t, db, want)
+	if st := p.Stats(); st.Applied != 3 || st.Appended != 3 || st.WALBytes != 0 || st.WALSealed || p.WALErr() != nil {
+		t.Fatalf("stats %+v, WALErr %v", st, p.WALErr())
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Upsert(ctx, 6, f); err != ErrClosed {
+		t.Fatalf("Upsert after Close: %v, want ErrClosed", err)
 	}
 }

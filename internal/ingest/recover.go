@@ -58,7 +58,7 @@ func readSnapshotFile(fsys faultfs.FS, path, name string) (*store.FootprintDB, S
 }
 
 // RecoverResult is what startup recovery hands back: the database with
-// every durable sample applied, and the pipeline state to resume from.
+// every durable record applied, and the pipeline state to resume from.
 type RecoverResult struct {
 	DB    *store.FootprintDB
 	State *State
@@ -80,11 +80,11 @@ type RecoverResult struct {
 
 // Recover rebuilds the ingestion state after a restart: load the
 // snapshot (if any), then replay every WAL record past the snapshot's
-// sequence number through the same sessionizer/extractor/apply code
-// the live pipeline runs, record batch by record batch. Because both
-// paths are the same deterministic function of the record sequence,
-// the recovered database is byte-identical to one from an
-// uninterrupted run over the same samples.
+// sequence number, one at a time, through the apply function the live
+// pipeline runs (applyRecords). Because both paths are the same
+// deterministic function of the record sequence, the recovered
+// database is byte-identical to one from an uninterrupted run over the
+// same records.
 //
 // Pass the result's DB to the serving layer and its State to New.
 func Recover(cfg Config) (*RecoverResult, error) {
@@ -118,17 +118,12 @@ func Recover(cfg Config) (*RecoverResult, error) {
 			res.Skipped++
 			return nil
 		}
-		samples, err := DecodeBatch(rec.Payload)
+		r, err := DecodeRecord(rec.Payload)
 		if err != nil {
 			return err
 		}
-		for _, s := range samples {
-			if err := sess.push(s); err != nil {
-				return err
-			}
-		}
-		if updates := sess.collect(); len(updates) > 0 {
-			sink.ApplyBatch(updates)
+		if err := applyRecords(sess, sink, []Record{r}); err != nil {
+			return err
 		}
 		state.Seq = rec.LSN
 		res.Replayed++

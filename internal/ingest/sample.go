@@ -5,17 +5,19 @@
 // user, feeds the sessions through the streaming RoI extractor
 // (Algorithm 1), and applies finished RoIs to the FootprintDB in
 // batches — keeping footprints, norms, MBRs and sketches incrementally
-// correct while all four query methods keep serving.
+// correct while all four query methods keep serving. It is also the
+// one write path for direct edits: an upsert or removal of a user's
+// footprint is a record of the same log (record.go).
 //
-// The pipeline is WAL-first: a sample batch is appended (and, per the
-// sync policy, fsynced) before it is acknowledged or applied, so a
-// crash at any point loses nothing that was acknowledged under
-// SyncEveryAppend. Recovery = load the latest snapshot + replay the
-// WAL tail; both paths drive the identical sessionizer/extractor code
-// over the identical record sequence, and how many records the live
-// pipeline applied at once cannot be seen in the data, so the recovered
-// database is byte-identical to one produced by an uninterrupted run
-// over the same sample stream (tested).
+// The pipeline is WAL-first: a record is appended (and, per the sync
+// policy, fsynced) before it is acknowledged or applied, so a crash at
+// any point loses nothing that was acknowledged under SyncEveryAppend.
+// Recovery = load the latest snapshot + replay the WAL tail; both
+// paths run the one apply function over the identical record
+// sequence, and how many records the live pipeline applied at once
+// cannot be seen in the data, so the recovered database is
+// byte-identical to one produced by an uninterrupted run over the same
+// records (tested).
 package ingest
 
 import (
@@ -59,10 +61,10 @@ func EncodeBatch(buf []byte, samples []Sample) []byte {
 	return buf
 }
 
-// DecodeBatch parses a WAL payload written by EncodeBatch. The WAL's
-// CRC already vouches for integrity, so a malformed payload indicates
-// a version mismatch and is an error, not silent truncation.
-func DecodeBatch(payload []byte) ([]Sample, error) {
+// decodeBatch parses a payload written by EncodeBatch (DecodeRecord's
+// sample-batch case); a malformed one is an error, not silent
+// truncation.
+func decodeBatch(payload []byte) ([]Sample, error) {
 	if len(payload) < 4 {
 		return nil, fmt.Errorf("ingest: batch payload of %d bytes has no count", len(payload))
 	}

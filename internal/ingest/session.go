@@ -4,6 +4,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"geofootprint/internal/core"
 	"geofootprint/internal/extract"
 	"geofootprint/internal/geom"
 	"geofootprint/internal/traj"
@@ -92,26 +93,27 @@ func (sz *sessionizer) push(s Sample) error {
 }
 
 // UserRoIs is the unit of application to the database: the RoIs one
-// user finished between two collects, in emission order.
+// user finished between two collects, in emission order — or, when Op
+// is OpUpsert or OpRemove, an edit of the user's footprint (an upsert's
+// new footprint is Regions).
 type UserRoIs struct {
-	User int
-	RoIs []extract.RoI
+	User    int
+	RoIs    []extract.RoI
+	Op      Op
+	Regions core.Footprint
 }
 
-// collect drains the RoIs emitted since the last collect, grouped per
-// user in first-emission order, and resets the dirty tracking.
-func (sz *sessionizer) collect() []UserRoIs {
-	if len(sz.dirty) == 0 {
-		return nil
-	}
-	updates := make([]UserRoIs, 0, len(sz.dirty))
+// collect appends the RoIs emitted since the last collect to dst,
+// grouped per user in first-emission order, and resets the dirty
+// tracking.
+func (sz *sessionizer) collect(dst []UserRoIs) []UserRoIs {
 	for _, user := range sz.dirty {
 		st := sz.users[user]
-		updates = append(updates, UserRoIs{User: user, RoIs: st.rois})
+		dst = append(dst, UserRoIs{User: user, RoIs: st.rois})
 		st.rois = nil
 	}
 	sz.dirty = sz.dirty[:0]
-	return updates
+	return dst
 }
 
 // SessionState is the checkpointable state of one user's open session.

@@ -168,8 +168,9 @@ type ShardHealth struct {
 	Epoch  uint64 `json:"epoch,omitempty"` // epoch_seq from the shard's last good probe
 	Users  int    `json:"users,omitempty"`
 	Detail string `json:"detail,omitempty"` // error text for bad states
-	// IngestSeq is the shard's last durable WAL LSN (ingest_seq from
-	// its last good probe); Stale marks a replica excluded from reads
+	// IngestSeq is the shard's last acknowledged WAL LSN (ingest_seq
+	// from its last good probe: the last record appended, on stable
+	// storage only under -sync batch); Stale marks a replica excluded from reads
 	// because it missed acked writes or its seq regressed (replica.go).
 	IngestSeq uint64 `json:"ingest_seq,omitempty"`
 	Stale     bool   `json:"stale,omitempty"`

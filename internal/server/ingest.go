@@ -20,22 +20,24 @@ import (
 //	                       429 + Retry-After under backpressure
 //	GET  /v1/ingest/stats  pipeline + epoch + cache counters
 //
-// The pipeline's apply goroutine lands finished RoIs through a sink
-// that takes the server's write mutex, applies them to the epoch
-// builder, and publishes the next epoch — one atomic swap per apply
-// group: a single batch while the pipeline keeps up, everything that
-// queued behind it when it does not (ingest.Pipeline's group commit).
-// Queries on all methods keep serving lock-free against the previous
-// epoch while the group lands, and stay exact.
+// The pipeline is the server's one write path: ingested batches, PUTs
+// and DELETEs are its records, and its apply function lands them
+// through a sink that takes the server's write mutex, applies them to
+// the epoch builder in record order, and publishes the next epoch —
+// one atomic swap per apply group: a single record while the pipeline
+// keeps up, everything that queued behind it when it does not
+// (ingest.Pipeline's group commit). Queries on all methods keep
+// serving lock-free against the previous epoch while the group lands,
+// and stay exact. Before AttachPipeline the server's pipeline has no
+// log: PUT and DELETE apply inline, and nothing is durable.
 
 // maxIngestSamples bounds one POST /v1/ingest body; clients split
 // larger loads into multiple requests (and get per-batch LSNs).
 const maxIngestSamples = 10000
 
 // serverSink is the ingest.Sink that applies pipeline output to the
-// serving state: mutations into the epoch builder behind the write
-// mutex, one epoch publish per call — the same discipline as
-// PUT /v1/users/{id}.
+// serving state: every update into the epoch builder behind the write
+// mutex, then one epoch publish per call.
 type serverSink struct {
 	s         *Server
 	weighting core.Weighting
@@ -46,7 +48,7 @@ func (k serverSink) ApplyBatch(updates []ingest.UserRoIs) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, u := range updates {
-		s.builder.AppendRoIs(u.User, core.FromRoIs(u.RoIs, k.weighting))
+		u.ApplyTo(s.builder, k.weighting)
 	}
 	s.publishLocked()
 }
@@ -60,21 +62,23 @@ func (k serverSink) WithDB(fn func(db *store.FootprintDB)) {
 	fn(k.s.builder.DB())
 }
 
-// AttachPipeline starts a durable ingestion pipeline over the server's
-// database and registers the ingest routes. Call it once, after
-// ingest.Recover has rebuilt the database the server was constructed
-// over, passing the recovered state. The returned pipeline is owned by
-// the caller, who must Close it on shutdown (before the HTTP listener
-// stops accepting, so in-flight acks are not lost).
+// AttachPipeline gives the server's write path a durable log: it
+// starts an ingestion pipeline over the server's database in place of
+// the unlogged one, and registers the ingest routes. Call it once,
+// before serving, after ingest.Recover has rebuilt the database the
+// server was constructed over, passing the recovered state. The
+// returned pipeline is owned by the caller, who must Close it on
+// shutdown (before the HTTP listener stops accepting, so in-flight
+// acks are not lost).
 func (s *Server) AttachPipeline(cfg ingest.Config, state *ingest.State) (*ingest.Pipeline, error) {
-	if s.pipe != nil {
+	if s.logged {
 		return nil, errors.New("server: pipeline already attached")
 	}
 	p, err := ingest.New(cfg, serverSink{s: s, weighting: cfg.Weighting}, state)
 	if err != nil {
 		return nil, err
 	}
-	s.pipe = p
+	s.pipe, s.logged = p, true
 	s.mux.HandleFunc("POST /v1/ingest", s.handleIngest)
 	s.mux.HandleFunc("GET /v1/ingest/stats", s.handleIngestStats)
 	return p, nil
@@ -104,12 +108,22 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// IngestCtx only observes the context before the WAL append, so a
 	// fired deadline can never lose an acknowledged batch.
 	lsn, err := s.pipe.IngestCtx(r.Context(), samples)
+	if err != nil {
+		writePipelineError(w, err)
+		return
+	}
+	// 202, not 200: the batch is durable but not yet queryable.
+	writeJSON(w, http.StatusAccepted, map[string]interface{}{
+		"lsn": lsn, "samples": len(samples),
+	})
+}
+
+// writePipelineError answers a pipeline write (ingest, PUT, DELETE) that
+// failed: 429 + Retry-After on a full queue, 503 on a sealed WAL, a
+// closed pipeline or a deadline that fired before the append, 500
+// otherwise.
+func writePipelineError(w http.ResponseWriter, err error) {
 	switch {
-	case err == nil:
-		// 202, not 200: the batch is durable but not yet queryable.
-		writeJSON(w, http.StatusAccepted, map[string]interface{}{
-			"lsn": lsn, "samples": len(samples),
-		})
 	case errors.Is(err, ingest.ErrBacklogFull):
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "%v", err)
@@ -122,7 +136,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "request deadline expired before the batch was accepted")
+		writeError(w, http.StatusServiceUnavailable, "request deadline expired before the write was accepted")
 	default:
 		writeError(w, http.StatusInternalServerError, "%v", err)
 	}

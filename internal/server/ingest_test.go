@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -122,12 +123,18 @@ func TestIngestBackpressure429(t *testing.T) {
 	}
 	walBefore := p.Stats().WALBytes
 	rec, _ := do(t, h, "POST", "/v1/ingest", dwellBatch(9003, 0.2, 0.2))
+	// PUT and DELETE are records of the same pipeline: the full queue
+	// refuses them too, before they reach the WAL.
+	put, _ := do(t, h, "PUT", "/v1/users/9004", `[{"rect":[0.1,0.1,0.2,0.2],"weight":1}]`)
+	del, _ := do(t, h, "DELETE", "/v1/users/105", "")
 	s.mu.Unlock()
-	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("full queue: status %d, want 429", rec.Code)
-	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After")
+	for name, rec := range map[string]*httptest.ResponseRecorder{"ingest": rec, "PUT": put, "DELETE": del} {
+		if rec.Code != http.StatusTooManyRequests {
+			t.Fatalf("%s on a full queue: status %d, want 429", name, rec.Code)
+		}
+		if rec.Header().Get("Retry-After") == "" {
+			t.Fatalf("%s: 429 without Retry-After", name)
+		}
 	}
 	if got := p.Stats().WALBytes; got != walBefore {
 		t.Fatalf("rejected batch reached the WAL: %d -> %d", walBefore, got)
@@ -140,6 +147,12 @@ func TestIngestBackpressure429(t *testing.T) {
 	}
 	if _, ok := s.builder.DB().IndexOf(9003); ok {
 		t.Fatal("rejected batch was applied")
+	}
+	if _, ok := s.builder.DB().IndexOf(9004); ok {
+		t.Fatal("rejected PUT was applied")
+	}
+	if u, ok := s.builder.DB().IndexOf(105); !ok || s.builder.DB().RowLen(u) == 0 {
+		t.Fatal("rejected DELETE was applied")
 	}
 }
 
@@ -331,6 +344,19 @@ func TestSealedWALSurfacesEverywhere(t *testing.T) {
 	if msg, _ := obj["error"].(string); !strings.Contains(msg, "sealed") {
 		t.Fatalf("sealed-WAL error body %q does not mention the seal", msg)
 	}
+	// PUT and DELETE write through the same log.
+	for _, wr := range []struct{ method, path, body string }{
+		{"PUT", "/v1/users/9102", `[{"rect":[0.1,0.1,0.2,0.2],"weight":1}]`},
+		{"DELETE", "/v1/users/105", ""},
+	} {
+		rec, obj := do(t, h, wr.method, wr.path, wr.body)
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("%s onto sealed WAL returned %d, want 503", wr.method, rec.Code)
+		}
+		if msg, _ := obj["error"].(string); !strings.Contains(msg, "sealed") {
+			t.Fatalf("%s: sealed-WAL error body %q does not mention the seal", wr.method, msg)
+		}
+	}
 
 	rec, obj = do(t, h, "GET", "/v1/ingest/stats", "")
 	if rec.Code != http.StatusOK {
@@ -352,7 +378,7 @@ func TestSealedWALSurfacesEverywhere(t *testing.T) {
 	}
 }
 
-// /healthz reports ingest_seq — the last durable WAL LSN — once a
+// /healthz reports ingest_seq — the last acknowledged WAL LSN — once a
 // pipeline is attached. The router's stale-replica tracking compares
 // it against acked LSNs, so it must be present, numeric, and advance
 // with every acked batch.

@@ -21,12 +21,14 @@
 //
 // Serving is epoch-based MVCC (store.EpochStore): every query pins the
 // current immutable epoch on entry and runs lock-free against its
-// frozen database, index and engines; mutations serialise behind a
-// write mutex, apply to a private builder, and publish the next epoch
-// with one atomic pointer swap — so reads never contend with writes,
-// and a swap is immediately visible to the next query (read your
-// writes). Top-k answers are cached per epoch (internal/cache) when a
-// cache is configured; the swap invalidates the cache wholesale. The
+// frozen database, index and engines. Every data mutation — PUT,
+// DELETE, an ingested batch — is a record of the server's one
+// ingest.Pipeline, whose apply function writes a private builder under
+// a write mutex and publishes the next epoch with one atomic pointer
+// swap — so reads never contend with writes. PUT and DELETE answer once
+// their record's epoch is published (read your writes). Top-k answers
+// are cached per epoch (internal/cache) when a cache is configured;
+// the swap invalidates the cache wholesale. The
 // cache holds the bytes a top-k route writes, so a hit is a pin, a
 // lookup and a write: no re-encoding, and no deadline armed (only a
 // miss runs the engine). A /similar entry is keyed by the user's ID,
@@ -62,8 +64,8 @@ import (
 
 // Server wraps a FootprintDB behind HTTP with epoch-based MVCC
 // serving: queries pin an immutable published epoch (lock-free),
-// mutations go through the epoch builder under mu and publish a new
-// epoch per request or ingest batch.
+// mutations are pipeline records whose apply writes the epoch builder
+// under mu and publishes a new epoch per apply group.
 type Server struct {
 	// mu serialises the write path only: builder mutations, Freeze,
 	// Publish, and label installation. No read path ever takes it.
@@ -77,8 +79,11 @@ type Server struct {
 	labels  map[int]string
 	labelsK int
 
-	pipe *ingest.Pipeline // nil until AttachPipeline
-	mux  *http.ServeMux
+	// pipe is the one write path. Until AttachPipeline it has no log;
+	// logged says AttachPipeline gave it one.
+	pipe   *ingest.Pipeline
+	logged bool
+	mux    *http.ServeMux
 
 	// segTables memoises the ring and segment table rebuilt for
 	// segment-restricted queries (segment.go); every sub-query from the
@@ -147,6 +152,11 @@ func NewWithOptions(db *store.FootprintDB, opts Options) *Server {
 	s.mu.Lock()
 	s.publishLocked()
 	s.mu.Unlock()
+	pipe, err := ingest.New(ingest.Config{Extract: ingest.DefaultExtract()}, serverSink{s: s}, nil)
+	if err != nil {
+		panic(err) // unreachable: no log to open, and the extraction config is valid
+	}
+	s.pipe = pipe
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /v1/users/{id}", s.handleGetUser)
 	s.mux.HandleFunc("GET /v1/users/{id}/similar", s.gated(s.handleSimilar))
@@ -325,9 +335,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	// log means the server still answers queries but cannot make new
 	// writes durable, and that must be visible to the shallowest
 	// possible probe.
-	if s.pipe != nil {
-		// ingest_seq is the last WAL LSN this shard made durable. The
-		// router compares it against the LSNs it saw acked: a replica
+	if s.logged {
+		// ingest_seq is the last WAL LSN this shard acknowledged
+		// (appended; durable only under -sync batch). The router
+		// compares it against the LSNs it saw acked: a replica
 		// reporting a lower seq than its acked high-water mark lost
 		// writes (restore from an older snapshot) and is stale for
 		// reads until it catches back up.
@@ -584,10 +595,10 @@ func (s *Server) handlePutUser(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad footprint: %v", err)
 		return
 	}
-	s.mu.Lock()
-	s.builder.Upsert(id, f)
-	s.publishLocked()
-	s.mu.Unlock()
+	if _, err := s.pipe.Upsert(r.Context(), id, f); err != nil {
+		writePipelineError(w, err)
+		return
+	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{"id": id, "regions": len(f)})
 }
 
@@ -597,19 +608,24 @@ func (s *Server) handleDeleteUser(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad user id: %v", err)
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	// A tombstoned user still resolves in the database (dense
 	// indexes stay stable); treat an already-empty footprint as
-	// absent so deletes are not silently idempotent.
-	db := s.builder.DB()
+	// absent so deletes are not silently idempotent. The check reads
+	// the current epoch, so it sees every write answered before this
+	// request arrived.
+	ep, v := s.acquire()
+	db := v.DB()
 	u, ok := db.IndexOf(id)
-	if !ok || db.RowLen(u) == 0 {
+	gone := !ok || db.RowLen(u) == 0
+	ep.Release()
+	if gone {
 		writeError(w, http.StatusNotFound, "unknown user %d", id)
 		return
 	}
-	s.builder.Remove(id)
-	s.publishLocked()
+	if _, err := s.pipe.Remove(r.Context(), id); err != nil {
+		writePipelineError(w, err)
+		return
+	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{"id": id, "deleted": true})
 }
 

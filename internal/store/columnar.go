@@ -164,6 +164,9 @@ func FromColumnar(snap *colstore.Snapshot) (*FootprintDB, error) {
 		db.Sketches = make([]sketch.Sketch, users)
 		for u := range db.Sketches {
 			lo, hi := snap.CellStarts[u], snap.CellStarts[u+1]
+			if lo == hi {
+				continue // an empty row's sketch is Sketch{}, as sketch.Build makes it
+			}
 			db.Sketches[u] = sketch.Sketch{
 				Cells: snap.Cells[lo:hi:hi],
 				Mass:  snap.CellMass[lo:hi:hi],
