@@ -89,18 +89,6 @@ func GenerateBuilding(cfg BuildingConfig) ([]Trajectory3, []int, error) {
 	return d3.GenerateBuilding(cfg)
 }
 
-// FootprintDB3 is a collection of 3D footprints with precomputed
-// norms, answering top-k similarity queries (Section 8).
-type FootprintDB3 = d3.DB
-
-// Result3 is one ranked user of a 3D query.
-type Result3 = d3.Result3
-
-// NewDB3 builds a 3D footprint database.
-func NewDB3(ids []int, fps []Footprint3) (*FootprintDB3, error) {
-	return d3.NewDB(ids, fps)
-}
-
 // Classifier predicts user labels (e.g. customer segments) from
 // footprint similarity via k-nearest-neighbour voting.
 type Classifier = classify.Classifier

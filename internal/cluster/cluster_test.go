@@ -329,7 +329,7 @@ func TestCharacteristicRegions(t *testing.T) {
 	}
 	containsCell := func(rects []geom.Rect, x, y float64) bool {
 		for _, r := range rects {
-			if r.ContainsPoint(geom.Point{X: x, Y: y}) {
+			if r.Intersects(geom.Rect{MinX: x, MinY: y, MaxX: x, MaxY: y}) {
 				return true
 			}
 		}

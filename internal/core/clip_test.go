@@ -17,7 +17,7 @@ func TestClip(t *testing.T) {
 		t.Fatalf("clipped to %d regions, want 2: %+v", len(g), g)
 	}
 	for _, r := range g {
-		if !w.ContainsRect(r.Rect) {
+		if w.Intersection(r.Rect) != r.Rect {
 			t.Errorf("region %v escapes window", r.Rect)
 		}
 	}

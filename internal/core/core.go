@@ -97,15 +97,6 @@ func (f Footprint) Validate() error {
 	return nil
 }
 
-// Rects returns the region rectangles of the footprint, in order.
-func (f Footprint) Rects() []geom.Rect {
-	rs := make([]geom.Rect, len(f))
-	for i, r := range f {
-		rs[i] = r.Rect
-	}
-	return rs
-}
-
 // MBR returns the minimum bounding rectangle of the footprint, the
 // key used by the user-centric index of Section 6.2.
 func (f Footprint) MBR() geom.Rect {
@@ -114,16 +105,6 @@ func (f Footprint) MBR() geom.Rect {
 		m = m.Extend(r.Rect)
 	}
 	return m
-}
-
-// TotalArea returns the sum of the region areas (with multiplicity;
-// overlapping area is counted once per covering region).
-func (f Footprint) TotalArea() float64 {
-	var a float64
-	for _, r := range f {
-		a += r.Rect.Area()
-	}
-	return a
 }
 
 // Translate returns a copy of the footprint shifted by (dx, dy).

@@ -31,31 +31,6 @@ type Region3 struct {
 // Footprint3 is the 3D geo-footprint of a user.
 type Footprint3 []Region3
 
-// MBB returns the minimum bounding box of the footprint.
-func (f Footprint3) MBB() geom.Box3 {
-	m := geom.EmptyBox3()
-	for _, r := range f {
-		m = m.Extend(r.Box)
-	}
-	return m
-}
-
-// Translate returns a copy of the footprint shifted by (dx, dy, dz).
-func (f Footprint3) Translate(dx, dy, dz float64) Footprint3 {
-	g := make(Footprint3, len(f))
-	for i, r := range f {
-		b := r.Box
-		b.MinX += dx
-		b.MaxX += dx
-		b.MinY += dy
-		b.MaxY += dy
-		b.MinZ += dz
-		b.MaxZ += dz
-		g[i] = Region3{Box: b, Weight: r.Weight}
-	}
-	return g
-}
-
 type event3 struct {
 	v     float64
 	idx   int32

@@ -164,23 +164,25 @@ func TestTranslationInvariance3D(t *testing.T) {
 		fs := randFootprint3(rng, 1+rng.Intn(6), 5)
 		dx, dy, dz := rng.Float64()*10, rng.Float64()*10, rng.Float64()*10
 		a := Similarity(fr, fs)
-		b := Similarity(fr.Translate(dx, dy, dz), fs.Translate(dx, dy, dz))
+		b := Similarity(translate3(fr, dx, dy, dz), translate3(fs, dx, dy, dz))
 		if math.Abs(a-b) > 1e-9 {
 			t.Fatalf("trial %d: translation changed similarity: %v vs %v", trial, a, b)
 		}
 	}
 }
 
-func TestMBB(t *testing.T) {
-	f := Footprint3{
-		{Box: box(0, 0, 0, 1, 1, 1), Weight: 1},
-		{Box: box(2, -1, 0, 3, 0.5, 4), Weight: 1},
+// translate3 returns a copy of f shifted by (dx, dy, dz).
+func translate3(f Footprint3, dx, dy, dz float64) Footprint3 {
+	g := make(Footprint3, len(f))
+	for i, r := range f {
+		b := r.Box
+		b.MinX += dx
+		b.MaxX += dx
+		b.MinY += dy
+		b.MaxY += dy
+		b.MinZ += dz
+		b.MaxZ += dz
+		g[i] = Region3{Box: b, Weight: r.Weight}
 	}
-	want := box(0, -1, 0, 3, 1, 4)
-	if got := f.MBB(); got != want {
-		t.Errorf("MBB = %v, want %v", got, want)
-	}
-	if !(Footprint3{}).MBB().IsEmpty() {
-		t.Error("empty footprint MBB should be empty")
-	}
+	return g
 }

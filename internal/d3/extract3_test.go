@@ -1,6 +1,7 @@
 package d3
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -137,7 +138,7 @@ func TestExtract3Invariants(t *testing.T) {
 			}
 			for a := range run {
 				for b := a + 1; b < len(run); b++ {
-					if run[a].Dist(run[b]) > cfg.Epsilon+1e-12 {
+					if math.Sqrt(run[a].DistSq(run[b])) > cfg.Epsilon+1e-12 {
 						t.Fatalf("region %d violates pairwise eps", i)
 					}
 				}

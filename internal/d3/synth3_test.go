@@ -2,6 +2,7 @@ package d3
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"geofootprint/internal/extract"
@@ -44,8 +45,8 @@ func TestGenerateBuildingDeterministic(t *testing.T) {
 }
 
 // TestBuildingPipeline: the full Section 8 path on generated data —
-// 3D extraction, footprints, DB, top-k — with home level as ground
-// truth.
+// 3D extraction, footprints, norms, the 3D Algorithm 4 ranking — with
+// home level as ground truth.
 func TestBuildingPipeline(t *testing.T) {
 	cfg := DefaultBuilding(30, 11)
 	trs, homes, err := GenerateBuilding(cfg)
@@ -54,26 +55,30 @@ func TestBuildingPipeline(t *testing.T) {
 	}
 	ecfg := extract.Config{Epsilon: 0.02, Tau: 20}
 	fps := make([]Footprint3, len(trs))
-	ids := make([]int, len(trs))
+	norms := make([]float64, len(trs))
 	for i, tr := range trs {
 		rois := Extract3(tr, ecfg)
 		if len(rois) == 0 {
 			t.Fatalf("agent %d produced no RoIs", i)
 		}
 		fps[i] = FromRoIs3(rois, UnitWeight)
-		ids[i] = i
+		norms[i] = Norm(fps[i])
 	}
-	db, err := NewDB(ids, fps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same-level agents must dominate each agent's neighbours.
+	// Same-level agents must dominate each agent's three nearest
+	// neighbours.
 	sameWins := 0
-	for a := 0; a < db.Len(); a++ {
-		res := db.TopK(fps[a], 4)
+	for a := range fps {
+		score := make([]float64, len(fps))
+		var others []int
+		for b := range fps {
+			if score[b] = SimilarityJoin(fps[b], fps[a], norms[b], norms[a]); b != a && score[b] > 0 {
+				others = append(others, b)
+			}
+		}
+		sort.SliceStable(others, func(i, j int) bool { return score[others[i]] > score[others[j]] })
 		same := 0
-		for _, r := range res {
-			if r.ID != a && homes[r.ID] == homes[a] {
+		for _, b := range others[:min(3, len(others))] {
+			if homes[b] == homes[a] {
 				same++
 			}
 		}
@@ -81,7 +86,7 @@ func TestBuildingPipeline(t *testing.T) {
 			sameWins++
 		}
 	}
-	if frac := float64(sameWins) / float64(db.Len()); frac < 0.8 {
+	if frac := float64(sameWins) / float64(len(fps)); frac < 0.8 {
 		t.Errorf("only %.0f%% of agents have same-level-dominated neighbours", 100*frac)
 	}
 }

@@ -42,12 +42,6 @@ func New(db *store.FootprintDB, src search.Source, workers int) *QueryEngine {
 	return &QueryEngine{db: db, src: src, workers: workers}
 }
 
-// Workers returns the width of the engine's batch pool.
-func (e *QueryEngine) Workers() int { return e.workers }
-
-// DB returns the wrapped database.
-func (e *QueryEngine) DB() *store.FootprintDB { return e.db }
-
 // TopK answers a single top-k query on the calling goroutine. Results
 // are identical — including every score bit and tie-break — to
 // LinearScan. It is TopKCtx under a background context (which never

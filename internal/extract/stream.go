@@ -86,15 +86,11 @@ func (e *Extractor) Flush() {
 	e.run = e.run[:0]
 }
 
-// Pending returns the number of locations in the not-yet-finalized
-// current region.
-func (e *Extractor) Pending() int { return len(e.run) }
-
 // PendingLocations returns a copy of the not-yet-finalized current
-// region's locations in temporal order. Together with Config it is the
-// extractor's complete state: replaying the returned locations through
-// Push on a fresh extractor (same config) reconstructs run and MBR
-// exactly, because the pending run already satisfies the ε constraint
+// region's locations in temporal order. Together with the config it
+// was built with it is the extractor's complete state: replaying the
+// returned locations through Push on a fresh extractor (same config)
+// reconstructs run and MBR exactly, because the pending run already satisfies the ε constraint
 // — every temporal prefix of an ε-valid run is itself ε-valid (both
 // pairwise distances and MBR diagonals only shrink on subsets), so no
 // replayed Push can emit or back-track. The ingest snapshot relies on
@@ -105,10 +101,6 @@ func (e *Extractor) PendingLocations() []traj.Location {
 	}
 	return append([]traj.Location(nil), e.run...)
 }
-
-// Config returns the extraction parameters the extractor was built
-// with.
-func (e *Extractor) Config() Config { return e.cfg }
 
 func (e *Extractor) emitRun() {
 	e.emit(RoI{

@@ -74,17 +74,17 @@ func TestExtractorPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.Pending() != 0 {
-		t.Errorf("fresh extractor Pending = %d", ex.Pending())
+	if len(ex.PendingLocations()) != 0 {
+		t.Errorf("fresh extractor pending %d locations", len(ex.PendingLocations()))
 	}
 	ex.Push(traj.Location{P: pt(0, 0), T: 0})
 	ex.Push(traj.Location{P: pt(0.1, 0), T: 1})
-	if ex.Pending() != 2 {
-		t.Errorf("Pending = %d, want 2", ex.Pending())
+	if len(ex.PendingLocations()) != 2 {
+		t.Errorf("pending %d locations, want 2", len(ex.PendingLocations()))
 	}
 	ex.Flush()
-	if ex.Pending() != 0 {
-		t.Errorf("Pending after Flush = %d", ex.Pending())
+	if len(ex.PendingLocations()) != 0 {
+		t.Errorf("pending %d locations after Flush", len(ex.PendingLocations()))
 	}
 }
 

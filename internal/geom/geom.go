@@ -30,12 +30,6 @@ func (p Point) DistSq(q Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// Add returns the translation of p by q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Scale returns p scaled by s about the origin.
-func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
-
 func (p Point) String() string { return fmt.Sprintf("(%.6g, %.6g)", p.X, p.Y) }
 
 // Rect is a closed axis-aligned rectangle [MinX, MaxX] x [MinY, MaxY].
@@ -86,10 +80,6 @@ func (r Rect) Height() float64 {
 // Area returns the area of r (0 for empty or degenerate rectangles).
 func (r Rect) Area() float64 { return r.Width() * r.Height() }
 
-// Margin returns the half-perimeter of r (used by R-tree split
-// heuristics).
-func (r Rect) Margin() float64 { return r.Width() + r.Height() }
-
 // Center returns the center point of r.
 func (r Rect) Center() Point {
 	return Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2}
@@ -97,21 +87,6 @@ func (r Rect) Center() Point {
 
 // Diagonal returns the length of the diagonal of r.
 func (r Rect) Diagonal() float64 { return math.Hypot(r.Width(), r.Height()) }
-
-// ContainsPoint reports whether p lies inside the closed rectangle r.
-func (r Rect) ContainsPoint(p Point) bool {
-	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
-}
-
-// ContainsRect reports whether s lies entirely inside r. An empty s is
-// contained in every rectangle.
-func (r Rect) ContainsRect(s Rect) bool {
-	if s.IsEmpty() {
-		return true
-	}
-	return s.MinX >= r.MinX && s.MaxX <= r.MaxX &&
-		s.MinY >= r.MinY && s.MaxY <= r.MaxY
-}
 
 // Intersects reports whether r and s share at least one point
 // (closed-box semantics: touching edges intersect).
@@ -189,12 +164,6 @@ func (r Rect) Enlargement(s Rect) float64 {
 // Translate returns r shifted by (dx, dy).
 func (r Rect) Translate(dx, dy float64) Rect {
 	return Rect{r.MinX + dx, r.MinY + dy, r.MaxX + dx, r.MaxY + dy}
-}
-
-// Scale returns r with all coordinates multiplied by s (s must be >= 0
-// for the result to remain a valid box).
-func (r Rect) Scale(s float64) Rect {
-	return Rect{r.MinX * s, r.MinY * s, r.MaxX * s, r.MaxY * s}
 }
 
 func (r Rect) String() string {

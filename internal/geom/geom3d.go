@@ -11,12 +11,6 @@ type Point3 struct {
 	X, Y, Z float64
 }
 
-// Dist returns the Euclidean (L2) distance between p and q.
-func (p Point3) Dist(q Point3) float64 {
-	dx, dy, dz := p.X-q.X, p.Y-q.Y, p.Z-q.Z
-	return math.Sqrt(dx*dx + dy*dy + dz*dz)
-}
-
 // DistSq returns the squared Euclidean distance between p and q.
 func (p Point3) DistSq(q Point3) float64 {
 	dx, dy, dz := p.X-q.X, p.Y-q.Y, p.Z-q.Z
@@ -49,30 +43,11 @@ func Box3FromPoints(pts ...Point3) Box3 {
 	return b
 }
 
-// EmptyBox3 returns the canonical empty box, the identity for Extend.
+// EmptyBox3 returns the canonical empty box, the identity for
+// ExtendPoint.
 func EmptyBox3() Box3 {
 	inf := math.Inf(1)
 	return Box3{inf, inf, inf, -inf, -inf, -inf}
-}
-
-// IsEmpty reports whether b contains no points.
-func (b Box3) IsEmpty() bool {
-	return b.MinX > b.MaxX || b.MinY > b.MaxY || b.MinZ > b.MaxZ
-}
-
-// Volume returns the volume of b (0 for empty or degenerate boxes).
-func (b Box3) Volume() float64 {
-	if b.IsEmpty() {
-		return 0
-	}
-	return (b.MaxX - b.MinX) * (b.MaxY - b.MinY) * (b.MaxZ - b.MinZ)
-}
-
-// Intersects reports whether b and c share at least one point.
-func (b Box3) Intersects(c Box3) bool {
-	return b.MinX <= c.MaxX && c.MinX <= b.MaxX &&
-		b.MinY <= c.MaxY && c.MinY <= b.MaxY &&
-		b.MinZ <= c.MaxZ && c.MinZ <= b.MaxZ
 }
 
 // IntersectionVolume returns |b ∩ c|, the volume of the common region.
@@ -90,24 +65,6 @@ func (b Box3) IntersectionVolume(c Box3) float64 {
 		return 0
 	}
 	return dx * dy * dz
-}
-
-// Extend returns the minimum bounding box of b and c.
-func (b Box3) Extend(c Box3) Box3 {
-	if b.IsEmpty() {
-		return c
-	}
-	if c.IsEmpty() {
-		return b
-	}
-	return Box3{
-		MinX: math.Min(b.MinX, c.MinX),
-		MinY: math.Min(b.MinY, c.MinY),
-		MinZ: math.Min(b.MinZ, c.MinZ),
-		MaxX: math.Max(b.MaxX, c.MaxX),
-		MaxY: math.Max(b.MaxY, c.MaxY),
-		MaxZ: math.Max(b.MaxZ, c.MaxZ),
-	}
 }
 
 // ExtendPoint returns the minimum bounding box of b and p.

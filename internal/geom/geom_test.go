@@ -68,9 +68,6 @@ func TestRectBasics(t *testing.T) {
 	if got := r.Height(); got != 3 {
 		t.Errorf("Height = %v, want 3", got)
 	}
-	if got := r.Margin(); got != 5 {
-		t.Errorf("Margin = %v, want 5", got)
-	}
 	if got := r.Center(); got != (Point{1, 1.5}) {
 		t.Errorf("Center = %v, want (1, 1.5)", got)
 	}
@@ -97,9 +94,6 @@ func TestEmptyRect(t *testing.T) {
 	if r.Extend(e) != r {
 		t.Error("Extend(r, empty) != r")
 	}
-	if !r.ContainsRect(e) {
-		t.Error("every rect should contain the empty rect")
-	}
 }
 
 func TestDegenerateRect(t *testing.T) {
@@ -110,9 +104,6 @@ func TestDegenerateRect(t *testing.T) {
 	}
 	if r.Area() != 0 {
 		t.Error("point rect should have zero area")
-	}
-	if !r.ContainsPoint(Point{1, 1}) {
-		t.Error("point rect should contain its point")
 	}
 	if !r.Intersects(Rect{0, 0, 2, 2}) {
 		t.Error("point rect should intersect enclosing rect")
@@ -192,9 +183,10 @@ func TestIntersectionProperties(t *testing.T) {
 		if a.Intersection(a) != a {
 			t.Fatalf("self-intersection not identity: %v", a)
 		}
-		// Extend contains both.
+		// Extend contains both: clipping an operand to it keeps the
+		// operand.
 		u := a.Extend(b)
-		if !u.ContainsRect(a) || !u.ContainsRect(b) {
+		if u.Intersection(a) != a || u.Intersection(b) != b {
 			t.Fatalf("Extend does not contain operands: %v %v", a, b)
 		}
 		// Enlargement is non-negative.
@@ -204,47 +196,18 @@ func TestIntersectionProperties(t *testing.T) {
 	}
 }
 
-func TestContainment(t *testing.T) {
-	outer := Rect{0, 0, 10, 10}
-	inner := Rect{2, 2, 5, 5}
-	if !outer.ContainsRect(inner) {
-		t.Error("outer should contain inner")
-	}
-	if inner.ContainsRect(outer) {
-		t.Error("inner should not contain outer")
-	}
-	if !outer.ContainsRect(outer) {
-		t.Error("rect should contain itself")
-	}
-	for _, p := range []Point{{0, 0}, {10, 10}, {5, 0}, {0, 5}} {
-		if !outer.ContainsPoint(p) {
-			t.Errorf("boundary point %v should be contained", p)
-		}
-	}
-	if outer.ContainsPoint(Point{10.001, 5}) {
-		t.Error("exterior point contained")
-	}
-}
-
-func TestTranslateScale(t *testing.T) {
+func TestTranslate(t *testing.T) {
 	r := Rect{1, 2, 3, 4}
 	if got := r.Translate(10, -1); got != (Rect{11, 1, 13, 3}) {
 		t.Errorf("Translate = %v", got)
 	}
-	if got := r.Scale(2); got != (Rect{2, 4, 6, 8}) {
-		t.Errorf("Scale = %v", got)
-	}
-	// Translation preserves area; scaling by s multiplies area by s^2.
+	// Translation preserves area.
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 500; i++ {
 		a := randRect(rng)
 		dx, dy := rng.Float64()*10, rng.Float64()*10
 		if !almostEq(a.Translate(dx, dy).Area(), a.Area()) {
 			t.Fatalf("translation changed area of %v", a)
-		}
-		s := rng.Float64() * 3
-		if !almostEq(a.Scale(s).Area(), a.Area()*s*s) {
-			t.Fatalf("scale area mismatch for %v s=%v", a, s)
 		}
 	}
 }
@@ -273,7 +236,7 @@ func TestMBR(t *testing.T) {
 		t.Errorf("MBR = %v, want %v", got, want)
 	}
 	for _, r := range rects {
-		if !got.ContainsRect(r) {
+		if got.Intersection(r) != r {
 			t.Errorf("MBR does not contain %v", r)
 		}
 	}
@@ -281,9 +244,6 @@ func TestMBR(t *testing.T) {
 
 func TestPoint3Dist(t *testing.T) {
 	p, q := Point3{0, 0, 0}, Point3{1, 2, 2}
-	if !almostEq(p.Dist(q), 3) {
-		t.Errorf("Dist = %v, want 3", p.Dist(q))
-	}
 	if !almostEq(p.DistSq(q), 9) {
 		t.Errorf("DistSq = %v, want 9", p.DistSq(q))
 	}
@@ -291,26 +251,16 @@ func TestPoint3Dist(t *testing.T) {
 
 func TestBox3Basics(t *testing.T) {
 	b := Box3{0, 0, 0, 2, 3, 4}
-	if got := b.Volume(); got != 24 {
-		t.Errorf("Volume = %v, want 24", got)
+	if got := b.IntersectionVolume(b); got != 24 {
+		t.Errorf("self IntersectionVolume = %v, want 24", got)
 	}
 	c := Box3{1, 1, 1, 3, 4, 5}
-	if !b.Intersects(c) {
-		t.Error("boxes should intersect")
-	}
 	if got := b.IntersectionVolume(c); got != 1*2*3 {
 		t.Errorf("IntersectionVolume = %v, want 6", got)
 	}
 	d := Box3{5, 5, 5, 6, 6, 6}
-	if b.Intersects(d) {
-		t.Error("disjoint boxes reported intersecting")
-	}
 	if b.IntersectionVolume(d) != 0 {
 		t.Error("disjoint intersection volume should be 0")
-	}
-	u := b.Extend(c)
-	if u != (Box3{0, 0, 0, 3, 4, 5}) {
-		t.Errorf("Extend = %v", u)
 	}
 }
 
@@ -321,11 +271,11 @@ func TestBox3FromPoints(t *testing.T) {
 		t.Errorf("Box3FromPoints = %v, want %v", got, want)
 	}
 	e := EmptyBox3()
-	if !e.IsEmpty() || e.Volume() != 0 {
-		t.Error("EmptyBox3 should be empty with zero volume")
+	if e.IntersectionVolume(want) != 0 {
+		t.Error("EmptyBox3 should meet nothing")
 	}
-	if e.Extend(want) != want {
-		t.Error("Extend(empty, b) != b")
+	if e.ExtendPoint(Point3{1, 2, 3}) != (Box3{1, 2, 3, 1, 2, 3}) {
+		t.Error("ExtendPoint(empty, p) != p's box")
 	}
 }
 
@@ -351,7 +301,7 @@ func TestBox3IntersectionSymmetric(t *testing.T) {
 			t.Fatalf("intersection volume not symmetric: %v %v", a, b)
 		}
 		iv := a.IntersectionVolume(b)
-		if iv > a.Volume()+1e-9 || iv > b.Volume()+1e-9 {
+		if iv > a.IntersectionVolume(a)+1e-9 || iv > b.IntersectionVolume(b)+1e-9 {
 			t.Fatalf("intersection volume exceeds operand volume")
 		}
 	}

@@ -18,9 +18,8 @@ import (
 // (internal/store):
 //
 //   - calls to a mutating FootprintDB method (Upsert, AppendRoIs,
-//     Remove, Merge, Compact, ComputeNorms, EnableSketches,
-//     DisableSketches) whose receiver is `x.DB()` for an Epoch or
-//     EpochBuilder x;
+//     Remove, ComputeNorms, EnableSketches, DisableSketches) whose
+//     receiver is `x.DB()` for an Epoch or EpochBuilder x;
 //   - the same calls on a local variable assigned (possibly through a
 //     chain of local aliases) from such a `DB()` call.
 //
@@ -41,8 +40,6 @@ var footprintDBMutators = map[string]bool{
 	"Upsert":          true,
 	"AppendRoIs":      true,
 	"Remove":          true,
-	"Merge":           true,
-	"Compact":         true,
 	"ComputeNorms":    true,
 	"EnableSketches":  true,
 	"DisableSketches": true,

@@ -31,7 +31,8 @@
 //     the WriteColumnar atomic writer seam, never a raw writer.
 //   - testonly        — code no binary runs: an exported name in an
 //     internal/ package whose every reference is in a _test.go file
-//     or its own body. The one whole-program analyzer (testonly.go).
+//     or its own body. A facade alias does not exempt its target's
+//     methods. The one whole-program analyzer (testonly.go).
 //
 // Suppression: a diagnostic is suppressed by a comment
 // `//lint:ignore <analyzer> <reason>` on the offending line or the

@@ -10,8 +10,8 @@ import (
 // instead of (only) a `-tags strictsort` runtime panic. FootprintDB's
 // parallel slices — IDs, Footprints, Norms, MBRs, Sketches — are kept
 // index-aligned, MinX-sorted (Footprints) and norm/sketch-consistent
-// by the store mutation API (Upsert, AppendRoIs, Remove, Merge,
-// Compact, ComputeNorms). A direct write from any other package can
+// by the store mutation API (Upsert, AppendRoIs, Remove,
+// ComputeNorms). A direct write from any other package can
 // silently break the sorted fast path of Algorithm 4 or desynchronise
 // norms from footprints, so the analyzer flags, outside FootprintDB's
 // defining package:

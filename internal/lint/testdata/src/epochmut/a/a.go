@@ -17,7 +17,7 @@ func MutatePinned(ep *store.Epoch, f core.Footprint) {
 	db.Remove(3)              // want `mutating call FootprintDB.Remove on an epoch-published database`
 	db.ComputeNorms(0)        // want `mutating call FootprintDB.ComputeNorms on an epoch-published database`
 	alias := db               // taint survives local aliasing
-	alias.Compact()           // want `mutating call FootprintDB.Compact on an epoch-published database`
+	alias.DisableSketches()   // want `mutating call FootprintDB.DisableSketches on an epoch-published database`
 }
 
 // MutateBuilderDB bypasses the builder's copy-on-write seam: the raw

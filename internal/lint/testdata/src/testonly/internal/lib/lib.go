@@ -34,15 +34,17 @@ type Lonely struct{} // want `type Lonely`
 
 func (l Lonely) Self() Lonely { return l } // want `method Lonely.Self`
 
-// Widget's methods are reached through the facade's alias.
+// Widget is named by the facade's alias, but no program calls its
+// methods: an alias hands callers the method set, it does not use it.
 type Widget struct{ inner }
 
-func (w *Widget) Spin() int { return 7 }
+func (w *Widget) Spin() int { return 7 } // want `method Widget.Spin`
 
-// inner's Promoted reaches the facade's callers through Widget.
+// inner's Promoted reaches the facade's callers through Widget, and
+// no program calls it either.
 type inner struct{}
 
-func (inner) Promoted() int { return 8 }
+func (inner) Promoted() int { return 8 } // want `method inner.Promoted`
 
 // Square is built by a main and its Area called through the main's
 // interface; String satisfies fmt.Stringer.

@@ -4,7 +4,8 @@ package testonly
 
 import "testonly/internal/lib"
 
-// Widget hands callers lib.Widget's whole method set.
+// Widget names lib.Widget; its methods count only where a program
+// calls them.
 type Widget = lib.Widget
 
 // Open is reached by the facade's callers, and reaches lib.UsedByFacade.

@@ -28,14 +28,13 @@ import (
 // every package `./...` loads in the checked packages' module (the
 // cmd/* and examples/* mains, the root facade) plus every module
 // nested under it (the benchmark ledger), loaded here whatever the run
-// covered. Two uses name no method, so they count on their own:
-//
-//   - an exported alias outside internal/ (the facade's `type Server =
-//     server.Server`) hands callers its target's whole method set;
-//   - a method that, with its type's other methods, implements an
-//     interface declared anywhere in the program or its imports
-//     (fmt.Stringer, io.Writer, a consumer's own) may be called
-//     through it.
+// covered. One use names no method, so it counts on its own: a method
+// that, with its type's other methods, implements an interface
+// declared anywhere in the program or its imports (fmt.Stringer,
+// io.Writer, a consumer's own) may be called through it. An exported
+// alias outside internal/ (the facade's `type Server = server.Server`)
+// is not such a use: it references the type, and each method of the
+// type counts only where some program calls it.
 //
 // Keeping a finding — an oracle tests compare against, a fault hook —
 // takes `//lint:ignore testonly <reason>` on or above its name.
@@ -108,9 +107,6 @@ func runTestOnly(passes []*analysis.Pass) error {
 			}
 		}
 		ifaces.addImports(p.Pkg)
-		if !pathHasSegment(p.Pkg.Path(), "internal") {
-			markAliasedMethods(p.Pkg, used)
-		}
 	}
 
 	for _, c := range cands {
@@ -195,23 +191,6 @@ func objKey(obj types.Object) string {
 		return ""
 	}
 	return obj.Pkg().Path() + "." + obj.Name()
-}
-
-// markAliasedMethods marks used every method reachable through an
-// exported alias of pkg: a facade alias hands its callers the target's
-// whole method set, promoted methods included.
-func markAliasedMethods(pkg *types.Package, used map[string]bool) {
-	scope := pkg.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok || !tn.IsAlias() || !tn.Exported() {
-			continue
-		}
-		ms := types.NewMethodSet(types.NewPointer(types.Unalias(tn.Type())))
-		for i := 0; i < ms.Len(); i++ {
-			used[objKey(ms.At(i).Obj())] = true
-		}
-	}
 }
 
 // loadProgram returns the run's packages plus every package `./...`

@@ -137,28 +137,15 @@ func (r *Router) RouteIngest(ctx context.Context, samples []ingest.Sample) (*Ing
 			go func(li int, s *shard) {
 				defer legs.Done()
 				defer wg.Done()
-				var ack ingestAckJSON
-				err := r.callBrk(ctx, s,
-					func(ctx context.Context) (*http.Request, error) {
-						req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.addr+"/v1/ingest", bytes.NewReader(body))
-						if err != nil {
-							return nil, err
-						}
-						req.Header.Set("Content-Type", "application/x-ndjson")
-						return req, nil
-					},
-					func(_ int, rb io.Reader) error {
-						return decodeJSONBody(rb, &ack)
-					})
+				lsn, err := r.postIngest(ctx, s, body)
 				if err != nil {
 					legErr[li] = err
 					return
 				}
 				acked[li] = true
-				s.noteAck(ack.LSN)
 				mu.Lock()
-				if ack.LSN > res.Shards[s.id] {
-					res.Shards[s.id] = ack.LSN
+				if lsn > res.Shards[s.id] {
+					res.Shards[s.id] = lsn
 				}
 				mu.Unlock()
 			}(li, s)
@@ -203,6 +190,29 @@ func (r *Router) RouteIngest(ctx context.Context, samples []ingest.Sample) (*Ing
 		return res, ierr
 	}
 	return res, nil
+}
+
+// postIngest sends one NDJSON batch to s's POST /v1/ingest with the
+// full client policy (deadline, retries, gate, breaker), records the
+// ack's LSN as the shard's latest and returns it. Routed sub-batches
+// and redelivered hints are both sent here.
+func (r *Router) postIngest(ctx context.Context, s *shard, body []byte) (uint64, error) {
+	var ack ingestAckJSON
+	err := r.callBrk(ctx, s,
+		func(ctx context.Context) (*http.Request, error) {
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.addr+"/v1/ingest", bytes.NewReader(body))
+			if err != nil {
+				return nil, err
+			}
+			req.Header.Set("Content-Type", "application/x-ndjson")
+			return req, nil
+		},
+		func(_ int, rb io.Reader) error { return decodeJSONBody(rb, &ack) })
+	if err != nil {
+		return 0, err
+	}
+	s.noteAck(ack.LSN)
+	return ack.LSN, nil
 }
 
 // encodeNDJSON renders a sub-batch in the shard's POST /v1/ingest

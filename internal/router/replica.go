@@ -28,7 +28,6 @@
 package router
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -219,22 +218,10 @@ func (r *Router) RedeliverHints(ctx context.Context) int {
 			if h := s.Health(); !h.serving() {
 				break // still down; next round
 			}
-			var ack ingestAckJSON
-			err := r.callBrk(ctx, s, func(ctx context.Context) (*http.Request, error) {
-				req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.addr+"/v1/ingest", bytes.NewReader(body))
-				if err != nil {
-					return nil, err
-				}
-				req.Header.Set("Content-Type", "application/x-ndjson")
-				return req, nil
-			}, func(_ int, rb io.Reader) error {
-				return decodeJSONBody(rb, &ack)
-			})
-			if err != nil {
+			if _, err := r.postIngest(ctx, s, body); err != nil {
 				r.cfg.Logger.Printf("router: hint redelivery to shard %s failed: %v", s.id, err)
 				break
 			}
-			s.noteAck(ack.LSN)
 			s.popHint()
 			delivered++
 		}

@@ -138,22 +138,27 @@ func (s *Server) handleListUsers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// labelSet is what SetLabels installs: the labels and the
+// neighbourhood size of /v1/classify.
+type labelSet struct {
+	labels map[int]string
+	k      int
+}
+
 // SetLabels installs (or replaces) the user labels backing the
-// /v1/classify endpoint, with the given neighbourhood size, and
-// publishes a new epoch carrying the classifier.
+// /v1/classify endpoint, with the given neighbourhood size. It
+// publishes nothing: no top-k answer depends on labels, so the epoch,
+// its sequence and the result cache stay as they are. A bad call (k <
+// 1, no labels) returns an error and leaves the installed labels in
+// place.
+//
+//lint:ignore testonly the only switch for /v1/classify, for programs that embed the server
 func (s *Server) SetLabels(labels map[int]string, k int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Validate shape up front (k, non-empty labels) so a bad call
-	// leaves the serving state untouched.
-	ep, v := s.acquire()
-	_, err := newClassifier(v.View, labels, k)
-	ep.Release()
-	if err != nil {
+	// classify.New only checks its arguments.
+	if _, err := classify.New(nil, nil, labels, k); err != nil {
 		return err
 	}
-	s.labels, s.labelsK = labels, k
-	s.publishLocked()
+	s.labels.Store(&labelSet{labels, k})
 	return nil
 }
 
@@ -185,9 +190,9 @@ func (s *Server) handlePairs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// newClassifier builds an epoch's classifier over its default engine,
-// so the neighbour search behind /v1/classify runs the same path, on
-// the same worker pool, as any other top-k request.
+// newClassifier builds a request's classifier over its pinned epoch's
+// default engine, so the neighbour search behind /v1/classify runs the
+// same path as any other top-k request. Both steps are O(1).
 func newClassifier(v *engine.View, labels map[int]string, k int) (*classify.Classifier, error) {
 	eng, err := v.Engine("")
 	if err != nil {
@@ -218,13 +223,19 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad footprint: %v", err)
 		return
 	}
-	ep, v := s.acquire()
-	defer ep.Release()
-	if v.cls == nil {
+	ls := s.labels.Load()
+	if ls == nil {
 		writeError(w, http.StatusServiceUnavailable, "no labels registered")
 		return
 	}
-	p := v.cls.Classify(f)
+	ep, v := s.acquire()
+	defer ep.Release()
+	cls, err := newClassifier(v.View, ls.labels, ls.k)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	p := cls.Classify(f)
 	writeJSON(w, http.StatusOK, classifyResponse{
 		Label: p.Label, Score: p.Score, Votes: p.Votes, Neighbours: p.Neighbours,
 	})

@@ -8,6 +8,7 @@ import (
 
 	"geofootprint/internal/cache"
 	"geofootprint/internal/core"
+	"geofootprint/internal/engine"
 	"geofootprint/internal/ingest"
 	"geofootprint/internal/store"
 	"geofootprint/internal/wal"
@@ -37,12 +38,18 @@ const maxIngestSamples = 10000
 
 // serverSink is the ingest.Sink that applies pipeline output to the
 // serving state: every update into the epoch builder behind the write
-// mutex, then one epoch publish per call.
+// mutex, then one epoch publish per call. It is the one place an epoch
+// is published; New publishes the first with an empty batch.
 type serverSink struct {
 	s         *Server
 	weighting core.Weighting
 }
 
+// ApplyBatch writes updates into the builder, freezes it, builds the
+// epoch's serving view (index, engines), publishes it with one pointer
+// swap, and invalidates the result cache. Building the view here — on
+// the write path — is what keeps the query path from constructing or
+// locking anything.
 func (k serverSink) ApplyBatch(updates []ingest.UserRoIs) {
 	s := k.s
 	s.mu.Lock()
@@ -50,7 +57,11 @@ func (k serverSink) ApplyBatch(updates []ingest.UserRoIs) {
 	for _, u := range updates {
 		u.ApplyTo(s.builder, k.weighting)
 	}
-	s.publishLocked()
+	db := s.builder.Freeze()
+	ep := s.epochs.Publish(db, &epochView{View: engine.NewView(db, 0)})
+	if s.cache != nil {
+		s.cache.Purge(ep.Seq())
+	}
 }
 
 func (k serverSink) WithDB(fn func(db *store.FootprintDB)) {

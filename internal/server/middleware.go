@@ -100,9 +100,6 @@ func (s *Server) Handler() http.Handler {
 // period instead of joining it.
 func (s *Server) SetDraining(on bool) { s.draining.Store(on) }
 
-// Draining reports whether the drain gate is up.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 func (s *Server) withRecovery(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {

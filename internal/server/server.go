@@ -53,7 +53,6 @@ import (
 	"sync/atomic"
 
 	"geofootprint/internal/cache"
-	"geofootprint/internal/classify"
 	"geofootprint/internal/core"
 	"geofootprint/internal/engine"
 	"geofootprint/internal/geom"
@@ -67,17 +66,17 @@ import (
 // mutations are pipeline records whose apply writes the epoch builder
 // under mu and publishes a new epoch per apply group.
 type Server struct {
-	// mu serialises the write path only: builder mutations, Freeze,
-	// Publish, and label installation. No read path ever takes it.
+	// mu serialises the write path only: builder mutations, Freeze
+	// and Publish. No read path ever takes it.
 	mu      sync.Mutex
 	builder *store.EpochBuilder
 	epochs  *store.EpochStore
 	cache   *cache.Cache // nil when Options.CacheSize <= 0
 
-	// labels back /v1/classify (SetLabels); a classifier over each
-	// epoch's view is rebuilt at publish time.
-	labels  map[int]string
-	labelsK int
+	// labels back /v1/classify (SetLabels); nil until installed. They
+	// are not epoch state: a request builds its classifier over the
+	// epoch it pins.
+	labels atomic.Pointer[labelSet]
 
 	// pipe is the one write path. Until AttachPipeline it has no log;
 	// logged says AttachPipeline gave it one.
@@ -111,13 +110,12 @@ type Server struct {
 func (s *Server) SetSnapshotError(err error) { s.snapErr = err }
 
 // epochView is the aux value attached to every published epoch: the
-// prebuilt index/engine view plus the optional classifier. Immutable
-// after publish (but for the segment column memo, which has its own
-// lock), shared lock-free by all queries pinning the epoch.
+// prebuilt index/engine view. Immutable after publish (but for the
+// segment column memo, which has its own lock), shared lock-free by
+// all queries pinning the epoch.
 type epochView struct {
 	*engine.View
-	cls *classify.Classifier // nil until SetLabels
-	seg segColumn            // users' ring-segment positions, built on demand (segment.go)
+	seg segColumn // users' ring-segment positions, built on demand (segment.go)
 }
 
 // New builds a server over db with default overload options (no
@@ -149,9 +147,7 @@ func NewWithOptions(db *store.FootprintDB, opts Options) *Server {
 	if !db.SketchesEnabled() {
 		s.builder.EnableSketches(0, 0)
 	}
-	s.mu.Lock()
-	s.publishLocked()
-	s.mu.Unlock()
+	serverSink{s: s}.ApplyBatch(nil)
 	pipe, err := ingest.New(ingest.Config{Extract: ingest.DefaultExtract()}, serverSink{s: s}, nil)
 	if err != nil {
 		panic(err) // unreachable: no log to open, and the extraction config is valid
@@ -166,29 +162,6 @@ func NewWithOptions(db *store.FootprintDB, opts Options) *Server {
 	s.mux.HandleFunc("DELETE /v1/users/{id}", s.handleDeleteUser)
 	s.registerExtras()
 	return s
-}
-
-// publishLocked freezes the builder, assembles the epoch's serving
-// view (index, engines, classifier), publishes it with one pointer
-// swap, and invalidates the result cache. Caller holds s.mu. Building
-// the view happens here — on the write path — precisely so the query
-// path never constructs or locks anything.
-func (s *Server) publishLocked() {
-	db := s.builder.Freeze()
-	v := engine.NewView(db, 0)
-	aux := &epochView{View: v}
-	if s.labels != nil {
-		// Validated when installed; a classifier over a fresh view of
-		// the same labels can only fail if every labelled user vanished,
-		// in which case classification correctly degrades to 503.
-		if cls, err := newClassifier(v, s.labels, s.labelsK); err == nil {
-			aux.cls = cls
-		}
-	}
-	ep := s.epochs.Publish(db, aux)
-	if s.cache != nil {
-		s.cache.Purge(ep.Seq())
-	}
 }
 
 // acquire pins the current epoch for one request. The caller must

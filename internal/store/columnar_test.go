@@ -165,25 +165,12 @@ func TestColumnarMutationKeepsKernel(t *testing.T) {
 		t.Fatalf("save: %v", err)
 	}
 	extra := core.Footprint{{Rect: geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, Weight: 1}}
-	other := func() *FootprintDB {
-		o := columnarTestDB(t, 70, false)
-		for i := range o.IDs {
-			o.IDs[i] += 100000
-		}
-		return o
-	}
 
 	mutations := map[string]func(db *FootprintDB){
 		"upsert":  func(db *FootprintDB) { db.Upsert(9999, append(core.Footprint(nil), extra...)) },
 		"replace": func(db *FootprintDB) { db.Upsert(db.IDs[70], append(core.Footprint(nil), extra...)) },
 		"append":  func(db *FootprintDB) { db.AppendRoIs(db.IDs[0], extra) },
 		"remove":  func(db *FootprintDB) { db.Remove(db.IDs[130]) },
-		"compact": func(db *FootprintDB) { db.Remove(db.IDs[0]); db.Remove(db.IDs[64]); db.Compact() },
-		"merge": func(db *FootprintDB) {
-			if err := db.Merge(other()); err != nil {
-				t.Fatal(err)
-			}
-		},
 	}
 	for name, mutate := range mutations {
 		db, err := Load(path)

@@ -1,8 +1,6 @@
 package store
 
 import (
-	"fmt"
-
 	"geofootprint/internal/core"
 	"geofootprint/internal/geom"
 )
@@ -66,85 +64,6 @@ func (db *FootprintDB) AppendRoIs(id int, regions []core.Region) int {
 	core.SortByMinX(f)
 	db.setRow(i, f)
 	return i
-}
-
-// Compact removes tombstoned users (empty footprints) by rebuilding
-// the dense index space, and returns the number removed. External
-// structures holding dense indexes (search indexes, kNN graphs) are
-// invalidated and must be rebuilt; long-running services call this
-// during maintenance windows after many Removes.
-func (db *FootprintDB) Compact() int {
-	sketches := db.SketchesEnabled()
-	var rows []core.Footprint
-	keep := 0
-	for i := range db.IDs {
-		if db.RowLen(i) == 0 {
-			continue
-		}
-		rows = append(rows, db.Row(i))
-		db.IDs[keep] = db.IDs[i]
-		db.Norms[keep] = db.Norms[i]
-		db.MBRs[keep] = db.MBRs[i]
-		if sketches {
-			db.Sketches[keep] = db.Sketches[i]
-		}
-		keep++
-	}
-	removed := len(db.IDs) - keep
-	if removed == 0 {
-		return 0
-	}
-	db.IDs = db.IDs[:keep]
-	db.Norms = db.Norms[:keep]
-	db.MBRs = db.MBRs[:keep]
-	if sketches {
-		db.Sketches = db.Sketches[:keep]
-	}
-	db.chunks = nil
-	db.appendRows(rows)
-	db.wrote()
-	db.byID = nil // force rebuild on next IndexOf
-	return removed
-}
-
-// Merge appends every user of other into db, recomputing as little as
-// possible: norms and MBRs are copied. User IDs must be disjoint; a
-// duplicate ID aborts with an error before any change is applied. It
-// is the way to combine evaluation parts (e.g. Part A + Part B) or
-// shard extraction across machines. When db's sketch layer is enabled,
-// sketches for the incoming users are copied if other shares db's
-// exact sketch parameters and rebuilt under db's parameters otherwise.
-func (db *FootprintDB) Merge(other *FootprintDB) error {
-	for _, id := range other.IDs {
-		if _, exists := db.IndexOf(id); exists {
-			return fmt.Errorf("store: merge would duplicate user ID %d", id)
-		}
-	}
-	rows := make([]core.Footprint, other.Len())
-	for u := range rows {
-		rows[u] = other.Row(u)
-	}
-	base := len(db.IDs)
-	db.appendRows(rows)
-	db.wrote()
-	db.IDs = append(db.IDs, other.IDs...)
-	db.Norms = append(db.Norms, other.Norms...)
-	db.MBRs = append(db.MBRs, other.MBRs...)
-	if db.SketchesEnabled() {
-		if other.SketchParams == db.SketchParams && len(other.Sketches) == len(other.IDs) {
-			db.Sketches = append(db.Sketches, other.Sketches...)
-		} else {
-			for i, f := range rows {
-				db.refreshSketch(base+i, f)
-			}
-		}
-	}
-	if db.byID != nil {
-		for i, id := range other.IDs {
-			db.byID[id] = base + i
-		}
-	}
-	return nil
 }
 
 // Remove tombstones the user with the given external ID: the footprint

@@ -61,28 +61,3 @@ func TestUpsertAndRemove(t *testing.T) {
 		t.Error("indexes shifted")
 	}
 }
-
-func TestMerge(t *testing.T) {
-	a := smallDB(t, 2, []int{1, 2, 3})
-	b := smallDB(t, 3, []int{10, 11})
-	if err := a.Merge(b); err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	if a.Len() != 5 {
-		t.Fatalf("Len = %d", a.Len())
-	}
-	if i, ok := a.IndexOf(11); !ok || i != 4 {
-		t.Errorf("merged user index = %d, %v", i, ok)
-	}
-	if a.Norms[3] != b.Norms[0] {
-		t.Error("norms not carried over")
-	}
-	// Duplicate IDs abort without mutation.
-	c := smallDB(t, 4, []int{2, 99})
-	if err := a.Merge(c); err == nil {
-		t.Fatal("duplicate merge accepted")
-	}
-	if a.Len() != 5 {
-		t.Error("failed merge mutated the receiver")
-	}
-}

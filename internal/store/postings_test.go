@@ -105,16 +105,6 @@ func TestPostingsDroppedByEveryMutation(t *testing.T) {
 		{"AppendRoIs", func() { db.AppendRoIs(1010, []core.Region{region}) }},
 		{"AppendRoIs new user", func() { db.AppendRoIs(5001, []core.Region{region}) }},
 		{"Remove", func() { db.Remove(1020) }},
-		{"Merge", func() {
-			if err := db.Merge(postingsDB(t, rng, 15, 9000)); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"Compact", func() {
-			if db.Compact() == 0 {
-				t.Fatal("Compact removed nobody; the Remove step above left a tombstone")
-			}
-		}},
 		{"EnableSketches(16)", func() { db.EnableSketches(16, 0) }},
 	}
 	for _, step := range steps {

@@ -88,47 +88,6 @@ func TestSketchMaintenance(t *testing.T) {
 	if db.Sketches[2].Len() != 0 {
 		t.Fatal("tombstoned user kept a non-empty sketch")
 	}
-
-	// Merge with matching params (copy path).
-	other := sketchDB(t, 2, 5)
-	other.SketchParams = db.SketchParams
-	other.Sketches = rebuiltSketches(other)
-	for i := range other.IDs {
-		other.IDs[i] += 1_000_000
-	}
-	other.byID = nil
-	if err := db.Merge(other); err != nil {
-		t.Fatal(err)
-	}
-	checkAligned(t, db, "after merge-same-params")
-
-	// Merge with different params (rebuild path) and an incoming
-	// footprint given unsorted (New sorts it, so the merged row is in
-	// MinX order).
-	unsorted := core.Footprint{
-		{Rect: geom.Rect{MinX: 0.9, MinY: 0.1, MaxX: 0.95, MaxY: 0.2}, Weight: 1},
-		{Rect: geom.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.2, MaxY: 0.2}, Weight: 1},
-	}
-	other2, err := FromFootprints("other", []int{2_000_000, 2_000_007}, []core.Footprint{unsorted, randFootprints(rng, 1, 4)[0]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	other2.EnableSketches(16, 0)
-	if err := db.Merge(other2); err != nil {
-		t.Fatal(err)
-	}
-	for i := range db.IDs {
-		if !core.IsSortedByMinX(db.Row(i)) {
-			t.Fatalf("footprint %d unsorted after merge", i)
-		}
-	}
-	checkAligned(t, db, "after merge-different-params")
-
-	// Compact drops tombstones and must keep sketches aligned.
-	db.Remove(0)
-	db.Remove(21)
-	db.Compact()
-	checkAligned(t, db, "after compact")
 }
 
 // TestSketchPersistence round-trips an enabled database through a file

@@ -11,8 +11,8 @@ import (
 // fingerprints (internal/sketch) that let search rank candidates by a
 // provable similarity upper bound before paying for an Algorithm 4
 // refinement. The layer is opt-in — EnableSketches builds it — and
-// once enabled every mutation path (Upsert, AppendRoIs, Remove, Merge,
-// Compact) keeps it aligned with the rows, so indexes can rely on
+// once enabled every mutation path (Upsert, AppendRoIs, Remove) keeps
+// it aligned with the rows, so indexes can rely on
 // db.Sketches[u] being current whenever user u's row is.
 
 // SketchesEnabled reports whether the sketch layer is active.

@@ -94,8 +94,26 @@ func TestGenerateValidDataset(t *testing.T) {
 	if len(d.Users) != 30 || len(personas) != 30 {
 		t.Fatalf("got %d users, %d personas", len(d.Users), len(personas))
 	}
-	if err := d.Validate(); err != nil {
-		t.Fatalf("generated dataset invalid: %v", err)
+	// Definition 3.1: unique users, non-empty sessions sampled every
+	// Δt, each ending before the next starts.
+	seen := make(map[int]bool, len(d.Users))
+	for _, u := range d.Users {
+		if seen[u.ID] {
+			t.Fatalf("duplicate user ID %d", u.ID)
+		}
+		seen[u.ID] = true
+		last := math.Inf(-1)
+		for si, s := range u.Sessions {
+			if len(s) == 0 || s[0].T <= last {
+				t.Fatalf("user %d session %d is empty or overlaps the one before", u.ID, si)
+			}
+			for i := 1; i < len(s); i++ {
+				if gap := s[i].T - s[i-1].T; math.Abs(gap-d.SampleInterval) > d.SampleInterval/2 {
+					t.Fatalf("user %d session %d: gap %v at sample %d, want %v", u.ID, si, gap, i, d.SampleInterval)
+				}
+			}
+			last = s[len(s)-1].T
+		}
 	}
 	for i, p := range personas {
 		if p < 0 || p >= cfg.Personas {

@@ -7,13 +7,7 @@
 // timestamps are in seconds since the start of recording.
 package traj
 
-import (
-	"errors"
-	"fmt"
-	"math"
-
-	"geofootprint/internal/geom"
-)
+import "geofootprint/internal/geom"
 
 // Location is one tracked position of a user: a spatial position P and
 // a timestamp T (seconds).
@@ -45,23 +39,6 @@ func (t Trajectory) MBR() geom.Rect {
 	return m
 }
 
-// Validate checks Definition 3.1: timestamps strictly increase and,
-// when dt > 0, consecutive samples are dt apart within tol.
-func (t Trajectory) Validate(dt, tol float64) error {
-	for i := 1; i < len(t); i++ {
-		gap := t[i].T - t[i-1].T
-		if gap <= 0 {
-			return fmt.Errorf("traj: timestamps not strictly increasing at index %d (%.6g -> %.6g)",
-				i, t[i-1].T, t[i].T)
-		}
-		if dt > 0 && math.Abs(gap-dt) > tol {
-			return fmt.Errorf("traj: irregular sampling at index %d: gap %.6g, want %.6g±%.6g",
-				i, gap, dt, tol)
-		}
-	}
-	return nil
-}
-
 // User holds the identifier of a tracked user together with all of the
 // user's sessions (temporally disjoint trajectories, Definition 3.1).
 type User struct {
@@ -77,27 +54,6 @@ func (u *User) NumLocations() int {
 		n += len(s)
 	}
 	return n
-}
-
-// Validate checks each session and that sessions are temporally
-// disjoint and ordered: session i must end before session i+1 starts.
-func (u *User) Validate(dt, tol float64) error {
-	for i, s := range u.Sessions {
-		if len(s) == 0 {
-			return fmt.Errorf("traj: user %d session %d is empty", u.ID, i)
-		}
-		if err := s.Validate(dt, tol); err != nil {
-			return fmt.Errorf("user %d session %d: %w", u.ID, i, err)
-		}
-		if i > 0 {
-			prev := u.Sessions[i-1]
-			if prev[len(prev)-1].T >= s[0].T {
-				return fmt.Errorf("traj: user %d sessions %d and %d not temporally disjoint",
-					u.ID, i-1, i)
-			}
-		}
-	}
-	return nil
 }
 
 // SplitSessions divides a continuous location stream into sessions:
@@ -148,24 +104,4 @@ func (d *Dataset) NumSessions() int {
 		n += len(d.Users[i].Sessions)
 	}
 	return n
-}
-
-// Validate checks every user (see User.Validate) and that user IDs are
-// unique.
-func (d *Dataset) Validate() error {
-	if d.SampleInterval < 0 {
-		return errors.New("traj: negative sample interval")
-	}
-	seen := make(map[int]bool, len(d.Users))
-	for i := range d.Users {
-		u := &d.Users[i]
-		if seen[u.ID] {
-			return fmt.Errorf("traj: duplicate user ID %d", u.ID)
-		}
-		seen[u.ID] = true
-		if err := u.Validate(d.SampleInterval, d.SampleInterval/2); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -58,58 +58,6 @@ func TestTrajectoryMBR(t *testing.T) {
 	}
 }
 
-func TestTrajectoryValidate(t *testing.T) {
-	good := mkTraj(0, 0.1, pt(0, 0), pt(0, 0), pt(0, 0))
-	if err := good.Validate(0.1, 0.01); err != nil {
-		t.Errorf("valid trajectory rejected: %v", err)
-	}
-	// Non-increasing timestamps.
-	bad := Trajectory{{T: 1}, {T: 1}}
-	if err := bad.Validate(0, 0); err == nil {
-		t.Error("equal timestamps accepted")
-	}
-	// Irregular sampling.
-	irr := Trajectory{{T: 0}, {T: 0.1}, {T: 0.35}}
-	if err := irr.Validate(0.1, 0.01); err == nil {
-		t.Error("irregular sampling accepted")
-	}
-	// dt=0 disables the regularity check.
-	if err := irr.Validate(0, 0); err != nil {
-		t.Errorf("dt=0 should skip regularity check: %v", err)
-	}
-}
-
-func TestUserValidate(t *testing.T) {
-	u := sampleDataset().Users[0]
-	if err := u.Validate(0.1, 0.05); err != nil {
-		t.Errorf("valid user rejected: %v", err)
-	}
-	// Overlapping sessions.
-	bad := User{ID: 2, Sessions: []Trajectory{
-		mkTraj(0, 0.1, pt(0, 0), pt(0, 0)),
-		mkTraj(0.05, 0.1, pt(0, 0)),
-	}}
-	if err := bad.Validate(0.1, 0.05); err == nil {
-		t.Error("overlapping sessions accepted")
-	}
-	// Empty session.
-	empty := User{ID: 3, Sessions: []Trajectory{{}}}
-	if err := empty.Validate(0, 0); err == nil {
-		t.Error("empty session accepted")
-	}
-}
-
-func TestDatasetValidate(t *testing.T) {
-	d := sampleDataset()
-	if err := d.Validate(); err != nil {
-		t.Fatalf("valid dataset rejected: %v", err)
-	}
-	d.Users = append(d.Users, User{ID: 1, Sessions: []Trajectory{mkTraj(0, 0.1, pt(0, 0))}})
-	if err := d.Validate(); err == nil {
-		t.Error("duplicate user ID accepted")
-	}
-}
-
 func TestDatasetCounts(t *testing.T) {
 	d := sampleDataset()
 	if got := d.NumLocations(); got != 7 {
@@ -164,9 +112,6 @@ func TestTextRoundTrip(t *testing.T) {
 		t.Fatalf("ReadText: %v", err)
 	}
 	datasetsEqual(t, d, got)
-	if err := got.Validate(); err != nil {
-		t.Errorf("round-tripped dataset invalid: %v", err)
-	}
 }
 
 func TestReadTextUnordered(t *testing.T) {
@@ -266,9 +211,10 @@ func TestSplitSessions(t *testing.T) {
 	if got := SplitSessions(nil, 1.0); got != nil {
 		t.Errorf("nil stream returned %v", got)
 	}
-	// The derived user validates as temporally disjoint sessions.
-	u := User{ID: 1, Sessions: SplitSessions(stream, 1.0)}
-	if err := u.Validate(0, 0); err != nil {
-		t.Errorf("split sessions invalid: %v", err)
+	// The derived sessions are non-empty and temporally disjoint.
+	for i, s := range got {
+		if len(s) == 0 || i > 0 && got[i-1][len(got[i-1])-1].T >= s[0].T {
+			t.Errorf("session %d is empty or overlaps the one before", i)
+		}
 	}
 }

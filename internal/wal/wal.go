@@ -428,8 +428,14 @@ func ReplayFS(fsys faultfs.FS, path string, fn func(rec Record) error) (n int, d
 // fn (when non-nil) per valid record, and returns the last LSN seen,
 // the byte offset one past the last valid record, and the record
 // count. Damage — short header, short payload, absurd length, CRC
-// mismatch — ends the scan without error.
+// mismatch — ends the scan without error. A length longer than what
+// is left of the file is a torn tail, found before its payload buffer
+// is allocated.
 func scan(f faultfs.File, fn func(rec Record) error) (lastLSN uint64, validSize int64, n int, err error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, 0, 0, err
+	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return 0, 0, 0, err
 	}
@@ -447,8 +453,8 @@ func scan(f faultfs.File, fn func(rec Record) error) (lastLSN uint64, validSize 
 		length := binary.LittleEndian.Uint32(hdr[0:4])
 		lsn := binary.LittleEndian.Uint64(hdr[4:12])
 		want := binary.LittleEndian.Uint32(hdr[12:16])
-		if length > MaxRecordSize {
-			return lastLSN, validSize, n, nil // corrupt length prefix
+		if length > MaxRecordSize || int64(length) > fi.Size()-r.n {
+			return lastLSN, validSize, n, nil // corrupt length prefix or torn payload
 		}
 		if cap(payload) < int(length) {
 			payload = make([]byte, length)

@@ -46,7 +46,8 @@ go vet -copylocks ./internal/store/... ./internal/wal/... ./internal/ingest/... 
 # every path), lockbalance (mutex Lock/Unlock balanced per path),
 # testonly (exported names in internal/ packages that only tests or
 # their own bodies reference, judged over every main, the facade and
-# the benchmark module), and staleignore (//lint:ignore directives
+# the benchmark module; a facade alias does not exempt its target's
+# methods), and staleignore (//lint:ignore directives
 # that suppress nothing). Any finding fails the gate; suppressions
 # need an inline justification.
 echo "== geolint ./... =="
