@@ -5,8 +5,10 @@
 //
 // Usage:
 //
-//	geoextract -i partA.gob -o partA.db
-//	geoextract -i partA.csv -format text -eps 0.02 -tau 30 -weight duration -o partA.db
+//	geoextract -i partA.bin -o partA.db
+//	geoextract -i partA.csv -eps 0.02 -tau 30 -weight duration -o partA.db
+//
+// The input format (GFTB1 binary or text) is detected from the file.
 package main
 
 import (
@@ -27,7 +29,6 @@ func main() {
 	log.SetPrefix("geoextract: ")
 
 	in := flag.String("i", "", "input dataset path (required)")
-	format := flag.String("format", "auto", "input format: auto, gob, binary or text")
 	out := flag.String("o", "", "output FootprintDB path (required)")
 	eps := flag.Float64("eps", 0.02, "spatial bound ε of Definition 3.2")
 	tau := flag.Int("tau", 30, "minimum locations τ of Definition 3.2")
@@ -41,32 +42,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	var ds *traj.Dataset
-	var err error
-	switch *format {
-	case "auto":
-		ds, err = traj.LoadAuto(*in)
-	case "gob":
-		ds, err = traj.LoadGob(*in)
-	case "binary":
-		var f *os.File
-		if f, err = os.Open(*in); err == nil {
-			ds, err = traj.ReadBinary(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-	case "text":
-		var f *os.File
-		if f, err = os.Open(*in); err == nil {
-			ds, err = traj.ReadText(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-	default:
-		log.Fatalf("unknown format %q", *format)
-	}
+	ds, err := traj.LoadAuto(*in)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -102,11 +78,4 @@ func main() {
 		*out, db.Len(), db.NumRegions(),
 		float64(db.NumRegions())/float64(max(db.Len(), 1)),
 		elapsed.Seconds(), float64(db.Len())/elapsed.Seconds())
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

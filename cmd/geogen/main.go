@@ -1,16 +1,17 @@
 // Command geogen generates a synthetic indoor-mobility dataset (the
-// ATC-substitute of the evaluation) and writes it to disk in gob,
-// binary or text format.
+// ATC-substitute of the evaluation) and writes it to disk in the GFTB1
+// binary or the text format.
 //
 // Usage:
 //
-//	geogen -part A -scale 0.05 -o partA.gob
+//	geogen -part A -scale 0.05 -o partA.bin
 //	geogen -part D -scale 0.01 -format text -o partD.csv
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -25,7 +26,7 @@ func main() {
 	part := flag.String("part", "A", "evaluation part to generate: A, B, C or D")
 	scale := flag.Float64("scale", 0.05, "fraction of the paper's user count (1.0 = full size)")
 	out := flag.String("o", "", "output path (required)")
-	format := flag.String("format", "gob", "output format: gob, binary or text")
+	format := flag.String("format", "binary", "output format: binary or text")
 	seed := flag.Int64("seed", 0, "override the part's default random seed (0 = keep default)")
 	users := flag.Int("users", 0, "override the user count directly (0 = derive from scale)")
 	stats := flag.Bool("stats", false, "print dataset statistics after generation")
@@ -34,6 +35,13 @@ func main() {
 	if *out == "" {
 		flag.Usage()
 		os.Exit(2)
+	}
+	write := map[string]func(io.Writer, *traj.Dataset) error{
+		"binary": traj.WriteBinary,
+		"text":   traj.WriteText,
+	}[*format]
+	if write == nil {
+		log.Fatalf("unknown format %q (want binary or text)", *format)
 	}
 	cfg, err := synth.PartConfig(*part, *scale)
 	if err != nil {
@@ -50,29 +58,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	switch *format {
-	case "gob":
-		err = traj.SaveGob(*out, ds)
-	case "binary":
-		var f *os.File
-		f, err = os.Create(*out)
-		if err == nil {
-			err = traj.WriteBinary(f, ds)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-	case "text":
-		var f *os.File
-		f, err = os.Create(*out)
-		if err == nil {
-			err = traj.WriteText(f, ds)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-	default:
-		log.Fatalf("unknown format %q (want gob, binary or text)", *format)
+	f, err := os.Create(*out)
+	if err != nil {
+		log.Fatal(err)
+	}
+	err = write(f, ds)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
 	if err != nil {
 		log.Fatal(err)

@@ -6,7 +6,9 @@
 //
 // Convert mode reads a columnar file of any version this release reads
 // and rewrites it as the current version, atomically, next to the
-// destination:
+// destination. An ingest checkpoint keeps its meta: typed meta as it
+// is, and the gob meta of older releases rewritten in the typed codec
+// that recovery reads:
 //
 //	geomigrate convert -in partA.db -out partA.col
 //
@@ -22,13 +24,18 @@
 package main
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"runtime"
 
 	"geofootprint/internal/colstore"
+	"geofootprint/internal/faultfs"
+	"geofootprint/internal/ingest"
 	"geofootprint/internal/store"
 )
 
@@ -64,14 +71,38 @@ func convert(args []string) {
 		fs.Usage()
 		os.Exit(2)
 	}
-	db, err := store.Load(*in)
+	db, meta, err := store.OpenMetaFS(faultfs.OS, *in)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := db.Save(*out); err != nil {
+	if meta, err = typedMeta(meta); err != nil {
+		log.Fatalf("%s: %v", *in, err)
+	}
+	if err := store.WriteColumnar(*out, db.Columnar(meta)); err != nil {
 		log.Fatal(err)
 	}
+	// db's columns may alias a mapping only db keeps alive.
+	runtime.KeepAlive(db)
 	log.Printf("wrote %s (columnar): %d users, %d regions", *out, db.Len(), db.NumRegions())
+}
+
+// typedMeta returns a snapshot's meta blob in the typed checkpoint
+// codec: nil and typed meta unchanged, and the gob meta of older
+// releases decoded and re-encoded. Their meta type had ingest.State's
+// two fields, and gob matches fields by name.
+func typedMeta(meta []byte) ([]byte, error) {
+	if meta == nil {
+		return nil, nil
+	}
+	_, err := ingest.DecodeState(meta)
+	if !errors.Is(err, ingest.ErrLegacyMeta) {
+		return meta, err
+	}
+	var state ingest.State
+	if err := gob.NewDecoder(bytes.NewReader(meta)).Decode(&state); err != nil {
+		return nil, fmt.Errorf("decoding gob checkpoint meta: %w", err)
+	}
+	return ingest.EncodeState(nil, state), nil
 }
 
 func verify(args []string) {

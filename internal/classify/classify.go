@@ -50,13 +50,27 @@ type Prediction struct {
 	Neighbours int
 }
 
-// Classify predicts the label of an arbitrary query footprint.
-func (c *Classifier) Classify(q core.Footprint) Prediction {
+// ClassifyUser predicts the label of an existing user by ID, excluding
+// the user's own (possibly labelled) entry from the vote.
+func (c *Classifier) ClassifyUser(id int) (Prediction, error) {
+	i, ok := c.db.IndexOf(id)
+	if !ok {
+		return Prediction{}, fmt.Errorf("classify: unknown user ID %d", id)
+	}
+	return c.predict(c.db.Row(i), id), nil
+}
+
+// predict lets the k labelled neighbours of q nearest to it vote,
+// leaving out the user whose external ID is skip.
+func (c *Classifier) predict(q core.Footprint, skip int) Prediction {
 	// Over-fetch so that k *labelled* neighbours can vote even when
-	// unlabelled users rank in between.
-	res := c.idx.TopK(q, c.k+len(c.labels))
+	// skip and unlabelled users rank in between.
+	res := c.idx.TopK(q, c.k+1+len(c.labels))
 	p := Prediction{Votes: map[string]float64{}}
 	for _, r := range res {
+		if r.ID == skip {
+			continue
+		}
 		lbl, ok := c.labels[r.ID]
 		if !ok {
 			continue
@@ -72,36 +86,6 @@ func (c *Classifier) Classify(q core.Footprint) Prediction {
 		}
 	}
 	return p
-}
-
-// ClassifyUser predicts the label of an existing user by ID, excluding
-// the user's own (possibly labelled) entry from the vote.
-func (c *Classifier) ClassifyUser(id int) (Prediction, error) {
-	i, ok := c.db.IndexOf(id)
-	if !ok {
-		return Prediction{}, fmt.Errorf("classify: unknown user ID %d", id)
-	}
-	res := c.idx.TopK(c.db.Row(i), c.k+1+len(c.labels))
-	p := Prediction{Votes: map[string]float64{}}
-	for _, r := range res {
-		if r.ID == id {
-			continue
-		}
-		lbl, ok := c.labels[r.ID]
-		if !ok {
-			continue
-		}
-		p.Votes[lbl] += r.Score
-		if p.Neighbours++; p.Neighbours == c.k {
-			break
-		}
-	}
-	for lbl, v := range p.Votes {
-		if v > p.Score || (v == p.Score && lbl < p.Label) {
-			p.Label, p.Score = lbl, v
-		}
-	}
-	return p, nil
 }
 
 // Evaluate runs leave-one-out classification over the labelled users

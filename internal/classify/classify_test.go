@@ -95,9 +95,10 @@ func TestClassifyFreshFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A fresh visitor dwelling in the "fashion" area.
+	// A fresh visitor dwelling in the "fashion" area. No user has ID
+	// -1, so every neighbour votes.
 	q := core.Footprint{{Rect: geom.Rect{MinX: 0.7, MinY: 0.3, MaxX: 0.74, MaxY: 0.34}, Weight: 1}}
-	p := c.Classify(q)
+	p := c.predict(q, -1)
 	if p.Label != "fashion" {
 		t.Errorf("Label = %q, want fashion (votes %v)", p.Label, p.Votes)
 	}
@@ -106,7 +107,7 @@ func TestClassifyFreshFootprint(t *testing.T) {
 	}
 	// A visitor overlapping nobody.
 	far := core.Footprint{{Rect: geom.Rect{MinX: 10, MinY: 10, MaxX: 11, MaxY: 11}, Weight: 1}}
-	p = c.Classify(far)
+	p = c.predict(far, -1)
 	if p.Label != "" || p.Neighbours != 0 {
 		t.Errorf("far query should predict nothing: %+v", p)
 	}
@@ -153,9 +154,9 @@ func TestTieBreaking(t *testing.T) {
 	// near-equal scores); whatever the scores, the prediction must
 	// be deterministic across runs.
 	q := db.Footprints[2]
-	first := c.Classify(q)
+	first := c.predict(q, -1)
 	for i := 0; i < 5; i++ {
-		if got := c.Classify(q); got.Label != first.Label {
+		if got := c.predict(q, -1); got.Label != first.Label {
 			t.Fatalf("nondeterministic prediction: %q vs %q", got.Label, first.Label)
 		}
 	}

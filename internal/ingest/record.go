@@ -2,11 +2,13 @@ package ingest
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
 	"geofootprint/internal/core"
 	"geofootprint/internal/geom"
+	"geofootprint/internal/traj"
 )
 
 // Record is one WAL record, decoded: a sample batch (Samples non-empty)
@@ -106,6 +108,98 @@ func DecodeRecord(payload []byte) (Record, error) {
 		return Record{}, fmt.Errorf("ingest: edit record of unknown kind %d", e.Op)
 	}
 	return Record{Edit: e}, nil
+}
+
+// stateMagic opens a checkpoint meta blob. Older releases wrote the
+// meta as a gob stream, whose first message defines a type and so
+// carries a negative type ID after its length byte; the 'F' here would
+// be the positive ID 35.
+const stateMagic = "GFC1"
+
+// Wire sizes of a checkpoint meta blob: the header (magic, Seq and a
+// uint32 session count), a session's fixed part (int64 User, float64
+// LastT, a HasT byte and a uint32 pending count) and one pending
+// sample (X, Y and T as float64s).
+const (
+	stateHeaderSize   = len(stateMagic) + 8 + 4
+	sessionHeaderSize = 8 + 8 + 1 + 4
+	pendingWireSize   = 3 * 8
+)
+
+// ErrLegacyMeta reports checkpoint meta that lacks the typed codec's
+// magic: the gob-encoded meta of an older release.
+var ErrLegacyMeta = errors.New("ingest: checkpoint meta predates the typed codec; rewrite the snapshot with `geomigrate convert`")
+
+// EncodeState appends the checkpoint meta blob of s to buf and returns
+// the extended slice, little endian: the magic, Seq and the session
+// count, then per session User, LastT, HasT (0 or 1) and the count and
+// (x, y, t) of its pending samples.
+func EncodeState(buf []byte, s State) []byte {
+	buf = append(buf, stateMagic...)
+	buf = binary.LittleEndian.AppendUint64(buf, s.Seq)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Sessions)))
+	for _, ss := range s.Sessions {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(ss.User)))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ss.LastT))
+		hasT := byte(0)
+		if ss.HasT {
+			hasT = 1
+		}
+		buf = append(buf, hasT)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ss.Pending)))
+		for _, l := range ss.Pending {
+			for _, v := range [...]float64{l.P.X, l.P.Y, l.T} {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+			}
+		}
+	}
+	return buf
+}
+
+// DecodeState parses a blob written by EncodeState. A blob without the
+// magic is ErrLegacyMeta. Any other blob that is not exactly one
+// encoding — a short one, trailing bytes, a HasT other than 0 or 1 — is
+// an error. Lengths are checked before anything is allocated.
+func DecodeState(blob []byte) (State, error) {
+	if len(blob) < len(stateMagic) || string(blob[:len(stateMagic)]) != stateMagic {
+		return State{}, ErrLegacyMeta
+	}
+	if len(blob) < stateHeaderSize {
+		return State{}, fmt.Errorf("ingest: checkpoint meta of %d bytes has no header", len(blob))
+	}
+	u64 := func(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[8*i:]) }
+	f64 := func(b []byte, i int) float64 { return math.Float64frombits(u64(b, i)) }
+	s := State{Seq: u64(blob[len(stateMagic):], 0)}
+	n := uint64(binary.LittleEndian.Uint32(blob[len(stateMagic)+8:]))
+	rest := blob[stateHeaderSize:]
+	if n*sessionHeaderSize > uint64(len(rest)) {
+		return State{}, fmt.Errorf("ingest: checkpoint meta of %d bytes for %d sessions", len(blob), n)
+	}
+	s.Sessions = make([]SessionState, n)
+	for i := range s.Sessions {
+		if len(rest) < sessionHeaderSize {
+			return State{}, fmt.Errorf("ingest: checkpoint meta truncated in session %d", i)
+		}
+		if rest[16] > 1 {
+			return State{}, fmt.Errorf("ingest: checkpoint meta session %d has HasT byte %d", i, rest[16])
+		}
+		m := uint64(binary.LittleEndian.Uint32(rest[17:]))
+		ss := &s.Sessions[i]
+		*ss = SessionState{User: int(int64(u64(rest, 0))), LastT: f64(rest, 1), HasT: rest[16] == 1}
+		rest = rest[sessionHeaderSize:]
+		if m*pendingWireSize > uint64(len(rest)) {
+			return State{}, fmt.Errorf("ingest: checkpoint meta session %d has %d bytes for %d pending samples", i, len(rest), m)
+		}
+		ss.Pending = make([]traj.Location, m)
+		for j := range ss.Pending {
+			ss.Pending[j] = traj.Location{P: geom.Point{X: f64(rest, 3*j), Y: f64(rest, 3*j+1)}, T: f64(rest, 3*j+2)}
+		}
+		rest = rest[m*pendingWireSize:]
+	}
+	if len(rest) != 0 {
+		return State{}, fmt.Errorf("ingest: checkpoint meta with %d trailing bytes", len(rest))
+	}
+	return s, nil
 }
 
 // Writer is what a sink applies updates to: a FootprintDB, or the

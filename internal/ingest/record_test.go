@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"os"
+	"runtime"
 	"testing"
 
 	"geofootprint/internal/core"
 	"geofootprint/internal/geom"
+	"geofootprint/internal/traj"
 )
 
 // A WAL written before edit records existed replays, with no version
@@ -60,6 +62,45 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		if got := appendRecord(nil, rec); !bytes.Equal(got, payload) {
 			t.Fatalf("re-encoded %d bytes as %d different ones", len(payload), len(got))
+		}
+	})
+}
+
+// Arbitrary bytes decode to checkpoint state or an error, never a panic
+// or an allocation their length cannot back, and an accepted blob
+// re-encodes to the same bytes — so no two blobs mean one state.
+func FuzzCheckpointMeta(f *testing.F) {
+	// The state of cmd/geomigrate's gob-meta fixture.
+	state := EncodeState(nil, State{Seq: 2, Sessions: []SessionState{
+		{User: 1, LastT: 7, HasT: true, Pending: []traj.Location{{P: geom.Point{X: 0.8, Y: 0.8}, T: 6}, {P: geom.Point{X: 0.801, Y: 0.8}, T: 7}}},
+		{User: 2, LastT: 2.25, HasT: true, Pending: []traj.Location{{P: geom.Point{X: 0.5, Y: 0.5}, T: 0},
+			{P: geom.Point{X: 0.5, Y: 0.501}, T: 1.5}, {P: geom.Point{X: 0.502, Y: 0.5}, T: 2.25}}},
+	}})
+	f.Add(EncodeState(nil, State{}))
+	f.Add(state)
+	f.Add(state[:len(state)-5]) // truncated
+	hugeSessions := EncodeState(nil, State{Seq: 1})
+	f.Add(binary.LittleEndian.AppendUint32(hugeSessions[:len(hugeSessions)-4], 0xffffffff))
+	hugePending := EncodeState(nil, State{Seq: 1, Sessions: []SessionState{{User: 1}}})
+	f.Add(binary.LittleEndian.AppendUint32(hugePending[:len(hugePending)-4], 0xffffffff))
+	hasT := EncodeState(nil, State{Sessions: []SessionState{{User: 1, HasT: true}}})
+	hasT[stateHeaderSize+16] = 2
+	f.Add(hasT)
+	f.Add([]byte("GFC"))
+
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := DecodeState(blob)
+		runtime.ReadMemStats(&after)
+		if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+3*len(blob)); alloc > bound {
+			t.Fatalf("decoding %d bytes allocated %d bytes, over %d", len(blob), alloc, bound)
+		}
+		if err != nil {
+			return
+		}
+		if got := EncodeState(nil, s); !bytes.Equal(got, blob) {
+			t.Fatalf("re-encoded %d bytes as %d different ones", len(blob), len(got))
 		}
 	})
 }

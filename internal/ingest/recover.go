@@ -1,8 +1,6 @@
 package ingest
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -13,32 +11,26 @@ import (
 )
 
 // Snapshot file format: a columnar snapshot (internal/colstore) whose
-// CRC-guarded meta section holds the gob-encoded checkpoint metadata
-// (applied sequence number + open sessions). It is written through
-// store.WriteColumnarFS, so the file at SnapshotPath is always a
-// complete snapshot or absent — never torn. Single-file atomicity is
-// what keeps the snapshot and its sequence number in lockstep: a
-// database newer than its Seq would make recovery double-apply WAL
-// records, a database older would drop acknowledged writes.
-
-type snapMeta struct {
-	Seq      uint64
-	Sessions []SessionState
-}
+// CRC-guarded meta section holds the checkpoint metadata — applied
+// sequence number and open sessions — in the typed codec of
+// EncodeState. It is written through store.WriteColumnarFS, so the
+// file at SnapshotPath is always a complete snapshot or absent — never
+// torn. Single-file atomicity is what keeps the snapshot and its
+// sequence number in lockstep: a database newer than its Seq would make
+// recovery double-apply WAL records, a database older would drop
+// acknowledged writes.
 
 func writeSnapshotFile(fsys faultfs.FS, path string, state State, db *store.FootprintDB) error {
-	var meta bytes.Buffer
-	if err := gob.NewEncoder(&meta).Encode(snapMeta{Seq: state.Seq, Sessions: state.Sessions}); err != nil {
-		return fmt.Errorf("ingest: encoding snapshot meta: %w", err)
-	}
-	return store.WriteColumnarFS(fsys, path, db.Columnar(meta.Bytes()))
+	return store.WriteColumnarFS(fsys, path, db.Columnar(EncodeState(nil, state)))
 }
 
 // readSnapshotFile loads a checkpoint; a missing file yields a fresh
 // empty database and zero state. A file store cannot trust — damaged,
 // or not a columnar snapshot at all — and undecodable checkpoint meta
 // report store.ErrCorruptSnapshot, so the caller can distinguish
-// damaged durable state from a first boot.
+// damaged durable state from a first boot. Meta an older release wrote
+// is ErrLegacyMeta instead: the file is sound, and `geomigrate
+// convert` rewrites it, so no opt-in may discard it as corrupt.
 func readSnapshotFile(fsys faultfs.FS, path, name string) (*store.FootprintDB, State, error) {
 	db, blob, err := store.OpenMetaFS(fsys, path)
 	if os.IsNotExist(err) {
@@ -47,14 +39,18 @@ func readSnapshotFile(fsys faultfs.FS, path, name string) (*store.FootprintDB, S
 	if err != nil {
 		return nil, State{}, err
 	}
-	var meta snapMeta
-	if blob != nil {
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&meta); err != nil {
-			return nil, State{}, fmt.Errorf("%w: %s: decoding snapshot meta: %w",
-				store.ErrCorruptSnapshot, path, err)
-		}
+	if blob == nil {
+		return db, State{}, nil
 	}
-	return db, State{Seq: meta.Seq, Sessions: meta.Sessions}, nil
+	state, err := DecodeState(blob)
+	if errors.Is(err, ErrLegacyMeta) {
+		return nil, State{}, fmt.Errorf("%s: %w", path, err)
+	}
+	if err != nil {
+		return nil, State{}, fmt.Errorf("%w: %s: decoding snapshot meta: %w",
+			store.ErrCorruptSnapshot, path, err)
+	}
+	return db, state, nil
 }
 
 // RecoverResult is what startup recovery hands back: the database with

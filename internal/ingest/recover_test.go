@@ -14,8 +14,8 @@ import (
 )
 
 // TestRecoverCorruptSnapshotFault: a checkpoint path holding a file
-// recovery cannot trust — garbage, or a trajectory dataset in the gob
-// format geogen writes, bare or behind gob checkpoint meta — stops
+// recovery cannot trust — garbage, a trajectory dataset in the binary
+// format geogen writes, or a gob dataset behind gob checkpoint meta — stops
 // recovery with store.ErrCorruptSnapshot by default; with the operator
 // opt-in the database is rebuilt from the WAL alone and the corruption
 // is reported, not swallowed.
@@ -58,11 +58,21 @@ func TestRecoverCorruptSnapshotFault(t *testing.T) {
 		plant func(path string) error
 	}{
 		{"garbage", func(path string) error { return os.WriteFile(path, []byte("not a snapshot"), 0o644) }},
-		{"trajectory dataset", func(path string) error { return traj.SaveGob(path, dataset) }},
+		{"trajectory dataset", func(path string) error {
+			var b bytes.Buffer
+			if err := traj.WriteBinary(&b, dataset); err != nil {
+				return err
+			}
+			return os.WriteFile(path, b.Bytes(), 0o644)
+		}},
 		// The gob checkpoint layout of earlier releases — checkpoint
 		// meta, then a second gob stream for the database — holding the
 		// dataset: their gob reader took it for an empty database.
 		{"gob meta, then the dataset", func(path string) error {
+			type snapMeta struct { // the old meta's name and fields, so its bytes
+				Seq      uint64
+				Sessions []SessionState
+			}
 			var b bytes.Buffer
 			if err := gob.NewEncoder(&b).Encode(snapMeta{Seq: 1}); err != nil {
 				return err

@@ -45,7 +45,6 @@ func rowReads() []struct{ method, path, body string } {
 		{"GET", "/v1/users?offset=7&limit=5", ""},
 		{"GET", "/v1/pairs?k=10", ""},
 		{"POST", "/v1/query", `{"k":5,"regions":[{"rect":[0.1,0.1,0.6,0.6],"weight":1}]}`},
-		{"POST", "/v1/classify", `{"regions":[{"rect":[0.2,0.2,0.5,0.5],"weight":1}]}`},
 	}
 	for _, m := range []string{"", "linear", "iterative", "batch", "user-centric", "sketch"} {
 		for _, id := range []int{100, 111, 124} {
@@ -72,14 +71,7 @@ func TestOpenedServerByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels := map[int]string{100: "a", 104: "b", 111: "a", 117: "b", 122: "c"}
-	servers := map[string]*Server{"opened": New(opened), "loaded": New(loaded)}
-	for _, s := range servers {
-		if err := s.SetLabels(labels, 3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ho, hl := servers["opened"].Handler(), servers["loaded"].Handler()
+	ho, hl := New(opened).Handler(), New(loaded).Handler()
 
 	same := func(stage string) {
 		t.Helper()

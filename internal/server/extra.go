@@ -1,29 +1,21 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"strconv"
 
-	"geofootprint/internal/classify"
-	"geofootprint/internal/engine"
 	"geofootprint/internal/search"
 )
 
 // Analytics endpoints on top of the core CRUD/search API:
 //
 //	GET  /v1/pairs?k=20          the k most similar user pairs
-//	POST /v1/classify            kNN label prediction for a footprint
-//
-// Classification requires labels, registered with SetLabels (e.g.
-// loaded from a loyalty-program export at startup).
 
 // RegisterExtras wires the analytics routes. It is called by New; the
 // split keeps the route tables readable.
 func (s *Server) registerExtras() {
 	s.mux.HandleFunc("GET /v1/users", s.handleListUsers)
 	s.mux.HandleFunc("GET /v1/pairs", s.gated(s.handlePairs))
-	s.mux.HandleFunc("POST /v1/classify", s.gated(s.handleClassify))
 	s.mux.HandleFunc("GET /v1/explain", s.handleExplain)
 }
 
@@ -138,30 +130,6 @@ func (s *Server) handleListUsers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// labelSet is what SetLabels installs: the labels and the
-// neighbourhood size of /v1/classify.
-type labelSet struct {
-	labels map[int]string
-	k      int
-}
-
-// SetLabels installs (or replaces) the user labels backing the
-// /v1/classify endpoint, with the given neighbourhood size. It
-// publishes nothing: no top-k answer depends on labels, so the epoch,
-// its sequence and the result cache stay as they are. A bad call (k <
-// 1, no labels) returns an error and leaves the installed labels in
-// place.
-//
-//lint:ignore testonly the only switch for /v1/classify, for programs that embed the server
-func (s *Server) SetLabels(labels map[int]string, k int) error {
-	// classify.New only checks its arguments.
-	if _, err := classify.New(nil, nil, labels, k); err != nil {
-		return err
-	}
-	s.labels.Store(&labelSet{labels, k})
-	return nil
-}
-
 type pairJSON struct {
 	A          int     `json:"a"`
 	B          int     `json:"b"`
@@ -188,55 +156,4 @@ func (s *Server) handlePairs(w http.ResponseWriter, r *http.Request) {
 		out[i] = pairJSON{A: p.A, B: p.B, Similarity: p.Score}
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// newClassifier builds a request's classifier over its pinned epoch's
-// default engine, so the neighbour search behind /v1/classify runs the
-// same path as any other top-k request. Both steps are O(1).
-func newClassifier(v *engine.View, labels map[int]string, k int) (*classify.Classifier, error) {
-	eng, err := v.Engine("")
-	if err != nil {
-		return nil, err
-	}
-	return classify.New(v.DB(), eng, labels, k)
-}
-
-type classifyRequest struct {
-	Regions []regionJSON `json:"regions"`
-}
-
-type classifyResponse struct {
-	Label      string             `json:"label"`
-	Score      float64            `json:"score"`
-	Votes      map[string]float64 `json:"votes"`
-	Neighbours int                `json:"neighbours"`
-}
-
-func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	var req classifyRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody)).Decode(&req); err != nil {
-		writeBodyError(w, err)
-		return
-	}
-	f, err := toFootprint(req.Regions)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad footprint: %v", err)
-		return
-	}
-	ls := s.labels.Load()
-	if ls == nil {
-		writeError(w, http.StatusServiceUnavailable, "no labels registered")
-		return
-	}
-	ep, v := s.acquire()
-	defer ep.Release()
-	cls, err := newClassifier(v.View, ls.labels, ls.k)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	p := cls.Classify(f)
-	writeJSON(w, http.StatusOK, classifyResponse{
-		Label: p.Label, Score: p.Score, Votes: p.Votes, Neighbours: p.Neighbours,
-	})
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"testing"
 	"time"
 )
@@ -63,91 +62,3 @@ func TestPairsDeadline503(t *testing.T) {
 		t.Fatalf("the request after the 503: status %d", rec.Code)
 	}
 }
-
-// TestClassifyEndpoint also pins that labels are not epoch state:
-// SetLabels publishes nothing, so the epoch, its sequence and a cached
-// top-k answer survive it, while the next /v1/classify answer reads
-// the labels installed last.
-func TestClassifyEndpoint(t *testing.T) {
-	db := testCorpus(t)
-	s := NewWithOptions(db, Options{CacheSize: 64})
-	h := s.Handler()
-
-	// Before labels are registered: 503.
-	body := `{"regions":[{"rect":[0.1,0.1,0.2,0.2],"weight":1}]}`
-	rec, _ := do(t, h, "POST", "/v1/classify", body)
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("unlabelled status %d", rec.Code)
-	}
-
-	// Label the first half of users by coarse location.
-	labels := map[int]string{}
-	for i := 0; i < db.Len()/2; i++ {
-		name := "west"
-		if db.MBRs[i].Center().X > 0.5 {
-			name = "east"
-		}
-		labels[db.IDs[i]] = name
-	}
-	similar := "/v1/users/" + strconv.Itoa(db.IDs[3]) + "/similar?k=5"
-	if rec, _ := do(t, h, "GET", similar, ""); rec.Code != http.StatusOK {
-		t.Fatalf("similar status %d", rec.Code)
-	}
-	epochs := s.EpochStats()
-	setLabels := func(labels map[int]string) {
-		t.Helper()
-		if err := s.SetLabels(labels, 5); err != nil {
-			t.Fatalf("SetLabels: %v", err)
-		}
-		if got := s.EpochStats(); got != epochs {
-			t.Fatalf("SetLabels moved the epochs: %+v, was %+v", got, epochs)
-		}
-	}
-	setLabels(labels)
-	before, _ := s.CacheStats()
-	if rec, _ := do(t, h, "GET", similar, ""); rec.Code != http.StatusOK {
-		t.Fatalf("similar status %d", rec.Code)
-	}
-	if after, _ := s.CacheStats(); after.Hits != before.Hits+1 {
-		t.Fatalf("cached /similar answer missed after SetLabels: hits %d -> %d", before.Hits, after.Hits)
-	}
-
-	// Classify a footprint sitting on a labelled user.
-	i, _ := db.IndexOf(db.IDs[0])
-	r := db.Footprints[i][0].Rect
-	body = `{"regions":[{"rect":[` +
-		fm(r.MinX) + `,` + fm(r.MinY) + `,` + fm(r.MaxX) + `,` + fm(r.MaxY) + `],"weight":1}]}`
-	classify := func(want string) {
-		t.Helper()
-		rec, obj := do(t, h, "POST", "/v1/classify", body)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("classify status %d: %v", rec.Code, obj)
-		}
-		if obj["label"] != want {
-			t.Errorf("label = %v, want %v (votes %v)", obj["label"], want, obj["votes"])
-		}
-	}
-	classify(labels[db.IDs[0]])
-	// Other labels change the next answer.
-	relabelled := map[int]string{}
-	for id, name := range labels {
-		relabelled[id] = "not-" + name
-	}
-	setLabels(relabelled)
-	classify(relabelled[db.IDs[0]])
-	// Bad body.
-	rec, _ = do(t, h, "POST", "/v1/classify", "garbage")
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("garbage status %d", rec.Code)
-	}
-	// Bad labels rejected, leaving the installed ones in place.
-	if err := s.SetLabels(nil, 5); err == nil {
-		t.Error("empty labels accepted")
-	}
-	if err := s.SetLabels(labels, 0); err == nil {
-		t.Error("k = 0 accepted")
-	}
-	classify(relabelled[db.IDs[0]])
-}
-
-func fm(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }

@@ -102,7 +102,6 @@ func TestAdmissionGateSheds(t *testing.T) {
 	for _, route := range [][3]string{
 		{"GET", "/v1/users/100/similar?k=3", ""},
 		{"POST", "/v1/query", `{"k":2,"regions":[{"rect":[0,0,1,1]}]}`},
-		{"POST", "/v1/classify", `{"regions":[{"rect":[0,0,1,1]}]}`},
 	} {
 		rec, _ := do(t, h, route[0], route[1], route[2])
 		if rec.Code != http.StatusTooManyRequests {

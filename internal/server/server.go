@@ -73,11 +73,6 @@ type Server struct {
 	epochs  *store.EpochStore
 	cache   *cache.Cache // nil when Options.CacheSize <= 0
 
-	// labels back /v1/classify (SetLabels); nil until installed. They
-	// are not epoch state: a request builds its classifier over the
-	// epoch it pins.
-	labels atomic.Pointer[labelSet]
-
 	// pipe is the one write path. Until AttachPipeline it has no log;
 	// logged says AttachPipeline gave it one.
 	pipe   *ingest.Pipeline
@@ -265,8 +260,8 @@ func writeError(w http.ResponseWriter, status int, format string, args ...interf
 	writeJSON(w, status, errorJSON{Error: fmt.Sprintf(format, args...)})
 }
 
-// maxJSONBody caps the JSON bodies geoserve reads (POST /v1/query, PUT
-// /v1/users/{id}, POST /v1/classify). The largest legitimate one is a
+// maxJSONBody caps the JSON bodies geoserve reads (POST /v1/query and
+// PUT /v1/users/{id}). The largest legitimate one is a
 // router leg: georouter's 1 MiB /v1/topk body plus the segment object
 // it appends, whose shard list grows with the cluster — hence twice
 // the router's cap.

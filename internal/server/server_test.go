@@ -248,7 +248,6 @@ func TestJSONBodyCap(t *testing.T) {
 	for _, c := range []struct{ method, path, body string }{
 		{"POST", "/v1/query", `{"k":5,"regions":[` + pad + `]}`},
 		{"PUT", "/v1/users/7", `[` + pad + `]`},
-		{"POST", "/v1/classify", `{"regions":[` + pad + `]}`},
 	} {
 		if rec, _ := do(t, s.Handler(), c.method, c.path, c.body); rec.Code != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s %s, %d bytes: status %d, want 413", c.method, c.path, len(c.body), rec.Code)

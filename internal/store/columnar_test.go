@@ -326,12 +326,12 @@ func TestLoadFaultClassification(t *testing.T) {
 	}
 
 	// Files that are not columnar snapshots: garbage, and a trajectory
-	// dataset in the gob format geogen writes by default.
+	// dataset in the binary format geogen writes by default.
 	garbage := filepath.Join(dir, "garbage.db")
 	if err := os.WriteFile(garbage, bytes.Repeat([]byte{0x5a}, 128), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	dataset := filepath.Join(dir, "partA.gob")
+	dataset := filepath.Join(dir, "partA.bin")
 	saveTrajDataset(t, dataset)
 	for _, path := range []string{garbage, dataset} {
 		if db, err := Load(path); !errors.Is(err, ErrCorruptSnapshot) || !errors.Is(err, colstore.ErrNotColumnar) {
@@ -362,13 +362,17 @@ func TestLoadFaultClassification(t *testing.T) {
 }
 
 // saveTrajDataset writes a small trajectory dataset to path with
-// traj.SaveGob: a file of the wrong kind that a database path can be
-// handed by mistake.
+// traj.WriteBinary: a file of the wrong kind that a database path can
+// be handed by mistake.
 func saveTrajDataset(t *testing.T, path string) {
 	t.Helper()
 	session := traj.Trajectory{{P: geom.Point{X: 0.4, Y: 0.4}, T: 0}, {P: geom.Point{X: 0.41, Y: 0.4}, T: 1}}
 	d := &traj.Dataset{Name: "partA", SampleInterval: 1, Users: []traj.User{{ID: 1, Sessions: []traj.Trajectory{session}}}}
-	if err := traj.SaveGob(path, d); err != nil {
+	var b bytes.Buffer
+	if err := traj.WriteBinary(&b, d); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

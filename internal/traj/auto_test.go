@@ -1,8 +1,11 @@
 package traj
 
 import (
+	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -10,10 +13,6 @@ func TestLoadAuto(t *testing.T) {
 	d := sampleDataset()
 	dir := t.TempDir()
 
-	gobPath := filepath.Join(dir, "ds.gob")
-	if err := SaveGob(gobPath, d); err != nil {
-		t.Fatal(err)
-	}
 	binPath := filepath.Join(dir, "ds.bin")
 	fb, _ := os.Create(binPath)
 	if err := WriteBinary(fb, d); err != nil {
@@ -27,7 +26,7 @@ func TestLoadAuto(t *testing.T) {
 	}
 	ft.Close()
 
-	for _, path := range []string{gobPath, binPath, txtPath} {
+	for _, path := range []string{binPath, txtPath} {
 		got, err := LoadAuto(path)
 		if err != nil {
 			t.Fatalf("LoadAuto(%s): %v", path, err)
@@ -41,6 +40,16 @@ func TestLoadAuto(t *testing.T) {
 	os.WriteFile(bad, []byte("zzzz not a dataset"), 0o644)
 	if _, err := LoadAuto(bad); err == nil {
 		t.Error("garbage accepted")
+	}
+	// So does a gob stream, the dataset format of older releases.
+	var gobBuf bytes.Buffer
+	if err := gob.NewEncoder(&gobBuf).Encode(d); err != nil {
+		t.Fatal(err)
+	}
+	gobPath := filepath.Join(dir, "ds.gob")
+	os.WriteFile(gobPath, gobBuf.Bytes(), 0o644)
+	if _, err := LoadAuto(gobPath); err == nil || !strings.Contains(err.Error(), "matches no known dataset format") {
+		t.Errorf("gob stream: err = %v, want no known dataset format", err)
 	}
 	if _, err := LoadAuto(filepath.Join(dir, "missing")); err == nil {
 		t.Error("missing file accepted")

@@ -14,12 +14,13 @@ import (
 // tracking datasets. Coordinates quantize to 1e-7 of the normalized
 // space (~10 µm in a 100 m hall) and timestamps to 0.1 ms; consecutive
 // samples store zigzag-varint deltas, which are tiny for regularly
-// sampled, slowly moving trackers. Datasets typically shrink 4-6×
-// versus gob and 8-12× versus text (see the benchmarks).
+// sampled, slowly moving trackers. Datasets typically shrink 8-12×
+// versus text (see the benchmarks).
 //
-// The quantization makes the format lossy below the stated precision —
-// far beneath sensor noise, but callers needing bit-exact round trips
-// should use gob.
+// The quantization makes the format lossy below the stated precision,
+// far beneath sensor noise. The text format is quantised too (%.6f
+// seconds, %.8f coordinates), so no dataset on disk round-trips bit
+// for bit.
 
 const (
 	binaryMagic = "GFTB1"

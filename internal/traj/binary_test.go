@@ -74,7 +74,7 @@ func TestBinaryNoDeltaDrift(t *testing.T) {
 	}
 }
 
-func TestBinarySmallerThanGobAndText(t *testing.T) {
+func TestBinarySmallerThanText(t *testing.T) {
 	// Regular sampling with small steps: the raison d'être of the
 	// delta encoding.
 	var s Trajectory
@@ -86,18 +86,12 @@ func TestBinarySmallerThanGobAndText(t *testing.T) {
 	}
 	d := &Dataset{Name: "size", SampleInterval: 0.1, Users: []User{{ID: 1, Sessions: []Trajectory{s}}}}
 
-	var bin, gobBuf, txt bytes.Buffer
+	var bin, txt bytes.Buffer
 	if err := WriteBinary(&bin, d); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteText(&txt, d); err != nil {
 		t.Fatal(err)
-	}
-	if err := writeGobForTest(&gobBuf, d); err != nil {
-		t.Fatal(err)
-	}
-	if bin.Len()*3 > gobBuf.Len() {
-		t.Errorf("binary (%d B) not ≥3x smaller than gob (%d B)", bin.Len(), gobBuf.Len())
 	}
 	if bin.Len()*6 > txt.Len() {
 		t.Errorf("binary (%d B) not ≥6x smaller than text (%d B)", bin.Len(), txt.Len())

@@ -3,7 +3,6 @@ package traj
 import (
 	"bufio"
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"os"
@@ -128,12 +127,10 @@ func parseHeader(line string, d *Dataset) {
 }
 
 // LoadAuto reads a dataset from path, detecting the format: the GFTB1
-// magic selects the delta-varint binary format; otherwise gob is
-// attempted and, failing that, the text format. Sniffing leading
-// bytes alone would be fragile — a gob stream's first byte is a
-// message length that can collide with '#' or a digit — so the
-// decoders themselves arbitrate. This is what the CLI tools use by
-// default so users never have to say -format.
+// magic selects the delta-varint binary format, anything else is read
+// as text. The two cannot be confused: a text file starts with a '#'
+// comment or a number, never with the magic's 'G'. This is what the
+// CLI tools use, so users never have to name the format.
 func LoadAuto(path string) (*Dataset, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -141,10 +138,6 @@ func LoadAuto(path string) (*Dataset, error) {
 	}
 	if len(data) >= len(binaryMagic) && string(data[:len(binaryMagic)]) == binaryMagic {
 		return ReadBinary(bytes.NewReader(data))
-	}
-	var d Dataset
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&d); err == nil {
-		return &d, nil
 	}
 	ds, err := ReadText(bytes.NewReader(data))
 	if err != nil {
@@ -156,36 +149,4 @@ func LoadAuto(path string) (*Dataset, error) {
 		return nil, fmt.Errorf("traj: %s matches no known dataset format", path)
 	}
 	return ds, nil
-}
-
-// SaveGob writes the dataset to path in the binary gob format, which
-// is substantially faster and smaller than the text format.
-func SaveGob(path string, d *Dataset) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	bw := bufio.NewWriter(f)
-	if err := gob.NewEncoder(bw).Encode(d); err != nil {
-		return fmt.Errorf("traj: encoding %s: %w", path, err)
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadGob reads a dataset previously written by SaveGob.
-func LoadGob(path string) (*Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var d Dataset
-	if err := gob.NewDecoder(bufio.NewReader(f)).Decode(&d); err != nil {
-		return nil, fmt.Errorf("traj: decoding %s: %w", path, err)
-	}
-	return &d, nil
 }

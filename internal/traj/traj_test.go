@@ -3,7 +3,6 @@ package traj
 import (
 	"bytes"
 	"math"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -159,25 +158,6 @@ func TestReadTextErrors(t *testing.T) {
 				t.Error("expected error, got nil")
 			}
 		})
-	}
-}
-
-func TestGobRoundTrip(t *testing.T) {
-	d := sampleDataset()
-	path := filepath.Join(t.TempDir(), "ds.gob")
-	if err := SaveGob(path, d); err != nil {
-		t.Fatalf("SaveGob: %v", err)
-	}
-	got, err := LoadGob(path)
-	if err != nil {
-		t.Fatalf("LoadGob: %v", err)
-	}
-	datasetsEqual(t, d, got)
-}
-
-func TestLoadGobMissing(t *testing.T) {
-	if _, err := LoadGob(filepath.Join(t.TempDir(), "nope.gob")); err == nil {
-		t.Error("expected error for missing file")
 	}
 }
 

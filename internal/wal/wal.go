@@ -442,8 +442,9 @@ func scan(f faultfs.File, fn func(rec Record) error) (lastLSN uint64, validSize 
 	// The bufio layer turns the two small reads per record (header +
 	// payload) into large sequential file reads; countingReader sits
 	// above it so validSize counts bytes consumed by the scan, not
-	// bytes the buffer read ahead.
-	r := &countingReader{r: bufio.NewReaderSize(f, 1<<20)}
+	// bytes the buffer read ahead. The buffer is no larger than the
+	// file (bufio rounds an empty file's 0 up to its minimum).
+	r := &countingReader{r: bufio.NewReaderSize(f, int(min(1<<20, fi.Size())))}
 	hdr := make([]byte, headerSize)
 	var payload []byte
 	for {

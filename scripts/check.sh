@@ -63,6 +63,20 @@ echo "== lintstats: geolint -json vs lint_baseline.json =="
 echo "== go build ./... =="
 go build ./...
 
+# Durable and served bytes go through typed codecs only: the WAL
+# records, the checkpoint meta, the columnar snapshot and the
+# trajectory formats. A reflective codec in them would let a renamed
+# field change the bytes on disk unnoticed, so no internal package and
+# neither server binary may import encoding/gob (cmd/geomigrate alone
+# keeps a gob reader, to convert the checkpoint meta of older releases).
+echo "== no encoding/gob in internal/, geoserve or georouter =="
+gob=$( (go list -f '{{.ImportPath}}: {{join .Imports " "}}' ./internal/... | grep -w 'encoding/gob') || true)
+if [ -n "$gob" ] || go list -deps ./cmd/geoserve ./cmd/georouter | grep -qx 'encoding/gob'; then
+	echo "encoding/gob imported by:" >&2
+	echo "${gob:-a dependency of cmd/geoserve or cmd/georouter}" >&2
+	exit 1
+fi
+
 # The strictsort build must stay compilable on its own: it is the
 # build operators deploy when they want unsorted-footprint leaks to
 # panic instead of silently costing a copy+sort per similarity call.

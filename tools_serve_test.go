@@ -26,7 +26,7 @@ func TestGeoserveEndToEnd(t *testing.T) {
 			t.Fatalf("building %s: %v\n%s", tool, err, out)
 		}
 	}
-	ds := filepath.Join(data, "ds.gob")
+	ds := filepath.Join(data, "ds.bin")
 	dbPath := filepath.Join(data, "fp.db")
 	if out, err := exec.Command(filepath.Join(bin, "geogen"), "-part", "A", "-users", "80", "-o", ds).CombinedOutput(); err != nil {
 		t.Fatalf("geogen: %v\n%s", err, out)

@@ -37,12 +37,12 @@ func TestCommandLineTools(t *testing.T) {
 		return string(out)
 	}
 
-	dsGob := filepath.Join(data, "ds.gob")
+	dsBin := filepath.Join(data, "ds.bin")
 	dsText := filepath.Join(data, "ds.csv")
 	dbPath := filepath.Join(data, "fp.db")
 
-	// geogen: gob and text outputs.
-	out := run("geogen", "-part", "A", "-users", "120", "-o", dsGob)
+	// geogen: binary (the default) and text outputs.
+	out := run("geogen", "-part", "A", "-users", "120", "-o", dsBin)
 	if !strings.Contains(out, "120 users") {
 		t.Errorf("geogen output: %q", out)
 	}
@@ -51,13 +51,13 @@ func TestCommandLineTools(t *testing.T) {
 		t.Fatalf("geogen text output missing: %v", err)
 	}
 
-	// geoextract on the gob dataset.
-	out = run("geoextract", "-i", dsGob, "-o", dbPath)
+	// geoextract on the binary dataset.
+	out = run("geoextract", "-i", dsBin, "-o", dbPath)
 	if !strings.Contains(out, "120 users") {
 		t.Errorf("geoextract output: %q", out)
 	}
 	// ... and on the text dataset (duration weights, extent mode).
-	out = run("geoextract", "-i", dsText, "-format", "text", "-weight", "duration",
+	out = run("geoextract", "-i", dsText, "-weight", "duration",
 		"-mode", "extent", "-o", filepath.Join(data, "fp2.db"))
 	if !strings.Contains(out, "30 users") {
 		t.Errorf("geoextract text output: %q", out)
