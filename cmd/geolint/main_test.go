@@ -111,29 +111,31 @@ func TestLoadErrorsAllPrinted(t *testing.T) {
 	}
 }
 
-// TestSeededPinLeakFailsGate seeds a real pin leak into internal/server
-// behind a build tag only this test enables, and proves `make lint`
-// would fail: the flow-sensitive analyzers bite on production packages,
-// not just fixtures. The tag keeps the seed invisible to every other
-// build and to TestRepoClean running in a sibling process.
-func TestSeededPinLeakFailsGate(t *testing.T) {
+// TestSeededBodyCloseFailsGate seeds a real response-body leak into
+// internal/router behind a build tag only this test enables, and proves
+// `make lint` would fail: the flow-sensitive analyzers bite on
+// production packages, not just fixtures. The tag keeps the seed
+// invisible to every other build and to TestRepoClean running in a
+// sibling process.
+func TestSeededBodyCloseFailsGate(t *testing.T) {
 	root := moduleRoot(t)
-	seed := filepath.Join(root, "internal", "server", "zz_lintseed_test_probe.go")
+	seed := filepath.Join(root, "internal", "router", "zz_lintseed_bodyclose_probe.go")
 	src := `//go:build lintseed
 
-package server
+package router
 
-func (s *Server) zzSeededLeak(bad bool) uint64 {
-	ep := s.epochs.Acquire()
-	if ep == nil {
-		return 0
+import "net/http"
+
+func (r *Router) zzSeededLeak(req *http.Request, bad bool) (int, error) {
+	resp, err := r.cfg.Client.Do(req)
+	if err != nil {
+		return 0, err
 	}
 	if bad {
-		return 0 // leaks the pin
+		return 0, nil // leaks the body and its connection
 	}
-	seq := ep.Seq()
-	ep.Release()
-	return seq
+	defer resp.Body.Close()
+	return resp.StatusCode, nil
 }
 `
 	if err := os.WriteFile(seed, []byte(src), 0o644); err != nil {
@@ -143,21 +145,21 @@ func (s *Server) zzSeededLeak(bad bool) uint64 {
 	t.Setenv("GOFLAGS", "-tags=lintseed")
 
 	var out, errw bytes.Buffer
-	code := run(root, []string{"./internal/server"}, &out, &errw)
+	code := run(root, []string{"./internal/router"}, &out, &errw)
 	if code != 1 {
-		t.Fatalf("exit code = %d, want 1 (seeded pin leak must fail the gate)\nstdout:\n%s\nstderr:\n%s",
+		t.Fatalf("exit code = %d, want 1 (seeded body leak must fail the gate)\nstdout:\n%s\nstderr:\n%s",
 			code, out.String(), errw.String())
 	}
-	if !strings.Contains(out.String(), "pinleak") {
-		t.Errorf("findings missing pinleak:\n%s", out.String())
+	if !strings.Contains(out.String(), "bodyclose") {
+		t.Errorf("findings missing bodyclose:\n%s", out.String())
 	}
-	if !strings.Contains(out.String(), "zz_lintseed_test_probe.go") {
+	if !strings.Contains(out.String(), "zz_lintseed_bodyclose_probe.go") {
 		t.Errorf("finding not attributed to the seeded file:\n%s", out.String())
 	}
 }
 
 // TestSeededTestOnlyFailsGate seeds an export no binary calls into
-// internal/server, behind the build tag TestSeededPinLeakFailsGate
+// internal/server, behind the build tag TestSeededBodyCloseFailsGate
 // uses, and proves a run over that one package judges it against the
 // whole program: the rest of the module and the benchmark module load
 // as well, and the seed is still a testonly finding.

@@ -18,7 +18,7 @@
 // server drains in-flight requests, then checkpoints and closes the
 // pipeline, so the next start replays nothing.
 //
-// Serving is epoch-based MVCC (see internal/server): queries pin an
+// Serving is epoch-based MVCC (see internal/server): queries read an
 // immutable snapshot and run lock-free; every mutation publishes the
 // next epoch. -cache-size enables the epoch-keyed result cache, and
 // -stats-interval logs the epoch/cache counters that /healthz and
@@ -214,13 +214,12 @@ func main() {
 	}
 }
 
-// logServingStats reports the epoch lifecycle counters and, when the
+// logServingStats reports the epoch counters and, when the
 // result cache is on, its hit/miss/evict/reject accounting — the same numbers
 // /healthz and /v1/ingest/stats expose over HTTP.
 func logServingStats(srv *server.Server) {
 	es := srv.EpochStats()
-	log.Printf("epoch: seq=%d published=%d reclaimed=%d live=%d pinned=%d",
-		es.Seq, es.Published, es.Reclaimed, es.Live, es.Pins)
+	log.Printf("epoch: seq=%d published=%d", es.Seq, es.Published)
 	if cs, ok := srv.CacheStats(); ok {
 		log.Printf("cache: hits=%d misses=%d evictions=%d rejected=%d purged=%d entries=%d/%d",
 			cs.Hits, cs.Misses, cs.Evictions, cs.Rejected, cs.Purged, cs.Entries, cs.Cap)

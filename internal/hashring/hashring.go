@@ -38,7 +38,6 @@ import (
 	"os"
 	"sort"
 	"strconv"
-	"sync/atomic"
 )
 
 // DefaultReplicas is the virtual-node count per shard when the map
@@ -186,8 +185,6 @@ type point struct {
 type Ring struct {
 	shards []Shard
 	points []point
-	// lookups counts user-to-point lookups (see Lookups).
-	lookups atomic.Uint64
 }
 
 // NewRing builds the ring: replicas virtual nodes per shard, each at
@@ -247,7 +244,6 @@ func hashUser(user int) uint64 {
 
 // pointOf locates the first virtual node clockwise from user's hash.
 func (r *Ring) pointOf(user int) int {
-	r.lookups.Add(1)
 	h := hashUser(user)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
@@ -255,14 +251,6 @@ func (r *Ring) pointOf(user int) int {
 	}
 	return i
 }
-
-// Lookups returns how many times a user has been located on the ring
-// (ReplicaIndices or a SegmentTable column entry — one each). A query
-// path that should run off a memoised column shows as a count that
-// stops moving.
-//
-//lint:ignore testonly a probe: TestSegmentColumnMemoised counts lookups to prove the segment column is built once per epoch
-func (r *Ring) Lookups() uint64 { return r.lookups.Load() }
 
 // clampR bounds a replication factor to [1, N]: replication can never
 // place more copies than there are shards.
@@ -397,11 +385,6 @@ func (r *Ring) SegmentTable(R int) (*SegmentTable, error) {
 	}
 	return t, nil
 }
-
-// Ring returns the ring the table was built from.
-//
-//lint:ignore testonly a probe: TestSegmentColumnMemoised reads the lookup count of the ring a server's table holds
-func (t *SegmentTable) Ring() *Ring { return t.ring }
 
 // Segments returns the sorted segment list — Ring.Segments for the
 // table's R. The returned slices are shared — read-only.

@@ -10,13 +10,13 @@ import (
 	"geofootprint/internal/lint/dataflow"
 )
 
-// flowleak.go is the shared engine behind the flow-sensitive leak
-// analyzers (pinleak, bodyclose): a forward may-leak dataflow over the
-// internal/lint/cfg graph. The per-analyzer part is a leakSpec — what
-// counts as acquiring the resource, what counts as releasing it, and
-// the report wording; everything else (aliasing, escape discharge,
-// nil- and err-branch refinement, defer handling, fixpoint, exit-join
-// reporting) lives here once.
+// flowleak.go is the engine behind the flow-sensitive leak analyzer
+// (bodyclose): a forward may-leak dataflow over the internal/lint/cfg
+// graph. The analyzer's part is a leakSpec — what counts as acquiring
+// the resource, what counts as releasing it, and the report wording;
+// everything else (aliasing, escape discharge, nil- and err-branch
+// refinement, defer handling, fixpoint, exit-join reporting) lives
+// here.
 //
 // The obligation model: an acquire site creates an obligation keyed by
 // its source position, held by one or more local variables (aliases
@@ -25,7 +25,7 @@ import (
 // matcher knows `b.Close()` and `resp.Body.Close()` are the same
 // discharge). An obligation is discharged by:
 //
-//   - a release call on any holder (including `defer x.Release()` —
+//   - a release call on any holder (including `defer x.Close()` —
 //     from that program point on, every exit runs it — and releases
 //     inside a deferred or spawned function literal);
 //   - escape: a holder returned to the caller, passed as a call
@@ -53,16 +53,9 @@ const (
 
 // leakSpec is one analyzer's parameterization of the engine.
 type leakSpec struct {
-	// skipPkg suppresses the whole analyzer inside a package (e.g.
-	// pinleak inside the package that implements the pin protocol).
-	skipPkg func(pkg *types.Package) bool
 	// isResourceType reports whether a call-result type is the tracked
-	// resource.
+	// resource; every call returning one creates an obligation.
 	isResourceType func(t types.Type) bool
-	// isAcquire reports whether a call with at least one resource
-	// result actually creates an obligation (pinleak restricts by
-	// callee name: Publish returns *Epoch without pinning).
-	isAcquire func(info *types.Info, call *ast.CallExpr) bool
 	// releaseIdent recognizes a release call structurally and returns
 	// the holder ident plus the holder kind it applies to; ok=false
 	// when the call is not a release form.
@@ -168,9 +161,6 @@ type leakEngine struct {
 // function literal in the package, each as its own intraprocedural
 // problem.
 func runLeakAnalyzer(pass *analysis.Pass, spec *leakSpec) error {
-	if spec.skipPkg != nil && spec.skipPkg(pass.Pkg) {
-		return nil
-	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			var body *ast.BlockStmt
@@ -236,7 +226,7 @@ func (e *leakEngine) localObj(id *ast.Ident) (types.Object, bool) {
 
 // resourceResults returns the result positions of call whose type is
 // the spec's resource, and the position of an error result if any.
-// A non-call or non-acquire yields no positions.
+// A call with no resource result yields no positions.
 func (e *leakEngine) resourceResults(call *ast.CallExpr) (res []int, errPos int) {
 	errPos = -1
 	t := e.pass.TypesInfo.TypeOf(call)
@@ -256,9 +246,6 @@ func (e *leakEngine) resourceResults(call *ast.CallExpr) (res []int, errPos int)
 		if e.spec.isResourceType(t) {
 			res = []int{0}
 		}
-	}
-	if len(res) > 0 && e.spec.isAcquire != nil && !e.spec.isAcquire(e.pass.TypesInfo, call) {
-		return nil, -1
 	}
 	return res, errPos
 }
@@ -507,7 +494,7 @@ func (e *leakEngine) deferOrGo(call *ast.CallExpr, f leakFact) leakFact {
 	}
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		// Scan the literal's entire body for release calls on tracked
-		// holders: `defer func() { ep.Release() }()`.
+		// holders: `defer func() { resp.Body.Close() }()`.
 		ast.Inspect(lit.Body, func(n ast.Node) bool {
 			inner, ok := n.(*ast.CallExpr)
 			if !ok {

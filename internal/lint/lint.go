@@ -69,7 +69,6 @@ var Analyzers = []*analysis.Analyzer{
 	ErrDiscard,
 	CtxCancel,
 	EpochMut,
-	PinLeak,
 	BodyClose,
 	LockBalance,
 	TestOnly,

@@ -65,11 +65,6 @@ func TestErrDiscard(t *testing.T) {
 		"./internal/lint/testdata/src/errdiscard/app")
 }
 
-func TestPinLeak(t *testing.T) {
-	analysistest.Run(t, lint.PinLeak,
-		"./internal/lint/testdata/src/pinleak/a")
-}
-
 func TestBodyClose(t *testing.T) {
 	analysistest.Run(t, lint.BodyClose,
 		"./internal/lint/testdata/src/bodyclose/a")

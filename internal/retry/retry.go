@@ -21,10 +21,23 @@
 package retry
 
 import (
+	"math"
 	"math/rand"
 	"strconv"
 	"time"
 )
+
+// ParseRetryAfter reads a Retry-After header value in its
+// delay-seconds form (RFC 9110): a non-negative integer number of
+// seconds. ok is false for an absent, non-numeric or negative value,
+// and for one whose duration does not fit a time.Duration.
+func ParseRetryAfter(v string) (d time.Duration, ok bool) {
+	secs, err := strconv.ParseInt(v, 10, 64)
+	if err != nil || secs < 0 || secs > math.MaxInt64/int64(time.Second) {
+		return 0, false
+	}
+	return time.Duration(secs) * time.Second, true
+}
 
 // Backoff schedules retry waits with decorrelated jitter. Not safe
 // for concurrent use: give each retrying request its own instance
@@ -57,16 +70,14 @@ func (b *Backoff) int63n(n int64) int64 {
 }
 
 // Next returns how long to sleep before the next retry. retryAfter is
-// the raw Retry-After header value, seconds per RFC 9110; when
-// parsable it is returned as-is and does not advance the jitter state
+// the raw Retry-After header value; when ParseRetryAfter accepts it,
+// its wait is returned as-is and does not advance the jitter state
 // (the server-directed wait says nothing about our own congestion).
 // An unparsable or absent value falls back to the decorrelated
 // schedule.
 func (b *Backoff) Next(retryAfter string) time.Duration {
-	if retryAfter != "" {
-		if secs, err := strconv.Atoi(retryAfter); err == nil && secs >= 0 {
-			return time.Duration(secs) * time.Second
-		}
+	if d, ok := ParseRetryAfter(retryAfter); ok {
+		return d
 	}
 	prev := b.prev
 	if prev < b.base {

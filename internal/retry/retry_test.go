@@ -23,6 +23,38 @@ func TestRetryAfterWins(t *testing.T) {
 	}
 }
 
+// Only delay-seconds that fit a time.Duration parse; everything else
+// leaves the wait to the jittered schedule.
+func TestParseRetryAfter(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want time.Duration
+		ok   bool
+	}{
+		{"0", 0, true},
+		{"3", 3 * time.Second, true},
+		{"10", 10 * time.Second, true},
+		{"9223372036", 9223372036 * time.Second, true},
+		{"9223372037", 0, false}, // overflows a time.Duration
+		{"99999999999999999999", 0, false},
+		{"-1", 0, false},
+		{"", 0, false},
+		{"soon", 0, false},
+		{"1.5", 0, false},
+	} {
+		got, ok := ParseRetryAfter(c.in)
+		if got != c.want || ok != c.ok {
+			t.Errorf("ParseRetryAfter(%q) = %v, %v; want %v, %v", c.in, got, ok, c.want, c.ok)
+		}
+	}
+	// The overflowing hint no longer wraps into a negative wait that
+	// retries at once: it falls back to the first-retry window.
+	b := New(50*time.Millisecond, 2*time.Second, rand.New(rand.NewSource(1)))
+	if got := b.Next("9223372037"); got < 50*time.Millisecond || got > 150*time.Millisecond {
+		t.Fatalf("Next with an overflowing Retry-After = %v, want within [base, 3·base]", got)
+	}
+}
+
 // Decorrelated jitter: every wait lies in [base, min(cap, 3·prev)],
 // and the schedule saturates at the cap instead of overflowing.
 func TestDecorrelatedEnvelope(t *testing.T) {

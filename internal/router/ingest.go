@@ -8,9 +8,12 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
+	"time"
 
 	"geofootprint/internal/ingest"
+	"geofootprint/internal/retry"
 )
 
 // IngestResult reports where a routed batch landed: one entry per
@@ -54,18 +57,25 @@ func (e *IngestError) Error() string {
 	return b.String()
 }
 
-// RetryAfter returns the largest Retry-After hint among the failed
-// legs, or "" when none carried one — the coordinator propagates it
-// so feeders back off as far as the most loaded owner asks.
+// RetryAfter returns the longest Retry-After wait among the failed
+// legs, in seconds, or "" when none carried one retry.ParseRetryAfter
+// accepts — the coordinator propagates it so feeders back off as far
+// as the most loaded owner asks.
 func (e *IngestError) RetryAfter() string {
-	best := ""
+	best := time.Duration(-1)
 	for _, err := range e.Failed {
 		var se *StatusError
-		if errors.As(err, &se) && se.RetryAfter > best {
-			best = se.RetryAfter // numeric seconds; lexical max is fine for single digits, callers only need *a* hint
+		if !errors.As(err, &se) {
+			continue
+		}
+		if d, ok := retry.ParseRetryAfter(se.RetryAfter); ok && d > best {
+			best = d
 		}
 	}
-	return best
+	if best < 0 {
+		return ""
+	}
+	return strconv.FormatInt(int64(best/time.Second), 10)
 }
 
 // ingestAckJSON mirrors the shard's 202 body.

@@ -418,6 +418,32 @@ func TestRouteIngestPartitions(t *testing.T) {
 	}
 }
 
+// The coordinator propagates the longest wait the failed legs asked
+// for, compared as numbers: "10" beats "9". A hint that is not a
+// usable number of seconds never wins.
+func TestIngestErrorRetryAfter(t *testing.T) {
+	for _, c := range []struct {
+		hints []string
+		want  string
+	}{
+		{nil, ""},
+		{[]string{"3"}, "3"},
+		{[]string{"9", "10"}, "10"},
+		{[]string{"10", "9", ""}, "10"},
+		{[]string{"soon", "2"}, "2"},
+		{[]string{"-5"}, ""},
+		{[]string{"9223372037", "5"}, "5"}, // 9 223 372 037 s overflows a time.Duration
+	} {
+		e := &IngestError{Failed: map[string]error{"no-status": fmt.Errorf("connection refused")}}
+		for i, h := range c.hints {
+			e.Failed[fmt.Sprint("shard-", i)] = fmt.Errorf("leg: %w", &StatusError{Status: 429, RetryAfter: h})
+		}
+		if got := e.RetryAfter(); got != c.want {
+			t.Errorf("hints %q: RetryAfter() = %q, want %q", c.hints, got, c.want)
+		}
+	}
+}
+
 // Config validation and defaulting.
 func TestNewValidates(t *testing.T) {
 	if _, err := New(Config{}); err == nil {

@@ -49,8 +49,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ep, v := s.acquire()
-	defer ep.Release()
+	v, _ := s.acquire()
 	db := v.DB()
 	ia, okA := db.IndexOf(a)
 	ib, okB := db.IndexOf(b)
@@ -90,7 +89,7 @@ type userListJSON struct {
 
 // handleListUsers pages through the corpus: ?offset= and ?limit=
 // (default 100, max 1000). Tombstoned users are skipped. The page is
-// read from one pinned epoch, so it is internally consistent even
+// read from one epoch, so it is internally consistent even
 // under concurrent mutation.
 func (s *Server) handleListUsers(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
@@ -108,8 +107,7 @@ func (s *Server) handleListUsers(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ep, v := s.acquire()
-	defer ep.Release()
+	v, _ := s.acquire()
 	db := v.DB()
 	out := userListJSON{Total: db.Len(), Next: -1, Users: []userSummaryJSON{}}
 	i := offset
@@ -145,9 +143,8 @@ func (s *Server) handlePairs(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ep, v := s.acquire()
+	v, _ := s.acquire()
 	pairs, err := search.TopSimilarPairs(r.Context(), v.Index(), k, 0)
-	ep.Release()
 	if writeQueryCtxErr(w, err) {
 		return
 	}

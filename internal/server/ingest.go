@@ -154,9 +154,9 @@ func writePipelineError(w http.ResponseWriter, err error) {
 }
 
 // ingestStatsJSON extends the pipeline counters with serving-plane
-// observability: epoch lifecycle (swap cadence, pinned queries) and
-// result-cache efficacy. The pipeline fields stay at the top level
-// (embedding), so existing consumers keep their schema.
+// observability: epoch swap cadence and result-cache efficacy. The
+// pipeline fields stay at the top level (embedding), so existing
+// consumers keep their schema.
 type ingestStatsJSON struct {
 	ingest.Stats
 	Epoch store.EpochStats `json:"epoch"`

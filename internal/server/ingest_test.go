@@ -222,7 +222,7 @@ func TestConcurrentQueriesDuringMutation(t *testing.T) {
 		}
 	}()
 	// Engine readers for the lazily built methods (linear, iterative,
-	// batch), each against a pinned epoch — no lock, like the handlers,
+	// batch), each against the epoch it loaded — no lock, like the handlers,
 	// which reach the same engines through View.Engine. Every publish
 	// starts a fresh view, so the readers keep racing its sync.Once
 	// construction against each other and against the mutators.
@@ -236,15 +236,13 @@ func TestConcurrentQueriesDuringMutation(t *testing.T) {
 					return
 				default:
 				}
-				ep, v := s.acquire()
+				v, _ := s.acquire()
 				e, err := v.Engine(m)
 				if err != nil {
-					ep.Release()
 					report("method %s: %v", m, err)
 					return
 				}
 				res := e.TopK(v.DB().Row(0), 5)
-				ep.Release()
 				for i := 1; i < len(res); i++ {
 					if res[i].Score > res[i-1].Score {
 						report("method %s: unsorted results %v", m, res)

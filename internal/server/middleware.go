@@ -150,8 +150,10 @@ func (s *Server) withDeadline(next http.Handler) http.Handler {
 
 // queryTimeout returns r's query deadline: ?timeout_ms= if given, else
 // Options.DefaultTimeout, either clamped to MaxTimeout — and an error
-// for a malformed timeout_ms. The query string is parsed only when it
-// could name timeout_ms (literally, or through a %-escape).
+// for a malformed timeout_ms. timeout_ms is compared with MaxTimeout
+// before it is converted, so a huge value cannot overflow the
+// Duration into a short deadline. The query string is parsed only
+// when it could name timeout_ms (literally, or through a %-escape).
 func (s *Server) queryTimeout(r *http.Request) (time.Duration, error) {
 	d := s.opts.DefaultTimeout
 	if q := r.URL.RawQuery; strings.Contains(q, "timeout_ms") || strings.Contains(q, "%") {
@@ -160,7 +162,10 @@ func (s *Server) queryTimeout(r *http.Request) (time.Duration, error) {
 			if err != nil || ms <= 0 {
 				return s.opts.MaxTimeout, fmt.Errorf("bad timeout_ms %q", raw)
 			}
-			d = time.Duration(ms) * time.Millisecond
+			d = s.opts.MaxTimeout
+			if int64(ms) < d.Milliseconds() {
+				d = time.Duration(ms) * time.Millisecond
+			}
 		}
 	}
 	if d <= 0 || d > s.opts.MaxTimeout {

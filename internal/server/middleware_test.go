@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // A panicking handler becomes a 500 and the server keeps serving:
@@ -47,8 +48,7 @@ func TestQueryTimeoutMaps503(t *testing.T) {
 	s, _ := testServer(t)
 	s.mux.HandleFunc("GET /v1/slow", func(w http.ResponseWriter, r *http.Request) {
 		<-r.Context().Done() // the query "ran long"
-		ep, v := s.acquire()
-		defer ep.Release()
+		v, _ := s.acquire()
 		eng, _ := v.Engine("")
 		res, err := eng.TopKCtx(r.Context(), v.DB().Row(0), 3)
 		if writeQueryCtxErr(w, err) {
@@ -84,6 +84,30 @@ func TestBadTimeoutRejected(t *testing.T) {
 		rec, _ := do(t, h, "GET", "/v1/users/100/similar?timeout_ms="+raw, "")
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("timeout_ms=%s returned %d, want 400", raw, rec.Code)
+		}
+	}
+}
+
+// A valid timeout_ms is clamped to MaxTimeout before it becomes a
+// Duration: 18446744073710 ms overflows one into a 448 µs deadline.
+func TestQueryTimeoutClamped(t *testing.T) {
+	s, _ := testServer(t)
+	s.opts.DefaultTimeout = 2 * time.Second
+	for _, c := range []struct {
+		raw  string
+		want time.Duration
+	}{
+		{"", 2 * time.Second},
+		{"250", 250 * time.Millisecond},
+		{"29999", 29999 * time.Millisecond},
+		{"30000", DefaultMaxTimeout},
+		{"30001", DefaultMaxTimeout},
+		{"18446744073710", DefaultMaxTimeout},
+		{"9223372036854775807", DefaultMaxTimeout},
+	} {
+		r := httptest.NewRequest("GET", "/v1/users/100/similar?timeout_ms="+c.raw, nil)
+		if got, err := s.queryTimeout(r); err != nil || got != c.want {
+			t.Errorf("timeout_ms=%s: %v (err %v), want %v", c.raw, got, err, c.want)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -404,29 +405,37 @@ func TestSegmentQueryCached(t *testing.T) {
 	}
 }
 
-// The segment column is built once per (epoch, ring, R): a second
-// segment query on the same epoch looks no user up on the ring, a
-// publish or a changed shard list (rolling map change) rebuilds it —
-// and the rebuilt column places a user added in between.
+// The segment column is built once per (epoch, ring, R): later segment
+// queries on the same epoch reuse it, and a publish or a changed shard
+// list (rolling map change) rebuilds it — the rebuilt column placing a
+// user added in between.
 func TestSegmentColumnMemoised(t *testing.T) {
 	db := testCorpus(t)
 	s := New(db)
-	users := uint64(db.Len())
 	shardIDs := []string{"s0", "s1", "s2"}
 	seg := &segmentJSON{Shards: shardIDs, R: 2, Members: []string{"s0"}}
-	lookups := func() uint64 { return s.segTables.table.Ring().Lookups() }
+	// column returns the current epoch's memo: the table it was built
+	// for and the column itself.
+	column := func() (*hashring.SegmentTable, []uint16) {
+		v, _ := s.acquire()
+		v.seg.mu.Lock()
+		defer v.seg.mu.Unlock()
+		return v.seg.table, v.seg.of
+	}
 
 	if code, body := segPost(t, s, seg, "", 5); code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
-	if got := lookups(); got != users {
-		t.Fatalf("first segment query: %d ring lookups, want one per user (%d)", got, users)
+	table, col := column()
+	if table == nil || table != s.segTables.table || len(col) != db.Len() {
+		t.Fatalf("first segment query: a column of %d users (want %d), built for the served table: %v",
+			len(col), db.Len(), table != nil && table == s.segTables.table)
 	}
 	for _, members := range [][]string{{"s0"}, {"s1"}, {"s2", "s0"}} {
 		segPost(t, s, &segmentJSON{Shards: shardIDs, R: 2, Members: members}, "linear", 5)
 	}
-	if got := lookups(); got != users {
-		t.Fatalf("later segment queries on the same epoch looked users up: %d lookups, want %d", got, users)
+	if again, c := column(); again != table || &c[0] != &col[0] {
+		t.Fatal("later segment queries on the same epoch rebuilt the column")
 	}
 
 	// A publish: the new epoch's column includes the new user, in the
@@ -435,8 +444,10 @@ func TestSegmentColumnMemoised(t *testing.T) {
 	if rec, _ := do(t, s.Handler(), "PUT", "/v1/users/424242", segTestRegions); rec.Code != http.StatusOK {
 		t.Fatalf("PUT status %d", rec.Code)
 	}
-	ring := s.segTables.table.Ring()
-	before := ring.Lookups()
+	ring, err := hashring.RingFromIDs(shardIDs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	owner := ring.ReplicaIndices(newID, 2)
 	found := 0
 	for i, id := range shardIDs {
@@ -447,8 +458,14 @@ func TestSegmentColumnMemoised(t *testing.T) {
 			found++
 		}
 	}
-	if got := ring.Lookups() - before; found != 1 || got != 1+users+1 {
-		t.Fatalf("after a publish: found in %d segments, %d ring lookups, want 1 and %d (the test's own + one per user)", found, got, 1+users+1)
+	published, pcol := column()
+	if found != 1 || published != table || len(pcol) != len(col)+1 || &pcol[0] == &col[0] {
+		t.Fatalf("after a publish: found in %d segments, a column of %d users (want 1 and %d), same table %v, new column %v",
+			found, len(pcol), len(col)+1, published == table, &pcol[0] != &col[0])
+	}
+	v, _ := s.acquire()
+	if u, ok := v.DB().IndexOf(newID); !ok || !slices.Equal(table.Segments()[pcol[u]], owner) {
+		t.Fatalf("the new user's column entry does not name its tuple %v", owner)
 	}
 
 	// A changed shard list: a new ring, a new table, a new column.
@@ -456,8 +473,8 @@ func TestSegmentColumnMemoised(t *testing.T) {
 	if code, body := segPost(t, s, seg4, "", 5); code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
-	if s.segTables.table.Ring() == ring || lookups() != users+1 {
-		t.Fatalf("changed shard list: ring reused or column not rebuilt (%d lookups, want %d)", lookups(), users+1)
+	if changed, c := column(); changed == table || changed != s.segTables.table || &c[0] == &pcol[0] {
+		t.Fatal("changed shard list: table reused or column not rebuilt")
 	}
 }
 
@@ -466,8 +483,7 @@ func TestSegmentColumnMemoised(t *testing.T) {
 func TestSegmentQueryCancellation(t *testing.T) {
 	db := testCorpus(t)
 	s := New(db)
-	ep, v := s.acquire()
-	defer ep.Release()
+	v, seq := s.acquire()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	f := core.Footprint{{Rect: geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, Weight: 1}}
@@ -475,7 +491,7 @@ func TestSegmentQueryCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := v.TopKCachedIn(ctx, nil, ep.Seq(), "", f, 5, in); !errors.Is(err, context.Canceled) {
+	if _, _, err := v.TopKCachedIn(ctx, nil, seq, "", f, 5, in); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled segment query returned %v", err)
 	}
 }

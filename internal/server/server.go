@@ -19,7 +19,7 @@
 //	POST   /v1/ingest                NDJSON sample batch → WAL → footprints
 //	GET    /v1/ingest/stats          ingestion pipeline + epoch + cache counters
 //
-// Serving is epoch-based MVCC (store.EpochStore): every query pins the
+// Serving is epoch-based MVCC (store.EpochStore): every query loads the
 // current immutable epoch on entry and runs lock-free against its
 // frozen database, index and engines. Every data mutation — PUT,
 // DELETE, an ingested batch — is a record of the server's one
@@ -29,7 +29,7 @@
 // their record's epoch is published (read your writes). Top-k answers
 // are cached per epoch (internal/cache) when a cache is configured;
 // the swap invalidates the cache wholesale. The
-// cache holds the bytes a top-k route writes, so a hit is a pin, a
+// cache holds the bytes a top-k route writes, so a hit is a load, a
 // lookup and a write: no re-encoding, and no deadline armed (only a
 // miss runs the engine). A /similar entry is keyed by the user's ID,
 // method, k and exclude_self, and its miss queries with the user's
@@ -62,7 +62,7 @@ import (
 )
 
 // Server wraps a FootprintDB behind HTTP with epoch-based MVCC
-// serving: queries pin an immutable published epoch (lock-free),
+// serving: queries read an immutable published epoch (lock-free),
 // mutations are pipeline records whose apply writes the epoch builder
 // under mu and publishes a new epoch per apply group.
 type Server struct {
@@ -107,7 +107,7 @@ func (s *Server) SetSnapshotError(err error) { s.snapErr = err }
 // epochView is the aux value attached to every published epoch: the
 // prebuilt index/engine view. Immutable after publish (but for the
 // segment column memo, which has its own lock), shared lock-free by
-// all queries pinning the epoch.
+// all queries reading the epoch.
 type epochView struct {
 	*engine.View
 	seg segColumn // users' ring-segment positions, built on demand (segment.go)
@@ -159,15 +159,15 @@ func NewWithOptions(db *store.FootprintDB, opts Options) *Server {
 	return s
 }
 
-// acquire pins the current epoch for one request. The caller must
-// Release the epoch when done (defer at handler entry). This is the
+// acquire loads the current epoch for one request: its view, and its
+// sequence number, which keys the result cache. One atomic load, the
 // only synchronisation on the query hot path.
-func (s *Server) acquire() (*store.Epoch, *epochView) {
+func (s *Server) acquire() (*epochView, uint64) {
 	ep := s.epochs.Acquire()
-	return ep, ep.Aux().(*epochView)
+	return ep.Aux().(*epochView), ep.Seq()
 }
 
-// EpochStats returns the serving plane's epoch lifecycle counters.
+// EpochStats returns the serving plane's epoch counters.
 func (s *Server) EpochStats() store.EpochStats { return s.epochs.Stats() }
 
 // CacheStats returns the result-cache counters; ok is false when no
@@ -279,14 +279,12 @@ func writeBodyError(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	ep, v := s.acquire()
+	v, seq := s.acquire()
 	db := v.DB()
-	users, regions, seq := db.Len(), db.NumRegions(), ep.Seq()
-	ep.Release()
 	out := map[string]interface{}{
-		"status": "ok", "users": users, "regions": regions,
+		"status": "ok", "users": db.Len(), "regions": db.NumRegions(),
 		"epoch": s.epochs.Stats(),
-		// epoch_seq is the epoch this probe actually pinned — flat, so
+		// epoch_seq is the epoch this probe actually read — flat, so
 		// the router can log which epoch answered without digging into
 		// the stats object.
 		"epoch_seq": seq,
@@ -342,8 +340,7 @@ func (s *Server) handleGetUser(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad user id: %v", err)
 		return
 	}
-	ep, v := s.acquire()
-	defer ep.Release()
+	v, _ := s.acquire()
 	db := v.DB()
 	i, ok := db.IndexOf(id)
 	if !ok {
@@ -375,8 +372,7 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	}
 	excludeSelf := params.excludeSelf == "true"
 
-	ep, v := s.acquire()
-	defer ep.Release()
+	v, seq := s.acquire()
 	u, ok := v.DB().IndexOf(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown user %d", id)
@@ -388,7 +384,7 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := cache.Key{
-		Epoch: ep.Seq(), Method: engine.CacheName(params.method), K: k,
+		Epoch: seq, Method: engine.CacheName(params.method), K: k,
 		ByID: true, User: id, ExcludeSelf: excludeSelf,
 	}
 	if body, ok := s.cachedAnswer(key); ok {
@@ -478,8 +474,7 @@ func (s *Server) handlePairwise(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "need integer ?a= and ?b=")
 		return
 	}
-	ep, v := s.acquire()
-	defer ep.Release()
+	v, _ := s.acquire()
 	db := v.DB()
 	ia, okA := db.IndexOf(a)
 	ib, okB := db.IndexOf(b)
@@ -508,8 +503,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad footprint: %v", err)
 		return
 	}
-	ep, v := s.acquire()
-	defer ep.Release()
+	v, seq := s.acquire()
 	eng, err := v.Engine(q.Method)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -525,7 +519,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	k := q.K
 	var key cache.Key
 	if s.cache != nil {
-		key = cache.Key{Epoch: ep.Seq(), Method: engine.CacheName(q.Method), K: k, Query: cache.FootprintKey(f)}
+		key = cache.Key{Epoch: seq, Method: engine.CacheName(q.Method), K: k, Query: cache.FootprintKey(f)}
 		if in != nil {
 			key.Partition, key.Lo, key.Hi = in.Partition, in.Lo, in.Hi
 		}
@@ -581,12 +575,9 @@ func (s *Server) handleDeleteUser(w http.ResponseWriter, r *http.Request) {
 	// absent so deletes are not silently idempotent. The check reads
 	// the current epoch, so it sees every write answered before this
 	// request arrived.
-	ep, v := s.acquire()
+	v, _ := s.acquire()
 	db := v.DB()
-	u, ok := db.IndexOf(id)
-	gone := !ok || db.RowLen(u) == 0
-	ep.Release()
-	if gone {
+	if u, ok := db.IndexOf(id); !ok || db.RowLen(u) == 0 {
 		writeError(w, http.StatusNotFound, "unknown user %d", id)
 		return
 	}

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// /healthz must carry the shard identity and the pinned epoch when
+// /healthz must carry the shard identity and the epoch it read when
 // the instance runs as part of a sharded deployment — the router's
 // shard-map cross-check and epoch logging both read them.
 func TestHealthShardFields(t *testing.T) {

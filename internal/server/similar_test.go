@@ -33,7 +33,7 @@ func (w *answerSink) Write(b []byte) (int, error) {
 }
 
 // A /similar cache hit through the whole handler chain — recovery,
-// drain gate, deadline, mux, admission gate, handler — is a pin, a
+// drain gate, deadline, mux, admission gate, handler — is a load, a
 // lookup and a write: it parses its query string once without
 // allocating, arms no deadline and re-encodes nothing. What it
 // allocates is the mux's path match and the Content-Type header value.

@@ -13,10 +13,10 @@ import (
 // The serving plane never locks on the read side: ingestion mutates a
 // private working database owned by an EpochBuilder, and at batch (or
 // checkpoint) boundaries freezes it into an immutable snapshot — an
-// Epoch — published with a single atomic pointer swap. Queries pin the
-// current epoch on entry, run entirely against its immutable parallel
-// slices and indexes, and release it on exit; a superseded epoch is
-// reclaimed when its last pinned query drains.
+// Epoch — published with a single atomic pointer swap. A query loads
+// the current epoch on entry and runs entirely against its immutable
+// parallel slices and indexes. A superseded epoch needs no reclaiming
+// protocol: the garbage collector frees it once no query references it.
 //
 // Immutability is cheap because nothing a snapshot references is ever
 // written in place:
@@ -30,19 +30,6 @@ import (
 //     pointers, and builder and snapshot share every chunk the builder
 //     has not rewritten since. The ID → index map is likewise shared
 //     until the next user insertion.
-//
-// Reclamation is a flag-and-counter protocol: the publisher retires
-// the superseded epoch, and whoever moves the pin count to zero while
-// the retired flag is set — the publisher if no query holds a pin, the
-// last draining query otherwise — atomically swaps the count to a
-// negative sentinel, making late pin attempts fail and retry on the
-// new current epoch. Go's atomics are sequentially consistent, so the
-// pin increment and the retire flag cannot both be missed.
-
-// epochReclaimed is the pin-count sentinel marking a drained, retired
-// epoch. Any value < 0 blocks tryPin; half of MinInt64 keeps decrement
-// underflow unreachable.
-const epochReclaimed = int64(-1) << 62
 
 // Epoch is one immutable published snapshot of the serving state: a
 // frozen FootprintDB plus an opaque per-epoch aux value (the server
@@ -53,12 +40,6 @@ type Epoch struct {
 	seq uint64
 	db  *FootprintDB
 	aux any
-	es  *EpochStore
-
-	// pins counts queries currently inside the epoch; epochReclaimed
-	// once retired and drained.
-	pins    atomic.Int64
-	retired atomic.Bool
 }
 
 // Seq returns the epoch's sequence number (1 for the first publish).
@@ -67,55 +48,17 @@ func (e *Epoch) Seq() uint64 { return e.seq }
 // DB returns the epoch's immutable database. Callers must treat it as
 // read-only; the epochmut analyzer enforces this at lint time.
 //
-//lint:ignore testonly the epoch's read side: epochmut and pinleak are built around it, and their fixtures call it
+//lint:ignore testonly the epoch's read side: epochmut is built around it, and its fixtures call it
 func (e *Epoch) DB() *FootprintDB { return e.db }
 
 // Aux returns the opaque value attached at Publish (prebuilt indexes,
 // engines); nil if none was attached.
 func (e *Epoch) Aux() any { return e.aux }
 
-// tryPin attempts to take a reference; it fails once the epoch has
-// been reclaimed (Acquire then retries on the new current epoch).
-func (e *Epoch) tryPin() bool {
-	for {
-		p := e.pins.Load()
-		if p < 0 {
-			return false
-		}
-		if e.pins.CompareAndSwap(p, p+1) {
-			return true
-		}
-	}
-}
-
-// Release drops a pin taken by Acquire. When the last pin of a retired
-// epoch drains, the epoch is reclaimed.
-func (e *Epoch) Release() {
-	e.es.live.Add(-1)
-	if e.pins.Add(-1) == 0 && e.retired.Load() {
-		e.tryReclaim()
-	}
-}
-
-// tryReclaim transitions a drained epoch to the reclaimed state
-// exactly once: the CAS from 0 to the sentinel can only succeed for
-// one caller, and only while no pin is held (pins == 0). After it, no
-// new pin can be taken.
-func (e *Epoch) tryReclaim() {
-	if e.pins.CompareAndSwap(0, epochReclaimed) {
-		e.es.reclaimed.Add(1)
-	}
-}
-
-// retire marks the epoch superseded. Called by Publish on the previous
-// current epoch, after the swap; if no query holds a pin the epoch is
-// reclaimed immediately, otherwise the last Release reclaims it.
-func (e *Epoch) retire() {
-	e.retired.Store(true)
-	if e.pins.Load() == 0 {
-		e.tryReclaim()
-	}
-}
+// Release does nothing: an epoch holds no reference count, and the
+// garbage collector frees it once nothing reaches it. It remains for
+// the benchmark module, which times Acquire and Release as a pair.
+func (e *Epoch) Release() {}
 
 // EpochStore publishes epochs and hands them to queries. Reads
 // (Acquire, Stats) are lock-free; Publish assumes a single publisher
@@ -123,50 +66,22 @@ func (e *Epoch) retire() {
 // behind its mutation lock, which is exactly that discipline.
 type EpochStore struct {
 	cur atomic.Pointer[Epoch]
-
-	published atomic.Uint64
-	reclaimed atomic.Uint64
-	// live counts currently outstanding pins across all epochs.
-	live atomic.Int64
 }
 
 // NewEpochStore returns an empty store; Acquire returns nil until the
 // first Publish.
 func NewEpochStore() *EpochStore { return &EpochStore{} }
 
-// Acquire pins and returns the current epoch (nil before the first
-// Publish). The caller must Release it — typically deferred at query
-// entry. The retry loop terminates: a pin attempt only fails on a
-// reclaimed epoch, and an epoch is only reclaimed after a newer one
-// became current.
-func (s *EpochStore) Acquire() *Epoch {
-	for {
-		e := s.cur.Load()
-		if e == nil {
-			return nil
-		}
-		if e.tryPin() {
-			s.live.Add(1)
-			return e
-		}
-	}
-}
+// Acquire returns the current epoch (nil before the first Publish):
+// one atomic load.
+func (s *EpochStore) Acquire() *Epoch { return s.cur.Load() }
 
 // Publish freezes db (already immutable — typically EpochBuilder's
-// Freeze output) and aux into a new epoch, makes it current with one
-// atomic pointer swap, and retires the predecessor. Single publisher
-// at a time; see EpochStore.
+// Freeze output) and aux into a new epoch and makes it current with
+// one atomic pointer swap. Single publisher at a time; see EpochStore.
 func (s *EpochStore) Publish(db *FootprintDB, aux any) *Epoch {
-	old := s.cur.Load()
-	e := &Epoch{db: db, aux: aux, es: s, seq: 1}
-	if old != nil {
-		e.seq = old.seq + 1
-	}
+	e := &Epoch{db: db, aux: aux, seq: s.CurrentSeq() + 1}
 	s.cur.Store(e)
-	s.published.Add(1)
-	if old != nil {
-		old.retire()
-	}
 	return e
 }
 
@@ -179,32 +94,21 @@ func (s *EpochStore) CurrentSeq() uint64 {
 	return 0
 }
 
-// EpochStats is a lock-free snapshot of the store's lifecycle
-// counters, shaped for /v1/ingest/stats, /healthz and operator logs.
+// EpochStats is a lock-free snapshot of the store's counters, shaped
+// for /v1/ingest/stats, /healthz and operator logs.
 type EpochStats struct {
 	// Seq is the current epoch's sequence number (swap cadence is
 	// visible as its growth rate).
 	Seq uint64 `json:"seq"`
-	// Published and Reclaimed count epoch lifecycle transitions;
-	// Live = Published - Reclaimed is the number of epochs still
-	// reachable (current plus retired-but-pinned).
+	// Published counts epoch publishes: every publish takes the next
+	// sequence number, so it equals Seq.
 	Published uint64 `json:"published"`
-	Reclaimed uint64 `json:"reclaimed"`
-	Live      uint64 `json:"live"`
-	// Pins is the number of queries currently holding an epoch.
-	Pins int64 `json:"pins"`
 }
 
-// Stats returns the store's lifecycle counters.
+// Stats returns the store's counters.
 func (s *EpochStore) Stats() EpochStats {
-	pub, rec := s.published.Load(), s.reclaimed.Load()
-	return EpochStats{
-		Seq:       s.CurrentSeq(),
-		Published: pub,
-		Reclaimed: rec,
-		Live:      pub - rec,
-		Pins:      s.live.Load(),
-	}
+	seq := s.CurrentSeq()
+	return EpochStats{Seq: seq, Published: seq}
 }
 
 // EpochBuilder owns the mutable working database the next epoch is

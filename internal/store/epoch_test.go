@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -37,8 +38,8 @@ func epochSeedDB(t *testing.T, users int) *FootprintDB {
 	return db
 }
 
-// A pinned epoch is a true snapshot: the builder mutating and
-// republishing must not change anything the pin observes — values,
+// A held epoch is a true snapshot: the builder mutating and
+// republishing must not change anything its reader observes — values,
 // lengths, or the ID map.
 func TestEpochPinnedSnapshotImmutable(t *testing.T) {
 	db := epochSeedDB(t, 20)
@@ -46,9 +47,7 @@ func TestEpochPinnedSnapshotImmutable(t *testing.T) {
 	es := NewEpochStore()
 	es.Publish(b.Freeze(), nil)
 
-	ep := es.Acquire()
-	defer ep.Release()
-	snap := ep.DB()
+	snap := es.Acquire().DB()
 	wantLen := snap.Len()
 	wantNorm := snap.Norms[4]
 	wantRegions := snap.Row(4)
@@ -65,84 +64,96 @@ func TestEpochPinnedSnapshotImmutable(t *testing.T) {
 	es.Publish(b.Freeze(), nil)
 
 	if snap.Len() != wantLen {
-		t.Fatalf("pinned epoch grew: %d -> %d users", wantLen, snap.Len())
+		t.Fatalf("held epoch grew: %d -> %d users", wantLen, snap.Len())
 	}
 	if snap.Norms[4] != wantNorm {
-		t.Fatalf("pinned epoch norm changed: %v -> %v", wantNorm, snap.Norms[4])
+		t.Fatalf("held epoch norm changed: %v -> %v", wantNorm, snap.Norms[4])
 	}
 	if snap.RowLen(4) != len(wantRegions) {
-		t.Fatalf("pinned footprint length changed: %d -> %d", len(wantRegions), snap.RowLen(4))
+		t.Fatalf("held footprint length changed: %d -> %d", len(wantRegions), snap.RowLen(4))
 	}
 	for i, r := range snap.Row(4) {
 		if r != wantRegions[i] {
-			t.Fatalf("pinned footprint region %d changed: %+v -> %+v", i, wantRegions[i], r)
+			t.Fatalf("held footprint region %d changed: %+v -> %+v", i, wantRegions[i], r)
 		}
 	}
 	if _, ok := snap.IndexOf(999); ok {
-		t.Fatal("user inserted after the pin is visible in the pinned epoch")
+		t.Fatal("user inserted after the read is visible in the held epoch")
 	}
 	if _, ok := b.DB().IndexOf(999); !ok {
 		t.Fatal("builder lost the inserted user")
 	}
-	cur := es.Acquire()
-	defer cur.Release()
-	if got := core.Norm(cur.DB().Row(4)); got != 0 {
+	if got := core.Norm(es.Acquire().DB().Row(4)); got != 0 {
 		t.Fatalf("Remove not visible in the current epoch: norm %v", got)
 	}
 }
 
-// Reclamation accounting: a superseded epoch with no pins is reclaimed
-// at publish; a pinned one survives until its last Release, and a late
-// pin attempt on it fails over to the current epoch.
-func TestEpochReclaimLifecycle(t *testing.T) {
-	db := epochSeedDB(t, 4)
-	b := NewEpochBuilder(db)
+// A retired epoch needs no reclaiming protocol: the garbage collector
+// frees its database once no query references it, and cannot free it
+// while a query still holds it, however many epochs are published past
+// it meanwhile.
+func TestRetiredEpochCollected(t *testing.T) {
+	b := NewEpochBuilder(epochSeedDB(t, 4))
 	es := NewEpochStore()
-	es.Publish(b.Freeze(), nil)
+	collected := make(chan uint64, 8)
+	publish := func() {
+		ep := es.Publish(b.Freeze(), nil)
+		runtime.AddCleanup(ep.DB(), func(seq uint64) { collected <- seq }, ep.Seq())
+	}
+	freed := map[uint64]bool{}
+	// collect runs bounded GC rounds until every seq in want is freed,
+	// and reports whether they all were.
+	collect := func(want ...uint64) bool {
+		for round := 0; round < 20; round++ {
+			runtime.GC()
+			for drained := false; !drained; {
+				select {
+				case seq := <-collected:
+					freed[seq] = true
+				case <-time.After(10 * time.Millisecond):
+					drained = true
+				}
+			}
+			if !slices.ContainsFunc(want, func(seq uint64) bool { return !freed[seq] }) {
+				return true
+			}
+		}
+		return false
+	}
 
-	// Unpinned publishes reclaim eagerly: live stays at 1.
-	for i := 0; i < 5; i++ {
-		es.Publish(b.Freeze(), nil)
+	publish()
+	publish()
+	publish()
+	held := es.Acquire() // a query running on epoch 3
+	publish()
+	publish()
+	if !collect(1, 2, 4) {
+		t.Fatalf("retired, unreferenced epochs not collected: freed %v", freed)
 	}
-	st := es.Stats()
-	if st.Published != 6 || st.Reclaimed != 5 || st.Live != 1 {
-		t.Fatalf("eager reclaim stats = %+v", st)
+	if freed[3] {
+		t.Fatal("the epoch a query still holds was collected")
 	}
-	if st.Seq != 6 {
-		t.Fatalf("seq = %d, want 6", st.Seq)
+	if held.Seq() != 3 || held.DB().Len() != 4 || held.DB().RowLen(3) != 3 {
+		t.Fatalf("the held epoch changed: seq %d, %d users", held.Seq(), held.DB().Len())
 	}
-
-	// A pinned epoch defers reclamation to its last Release.
-	ep := es.Acquire()
-	es.Publish(b.Freeze(), nil)
-	if st := es.Stats(); st.Live != 2 || st.Pins != 1 {
-		t.Fatalf("pinned epoch reclaimed early: %+v", st)
+	held = nil // the query returns
+	if !collect(3) {
+		t.Fatalf("the epoch was not collected after its query returned: freed %v", freed)
 	}
-	if !ep.tryPin() {
-		t.Fatal("second pin on a retired-but-live epoch must succeed")
+	if freed[5] {
+		t.Fatal("the current epoch was collected")
 	}
-	ep.pins.Add(-1) // undo the bare tryPin without store accounting
-	ep.Release()
-	st = es.Stats()
-	if st.Live != 1 || st.Pins != 0 || st.Reclaimed != 6 {
-		t.Fatalf("post-drain stats = %+v", st)
-	}
-	if ep.tryPin() {
-		t.Fatal("pin succeeded on a reclaimed epoch")
-	}
-	if got := es.Acquire(); got.Seq() != 7 {
-		t.Fatalf("Acquire pinned seq %d, want current 7", got.Seq())
-	} else {
-		got.Release()
+	if st := es.Stats(); st.Seq != 5 || st.Published != 5 {
+		t.Fatalf("stats = %+v, want seq 5, 5 published", st)
 	}
 }
 
 // TestEpochSwapChaos races lock-free readers against a writer that
 // mutates, freezes and publishes continuously. Readers verify, on
-// every pinned epoch, that the snapshot is internally consistent:
+// every held epoch, that the snapshot is internally consistent:
 // parallel slices aligned, footprints sorted, and — the copy-on-write
 // tear detector — every stored norm bit-identical to a recompute from
-// the footprint the pin observes. Run under -race by make chaos.
+// the footprint the reader observes. Run under -race by make chaos.
 func TestEpochSwapChaos(t *testing.T) {
 	const users = 40
 	db := epochSeedDB(t, users)
@@ -200,32 +211,26 @@ func TestEpochSwapChaos(t *testing.T) {
 					return
 				default:
 				}
-				ep := es.Acquire()
-				snap := ep.DB()
+				snap := es.Acquire().DB()
 				n := snap.Len()
 				if len(snap.chunks) != (n+chunkUsers-1)/chunkUsers || len(snap.Norms) != n || len(snap.MBRs) != n {
 					report("parallel slices misaligned")
-					ep.Release()
 					return
 				}
 				u := rng.Intn(n)
 				f := snap.Row(u)
 				if !core.IsSortedByMinX(f) {
 					report("unsorted footprint in a published epoch")
-					ep.Release()
 					return
 				}
 				if got, want := core.Norm(f), snap.Norms[u]; got != want {
 					report("torn read: recomputed norm differs from stored")
-					ep.Release()
 					return
 				}
 				if i, ok := snap.IndexOf(snap.IDs[u]); !ok || i != u {
 					report("ID map inconsistent with IDs slice")
-					ep.Release()
 					return
 				}
-				ep.Release()
 			}
 		}(int64(100 + g))
 	}
@@ -238,14 +243,7 @@ func TestEpochSwapChaos(t *testing.T) {
 		t.Fatal(msg)
 	default:
 	}
-	st := es.Stats()
-	if st.Pins != 0 {
-		t.Fatalf("pins leaked: %+v", st)
-	}
-	if st.Live != 1 {
-		t.Fatalf("retired epochs not reclaimed: %+v", st)
-	}
-	if st.Published < 10 {
+	if st := es.Stats(); st.Published < 10 {
 		t.Fatalf("writer made no progress: %+v", st)
 	}
 }

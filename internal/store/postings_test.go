@@ -224,7 +224,6 @@ func TestEpochPostingsBuiltOncePerEpoch(t *testing.T) {
 					seen[ep.Seq()] = p
 					mu.Unlock()
 				}
-				ep.Release()
 			}
 		}(r)
 	}

@@ -41,9 +41,8 @@ go vet -copylocks ./internal/store/... ./internal/wal/... ./internal/ingest/... 
 # (dropped Sync/Close/WAL errors), ctxcancel (loops in
 # //geo:cancellable functions that never poll ctx), epochmut
 # (mutation of epoch-published databases outside the internal/store
-# builder seam), plus the flow-sensitive suite: pinleak (epoch pins
-# Released on every path), bodyclose (*http.Response bodies closed on
-# every path), lockbalance (mutex Lock/Unlock balanced per path),
+# builder seam), plus the flow-sensitive suite: bodyclose
+# (*http.Response bodies closed on every path), lockbalance (mutex Lock/Unlock balanced per path),
 # testonly (exported names in internal/ packages that only tests or
 # their own bodies reference, judged over every main, the facade and
 # the benchmark module; a facade alias does not exempt its target's
@@ -87,7 +86,7 @@ go build -tags strictsort ./...
 # focused pass runs it first so a durability or epoch-lifecycle
 # regression fails the gate before the (longer) full race pass, with a
 # log line naming it. The Epoch tests race lock-free queries against
-# swap/reclaim and PUT-driven republish, so -race is the whole point.
+# epoch swaps and PUT-driven republish, so -race is the whole point.
 echo "== chaos: fault-injection, crash-recovery & epoch-swap suite (-race) =="
 go test -race -run '(Fault|Chaos|Crash|Seal|Epoch)' \
 	./internal/faultfs/... ./internal/wal/... ./internal/ingest/... \
