@@ -171,11 +171,11 @@ func diffDBs(a, b *store.FootprintDB) error {
 	if a.SketchParams != b.SketchParams {
 		return fmt.Errorf("sketch params mismatch")
 	}
-	if len(a.Sketches) != len(b.Sketches) {
-		return fmt.Errorf("%d vs %d sketches", len(a.Sketches), len(b.Sketches))
+	if !a.SketchesEnabled() {
+		return nil
 	}
-	for u := range a.Sketches {
-		sa, sb := &a.Sketches[u], &b.Sketches[u]
+	for u := range a.Len() {
+		sa, sb := a.Sketch(u), b.Sketch(u)
 		if len(sa.Cells) != len(sb.Cells) {
 			return fmt.Errorf("user %d: sketch size mismatch", u)
 		}

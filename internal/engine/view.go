@@ -14,8 +14,10 @@ import (
 // View bundles everything one epoch needs to answer queries: the
 // frozen database, its user-centric index, and the engines for the
 // HTTP-selectable methods. A View is built once per published epoch —
-// off the query path, on the write side — and is logically immutable
-// afterwards, so any number of queries can share it lock-free.
+// off the query path, on the write side, and without an index build
+// unless the epoch starts a new base (store/base.go) — and is logically
+// immutable afterwards, so any number of queries can share it
+// lock-free.
 //
 // The user-centric engine is built eagerly (it serves production
 // traffic, under the names "", "user-centric" and "sketch": one
@@ -40,12 +42,14 @@ type View struct {
 	batch   *QueryEngine
 }
 
-// NewView indexes db and builds its query engines. db must already be
-// frozen (no concurrent mutation); enable the sketch layer before
-// freezing — NewView never mutates db, so a disabled layer stays
+// NewView builds db's query engines over the user-centric index db
+// shares with its base (search.SharedUserCentricIndex): on an epoch
+// whose base has published before, it builds no index at all. db must
+// already be frozen (no concurrent mutation); enable the sketch layer
+// before freezing — NewView never mutates db, so a disabled layer stays
 // disabled and Engine("sketch") reports it instead.
 func NewView(db *store.FootprintDB, workers int) *View {
-	idx := search.NewUserCentricIndex(db, search.BuildSTR, 0)
+	idx := search.SharedUserCentricIndex(db)
 	return &View{
 		db:      db,
 		idx:     idx,

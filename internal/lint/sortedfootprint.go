@@ -8,17 +8,18 @@ import (
 
 // SortedFootprint makes the store invariants a compile-time report
 // instead of (only) a `-tags strictsort` runtime panic. FootprintDB's
-// parallel slices — IDs, Footprints, Norms, MBRs, Sketches — are kept
-// index-aligned, MinX-sorted (Footprints) and norm/sketch-consistent
-// by the store mutation API (Upsert, AppendRoIs, Remove,
-// ComputeNorms). A direct write from any other package can
-// silently break the sorted fast path of Algorithm 4 or desynchronise
-// norms from footprints, so the analyzer flags, outside FootprintDB's
-// defining package:
+// parallel slices — IDs, Footprints, Norms, MBRs — and the per-user
+// sketches its Sketch accessor returns are kept index-aligned,
+// MinX-sorted (Footprints) and norm/sketch-consistent by the store
+// mutation API (Upsert, AppendRoIs, Remove, ComputeNorms). A direct
+// write from any other package can silently break the sorted fast path
+// of Algorithm 4 or desynchronise norms and sketches from footprints —
+// and a sketch lives in a chunk that published epochs share — so the
+// analyzer flags, outside FootprintDB's defining package:
 //
-//   - assignments through db.<slice> (including element and
-//     sub-element writes and compound assignment);
-//   - append with db.<slice> as the destination.
+//   - assignments through db.<slice> or db.Sketch(u) (including element
+//     and sub-element writes and compound assignment);
+//   - append with either as the destination.
 //
 // Reads — indexing, ranging, passing slices to the similarity kernels
 // — are untouched.
@@ -36,7 +37,12 @@ var dbSliceFields = map[string]bool{
 	"Footprints": true,
 	"Norms":      true,
 	"MBRs":       true,
-	"Sketches":   true,
+}
+
+// dbRowAccessors are the FootprintDB methods that return a pointer into
+// its stored rows.
+var dbRowAccessors = map[string]bool{
+	"Sketch": true,
 }
 
 func runSortedFootprint(pass *analysis.Pass) error {
@@ -79,8 +85,8 @@ func reportDBWrite(pass *analysis.Pass, e ast.Expr) {
 }
 
 // dbSliceSelector peels indexing/slicing/derefs off e and returns the
-// underlying db.<slice> selector when db is a store.FootprintDB from
-// another package.
+// underlying db.<slice> selector, or the db.Sketch of a db.Sketch(u)
+// call, when db is a store.FootprintDB from another package.
 func dbSliceSelector(pass *analysis.Pass, e ast.Expr) *ast.SelectorExpr {
 	for {
 		switch x := e.(type) {
@@ -92,6 +98,12 @@ func dbSliceSelector(pass *analysis.Pass, e ast.Expr) *ast.SelectorExpr {
 			e = x.X
 		case *ast.StarExpr:
 			e = x.X
+		case *ast.CallExpr:
+			fun, ok := x.Fun.(*ast.SelectorExpr)
+			if ok && dbRowAccessors[fun.Sel.Name] && isForeignFootprintDB(pass, fun) {
+				return fun
+			}
+			return nil
 		case *ast.SelectorExpr:
 			if dbSliceFields[x.Sel.Name] && isForeignFootprintDB(pass, x) {
 				return x

@@ -19,7 +19,8 @@ func Clobber(db *store.FootprintDB, f core.Footprint) {
 	db.Norms[0]++                              // want `direct write to FootprintDB.Norms`
 	db.MBRs[0] = geom.Rect{}                   // want `direct write to FootprintDB.MBRs`
 	db.IDs = nil                               // want `direct write to FootprintDB.IDs`
-	db.Sketches = db.Sketches[:0]              // want `direct write to FootprintDB.Sketches`
+	db.Sketch(0).Cells[0] = 1                  // want `direct write to FootprintDB.Sketch`
+	db.Sketch(0).Root = nil                    // want `direct write to FootprintDB.Sketch`
 }
 
 // Read-only access and value copies are fine.
@@ -29,7 +30,7 @@ func ReadOnly(db *store.FootprintDB) (float64, int) {
 		total += db.Norms[i]
 	}
 	f := db.Footprints[0] // copying the slice header for reading is fine
-	return total, len(f)
+	return total + float64(db.Sketch(0).Root[0]), len(f)
 }
 
 // Rebuild goes through the store API: nothing to flag.

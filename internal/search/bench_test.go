@@ -4,7 +4,7 @@ package search
 // each stage of search.TopK costs on the ledger's corpus, with the
 // bound step on either side of its choice. EXPERIMENTS.md quotes these.
 //
-//	go test -run '^$' -bench 'QuerySketch|BoundStep|MissStages|PostingsBuild' -benchtime 2000x ./internal/search/
+//	go test -run '^$' -bench 'QuerySketch|BoundStep|MissStages|PostingsBuild|WrittenSet' -benchtime 2000x ./internal/search/
 //
 // The corpus is the ledger's (Part A at scale 0.05: 13 900 users, the
 // paper's extraction parameters, G = 64), columnar-backed as geoserve
@@ -15,7 +15,10 @@ package search
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -184,7 +187,7 @@ func prepareQueries(queries []core.Footprint, db *store.FootprintDB, uc *UserCen
 			bq.cands = slices.DeleteFunc(bq.cands, func(u int) bool { return !keep[u] })
 		}
 		for _, u := range bq.cands {
-			bq.stored += db.Sketches[u].Len()
+			bq.stored += db.Sketch(u).Len()
 		}
 		out[i] = bq
 	}
@@ -356,6 +359,51 @@ func BenchmarkMissStages(b *testing.B) {
 			}
 			b.ReportMetric(float64(refined)/float64(b.N), "refined/op")
 			b.ReportMetric(float64(survivors)/float64(b.N), "survivors/op")
+		})
+	}
+}
+
+// BenchmarkWrittenSet prices what an epoch's written set costs each of
+// its queries, the number store's rebuildAfter is derived from: the two
+// steps the set reaches — the user-centric candidates over the shared
+// R-tree and the bound step over the shared transpose — for topk_miss's
+// queries on an epoch that shares its base's tree and transpose and has
+// rewritten s users since it, s ∈ {0, 256, 1024} (at most rebuildAfter,
+// so the epoch stays on the base). The slope of ns/op over s is one
+// member's cost to a query.
+func BenchmarkWrittenSet(b *testing.B) {
+	c := loadBenchCorpus(b)
+	path := filepath.Join(b.TempDir(), "ledger.col")
+	if err := c.cols.Save(path); err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, s := range []int{0, 256, 1024} {
+		b.Run(fmt.Sprintf("written=%d", s), func(b *testing.B) {
+			db, err := store.Open(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			builder := store.NewEpochBuilder(db)
+			builder.Freeze().SketchPostings(1 << 40)
+			for _, u := range rand.New(rand.NewSource(7)).Perm(db.Len())[:s] {
+				builder.Upsert(db.IDs[u], db.Row(u))
+			}
+			ep := builder.Freeze()
+			ix := SharedUserCentricIndex(ep)
+			runtime.GC()
+			qs := make([]benchQuery, len(c.queries))
+			for i, q := range c.queries {
+				qs[i] = benchQuery{qsk: sketch.Build(q, ep.SketchParams), qnorm: core.Norm(q)}
+			}
+			var cands []int
+			var scored []SketchCandidate
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q := &qs[i%len(qs)]
+				cands = ix.Candidates(c.queries[i%len(qs)].MBR(), cands[:0])
+				scored, _ = boundAgainst(ctx, ep, cands, &q.qsk, q.qnorm, scored[:0])
+			}
 		})
 	}
 }

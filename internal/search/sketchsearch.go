@@ -93,7 +93,7 @@ func (ix *UserCentricIndex) SketchCandidates(q core.Footprint, qsk *sketch.Sketc
 // certifies zero similarity, and zero-similarity users are never
 // returned). It reads only the database, so it serves R-tree, RoI and
 // all-users candidates alike. The query's sketch is the stored
-// db.Sketches[row] when q is that row, else built from q (row AdHoc).
+// db.Sketch(row) when q is that row, else built from q (row AdHoc).
 // A database without a sketch layer gives every candidate the trivial
 // bound 1: the same refine loop then runs with no early exit.
 // Cancellation is polled every cancelStride candidates.
@@ -105,7 +105,7 @@ func SketchBound(ctx context.Context, db *store.FootprintDB, cands []int, q core
 		return buf, nil
 	}
 	if row != AdHoc {
-		return boundAgainst(ctx, db, cands, &db.Sketches[row], qnorm, buf)
+		return boundAgainst(ctx, db, cands, db.Sketch(row), qnorm, buf)
 	}
 	qsk := sketch.Build(q, db.SketchParams)
 	return boundAgainst(ctx, db, cands, &qsk, qnorm, buf)
@@ -127,18 +127,30 @@ const gatherPerWalk = 1.75
 // sketch layer exists in two orders and each query takes the cheaper
 // one, known before any work is done: walking the posting lists of the
 // query's cells visits every user sharing a cell with it, whoever
-// nominated them (sketch.Postings.Walk postings); gathering visits the
-// stored cells of the candidates and nobody else's (len(cands) × the
-// mean cells per user), each at gatherPerWalk times a posting's cost.
-// An unrestricted query over an R-tree source walks, and so does a
-// segment leg that keeps half its shard's candidates; a leg with a
-// narrower restriction, a tiny-MBR query, and every query of a database
-// too young to have been transposed (store.SketchPostings) gather. The two
-// sides produce the same bits — see sketch/postings.go — so the choice
-// is invisible in any answer or count.
+// nominated them (sketch.Postings.Walk postings), and then gathers the
+// candidates the transpose is stale for; gathering visits the stored
+// cells of all the candidates and nobody else's (len(cands) × the mean
+// cells per user), each at gatherPerWalk times a posting's cost. So the
+// walk wins when its postings cost less than gathering the candidates
+// it reads off. An unrestricted query over an R-tree source walks, and
+// so does a segment leg that keeps half its shard's candidates; a leg
+// with a narrower restriction, a tiny-MBR query, and every query of a
+// base too young to have been transposed (store.SketchPostings) gather.
+// The two sides produce the same bits — see sketch/postings.go — so the
+// choice is invisible in any answer or count.
 func boundAgainst(ctx context.Context, db *store.FootprintDB, cands []int, qsk *sketch.Sketch, qnorm float64, buf []SketchCandidate) ([]SketchCandidate, error) {
-	if p := db.SketchPostings(len(cands)); p != nil && float64(p.Walk(qsk)*db.Len()) <= gatherPerWalk*float64(len(cands)*p.Len()) {
-		return boundByPostings(ctx, db, p, cands, qsk, qnorm, buf)
+	if t := db.SketchPostings(len(cands)); t != nil {
+		fresh := len(cands)
+		if stale := t.Stale(db); stale.Len() > 0 {
+			for _, u := range cands {
+				if stale.Has(u) {
+					fresh--
+				}
+			}
+		}
+		if float64(t.Walk(qsk)*t.Users()) <= gatherPerWalk*float64(fresh*t.Len()) {
+			return boundByPostings(ctx, db, t, cands, qsk, qnorm, buf)
+		}
 	}
 	return boundByGather(ctx, db, cands, qsk, qnorm, buf)
 }
@@ -158,7 +170,7 @@ func boundByGather(ctx context.Context, db *store.FootprintDB, cands []int, qsk 
 				return nil, err
 			}
 		}
-		if b := sketch.UpperBound(sketch.DotDense(&db.Sketches[u], dense), db.Norms[u], qnorm); b > 0 {
+		if b := sketch.UpperBound(sketch.DotDense(db.Sketch(u), dense), db.Norms[u], qnorm); b > 0 {
 			buf = append(buf, SketchCandidate{User: u, Bound: b})
 		}
 	}
@@ -168,14 +180,23 @@ func boundByGather(ctx context.Context, db *store.FootprintDB, cands []int, qsk 
 // boundByPostings accumulates the query's bound sum against every
 // user sharing a cell with it into a pooled per-user accumulator
 // (sketch.Postings.Accumulate) and reads the candidates' entries off
-// it, in candidate order. The accumulator goes back to the pool only
+// it, in candidate order — but for the candidates the transpose is
+// stale for (store.Transpose.Stale), whose stored sketches it gathers
+// (sketch.DotDense) instead. The accumulator goes back to the pool only
 // once it is all +0 again, on the cancelled path too; a panic between
 // the two walks leaves it to the collector instead.
 //
 //geo:cancellable
-func boundByPostings(ctx context.Context, db *store.FootprintDB, p *sketch.Postings, cands []int, qsk *sketch.Sketch, qnorm float64, buf []SketchCandidate) ([]SketchCandidate, error) {
+func boundByPostings(ctx context.Context, db *store.FootprintDB, t *store.Transpose, cands []int, qsk *sketch.Sketch, qnorm float64, buf []SketchCandidate) ([]SketchCandidate, error) {
+	stale := t.Stale(db)
+	var dense []sketch.Entry
+	if stale.Len() > 0 {
+		raster := sketch.Rasterize(qsk, db.SketchParams.G)
+		defer raster.Release()
+		dense = raster.Table()
+	}
 	acc := acquireAccumulator(db.Len())
-	p.Accumulate(qsk, acc.sum)
+	t.Accumulate(qsk, acc.sum)
 	var err error
 	for i, u := range cands {
 		if i&(cancelStride-1) == 0 {
@@ -184,11 +205,15 @@ func boundByPostings(ctx context.Context, db *store.FootprintDB, p *sketch.Posti
 				break
 			}
 		}
-		if b := sketch.UpperBound(acc.sum[u], db.Norms[u], qnorm); b > 0 {
+		dot := acc.sum[u]
+		if stale.Has(u) {
+			dot = sketch.DotDense(db.Sketch(u), dense)
+		}
+		if b := sketch.UpperBound(dot, db.Norms[u], qnorm); b > 0 {
 			buf = append(buf, SketchCandidate{User: u, Bound: b})
 		}
 	}
-	p.Clear(qsk, acc.sum)
+	t.Clear(qsk, acc.sum)
 	accumulatorPool.Put(acc)
 	return buf, err
 }

@@ -46,10 +46,12 @@ type serverSink struct {
 }
 
 // ApplyBatch writes updates into the builder, freezes it, builds the
-// epoch's serving view (index, engines), publishes it with one pointer
-// swap, and invalidates the result cache. Building the view here — on
-// the write path — is what keeps the query path from constructing or
-// locking anything.
+// epoch's serving view (engines over the index the epoch shares with
+// its base), publishes it with one pointer swap, and invalidates the
+// result cache. Building the view here — on the write path — is what
+// keeps the query path from constructing or locking anything; the
+// freeze and the view cost O(users) word copies and no index build
+// unless the epoch starts a new base.
 func (k serverSink) ApplyBatch(updates []ingest.UserRoIs) {
 	s := k.s
 	s.mu.Lock()

@@ -34,7 +34,7 @@ func TestAccumulateAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	p := Params{G: 64, Domain: geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}}
 	sks := postingsLayer(rng, p, 200)
-	post := BuildPostings(p.G, sks)
+	post := BuildPostings(p.G, len(sks), rowOf(sks))
 	q := Build(randomFootprint(rng, 18, 1), p)
 	acc := make([]float64, len(sks))
 	var sink int

@@ -160,7 +160,7 @@ func FuzzSketchBound(f *testing.F) {
 		raster := Rasterize(&sb, p.G)
 		dense := DotDense(&sa, raster.Table())
 		raster.Release()
-		post := BuildPostings(p.G, []Sketch{sa, {}})
+		post := BuildPostings(p.G, 2, rowOf([]Sketch{sa, {}}))
 		acc := make([]float64, 2)
 		post.Accumulate(&sb, acc)
 		if math.Float64bits(ref) != math.Float64bits(dense) || math.Float64bits(ref) != math.Float64bits(acc[0]) || acc[1] != 0 {

@@ -34,19 +34,19 @@ type Postings struct {
 	vals   []Entry
 }
 
-// BuildPostings transposes the sketches of a layer at resolution g —
-// rows[u] is user u's, its cells increasing inside [0, g²) as Build
-// makes them and the snapshot loaders check — in two passes of
-// counting sort. The slices are allocated at their final size and the
-// per-cell cursors are the starts array itself, so the transpose holds
-// 20 bytes per stored cell plus 4·(g²+1) and nothing else while it is
-// built. It returns nil when there are more stored cells than an int32
-// offset can address.
-func BuildPostings(g int, rows []Sketch) *Postings {
+// BuildPostings transposes the sketches of users [0, users) of a layer
+// at resolution g — row(u) is user u's, its cells increasing inside
+// [0, g²) as Build makes them and the snapshot loaders check — in two
+// passes of counting sort. The slices are allocated at their final size
+// and the per-cell cursors are the starts array itself, so the
+// transpose holds 20 bytes per stored cell plus 4·(g²+1) and nothing
+// else while it is built. It returns nil when there are more stored
+// cells than an int32 offset can address.
+func BuildPostings(g, users int, row func(u int) *Sketch) *Postings {
 	starts := make([]int32, g*g+1)
 	total := 0
-	for u := range rows {
-		cells := rows[u].Cells
+	for u := 0; u < users; u++ {
+		cells := row(u).Cells
 		total += len(cells)
 		if total > math.MaxInt32 {
 			return nil
@@ -63,8 +63,8 @@ func BuildPostings(g int, rows []Sketch) *Postings {
 		starts[c], sum = sum, sum+starts[c]
 	}
 	p := &Postings{starts: starts, users: make([]int32, total), vals: make([]Entry, total)}
-	for u := range rows {
-		s := &rows[u]
+	for u := 0; u < users; u++ {
+		s := row(u)
 		cells := s.Cells
 		root, mass, peak := s.Root[:len(cells)], s.Mass[:len(cells)], s.Peak[:len(cells)]
 		for i, c := range cells {

@@ -40,6 +40,11 @@ func postingsLayer(rng *rand.Rand, p Params, n int) []Sketch {
 	return sks
 }
 
+// rowOf is the row function of BuildPostings over a flat layer.
+func rowOf(sks []Sketch) func(int) *Sketch {
+	return func(u int) *Sketch { return &sks[u] }
+}
+
 // TestPostingsMatchDot: for every user of a generated layer the
 // accumulator holds the bits of the three-term reference BoundDot and
 // of DotDense, whichever backing the transpose was built from; Walk
@@ -54,7 +59,7 @@ func TestPostingsMatchDot(t *testing.T) {
 		}
 		n := rng.Intn(80)
 		sks := postingsLayer(rng, p, n)
-		post := BuildPostings(g, sks)
+		post := BuildPostings(g, len(sks), rowOf(sks))
 
 		// The flat backing: the same layer as CSR columns.
 		starts := []int64{0}
@@ -72,7 +77,7 @@ func TestPostingsMatchDot(t *testing.T) {
 			lo, hi := starts[u], starts[u+1]
 			views[u] = Sketch{Cells: cells[lo:hi], Mass: flatCols.Mass[lo:hi], Peak: flatCols.Peak[lo:hi], Root: flatCols.Root[lo:hi]}
 		}
-		flat := BuildPostings(g, views)
+		flat := BuildPostings(g, len(views), rowOf(views))
 		if !reflect.DeepEqual(post, flat) {
 			t.Fatalf("trial %d (G=%d): transpose differs between the AoS and the flat backing", trial, g)
 		}
@@ -126,7 +131,7 @@ func containsCell(s *Sketch, c int32) bool {
 // A query sketch from a finer raster must be refused before it indexes
 // the starts array, like Rasterize refuses it.
 func TestPostingsRejectForeignSketch(t *testing.T) {
-	post := BuildPostings(4, nil)
+	post := BuildPostings(4, 0, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("Walk accepted cell 16 of a 4×4 raster")

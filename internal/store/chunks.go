@@ -6,21 +6,24 @@ import (
 	"geofootprint/internal/core"
 	"geofootprint/internal/geom"
 	"geofootprint/internal/par"
+	"geofootprint/internal/sketch"
 )
 
-// This file holds a database's regions: one layout, a spine of chunks,
+// This file holds a database's rows: one layout, a spine of chunks,
 // each the regions of chunkUsers consecutive users in the CSR column
-// layout of the snapshot file (core.RegionCols plus starts). Every row
-// reader and the Algorithm 4 kernel read them; nothing else holds a
-// database's regions.
+// layout of the snapshot file (core.RegionCols plus starts) and, while
+// the sketch layer is enabled, their sketches. Every row reader, the
+// Algorithm 4 kernel and the bound step read them; nothing else holds a
+// database's regions or sketches.
 //
 // Chunks are immutable. An opened snapshot's chunks alias the mapped
 // columns (FromColumnar): they share the five columns and subslice the
-// file's starts, so opening copies no region. A write builds the
-// touched row, then writes a fresh copy of the one chunk that holds it
-// (putRow, appendRows), so the mapped columns and every chunk an epoch
-// was frozen with are never written in place, and Freeze copies only
-// the spine.
+// file's starts, and their sketches slice the file's cell blocks, so
+// opening copies no region and no cell. A write builds the touched row
+// and its sketch, then writes a fresh copy of the one chunk that holds
+// it (putRow, appendRows), so the mapped columns and every chunk an
+// epoch was frozen with are never written in place, and Freeze copies
+// only the spine.
 
 // chunkUsers is how many consecutive users a chunk holds (the last one
 // may hold fewer): what a one-row write copies, and the spine's stride.
@@ -33,13 +36,16 @@ import (
 // not tell 16 from 64 apart. The spine Freeze copies is 869 pointers.
 const chunkUsers = 16
 
-// chunk is the regions of up to chunkUsers consecutive users: user
-// k's (counted from the chunk's first user) are regions[starts[k]:
-// starts[k+1]]. The offsets are absolute in the mapped columns for a
-// chunk that aliases a snapshot, and start at 0 in a written one.
+// chunk is the rows of up to chunkUsers consecutive users: user k's
+// (counted from the chunk's first user) regions are
+// regions[starts[k]:starts[k+1]], and its sketch is sketches[k]. The
+// offsets are absolute in the mapped columns for a chunk that aliases a
+// snapshot, and start at 0 in a written one. sketches is nil while the
+// sketch layer is disabled, and one per row while it is enabled.
 type chunk struct {
-	regions core.RegionCols
-	starts  []int64
+	regions  core.RegionCols
+	starts   []int64
+	sketches []sketch.Sketch
 }
 
 // noRows is the empty chunk appendRows starts a new chunk from.
@@ -97,12 +103,13 @@ func (db *FootprintDB) span(u int) (c *core.RegionCols, lo, hi int) {
 	return &ch.regions, int(ch.starts[k]), int(ch.starts[k+1])
 }
 
-// putRow stores f as user u's row by writing a fresh copy of the chunk
-// that holds it; u one past the last row appends it.
-func (db *FootprintDB) putRow(u int, f core.Footprint) {
+// putRow stores f, with its sketch sks[0] (sks nil while the layer is
+// disabled), as user u's row by writing a fresh copy of the chunk that
+// holds it; u one past the last row appends it.
+func (db *FootprintDB) putRow(u int, f core.Footprint, sks []sketch.Sketch) {
 	ci, k := u/chunkUsers, u%chunkUsers
 	if ci == len(db.chunks) || k == db.chunks[ci].users() {
-		db.appendRows([]core.Footprint{f})
+		db.appendRows([]core.Footprint{f}, sks)
 		return
 	}
 	old := db.chunks[ci]
@@ -111,13 +118,17 @@ func (db *FootprintDB) putRow(u int, f core.Footprint) {
 	c.copyRows(old, 0, k)
 	c.appendRow(f)
 	c.copyRows(old, k+1, n)
+	if sks != nil {
+		c.sketches = slices.Clone(old.sketches)
+		c.sketches[k] = sks[0]
+	}
 	db.chunks[ci] = c
 }
 
-// appendRows appends rows after the last one: a fresh copy of a
-// partly filled last chunk takes the first of them, new chunks the
-// rest.
-func (db *FootprintDB) appendRows(rows []core.Footprint) {
+// appendRows appends rows, with their sketches sks (nil while the layer
+// is disabled), after the last one: a fresh copy of a partly filled last
+// chunk takes the first of them, new chunks the rest.
+func (db *FootprintDB) appendRows(rows []core.Footprint, sks []sketch.Sketch) {
 	for len(rows) > 0 {
 		ci, old := len(db.chunks), noRows
 		if ci > 0 && db.chunks[ci-1].users() < chunkUsers {
@@ -134,6 +145,10 @@ func (db *FootprintDB) appendRows(rows []core.Footprint) {
 		for _, f := range take {
 			c.appendRow(f)
 		}
+		if sks != nil {
+			c.sketches = append(slices.Clip(old.sketches), sks[:len(take)]...)
+			sks = sks[len(take):]
+		}
 		if ci == len(db.chunks) {
 			db.chunks = append(db.chunks, c)
 		} else {
@@ -144,12 +159,12 @@ func (db *FootprintDB) appendRows(rows []core.Footprint) {
 }
 
 // wrote records a write to the rows: Footprints no longer describes
-// them, the chunks are no longer the mapped columns, and the sketch
-// transpose (postings.go) may describe rows that are gone.
+// them, the chunks are no longer the mapped columns, and the indexes
+// of the database's base (base.go) may describe rows that are gone.
 func (db *FootprintDB) wrote() {
 	db.Footprints = nil
 	db.mapped = false
-	db.dropPostings()
+	db.dropBase()
 }
 
 // materialise exports every row as the AoS Footprints, one backing
@@ -207,6 +222,13 @@ func fillRegions(dst []core.Region, minx, miny, maxx, maxy, w []float64) {
 			Weight: w[i],
 		}
 	}
+}
+
+// Sketch returns user u's stored sketch, read-only: it lives in an
+// immutable chunk that published epochs may share. The sketch layer
+// must be enabled.
+func (db *FootprintDB) Sketch(u int) *sketch.Sketch {
+	return &db.chunks[u/chunkUsers].sketches[u%chunkUsers]
 }
 
 // RowLen returns the number of regions user u holds (0 for a

@@ -19,8 +19,8 @@ import (
 // flags columnar encodes anywhere else on a persistence path), and the
 // load paths and their error classification.
 //
-// An opened database's chunks alias the snapshot's region columns, its
-// Norms and per-user sketch slices alias the snapshot's too, and
+// An opened database's chunks alias the snapshot's region columns and
+// cell blocks, its Norms alias the snapshot's too, and
 // db.colSrc pins the snapshot (and its mmap, when the load was
 // zero-copy) for the database's lifetime; it is copied to every Freeze
 // snapshot. A write never writes into the region columns (chunks.go);
@@ -82,8 +82,8 @@ func (db *FootprintDB) Columnar(meta []byte) *colstore.Snapshot {
 	}
 	if db.SketchesEnabled() {
 		cells := 0
-		for i := range db.Sketches {
-			cells += len(db.Sketches[i].Cells)
+		for u := range users {
+			cells += db.Sketch(u).Len()
 		}
 		snap.SketchG = db.SketchParams.G
 		d := db.SketchParams.Domain
@@ -93,9 +93,9 @@ func (db *FootprintDB) Columnar(meta []byte) *colstore.Snapshot {
 		snap.CellMass = make([]float32, 0, cells)
 		snap.CellPeak = make([]float32, 0, cells)
 		snap.CellRoot = make([]float64, 0, cells)
-		for u := range db.Sketches {
+		for u := range users {
 			snap.CellStarts[u] = int64(len(snap.Cells))
-			sk := &db.Sketches[u]
+			sk := db.Sketch(u)
 			snap.Cells = append(snap.Cells, sk.Cells...)
 			snap.CellMass = append(snap.CellMass, sk.Mass...)
 			snap.CellPeak = append(snap.CellPeak, sk.Peak...)
@@ -107,9 +107,10 @@ func (db *FootprintDB) Columnar(meta []byte) *colstore.Snapshot {
 }
 
 // FromColumnar builds an opened FootprintDB over a decoded columnar
-// snapshot, copying no region: its chunks alias the region columns and
-// subslice the starts, Norms and the per-user sketch slices alias the
-// snapshot's columns (and therefore the mmap on the zero-copy path),
+// snapshot, copying no region: its chunks alias the region columns,
+// subslice the starts and hold per-user sketch slices of the cell
+// blocks, and Norms aliases the snapshot's column (all of them
+// therefore the mmap on the zero-copy path),
 // and Footprints stays nil. Only IDs and MBRs — O(users) — are
 // converted, and the spine holds one pointer per chunkUsers users. A snapshot from a version-1 file
 // has no peak block; it is derived once here, in parallel, from the
@@ -161,18 +162,22 @@ func FromColumnar(snap *colstore.Snapshot) (*FootprintDB, error) {
 				}
 			})
 		}
-		db.Sketches = make([]sketch.Sketch, users)
-		for u := range db.Sketches {
+		all := make([]sketch.Sketch, users)
+		for u := range all {
 			lo, hi := snap.CellStarts[u], snap.CellStarts[u+1]
 			if lo == hi {
 				continue // an empty row's sketch is Sketch{}, as sketch.Build makes it
 			}
-			db.Sketches[u] = sketch.Sketch{
+			all[u] = sketch.Sketch{
 				Cells: snap.Cells[lo:hi:hi],
 				Mass:  snap.CellMass[lo:hi:hi],
 				Peak:  snap.CellPeak[lo:hi:hi],
 				Root:  snap.CellRoot[lo:hi:hi],
 			}
+		}
+		for ci, c := range db.chunks {
+			first := ci * chunkUsers
+			c.sketches = all[first : first+c.users() : first+c.users()]
 		}
 	}
 	return db, nil
@@ -247,5 +252,5 @@ func openFS(fsys faultfs.FS, path string, mode colstore.Mode) (*FootprintDB, []b
 //
 //geo:hotpath
 func (db *FootprintDB) UserSketchDot(u int, qsk *sketch.Sketch) float64 {
-	return sketch.BoundDot(&db.Sketches[u], qsk)
+	return sketch.BoundDot(db.Sketch(u), qsk)
 }

@@ -69,11 +69,12 @@ func sameDB(t *testing.T, want, got *FootprintDB) {
 	if want.SketchParams != got.SketchParams {
 		t.Fatalf("sketch params %+v != %+v", got.SketchParams, want.SketchParams)
 	}
-	if len(want.Sketches) != len(got.Sketches) {
-		t.Fatalf("sketch count %d != %d", len(got.Sketches), len(want.Sketches))
+	wantSketches, gotSketches := sketchesOf(want), sketchesOf(got)
+	if len(wantSketches) != len(gotSketches) {
+		t.Fatalf("sketch count %d != %d", len(gotSketches), len(wantSketches))
 	}
-	for i := range want.Sketches {
-		sw, sg := &want.Sketches[i], &got.Sketches[i]
+	for i := range wantSketches {
+		sw, sg := &wantSketches[i], &gotSketches[i]
 		if len(sw.Cells) != len(sg.Cells) {
 			t.Fatalf("sketch[%d] has %d cells, want %d", i, len(sg.Cells), len(sw.Cells))
 		}
@@ -132,8 +133,8 @@ func TestColumnarDispatchMatchesAoS(t *testing.T) {
 		raster := sketch.Rasterize(&qsk, got.SketchParams.G)
 		defer raster.Release()
 		for u := range got.IDs {
-			want := math.Float64bits(sketch.BoundDot(&got.Sketches[u], &qsk))
-			if dc, dm := sketch.DotDense(&got.Sketches[u], raster.Table()), sketch.DotDense(&mem.Sketches[u], raster.Table()); math.Float64bits(dc) != want || math.Float64bits(dm) != want {
+			want := math.Float64bits(sketch.BoundDot(got.Sketch(u), &qsk))
+			if dc, dm := sketch.DotDense(got.Sketch(u), raster.Table()), sketch.DotDense(mem.Sketch(u), raster.Table()); math.Float64bits(dc) != want || math.Float64bits(dm) != want {
 				t.Fatalf("DotDense(%d): loaded %v, in memory %v, BoundDot %v", u, dc, dm, math.Float64frombits(want))
 			}
 			fast := got.UserSimilarity(u, q, qn)
@@ -142,7 +143,7 @@ func TestColumnarDispatchMatchesAoS(t *testing.T) {
 				t.Fatalf("UserSimilarity(%d) columnar %v != AoS %v", u, fast, slow)
 			}
 			df := got.UserSketchDot(u, &qsk)
-			ds := sketch.BoundDot(&got.Sketches[u], &qsk)
+			ds := sketch.BoundDot(got.Sketch(u), &qsk)
 			if math.Float64bits(df) != math.Float64bits(ds) {
 				t.Fatalf("UserSketchDot(%d) columnar %v != AoS %v", u, df, ds)
 			}

@@ -3,14 +3,15 @@ package store
 import (
 	"geofootprint/internal/core"
 	"geofootprint/internal/geom"
+	"geofootprint/internal/sketch"
 )
 
 // This file adds dynamic maintenance to FootprintDB. A deployment
 // tracks users continuously: new customers appear, returning customers
 // extend their footprints. Upsert, AppendRoIs and Remove keep the
-// database current without recomputing untouched users; indexes are
-// immutable views, rebuilt over the mutated database (the serving
-// plane does so once per published epoch).
+// database current without recomputing untouched users. Indexes are
+// immutable views: the epochs an EpochBuilder freezes share theirs with
+// a base and read the users written since it around them (base.go).
 //
 // Dense user indexes are stable: Remove tombstones a user (empty
 // footprint, zero norm) instead of compacting, so indexes held by
@@ -44,11 +45,14 @@ func (db *FootprintDB) Upsert(id int, f core.Footprint) int {
 // i's row (i one past the last row appends it), with its norm, MBR and
 // sketch.
 func (db *FootprintDB) setRow(i int, f core.Footprint) {
-	db.putRow(i, f)
+	var sks []sketch.Sketch
+	if db.SketchesEnabled() {
+		sks = []sketch.Sketch{sketch.Build(f, db.SketchParams)}
+	}
+	db.putRow(i, f, sks)
 	db.wrote()
 	db.Norms[i] = core.Norm(f)
 	db.MBRs[i] = f.MBR()
-	db.refreshSketch(i, f)
 }
 
 // AppendRoIs extends a user's footprint with newly extracted regions

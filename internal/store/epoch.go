@@ -1,11 +1,11 @@
 package store
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"geofootprint/internal/core"
 	"geofootprint/internal/geom"
-	"geofootprint/internal/sketch"
 )
 
 // Epoch-based MVCC for the serving path.
@@ -21,15 +21,18 @@ import (
 // Immutability is cheap because nothing a snapshot references is ever
 // written in place:
 //
-//   - The parallel slice headers (IDs, Norms, MBRs, Sketches) are
-//     copied per freeze — O(users) word copies — so the builder's later
-//     element writes and appends never touch a published snapshot.
-//   - The regions (the O(users × regions) payload) live in immutable
-//     chunks (chunks.go): a write replaces the chunk that holds its row
-//     with a fresh copy, so Freeze copies only the spine of chunk
-//     pointers, and builder and snapshot share every chunk the builder
-//     has not rewritten since. The ID → index map is likewise shared
-//     until the next user insertion.
+//   - The parallel slices (IDs, Norms, MBRs) are copied per freeze —
+//     O(users) word copies — so the builder's later element writes and
+//     appends never touch a published snapshot.
+//   - The regions and sketches (the O(users × regions) payload) live in
+//     immutable chunks (chunks.go): a write replaces the chunk that
+//     holds its row with a fresh copy, so Freeze copies only the spine
+//     of chunk pointers, and builder and snapshot share every chunk the
+//     builder has not rewritten since. The ID → index map is likewise
+//     shared until the next user insertion.
+//   - The indexes (the user-centric R-tree and the sketch transpose) are
+//     shared with the epoch's base, and the epoch carries the set of
+//     users written since it (base.go): a publish builds neither.
 
 // Epoch is one immutable published snapshot of the serving state: a
 // frozen FootprintDB plus an opaque per-epoch aux value (the server
@@ -123,6 +126,14 @@ type EpochBuilder struct {
 	// mapShared marks db.byID as shared with the latest snapshot; it
 	// is copied before the next user insertion.
 	mapShared bool
+
+	// base is the base the next Freeze hands on (nil: it starts a new
+	// one), and written the users written since it, appended users
+	// included; setShared marks written's bits as shared with the
+	// latest snapshot, copied before the next new member.
+	base      *indexBase
+	written   UserSet
+	setShared bool
 }
 
 // NewEpochBuilder wraps db (empty when nil) as the working state.
@@ -156,41 +167,77 @@ func (b *EpochBuilder) ensureMapOwned(id int) {
 	b.mapShared = false
 }
 
+// mark adds user u to the written set.
+func (b *EpochBuilder) mark(u int) {
+	if b.base == nil || b.written.Has(u) {
+		return // a new base starts with an empty set
+	}
+	s, w := &b.written, u>>6
+	if b.setShared {
+		s.bits, b.setShared = slices.Clone(s.bits), false
+	}
+	if w >= len(s.bits) {
+		s.bits = append(s.bits, make([]uint64, w+1-len(s.bits))...)
+	}
+	s.bits[w] |= 1 << (u & 63)
+	s.n++
+}
+
 // Upsert inserts or replaces a user's footprint (FootprintDB.Upsert
 // semantics: sorted in place, then copied) and returns the dense
 // index.
 func (b *EpochBuilder) Upsert(id int, f core.Footprint) int {
 	b.ensureMapOwned(id)
-	return b.db.Upsert(id, f)
+	u := b.db.Upsert(id, f)
+	b.mark(u)
+	return u
 }
 
 // AppendRoIs extends a user's footprint with new regions, creating the
 // user if needed, and returns the dense index.
 func (b *EpochBuilder) AppendRoIs(id int, regions []core.Region) int {
 	b.ensureMapOwned(id)
-	return b.db.AppendRoIs(id, regions)
+	u := b.db.AppendRoIs(id, regions)
+	b.mark(u)
+	return u
 }
 
 // Remove tombstones a user (FootprintDB.Remove semantics).
-func (b *EpochBuilder) Remove(id int) bool { return b.db.Remove(id) }
+func (b *EpochBuilder) Remove(id int) bool {
+	u, ok := b.db.IndexOf(id)
+	if ok {
+		b.db.Remove(id)
+		b.mark(u)
+	}
+	return ok
+}
 
-// EnableSketches (re)builds the working database's sketch layer.
-// EnableSketches allocates a fresh Sketches array and never writes
-// into the chunks, so published snapshots are unaffected.
+// EnableSketches (re)builds the working database's sketch layer. It
+// writes a fresh copy of every chunk header — the regions stay shared —
+// so published snapshots keep the chunks and sketches they were frozen
+// with, and the next Freeze starts a new base: the base's transpose
+// describes the layer being replaced.
 func (b *EpochBuilder) EnableSketches(g, workers int) {
 	b.db.EnableSketches(g, workers)
+	b.base = nil
 }
 
 // Freeze snapshots the working database into an immutable FootprintDB
 // ready for EpochStore.Publish. The snapshot gets private copies of
-// the parallel slice headers and of the chunk spine, and shares the
-// chunks, the sketch payloads, the ID → index map and the pinned
-// snapshot (colSrc) with the builder. The ID map is materialised
-// first so epoch readers never race a lazy build. The builder remains
-// valid and owns the working database.
+// the parallel slices and of the chunk spine, and shares the chunks,
+// the ID → index map and the pinned snapshot (colSrc) with the builder,
+// and its base and written set with the epochs frozen before it since
+// that base began. Once the set has passed rebuildAfter users — and on
+// the first Freeze, or the first after EnableSketches — the snapshot
+// starts a new base with an empty set instead. The ID map is
+// materialised first so epoch readers never race a lazy build. The
+// builder remains valid and owns the working database.
 func (b *EpochBuilder) Freeze() *FootprintDB {
 	db := b.db
 	db.ensureByID()
+	if b.base == nil || b.written.Len() > rebuildAfter {
+		b.base, b.written = &indexBase{users: db.Len()}, UserSet{}
+	}
 	snap := &FootprintDB{
 		Name:         db.Name,
 		IDs:          append([]int(nil), db.IDs...),
@@ -201,10 +248,9 @@ func (b *EpochBuilder) Freeze() *FootprintDB {
 		chunks:       append([]*chunk(nil), db.chunks...),
 		colSrc:       db.colSrc,
 		mapped:       db.mapped,
+		written:      b.written,
 	}
-	if db.Sketches != nil {
-		snap.Sketches = append([]sketch.Sketch(nil), db.Sketches...)
-	}
-	b.mapShared = true
+	snap.base.Store(b.base)
+	b.mapShared, b.setShared = true, true
 	return snap
 }

@@ -64,7 +64,7 @@ func checkBounds(t *testing.T, when string, db *store.FootprintDB, q core.Footpr
 	cands := make([]int, db.Len())
 	for u := range cands {
 		cands[u] = u
-		if b := sketch.UpperBound(sketch.DotDense(&db.Sketches[u], raster.Table()), db.Norms[u], qnorm); b > 0 {
+		if b := sketch.UpperBound(sketch.DotDense(db.Sketch(u), raster.Table()), db.Norms[u], qnorm); b > 0 {
 			want = append(want, search.SketchCandidate{User: u, Bound: b})
 		}
 	}
@@ -196,7 +196,7 @@ func TestEpochPostingsBuiltOncePerEpoch(t *testing.T) {
 	}
 	var (
 		mu   sync.Mutex
-		seen = map[uint64]*sketch.Postings{}
+		seen = map[uint64]*store.Transpose{}
 		wg   sync.WaitGroup
 		stop = make(chan struct{})
 	)

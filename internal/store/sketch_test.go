@@ -40,13 +40,28 @@ func rebuiltSketches(db *FootprintDB) []sketch.Sketch {
 	return out
 }
 
+// sketchesOf collects every user's stored sketch, nil while the layer
+// is disabled.
+func sketchesOf(db *FootprintDB) []sketch.Sketch {
+	if !db.SketchesEnabled() {
+		return nil
+	}
+	out := make([]sketch.Sketch, db.Len())
+	for u := range out {
+		out[u] = *db.Sketch(u)
+	}
+	return out
+}
+
 func checkAligned(t *testing.T, db *FootprintDB, when string) {
 	t.Helper()
-	if len(db.Sketches) != len(db.IDs) {
-		t.Fatalf("%s: %d sketches for %d users", when, len(db.Sketches), len(db.IDs))
+	for ci, c := range db.chunks {
+		if len(c.sketches) != c.users() {
+			t.Fatalf("%s: chunk %d holds %d sketches for %d users", when, ci, len(c.sketches), c.users())
+		}
 	}
 	want := rebuiltSketches(db)
-	if !reflect.DeepEqual(normalizeSketches(db.Sketches), normalizeSketches(want)) {
+	if !reflect.DeepEqual(normalizeSketches(sketchesOf(db)), normalizeSketches(want)) {
 		t.Fatalf("%s: incrementally maintained sketches differ from a rebuild", when)
 	}
 }
@@ -85,7 +100,7 @@ func TestSketchMaintenance(t *testing.T) {
 	// Remove tombstones; the sketch must empty with the footprint.
 	db.Remove(14)
 	checkAligned(t, db, "after remove")
-	if db.Sketches[2].Len() != 0 {
+	if db.Sketch(2).Len() != 0 {
 		t.Fatal("tombstoned user kept a non-empty sketch")
 	}
 }
@@ -109,7 +124,7 @@ func TestSketchPersistence(t *testing.T) {
 	if got.SketchParams != db.SketchParams {
 		t.Fatalf("params %+v, want %+v", got.SketchParams, db.SketchParams)
 	}
-	if !reflect.DeepEqual(normalizeSketches(got.Sketches), normalizeSketches(db.Sketches)) {
+	if !reflect.DeepEqual(normalizeSketches(sketchesOf(got)), normalizeSketches(sketchesOf(db))) {
 		t.Fatal("sketches differ after round-trip")
 	}
 
@@ -143,7 +158,7 @@ func TestSketchDomainFixedUnderUpsert(t *testing.T) {
 	}
 	for v := range db.IDs {
 		sim := core.SimilarityJoin(db.Row(u), db.Row(v), db.Norms[u], db.Norms[v])
-		bound := sketch.UpperBound(sketch.BoundDot(&db.Sketches[u], &db.Sketches[v]), db.Norms[u], db.Norms[v])
+		bound := sketch.UpperBound(sketch.BoundDot(db.Sketch(u), db.Sketch(v)), db.Norms[u], db.Norms[v])
 		if bound < sim {
 			t.Fatalf("user %d: clamped bound %v < similarity %v", v, bound, sim)
 		}
@@ -175,8 +190,8 @@ func TestEnableSketchesWorkerCountBitIdentical(t *testing.T) {
 		if one.SketchParams != eight.SketchParams {
 			t.Fatalf("G=%d: params %+v on one worker, %+v on eight", g, one.SketchParams, eight.SketchParams)
 		}
-		for u := range one.Sketches {
-			a, b := &one.Sketches[u], &eight.Sketches[u]
+		for u := range one.Len() {
+			a, b := one.Sketch(u), eight.Sketch(u)
 			same := reflect.DeepEqual(a.Cells, b.Cells) && len(a.Mass) == len(b.Mass) &&
 				len(a.Peak) == len(b.Peak) && len(a.Root) == len(b.Root)
 			for i := 0; same && i < len(a.Cells); i++ {

@@ -11,9 +11,9 @@ import (
 // fingerprints (internal/sketch) that let search rank candidates by a
 // provable similarity upper bound before paying for an Algorithm 4
 // refinement. The layer is opt-in — EnableSketches builds it — and
-// once enabled every mutation path (Upsert, AppendRoIs, Remove) keeps
-// it aligned with the rows, so indexes can rely on
-// db.Sketches[u] being current whenever user u's row is.
+// once enabled every mutation path (Upsert, AppendRoIs, Remove)
+// rewrites the row's sketch in the chunk that holds the row, so
+// db.Sketch(u) is current whenever user u's row is.
 
 // SketchesEnabled reports whether the sketch layer is active.
 func (db *FootprintDB) SketchesEnabled() bool { return db.SketchParams.Valid() }
@@ -25,11 +25,13 @@ func (db *FootprintDB) SketchesEnabled() bool { return db.SketchParams.Valid() }
 // this call: footprints upserted later that escape it are clamped into
 // border cells, which loosens their bounds but never invalidates them
 // (see the sketch package proof), so re-enabling with a fresh domain
-// is an optimisation, not a correctness requirement.
+// is an optimisation, not a correctness requirement. Every chunk is
+// replaced by a copy that shares its regions and holds the new
+// sketches, so chunks an epoch was frozen with keep theirs.
 func (db *FootprintDB) EnableSketches(g, workers int) {
-	// The transpose describes the layer being replaced; the region
-	// columns stay valid for the similarity kernels.
-	db.dropPostings()
+	// The base's transpose describes the layer being replaced; the
+	// region columns stay valid for the similarity kernels.
+	db.dropBase()
 	if g <= 0 {
 		g = sketch.DefaultG
 	}
@@ -38,34 +40,34 @@ func (db *FootprintDB) EnableSketches(g, workers int) {
 	for _, m := range db.MBRs {
 		union = union.Extend(m)
 	}
-	db.SketchParams = sketch.Params{G: g, Domain: sketch.FitDomain(union)}
-	db.Sketches = make([]sketch.Sketch, db.Len())
+	db.buildSketches(sketch.Params{G: g, Domain: sketch.FitDomain(union)}, workers)
+}
 
-	par.For(db.Len(), workers, 16, func(_, lo, hi int) {
+// buildSketches builds every user's sketch under p into fresh copies of
+// the chunks, on `workers` goroutines.
+func (db *FootprintDB) buildSketches(p sketch.Params, workers int) {
+	db.SketchParams = p
+	all := make([]sketch.Sketch, db.Len())
+	par.For(len(db.chunks), workers, 1, func(_, lo, hi int) {
 		var row core.Footprint
-		for i := lo; i < hi; i++ {
-			row = db.AppendRow(row[:0], i)
-			db.Sketches[i] = sketch.Build(row, db.SketchParams)
+		for ci := lo; ci < hi; ci++ {
+			old := db.chunks[ci]
+			first := ci * chunkUsers
+			sks := all[first : first+old.users() : first+old.users()]
+			for k := range sks {
+				row = db.AppendRow(row[:0], first+k)
+				sks[k] = sketch.Build(row, p)
+			}
+			db.chunks[ci] = &chunk{regions: old.regions, starts: old.starts, sketches: sks}
 		}
 	})
 }
 
 // DisableSketches drops the sketch layer.
 func (db *FootprintDB) DisableSketches() {
-	db.dropPostings()
+	db.dropBase()
 	db.SketchParams = sketch.Params{}
-	db.Sketches = nil
-}
-
-// refreshSketch re-rasterises user i, whose row is now f, after a
-// mutation. The Sketches slice is grown on demand so Upsert can extend
-// the user space before calling it.
-func (db *FootprintDB) refreshSketch(i int, f core.Footprint) {
-	if !db.SketchesEnabled() {
-		return
+	for ci, old := range db.chunks {
+		db.chunks[ci] = &chunk{regions: old.regions, starts: old.starts}
 	}
-	for len(db.Sketches) <= i {
-		db.Sketches = append(db.Sketches, sketch.Sketch{})
-	}
-	db.Sketches[i] = sketch.Build(f, db.SketchParams)
 }

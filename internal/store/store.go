@@ -46,36 +46,37 @@ type FootprintDB struct {
 	Norms      []float64
 	MBRs       []geom.Rect
 
-	// SketchParams and Sketches are the optional filter layer:
-	// per-user grid sketches (internal/sketch) whose per-cell bound sum
-	// against a query's sketch upper-bounds Equation 1 similarity.
-	// EnableSketches turns the layer on; a zero SketchParams means
-	// disabled. When enabled, every dynamic mutation keeps Sketches
-	// aligned with the rows, and Save/Load persist them with the rest
-	// of the database; on an opened database they are slices of the
-	// snapshot's cell blocks.
+	// SketchParams describes the optional filter layer: per-user grid
+	// sketches (internal/sketch, read through Sketch) whose per-cell
+	// bound sum against a query's sketch upper-bounds Equation 1
+	// similarity. EnableSketches turns the layer on; a zero
+	// SketchParams means disabled. When enabled, every dynamic mutation
+	// rewrites the row's sketch in its chunk beside its regions, and
+	// Save/Load persist them with the rest of the database; on an
+	// opened database they are slices of the snapshot's cell blocks.
 	SketchParams sketch.Params
-	Sketches     []sketch.Sketch
 
 	byID map[int]int // lazily built ID → index
 
-	// chunks is the spine of region chunks (chunks.go). colSrc pins
-	// the snapshot an opened database was decoded from — and its mmap
-	// on the zero-copy path — for as long as the chunks, Norms or the
-	// sketch slices may alias it; it is never cleared. mapped reports
-	// that the chunks are still exactly colSrc's columns: no row has
-	// been written since Open.
+	// chunks is the spine of row chunks (chunks.go). colSrc pins the
+	// snapshot an opened database was decoded from — and its mmap on
+	// the zero-copy path — for as long as the chunks or Norms may alias
+	// it; it is never cleared. mapped reports that the chunks' regions
+	// are still exactly colSrc's columns: no row has been written since
+	// Open.
 	chunks []*chunk
 	colSrc *colstore.Snapshot
 	mapped bool
 
-	// The sketch layer's cell-major transpose, once this database has
-	// served enough gathers to be worth one, and the candidates those
-	// gathers bounded so far (see postings.go). Dropped by every
-	// mutation; a Freeze snapshot starts without either. The atomics
-	// mean a FootprintDB must not be copied by value.
-	postings atomic.Pointer[sketch.Postings]
-	gathered atomic.Int64
+	// base holds the indexes this database shares — the user-centric
+	// R-tree and the sketch transpose — with every epoch frozen since
+	// they were last built from scratch, and written the users whose
+	// rows may differ from what those indexes were built over (base.go).
+	// A database that is not an epoch makes its own base on first use,
+	// and every write drops it. The atomic means a FootprintDB must not
+	// be copied by value.
+	base    atomic.Pointer[indexBase]
+	written UserSet
 }
 
 // Build extracts every user's footprint from the dataset with
@@ -132,7 +133,7 @@ func New(name string, ids []int, fps []core.Footprint) (*FootprintDB, error) {
 		}
 	}
 	db := &FootprintDB{Name: name, IDs: ids, Footprints: fps}
-	db.appendRows(fps)
+	db.appendRows(fps, nil)
 	return db, nil
 }
 
@@ -186,7 +187,7 @@ func (db *FootprintDB) ensureByID() {
 // Load reads it back.
 func (db *FootprintDB) Save(path string) error {
 	err := WriteColumnar(path, db.Columnar(nil))
-	// Norms and the sketch slices may alias a memory-mapped snapshot
+	// Norms and the chunks' sketches may alias a memory-mapped snapshot
 	// that only db keeps mapped (colSrc; the mapping is unmapped by a
 	// finalizer). The snapshot holds the slices, not db, so without
 	// this a caller's last use of db could be this call and a GC in

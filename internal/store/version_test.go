@@ -54,17 +54,16 @@ func TestVersion1FixturesOpenBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built.SketchParams = db.SketchParams
+	built.buildSketches(db.SketchParams, 0)
 	for u, f := range built.Footprints {
-		sameSketchBits(t, v1Fixture, &db.Sketches[u], f, db.SketchParams)
-		built.Sketches = append(built.Sketches, sketch.Build(f, built.SketchParams))
+		sameSketchBits(t, v1Fixture, db.Sketch(u), f, db.SketchParams)
 	}
 	for qi, q := range []core.Footprint{db.Footprints[0], db.Footprints[17], db.Footprints[40]} {
 		qsk := sketch.Build(q, db.SketchParams)
 		raster := sketch.Rasterize(&qsk, db.SketchParams.G)
 		for u := range db.IDs {
-			want := math.Float64bits(sketch.BoundDot(&built.Sketches[u], &qsk))
-			if ref, dense := db.UserSketchDot(u, &qsk), sketch.DotDense(&db.Sketches[u], raster.Table()); math.Float64bits(ref) != want || math.Float64bits(dense) != want {
+			want := math.Float64bits(sketch.BoundDot(built.Sketch(u), &qsk))
+			if ref, dense := db.UserSketchDot(u, &qsk), sketch.DotDense(db.Sketch(u), raster.Table()); math.Float64bits(ref) != want || math.Float64bits(dense) != want {
 				t.Fatalf("query %d user %d: reference %v, gather %v, a fresh layer %v", qi, u, ref, dense, math.Float64frombits(want))
 			}
 		}
