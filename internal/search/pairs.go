@@ -8,7 +8,6 @@ import (
 
 	"geofootprint/internal/core"
 	"geofootprint/internal/par"
-	"geofootprint/internal/rtree"
 )
 
 // This file provides the similarity self-join: the globally most
@@ -66,6 +65,8 @@ func (h *pairHeap) offer(k int, p Pair) {
 // The user-centric R-tree prunes the quadratic pair space: for each
 // user only users whose footprint MBR intersects theirs are refined
 // (with Algorithm 4), and every unordered pair is scored exactly once.
+// The neighbours come from ix.Candidates, so on an epoch's shared index
+// the users written since its base are tested on their current MBRs.
 // Runs on `workers` goroutines (GOMAXPROCS if <= 0), each polling ctx
 // every cancelStride joins; it returns ctx.Err() when cancelled.
 //
@@ -85,6 +86,7 @@ func TopSimilarPairs(ctx context.Context, ix *UserCentricIndex, k, workers int) 
 	locals := make([]pairHeap, workers)
 	par.For(n, workers, 1, func(w, lo, hi int) {
 		var fu core.Footprint
+		var near []int
 		joins := 0
 		for u := lo; u < hi && ctx.Err() == nil; u++ {
 			if db.Norms[u] == 0 {
@@ -95,13 +97,13 @@ func TopSimilarPairs(ctx context.Context, ix *UserCentricIndex, k, workers int) 
 			// u's row as the query.
 			fu = db.AppendRow(fu[:0], u)
 			nu := db.Norms[u]
-			ix.tree.Search(db.MBRs[u], func(e rtree.Entry) bool {
-				v := int(e.Data)
+			near = ix.Candidates(db.MBRs[u], near[:0])
+			for _, v := range near {
 				if v >= u {
-					return true
+					continue
 				}
 				if joins++; joins&(cancelStride-1) == 0 && ctx.Err() != nil {
-					return false
+					break
 				}
 				sim := db.UserSimilarity(v, fu, nu)
 				if sim > 0 {
@@ -111,8 +113,7 @@ func TopSimilarPairs(ctx context.Context, ix *UserCentricIndex, k, workers int) 
 					}
 					locals[w].offer(k, Pair{A: a, B: b, Score: sim})
 				}
-				return true
-			})
+			}
 		}
 	})
 	if err := ctx.Err(); err != nil {

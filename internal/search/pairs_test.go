@@ -67,43 +67,99 @@ func bruteForcePairs(db *store.FootprintDB, k int) []Pair {
 	return all
 }
 
+// The self-join finds every positive pair brute force does, in order,
+// on a freshly indexed database and on an epoch whose index is its
+// base's tree: there the pairs of two users appended since the base,
+// and of a user whose MBR grew to meet a higher-indexed one's, have no
+// tree entry to find them by.
 func TestTopSimilarPairsMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	db := testDB(t, rng, 60)
-	ix := NewUserCentricIndex(db, BuildSTR, 0)
-
-	for _, k := range []int{1, 5, 20} {
-		got := topPairs(ix, k, 4)
-		want := bruteForcePairs(db, k)
-		if len(got) != len(want) {
-			t.Fatalf("k=%d: %d pairs, want %d", k, len(got), len(want))
+	derived, grown, added := pairsEpoch(t, rng, testDB(t, rng, 60))
+	for _, tc := range []struct {
+		name string
+		db   *store.FootprintDB
+		ix   *UserCentricIndex
+	}{
+		{"fresh", db, NewUserCentricIndex(db, BuildSTR, 0)},
+		{"derived", derived, SharedUserCentricIndex(derived)},
+	} {
+		db := tc.db
+		all := bruteForcePairs(db, db.Len()*db.Len())
+		if tc.name == "derived" && (!slices.ContainsFunc(all, samePair(grown)) || !slices.ContainsFunc(all, samePair(added))) {
+			t.Fatalf("derived: brute force has no %v or %v pair", grown, added)
 		}
-		for i := range want {
-			if math.Abs(got[i].Score-want[i].Score) > 1e-9 {
-				t.Fatalf("k=%d pair %d score: got %v, want %v", k, i, got[i].Score, want[i].Score)
+		for _, k := range []int{1, 5, 20, len(all)} {
+			got := topPairs(tc.ix, k, 4)
+			want := bruteForcePairs(db, k)
+			if len(got) != len(want) {
+				t.Fatalf("%s k=%d: %d pairs, want %d", tc.name, k, len(got), len(want))
 			}
-			if got[i].A != want[i].A || got[i].B != want[i].B {
-				// Tolerate reordering only between near-equal scores.
-				if i+1 < len(want) && math.Abs(want[i].Score-want[i+1].Score) > 1e-9 &&
-					(i == 0 || math.Abs(want[i].Score-want[i-1].Score) > 1e-9) {
-					t.Fatalf("k=%d pair %d: got %+v, want %+v", k, i, got[i], want[i])
+			for i := range want {
+				if math.Abs(got[i].Score-want[i].Score) > 1e-9 {
+					t.Fatalf("%s k=%d pair %d score: got %v, want %v", tc.name, k, i, got[i].Score, want[i].Score)
 				}
-			}
-			if got[i].A >= got[i].B {
-				t.Fatalf("pair not ordered: %+v", got[i])
-			}
-			// The score is Algorithm 4's with the lower dense index in
-			// the R role, bit for bit.
-			lo, _ := db.IndexOf(got[i].A)
-			hi, _ := db.IndexOf(got[i].B)
-			if hi < lo {
-				lo, hi = hi, lo
-			}
-			if want := core.SimilarityJoin(db.Footprints[lo], db.Footprints[hi], db.Norms[lo], db.Norms[hi]); math.Float64bits(got[i].Score) != math.Float64bits(want) {
-				t.Fatalf("k=%d pair %d scores %v, Algorithm 4 %v", k, i, got[i].Score, want)
+				if got[i].A != want[i].A || got[i].B != want[i].B {
+					// Tolerate reordering only between near-equal scores.
+					if i+1 < len(want) && math.Abs(want[i].Score-want[i+1].Score) > 1e-9 &&
+						(i == 0 || math.Abs(want[i].Score-want[i-1].Score) > 1e-9) {
+						t.Fatalf("%s k=%d pair %d: got %+v, want %+v", tc.name, k, i, got[i], want[i])
+					}
+				}
+				if got[i].A >= got[i].B {
+					t.Fatalf("pair not ordered: %+v", got[i])
+				}
+				// The score is Algorithm 4's with the lower dense index in
+				// the R role, bit for bit.
+				lo, _ := db.IndexOf(got[i].A)
+				hi, _ := db.IndexOf(got[i].B)
+				if hi < lo {
+					lo, hi = hi, lo
+				}
+				if want := core.SimilarityJoin(db.Row(lo), db.Row(hi), db.Norms[lo], db.Norms[hi]); math.Float64bits(got[i].Score) != math.Float64bits(want) {
+					t.Fatalf("%s k=%d pair %d scores %v, Algorithm 4 %v", tc.name, k, i, got[i].Score, want)
+				}
 			}
 		}
 	}
+}
+
+// pairsEpoch publishes db as a base, builds the base's tree, and
+// returns the epoch frozen after two writes the tree cannot see: a
+// lower-indexed user given a copy of a higher-indexed one's regions
+// whose MBR its own did not meet (grown, by external ID), and two
+// appended users with one footprint (added).
+func pairsEpoch(t *testing.T, rng *rand.Rand, db *store.FootprintDB) (epoch *store.FootprintDB, grown, added [2]int) {
+	t.Helper()
+	b := store.NewEpochBuilder(db)
+	base := b.Freeze()
+	base.UserTree()
+	lo, hi := -1, -1
+	for u := 0; u < base.Len() && lo < 0; u++ {
+		for v := u + 1; v < base.Len(); v++ {
+			if base.Norms[u] > 0 && base.Norms[v] > 0 && !base.MBRs[u].Intersects(base.MBRs[v]) {
+				lo, hi = u, v
+				break
+			}
+		}
+	}
+	if lo < 0 {
+		t.Fatal("no two users with disjoint MBRs")
+	}
+	b.AppendRoIs(base.IDs[lo], base.Row(hi))
+	f := clusteredFootprints(rng, 1, 12)[0]
+	b.Upsert(1_000_001, f)
+	b.Upsert(1_000_002, f)
+	epoch = b.Freeze()
+	if epoch.UserTree() != base.UserTree() {
+		t.Fatal("the epoch does not share its base's tree")
+	}
+	return epoch, [2]int{base.IDs[lo], base.IDs[hi]}, [2]int{1_000_001, 1_000_002}
+}
+
+// samePair matches a pair by its two external IDs.
+func samePair(ids [2]int) func(Pair) bool {
+	return func(p Pair) bool { return p.A == min(ids[0], ids[1]) && p.B == max(ids[0], ids[1]) }
 }
 
 func TestTopSimilarPairsWorkersAgree(t *testing.T) {
