@@ -152,10 +152,10 @@ func diffDBs(a, b *store.FootprintDB) error {
 		if a.IDs[u] != b.IDs[u] {
 			return fmt.Errorf("user %d: ID %d vs %d", u, a.IDs[u], b.IDs[u])
 		}
-		if a.Norms[u] != b.Norms[u] {
+		if a.Norm(u) != b.Norm(u) {
 			return fmt.Errorf("user %d: norm mismatch", u)
 		}
-		if a.MBRs[u] != b.MBRs[u] {
+		if a.MBR(u) != b.MBR(u) {
 			return fmt.Errorf("user %d: MBR mismatch", u)
 		}
 		fa, fb := a.Row(u), b.Row(u)

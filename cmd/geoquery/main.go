@@ -65,7 +65,7 @@ func main() {
 		if len(q) == 0 {
 			log.Fatalf("user %d has an empty footprint", *user)
 		}
-		label = fmt.Sprintf("user %d (norm %.6f)", *user, db.Norms[qi])
+		label = fmt.Sprintf("user %d (norm %.6f)", *user, db.Norm(qi))
 	}
 	if err := q.Validate(); err != nil {
 		log.Fatal(err)
@@ -115,7 +115,7 @@ func main() {
 			continue
 		}
 		ui, _ := db.IndexOf(r.ID)
-		ex := search.Explain(db.Row(ui), q, db.Norms[ui], qnorm, 3)
+		ex := search.Explain(db.Row(ui), q, db.Norm(ui), qnorm, 3)
 		for _, c := range ex.Contributions {
 			fmt.Printf("      %.0f%% from overlap %v (area %.6f)\n",
 				100*c.Share, c.Overlap, c.Overlap.Area())

@@ -47,9 +47,9 @@ func main() {
 	fmt.Printf("similarity(user %d, user %d):\n", db.IDs[0], db.IDs[1])
 	fmt.Printf("  one-pass sweep (Alg. 3 + norms): %.6f\n", geofootprint.Similarity(a, b))
 	fmt.Printf("  sweep w/ precomputed norms:      %.6f\n",
-		geofootprint.SimilaritySweep(a, b, db.Norms[0], db.Norms[1]))
+		geofootprint.SimilaritySweep(a, b, db.Norm(0), db.Norm(1)))
 	fmt.Printf("  join-based (Alg. 4):             %.6f\n",
-		geofootprint.SimilarityJoin(a, b, db.Norms[0], db.Norms[1]))
+		geofootprint.SimilarityJoin(a, b, db.Norm(0), db.Norm(1)))
 
 	// 4. Top-k similarity search with the user-centric index
 	//    (Section 6.2), the paper's fastest method.

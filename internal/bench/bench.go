@@ -164,18 +164,18 @@ func Table3(w *Workload, queries int, seed int64) Table3Row {
 	var sink float64
 	start := time.Now()
 	for _, qi := range qIdx {
-		q, qn := db.Row(qi), db.Norms[qi]
+		q, qn := db.Row(qi), db.Norm(qi)
 		for j := 0; j < n; j++ {
-			sink += core.SimilaritySweep(q, db.Row(j), qn, db.Norms[j])
+			sink += core.SimilaritySweep(q, db.Row(j), qn, db.Norm(j))
 		}
 	}
 	row.Alg3Micros = time.Since(start).Seconds() * 1e6 / float64(row.Pairs)
 
 	start = time.Now()
 	for _, qi := range qIdx {
-		q, qn := db.Row(qi), db.Norms[qi]
+		q, qn := db.Row(qi), db.Norm(qi)
 		for j := 0; j < n; j++ {
-			sink += core.SimilarityJoin(q, db.Row(j), qn, db.Norms[j])
+			sink += core.SimilarityJoin(q, db.Row(j), qn, db.Norm(j))
 		}
 	}
 	row.Alg4Micros = time.Since(start).Seconds() * 1e6 / float64(row.Pairs)
@@ -327,9 +327,9 @@ func MBRSensitivity(w *Workload, spreads []float64, queries, k int, seed int64) 
 		for _, q := range qs {
 			qmbr := q.MBR()
 			for u := 0; u < db.Len(); u++ {
-				if db.MBRs[u].Intersects(qmbr) && !db.MBRs[u].IsEmpty() {
+				if m := db.MBR(u); m.Intersects(qmbr) && !m.IsEmpty() {
 					refined++
-					if core.SimilarityJoin(db.Row(u), q, db.Norms[u], core.Norm(q)) > 0 {
+					if core.SimilarityJoin(db.Row(u), q, db.Norm(u), core.Norm(q)) > 0 {
 						relevant++
 					}
 				}

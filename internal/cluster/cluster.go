@@ -110,9 +110,9 @@ func DistanceMatrix(db *store.FootprintDB, idxs []int, workers int) *Matrix {
 	par.For(n, workers, 1, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fi := rows[i]
-			ni := db.Norms[idxs[i]]
+			ni := db.Norm(idxs[i])
 			for j := i + 1; j < n; j++ {
-				sim := core.SimilarityJoin(fi, rows[j], ni, db.Norms[idxs[j]])
+				sim := core.SimilarityJoin(fi, rows[j], ni, db.Norm(idxs[j]))
 				m.Set(i, j, 1-sim)
 			}
 		}

@@ -59,16 +59,27 @@ func ledgerSnapshot(b *testing.B) string {
 // last publish. The builder's base has published and built its R-tree
 // before the timer starts, as a serving process's has, and the rewritten
 // users stay the same ones, so the written set never grows past t.
+//
+// The appended rows time a whole publish of t ∈ {1, 16} new users —
+// their inserts, Freeze and NewView — since the writes are where a
+// publish that keeps an ID map per epoch pays for it. Every insert
+// joins the written set, so one publish in about rebuildAfter / t
+// starts a new base and pays its ID map and R-tree (≈ 3 in 200
+// iterations at t = 16).
 func BenchmarkPublish(b *testing.B) {
 	path := ledgerSnapshot(b)
+	open := func(b *testing.B) (*store.FootprintDB, *store.EpochBuilder) {
+		db, err := store.Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		builder := store.NewEpochBuilder(db)
+		NewView(builder.Freeze(), 0)
+		return db, builder
+	}
 	for _, touched := range []int{1, 16, 256} {
 		b.Run(fmt.Sprintf("touched=%d", touched), func(b *testing.B) {
-			db, err := store.Open(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			builder := store.NewEpochBuilder(db)
-			NewView(builder.Freeze(), 0)
+			db, builder := open(b)
 			users := rand.New(rand.NewSource(int64(touched))).Perm(db.Len())[:touched]
 			rows := make([]core.Footprint, touched)
 			for i, u := range users {
@@ -82,6 +93,26 @@ func BenchmarkPublish(b *testing.B) {
 					builder.Upsert(db.IDs[u], rows[j])
 				}
 				b.StartTimer()
+				NewView(builder.Freeze(), 0)
+			}
+		})
+	}
+	for _, appended := range []int{1, 16} {
+		b.Run(fmt.Sprintf("appended=%d", appended), func(b *testing.B) {
+			db, builder := open(b)
+			rng := rand.New(rand.NewSource(int64(appended)))
+			rows := make([]core.Footprint, appended)
+			for i := range rows {
+				rows[i] = db.Row(rng.Intn(db.Len()))
+			}
+			next := 1 << 40 // above every corpus ID
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, row := range rows {
+					builder.Upsert(next, row)
+					next++
+				}
 				NewView(builder.Freeze(), 0)
 			}
 		})

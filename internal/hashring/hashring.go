@@ -390,12 +390,12 @@ func (r *Ring) SegmentTable(R int) (*SegmentTable, error) {
 // table's R. The returned slices are shared — read-only.
 func (t *SegmentTable) Segments() [][]int { return t.segs }
 
-// Column returns, for every user in order, the position of the user's
-// replica tuple in Segments: one ring lookup per user and no walk.
-func (t *SegmentTable) Column(users []int) []uint16 {
-	col := make([]uint16, len(users))
-	for i, u := range users {
-		col[i] = t.ofPoint[t.ring.pointOf(u)]
+// AppendColumn appends to col, for every user in order, the position
+// of the user's replica tuple in Segments — one ring lookup per user and
+// no walk — and returns the extended slice.
+func (t *SegmentTable) AppendColumn(col []uint16, users []int) []uint16 {
+	for _, u := range users {
+		col = append(col, t.ofPoint[t.ring.pointOf(u)])
 	}
 	return col
 }

@@ -296,7 +296,7 @@ func TestSegmentTable(t *testing.T) {
 			t.Fatal(err)
 		}
 		segs := tab.Segments()
-		col := tab.Column(users)
+		col := tab.AppendColumn(nil, users)
 		for i, u := range users {
 			if want := r.SegmentID(r.ReplicaIndices(u, R)); r.SegmentID(segs[col[i]]) != want {
 				t.Fatalf("R=%d user %d: column says %q, walk says %q", R, u, r.SegmentID(segs[col[i]]), want)

@@ -3,6 +3,7 @@ package ingest
 import (
 	"bytes"
 	"context"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -182,12 +183,12 @@ func mustMatch(t *testing.T, got, want *store.FootprintDB) {
 		if !slices.Equal(got.Row(u), want.Row(u)) {
 			t.Fatalf("footprint of user %d differs", want.IDs[u])
 		}
-	}
-	if !reflect.DeepEqual(got.Norms, want.Norms) {
-		t.Fatal("norms differ")
-	}
-	if !reflect.DeepEqual(got.MBRs, want.MBRs) {
-		t.Fatal("MBRs differ")
+		if math.Float64bits(got.Norm(u)) != math.Float64bits(want.Norm(u)) {
+			t.Fatalf("norm of user %d differs", want.IDs[u])
+		}
+		if got.MBR(u) != want.MBR(u) {
+			t.Fatalf("MBR of user %d differs", want.IDs[u])
+		}
 	}
 	if got.SketchParams != want.SketchParams {
 		t.Fatal("sketch params differ")

@@ -16,9 +16,9 @@
 //   - sortedfootprint — PR 2's strictsort invariant: direct writes to
 //     FootprintDB's parallel slices outside internal/store.
 //   - footprintread   — the one row layout: reads of
-//     FootprintDB.Footprints outside internal/store, an export an
-//     opened or written database keeps nil; rows are read through
-//     Row/AppendRow/RowLen.
+//     FootprintDB.Footprints or FootprintDB.Norms outside
+//     internal/store, exports a written database keeps nil; rows and
+//     norms are read through Row/AppendRow/RowLen and Norm.
 //   - errdiscard      — dropped errors from Sync/Close and the WAL
 //     API on durability paths.
 //   - ctxcancel       — PR 5's cancellation contract: loops in

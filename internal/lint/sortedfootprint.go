@@ -8,7 +8,7 @@ import (
 
 // SortedFootprint makes the store invariants a compile-time report
 // instead of (only) a `-tags strictsort` runtime panic. FootprintDB's
-// parallel slices — IDs, Footprints, Norms, MBRs — and the per-user
+// parallel slices — IDs, Footprints, Norms — and the per-user
 // sketches its Sketch accessor returns are kept index-aligned,
 // MinX-sorted (Footprints) and norm/sketch-consistent by the store
 // mutation API (Upsert, AppendRoIs, Remove, ComputeNorms). A direct
@@ -36,7 +36,6 @@ var dbSliceFields = map[string]bool{
 	"IDs":        true,
 	"Footprints": true,
 	"Norms":      true,
-	"MBRs":       true,
 }
 
 // dbRowAccessors are the FootprintDB methods that return a pointer into

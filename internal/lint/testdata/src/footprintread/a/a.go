@@ -1,7 +1,7 @@
 // Package a is the footprintread fixture: reads of
-// store.FootprintDB.Footprints from outside internal/store are
-// flagged; the row accessors, the other parallel slices and writes
-// (sortedfootprint's to report) are not.
+// store.FootprintDB.Footprints and store.FootprintDB.Norms from outside
+// internal/store are flagged; the row and norm accessors, IDs and
+// writes (sortedfootprint's to report) are not.
 package a
 
 import (
@@ -22,6 +22,15 @@ func Direct(db *store.FootprintDB) int {
 	return n + len(all)
 }
 
+// Norms reads see nothing on a written database.
+func Norms(db *store.FootprintDB) float64 {
+	total := db.Norms[0] // want `read of FootprintDB.Norms outside its defining package: a written database keeps it nil; use Norm`
+	for _, n := range db.Norms { // want `read of FootprintDB.Norms`
+		total += n
+	}
+	return total + float64(len(db.Norms)) // want `read of FootprintDB.Norms`
+}
+
 // PassedOn hands the field to a callee: still a read.
 func PassedOn(db *store.FootprintDB) core.Footprint {
 	return first(db.Footprints) // want `read of FootprintDB.Footprints`
@@ -36,14 +45,18 @@ func Accessors(db *store.FootprintDB) int {
 	for u := range db.IDs {
 		buf = db.AppendRow(buf[:0], u)
 		n += len(buf) + db.RowLen(u) + len(db.Row(u))
+		if db.Norm(u) > 0 && !db.MBR(u).IsEmpty() {
+			n++
+		}
 	}
-	return n + len(db.Norms)
+	return n
 }
 
 // Writes are sortedfootprint's findings, not this analyzer's.
 func Writes(db *store.FootprintDB, f core.Footprint) {
 	db.Footprints[0] = f
 	db.Footprints = append(db.Footprints, f)
+	db.Norms[0] = 1
 }
 
 // Suppressed: a justified ignore is honoured.

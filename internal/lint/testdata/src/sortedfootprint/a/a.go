@@ -5,7 +5,6 @@ package a
 
 import (
 	"geofootprint/internal/core"
-	"geofootprint/internal/geom"
 	"geofootprint/internal/store"
 )
 
@@ -17,7 +16,6 @@ func Clobber(db *store.FootprintDB, f core.Footprint) {
 	db.Footprints[0][0].Weight = 2             // want `direct write to FootprintDB.Footprints`
 	db.Norms[0] = 1                            // want `direct write to FootprintDB.Norms`
 	db.Norms[0]++                              // want `direct write to FootprintDB.Norms`
-	db.MBRs[0] = geom.Rect{}                   // want `direct write to FootprintDB.MBRs`
 	db.IDs = nil                               // want `direct write to FootprintDB.IDs`
 	db.Sketch(0).Cells[0] = 1                  // want `direct write to FootprintDB.Sketch`
 	db.Sketch(0).Root = nil                    // want `direct write to FootprintDB.Sketch`
@@ -27,7 +25,7 @@ func Clobber(db *store.FootprintDB, f core.Footprint) {
 func ReadOnly(db *store.FootprintDB) (float64, int) {
 	var total float64
 	for i := range db.Footprints {
-		total += db.Norms[i]
+		total += db.Norms[i] + db.Norm(i) + db.MBR(i).MaxX
 	}
 	f := db.Footprints[0] // copying the slice header for reading is fine
 	return total + float64(db.Sketch(0).Root[0]), len(f)

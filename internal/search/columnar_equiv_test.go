@@ -177,7 +177,7 @@ func rowScan(db *store.FootprintDB, q core.Footprint, k int) []Result {
 	col := topk.New(k)
 	qn := core.Norm(q)
 	for u := range db.IDs {
-		if sim := core.SimilarityJoin(db.Row(u), q, db.Norms[u], qn); sim > 0 {
+		if sim := core.SimilarityJoin(db.Row(u), q, db.Norm(u), qn); sim > 0 {
 			col.Offer(db.IDs[u], sim)
 		}
 	}

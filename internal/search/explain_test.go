@@ -15,8 +15,8 @@ func TestExplainMatchesSimilarity(t *testing.T) {
 		u := rng.Intn(db.Len())
 		q := db.Footprints[rng.Intn(db.Len())]
 		qn := core.Norm(q)
-		want := core.SimilarityJoin(db.Footprints[u], q, db.Norms[u], qn)
-		ex := Explain(db.Footprints[u], q, db.Norms[u], qn, 0)
+		want := core.SimilarityJoin(db.Footprints[u], q, db.Norm(u), qn)
+		ex := Explain(db.Footprints[u], q, db.Norm(u), qn, 0)
 		if math.Abs(ex.Similarity-want) > 1e-9 {
 			t.Fatalf("trial %d: explained %v, similarity %v", trial, ex.Similarity, want)
 		}
@@ -51,11 +51,11 @@ func TestExplainTruncation(t *testing.T) {
 	db := testDB(t, rng, 20)
 	q := db.Footprints[0]
 	qn := core.Norm(q)
-	full := Explain(db.Footprints[0], q, db.Norms[0], qn, 0)
+	full := Explain(db.Footprints[0], q, db.Norm(0), qn, 0)
 	if len(full.Contributions) < 2 {
 		t.Skip("self-explanation too small to truncate")
 	}
-	top := Explain(db.Footprints[0], q, db.Norms[0], qn, 1)
+	top := Explain(db.Footprints[0], q, db.Norm(0), qn, 1)
 	if len(top.Contributions) != 1 {
 		t.Fatalf("truncated to %d", len(top.Contributions))
 	}

@@ -22,7 +22,7 @@ func KNNGraph(ix *UserCentricIndex, k, workers int) [][]Result {
 	}
 	par.For(n, workers, 1, func(_, lo, hi int) {
 		for u := lo; u < hi; u++ {
-			if db.Norms[u] != 0 {
+			if db.Norm(u) != 0 {
 				out[u] = neighboursOf(ix, u, k)
 			}
 		}

@@ -15,7 +15,7 @@ func TestKNNGraph(t *testing.T) {
 	}
 	lin := NewLinearScan(db)
 	for u, row := range g {
-		if db.Norms[u] == 0 {
+		if db.Norm(u) == 0 {
 			if row != nil {
 				t.Fatalf("zero-norm user %d has neighbours", u)
 			}

@@ -74,7 +74,7 @@ func TestAppendRoIsKeepsSorted(t *testing.T) {
 		t.Errorf("footprint not sorted after AppendRoIs: %+v", f)
 	}
 	// Norm refreshed.
-	if got, want := db.Norms[0], core.Norm(f); got != want {
+	if got, want := db.Norm(0), core.Norm(f); got != want {
 		t.Errorf("norm stale after AppendRoIs: %v vs %v", got, want)
 	}
 }

@@ -89,15 +89,15 @@ func TopSimilarPairs(ctx context.Context, ix *UserCentricIndex, k, workers int) 
 		var near []int
 		joins := 0
 		for u := lo; u < hi && ctx.Err() == nil; u++ {
-			if db.Norms[u] == 0 {
+			if db.Norm(u) == 0 {
 				continue
 			}
 			// Each unordered pair {v, u}, v < u, is scored once, here,
 			// with the lower index in the R role: stored row v against
 			// u's row as the query.
 			fu = db.AppendRow(fu[:0], u)
-			nu := db.Norms[u]
-			near = ix.Candidates(db.MBRs[u], near[:0])
+			nu := db.Norm(u)
+			near = ix.Candidates(db.MBR(u), near[:0])
 			for _, v := range near {
 				if v >= u {
 					continue

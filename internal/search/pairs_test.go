@@ -116,7 +116,7 @@ func TestTopSimilarPairsMatchesBruteForce(t *testing.T) {
 				if hi < lo {
 					lo, hi = hi, lo
 				}
-				if want := core.SimilarityJoin(db.Row(lo), db.Row(hi), db.Norms[lo], db.Norms[hi]); math.Float64bits(got[i].Score) != math.Float64bits(want) {
+				if want := core.SimilarityJoin(db.Row(lo), db.Row(hi), db.Norm(lo), db.Norm(hi)); math.Float64bits(got[i].Score) != math.Float64bits(want) {
 					t.Fatalf("%s k=%d pair %d scores %v, Algorithm 4 %v", tc.name, k, i, got[i].Score, want)
 				}
 			}
@@ -137,7 +137,7 @@ func pairsEpoch(t *testing.T, rng *rand.Rand, db *store.FootprintDB) (epoch *sto
 	lo, hi := -1, -1
 	for u := 0; u < base.Len() && lo < 0; u++ {
 		for v := u + 1; v < base.Len(); v++ {
-			if base.Norms[u] > 0 && base.Norms[v] > 0 && !base.MBRs[u].Intersects(base.MBRs[v]) {
+			if base.Norm(u) > 0 && base.Norm(v) > 0 && !base.MBR(u).Intersects(base.MBR(v)) {
 				lo, hi = u, v
 				break
 			}

@@ -110,7 +110,7 @@ func TestBoundSidesIdentical(t *testing.T) {
 							t.Fatalf("%s/%s query %d restriction %d: bound %d is %+v by gather, %+v by postings", backing, name, qi, ri, i, gather[i], walk[i])
 						}
 						u := gather[i].User
-						if ref := sketch.UpperBound(ready.UserSketchDot(u, &qsk), ready.Norms[u], qnorm); math.Float64bits(ref) != math.Float64bits(gather[i].Bound) {
+						if ref := sketch.UpperBound(ready.UserSketchDot(u, &qsk), ready.Norm(u), qnorm); math.Float64bits(ref) != math.Float64bits(gather[i].Bound) {
 							t.Fatalf("%s/%s query %d restriction %d: user %d bound %v, the reference gives %v", backing, name, qi, ri, u, gather[i].Bound, ref)
 						}
 					}

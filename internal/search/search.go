@@ -192,15 +192,15 @@ func NewUserCentricIndex(db *store.FootprintDB, mode BuildMode, maxEntries int) 
 	switch mode {
 	case BuildInsert:
 		ix.tree = rtree.New(maxEntries)
-		for u, m := range db.MBRs {
-			if !m.IsEmpty() {
+		for u := range db.Len() {
+			if m := db.MBR(u); !m.IsEmpty() {
 				ix.tree.Insert(m, int64(u))
 			}
 		}
 	default:
 		entries := make([]rtree.Entry, 0, db.Len())
-		for u, m := range db.MBRs {
-			if !m.IsEmpty() {
+		for u := range db.Len() {
+			if m := db.MBR(u); !m.IsEmpty() {
 				entries = append(entries, rtree.Entry{Rect: m, Data: int64(u)})
 			}
 		}
@@ -243,7 +243,7 @@ func (ix *UserCentricIndex) Candidates(qmbr geom.Rect, buf []int) []int {
 	buf = stale.AppendTo(buf, ix.db.Len())
 	kept := buf[:n]
 	for _, u := range buf[n:] {
-		if ix.db.MBRs[u].Intersects(qmbr) {
+		if ix.db.MBR(u).Intersects(qmbr) {
 			kept = append(kept, u)
 		}
 	}

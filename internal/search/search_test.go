@@ -144,7 +144,7 @@ func TestSelfQueryRanksFirst(t *testing.T) {
 	uc := NewUserCentricIndex(db, BuildSTR, 0)
 	for trial := 0; trial < 10; trial++ {
 		u := rng.Intn(db.Len())
-		if db.Norms[u] == 0 {
+		if db.Norm(u) == 0 {
 			continue
 		}
 		got := uc.TopK(db.Footprints[u], 3)

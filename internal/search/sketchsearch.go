@@ -170,7 +170,7 @@ func boundByGather(ctx context.Context, db *store.FootprintDB, cands []int, qsk 
 				return nil, err
 			}
 		}
-		if b := sketch.UpperBound(sketch.DotDense(db.Sketch(u), dense), db.Norms[u], qnorm); b > 0 {
+		if b := sketch.UpperBound(sketch.DotDense(db.Sketch(u), dense), db.Norm(u), qnorm); b > 0 {
 			buf = append(buf, SketchCandidate{User: u, Bound: b})
 		}
 	}
@@ -180,9 +180,10 @@ func boundByGather(ctx context.Context, db *store.FootprintDB, cands []int, qsk 
 // boundByPostings accumulates the query's bound sum against every
 // user sharing a cell with it into a pooled per-user accumulator
 // (sketch.Postings.Accumulate) and reads the candidates' entries off
-// it, in candidate order — but for the candidates the transpose is
-// stale for (store.Transpose.Stale), whose stored sketches it gathers
-// (sketch.DotDense) instead. The accumulator goes back to the pool only
+// it, with their norms off the transpose, in candidate order — but for
+// the candidates the transpose is stale for (store.Transpose.Stale),
+// whose stored sketches it gathers (sketch.DotDense) and whose stored
+// norms it reads instead. The accumulator goes back to the pool only
 // once it is all +0 again, on the cancelled path too; a panic between
 // the two walks leaves it to the collector instead.
 //
@@ -205,11 +206,13 @@ func boundByPostings(ctx context.Context, db *store.FootprintDB, t *store.Transp
 				break
 			}
 		}
-		dot := acc.sum[u]
+		var dot, norm float64
 		if stale.Has(u) {
-			dot = sketch.DotDense(db.Sketch(u), dense)
+			dot, norm = sketch.DotDense(db.Sketch(u), dense), db.Norm(u)
+		} else {
+			dot, norm = acc.sum[u], t.Norm(u)
 		}
-		if b := sketch.UpperBound(dot, db.Norms[u], qnorm); b > 0 {
+		if b := sketch.UpperBound(dot, norm, qnorm); b > 0 {
 			buf = append(buf, SketchCandidate{User: u, Bound: b})
 		}
 	}

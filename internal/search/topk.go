@@ -106,12 +106,12 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 const AdHoc = -1
 
 // queryNorm is q's norm: the stored one when q is db's row `row`
-// (db.Norms[row] is core.Norm(db.Row(row)), bit for bit).
+// (db.Norm(row) is core.Norm(db.Row(row)), bit for bit).
 func queryNorm(db *store.FootprintDB, q core.Footprint, row int) float64 {
 	if row == AdHoc {
 		return core.Norm(q)
 	}
-	return db.Norms[row]
+	return db.Norm(row)
 }
 
 // TopK returns the k users of db most similar to q among those src

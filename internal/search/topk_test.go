@@ -120,13 +120,13 @@ func TestSelfBoundsDominateOnLedgerCorpus(t *testing.T) {
 	db := ledgerCorpus(t)
 	violations := 0
 	for u := range db.IDs {
-		if db.Norms[u] == 0 {
+		if db.Norm(u) == 0 {
 			continue
 		}
 		f := db.Footprints[u]
 		qsk := sketch.Build(f, db.SketchParams)
-		bound := sketch.UpperBound(db.UserSketchDot(u, &qsk), db.Norms[u], db.Norms[u])
-		if sim := db.UserSimilarity(u, f, db.Norms[u]); bound < sim {
+		bound := sketch.UpperBound(db.UserSketchDot(u, &qsk), db.Norm(u), db.Norm(u))
+		if sim := db.UserSimilarity(u, f, db.Norm(u)); bound < sim {
 			if violations++; violations <= 3 {
 				t.Errorf("user %d: self bound %.17g below the self-similarity %.17g", db.IDs[u], bound, sim)
 			}

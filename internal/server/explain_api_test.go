@@ -29,7 +29,7 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 	ia, _ := db.IndexOf(100)
 	ib, _ := db.IndexOf(101)
-	want := core.SimilarityJoin(db.Footprints[ia], db.Footprints[ib], db.Norms[ia], db.Norms[ib])
+	want := core.SimilarityJoin(db.Footprints[ia], db.Footprints[ib], db.Norm(ia), db.Norm(ib))
 	if got := obj["similarity"].(float64); math.Abs(got-want) > 1e-9 {
 		t.Errorf("similarity %v, want %v", got, want)
 	}

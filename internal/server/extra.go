@@ -58,7 +58,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ex := search.Explain(db.Row(ia), db.Row(ib),
-		db.Norms[ia], db.Norms[ib], pairs)
+		db.Norm(ia), db.Norm(ib), pairs)
 	out := explanationJSON{
 		Similarity:    ex.Similarity,
 		PairsExamined: ex.PairsExamined,
@@ -119,7 +119,7 @@ func (s *Server) handleListUsers(w http.ResponseWriter, r *http.Request) {
 		out.Users = append(out.Users, userSummaryJSON{
 			ID:      db.IDs[i],
 			Regions: n,
-			Norm:    db.Norms[i],
+			Norm:    db.Norm(i),
 		})
 	}
 	if i < db.Len() {

@@ -50,8 +50,8 @@ type serverSink struct {
 // its base), publishes it with one pointer swap, and invalidates the
 // result cache. Building the view here — on the write path — is what
 // keeps the query path from constructing or locking anything; the
-// freeze and the view cost O(users) word copies and no index build
-// unless the epoch starts a new base.
+// freeze copies the chunk spine and what the batch wrote, and the view
+// builds no index unless the epoch starts a new base.
 func (k serverSink) ApplyBatch(updates []ingest.UserRoIs) {
 	s := k.s
 	s.mu.Lock()
@@ -60,7 +60,7 @@ func (k serverSink) ApplyBatch(updates []ingest.UserRoIs) {
 		u.ApplyTo(s.builder, k.weighting)
 	}
 	db := s.builder.Freeze()
-	ep := s.epochs.Publish(db, &epochView{View: engine.NewView(db, 0)})
+	ep := s.epochs.Publish(db, engine.NewView(db, 0))
 	if s.cache != nil {
 		s.cache.Purge(ep.Seq())
 	}

@@ -18,10 +18,10 @@
 //
 // Membership is a column, not a per-query computation: the ring's
 // segment list is sorted, so the tuples starting with the members a leg
-// names are a contiguous range of positions [lo, hi), and each epoch
-// keeps, per ring, the position of every user's tuple. A segment query
-// is then the ordinary query — any method, the result cache — with
-// one range test per candidate (search.Restrict).
+// names are a contiguous range of positions [lo, hi), and the server
+// keeps, for the ring last asked for, the position of every user's
+// tuple. A segment query is then the ordinary query — any method, the
+// result cache — with one range test per candidate (search.Restrict).
 package server
 
 import (
@@ -31,6 +31,7 @@ import (
 	"strings"
 	"sync"
 
+	"geofootprint/internal/engine"
 	"geofootprint/internal/hashring"
 	"geofootprint/internal/search"
 )
@@ -57,57 +58,52 @@ type segmentJSON struct {
 // errBadSegment marks segment validation failures (client errors).
 var errBadSegment = errors.New("bad segment")
 
-// segTableCache memoises the segment table of the rebuilt ring: every
-// sub-query from the same router carries the same shard list and R, so
-// one entry suffices and a changed map (rolling restart) simply
-// replaces it.
+// segTableCache memoises the segment table of the rebuilt ring and
+// its column, the segment position of every user: every sub-query from
+// the same router carries the same shard list and R, so one entry
+// suffices and a changed map (rolling restart) simply replaces it.
+//
+// A user's position depends only on its ID, and the server's IDs are
+// append-only — every epoch's are a prefix of the builder's — so one
+// column serves every epoch: an epoch reads its first Len() entries,
+// and the first segment query of an epoch with more users extends the
+// column by the users appended since, one ring lookup each. The entries
+// an epoch reads are never written again.
 type segTableCache struct {
 	mu    sync.Mutex
 	key   string
 	table *hashring.SegmentTable
+	col   []uint16
 }
 
-func (c *segTableCache) get(key string, seg *segmentJSON) (*hashring.SegmentTable, error) {
+// get returns the table for key and the segment positions of ids, an
+// epoch's IDs, under it.
+func (c *segTableCache) get(key string, seg *segmentJSON, ids []int) (*hashring.SegmentTable, []uint16, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.key == key && c.table != nil {
-		return c.table, nil
+	if c.key != key || c.table == nil {
+		ring, err := hashring.RingFromIDs(seg.Shards, seg.Vnodes)
+		if err != nil {
+			return nil, nil, err
+		}
+		table, err := ring.SegmentTable(seg.R)
+		if err != nil {
+			return nil, nil, err
+		}
+		// Room for a quarter more users before the first regrow.
+		c.key, c.table, c.col = key, table, make([]uint16, 0, len(ids)+len(ids)/4)
 	}
-	ring, err := hashring.RingFromIDs(seg.Shards, seg.Vnodes)
-	if err != nil {
-		return nil, err
+	if n := len(c.col); n < len(ids) {
+		c.col = c.table.AppendColumn(c.col, ids[n:])
 	}
-	table, err := ring.SegmentTable(seg.R)
-	if err != nil {
-		return nil, err
-	}
-	c.key, c.table = key, table
-	return table, nil
-}
-
-// segColumn is an epoch's memo of its users' segment positions under
-// the table last asked for. It hangs off the epochView, so it is built
-// on the first segment query of an epoch and dies with the epoch.
-type segColumn struct {
-	mu    sync.Mutex
-	table *hashring.SegmentTable
-	of    []uint16
-}
-
-func (v *epochView) segOf(table *hashring.SegmentTable) []uint16 {
-	v.seg.mu.Lock()
-	defer v.seg.mu.Unlock()
-	if v.seg.table != table {
-		v.seg.of, v.seg.table = table.Column(v.DB().IDs), table
-	}
-	return v.seg.of
+	return c.table, c.col[:len(ids):len(ids)], nil
 }
 
 // restrict turns a wire segment into the engine's restriction over v's
 // users. Errors wrap errBadSegment. A segment the router and the shard
 // could read differently is refused rather than answered: an empty
 // answer would merge as a complete one.
-func (s *Server) restrict(v *epochView, seg *segmentJSON) (*search.Restrict, error) {
+func (s *Server) restrict(v *engine.View, seg *segmentJSON) (*search.Restrict, error) {
 	if seg.R < 1 || seg.R > len(seg.Shards) {
 		return nil, fmt.Errorf("%w: r must be in [1,%d] (the shard count), got %d", errBadSegment, len(seg.Shards), seg.R)
 	}
@@ -133,10 +129,10 @@ func (s *Server) restrict(v *epochView, seg *segmentJSON) (*search.Restrict, err
 		}
 	}
 	key := strconv.Itoa(seg.Vnodes) + "|" + strconv.Itoa(seg.R) + "|" + strings.Join(seg.Shards, "\x00")
-	table, err := s.segTables.get(key, seg)
+	table, col, err := s.segTables.get(key, seg, v.DB().IDs)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errBadSegment, err)
 	}
 	lo, hi := table.PrefixRange(prefix)
-	return &search.Restrict{Partition: key, SegOf: v.segOf(table), Lo: uint16(lo), Hi: uint16(hi)}, nil
+	return &search.Restrict{Partition: key, SegOf: col, Lo: uint16(lo), Hi: uint16(hi)}, nil
 }

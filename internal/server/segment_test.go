@@ -405,41 +405,42 @@ func TestSegmentQueryCached(t *testing.T) {
 	}
 }
 
-// The segment column is built once per (epoch, ring, R): later segment
-// queries on the same epoch reuse it, and a publish or a changed shard
-// list (rolling map change) rebuilds it — the rebuilt column placing a
-// user added in between.
+// The segment column is built once per (ring, R) and shared by every
+// epoch: later segment queries reuse it, a publish that appends a user
+// extends it by that user alone — the new epoch's column shares its
+// prefix with the old one's, which keeps its values — and a changed
+// shard list (rolling map change) rebuilds it.
 func TestSegmentColumnMemoised(t *testing.T) {
 	db := testCorpus(t)
 	s := New(db)
 	shardIDs := []string{"s0", "s1", "s2"}
 	seg := &segmentJSON{Shards: shardIDs, R: 2, Members: []string{"s0"}}
-	// column returns the current epoch's memo: the table it was built
-	// for and the column itself.
+	// column returns the server's memo: the table it was built for and
+	// the column itself.
 	column := func() (*hashring.SegmentTable, []uint16) {
-		v, _ := s.acquire()
-		v.seg.mu.Lock()
-		defer v.seg.mu.Unlock()
-		return v.seg.table, v.seg.of
+		s.segTables.mu.Lock()
+		defer s.segTables.mu.Unlock()
+		return s.segTables.table, s.segTables.col
 	}
 
 	if code, body := segPost(t, s, seg, "", 5); code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
 	table, col := column()
-	if table == nil || table != s.segTables.table || len(col) != db.Len() {
-		t.Fatalf("first segment query: a column of %d users (want %d), built for the served table: %v",
-			len(col), db.Len(), table != nil && table == s.segTables.table)
+	if table == nil || len(col) != db.Len() {
+		t.Fatalf("first segment query: a column of %d users (want %d), built for a table: %v",
+			len(col), db.Len(), table != nil)
 	}
 	for _, members := range [][]string{{"s0"}, {"s1"}, {"s2", "s0"}} {
 		segPost(t, s, &segmentJSON{Shards: shardIDs, R: 2, Members: members}, "linear", 5)
 	}
-	if again, c := column(); again != table || &c[0] != &col[0] {
+	if again, c := column(); again != table || len(c) != len(col) || &c[0] != &col[0] {
 		t.Fatal("later segment queries on the same epoch rebuilt the column")
 	}
+	before := slices.Clone(col)
 
-	// A publish: the new epoch's column includes the new user, in the
-	// one segment its tuple names.
+	// A publish: the new epoch's column extends the old one by the new
+	// user, in the one segment its tuple names.
 	const newID = 424242
 	if rec, _ := do(t, s.Handler(), "PUT", "/v1/users/424242", segTestRegions); rec.Code != http.StatusOK {
 		t.Fatalf("PUT status %d", rec.Code)
@@ -459,9 +460,12 @@ func TestSegmentColumnMemoised(t *testing.T) {
 		}
 	}
 	published, pcol := column()
-	if found != 1 || published != table || len(pcol) != len(col)+1 || &pcol[0] == &col[0] {
-		t.Fatalf("after a publish: found in %d segments, a column of %d users (want 1 and %d), same table %v, new column %v",
-			found, len(pcol), len(col)+1, published == table, &pcol[0] != &col[0])
+	if found != 1 || published != table || len(pcol) != len(col)+1 || &pcol[0] != &col[0] {
+		t.Fatalf("after a publish: found in %d segments, a column of %d users (want 1 and %d), same table %v, prefix shared %v",
+			found, len(pcol), len(col)+1, published == table, &pcol[0] == &col[0])
+	}
+	if !slices.Equal(col, before) || !slices.Equal(pcol[:len(col)], before) {
+		t.Fatal("extending the column changed the entries an earlier epoch reads")
 	}
 	v, _ := s.acquire()
 	if u, ok := v.DB().IndexOf(newID); !ok || !slices.Equal(table.Segments()[pcol[u]], owner) {
@@ -473,7 +477,7 @@ func TestSegmentColumnMemoised(t *testing.T) {
 	if code, body := segPost(t, s, seg4, "", 5); code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
-	if changed, c := column(); changed == table || changed != s.segTables.table || &c[0] == &pcol[0] {
+	if changed, c := column(); changed == table || len(c) != len(pcol) || &c[0] == &pcol[0] {
 		t.Fatal("changed shard list: table reused or column not rebuilt")
 	}
 }

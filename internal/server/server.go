@@ -104,15 +104,6 @@ type Server struct {
 // before the listener starts (the field is read without a lock).
 func (s *Server) SetSnapshotError(err error) { s.snapErr = err }
 
-// epochView is the aux value attached to every published epoch: the
-// prebuilt index/engine view. Immutable after publish (but for the
-// segment column memo, which has its own lock), shared lock-free by
-// all queries reading the epoch.
-type epochView struct {
-	*engine.View
-	seg segColumn // users' ring-segment positions, built on demand (segment.go)
-}
-
 // New builds a server over db with default overload options (no
 // admission gate, default deadline cap, no result cache). The sketch
 // layer is enabled up front — before the first epoch freezes — so
@@ -162,9 +153,9 @@ func NewWithOptions(db *store.FootprintDB, opts Options) *Server {
 // acquire loads the current epoch for one request: its view, and its
 // sequence number, which keys the result cache. One atomic load, the
 // only synchronisation on the query hot path.
-func (s *Server) acquire() (*epochView, uint64) {
+func (s *Server) acquire() (*engine.View, uint64) {
 	ep := s.epochs.Acquire()
-	return ep.Aux().(*epochView), ep.Seq()
+	return ep.Aux().(*engine.View), ep.Seq()
 }
 
 // EpochStats returns the serving plane's epoch counters.
@@ -347,11 +338,11 @@ func (s *Server) handleGetUser(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown user %d", id)
 		return
 	}
-	m := db.MBRs[i]
+	m := db.MBR(i)
 	writeJSON(w, http.StatusOK, userJSON{
 		ID:      id,
 		Regions: fromFootprint(db.Row(i)),
-		Norm:    db.Norms[i],
+		Norm:    db.Norm(i),
 		MBR:     [4]float64{m.MinX, m.MinY, m.MaxX, m.MaxY},
 	})
 }
@@ -482,7 +473,7 @@ func (s *Server) handlePairwise(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown user")
 		return
 	}
-	sim := db.UserSimilarity(ia, db.Row(ib), db.Norms[ib])
+	sim := db.UserSimilarity(ia, db.Row(ib), db.Norm(ib))
 	writeJSON(w, http.StatusOK, map[string]float64{"similarity": sim})
 }
 

@@ -124,7 +124,7 @@ func TestPairwise(t *testing.T) {
 	}
 	ia, _ := db.IndexOf(100)
 	ib, _ := db.IndexOf(101)
-	want := core.SimilarityJoin(db.Footprints[ia], db.Footprints[ib], db.Norms[ia], db.Norms[ib])
+	want := core.SimilarityJoin(db.Footprints[ia], db.Footprints[ib], db.Norm(ia), db.Norm(ib))
 	if got := obj["similarity"].(float64); got != want {
 		t.Errorf("similarity = %v, want %v", got, want)
 	}

@@ -150,8 +150,8 @@ func (db *FootprintDB) UserTree() *UserTree {
 	b := db.indexes()
 	b.treeOnce.Do(func() {
 		entries := make([]rtree.Entry, 0, b.users)
-		for u, m := range db.MBRs[:b.users] {
-			if !m.IsEmpty() {
+		for u := range b.users {
+			if m := db.MBR(u); !m.IsEmpty() {
 				entries = append(entries, rtree.Entry{Rect: m, Data: int64(u)})
 			}
 		}

@@ -19,13 +19,11 @@ import (
 // flags columnar encodes anywhere else on a persistence path), and the
 // load paths and their error classification.
 //
-// An opened database's chunks alias the snapshot's region columns and
-// cell blocks, its Norms alias the snapshot's too, and
-// db.colSrc pins the snapshot (and its mmap, when the load was
-// zero-copy) for the database's lifetime; it is copied to every Freeze
-// snapshot. A write never writes into the region columns (chunks.go);
-// its in-place Norms write lands on the mapping's private copy-on-write
-// pages, never in the file.
+// An opened database's chunks alias the snapshot's region columns,
+// norm column and cell blocks, and db.colSrc pins the snapshot (and its
+// mmap, when the load was zero-copy) for the database's lifetime; it is
+// copied to every Freeze snapshot. A write never writes into the
+// mapping: it copies the chunk it touches (chunks.go).
 
 // ErrCorruptSnapshot marks a snapshot file that exists but cannot be
 // trusted — no columnar magic, failed CRC, truncation, impossible
@@ -45,20 +43,25 @@ func corruptSnapshot(path string, err error) error {
 // over as they are. meta is an opaque blob stored in the file's
 // CRC-guarded meta section (nil for none); the ingest checkpoint keeps
 // its sequence number and open sessions there. The snapshot aliases
-// db.Norms, the region columns and the sketch payloads; it is valid
-// only while db is unmutated (encode immediately, as Save and the
-// checkpoint do).
+// the region columns and the sketch payloads; it is valid only while db
+// is unmutated (encode immediately, as Save and the checkpoint do).
 func (db *FootprintDB) Columnar(meta []byte) *colstore.Snapshot {
 	users := db.Len()
 	snap := &colstore.Snapshot{
 		Name:  db.Name,
 		Meta:  meta,
 		IDs:   make([]int64, users),
-		Norms: db.Norms,
+		Norms: make([]float64, users),
 		MBRs:  make([]float64, 4*users),
 	}
 	for u, id := range db.IDs {
+		m := db.MBR(u)
 		snap.IDs[u] = int64(id)
+		snap.Norms[u] = db.Norm(u)
+		snap.MBRs[4*u+0] = m.MinX
+		snap.MBRs[4*u+1] = m.MinY
+		snap.MBRs[4*u+2] = m.MaxX
+		snap.MBRs[4*u+3] = m.MaxY
 	}
 	if s := db.colSrc; db.mapped {
 		snap.Starts, snap.MinX, snap.MinY, snap.MaxX, snap.MaxY, snap.Weight =
@@ -71,14 +74,6 @@ func (db *FootprintDB) Columnar(meta []byte) *colstore.Snapshot {
 		r := &all.regions
 		snap.Starts, snap.MinX, snap.MinY, snap.MaxX, snap.MaxY, snap.Weight =
 			all.starts, r.MinX, r.MinY, r.MaxX, r.MaxY, r.W
-	}
-	if len(db.MBRs) == users {
-		for u, m := range db.MBRs {
-			snap.MBRs[4*u+0] = m.MinX
-			snap.MBRs[4*u+1] = m.MinY
-			snap.MBRs[4*u+2] = m.MaxX
-			snap.MBRs[4*u+3] = m.MaxY
-		}
 	}
 	if db.SketchesEnabled() {
 		cells := 0
@@ -107,12 +102,13 @@ func (db *FootprintDB) Columnar(meta []byte) *colstore.Snapshot {
 }
 
 // FromColumnar builds an opened FootprintDB over a decoded columnar
-// snapshot, copying no region: its chunks alias the region columns,
-// subslice the starts and hold per-user sketch slices of the cell
-// blocks, and Norms aliases the snapshot's column (all of them
-// therefore the mmap on the zero-copy path),
-// and Footprints stays nil. Only IDs and MBRs — O(users) — are
-// converted, and the spine holds one pointer per chunkUsers users. A snapshot from a version-1 file
+// snapshot, copying no region and no norm: its chunks alias the region
+// columns, subslice the starts and the norm column, and hold per-user
+// sketch slices of the cell blocks (all of them therefore the mmap on
+// the zero-copy path); the Norms export is the norm column, and
+// Footprints stays nil. Only IDs and MBRs — O(users) — are converted,
+// the MBRs once into one array the chunks subslice, and the spine holds
+// one pointer per chunkUsers users. A snapshot from a version-1 file
 // has no peak block; it is derived once here, in parallel, from the
 // stored rows (sketch.FillPeak, the function Build uses), so its bits
 // are those a version-2 file would hold.
@@ -122,24 +118,26 @@ func FromColumnar(snap *colstore.Snapshot) (*FootprintDB, error) {
 		Name:   snap.Name,
 		IDs:    make([]int, users),
 		Norms:  snap.Norms,
-		MBRs:   make([]geom.Rect, users),
 		colSrc: snap,
 		mapped: true,
 	}
-	cols := core.RegionCols{MinX: snap.MinX, MinY: snap.MinY, MaxX: snap.MaxX, MaxY: snap.MaxY, W: snap.Weight}
-	for lo := 0; lo < users; lo += chunkUsers {
-		hi := min(lo+chunkUsers, users) + 1
-		db.chunks = append(db.chunks, &chunk{regions: cols, starts: snap.Starts[lo:hi:hi]})
-	}
+	mbrs := make([]geom.Rect, users)
 	for u := range db.IDs {
 		db.IDs[u] = int(snap.IDs[u])
-		db.MBRs[u] = geom.Rect{
+		mbrs[u] = geom.Rect{
 			MinX: snap.MBRs[4*u+0], MinY: snap.MBRs[4*u+1],
 			MaxX: snap.MBRs[4*u+2], MaxY: snap.MBRs[4*u+3],
 		}
 	}
-	if db.Norms == nil {
-		db.Norms = []float64{}
+	cols := core.RegionCols{MinX: snap.MinX, MinY: snap.MinY, MaxX: snap.MaxX, MaxY: snap.MaxY, W: snap.Weight}
+	for lo := 0; lo < users; lo += chunkUsers {
+		hi := min(lo+chunkUsers, users)
+		db.chunks = append(db.chunks, &chunk{
+			regions: cols,
+			starts:  snap.Starts[lo : hi+1 : hi+1],
+			norms:   snap.Norms[lo:hi:hi],
+			mbrs:    mbrs[lo:hi:hi],
+		})
 	}
 	if snap.HasSketches() {
 		p := sketch.Params{G: snap.SketchG, Domain: geom.Rect{

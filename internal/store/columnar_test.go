@@ -50,11 +50,11 @@ func sameDB(t *testing.T, want, got *FootprintDB) {
 		if want.IDs[i] != got.IDs[i] {
 			t.Fatalf("id[%d] %d != %d", i, got.IDs[i], want.IDs[i])
 		}
-		if math.Float64bits(want.Norms[i]) != math.Float64bits(got.Norms[i]) {
-			t.Fatalf("norm[%d] %v != %v", i, got.Norms[i], want.Norms[i])
+		if math.Float64bits(want.Norm(i)) != math.Float64bits(got.Norm(i)) {
+			t.Fatalf("norm[%d] %v != %v", i, got.Norm(i), want.Norm(i))
 		}
-		if want.MBRs[i] != got.MBRs[i] {
-			t.Fatalf("mbr[%d] %+v != %+v", i, got.MBRs[i], want.MBRs[i])
+		if want.MBR(i) != got.MBR(i) {
+			t.Fatalf("mbr[%d] %+v != %+v", i, got.MBR(i), want.MBR(i))
 		}
 		fw, fg := want.Row(i), got.Row(i)
 		if len(fw) != len(fg) {
@@ -138,7 +138,7 @@ func TestColumnarDispatchMatchesAoS(t *testing.T) {
 				t.Fatalf("DotDense(%d): loaded %v, in memory %v, BoundDot %v", u, dc, dm, math.Float64frombits(want))
 			}
 			fast := got.UserSimilarity(u, q, qn)
-			slow := core.SimilarityJoin(got.Footprints[u], q, got.Norms[u], qn)
+			slow := core.SimilarityJoin(got.Footprints[u], q, got.Norm(u), qn)
 			if math.Float64bits(fast) != math.Float64bits(slow) {
 				t.Fatalf("UserSimilarity(%d) columnar %v != AoS %v", u, fast, slow)
 			}
@@ -187,10 +187,10 @@ func TestColumnarMutationKeepsKernel(t *testing.T) {
 		qsk := sketch.Build(q, db.SketchParams)
 		for u := range db.IDs {
 			row := db.Row(u)
-			if !core.IsSortedByMinX(row) || math.Float64bits(core.Norm(row)) != math.Float64bits(db.Norms[u]) || row.MBR() != db.MBRs[u] {
+			if !core.IsSortedByMinX(row) || math.Float64bits(core.Norm(row)) != math.Float64bits(db.Norm(u)) || row.MBR() != db.MBR(u) {
 				t.Fatalf("%s: row %d disagrees with its norm or MBR", name, u)
 			}
-			want := core.SimilarityJoin(row, q, db.Norms[u], qn)
+			want := core.SimilarityJoin(row, q, db.Norm(u), qn)
 			if got := db.UserSimilarity(u, q, qn); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%s: UserSimilarity(%d) %v != %v", name, u, got, want)
 			}
@@ -231,8 +231,8 @@ func TestColumnarEpochFreeze(t *testing.T) {
 	}
 	sameDB(t, db, frozen)
 	q := frozen.Row(3)
-	qn := frozen.Norms[3]
-	want := core.SimilarityJoin(db.Footprints[3], q, db.Norms[3], qn)
+	qn := frozen.Norm(3)
+	want := core.SimilarityJoin(db.Footprints[3], q, db.Norm(3), qn)
 	if got := frozen.UserSimilarity(3, q, qn); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("frozen epoch similarity %v != %v", got, want)
 	}

@@ -2,7 +2,6 @@ package store
 
 import (
 	"geofootprint/internal/core"
-	"geofootprint/internal/geom"
 	"geofootprint/internal/sketch"
 )
 
@@ -31,11 +30,10 @@ func (db *FootprintDB) Upsert(id int, f core.Footprint) int {
 	if !ok {
 		i = len(db.IDs)
 		db.IDs = append(db.IDs, id)
-		db.Norms = append(db.Norms, 0)
-		db.MBRs = append(db.MBRs, geom.EmptyRect())
-		if db.byID != nil {
-			db.byID[id] = i
+		if db.added == nil {
+			db.added = map[int]int{}
 		}
+		db.added[id] = i
 	}
 	db.setRow(i, f)
 	return i
@@ -49,10 +47,8 @@ func (db *FootprintDB) setRow(i int, f core.Footprint) {
 	if db.SketchesEnabled() {
 		sks = []sketch.Sketch{sketch.Build(f, db.SketchParams)}
 	}
-	db.putRow(i, f, sks)
+	db.putRow(i, f, core.Norm(f), sks)
 	db.wrote()
-	db.Norms[i] = core.Norm(f)
-	db.MBRs[i] = f.MBR()
 }
 
 // AppendRoIs extends a user's footprint with newly extracted regions

@@ -34,7 +34,7 @@ func TestUpsertAndRemove(t *testing.T) {
 	if i, _ := db.IndexOf(20); i != u {
 		t.Errorf("Upsert index %d, IndexOf %d", u, i)
 	}
-	if db.Norms[u] != core.Norm(f) || db.MBRs[u] != f.MBR() {
+	if db.Norm(u) != core.Norm(f) || db.MBR(u) != f.MBR() {
 		t.Error("Upsert did not refresh norm/MBR")
 	}
 	// Add user 40.
@@ -50,7 +50,7 @@ func TestUpsertAndRemove(t *testing.T) {
 	if i, ok := db.IndexOf(10); !ok || i != 0 {
 		t.Error("tombstoned user lost its index")
 	}
-	if db.Norms[0] != 0 || db.RowLen(0) != 0 {
+	if db.Norm(0) != 0 || db.RowLen(0) != 0 {
 		t.Error("tombstone incomplete")
 	}
 	if db.Remove(999) {

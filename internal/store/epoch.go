@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"geofootprint/internal/core"
-	"geofootprint/internal/geom"
 )
 
 // Epoch-based MVCC for the serving path.
@@ -19,17 +18,21 @@ import (
 // protocol: the garbage collector frees it once no query references it.
 //
 // Immutability is cheap because nothing a snapshot references is ever
-// written in place:
+// written in place, so a publish copies only what the batch wrote and
+// a spine of pointers:
 //
-//   - The parallel slices (IDs, Norms, MBRs) are copied per freeze —
-//     O(users) word copies — so the builder's later element writes and
-//     appends never touch a published snapshot.
-//   - The regions and sketches (the O(users × regions) payload) live in
-//     immutable chunks (chunks.go): a write replaces the chunk that
-//     holds its row with a fresh copy, so Freeze copies only the spine
-//     of chunk pointers, and builder and snapshot share every chunk the
-//     builder has not rewritten since. The ID → index map is likewise
-//     shared until the next user insertion.
+//   - The rows, norms, MBRs and sketches live in immutable chunks
+//     (chunks.go): a write replaces the chunk that holds its row with a
+//     fresh copy, so Freeze copies only the spine of chunk pointers
+//     (869 at 13 900 users), and builder and snapshot share every chunk
+//     the builder has not rewritten since.
+//   - IDs is append-only: a snapshot takes the builder's slice up to
+//     its own length and shares the backing array, which the builder
+//     only ever appends past.
+//   - The ID → index map is shared with the epoch's base and never
+//     written; the builder keeps the users it appends since in a map of
+//     its own, and a snapshot finds them by scanning its IDs past the
+//     map's (at most about rebuildAfter of them).
 //   - The indexes (the user-centric R-tree and the sketch transpose) are
 //     shared with the epoch's base, and the epoch carries the set of
 //     users written since it (base.go): a publish builds neither.
@@ -116,16 +119,12 @@ func (s *EpochStore) Stats() EpochStats {
 
 // EpochBuilder owns the mutable working database the next epoch is
 // built from. All mutations go through the builder — the seam the
-// epochmut analyzer enforces — so it can re-own the shared ID → index
-// map before delegating to the store's mutation methods. It is not
+// epochmut analyzer enforces — so it can keep the written set of the
+// epochs' base beside the store's mutation methods. It is not
 // concurrency-safe: the caller serialises mutations and Freeze behind
 // its write path, exactly like FootprintDB itself.
 type EpochBuilder struct {
 	db *FootprintDB
-
-	// mapShared marks db.byID as shared with the latest snapshot; it
-	// is copied before the next user insertion.
-	mapShared bool
 
 	// base is the base the next Freeze hands on (nil: it starts a new
 	// one), and written the users written since it, appended users
@@ -152,21 +151,6 @@ func (b *EpochBuilder) DB() *FootprintDB { return b.db }
 // Len returns the number of users in the working database.
 func (b *EpochBuilder) Len() int { return b.db.Len() }
 
-// ensureMapOwned re-owns the ID → index map before id is inserted (a
-// no-op when id is present); point lookups on published epochs read
-// the shared map lock-free, so the builder must never add keys to it.
-func (b *EpochBuilder) ensureMapOwned(id int) {
-	if _, ok := b.db.IndexOf(id); ok || !b.mapShared {
-		return
-	}
-	m := make(map[int]int, len(b.db.byID)+1)
-	for k, v := range b.db.byID {
-		m[k] = v
-	}
-	b.db.byID = m
-	b.mapShared = false
-}
-
 // mark adds user u to the written set.
 func (b *EpochBuilder) mark(u int) {
 	if b.base == nil || b.written.Has(u) {
@@ -187,7 +171,6 @@ func (b *EpochBuilder) mark(u int) {
 // semantics: sorted in place, then copied) and returns the dense
 // index.
 func (b *EpochBuilder) Upsert(id int, f core.Footprint) int {
-	b.ensureMapOwned(id)
 	u := b.db.Upsert(id, f)
 	b.mark(u)
 	return u
@@ -196,7 +179,6 @@ func (b *EpochBuilder) Upsert(id int, f core.Footprint) int {
 // AppendRoIs extends a user's footprint with new regions, creating the
 // user if needed, and returns the dense index.
 func (b *EpochBuilder) AppendRoIs(id int, regions []core.Region) int {
-	b.ensureMapOwned(id)
 	u := b.db.AppendRoIs(id, regions)
 	b.mark(u)
 	return u
@@ -223,34 +205,35 @@ func (b *EpochBuilder) EnableSketches(g, workers int) {
 }
 
 // Freeze snapshots the working database into an immutable FootprintDB
-// ready for EpochStore.Publish. The snapshot gets private copies of
-// the parallel slices and of the chunk spine, and shares the chunks,
-// the ID → index map and the pinned snapshot (colSrc) with the builder,
-// and its base and written set with the epochs frozen before it since
-// that base began. Once the set has passed rebuildAfter users — and on
-// the first Freeze, or the first after EnableSketches — the snapshot
-// starts a new base with an empty set instead. The ID map is
-// materialised first so epoch readers never race a lazy build. The
-// builder remains valid and owns the working database.
+// ready for EpochStore.Publish, copying only the chunk spine: the
+// snapshot gets a private copy of it, and shares the chunks, the IDs'
+// backing array and the pinned snapshot (colSrc) with the builder, and
+// its base, its ID → index map and its written set with the epochs
+// frozen before it since that base began. Once the set has passed
+// rebuildAfter users — and on the first Freeze, or the first after
+// EnableSketches — the snapshot starts a new base with an empty set
+// and a fresh ID map over every user instead, built before publishing
+// so epoch readers never race a lazy build. The builder remains valid
+// and owns the working database.
 func (b *EpochBuilder) Freeze() *FootprintDB {
 	db := b.db
-	db.ensureByID()
 	if b.base == nil || b.written.Len() > rebuildAfter {
 		b.base, b.written = &indexBase{users: db.Len()}, UserSet{}
+		db.indexIDs()
 	}
+	n := db.Len()
 	snap := &FootprintDB{
 		Name:         db.Name,
-		IDs:          append([]int(nil), db.IDs...),
-		Norms:        append([]float64(nil), db.Norms...),
-		MBRs:         append([]geom.Rect(nil), db.MBRs...),
+		IDs:          db.IDs[:n:n],
 		SketchParams: db.SketchParams,
 		byID:         db.byID,
-		chunks:       append([]*chunk(nil), db.chunks...),
+		mapUsers:     db.mapUsers,
+		chunks:       slices.Clone(db.chunks),
 		colSrc:       db.colSrc,
 		mapped:       db.mapped,
 		written:      b.written,
 	}
 	snap.base.Store(b.base)
-	b.mapShared, b.setShared = true, true
+	b.setShared = true
 	return snap
 }

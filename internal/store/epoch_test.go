@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -49,7 +50,7 @@ func TestEpochPinnedSnapshotImmutable(t *testing.T) {
 
 	snap := es.Acquire().DB()
 	wantLen := snap.Len()
-	wantNorm := snap.Norms[4]
+	wantNorm := snap.Norm(4)
 	wantRegions := snap.Row(4)
 
 	// Mutate the same user every way the serving write path can, and
@@ -66,8 +67,8 @@ func TestEpochPinnedSnapshotImmutable(t *testing.T) {
 	if snap.Len() != wantLen {
 		t.Fatalf("held epoch grew: %d -> %d users", wantLen, snap.Len())
 	}
-	if snap.Norms[4] != wantNorm {
-		t.Fatalf("held epoch norm changed: %v -> %v", wantNorm, snap.Norms[4])
+	if snap.Norm(4) != wantNorm {
+		t.Fatalf("held epoch norm changed: %v -> %v", wantNorm, snap.Norm(4))
 	}
 	if snap.RowLen(4) != len(wantRegions) {
 		t.Fatalf("held footprint length changed: %d -> %d", len(wantRegions), snap.RowLen(4))
@@ -213,7 +214,7 @@ func TestEpochSwapChaos(t *testing.T) {
 				}
 				snap := es.Acquire().DB()
 				n := snap.Len()
-				if len(snap.chunks) != (n+chunkUsers-1)/chunkUsers || len(snap.Norms) != n || len(snap.MBRs) != n {
+				if len(snap.chunks) != (n+chunkUsers-1)/chunkUsers || len(snap.IDs) != n || snap.chunks[len(snap.chunks)-1].users() != n-(len(snap.chunks)-1)*chunkUsers {
 					report("parallel slices misaligned")
 					return
 				}
@@ -223,7 +224,7 @@ func TestEpochSwapChaos(t *testing.T) {
 					report("unsorted footprint in a published epoch")
 					return
 				}
-				if got, want := core.Norm(f), snap.Norms[u]; got != want {
+				if got, want := core.Norm(f), snap.Norm(u); got != want {
 					report("torn read: recomputed norm differs from stored")
 					return
 				}
@@ -337,4 +338,189 @@ type writerBuf struct{ b []byte }
 func (w *writerBuf) Write(p []byte) (int, error) {
 	w.b = append(w.b, p...)
 	return len(p), nil
+}
+
+// spineDB is a database of `users` one-region users with IDs 1..users.
+func spineDB(t *testing.T, users int) *FootprintDB {
+	t.Helper()
+	ids := make([]int, users)
+	fps := make([]core.Footprint, users)
+	for u := range fps {
+		x := float64(u%1000) / 1000
+		ids[u] = u + 1
+		fps[u] = core.Footprint{{Rect: geom.Rect{MinX: x, MinY: x, MaxX: x + 0.01, MaxY: x + 0.01}, Weight: 1}}
+	}
+	db, err := FromFootprints("spine", ids, fps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// A publish copies what it wrote: after one row rewrite and one new
+// user, Freeze allocates the chunk spine and nothing per user, and the
+// writes allocate their chunks and the written set's words — no copy of
+// the IDs, norms, MBRs or the ID map. So from about 1 000 users to
+// about 64 000 what each allocates grows by the spine (Freeze) and the
+// set's words (the writes) alone, rounded up to the allocator's size
+// classes. Each is the fewest bytes TotalAlloc grew by over the runs.
+func TestFreezeCopiesOnlyTheSpine(t *testing.T) {
+	const runs = 4
+	row := core.Footprint{{Rect: geom.Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.3, MaxY: 0.3}, Weight: 2}}
+	measure := func(users int) (writes, freeze uint64) {
+		b := NewEpochBuilder(spineDB(t, users))
+		b.Freeze() // the base and its ID map
+		writes, freeze = math.MaxUint64, math.MaxUint64
+		var before, mid, after runtime.MemStats
+		for run := range runs {
+			runtime.ReadMemStats(&before)
+			b.Upsert(1+run*users/runs, row)
+			b.Upsert(users+1+run, row)
+			runtime.ReadMemStats(&mid)
+			snap := b.Freeze()
+			runtime.ReadMemStats(&after)
+			writes = min(writes, mid.TotalAlloc-before.TotalAlloc)
+			freeze = min(freeze, after.TotalAlloc-mid.TotalAlloc)
+			if u, ok := snap.IndexOf(users + 1 + run); !ok || u != users+run || snap.Len() != users+run+1 {
+				t.Fatalf("%d users, run %d: the inserted user is not the snapshot's last", users, run)
+			}
+		}
+		return writes, freeze
+	}
+	const small, large = 1000, 64000
+	sw, sf := measure(small)
+	lw, lf := measure(large)
+	t.Logf("Freeze: %d B at %d users, %d B at %d; the writes: %d B and %d B", sf, small, lf, large, sw, lw)
+	const slack = 4096 // size-class rounding of the larger spine and set
+	spine := 8 * uint64((large-small)/chunkUsers)
+	set := 8 * uint64((large-small)/64)
+	if lf > sf+spine+slack {
+		t.Errorf("Freeze allocates %d B at %d users and %d B at %d: %d B more, over the %d B the longer spine accounts for",
+			sf, small, lf, large, lf-sf, spine)
+	}
+	if lw > sw+set+slack {
+		t.Errorf("a rewrite and an insert allocate %d B at %d users and %d B at %d: %d B more, over the %d B the written set accounts for",
+			sw, small, lw, large, lw-sw, set)
+	}
+	if limit := 8*uint64(large/chunkUsers) + slack; lf > limit {
+		t.Errorf("Freeze allocates %d B at %d users, over the %d B of its spine", lf, large, limit)
+	}
+}
+
+// TestEpochAppendOnlySharingChaos races readers of held epochs against
+// a builder that appends users, rewrites rows and publishes until its
+// written set has crossed rebuildAfter several times — new bases, each
+// with a fresh ID map. Every epoch shares the builder's IDs backing
+// array and its base's map, and finds the users appended since by
+// scanning; each reader checks that what it recorded of an epoch when
+// it first held it — IDs, norms, MBRs, every user's IndexOf and the
+// absence of the users appended later — stays exactly so. Run under
+// -race by make chaos.
+func TestEpochAppendOnlySharingChaos(t *testing.T) {
+	const seedUsers, batch, batches = 100, 40, 5 * rebuildAfter / 40
+	b := NewEpochBuilder(epochSeedDB(t, seedUsers))
+	es := NewEpochStore()
+	es.Publish(b.Freeze(), nil)
+
+	done := make(chan struct{})
+	fail := make(chan string, 16)
+	report := func(msg string) {
+		select {
+		case fail <- msg:
+		default:
+		}
+	}
+	var wg sync.WaitGroup
+	bases := map[*indexBase]bool{}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		rng := rand.New(rand.NewSource(5))
+		next := seedUsers + 1
+		for i := 0; i < batches; i++ {
+			for j := 0; j < batch; j++ {
+				x := rng.Float64() * 0.9
+				reg := core.Region{Rect: geom.Rect{MinX: x, MinY: x, MaxX: x + 0.02, MaxY: x + 0.02}, Weight: 1}
+				if j%2 == 0 {
+					b.Upsert(next, core.Footprint{reg})
+					next++
+				} else {
+					b.AppendRoIs(1+rng.Intn(next-1), []core.Region{reg})
+				}
+			}
+			snap := b.Freeze()
+			bases[snap.base.Load()] = true
+			es.Publish(snap, nil)
+		}
+	}()
+
+	// held is what a reader recorded of an epoch when it took it.
+	type held struct {
+		db    *FootprintDB
+		ids   []int
+		norms []float64
+		mbrs  []geom.Rect
+	}
+	record := func(db *FootprintDB) held {
+		h := held{db: db, ids: slices.Clone(db.IDs)}
+		for u := range db.Len() {
+			h.norms = append(h.norms, db.Norm(u))
+			h.mbrs = append(h.mbrs, db.MBR(u))
+		}
+		return h
+	}
+	check := func(h held) string {
+		db := h.db
+		if db.Len() != len(h.ids) || !slices.Equal(db.IDs, h.ids) {
+			return "a held epoch's IDs changed"
+		}
+		for u, id := range h.ids {
+			if db.Norm(u) != h.norms[u] || db.MBR(u) != h.mbrs[u] {
+				return "a held epoch's norm or MBR changed"
+			}
+			if i, ok := db.IndexOf(id); !ok || i != u {
+				return "a held epoch lost a user's index"
+			}
+		}
+		if _, ok := db.IndexOf(len(h.ids) + 1); ok {
+			return "a held epoch finds a user appended after it"
+		}
+		return ""
+	}
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var kept []held
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if len(kept) < 8 {
+					kept = append(kept, record(es.Acquire().DB()))
+				}
+				for _, h := range kept {
+					if msg := check(h); msg != "" {
+						report(msg)
+						return
+					}
+				}
+				if len(kept) == 8 {
+					kept = kept[1:]
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	select {
+	case msg := <-fail:
+		t.Fatal(msg)
+	default:
+	}
+	if len(bases) < 3 {
+		t.Fatalf("the builder started %d bases, want at least 3: rebuildAfter was not crossed", len(bases))
+	}
 }

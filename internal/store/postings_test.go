@@ -64,7 +64,7 @@ func checkBounds(t *testing.T, when string, db *store.FootprintDB, q core.Footpr
 	cands := make([]int, db.Len())
 	for u := range cands {
 		cands[u] = u
-		if b := sketch.UpperBound(sketch.DotDense(db.Sketch(u), raster.Table()), db.Norms[u], qnorm); b > 0 {
+		if b := sketch.UpperBound(sketch.DotDense(db.Sketch(u), raster.Table()), db.Norm(u), qnorm); b > 0 {
 			want = append(want, search.SketchCandidate{User: u, Bound: b})
 		}
 	}

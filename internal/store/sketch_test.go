@@ -157,8 +157,8 @@ func TestSketchDomainFixedUnderUpsert(t *testing.T) {
 		t.Fatal("upsert moved the sketch domain")
 	}
 	for v := range db.IDs {
-		sim := core.SimilarityJoin(db.Row(u), db.Row(v), db.Norms[u], db.Norms[v])
-		bound := sketch.UpperBound(sketch.BoundDot(db.Sketch(u), db.Sketch(v)), db.Norms[u], db.Norms[v])
+		sim := core.SimilarityJoin(db.Row(u), db.Row(v), db.Norm(u), db.Norm(v))
+		bound := sketch.UpperBound(sketch.BoundDot(db.Sketch(u), db.Sketch(v)), db.Norm(u), db.Norm(v))
 		if bound < sim {
 			t.Fatalf("user %d: clamped bound %v < similarity %v", v, bound, sim)
 		}

@@ -37,8 +37,10 @@ func (db *FootprintDB) EnableSketches(g, workers int) {
 	}
 	g = min(g, sketch.MaxG)
 	union := geom.EmptyRect()
-	for _, m := range db.MBRs {
-		union = union.Extend(m)
+	for _, c := range db.chunks {
+		for _, m := range c.mbrs {
+			union = union.Extend(m)
+		}
 	}
 	db.buildSketches(sketch.Params{G: g, Domain: sketch.FitDomain(union)}, workers)
 }
@@ -58,7 +60,9 @@ func (db *FootprintDB) buildSketches(p sketch.Params, workers int) {
 				row = db.AppendRow(row[:0], first+k)
 				sks[k] = sketch.Build(row, p)
 			}
-			db.chunks[ci] = &chunk{regions: old.regions, starts: old.starts, sketches: sks}
+			c := *old
+			c.sketches = sks
+			db.chunks[ci] = &c
 		}
 	})
 }
@@ -68,6 +72,8 @@ func (db *FootprintDB) DisableSketches() {
 	db.dropBase()
 	db.SketchParams = sketch.Params{}
 	for ci, old := range db.chunks {
-		db.chunks[ci] = &chunk{regions: old.regions, starts: old.starts}
+		c := *old
+		c.sketches = nil
+		db.chunks[ci] = &c
 	}
 }

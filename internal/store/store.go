@@ -17,7 +17,6 @@ import (
 	"geofootprint/internal/core"
 	"geofootprint/internal/extract"
 	"geofootprint/internal/faultfs"
-	"geofootprint/internal/geom"
 	"geofootprint/internal/par"
 	"geofootprint/internal/sketch"
 	"geofootprint/internal/traj"
@@ -25,10 +24,11 @@ import (
 
 // FootprintDB holds, for every user, the geo-footprint F(u), its
 // Euclidean norm ||F(u)|| (Equation 2, computed with Algorithm 2) and
-// its MBR (the key of the user-centric index of Section 6.2). The
-// parallel slices are indexed by a dense user index; IDs maps back to
-// external user identifiers. The regions live in one layout, chunked
-// columns (chunks.go); read rows through Row, AppendRow and RowLen.
+// its MBR (the key of the user-centric index of Section 6.2). Users
+// are addressed by a dense user index; IDs maps it back to external
+// user identifiers. Rows, norms and MBRs live in one layout, chunked
+// columns (chunks.go); read them through Row, AppendRow, RowLen, Norm
+// and MBR.
 //
 // Invariant: every stored footprint is sorted by Rect.MinX. All ingest
 // paths (Build, FromFootprints, Open, Upsert, AppendRoIs) establish it,
@@ -36,15 +36,21 @@ import (
 // never re-sorts a stored row.
 type FootprintDB struct {
 	Name string
-	IDs  []int
+	// IDs is append-only: a user keeps its dense index for the
+	// database's lifetime (Remove tombstones), so an epoch shares the
+	// builder's backing array up to its own length.
+	IDs []int
 	// Footprints is an export the store never reads: the rows New,
 	// Build and FromFootprints were given, or Load's transpose of the
 	// chunks, for the tools and the facade. Open leaves it nil and the
 	// first write sets it to nil (the footprintread analyzer flags
 	// reads of it outside this package).
 	Footprints []core.Footprint
-	Norms      []float64
-	MBRs       []geom.Rect
+	// Norms is an export under the same contract: the norm column
+	// ComputeNorms computed or Open mapped, which the chunks' norms
+	// alias; the store never reads it, and the first write sets it to
+	// nil. Read norms with Norm.
+	Norms []float64
 
 	// SketchParams describes the optional filter layer: per-user grid
 	// sketches (internal/sketch, read through Sketch) whose per-cell
@@ -56,12 +62,19 @@ type FootprintDB struct {
 	// opened database they are slices of the snapshot's cell blocks.
 	SketchParams sketch.Params
 
-	byID map[int]int // lazily built ID → index
+	// byID maps the IDs of users [0, mapUsers) to their indexes. It is
+	// built on first use, rebuilt when an EpochBuilder starts a new
+	// base, and never written once built, so epochs share it. added
+	// maps the IDs of the users appended since; an epoch has none and
+	// scans IDs[mapUsers:] instead, at most about rebuildAfter users.
+	byID     map[int]int
+	mapUsers int
+	added    map[int]int
 
 	// chunks is the spine of row chunks (chunks.go). colSrc pins the
 	// snapshot an opened database was decoded from — and its mmap on
-	// the zero-copy path — for as long as the chunks or Norms may alias
-	// it; it is never cleared. mapped reports that the chunks' regions
+	// the zero-copy path — for as long as the chunks may alias it; it
+	// is never cleared. mapped reports that the chunks' regions
 	// are still exactly colSrc's columns: no row has been written since
 	// Open.
 	chunks []*chunk
@@ -117,12 +130,12 @@ func FromFootprints(name string, ids []int, fps []core.Footprint) (*FootprintDB,
 }
 
 // New assembles a database from per-user footprints without computing
-// norms or MBRs — the two-phase form of FromFootprints for callers
-// that meter or parallelise the norm pass themselves (the bench
-// harness times extraction and norm computation separately). The
-// MinX-sorted invariant is established here, and the rows are copied
-// into the chunks; fps stays as the Footprints export. The database is
-// not servable until ComputeNorms has run.
+// norms — the two-phase form of FromFootprints for callers that meter
+// or parallelise the norm pass themselves (the bench harness times
+// extraction and norm computation separately). The MinX-sorted
+// invariant is established here, and the rows, with their MBRs, are
+// copied into the chunks; fps stays as the Footprints export. The
+// database is not servable until ComputeNorms has run.
 func New(name string, ids []int, fps []core.Footprint) (*FootprintDB, error) {
 	if len(ids) != len(fps) {
 		return nil, fmt.Errorf("store: %d ids for %d footprints", len(ids), len(fps))
@@ -133,25 +146,31 @@ func New(name string, ids []int, fps []core.Footprint) (*FootprintDB, error) {
 		}
 	}
 	db := &FootprintDB{Name: name, IDs: ids, Footprints: fps}
-	db.appendRows(fps, nil)
+	db.appendRows(fps, make([]float64, len(fps)), nil)
 	return db, nil
 }
 
-// ComputeNorms (re)computes the norm and MBR of every user, on
-// `workers` goroutines (GOMAXPROCS if <= 0) — the preprocessing phase
-// of Section 5.1.
+// ComputeNorms (re)computes the norm of every user, on `workers`
+// goroutines (GOMAXPROCS if <= 0) — the preprocessing phase of Section
+// 5.1 — into one column, the Norms export, which fresh copies of the
+// chunk headers slice. MBRs need no pass: every row write stores its
+// row's MBR.
 func (db *FootprintDB) ComputeNorms(workers int) {
-	n := db.Len()
-	db.Norms = make([]float64, n)
-	db.MBRs = make([]geom.Rect, n)
-	par.For(n, workers, 64, func(_, lo, hi int) {
+	norms := make([]float64, db.Len())
+	par.For(len(db.chunks), workers, 4, func(_, lo, hi int) {
 		var row core.Footprint
-		for i := lo; i < hi; i++ {
-			row = db.AppendRow(row[:0], i)
-			db.Norms[i] = core.Norm(row)
-			db.MBRs[i] = row.MBR()
+		for ci := lo; ci < hi; ci++ {
+			c := *db.chunks[ci]
+			first := ci * chunkUsers
+			c.norms = norms[first : first+c.users() : first+c.users()]
+			for k := range c.norms {
+				row = db.AppendRow(row[:0], first+k)
+				c.norms[k] = core.Norm(row)
+			}
+			db.chunks[ci] = &c
 		}
 	})
+	db.Norms = norms
 }
 
 // Len returns the number of users in the database.
@@ -160,23 +179,34 @@ func (db *FootprintDB) Len() int { return len(db.IDs) }
 // IndexOf returns the dense index of the user with the given external
 // ID, or false when absent.
 func (db *FootprintDB) IndexOf(id int) (int, bool) {
-	db.ensureByID()
-	i, ok := db.byID[id]
-	return i, ok
+	if db.byID == nil {
+		db.indexIDs()
+	}
+	if i, ok := db.byID[id]; ok {
+		return i, true
+	}
+	if db.added != nil {
+		i, ok := db.added[id]
+		return i, ok
+	}
+	for i := db.mapUsers; i < len(db.IDs); i++ {
+		if db.IDs[i] == id {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
-// ensureByID materialises the lazy ID → index map. EpochBuilder.Freeze
-// calls it before publishing a snapshot so concurrent lock-free
-// readers never trigger (and race) the lazy build.
-func (db *FootprintDB) ensureByID() {
-	if db.byID != nil {
-		return
-	}
+// indexIDs builds a fresh ID → index map over every user. An epoch's
+// map is built before it is published (EpochBuilder.Freeze), so
+// concurrent lock-free readers never trigger — and race — the lazy
+// build in IndexOf.
+func (db *FootprintDB) indexIDs() {
 	m := make(map[int]int, len(db.IDs))
 	for i, uid := range db.IDs {
 		m[uid] = i
 	}
-	db.byID = m
+	db.byID, db.mapUsers, db.added = m, len(db.IDs), nil
 }
 
 // Save writes the database to path in the columnar snapshot format,
@@ -187,7 +217,7 @@ func (db *FootprintDB) ensureByID() {
 // Load reads it back.
 func (db *FootprintDB) Save(path string) error {
 	err := WriteColumnar(path, db.Columnar(nil))
-	// Norms and the chunks' sketches may alias a memory-mapped snapshot
+	// The chunks' norms and sketches may alias a memory-mapped snapshot
 	// that only db keeps mapped (colSrc; the mapping is unmapped by a
 	// finalizer). The snapshot holds the slices, not db, so without
 	// this a caller's last use of db could be this call and a GC in

@@ -73,10 +73,10 @@ func TestBuild(t *testing.T) {
 		if len(db.Footprints[i]) != 3 {
 			t.Errorf("user %d: %d regions, want 3", i, len(db.Footprints[i]))
 		}
-		if want := core.Norm(db.Footprints[i]); !almostEq(db.Norms[i], want) {
-			t.Errorf("user %d: stored norm %v, want %v", i, db.Norms[i], want)
+		if want := core.Norm(db.Footprints[i]); !almostEq(db.Norm(i), want) {
+			t.Errorf("user %d: stored norm %v, want %v", i, db.Norm(i), want)
 		}
-		if db.MBRs[i] != db.Footprints[i].MBR() {
+		if db.MBR(i) != db.Footprints[i].MBR() {
 			t.Errorf("user %d: stale MBR", i)
 		}
 	}
@@ -129,11 +129,11 @@ func TestComputeNormsParallelMatchesSequential(t *testing.T) {
 	seq.ComputeNorms(1)
 	par, _ := FromFootprints("par", ids, fps)
 	par.ComputeNorms(8)
-	for i := range seq.Norms {
-		if seq.Norms[i] != par.Norms[i] {
-			t.Fatalf("user %d: norms differ: %v vs %v", i, seq.Norms[i], par.Norms[i])
+	for i := range seq.IDs {
+		if seq.Norm(i) != par.Norm(i) {
+			t.Fatalf("user %d: norms differ: %v vs %v", i, seq.Norm(i), par.Norm(i))
 		}
-		if seq.MBRs[i] != par.MBRs[i] {
+		if seq.MBR(i) != par.MBR(i) {
 			t.Fatalf("user %d: MBRs differ", i)
 		}
 	}
@@ -167,7 +167,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("loaded shape mismatch")
 	}
 	for i := range db.IDs {
-		if got.IDs[i] != db.IDs[i] || got.Norms[i] != db.Norms[i] || got.MBRs[i] != db.MBRs[i] {
+		if got.IDs[i] != db.IDs[i] || got.Norm(i) != db.Norm(i) || got.MBR(i) != db.MBR(i) {
 			t.Fatalf("user %d mismatch after round trip", i)
 		}
 		if len(got.Footprints[i]) != len(db.Footprints[i]) {
