@@ -122,35 +122,43 @@ func feed(args []string) {
 			fmt.Fprintf(&buf, `{"user":%d,"x":%g,"y":%g,"t":%g}`+"\n", s.User, s.X, s.Y, s.T)
 		}
 		for attempt := 0; ; attempt++ {
-			resp, err := client.Post(*url+"/v1/ingest", "application/x-ndjson", bytes.NewReader(buf.Bytes()))
+			var (
+				shed bool
+				wait time.Duration
+			)
+			err := post(client, *url+"/v1/ingest", "application/x-ndjson", buf.Bytes(), func(status int, h http.Header, _ io.Reader) error {
+				// The body is ignored; the status code is the signal.
+				switch status {
+				case http.StatusAccepted:
+					sent += *batch
+					batches++
+					bo.Reset()
+				case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+					// 429: backpressure; 503: draining or briefly
+					// unavailable. Both are retryable sheds — but a batch
+					// shed maxAttempts times in a row means the server is
+					// not coming back at this load.
+					if attempt+1 >= maxAttempts {
+						return fmt.Errorf("shed %d times in a row (last status %d); giving up", maxAttempts, status)
+					}
+					if status == http.StatusTooManyRequests {
+						retried429++
+					} else {
+						retried503++
+					}
+					shed, wait = true, bo.Next(h.Get("Retry-After"))
+				default:
+					return fmt.Errorf("status %d", status)
+				}
+				return nil
+			})
 			if err != nil {
-				log.Fatal(err)
+				log.Fatalf("POST /v1/ingest: %v", err)
 			}
-			_ = resp.Body.Close() // response body fully ignored; status code is the signal
-			switch resp.StatusCode {
-			case http.StatusAccepted:
-				sent += *batch
-				batches++
-				bo.Reset()
-			case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-				// 429: backpressure; 503: draining or briefly
-				// unavailable. Both are retryable sheds — but a batch
-				// shed maxAttempts times in a row means the server is
-				// not coming back at this load.
-				if attempt+1 >= maxAttempts {
-					log.Fatalf("POST /v1/ingest: shed %d times in a row (last status %d); giving up", maxAttempts, resp.StatusCode)
-				}
-				if resp.StatusCode == http.StatusTooManyRequests {
-					retried429++
-				} else {
-					retried503++
-				}
-				time.Sleep(bo.Next(resp.Header.Get("Retry-After")))
-				continue
-			default:
-				log.Fatalf("POST /v1/ingest: status %d", resp.StatusCode)
+			if !shed {
+				break
 			}
-			break
+			time.Sleep(wait)
 		}
 		if *rate > 0 {
 			// Pace to the target rate against the wall clock.
@@ -163,6 +171,17 @@ func feed(args []string) {
 	elapsed := time.Since(start).Seconds()
 	fmt.Printf("fed %d samples in %d batches over %.1fs (%.0f samples/s); %d retries (%d backpressure, %d unavailable)\n",
 		sent, batches, elapsed, float64(sent)/elapsed, retried429+retried503, retried429, retried503)
+}
+
+// post sends body to url with the given Content-Type through
+// retry.Exchange, which drains and closes the response for handle.
+func post(c *http.Client, url, contentType string, body []byte, handle func(status int, h http.Header, body io.Reader) error) error {
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", contentType)
+	return retry.Exchange(c, req, handle)
 }
 
 func inspect(args []string) {

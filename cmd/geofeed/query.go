@@ -1,10 +1,11 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"net/http"
@@ -58,21 +59,6 @@ func query(args []string) {
 		return b
 	}
 
-	// envelope is the superset response shape; a shard's bare result
-	// list is decoded into Results token by token below.
-	type result struct {
-		ID         int     `json:"id"`
-		Similarity float64 `json:"similarity"`
-	}
-	type envelope struct {
-		Results []result `json:"results"`
-		Partial bool     `json:"partial"`
-		// Missing names lost ring segments: bare shard IDs when the
-		// router runs unreplicated, "+"-joined replica tuples otherwise.
-		Missing    []string `json:"missing"`
-		FailedOver int      `json:"failed_over"`
-	}
-
 	client := &http.Client{Timeout: 30 * time.Second}
 	// The router serves top-k on /v1/topk, a shard on /v1/query (same
 	// request body). Start with the router path and fall back once.
@@ -89,91 +75,50 @@ func query(args []string) {
 		body := makeBody()
 		for attempt := 0; ; attempt++ {
 			t0 := time.Now()
-			resp, err := client.Post(*url+path, "application/json", bytes.NewReader(body))
+			var (
+				retryIn time.Duration
+				again   bool // shed, or the first 404 switched paths
+			)
+			err := post(client, *url+path, "application/json", body, func(status int, h http.Header, rb io.Reader) error {
+				switch status {
+				case http.StatusOK:
+					env, err := decodeTopK(rb)
+					if err != nil {
+						return err
+					}
+					totalLatency += time.Since(t0)
+					answered++
+					results += len(env.Results)
+					failedOver += env.FailedOver
+					if env.Partial {
+						partials++
+						for _, id := range env.Missing {
+							missing[id]++
+						}
+					}
+					bo.Reset()
+				case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+					if attempt+1 >= maxAttempts {
+						return fmt.Errorf("shed %d times in a row (last status %d); giving up", maxAttempts, status)
+					}
+					again, retryIn = true, bo.Next(h.Get("Retry-After"))
+				case http.StatusNotFound:
+					if answered > 0 || path != "/v1/topk" {
+						return errors.New("status 404")
+					}
+					path, again = "/v1/query", true
+				default:
+					return fmt.Errorf("status %d", status)
+				}
+				return nil
+			})
 			if err != nil {
-				log.Fatal(err)
+				log.Fatalf("top-k: POST %s: %v", path, err)
 			}
-			switch resp.StatusCode {
-			case http.StatusOK:
-				var env envelope
-				dec := json.NewDecoder(resp.Body)
-				// A shard answers a bare JSON array; the router an
-				// object. Peek at the first token to tell them apart.
-				if tok, err := dec.Token(); err != nil {
-					log.Fatalf("top-k: reading response: %v", err)
-				} else if delim, ok := tok.(json.Delim); ok && delim == '[' {
-					for dec.More() {
-						var r result
-						if err := dec.Decode(&r); err != nil {
-							log.Fatalf("top-k: decoding shard result: %v", err)
-						}
-						env.Results = append(env.Results, r)
-					}
-				} else {
-					// Re-fetch the object fields record by record: the
-					// opening '{' is consumed, so walk key/value pairs.
-					for dec.More() {
-						key, err := dec.Token()
-						if err != nil {
-							log.Fatalf("top-k: decoding envelope: %v", err)
-						}
-						switch key {
-						case "results":
-							if err := dec.Decode(&env.Results); err != nil {
-								log.Fatalf("top-k: decoding results: %v", err)
-							}
-						case "partial":
-							if err := dec.Decode(&env.Partial); err != nil {
-								log.Fatalf("top-k: decoding partial: %v", err)
-							}
-						case "missing":
-							if err := dec.Decode(&env.Missing); err != nil {
-								log.Fatalf("top-k: decoding missing: %v", err)
-							}
-						case "failed_over":
-							if err := dec.Decode(&env.FailedOver); err != nil {
-								log.Fatalf("top-k: decoding failed_over: %v", err)
-							}
-						default:
-							var skip json.RawMessage
-							if err := dec.Decode(&skip); err != nil {
-								log.Fatalf("top-k: decoding envelope: %v", err)
-							}
-						}
-					}
-				}
-				_ = resp.Body.Close()
-				totalLatency += time.Since(t0)
-				answered++
-				results += len(env.Results)
-				failedOver += env.FailedOver
-				if env.Partial {
-					partials++
-					for _, id := range env.Missing {
-						missing[id]++
-					}
-				}
-				bo.Reset()
-			case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-				ra := resp.Header.Get("Retry-After")
-				_ = resp.Body.Close()
-				if attempt+1 >= maxAttempts {
-					log.Fatalf("top-k: shed %d times in a row (last status %d); giving up", maxAttempts, resp.StatusCode)
-				}
-				time.Sleep(bo.Next(ra))
-				continue
-			case http.StatusNotFound:
-				_ = resp.Body.Close()
-				if answered == 0 && path == "/v1/topk" {
-					path = "/v1/query"
-					continue
-				}
-				log.Fatalf("POST %s: status 404", path)
-			default:
-				_ = resp.Body.Close()
-				log.Fatalf("POST %s: status %d", path, resp.StatusCode)
+			if !again {
+				break
 			}
-			break
+			time.Sleep(retryIn)
 		}
 	}
 	elapsed := time.Since(start).Seconds()
@@ -200,4 +145,34 @@ func query(args []string) {
 	} else {
 		fmt.Println("no partial responses: every answer covered the full cluster")
 	}
+}
+
+// topKResult is one ranked user of a top-k answer.
+type topKResult struct {
+	ID         int     `json:"id"`
+	Similarity float64 `json:"similarity"`
+}
+
+// topKEnvelope is the router's answer; a shard's bare result list
+// decodes into its Results.
+type topKEnvelope struct {
+	Results []topKResult `json:"results"`
+	Partial bool         `json:"partial"`
+	// Missing names lost ring segments: bare shard IDs when the
+	// router runs unreplicated, "+"-joined replica tuples otherwise.
+	Missing    []string `json:"missing"`
+	FailedOver int      `json:"failed_over"`
+}
+
+// decodeTopK reads a shard's bare result list or a router's envelope.
+func decodeTopK(r io.Reader) (topKEnvelope, error) {
+	var raw json.RawMessage
+	var env topKEnvelope
+	if err := json.NewDecoder(r).Decode(&raw); err != nil {
+		return env, fmt.Errorf("reading response: %w", err)
+	}
+	if raw[0] == '[' {
+		return env, json.Unmarshal(raw, &env.Results)
+	}
+	return env, json.Unmarshal(raw, &env)
 }

@@ -113,8 +113,8 @@ func TestLoadErrorsAllPrinted(t *testing.T) {
 
 // TestSeededBodyCloseFailsGate seeds a real response-body leak into
 // internal/router behind a build tag only this test enables, and proves
-// `make lint` would fail: the flow-sensitive analyzers bite on
-// production packages, not just fixtures. The tag keeps the seed
+// `make lint` would fail: bodyclose bites on production packages, not
+// just fixtures. The tag keeps the seed
 // invisible to every other build and to TestRepoClean running in a
 // sibling process.
 func TestSeededBodyCloseFailsGate(t *testing.T) {

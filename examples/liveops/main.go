@@ -14,12 +14,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 
 	"geofootprint"
+	"geofootprint/internal/retry"
 )
 
 func main() {
@@ -96,15 +98,24 @@ func main() {
 
 	// Publish the new footprint through the API: the server swaps in
 	// the next epoch while queries keep running against the old one.
-	body, _ := json.Marshal(regionsJSON(live))
-	req, _ := http.NewRequest(http.MethodPut,
-		fmt.Sprintf("%s/v1/users/%d", api.URL, newID), bytes.NewReader(body))
-	resp, err := http.DefaultClient.Do(req)
+	body, err := json.Marshal(regionsJSON(live))
 	if err != nil {
 		log.Fatal(err)
 	}
-	_ = resp.Body.Close() // status code is the only signal used
-	fmt.Printf("published footprint for customer %d (HTTP %d)\n", newID, resp.StatusCode)
+	req, err := http.NewRequest(http.MethodPut,
+		fmt.Sprintf("%s/v1/users/%d", api.URL, newID), bytes.NewReader(body))
+	if err != nil {
+		log.Fatal(err)
+	}
+	var status int
+	// The status code is the only signal used.
+	if err := retry.Exchange(http.DefaultClient, req, func(s int, _ http.Header, _ io.Reader) error {
+		status = s
+		return nil
+	}); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("published footprint for customer %d (HTTP %d)\n", newID, status)
 
 	// The customer is immediately queryable.
 	var similar []struct {
@@ -138,12 +149,13 @@ func regionsJSON(regs []geofootprint.Region) []regionWire {
 }
 
 func getJSON(url string, v interface{}) {
-	resp, err := http.Get(url)
+	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+	if err := retry.Exchange(http.DefaultClient, req, func(_ int, _ http.Header, body io.Reader) error {
+		return json.NewDecoder(body).Decode(v)
+	}); err != nil {
 		log.Fatal(err)
 	}
 }

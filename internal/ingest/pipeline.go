@@ -137,6 +137,7 @@ type Stats struct {
 	Batches   uint64 `json:"batches"`   // records appended: sample batches and edits
 	Rejected  uint64 `json:"rejected"`  // batches refused by backpressure
 	Appended  uint64 `json:"appended"`  // last appended LSN
+	Grouped   uint64 `json:"grouped"`   // last LSN taken into an apply group
 	Applied   uint64 `json:"applied"`   // last applied LSN
 	RoIs      uint64 `json:"rois"`      // RoIs emitted by extraction
 	Sessions  uint64 `json:"sessions"`  // sessions closed by the gap rule
@@ -181,6 +182,7 @@ type Pipeline struct {
 	batches   atomic.Uint64
 	rejected  atomic.Uint64
 	appended  atomic.Uint64
+	grouped   atomic.Uint64
 	applied   atomic.Uint64
 	snapshots atomic.Uint64
 
@@ -221,6 +223,7 @@ func New(cfg Config, sink Sink, state *State) (*Pipeline, error) {
 	p := &Pipeline{cfg: cfg, sink: sink, sess: sess}
 	p.progress.L = &p.waitMu
 	p.appended.Store(seq)
+	p.grouped.Store(seq)
 	p.applied.Store(seq)
 	if cfg.WALPath == "" {
 		return p, nil
@@ -384,6 +387,9 @@ func (p *Pipeline) applyGroup(head recordMsg) error {
 		// which leaves buffered records receivable).
 		msg = <-p.queue
 	}
+	// The group is fixed: a record appended from here on waits in the
+	// queue for the next one.
+	p.grouped.Store(msg.lsn)
 	p.sinceCP += len(group)
 	if err := applyRecords(p.sess, p.sink, group); err != nil {
 		return err
@@ -568,6 +574,7 @@ func (p *Pipeline) Stats() Stats {
 		Batches:   p.batches.Load(),
 		Rejected:  p.rejected.Load(),
 		Appended:  p.appended.Load(),
+		Grouped:   p.grouped.Load(),
 		Applied:   p.applied.Load(),
 		RoIs:      p.sess.roisEmitted(),
 		Sessions:  p.sess.sessionsClosed(),

@@ -7,72 +7,86 @@ import (
 	"geofootprint/internal/lint/analysis"
 )
 
-// BodyClose is the flow-sensitive *http.Response body-leak analyzer.
+// BodyClose keeps every *http.Response inside one helper.
 //
-// The serving plane makes HTTP calls in three places — the router's
-// shard fan-out (internal/router), the feed client (cmd/geofeed) and
-// the scatter-gather CLI (cmd/georouter) — and every one of them must
-// close the response body on every path, or the underlying connection
-// is never returned to the Transport's pool. Under the router's
-// scatter-gather load the symptom is not an error but a slow
-// starvation: each leaked body pins a connection, the pool drains, and
-// tail latency climbs until the process runs out of file descriptors.
+// The serving plane's HTTP clients — the router's shard fan-out and
+// health probes (internal/router), the feed client (cmd/geofeed) and
+// the examples — must drain and close every response body on every
+// path, or the connection never returns to the Transport's pool. Under
+// the router's scatter-gather load the symptom is not an error but a
+// slow starvation: each leaked body pins a connection, the pool
+// drains, and tail latency climbs until the process runs out of file
+// descriptors.
 //
-// The contract: every call returning an *http.Response must reach a
-// Body.Close on every returning path — directly, via `defer
-// resp.Body.Close()`, through a body alias (`b := resp.Body; b.Close()`),
-// or inside a deferred closure. The error leg of the idiomatic
-// `resp, err := client.Do(req); if err != nil { return err }` is NOT a
-// leak: on that edge the response is nil by the net/http contract, and
-// the analyzer's branch refinement discharges the obligation there.
-// Escapes (returning the response, storing it, passing it on) transfer
-// responsibility to the receiver.
+// retry.Exchange makes that true by construction: it hands a callback
+// the status, header and body and then drains and closes the body
+// itself. So the rule is syntactic: any call whose results include an
+// *http.Response is a finding unless it is inside retry.Exchange or
+// inside a method with http.RoundTripper's RoundTrip signature, which
+// forwards the response to its caller (netfault.Transport). A
+// discarded `http.Get(url)` is the same finding.
 var BodyClose = &analysis.Analyzer{
 	Name: "bodyclose",
-	Doc:  "*http.Response bodies must be closed on every returning path",
+	Doc:  "only retry.Exchange and RoundTrip methods may acquire an *http.Response",
 	Run:  runBodyClose,
 }
 
-var bodyCloseSpec = &leakSpec{
-	isResourceType: isHTTPResponsePointer,
-	releaseIdent: func(call *ast.CallExpr) (*ast.Ident, holderKind, bool) {
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Close" || len(call.Args) != 0 {
-			return nil, 0, false
-		}
-		switch x := ast.Unparen(sel.X).(type) {
-		case *ast.Ident:
-			// b.Close() where b aliases resp.Body.
-			return x, holderDerived, true
-		case *ast.SelectorExpr:
-			// resp.Body.Close().
-			if x.Sel.Name != "Body" {
-				return nil, 0, false
-			}
-			if id, ok := ast.Unparen(x.X).(*ast.Ident); ok {
-				return id, holderResource, true
-			}
-		}
-		return nil, 0, false
-	},
-	deriveSel:    func(name string) bool { return name == "Body" },
-	discardMsg:   "http response discarded without closing its body",
-	leakMsg:      "response body is not closed on every path",
-	reacquireMsg: "response overwritten by a new request before its body was closed",
-}
-
 func runBodyClose(pass *analysis.Pass) error {
-	return runLeakAnalyzer(pass, bodyCloseSpec)
+	for _, file := range pass.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				return !mayHoldResponse(pass, n)
+			case *ast.CallExpr:
+				if tv := pass.TypesInfo.Types[n.Fun]; !tv.IsType() && returnsResponse(pass.TypesInfo.TypeOf(n)) {
+					pass.Reportf(n.Pos(), "call returns an *http.Response outside retry.Exchange; "+
+						"exchange through retry.Exchange, which drains and closes the body on every path")
+				}
+			}
+			return true
+		})
+	}
+	return nil
 }
 
-// isHTTPResponsePointer reports whether t is *net/http.Response.
-func isHTTPResponsePointer(t types.Type) bool {
+// mayHoldResponse reports whether fd is retry.Exchange or a RoundTrip
+// method with http.RoundTripper's signature.
+func mayHoldResponse(pass *analysis.Pass, fd *ast.FuncDecl) bool {
+	if fd.Recv == nil {
+		return fd.Name.Name == "Exchange" && pathHasSegment(pass.Pkg.Path(), "retry")
+	}
+	fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+	if fd.Name.Name != "RoundTrip" || fn == nil {
+		return false
+	}
+	sig := fn.Type().(*types.Signature)
+	return sig.Params().Len() == 1 && isNetHTTPPointer(sig.Params().At(0).Type(), "Request") &&
+		sig.Results().Len() == 2 && isNetHTTPPointer(sig.Results().At(0).Type(), "Response") &&
+		types.Identical(sig.Results().At(1).Type(), types.Universe.Lookup("error").Type())
+}
+
+// returnsResponse reports whether t, a call's type, is or holds an
+// *http.Response.
+func returnsResponse(t types.Type) bool {
+	if tup, ok := t.(*types.Tuple); ok {
+		for i := 0; i < tup.Len(); i++ {
+			if isNetHTTPPointer(tup.At(i).Type(), "Response") {
+				return true
+			}
+		}
+		return false
+	}
+	return isNetHTTPPointer(t, "Response")
+}
+
+// isNetHTTPPointer reports whether t is *net/http.<name>.
+func isNetHTTPPointer(t types.Type, name string) bool {
 	p, ok := t.(*types.Pointer)
 	if !ok {
 		return false
 	}
 	named, ok := p.Elem().(*types.Named)
-	if !ok || named.Obj().Name() != "Response" {
+	if !ok || named.Obj().Name() != name {
 		return false
 	}
 	pkg := named.Obj().Pkg()

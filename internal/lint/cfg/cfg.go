@@ -19,10 +19,6 @@
 //     a returning path is: deferred releases still run during
 //     unwinding, and os.Exit forfeits the process anyway. Analyzers
 //     that disagree can pass their own mayReturn.
-//   - Condition blocks expose their branch expression via Block.Cond
-//     with Succs[0] the true edge and Succs[1] the false edge, so
-//     analyzers can refine facts along edges (`if err != nil { return }`
-//     kills the "response body pending" obligation on the error leg).
 //
 // Function literals are NOT inlined: a FuncLit appears as an opaque
 // expression inside whatever statement mentions it, and callers build
@@ -58,10 +54,6 @@ type Block struct {
 	Nodes []ast.Node
 	Succs []*Block
 	Preds []*Block
-	// Cond, when non-nil, is the branch condition evaluated last in
-	// this block: Succs[0] is taken when it is true, Succs[1] when
-	// false.
-	Cond ast.Expr
 }
 
 // New builds the CFG of body. mayReturn reports whether a call
@@ -313,11 +305,10 @@ func (b *builder) ifStmt(s *ast.IfStmt) {
 	}
 	b.add(s.Cond)
 	condBlock := b.cur
-	condBlock.Cond = s.Cond
 
 	then := b.newBlock("if.then")
 	done := b.newBlock("if.done")
-	b.edge(condBlock, then) // Succs[0]: condition true
+	b.edge(condBlock, then)
 
 	b.cur = then
 	b.stmt(s.Body)
@@ -325,12 +316,12 @@ func (b *builder) ifStmt(s *ast.IfStmt) {
 
 	if s.Else != nil {
 		els := b.newBlock("if.else")
-		b.edge(condBlock, els) // Succs[1]: condition false
+		b.edge(condBlock, els)
 		b.cur = els
 		b.stmt(s.Else)
 		b.jumpTo(done)
 	} else {
-		b.edge(condBlock, done) // Succs[1]: condition false
+		b.edge(condBlock, done)
 	}
 	b.cur = done
 }
@@ -349,9 +340,8 @@ func (b *builder) forStmt(s *ast.ForStmt, label *labelInfo) {
 	b.jumpTo(head)
 	if s.Cond != nil {
 		b.add(s.Cond)
-		head.Cond = s.Cond
-		b.edge(head, body) // true
-		b.edge(head, done) // false
+		b.edge(head, body)
+		b.edge(head, done)
 	} else {
 		b.edge(head, body) // for {}: only way out is break/return
 	}
@@ -397,8 +387,7 @@ func (b *builder) rangeStmt(s *ast.RangeStmt, label *labelInfo) {
 
 // switchStmt handles both expression switches (tag may be nil) and
 // type switches (ts non-nil). The model is conservative: the head
-// block evaluates Init and the tag, then branches to every case body;
-// case-clause expressions are not treated as refinement conditions.
+// block evaluates Init and the tag, then branches to every case body.
 func (b *builder) switchStmt(init ast.Stmt, tag ast.Expr, body *ast.BlockStmt, ts *ast.TypeSwitchStmt) {
 	if init != nil {
 		b.add(init)

@@ -92,8 +92,8 @@ func f(b bool) int {
 		t.Fatalf("exit preds = %d, want 2 (both returns)", len(g.Exit.Preds))
 	}
 	cond := blockWith(g, fset, src, "b")
-	if cond == nil || cond.Cond == nil {
-		t.Fatal("condition block missing Cond")
+	if cond == nil {
+		t.Fatal("condition block not found")
 	}
 	if len(cond.Succs) != 2 {
 		t.Fatalf("cond succs = %d, want 2", len(cond.Succs))
@@ -161,7 +161,7 @@ func f(n int) int {
 }`
 	g, fset := buildCFG(t, src, "f")
 	head := blockWith(g, fset, src, "i < n")
-	if head == nil || head.Cond == nil || len(head.Succs) != 2 {
+	if head == nil || len(head.Succs) != 2 {
 		t.Fatalf("loop head malformed: %+v", head)
 	}
 	if !exitReachable(g) {

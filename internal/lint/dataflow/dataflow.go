@@ -2,13 +2,8 @@
 // fixpoint over an internal/lint/cfg graph that analyzers program
 // against instead of hand-rolling their own traversals.
 //
-// An analyzer states its problem as a lattice (Join, Equal), a
-// transfer function applied to each node of a basic block in order,
-// and an optional Branch hook that refines the fact along the true and
-// false edges of a condition block — the piece that lets `if err !=
-// nil { return }` discharge a "response body pending close" obligation
-// on the error leg, or `if ep == nil { return }` discharge a pin
-// obligation on the nil leg.
+// An analyzer states its problem as a lattice (Join, Equal) and a
+// transfer function applied to each node of a basic block in order.
 //
 // The framework is a may-analysis as used here (facts join by union
 // and the interesting question is "can a bad state reach Exit?"), but
@@ -23,8 +18,7 @@ import (
 )
 
 // Problem describes one forward dataflow analysis over facts of type F.
-// F values must be treated as immutable: Transfer and Branch return a
-// fresh fact when they change anything (sharing unchanged facts is
+// F values must be treated as immutable: Transfer returns a fresh fact when they change anything (sharing unchanged facts is
 // fine and keeps small functions allocation-light).
 type Problem[F any] struct {
 	// Entry is the fact at function entry.
@@ -38,11 +32,6 @@ type Problem[F any] struct {
 	// Transfer applies one block node (a statement or an evaluated
 	// condition expression) to the fact.
 	Transfer func(n ast.Node, f F) F
-	// Branch, if non-nil, refines the fact along the outgoing edges of
-	// a condition block: cond is Block.Cond and taken tells which edge
-	// (true edge = Succs[0]). Called after Transfer has processed the
-	// condition node itself.
-	Branch func(cond ast.Expr, taken bool, f F) F
 }
 
 // Result holds the fixpoint solution, indexed by cfg.Block.Index.
@@ -50,9 +39,8 @@ type Result[F any] struct {
 	// In and Out are the facts at block entry and exit. Only valid
 	// where Reached is true.
 	In, Out []F
-	// Reached marks blocks reachable from entry under the analysis
-	// (identical to graph reachability: transfer never prunes edges;
-	// only Branch refines facts along them).
+	// Reached marks blocks reachable from entry (identical to graph
+	// reachability: transfer never prunes edges).
 	Reached []bool
 	g       *cfg.CFG
 }
@@ -64,12 +52,11 @@ type Result[F any] struct {
 func (r *Result[F]) ExitFact(p Problem[F]) (F, bool) {
 	var out F
 	have := false
-	exit := r.g.Exit
-	for _, pred := range exit.Preds {
+	for _, pred := range r.g.Exit.Preds {
 		if !r.Reached[pred.Index] {
 			continue
 		}
-		f := r.edgeFact(p, pred, exit)
+		f := r.Out[pred.Index]
 		if !have {
 			out, have = f, true
 		} else {
@@ -77,20 +64,6 @@ func (r *Result[F]) ExitFact(p Problem[F]) (F, bool) {
 		}
 	}
 	return out, have
-}
-
-// edgeFact is pred's out-fact refined along the pred→succ edge.
-func (r *Result[F]) edgeFact(p Problem[F], pred, succ *cfg.Block) F {
-	f := r.Out[pred.Index]
-	if pred.Cond == nil || p.Branch == nil {
-		return f
-	}
-	for i, s := range pred.Succs {
-		if s == succ {
-			return p.Branch(pred.Cond, i == 0, f)
-		}
-	}
-	return f
 }
 
 // Forward solves the problem to fixpoint and returns the solution.
@@ -126,17 +99,13 @@ func Forward[F any](g *cfg.CFG, p Problem[F]) *Result[F] {
 		}
 		r.Out[bi] = f
 
-		for i, succ := range blk.Succs {
-			sf := f
-			if blk.Cond != nil && p.Branch != nil {
-				sf = p.Branch(blk.Cond, i == 0, f)
-			}
+		for _, succ := range blk.Succs {
 			si := succ.Index
 			if !r.Reached[si] {
 				r.Reached[si] = true
-				r.In[si] = sf
+				r.In[si] = f
 			} else {
-				joined := p.Join(r.In[si], sf)
+				joined := p.Join(r.In[si], f)
 				if p.Equal(joined, r.In[si]) {
 					continue
 				}

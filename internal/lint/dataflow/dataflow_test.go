@@ -12,9 +12,9 @@ import (
 )
 
 // The test problem tracks the set of variable names that "hold a
-// resource": `x = acquire()` adds x, `x = release()` removes x, and a
-// branch on `x == nil` removes x on the true edge. Purely syntactic —
-// no type info needed — which keeps the fixture functions tiny.
+// resource": `x = acquire()` adds x and `x = release()` removes x.
+// Purely syntactic — no type info needed — which keeps the fixture
+// functions tiny.
 
 type fact map[string]bool
 
@@ -98,26 +98,6 @@ func transfer(n ast.Node, f fact) fact {
 	return f
 }
 
-func branch(cond ast.Expr, taken bool, f fact) fact {
-	be, ok := cond.(*ast.BinaryExpr)
-	if !ok {
-		return f
-	}
-	id, ok := be.X.(*ast.Ident)
-	if !ok {
-		return f
-	}
-	if nilIdent, ok := be.Y.(*ast.Ident); !ok || nilIdent.Name != "nil" {
-		return f
-	}
-	// x == nil on the true edge, x != nil on the false edge: x is nil,
-	// so nothing is held.
-	if (be.Op == token.EQL && taken) || (be.Op == token.NEQ && !taken) {
-		return without(f, id.Name)
-	}
-	return f
-}
-
 func solve(t *testing.T, body string) (fact, bool) {
 	t.Helper()
 	src := "package x\nfunc acquire() *int { return nil }\nfunc release() *int { return nil }\nfunc f(b bool, n int) {\n" + body + "\n}"
@@ -137,7 +117,6 @@ func solve(t *testing.T, body string) (fact, bool) {
 		Join:     union,
 		Equal:    equal,
 		Transfer: transfer,
-		Branch:   branch,
 	}
 	r := Forward(g, p)
 	return r.ExitFact(p)
@@ -174,23 +153,6 @@ func TestLeakOnOnePathJoins(t *testing.T) {
 
 func TestBothPathsRelease(t *testing.T) {
 	f, _ := solve(t, "x := acquire()\nif b {\n\tx = release()\n} else {\n\tx = release()\n}")
-	if len(f) != 0 {
-		t.Fatalf("held at exit: %s", names(f))
-	}
-}
-
-func TestNilBranchRefinement(t *testing.T) {
-	// On the x == nil leg nothing is held; the other leg releases.
-	f, _ := solve(t, "x := acquire()\nif x == nil {\n\treturn\n}\nx = release()")
-	if len(f) != 0 {
-		t.Fatalf("held at exit: %s", names(f))
-	}
-}
-
-func TestNeqBranchRefinement(t *testing.T) {
-	// x != nil: the false edge means x is nil — the early return on
-	// the false edge is clean; the true leg must release.
-	f, _ := solve(t, "x := acquire()\nif x != nil {\n\tx = release()\n}")
 	if len(f) != 0 {
 		t.Fatalf("held at exit: %s", names(f))
 	}

@@ -29,6 +29,13 @@
 //   - colwrite        — PR 7's columnar-snapshot contract: a
 //     colstore.Snapshot encode on a persistence path must go through
 //     the WriteColumnar atomic writer seam, never a raw writer.
+//   - bodyclose       — the router's pool-starvation incident: a
+//     response body left open on a rare status branch. Only
+//     retry.Exchange, which drains and closes every body, and RoundTrip
+//     methods may call anything returning an *http.Response.
+//   - lockbalance     — a lock held on an early-return leg wedges the
+//     next Lock: Lock/Unlock (and RLock/RUnlock) balance on every
+//     path, flow-sensitively over internal/lint/cfg and dataflow.
 //   - testonly        — code no binary runs: an exported name in an
 //     internal/ package whose every reference is in a _test.go file
 //     or its own body. A facade alias does not exempt its target's

@@ -67,7 +67,8 @@ func TestErrDiscard(t *testing.T) {
 
 func TestBodyClose(t *testing.T) {
 	analysistest.Run(t, lint.BodyClose,
-		"./internal/lint/testdata/src/bodyclose/a")
+		"./internal/lint/testdata/src/bodyclose/a",
+		"./internal/lint/testdata/src/bodyclose/retry")
 }
 
 func TestLockBalance(t *testing.T) {

@@ -1,8 +1,5 @@
-// Package a is the bodyclose fixture: every *http.Response must have
-// its Body closed on every returning path. The error leg of the
-// `resp, err := Do(req); if err != nil` idiom is refined away (resp is
-// nil there by the net/http contract); escapes transfer the obligation
-// to the receiver.
+// Package a is the bodyclose fixture: only retry.Exchange and
+// RoundTrip methods may call anything that returns an *http.Response.
 package a
 
 import (
@@ -12,9 +9,10 @@ import (
 )
 
 // LeakOnStatusCheck is the incident shape: the status-code early
-// return added between Do and the Close.
+// return added between Do and the Close. Outside the helper the call
+// itself is the finding, whatever the function does with the body.
 func LeakOnStatusCheck(c *http.Client, req *http.Request) error {
-	resp, err := c.Do(req) // want `response body is not closed on every path`
+	resp, err := c.Do(req) // want `call returns an \*http.Response outside retry.Exchange`
 	if err != nil {
 		return err
 	}
@@ -25,153 +23,17 @@ func LeakOnStatusCheck(c *http.Client, req *http.Request) error {
 	return resp.Body.Close()
 }
 
-// Deferred is the idiom the serving plane uses: close immediately
-// after the error check, covering every later return.
-func Deferred(c *http.Client, req *http.Request) (int, error) {
-	resp, err := c.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	n, err := io.Copy(io.Discard, resp.Body)
-	return int(n), err
-}
-
 // DiscardedResponse never binds the response at all.
 func DiscardedResponse(url string) {
-	http.Get(url) // want `http response discarded without closing its body`
+	http.Get(url) // want `call returns an \*http.Response outside retry.Exchange`
 }
 
-// BlankBound discards the response through the blank identifier.
-func BlankBound(url string) error {
-	_, err := http.Get(url) // want `http response discarded without closing its body`
-	return err
-}
+// cutTransport is the netfault shape: a RoundTripper swaps the body for
+// a wrapper and forwards the response to its caller.
+type cutTransport struct{ inner http.RoundTripper }
 
-// BodyAlias closes through an alias of the body: same obligation.
-func BodyAlias(url string) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	b := resp.Body
-	_, _ = io.Copy(io.Discard, b)
-	return b.Close()
-}
-
-// UnderscoreClose discharges via the checked-discard form.
-func UnderscoreClose(url string) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	_ = resp.Body.Close()
-	return nil
-}
-
-// DeferredClosure closes inside a deferred function literal.
-func DeferredClosure(url string) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		_ = resp.Body.Close()
-	}()
-	_, err = io.Copy(io.Discard, resp.Body)
-	return err
-}
-
-// Escapes hands the open response to the caller, which owns the close.
-func Escapes(c *http.Client, req *http.Request) (*http.Response, error) {
-	return c.Do(req)
-}
-
-// EscapesVar binds then returns the open response.
-func EscapesVar(c *http.Client, req *http.Request) (*http.Response, error) {
-	resp, err := c.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
-}
-
-// Reassigned overwrites a response whose body is still open.
-func Reassigned(url string) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	resp, err = http.Get(url) // want `response overwritten by a new request before its body was closed`
-	if err != nil {
-		return err
-	}
-	return resp.Body.Close()
-}
-
-// PerCaseClose mirrors cmd/geofeed's switch: each reachable case
-// closes (or dead-ends) explicitly.
-func PerCaseClose(url string) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		_ = resp.Body.Close()
-		return nil
-	case http.StatusNotFound:
-		_ = resp.Body.Close()
-		return fmt.Errorf("not found")
-	default:
-		_ = resp.Body.Close()
-		return fmt.Errorf("status %d", resp.StatusCode)
-	}
-}
-
-// PanicLeg: a panicking path is not a leak; defers run during
-// unwinding and the CFG dead-ends the path.
-func PanicLeg(url string, strict bool) {
-	resp, err := http.Get(url)
-	if err != nil {
-		panic(err)
-	}
-	if strict && resp.StatusCode != http.StatusOK {
-		panic("bad status")
-	}
-	_ = resp.Body.Close()
-}
-
-// Suppressed: a justified ignore is honoured (a connection-starvation
-// probe leaks bodies on purpose).
-func Suppressed(url string) {
-	//lint:ignore bodyclose chaos probe leaks the body on purpose to starve the pool
-	resp, _ := http.Get(url)
-	_ = resp
-}
-
-// ProbeDrainClose is the router health-probe shape: a deferred
-// closure that drains a bounded prefix (for keep-alive reuse) through
-// a LimitReader alias, then closes. Both the wrap and the close are
-// on the same body; the obligation is discharged.
-func ProbeDrainClose(c *http.Client, req *http.Request) (int, error) {
-	resp, err := c.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		_ = resp.Body.Close()
-	}()
-	return resp.StatusCode, nil
-}
-
-// RoundTripperRewrap is the netfault transport shape: a RoundTripper
-// swaps the body for a wrapper (which owns closing the inner reader)
-// and returns the response — the obligation escapes to the caller
-// with the response, exactly as with an untouched body.
-func RoundTripperRewrap(inner http.RoundTripper, req *http.Request) (*http.Response, error) {
-	resp, err := inner.RoundTrip(req)
+func (t cutTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := t.inner.RoundTrip(req)
 	if err != nil {
 		return nil, err
 	}
@@ -179,37 +41,14 @@ func RoundTripperRewrap(inner http.RoundTripper, req *http.Request) (*http.Respo
 	return resp, nil
 }
 
-// RedeliveryLoopLeak is the hint-redelivery hazard shape: a per-item
-// request inside a loop where a later status check breaks out without
-// closing that iteration's body.
-func RedeliveryLoopLeak(c *http.Client, urls []string) error {
-	for _, u := range urls {
-		resp, err := c.Get(u) // want `response body is not closed on every path`
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusAccepted {
-			break // leaks this iteration's body
-		}
-		_ = resp.Body.Close()
-	}
-	return nil
+// RoundTrip without RoundTripper's signature is not a transport.
+func (t cutTransport) roundTrip(req *http.Request) error {
+	_, err := t.inner.RoundTrip(req) // want `call returns an \*http.Response outside retry.Exchange`
+	return err
 }
 
-// RedeliveryLoopClosed is the same loop with the close hoisted ahead
-// of the status decision — the shape replica redelivery actually uses.
-func RedeliveryLoopClosed(c *http.Client, urls []string) error {
-	for _, u := range urls {
-		resp, err := c.Get(u)
-		if err != nil {
-			return err
-		}
-		status := resp.StatusCode
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-		if status != http.StatusAccepted {
-			break
-		}
-	}
-	return nil
+// Exchange outside package retry is not the helper.
+func Exchange(c *http.Client, req *http.Request) error {
+	_, err := c.Do(req) // want `call returns an \*http.Response outside retry.Exchange`
+	return err
 }

@@ -18,14 +18,46 @@
 // jitter draws each wait from the full [base, 3·prev] range, so
 // retry times spread across the whole window while still growing
 // toward the cap on persistent overload.
+//
+// Exchange is the one way those clients talk HTTP: it sends a request,
+// hands the status, header and body to a callback, and then drains
+// and closes the body whatever the callback did. Closing a body that
+// was not read to its end tears down its keep-alive connection, and a
+// body never closed pins its connection for good; either starves the
+// router's scatter-gather of pooled connections. No other non-test
+// code holds an *http.Response (geolint's bodyclose rule).
 package retry
 
 import (
+	"io"
 	"math"
 	"math/rand"
+	"net/http"
 	"strconv"
 	"time"
 )
+
+// maxDrain bounds how much of a body Exchange reads past what handle
+// read. A longer rest costs the connection instead: closing it unread
+// makes the transport dial anew for the next request.
+const maxDrain = 64 << 10
+
+// Exchange sends req through c and calls handle with the response's
+// status code, header and body. Whatever handle returns, and however
+// much of the body it read, Exchange then drains at most maxDrain
+// bytes of the rest and closes the body, so the connection goes back
+// to c's pool. It returns c.Do's error, or else handle's.
+func Exchange(c *http.Client, req *http.Request, handle func(status int, h http.Header, body io.Reader) error) error {
+	resp, err := c.Do(req)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxDrain))
+		_ = resp.Body.Close()
+	}()
+	return handle(resp.StatusCode, resp.Header, resp.Body)
+}
 
 // ParseRetryAfter reads a Retry-After header value in its
 // delay-seconds form (RFC 9110): a non-negative integer number of

@@ -416,25 +416,18 @@ func (r *Router) probe(ctx context.Context, s *shard) (healthzJSON, error) {
 	if err != nil {
 		return healthzJSON{}, err
 	}
-	resp, err := r.cfg.Client.Do(req)
+	var h healthzJSON
+	err = retry.Exchange(r.cfg.Client, req, func(status int, _ http.Header, body io.Reader) error {
+		if status != http.StatusOK {
+			return fmt.Errorf("healthz status %d", status)
+		}
+		if err := json.NewDecoder(io.LimitReader(body, maxHealthzBody)).Decode(&h); err != nil {
+			return fmt.Errorf("healthz body: %w", err)
+		}
+		return nil
+	})
 	if err != nil {
 		return healthzJSON{}, err
-	}
-	// Drain (bounded) then close on every exit path — including decode
-	// failures — so the keep-alive connection returns to the pool
-	// instead of being torn down under an unread body. Probes run every
-	// interval forever; leaking a connection per failed decode would
-	// bleed the pool dry.
-	defer func() {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxHealthzBody))
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return healthzJSON{}, fmt.Errorf("healthz status %d", resp.StatusCode)
-	}
-	var h healthzJSON
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxHealthzBody)).Decode(&h); err != nil {
-		return healthzJSON{}, fmt.Errorf("healthz body: %w", err)
 	}
 	return h, nil
 }
@@ -516,20 +509,13 @@ func (r *Router) attempt(ctx context.Context, s *shard, build func(ctx context.C
 	if err != nil {
 		return err
 	}
-	resp, err := r.cfg.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close() // response body fully consumed by handle or discarded
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return &StatusError{
-			Status:     resp.StatusCode,
-			RetryAfter: resp.Header.Get("Retry-After"),
-			Body:       string(msg),
+	return retry.Exchange(r.cfg.Client, req, func(status int, h http.Header, body io.Reader) error {
+		if status < 200 || status > 299 {
+			msg, _ := io.ReadAll(io.LimitReader(body, 512))
+			return &StatusError{Status: status, RetryAfter: h.Get("Retry-After"), Body: string(msg)}
 		}
-	}
-	return handle(resp.StatusCode, resp.Body)
+		return handle(status, body)
+	})
 }
 
 // StatusError is a non-2xx shard response.

@@ -8,6 +8,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -139,6 +140,39 @@ func TestCheckHealthStates(t *testing.T) {
 		if got[id] != w {
 			t.Errorf("shard %s state = %s, want %s (all: %v)", id, got[id], w, got)
 		}
+	}
+}
+
+// A /healthz body that fails to decode still hands its connection back
+// to the pool: probes run every interval for as long as the router
+// does, so a connection lost per bad body would drain the pool.
+func TestProbeDecodeFailureReturnsConnection(t *testing.T) {
+	var bad atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if bad.Load() {
+			// The decoder stops at the x; the padding stays unread.
+			io.WriteString(w, `{"status":x`+strings.Repeat(" ", 8<<10)+`}`)
+			return
+		}
+		io.WriteString(w, `{"status":"ok","shard_id":"shard-0"}`)
+	}))
+	t.Cleanup(srv.Close)
+	r := newTestRouter(t, &hashring.Map{Version: hashring.MapVersion,
+		Shards: []hashring.Shard{{ID: "shard-0", Addr: srv.URL}}}, nil)
+	var reused []bool
+	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+		GotConn: func(info httptrace.GotConnInfo) { reused = append(reused, info.Reused) },
+	})
+	bad.Store(true)
+	if _, err := r.probe(ctx, r.shards[0]); err == nil {
+		t.Fatal("undecodable /healthz body: no error")
+	}
+	bad.Store(false)
+	if h, err := r.probe(ctx, r.shards[0]); err != nil || h.Status != "ok" {
+		t.Fatalf("second probe: %+v, %v", h, err)
+	}
+	if len(reused) != 2 || !reused[1] {
+		t.Fatalf("connection reuse per probe = %v, want the second probe on the first's connection", reused)
 	}
 }
 

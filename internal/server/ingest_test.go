@@ -112,9 +112,10 @@ func TestIngestBackpressure429(t *testing.T) {
 		s.mu.Unlock()
 		t.Fatalf("first batch: status %d", rec.Code)
 	}
-	// Wait for the apply goroutine to dequeue the first batch and park
-	// on the held lock; then one batch fills the depth-1 queue.
-	for p.Stats().QueueLen != 0 {
+	// Wait for the apply goroutine to close a group around the first
+	// batch (it then parks on the held lock); then one batch fills the
+	// depth-1 queue instead of joining that group.
+	for st := p.Stats(); st.Grouped < st.Appended; st = p.Stats() {
 		time.Sleep(100 * time.Microsecond)
 	}
 	if rec, _ := do(t, h, "POST", "/v1/ingest", dwellBatch(9002, 0.6, 0.6)); rec.Code != http.StatusAccepted {

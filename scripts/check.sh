@@ -41,8 +41,10 @@ go vet -copylocks ./internal/store/... ./internal/wal/... ./internal/ingest/... 
 # (dropped Sync/Close/WAL errors), ctxcancel (loops in
 # //geo:cancellable functions that never poll ctx), epochmut
 # (mutation of epoch-published databases outside the internal/store
-# builder seam), plus the flow-sensitive suite: bodyclose
-# (*http.Response bodies closed on every path), lockbalance (mutex Lock/Unlock balanced per path),
+# builder seam), bodyclose (calls returning an *http.Response outside
+# retry.Exchange, which drains and closes every body, and RoundTrip
+# methods), the flow-sensitive lockbalance (mutex Lock/Unlock balanced
+# per path),
 # testonly (exported names in internal/ packages that only tests or
 # their own bodies reference, judged over every main, the facade and
 # the benchmark module; a facade alias does not exempt its target's
